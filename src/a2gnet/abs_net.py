@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from .errors import DomainError
-from .numerics import inv_marcum_q, marcum_q
+from .numerics import inv_marcum_q
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,9 @@ def outage(r_m, h_abs_m: float, p_tx_w: float, prof: AbsProfile):
     d = np.hypot(h_abs_m, r)
     arg = (2.0 * prof.threshold_t * (1.0 + k) * d ** eta * prof.noise_w
            / (prof.antenna_gain * p_tx_w))
-    out = np.array([1.0 - marcum_q(math.sqrt(2.0 * kk), math.sqrt(aa))
-                    for kk, aa in zip(k, arg)])
+    # 1 - Q1(a, b) is the noncentral chi-square CDF at b^2 with
+    # noncentrality a^2, accurate also where outage is small.
+    out = special.chndtr(arg, 2.0, 2.0 * k)
     return float(out[0]) if scalar else out
 
 

@@ -17,8 +17,21 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .antenna_geometry import ConeUav, OmniUav, SectorAntenna, UavAntenna
-from .channel import Environment, _p_los_building_heights, urban
+from .antenna_geometry import (
+    ConeUav,
+    OmniUav,
+    SectorAntenna,
+    UavAntenna,
+    bs_gain_db,
+    uav_gain_linear,
+)
+from .channel import (
+    Carrier,
+    Environment,
+    _p_los_building_heights,
+    free_space_reference_loss_db,
+    urban,
+)
 from .errors import DomainError
 from .numerics import (
     FadingModel,
@@ -29,8 +42,6 @@ from .numerics import (
     chebyshev_capacity_nodes,
     sample_fading,
 )
-
-SPEED_OF_LIGHT = 299_792_458.0
 
 
 def _default_sector() -> SectorAntenna:
@@ -48,9 +59,8 @@ class AueNetworkConfig:
     """Scenario knobs for the aerial-UE coverage/capacity analysis.
 
     Exactly one of threshold_t (linear SINR) and target_rate_bps should be
-    set; the rate converts through T = 2^(R/BW) - 1. `user_density` exists
-    only for bookkeeping in scenario files; `aue_ratio_rho` is the fraction
-    of users that are aerial in the area-spectral-efficiency mix.
+    set; the rate converts through T = 2^(R/BW) - 1. `aue_ratio_rho` is the
+    fraction of users that are aerial in the area-spectral-efficiency mix.
     """
 
     frequency_hz: float = 1.8e9
@@ -75,12 +85,7 @@ class AueNetworkConfig:
     fading_los: FadingModel = field(default_factory=lambda: Nakagami(3))
     fading_nlos: FadingModel = field(default_factory=lambda: Nakagami(1))
     aue_ratio_rho: float = 0.5
-    user_density_per_km2: float = 20.0
     region_radius_m: float = 3000.0
-    # 'two_level': G_M inside the downtilted main lobe, flat G_m above it
-    # (links to an elevated UE ride the sidelobes); 'itu' keeps the full
-    # quadratic elevation roll-off everywhere.
-    bs_pattern: str = "two_level"
 
     def __post_init__(self):
         if self.bs_density_per_km2 <= 0:
@@ -109,23 +114,17 @@ class AueNetworkConfig:
         explicit = self.lambda0_los_db if los else self.lambda0_nlos_db
         if explicit is not None:
             return explicit
-        wavelength = SPEED_OF_LIGHT / self.frequency_hz
-        ref = 20.0 * math.log10(4.0 * math.pi * self.d0_m / wavelength)
+        ref = free_space_reference_loss_db(Carrier(self.frequency_hz), self.d0_m)
         return ref if los else ref + self.nlos_excess_db
 
 
 @dataclass
 class NetworkSnapshot:
-    """One HPPP realization: site coordinates plus per-site sector bearings.
-
-    `realization` records the stream that produced the snapshot when one
-    was given, purely for provenance.
-    """
+    """One HPPP realization: site coordinates plus per-site sector bearings."""
 
     xy: np.ndarray               # (n, 2) site positions, m
     height_m: float
     sector_azimuth: np.ndarray   # (n, 3) bearings, rad
-    realization: Optional[RngStream] = None
 
     @property
     def n_sites(self) -> int:
@@ -143,8 +142,7 @@ def deploy_hppp(cfg: AueNetworkConfig, rng: RngLike) -> NetworkSnapshot:
     rotation = gen.uniform(0.0, 2.0 * math.pi, n)
     sector_azimuth = rotation[:, None] + np.array([0.0, 2.0, 4.0]) * math.pi / 3.0
     return NetworkSnapshot(xy=xy, height_m=cfg.bs_height_m,
-                           sector_azimuth=sector_azimuth,
-                           realization=rng if isinstance(rng, RngStream) else None)
+                           sector_azimuth=sector_azimuth)
 
 
 @dataclass(frozen=True)
@@ -153,27 +151,6 @@ class SnapshotSinr:
     serving_site: int     # -1 when nothing is received
     serving_sector: int
     los_serving: bool
-
-
-def _sector_gains_db(cfg, snap, d_h, elevation, az_to_uav):
-    daz = az_to_uav[:, None] - snap.sector_azimuth  # (n, 3)
-    ant = cfg.sector
-    daz = (daz + math.pi) % (2.0 * math.pi) - math.pi
-    a_az = np.minimum(12.0 * (daz / ant.beamwidth_3db) ** 2, ant.sidelobe_floor_db)
-    dele = elevation[:, None] + ant.downtilt
-    a_el = np.minimum(12.0 * (dele / ant.elevation_beamwidth) ** 2,
-                      ant.sidelobe_floor_db)
-    att = np.minimum(a_az + a_el, ant.sidelobe_floor_db)
-    gain = ant.max_gain_dbi - att
-    if cfg.bs_pattern == "two_level":
-        # outside the main lobe in elevation the upward sidelobes are taken
-        # as direction-independent: every air link rides G_m
-        lobe_edge = ant.elevation_beamwidth * math.sqrt(ant.sidelobe_floor_db / 12.0)
-        sidelobe = np.abs(dele) > lobe_edge
-        gain = np.where(sidelobe, ant.max_gain_dbi - ant.sidelobe_floor_db, gain)
-    elif cfg.bs_pattern != "itu":
-        raise DomainError(f"unknown BS pattern {cfg.bs_pattern!r}")
-    return gain
 
 
 def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
@@ -210,8 +187,9 @@ def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
     d = np.maximum(d_3d, cfg.d0_m)
     pl_db = lam0 + 10.0 * eta * np.log10(d / cfg.d0_m)
 
-    bs_gain = 10.0 ** (_sector_gains_db(cfg, snap, d_h, elevation_from_bs,
-                                        az_from_bs) / 10.0)  # (n, 3) linear
+    bs_gain = 10.0 ** (bs_gain_db(cfg.sector,
+                                  az_from_bs[:, None] - snap.sector_azimuth,
+                                  elevation_from_bs[:, None]) / 10.0)  # (n, 3)
     fading = np.where(
         los,
         sample_fading(cfg.fading_los, gen, snap.n_sites),
@@ -228,16 +206,7 @@ def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
         uav_ant = replace(uav_ant, phi_t=float(phi_t),
                           tilt_azimuth=float(az_from_uav[site0]))
 
-    if isinstance(uav_ant, OmniUav):
-        g_uav = np.full(snap.n_sites, uav_ant.gain_linear)
-    else:
-        el_axis = uav_ant.axis_elevation
-        cos_sep = (np.sin(el_from_uav) * math.sin(el_axis)
-                   + np.cos(el_from_uav) * math.cos(el_axis)
-                   * np.cos(az_from_uav - uav_ant.tilt_azimuth))
-        sep = np.arccos(np.clip(cos_sep, -1.0, 1.0))
-        inside = sep <= math.radians(uav_ant.phi_b_deg) / 2.0
-        g_uav = np.where(inside, uav_ant.gain_linear, 0.0)
+    g_uav = uav_gain_linear(uav_ant, az_from_uav, el_from_uav)
 
     # one effective transmitter per site: its strongest sector toward the UE
     # (the theory SINR carries a single P_Tx G Lambda X term per BS)

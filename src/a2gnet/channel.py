@@ -170,7 +170,7 @@ class LogDistance:
     def reference_loss_db(self) -> float:
         if self.lambda0_db is not None:
             return self.lambda0_db
-        return 20.0 * math.log10(4.0 * math.pi * self.d0_m / self.carrier.wavelength_m)
+        return free_space_reference_loss_db(self.carrier, self.d0_m)
 
 
 @dataclass(frozen=True)
@@ -229,6 +229,11 @@ def free_space_pl_db(g, spec: FreeSpace):
     out = 10.0 * spec.eta * np.log10(4.0 * np.pi * d / spec.carrier.wavelength_m)
     out = out + spec.extra_db
     return float(out) if out.ndim == 0 else out
+
+
+def free_space_reference_loss_db(carrier: Carrier, d0_m: float) -> float:
+    """Friis loss 20 log10(4 pi d0 / lambda) at the reference distance d0."""
+    return 20.0 * math.log10(4.0 * math.pi * d0_m / carrier.wavelength_m)
 
 
 def log_distance_pl_db(g, spec: LogDistance):

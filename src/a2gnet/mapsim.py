@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -128,9 +128,9 @@ def _path_loss_db(cfg: MapSimConfig, d_h, d_3d, ue_h, site_h, los):
     """Vectorized slice-appropriate loss for one site (scalar heights)."""
     f_ghz = cfg.frequency_hz / 1e9
     if cfg.pl_model == "free_space":
-        lam = ch.SPEED_OF_LIGHT / cfg.frequency_hz
-        eta = cfg.eta_los if los else cfg.eta_nlos
-        return 10.0 * eta * np.log10(4.0 * np.pi * np.maximum(d_3d, lam) / lam)
+        spec = ch.FreeSpace(ch.Carrier(cfg.frequency_hz),
+                            eta=cfg.eta_los if los else cfg.eta_nlos)
+        return ch.free_space_pl_db(np.maximum(d_3d, spec.carrier.wavelength_m), spec)
     slice_ = ch.slice_of(ue_h, cfg.env)
     if slice_ is ch.PropagationSlice.GROUND:
         lo, hi = (ch.RMA_GROUND_LOS_RANGE_M if los else ch.RMA_GROUND_NLOS_RANGE_M)
@@ -164,8 +164,7 @@ def received_power_dbm(site: SectorSite, sector_idx: int, ue: Position3D,
                                       h_g_m=site.position.h,
                                       f_c_ghz=cfg.frequency_hz / 1e9)
         pl += float(as_generator(rng).normal(0.0, sigma))
-    from dataclasses import replace as _replace
-    ant = _replace(site.antenna, azimuth=site.sector_azimuths[sector_idx])
+    ant = replace(site.antenna, azimuth=site.sector_azimuths[sector_idx])
     az = math.atan2(dx, dy)
     el = math.atan2(ue.h - site.position.h, d_h)
     g_tx = float(bs_gain_db(ant, az, el))
@@ -199,15 +198,9 @@ def _sector_rx_dbm_grid(site, sector_az, cfg, hm, xs, ys, ue_h, los_mask):
         los_mask,
         _path_loss_db(cfg, d_h, d_3d, ue_h, site.position.h, True),
         _path_loss_db(cfg, d_h, d_3d, ue_h, site.position.h, False))
-    ant = site.antenna
     az = np.arctan2(dx, dy)
     el = np.arctan2(ue_h - site.position.h, d_h)
-    daz = (az - sector_az + np.pi) % (2.0 * np.pi) - np.pi
-    a_az = np.minimum(12.0 * (daz / ant.beamwidth_3db) ** 2, ant.sidelobe_floor_db)
-    dele = el + ant.downtilt
-    a_el = np.minimum(12.0 * (dele / ant.elevation_beamwidth) ** 2,
-                      ant.sidelobe_floor_db)
-    g_tx = ant.max_gain_dbi - np.minimum(a_az + a_el, ant.sidelobe_floor_db)
+    g_tx = bs_gain_db(replace(site.antenna, azimuth=sector_az), az, el)
     return site.p_tx_dbm + g_tx + cfg.ue_gain_dbi - pl
 
 

@@ -26,6 +26,8 @@ class Field:
     default: Any = None
     required: bool = False
     choices: tuple = None
+    minimum: Any = None            # inclusive bounds for numbers
+    maximum: Any = None
     item_kind: type = float        # for list fields
     schema: dict = None            # for nested blocks
 
@@ -117,8 +119,6 @@ SCHEMAS: Dict[str, dict] = {
             "threshold_db": Field(default=0.0),
             "epsilon": Field(default=0.05),
             "r_c_m": Field(default=500.0),
-            "n_users": Field(default=20.0),
-            "bandwidth_mhz": Field(default=20.0),
             "altitudes_m": Field(kind=list,
                                  default=[50.0, 100.0, 200.0, 400.0, 800.0]),
         }),
@@ -155,7 +155,8 @@ SCHEMAS: Dict[str, dict] = {
             }),
             "sites_csv": Field(kind=str, default=None),
             "auto_sites": Field(kind=dict, schema={
-                "count": Field(kind=int, default=5),
+                # the automatic layout has 9 positions
+                "count": Field(kind=int, default=5, minimum=1, maximum=9),
                 "p_tx_dbm": Field(default=46.0),
                 "mast_m": Field(default=5.0),
                 "downtilt_deg": Field(default=8.0),
@@ -164,7 +165,7 @@ SCHEMAS: Dict[str, dict] = {
             }),
             "heights_m": Field(kind=list, default=[1.5, 20.0, 60.0, 150.0]),
             "threshold_db": Field(default=-6.0),
-            "stride": Field(kind=int, default=4),
+            "stride": Field(kind=int, default=4, minimum=1),
             "frequency_ghz": Field(default=1.8),
             "bandwidth_mhz": Field(default=20.0),
             "noise_figure_db": Field(default=9.0),
@@ -230,6 +231,15 @@ def _coerce(value, f: Field, path: str):
     raise ScenarioError("unsupported field kind", path)  # pragma: no cover
 
 
+def _check_bounds(value, f: Field, path: str):
+    if value is None:
+        return
+    if f.minimum is not None and value < f.minimum:
+        raise ScenarioError(f"must be at least {f.minimum}", path)
+    if f.maximum is not None and value > f.maximum:
+        raise ScenarioError(f"must be at most {f.maximum}", path)
+
+
 def _validate_block(data, schema: dict, path: str):
     if data is None:
         data = {}
@@ -246,6 +256,7 @@ def _validate_block(data, schema: dict, path: str):
             continue
         if key in data:
             out[key] = _coerce(data[key], f, sub_path)
+            _check_bounds(out[key], f, sub_path)
         elif f.required:
             raise ScenarioError("missing required key", sub_path)
         else:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2gnet.antenna_geometry import (
     ConeUav,
@@ -86,6 +88,25 @@ class TestSectorAntenna:
         g = bs_gain_db(ant, az[:, None], el[None, :])
         assert np.all(g <= 18.0 + 1e-12)
         assert np.all(g >= 18.0 - 25.0 - 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gain=st.floats(0.0, 25.0), floor=st.floats(1.0, 40.0),
+           bw_deg=st.floats(10.0, 120.0), el_bw_deg=st.floats(2.0, 30.0),
+           tilt_deg=st.floats(-10.0, 15.0), az=st.floats(-7.0, 7.0),
+           beyond=st.floats(1.0, 10.0, exclude_min=True),
+           above=st.booleans())
+    def test_elevation_sidelobe_rides_side_gain(self, gain, floor, bw_deg,
+                                                el_bw_deg, tilt_deg, az,
+                                                beyond, above):
+        # |el + downtilt| > theta3 sqrt(floor/12) saturates the elevation
+        # term, so the gain is G_m whatever the azimuth
+        ant = SectorAntenna(max_gain_dbi=gain, sidelobe_floor_db=floor,
+                            beamwidth_3db=math.radians(bw_deg),
+                            elevation_beamwidth_3db=math.radians(el_bw_deg),
+                            electrical_tilt=math.radians(tilt_deg))
+        edge = ant.elevation_beamwidth * math.sqrt(floor / 12.0)
+        el = (1.0 if above else -1.0) * beyond * edge - ant.downtilt
+        assert bs_gain_db(ant, az, el) == pytest.approx(gain - floor, abs=1e-9)
 
     def test_main_side_gain_ordering(self):
         ant = SectorAntenna(max_gain_dbi=16.0, sidelobe_floor_db=20.0)

@@ -1,6 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
+
+import a2gnet
 
 from a2gnet.cli import main, run_scenario
 from a2gnet.errors import ScenarioError
@@ -91,6 +98,19 @@ class TestParsing:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(text)
         assert "sweep.axis" in str(err.value)
+
+    @pytest.mark.parametrize("key,value,path", [
+        ("stride", 0, "mapsim.stride"),
+        ("stride", -2, "mapsim.stride"),
+        ("auto_sites", {"count": 12}, "mapsim.auto_sites.count"),
+        ("auto_sites", {"count": 0}, "mapsim.auto_sites.count"),
+    ])
+    def test_bound_validation(self, key, value, path):
+        doc = yaml.safe_load(MAPSIM_SMALL)
+        doc["mapsim"][key] = value
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(yaml.safe_dump(doc))
+        assert path in str(err.value)
 
     def test_round_trip_fixpoint(self):
         for text in (MINIMAL_CHANNEL, AUE_TABLE_IV, LOCALIZE_TABLE_VI,
@@ -200,3 +220,12 @@ class TestMainEntry:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about half a second and 20 MB at start-up
+    src = str(Path(a2gnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, a2gnet, a2gnet.cli; "
+            "assert 'scipy.stats' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from a2gnet.errors import DomainError
 from a2gnet.numerics import (
@@ -24,6 +24,17 @@ def marcum_oracle(a, b):
     return stats.ncx2.sf(b * b, 2, a * a)
 
 
+def marcum_integral_oracle(a, b):
+    # independent of the chi-square family: 1 - Q1(a,b) is the integral of
+    # the Rician envelope density x exp(-(x^2+a^2)/2) I0(ax) over [0, b]
+    def density(x):
+        return x * math.exp(-0.5 * (x - a) ** 2) * special.i0e(a * x)
+
+    cdf, _ = integrate.quad(density, 0.0, b, points=[a] if a < b else None,
+                            limit=200, epsabs=1e-13)
+    return 1.0 - cdf
+
+
 class TestMarcumQ:
     def test_b_zero_identity(self):
         for a in [0.0, 0.3, 1.0, 2.5, 10.0, 30.0]:
@@ -42,6 +53,8 @@ class TestMarcumQ:
         for a in vals:
             for b in vals:
                 assert marcum_q(a, b) == pytest.approx(marcum_oracle(a, b), abs=1e-9)
+                assert marcum_q(a, b) == pytest.approx(
+                    marcum_integral_oracle(a, b), abs=1e-9)
 
     def test_monotone_in_a_and_b(self):
         grid = np.linspace(0.0, 10.0, 50)
