@@ -32,17 +32,17 @@ def main():
           f"{cfg.bandwidth_hz / 1e6:.0f} MHz\n")
 
     heights = [1.5, 10.0, 20.0, 30.0, 60.0, 100.0, 150.0]
-    curve = ms.coverage_vs_altitude(sites, city, heights, cfg, stride=4)
-    plos = dict(ms.p_los_vs_altitude(sites, city, heights, stride=4))
+    grids = {h: ms.sinr_grid(sites, city, h, cfg, stride=4) for h in heights}
     print("Coverage at the -6 dB command-and-control threshold:")
-    for h, frac in curve:
+    for h, grid in grids.items():
+        frac = grid.coverage_fraction(-6.0)
         bar = "#" * int(frac * 40)
-        print(f"  h={h:6.1f} m: {frac:5.2f}  P(LOS to any site)={plos[h]:.2f}  {bar}")
+        print(f"  h={h:6.1f} m: {frac:5.2f}  "
+              f"P(LOS to any site)={grid.p_los_any:.2f}  {bar}")
     print("  -> best service at rooftop level; at 150 m every site is "
           "visible and interference wins")
 
-    grid = ms.sinr_grid(sites, city, 20.0, cfg, stride=4)
-    raster = type(city)(heights=grid.sinr_db[::-1, :],
+    raster = type(city)(heights=grids[20.0].sinr_db[::-1, :],
                         cellsize=city.cellsize * 4)
     save_ascii_grid(raster, "sinr_rooftop.asc")
     print("\nWrote sinr_rooftop.asc (ESRI ASCII raster of SINR at 20 m)")

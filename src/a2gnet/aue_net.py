@@ -1,7 +1,7 @@
 """Aerial-UE performance under a Poisson field of sector base stations.
 
 Monte Carlo trials are independent work units keyed by (seed, trial index),
-so estimates are bit-exact for any thread count or evaluation order. Each
+so estimates are bit-exact for any evaluation order. Each
 trial deploys a fresh HPPP snapshot, draws one LOS state and one fading gain
 per base station (shared by its three co-sited sectors), associates the UE
 with the strongest mean received power, and forms the SINR against the sum
@@ -11,7 +11,6 @@ of all remaining sectors plus noise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
@@ -228,7 +227,7 @@ def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
 # ---------------------------------------------------------------------------
 
 def sinr_samples(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
-                 rng: RngStream, threads: int = 1,
+                 rng: RngStream,
                  aim_cone_at_serving: bool = False) -> np.ndarray:
     """n_trials independent SINR draws for a UE at the region center."""
     if n_trials < 1:
@@ -240,10 +239,7 @@ def sinr_samples(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
         return snapshot_sinr((0.0, 0.0, uav_h), snap, cfg, gen,
                              aim_cone_at_serving=aim_cone_at_serving).sinr
 
-    if threads <= 1:
-        return np.array([run(i) for i in range(n_trials)])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(run, range(n_trials))))
+    return np.array([run(i) for i in range(n_trials)])
 
 
 @dataclass(frozen=True)
@@ -254,13 +250,13 @@ class CoverageEstimate:
 
 
 def coverage_probability_mc(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
-                            rng: RngStream, threshold: float = None,
-                            threads: int = 1) -> CoverageEstimate:
+                            rng: RngStream,
+                            threshold: float = None) -> CoverageEstimate:
     """Fraction of trials with SINR above the target, with a normal CI."""
     if n_trials < 100:
         raise DomainError("coverage estimation needs n_trials >= 100")
     t = cfg.threshold if threshold is None else threshold
-    sinr = sinr_samples(uav_h, cfg, n_trials, rng, threads=threads)
+    sinr = sinr_samples(uav_h, cfg, n_trials, rng)
     p = float(np.mean(sinr > t))
     ci = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-12) / n_trials)
     return CoverageEstimate(p, ci, n_trials)
@@ -292,7 +288,6 @@ def capacity_from_pcov(pcov: Callable[[float], float], k_nodes: int,
 
 def capacity(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
              rng: RngStream, k_nodes: int = 200, t_max: float = None,
-             threads: int = 1,
              aim_cone_at_serving: bool = False) -> CapacityEstimate:
     """Monte Carlo capacity via the coverage quadrature.
 
@@ -302,7 +297,7 @@ def capacity(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
     """
     if k_nodes < 50:
         raise DomainError("capacity quadrature needs K >= 50 nodes")
-    sinr = sinr_samples(uav_h, cfg, n_trials, rng, threads=threads,
+    sinr = sinr_samples(uav_h, cfg, n_trials, rng,
                         aim_cone_at_serving=aim_cone_at_serving)
     t, w = chebyshev_capacity_nodes(k_nodes)
     if t_max is not None:
@@ -316,16 +311,16 @@ def capacity(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
 
 
 def ase(cfg: AueNetworkConfig, uav_h: float, n_trials: int, rng: RngStream,
-        k_nodes: int = 200, threads: int = 1) -> float:
+        k_nodes: int = 200) -> float:
     """Area spectral efficiency lambda[(1-rho) R(1.5) + rho R(h)].
 
     Ground users always carry the 2.15 dBi omni antenna.
     """
     ground_cfg = replace(cfg, uav=OmniUav())
     r_ground = capacity(1.5, ground_cfg, n_trials, RngStream(rng.master_seed, rng.stream_index),
-                        k_nodes=k_nodes, threads=threads).bps_hz
+                        k_nodes=k_nodes).bps_hz
     r_aerial = capacity(uav_h, cfg, n_trials, RngStream(rng.master_seed, rng.stream_index),
-                        k_nodes=k_nodes, threads=threads).bps_hz
+                        k_nodes=k_nodes).bps_hz
     rho = cfg.aue_ratio_rho
     return cfg.bs_density_per_km2 * ((1.0 - rho) * r_ground + rho * r_aerial)
 
@@ -361,8 +356,7 @@ def _cfg_for(cfg: AueNetworkConfig, axis: str, x: float) -> AueNetworkConfig:
 
 def sweep(cfg: AueNetworkConfig, axis: str, grid: Sequence[float], uav_h: float,
           n_trials: int, rng: RngStream, metric: str = "capacity",
-          k_nodes: int = 200, t_max: float = None,
-          threads: int = 1) -> List[SweepPoint]:
+          k_nodes: int = 200, t_max: float = None) -> List[SweepPoint]:
     """Evaluate capacity or coverage across one swept parameter.
 
     Every grid point reuses the same per-trial streams (common random
@@ -381,11 +375,10 @@ def sweep(cfg: AueNetworkConfig, axis: str, grid: Sequence[float], uav_h: float,
         point_cfg = _cfg_for(cfg, axis, x)
         h = float(x) if axis == "altitude" else uav_h
         if metric == "coverage":
-            est = coverage_probability_mc(h, point_cfg, n_trials, rng,
-                                          threads=threads)
+            est = coverage_probability_mc(h, point_cfg, n_trials, rng)
             points.append(SweepPoint(float(x), est.estimate, est.ci95))
         else:
             est = capacity(h, point_cfg, n_trials, rng, k_nodes=k_nodes,
-                           t_max=t_max, threads=threads)
+                           t_max=t_max)
             points.append(SweepPoint(float(x), est.bps_hz, est.ci95))
     return points

@@ -1,7 +1,8 @@
 """Command-line front end: run a scenario file, emit CSV tables and rasters.
 
-Every run is reproducible: identical seeds give byte-identical outputs for
-any thread count, because all Monte Carlo work is keyed per work unit.
+Every run is reproducible: identical seeds give byte-identical outputs,
+because all Monte Carlo work is keyed per work unit. Runs are serial; the
+`--threads` flag is accepted and has no effect.
 Floats print with 9 significant digits.
 """
 
@@ -122,7 +123,7 @@ def _aue_config(block) -> aue_net.AueNetworkConfig:
 # Command runners
 # ---------------------------------------------------------------------------
 
-def _run_channel_table(s: Scenario, out_dir: Path, threads: int):
+def _run_channel_table(s: Scenario, out_dir: Path):
     block = s.params["channel"]
     env = _environment(block["environment"])
     f_ghz = block["frequency_ghz"]
@@ -159,13 +160,13 @@ def _run_channel_table(s: Scenario, out_dir: Path, threads: int):
                         "sigma_los_db", "sigma_nlos_db"], rows)]
 
 
-def _run_aue_coverage(s: Scenario, out_dir: Path, threads: int):
+def _run_aue_coverage(s: Scenario, out_dir: Path):
     cfg = _aue_config(s.params["aue"])
     run = s.params["run"]
     rows = []
     for i, h in enumerate(run["altitudes_m"]):
         sinr = aue_net.sinr_samples(h, cfg, run["n_trials"],
-                                    RngStream(s.seed, i), threads=threads)
+                                    RngStream(s.seed, i))
         for t_db in run["thresholds_db"]:
             t = 10.0 ** (t_db / 10.0)
             p = float(np.mean(sinr > t))
@@ -175,7 +176,7 @@ def _run_aue_coverage(s: Scenario, out_dir: Path, threads: int):
                        ["h_m", "threshold_db", "p_cov", "ci95"], rows)]
 
 
-def _run_aue_sweep(s: Scenario, out_dir: Path, threads: int):
+def _run_aue_sweep(s: Scenario, out_dir: Path):
     cfg = _aue_config(s.params["aue"])
     sw = s.params["sweep"]
     t_max = None
@@ -184,12 +185,12 @@ def _run_aue_sweep(s: Scenario, out_dir: Path, threads: int):
     points = aue_net.sweep(cfg, sw["axis"], sw["grid"], uav_h=sw["uav_h_m"],
                            n_trials=sw["n_trials"], rng=RngStream(s.seed, 0),
                            metric=sw["metric"], k_nodes=sw["k_nodes"],
-                           t_max=t_max, threads=threads)
+                           t_max=t_max)
     rows = [[p.x, p.value, p.ci95] for p in points]
     return [_write_csv(out_dir / "aue_sweep.csv", ["x", "metric", "ci95"], rows)]
 
 
-def _run_abs_design(s: Scenario, out_dir: Path, threads: int):
+def _run_abs_design(s: Scenario, out_dir: Path):
     b = s.params["abs"]
     prof = abs_net.urban_abs_profile(
         k0_db=b["k0_db"], k90_db=b["k90_db"], eta0=b["eta0"], eta90=b["eta90"],
@@ -208,7 +209,7 @@ def _run_abs_design(s: Scenario, out_dir: Path, threads: int):
                         "sum_rate_gain"], rows)]
 
 
-def _run_localize(s: Scenario, out_dir: Path, threads: int):
+def _run_localize(s: Scenario, out_dir: Path):
     b = s.params["localize"]
     chan = loc.ElevationChannel(
         a_los=b["a_los"], b_los=b["b_los"], a_nlos=b["a_nlos"],
@@ -247,7 +248,7 @@ def _auto_site_positions(extent, count):
     return pts[:count]
 
 
-def _run_mapsim(s: Scenario, out_dir: Path, threads: int):
+def _run_mapsim(s: Scenario, out_dir: Path):
     b = s.params["mapsim"]
     env = _environment(b["environment"])
     if b["heightmap"] is not None:
@@ -276,11 +277,10 @@ def _run_mapsim(s: Scenario, out_dir: Path, threads: int):
                           env=env, pl_model=b["pl_model"])
     written = []
     rows = []
-    plos = dict(ms.p_los_vs_altitude(sites, hm, b["heights_m"],
-                                     stride=b["stride"]))
     for h in b["heights_m"]:
         grid = ms.sinr_grid(sites, hm, float(h), cfg, stride=b["stride"])
-        rows.append([h, grid.coverage_fraction(b["threshold_db"]), plos[h]])
+        rows.append([h, grid.coverage_fraction(b["threshold_db"]),
+                     grid.p_los_any])
         if b["emit_rasters"]:
             from .heightmap import HeightMap
             raster = HeightMap(heights=grid.sinr_db[::-1, :],
@@ -306,10 +306,12 @@ _RUNNERS = {
 
 
 def run_scenario(s: Scenario, out_dir, threads: int = 1):
-    """Execute a validated scenario; returns the list of written paths."""
+    """Execute a validated scenario; returns the list of written paths.
+
+    `threads` has no effect: runs are serial (a pool made them slower)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[s.command](s, out, threads)
+    return _RUNNERS[s.command](s, out)
 
 
 def main(argv=None) -> int:
@@ -321,7 +323,8 @@ def main(argv=None) -> int:
                         help="override the scenario seed")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for Monte Carlo runs")
+                        help="accepted for compatibility; has no effect, "
+                             "runs are serial")
     args = parser.parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
@@ -332,7 +335,7 @@ def main(argv=None) -> int:
         scenario.seed = args.seed
     out_dir = args.out or scenario.output or "."
     try:
-        paths = run_scenario(scenario, out_dir, threads=max(args.threads, 1))
+        paths = run_scenario(scenario, out_dir)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

@@ -144,6 +144,23 @@ def _path_loss_db(cfg: MapSimConfig, d_h, d_3d, ue_h, site_h, los):
     return ch.aerial_nlos_db(d3, ue_h, f_ghz)
 
 
+def _rx_dbm(site: SectorSite, sector_az: float, cfg: MapSimConfig, x, y,
+            ue_h: float, los, shadow_db=0.0):
+    """P_rx = P_tx + G_tx + G_rx - PL from one sector, vectorized over points."""
+    dx = x - site.position.x
+    dy = y - site.position.y
+    d_h = np.hypot(dx, dy)
+    d_3d = np.hypot(d_h, ue_h - site.position.h)
+    pl = np.where(
+        los,
+        _path_loss_db(cfg, d_h, d_3d, ue_h, site.position.h, True),
+        _path_loss_db(cfg, d_h, d_3d, ue_h, site.position.h, False)) + shadow_db
+    az = np.arctan2(dx, dy)
+    el = np.arctan2(ue_h - site.position.h, d_h)
+    g_tx = bs_gain_db(replace(site.antenna, azimuth=sector_az), az, el)
+    return site.p_tx_dbm + g_tx + cfg.ue_gain_dbi - pl
+
+
 def received_power_dbm(site: SectorSite, sector_idx: int, ue: Position3D,
                        hm: HeightMap, cfg: MapSimConfig,
                        rng: Optional[RngLike] = None) -> float:
@@ -151,35 +168,29 @@ def received_power_dbm(site: SectorSite, sector_idx: int, ue: Position3D,
     if not hm.contains(ue.x, ue.y):
         raise DomainError("evaluation point outside the map")
     los = los_check(site.position, ue, hm)
-    dx = ue.x - site.position.x
-    dy = ue.y - site.position.y
-    d_h = math.hypot(dx, dy)
-    d_3d = math.hypot(d_h, ue.h - site.position.h)
-    pl = float(_path_loss_db(cfg, d_h, d_3d, ue.h, site.position.h, los))
+    shadow_db = 0.0
     if cfg.shadowing:
         if rng is None:
             raise DomainError("shadowing draws need an RngStream")
-        slice_ = ch.slice_of(ue.h, cfg.env)
-        sigma = ch.shadowing_sigma_db(slice_, los, d_h, ue.h,
+        d_h = math.hypot(ue.x - site.position.x, ue.y - site.position.y)
+        sigma = ch.shadowing_sigma_db(ch.slice_of(ue.h, cfg.env), los, d_h, ue.h,
                                       h_g_m=site.position.h,
                                       f_c_ghz=cfg.frequency_hz / 1e9)
-        pl += float(as_generator(rng).normal(0.0, sigma))
-    ant = replace(site.antenna, azimuth=site.sector_azimuths[sector_idx])
-    az = math.atan2(dx, dy)
-    el = math.atan2(ue.h - site.position.h, d_h)
-    g_tx = float(bs_gain_db(ant, az, el))
-    return site.p_tx_dbm + g_tx + cfg.ue_gain_dbi - pl
+        shadow_db = float(as_generator(rng).normal(0.0, sigma))
+    return float(_rx_dbm(site, site.sector_azimuths[sector_idx], cfg,
+                         ue.x, ue.y, ue.h, los, shadow_db))
 
 
 @dataclass
 class SinrGrid:
-    """Raster result: SINR (dB) and serving sector per evaluated cell."""
+    """Raster result: SINR (dB), serving sector and LOS per evaluated cell."""
 
     sinr_db: np.ndarray
     serving: np.ndarray          # flat sector index site*3+k, -1 outside
     x: np.ndarray
     y: np.ndarray
     ue_height_m: float
+    los_any: np.ndarray          # LOS to at least one site
 
     def coverage_fraction(self, threshold_db: float = -6.0) -> float:
         vals = self.sinr_db[np.isfinite(self.sinr_db)]
@@ -187,26 +198,22 @@ class SinrGrid:
             return 0.0
         return float(np.mean(vals >= threshold_db))
 
+    @property
+    def p_los_any(self) -> float:
+        """Fraction of cells with LOS to at least one site."""
+        return float(np.mean(self.los_any))
 
-def _sector_rx_dbm_grid(site, sector_az, cfg, hm, xs, ys, ue_h, los_mask):
-    xx, yy = np.meshgrid(xs, ys)
-    dx = xx - site.position.x
-    dy = yy - site.position.y
-    d_h = np.hypot(dx, dy)
-    d_3d = np.hypot(d_h, ue_h - site.position.h)
-    pl = np.where(
-        los_mask,
-        _path_loss_db(cfg, d_h, d_3d, ue_h, site.position.h, True),
-        _path_loss_db(cfg, d_h, d_3d, ue_h, site.position.h, False))
-    az = np.arctan2(dx, dy)
-    el = np.arctan2(ue_h - site.position.h, d_h)
-    g_tx = bs_gain_db(replace(site.antenna, azimuth=sector_az), az, el)
-    return site.p_tx_dbm + g_tx + cfg.ue_gain_dbi - pl
+
+def _los_mask(site: SectorSite, hm: HeightMap, xs, ys, ue_h: float) -> np.ndarray:
+    """LOS from the site to every (x, y, ue_h) raster point, shape (ny, nx)."""
+    flat = np.array([los_check(site.position, Position3D(float(x), float(y), ue_h), hm)
+                     for y in ys for x in xs])
+    return flat.reshape(len(ys), len(xs))
 
 
 def sinr_grid(sites: Sequence[SectorSite], hm: HeightMap, ue_height_m: float,
               cfg: MapSimConfig, stride: int = 1) -> SinrGrid:
-    """SINR and serving-sector rasters at cell centers (optionally strided).
+    """SINR, serving-sector and LOS rasters at cell centers (optionally strided).
 
     All sectors of all sites transmit; the serving sector maximizes SINR
     (equivalently received power), ties to the lowest flat index. Cells
@@ -215,19 +222,12 @@ def sinr_grid(sites: Sequence[SectorSite], hm: HeightMap, ue_height_m: float,
     """
     if len(sites) == 0:
         raise DomainError("need at least one site")
-    xs_all, ys_all = hm.cell_centers()
-    xs = xs_all[::stride]
-    ys = ys_all[::stride]
-    rx_layers = []
-    for site in sites:
-        los_flat = np.array([
-            los_check(site.position, Position3D(float(x), float(y), ue_height_m), hm)
-            for y in ys for x in xs])
-        los_mask = los_flat.reshape(len(ys), len(xs))
-        for sector_az in site.sector_azimuths:
-            rx_layers.append(_sector_rx_dbm_grid(site, sector_az, cfg, hm,
-                                                 xs, ys, ue_height_m, los_mask))
-    rx = np.stack(rx_layers)                        # (n_sectors, ny, nx)
+    xs, ys = (c[::stride] for c in hm.cell_centers())
+    xx, yy = np.meshgrid(xs, ys)
+    masks = [_los_mask(site, hm, xs, ys, ue_height_m) for site in sites]
+    rx = np.stack([_rx_dbm(site, az, cfg, xx, yy, ue_height_m, mask)
+                   for site, mask in zip(sites, masks)
+                   for az in site.sector_azimuths])  # (n_sectors, ny, nx)
     rx_lin = 10.0 ** (rx / 10.0)
     total = np.sum(rx_lin, axis=0)
     noise = 10.0 ** (cfg.noise_dbm / 10.0)
@@ -235,7 +235,8 @@ def sinr_grid(sites: Sequence[SectorSite], hm: HeightMap, ue_height_m: float,
     best = np.take_along_axis(rx_lin, serving[None], axis=0)[0]
     sinr = best / (total - best + noise)
     return SinrGrid(sinr_db=10.0 * np.log10(np.maximum(sinr, 1e-30)),
-                    serving=serving, x=xs, y=ys, ue_height_m=ue_height_m)
+                    serving=serving, x=xs, y=ys, ue_height_m=ue_height_m,
+                    los_any=np.logical_or.reduce(masks))
 
 
 def coverage_vs_altitude(sites, hm, heights: Sequence[float], cfg: MapSimConfig,
@@ -251,17 +252,13 @@ def coverage_vs_altitude(sites, hm, heights: Sequence[float], cfg: MapSimConfig,
 
 
 def p_los_vs_altitude(sites, hm, heights: Sequence[float], stride: int = 1):
-    """Fraction of cells with LOS to at least one site, per height."""
-    xs_all, ys_all = hm.cell_centers()
-    xs = xs_all[::stride]
-    ys = ys_all[::stride]
+    """Fraction of cells with LOS to at least one site, per height.
+
+    Casts rays only; `sinr_grid(...).p_los_any` gives the same fraction.
+    """
+    xs, ys = (c[::stride] for c in hm.cell_centers())
     out = []
     for h in heights:
-        any_los = np.zeros((len(ys), len(xs)), dtype=bool)
-        for site in sites:
-            flat = np.array([
-                los_check(site.position, Position3D(float(x), float(y), float(h)), hm)
-                for y in ys for x in xs])
-            any_los |= flat.reshape(len(ys), len(xs))
-        out.append((float(h), float(np.mean(any_los))))
+        masks = [_los_mask(site, hm, xs, ys, float(h)) for site in sites]
+        out.append((float(h), float(np.mean(np.logical_or.reduce(masks)))))
     return out

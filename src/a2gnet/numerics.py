@@ -19,23 +19,11 @@ _TWO64 = 1 << 64
 
 
 # ---------------------------------------------------------------------------
-# dB / power helpers
+# dB / power helper
 # ---------------------------------------------------------------------------
-
-def db_to_linear(x_db):
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * np.log10(x)
-
 
 def dbm_to_watt(p_dbm):
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(p_w):
-    return 10.0 * np.log10(p_w) + 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +90,8 @@ def marcum_q(a: float, b: float) -> float:
 def inv_marcum_q(a: float, p: float) -> float:
     """Solve Q1(a, b) = p for b: b^2 is the (1 - p) noncentral chi-square
     quantile, from scipy.special.chndtrix. Because 1 - p rounds, b loses
-    precision as p falls below about 1e-10."""
+    precision as p falls below about 1e-10, and for a > 0 a p at or below
+    2**-54 (about 5.6e-17), where 1 - p rounds to 1, is rejected."""
     a = float(a)
     p = float(p)
     if not (math.isfinite(a) and math.isfinite(p)):
@@ -115,6 +104,9 @@ def inv_marcum_q(a: float, p: float) -> float:
         return 0.0
     if a == 0.0:
         return math.sqrt(-2.0 * math.log(p))
+    if 1.0 - p == 1.0:
+        raise DomainError("inv_marcum_q requires p > 2**-54 (about 5.6e-17) "
+                          "when a > 0: 1 - p rounds to 1")
     return math.sqrt(float(special.chndtrix(1.0 - p, 2.0, a * a)))
 
 

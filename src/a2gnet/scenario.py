@@ -1,8 +1,9 @@
 """Scenario files: a validated YAML tree drives every CLI run.
 
 All model parameters live in the file; the command line only overrides the
-seed, output directory, and thread count. Unknown keys are rejected with
-their full path so a typo like `bs_densty` fails loudly.
+seed and output directory. Unknown keys are rejected with their full path
+so a typo like `bs_densty` fails loudly, and bounded numbers (list items
+too) name the offending path, e.g. `run.altitudes_m[2]`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Any, Dict, Optional
 
 import yaml
 
+from .channel import MAX_MODELED_ALTITUDE_M
 from .errors import ScenarioError
 
 COMMANDS = ("channel-table", "aue-coverage", "aue-sweep", "abs-design",
@@ -89,7 +91,8 @@ SCHEMAS: Dict[str, dict] = {
     "aue-coverage": {
         "aue": Field(kind=dict, schema=dict(_AUE_BLOCK)),
         "run": Field(kind=dict, schema={
-            "altitudes_m": Field(kind=list, default=[30.0, 60.0, 120.0]),
+            "altitudes_m": Field(kind=list, default=[30.0, 60.0, 120.0],
+                                 minimum=0.0, maximum=MAX_MODELED_ALTITUDE_M),
             "thresholds_db": Field(kind=list, default=[0.0]),
             "n_trials": Field(kind=int, default=2000),
         }),
@@ -100,7 +103,8 @@ SCHEMAS: Dict[str, dict] = {
             "axis": Field(kind=str, required=True,
                           choices=("altitude", "density", "phi_b", "phi_t")),
             "grid": Field(kind=list, required=True),
-            "uav_h_m": Field(default=150.0),
+            "uav_h_m": Field(default=150.0, minimum=0.0,
+                             maximum=MAX_MODELED_ALTITUDE_M),
             "metric": Field(kind=str, default="capacity",
                             choices=("capacity", "coverage")),
             "n_trials": Field(kind=int, default=2000),
@@ -232,6 +236,10 @@ def _coerce(value, f: Field, path: str):
 
 
 def _check_bounds(value, f: Field, path: str):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_bounds(item, f, f"{path}[{i}]")
+        return
     if value is None:
         return
     if f.minimum is not None and value < f.minimum:
@@ -290,6 +298,9 @@ def parse_scenario(text: str) -> Scenario:
     params = {}
     for key, f in schema.items():
         params[key] = _validate_block(raw.get(key), f.schema, key)
+    if command == "aue-sweep" and params["sweep"]["axis"] == "altitude":
+        _check_bounds(params["sweep"]["grid"],
+                      schema["sweep"].schema["uav_h_m"], "sweep.grid")
     return Scenario(command=command, seed=seed, output=output, params=params)
 
 

@@ -174,11 +174,6 @@ class TestCoverage:
         b = au.coverage_probability_mc(60.0, CFG, 200, RngStream(44, 0))
         assert a == b
 
-    def test_thread_count_invariance(self):
-        a = au.sinr_samples(60.0, CFG, 120, RngStream(45, 0), threads=1)
-        b = au.sinr_samples(60.0, CFG, 120, RngStream(45, 0), threads=4)
-        assert np.array_equal(a, b)
-
 
 class TestCapacity:
     def test_injected_rational_pcov(self):

@@ -56,6 +56,17 @@ mapsim:
   stride: 4
 """
 
+SWEEP_ALTITUDE = """
+command: aue-sweep
+sweep:
+  axis: altitude
+  grid: [60]
+"""
+
+# base scenario for each block whose bounds test_bound_validation checks
+BOUNDED_BASES = {"mapsim": MAPSIM_SMALL, "run": AUE_TABLE_IV,
+                 "sweep": SWEEP_ALTITUDE}
+
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -104,13 +115,24 @@ class TestParsing:
         ("stride", -2, "mapsim.stride"),
         ("auto_sites", {"count": 12}, "mapsim.auto_sites.count"),
         ("auto_sites", {"count": 0}, "mapsim.auto_sites.count"),
+        ("altitudes_m", [30, 5000], "run.altitudes_m[1]"),
+        ("altitudes_m", [-1], "run.altitudes_m[0]"),
+        ("uav_h_m", 301, "sweep.uav_h_m"),
+        ("grid", [60, 120, 450], "sweep.grid[2]"),
     ])
     def test_bound_validation(self, key, value, path):
-        doc = yaml.safe_load(MAPSIM_SMALL)
-        doc["mapsim"][key] = value
+        block = path.split(".")[0]
+        doc = yaml.safe_load(BOUNDED_BASES[block])
+        doc[block][key] = value
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump(doc))
         assert path in str(err.value)
+
+    def test_altitude_bounds_inclusive(self):
+        parse_scenario("command: aue-coverage\nrun:\n  altitudes_m: [0, 300]\n")
+        # only an altitude axis reads the grid as heights
+        parse_scenario("command: aue-sweep\nsweep:\n  axis: phi_b\n"
+                       "  grid: [40, 360]\n")
 
     def test_round_trip_fixpoint(self):
         for text in (MINIMAL_CHANNEL, AUE_TABLE_IV, LOCALIZE_TABLE_VI,

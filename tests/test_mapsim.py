@@ -6,9 +6,11 @@ import pytest
 from a2gnet import channel as ch
 from a2gnet import mapsim as ms
 from a2gnet.antenna_geometry import Position3D, SectorAntenna
+from a2gnet.cli import run_scenario
 from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import HeightMap, synthetic_city
 from a2gnet.numerics import RngStream
+from a2gnet.scenario import parse_scenario
 
 FLAT = HeightMap(np.zeros((40, 40)), cellsize=10.0)
 
@@ -158,6 +160,35 @@ class TestCoverageCurves:
     def test_empty_heights_rejected(self):
         with pytest.raises(DomainError):
             ms.coverage_vs_altitude(self.sites, self.city, [], self.cfg)
+
+    def test_grid_los_fraction_matches_reference(self):
+        # p_los_vs_altitude casts the rays on its own: the reference path
+        heights = [1.5, 20.0, 60.0, 150.0]
+        ref = ms.p_los_vs_altitude(self.sites, self.city, heights, stride=6)
+        for h, p_ref in ref:
+            grid = ms.sinr_grid(self.sites, self.city, h, self.cfg, stride=6)
+            assert grid.p_los_any == p_ref
+            assert grid.los_any.shape == grid.sinr_db.shape
+
+
+class TestCastOnce:
+    def test_cli_casts_each_ray_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = ms.los_check
+
+        def counting(a, b, hm):
+            calls.append((a.x, a.y, a.h, b.x, b.y, b.h))
+            return real(a, b, hm)
+
+        monkeypatch.setattr(ms, "los_check", counting)
+        text = ("command: mapsim\nseed: 5\nmapsim:\n"
+                "  synthetic: {extent_m: 200, cellsize_m: 5}\n"
+                "  auto_sites: {count: 2}\n"
+                "  heights_m: [1.5, 40]\n  stride: 4\n")
+        run_scenario(parse_scenario(text), tmp_path)
+        # 2 sites x (40 cells / stride 4)^2 x 2 heights
+        assert len(calls) == 2 * 10 * 10 * 2
+        assert len(set(calls)) == len(calls)
 
 
 class TestSiteCsv:

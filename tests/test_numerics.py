@@ -105,9 +105,11 @@ class TestInvMarcumQ:
                     assert inv_marcum_q(a, p) == pytest.approx(b, abs=1e-6)
 
     def test_domain_errors(self):
-        for p in [0.0, -0.5, 1.0001]:
+        for p in [0.0, -0.5, 1.0001, 5e-17, 1e-17]:
             with pytest.raises(DomainError):
                 inv_marcum_q(1.0, p)
+        # 1 - p rounds to 1 here, but the a == 0 closed form stays exact
+        assert inv_marcum_q(0.0, 1e-17) == math.sqrt(-2.0 * math.log(1e-17))
 
 
 class TestChebyshevNodes:
