@@ -360,6 +360,8 @@ def rma_ground_nlos_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz, env: Environment):
 def aerial_los_db(d_3d_m, h_uav_m, f_c_ghz):
     """Obstructed/high-altitude slice LOS loss."""
     d = np.asarray(d_3d_m, dtype=float)
+    if np.any(d <= 0.0):
+        raise DomainError("aerial loss needs d_3d > 0")
     slope = max(23.9 - 1.8 * math.log10(h_uav_m), 20.0)
     out = slope * np.log10(d) + 20.0 * math.log10(40.0 * np.pi * f_c_ghz / 3.0)
     return float(out) if out.ndim == 0 else out
@@ -367,10 +369,11 @@ def aerial_los_db(d_3d_m, h_uav_m, f_c_ghz):
 
 def aerial_nlos_db(d_3d_m, h_uav_m, f_c_ghz):
     """Obstructed/high-altitude slice NLOS loss (never below the LOS loss)."""
+    los = aerial_los_db(d_3d_m, h_uav_m, f_c_ghz)  # rejects d <= 0 first
     d = np.asarray(d_3d_m, dtype=float)
     nlos = (-12.0 + (35.0 - 5.3 * math.log10(h_uav_m)) * np.log10(d)
             + 20.0 * math.log10(40.0 * np.pi * f_c_ghz / 3.0))
-    out = np.maximum(aerial_los_db(d, h_uav_m, f_c_ghz), nlos)
+    out = np.maximum(los, nlos)
     return float(out) if out.ndim == 0 else out
 
 

@@ -214,8 +214,7 @@ def _run_localize(s: Scenario, out_dir: Path):
     chan = loc.ElevationChannel(
         a_los=b["a_los"], b_los=b["b_los"], a_nlos=b["a_nlos"],
         b_nlos=b["b_nlos"], a_o=b["a_o"], b_o=b["b_o"],
-        eta_los=b["eta_los"], eta_nlos=b["eta_nlos"],
-        frequency_hz=b["frequency_ghz"] * 1e9)
+        eta_los=b["eta_los"], eta_nlos=b["eta_nlos"])
     scen = loc.LocalizationScenario(n_users=b["n_users"],
                                     user_area_radius_m=b["user_area_radius_m"])
     rows = []
@@ -248,11 +247,19 @@ def _auto_site_positions(extent, count):
     return pts[:count]
 
 
+def _read_input(load, path, key):
+    """Load the file a scenario key names; a failure names the key."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot read {path!r}: {exc}", key) from exc
+
+
 def _run_mapsim(s: Scenario, out_dir: Path):
     b = s.params["mapsim"]
     env = _environment(b["environment"])
     if b["heightmap"] is not None:
-        hm = load_ascii_grid(b["heightmap"])
+        hm = _read_input(load_ascii_grid, b["heightmap"], "mapsim.heightmap")
     else:
         syn = b["synthetic"]
         hm = synthetic_city(syn["extent_m"], syn["cellsize_m"],
@@ -260,7 +267,8 @@ def _run_mapsim(s: Scenario, out_dir: Path):
                             RngStream(s.seed, 1000),
                             min_height_m=syn["min_height_m"])
     if b["sites_csv"] is not None:
-        sites = ms.load_sites_csv(b["sites_csv"])
+        sites = _read_input(ms.load_sites_csv, b["sites_csv"],
+                            "mapsim.sites_csv")
     else:
         auto = b["auto_sites"]
         x0, x1, y0, y1 = hm.extent

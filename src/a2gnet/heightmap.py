@@ -4,11 +4,14 @@ The surface is the bilinear interpolation of cell-center heights (clamped
 beyond the border ring). Within one bilinear patch the surface along a 3D
 segment is quadratic in the path parameter, so the LOS test evaluates the
 exact minimum of segment-minus-surface per patch interval instead of
-sampling; no dip between sample points can be missed.
+sampling; no dip between sample points can be missed. The walker reads a
+grid padded with one ring of edge heights, whose patches over the border
+ring are the clamped surface, so it needs no clamp branches.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -29,6 +32,7 @@ class HeightMap:
 
     heights[0, :] is the northernmost row, per the ASCII grid convention.
     Internally no-data cells are NaN; they serialize back to nodata_value.
+    Treat heights as read-only: los_check caches a padded copy of them.
     """
 
     heights: np.ndarray
@@ -71,6 +75,15 @@ class HeightMap:
     def _grid_bottom_up(self):
         # rows flipped so index increases with y
         return self.heights[::-1, :]
+
+    @functools.cached_property
+    def _padded_grid(self):
+        # bottom-up grid plus an edge ring that also takes the no-data of
+        # the cell one further in, as the clamped surface_at patch reads it
+        g = self._grid_bottom_up()
+        padded = np.pad(g, 1, mode="edge")
+        padded[np.isnan(np.pad(g, 1, mode="reflect"))] = np.nan
+        return padded
 
     def surface_at(self, x, y):
         """Bilinear surface height at world coordinates (vectorized)."""
@@ -163,24 +176,13 @@ def save_ascii_grid(hm: HeightMap, path, fmt: str = "%.9g") -> None:
 # Exact line-of-sight over the bilinear surface
 # ---------------------------------------------------------------------------
 
-def _patch_breakpoints(p0, p1, lo, hi):
-    """Parameters in (0,1) where p(t) = p0 + t (p1-p0) crosses integers or
-    the clamp bounds in [lo, hi]."""
-    out = []
+def _patch_breakpoints(p0, p1):
+    """Parameters in (0,1) where p(t) = p0 + t (p1-p0) crosses integers."""
     dp = p1 - p0
     if dp == 0.0:
-        return out
-    lo_k = math.ceil(min(p0, p1))
-    hi_k = math.floor(max(p0, p1))
-    for k in range(lo_k, hi_k + 1):
-        t = (k - p0) / dp
-        if 0.0 < t < 1.0:
-            out.append(t)
-    for bound in (lo, hi):
-        t = (bound - p0) / dp
-        if 0.0 < t < 1.0:
-            out.append(t)
-    return out
+        return []
+    ks = range(math.ceil(min(p0, p1)), math.floor(max(p0, p1)) + 1)
+    return [t for t in ((k - p0) / dp for k in ks) if 0.0 < t < 1.0]
 
 
 def los_check(a: Position3D, b: Position3D, hm: HeightMap) -> bool:
@@ -202,13 +204,10 @@ def los_check(a: Position3D, b: Position3D, hm: HeightMap) -> bool:
     v0 = (a.y - hm.yllcorner) * inv - 0.5
     v1 = (b.y - hm.yllcorner) * inv - 0.5
 
-    ts = [0.0, 1.0]
-    ts += _patch_breakpoints(u0, u1, 0.0, hm.ncols - 1.0)
-    ts += _patch_breakpoints(v0, v1, 0.0, hm.nrows - 1.0)
-    ts = sorted(set(ts))
+    ts = sorted(set([0.0, 1.0] + _patch_breakpoints(u0, u1)
+                    + _patch_breakpoints(v0, v1)))
 
-    g = hm._grid_bottom_up()
-    ncols, nrows = hm.ncols, hm.nrows
+    g = hm._padded_grid
     du = u1 - u0
     dv = v1 - v0
     dz = b.h - a.h
@@ -217,26 +216,17 @@ def los_check(a: Position3D, b: Position3D, hm: HeightMap) -> bool:
         if t_hi - t_lo < 1e-15:
             continue
         tm = 0.5 * (t_lo + t_hi)
-        uc = min(max(u0 + tm * du, 0.0), ncols - 1.0)
-        vc = min(max(v0 + tm * dv, 0.0), nrows - 1.0)
-        j = min(int(uc), ncols - 2) if ncols > 1 else 0
-        i = min(int(vc), nrows - 2) if nrows > 1 else 0
-        # clamped local coordinates are still affine in t on this interval
-        clamped_u = uc <= 0.0 or uc >= ncols - 1.0
-        clamped_v = vc <= 0.0 or vc >= nrows - 1.0
-        fu0 = 0.0 if clamped_u else u0 + t_lo * du - j
-        dfu = 0.0 if clamped_u else du
-        if clamped_u:
-            fu0 = min(max(uc - j, 0.0), 1.0)
-        fv0 = 0.0 if clamped_v else v0 + t_lo * dv - i
-        dfv = 0.0 if clamped_v else dv
-        if clamped_v:
-            fv0 = min(max(vc - i, 0.0), 1.0)
+        # patch (i, j) spans padded corners [i+1, j+1] .. [i+2, j+2]; over
+        # the border ring j or i is -1 or the last index
+        j = math.floor(u0 + tm * du)
+        i = math.floor(v0 + tm * dv)
+        fu0 = u0 + t_lo * du - j
+        fv0 = v0 + t_lo * dv - i
 
-        h00 = g[i, j]
-        h10 = g[i, min(j + 1, ncols - 1)]
-        h01 = g[min(i + 1, nrows - 1), j]
-        h11 = g[min(i + 1, nrows - 1), min(j + 1, ncols - 1)]
+        h00 = g[i + 1, j + 1]
+        h10 = g[i + 1, j + 2]
+        h01 = g[i + 2, j + 1]
+        h11 = g[i + 2, j + 2]
         if np.isnan(h00) or np.isnan(h10) or np.isnan(h01) or np.isnan(h11):
             return False  # no-data blocks by convention
 
@@ -246,8 +236,8 @@ def los_check(a: Position3D, b: Position3D, hm: HeightMap) -> bool:
         by = h01 - h00
         bxy = h11 - h10 - h01 + h00
         c0 = h00 + bx * fu0 + by * fv0 + bxy * fu0 * fv0
-        c1 = bx * dfu + by * dfv + bxy * (fu0 * dfv + fv0 * dfu)
-        c2 = bxy * dfu * dfv
+        c1 = bx * du + by * dv + bxy * (fu0 * dv + fv0 * du)
+        c2 = bxy * du * dv
         # clearance g(tau) = z(tau) - s(tau)
         z0 = a.h + t_lo * dz
         g0 = z0 - c0
@@ -306,6 +296,8 @@ def synthetic_city(extent_m: float, cellsize_m: float, env_or_stats,
     varsigma = env_or_stats.varsigma
     xi = env_or_stats.xi
     omega = env_or_stats.omega
+    if cellsize_m <= 0 or extent_m <= 0:
+        raise DomainError("synthetic city needs positive extent_m and cellsize_m")
     gen = as_generator(rng)
     n = int(round(extent_m / cellsize_m))
     heights = np.zeros((n, n))

@@ -30,7 +30,6 @@ class AnchorPlan:
     radius_m: float
     h_abs_m: float
     center: Position3D = field(default_factory=lambda: Position3D(0.0, 0.0, 0.0))
-    hover_time_s: float = 5.0
 
     def __post_init__(self):
         if self.m_points < 3:
@@ -73,7 +72,6 @@ class ElevationChannel:
     b_o: float = 20.0
     eta_los: float = 2.0
     eta_nlos: float = 3.0
-    frequency_hz: float = 2e9
 
     def __post_init__(self):
         if min(self.a_los, self.a_nlos) <= 0 or min(self.b_los, self.b_nlos) < 0:
@@ -90,13 +88,6 @@ class ElevationChannel:
         theta_deg = np.degrees(np.asarray(theta_rad, dtype=float))
         expo = np.clip(-self.b_o * (theta_deg - self.a_o), -700.0, 700.0)
         return 1.0 / (1.0 + self.a_o * np.exp(expo))
-
-    def path_loss_spec(self, los: bool):
-        """Log-distance spec of one state (the law the ranging inverts)."""
-        from .channel import Carrier, LogDistance
-
-        return LogDistance(Carrier(self.frequency_hz),
-                           eta=self.eta_los if los else self.eta_nlos)
 
 
 @dataclass(frozen=True)

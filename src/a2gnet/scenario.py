@@ -82,9 +82,11 @@ SCHEMAS: Dict[str, dict] = {
         "channel": Field(kind=dict, schema={
             "frequency_ghz": Field(default=1.8),
             "h_g_m": Field(default=30.0),
-            "altitudes_m": Field(kind=list, default=[1.5, 30.0, 150.0]),
+            "altitudes_m": Field(kind=list, default=[1.5, 30.0, 150.0],
+                                 minimum=0.0, maximum=MAX_MODELED_ALTITUDE_M),
             "distances_m": Field(kind=list,
-                                 default=[50.0, 100.0, 200.0, 500.0, 1000.0]),
+                                 default=[50.0, 100.0, 200.0, 500.0, 1000.0],
+                                 minimum=0.0),
             "environment": _env_schema(),
         }),
     },
@@ -134,10 +136,9 @@ SCHEMAS: Dict[str, dict] = {
             "altitudes_m": Field(kind=list, default=[200.0]),
             "n_users": Field(kind=int, default=100),
             "user_area_radius_m": Field(default=200.0),
-            "trials_per_user": Field(kind=int, default=1),
+            "trials_per_user": Field(kind=int, default=1, minimum=1),
             "state_mode": Field(kind=str, default="independent",
                                 choices=("independent", "common", "los", "nlos")),
-            "frequency_ghz": Field(default=2.0),
             "a_los": Field(default=10.0),
             "b_los": Field(default=2.0),
             "a_nlos": Field(default=30.0),

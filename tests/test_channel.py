@@ -205,6 +205,12 @@ class TestPl3gpp:
             for h in [15.0, 40.0, 90.0]:
                 assert ch.aerial_nlos_db(d, h, 2.0) >= ch.aerial_los_db(d, h, 2.0)
 
+    @pytest.mark.parametrize("fn", [ch.aerial_los_db, ch.aerial_nlos_db])
+    def test_aerial_rejects_nonpositive_distance(self, fn):
+        for d in (0.0, -5.0, [100.0, 0.0]):
+            with pytest.raises(DomainError):
+                fn(d, 40.0, 2.0)
+
     def test_ground_continuity_at_breakpoint(self):
         h_uav, h_g, f = 1.5, 30.0, 1.8
         d2 = ch.rma_breakpoint_m(h_uav, h_g, f)

@@ -40,7 +40,6 @@ localize:
   radii_m: [120]
   altitudes_m: [200]
   n_users: 25
-  frequency_ghz: 2.0
 """
 
 MAPSIM_SMALL = """
@@ -65,7 +64,8 @@ sweep:
 
 # base scenario for each block whose bounds test_bound_validation checks
 BOUNDED_BASES = {"mapsim": MAPSIM_SMALL, "run": AUE_TABLE_IV,
-                 "sweep": SWEEP_ALTITUDE}
+                 "sweep": SWEEP_ALTITUDE, "localize": LOCALIZE_TABLE_VI,
+                 "channel": "command: channel-table\nchannel: {h_g_m: 30}\n"}
 
 
 def sha(path):
@@ -119,6 +119,10 @@ class TestParsing:
         ("altitudes_m", [-1], "run.altitudes_m[0]"),
         ("uav_h_m", 301, "sweep.uav_h_m"),
         ("grid", [60, 120, 450], "sweep.grid[2]"),
+        ("trials_per_user", 0, "localize.trials_per_user"),
+        ("distances_m", [50, -50], "channel.distances_m[1]"),
+        ("altitudes_m", [1.5, 400], "channel.altitudes_m[1]"),
+        ("altitudes_m", [-1], "channel.altitudes_m[0]"),
     ])
     def test_bound_validation(self, key, value, path):
         block = path.split(".")[0]
@@ -127,6 +131,12 @@ class TestParsing:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump(doc))
         assert path in str(err.value)
+
+    def test_localize_frequency_key_is_unknown(self):
+        # RSS range inversion does not depend on the carrier
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(LOCALIZE_TABLE_VI + "  frequency_ghz: 2.0\n")
+        assert "localize.frequency_ghz" in str(err.value)
 
     def test_altitude_bounds_inclusive(self):
         parse_scenario("command: aue-coverage\nrun:\n  altitudes_m: [0, 300]\n")
@@ -153,6 +163,13 @@ class TestRunners:
                            "pl_los_db,pl_nlos_db,pl_avg_db,sigma_los_db,"
                            "sigma_nlos_db")
         assert len(text) > 1
+
+    def test_channel_table_zero_distance_writes_nan(self, tmp_path):
+        # d_3d = 0 at h = h_g has no finite loss
+        s = parse_scenario("command: channel-table\nchannel:\n  h_g_m: 30\n"
+                           "  altitudes_m: [30]\n  distances_m: [0]\n")
+        row = run_scenario(s, tmp_path)[0].read_text().splitlines()[1]
+        assert row.split(",")[5:8] == ["nan", "nan", "nan"]
 
     def test_aue_coverage_table_iv_params(self, tmp_path):
         s = parse_scenario(AUE_TABLE_IV)
@@ -242,6 +259,24 @@ class TestMainEntry:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2
+
+    @pytest.mark.parametrize("block,code,named", [
+        ("  heightmap: nope.asc\n", 2, "mapsim.heightmap"),
+        ("  heightmap: bad.asc\n", 2, "mapsim.heightmap"),
+        ("  synthetic: {extent_m: 100, cellsize_m: 5}\n"
+         "  sites_csv: nope.csv\n", 2, "mapsim.sites_csv"),
+        ("  synthetic: {extent_m: 100, cellsize_m: 0}\n", 1, "cellsize_m"),
+    ])
+    def test_bad_mapsim_input_exit_code(self, tmp_path, capsys, monkeypatch,
+                                        block, code, named):
+        (tmp_path / "bad.asc").write_text("ncols 2\nnrows 1\ncellsize 10\n"
+                                          "1 oops\n")
+        scn = tmp_path / "run.yaml"
+        scn.write_text("command: mapsim\nmapsim:\n" + block)
+        monkeypatch.chdir(tmp_path)  # the file names are relative
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0]
 
 
 def test_import_does_not_load_scipy_stats():

@@ -15,6 +15,17 @@ from a2gnet.heightmap import (
 from a2gnet.numerics import RngStream
 
 
+def sampled_los(a, b, hm, n=4000):
+    """Dense-sampling reference: the segment clears surface_at everywhere."""
+    if a.h <= hm.surface_at(a.x, a.y) or b.h <= hm.surface_at(b.x, b.y):
+        return False
+    t = np.linspace(0.0, 1.0, n)[1:-1]
+    x = a.x + t * (b.x - a.x)
+    y = a.y + t * (b.y - a.y)
+    z = a.h + t * (b.h - a.h)
+    return bool(np.all(z > hm.surface_at(x, y)))
+
+
 class TestAsciiGridIO:
     def test_flat_two_by_two(self, tmp_path):
         p = tmp_path / "flat.asc"
@@ -109,25 +120,73 @@ class TestLosCheck:
     def test_matches_dense_sampling_oracle(self):
         rng = np.random.default_rng(3)
         hm = HeightMap(rng.uniform(0, 20, (50, 50)), cellsize=1.0)
-
-        def oracle(a, b):
-            if (a.h <= hm.surface_at(a.x, a.y)
-                    or b.h <= hm.surface_at(b.x, b.y)):
-                return False
-            t = np.linspace(0.0, 1.0, 4000)[1:-1]
-            x = a.x + t * (b.x - a.x)
-            y = a.y + t * (b.y - a.y)
-            z = a.h + t * (b.h - a.h)
-            return bool(np.all(z > hm.surface_at(x, y)))
-
         agree = 0
         for _ in range(1000):
             a = Position3D(rng.uniform(0, 50), rng.uniform(0, 50),
                            rng.uniform(0, 30))
             b = Position3D(rng.uniform(0, 50), rng.uniform(0, 50),
                            rng.uniform(0, 30))
-            agree += los_check(a, b, hm) == oracle(a, b)
+            agree += los_check(a, b, hm) == sampled_los(a, b, hm)
         assert agree == 1000
+
+
+def _border_ring_map(kind):
+    rng = np.random.default_rng(21)
+    shape = {"one_row": (1, 9), "one_col": (9, 1)}.get(kind, (6, 7))
+    heights = rng.uniform(0, 20, shape)
+    if kind == "nodata_edge":
+        heights[0, 3] = np.nan   # on the edge
+        heights[4, 1] = np.nan   # next to the edge: its clamped patch reads it
+    return HeightMap(heights, cellsize=2.5, xllcorner=10.0, yllcorner=-20.0)
+
+
+class TestLosBorderRing:
+    """los_check against the sampling oracle where the walker reads the
+    edge ring of its padded grid: the half-cell border ring, the first and
+    last cell-center lines, one-row and one-column maps, and no-data cells
+    at the edge."""
+
+    @staticmethod
+    def _ring(rng, n):
+        # cell-center units: the map spans [-0.5, n - 0.5], the ring lies
+        # outside the outermost centers
+        if rng.random() < 0.5:
+            return rng.uniform(-0.5, 0.0)
+        return rng.uniform(n - 1.0, n - 0.5)
+
+    def _rays(self, hm, rng):
+        x0, y0, cs = hm.xllcorner, hm.yllcorner, hm.cellsize
+
+        def point(u, v):
+            return Position3D(x0 + (u + 0.5) * cs, y0 + (v + 0.5) * cs,
+                              rng.uniform(0, 25))
+
+        def anywhere(n):
+            return rng.uniform(-0.5, n - 0.5)
+
+        nc, nr = hm.ncols, hm.nrows
+        for _ in range(150):  # both endpoints in the border ring
+            yield (point(self._ring(rng, nc), anywhere(nr)),
+                   point(anywhere(nc), self._ring(rng, nr)))
+        for _ in range(150):  # one endpoint in a corner of the ring
+            yield (point(self._ring(rng, nc), self._ring(rng, nr)),
+                   point(anywhere(nc), anywhere(nr)))
+        for _ in range(100):  # along the first or last cell-center line
+            u = float(rng.choice([0.0, nc - 1.0]))
+            v = float(rng.choice([0.0, nr - 1.0]))
+            yield point(u, anywhere(nr)), point(u, anywhere(nr))
+            yield point(anywhere(nc), v), point(anywhere(nc), v)
+
+    @pytest.mark.parametrize("kind", ["square", "one_row", "one_col",
+                                      "nodata_edge"])
+    def test_matches_dense_sampling_oracle(self, kind):
+        hm = _border_ring_map(kind)
+        rng = np.random.default_rng(5)
+        rays = list(self._rays(hm, rng))
+        got = [los_check(a, b, hm) for a, b in rays]
+        want = [sampled_los(a, b, hm) for a, b in rays]
+        assert got == want
+        assert 0 < sum(got) < len(got)
 
 
 class TestBuildingStats:
