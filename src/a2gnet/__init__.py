@@ -66,6 +66,7 @@ from .heightmap import (
     building_stats,
     load_ascii_grid,
     los_check,
+    los_mask,
     save_ascii_grid,
     synthetic_city,
 )

@@ -276,9 +276,12 @@ def _run_mapsim(s: Scenario, out_dir: Path):
             electrical_tilt=math.radians(auto["downtilt_deg"]),
             max_gain_dbi=auto["max_gain_dbi"],
             beamwidth_3db=math.radians(auto["beamwidth_deg"]))
-        sites = [ms.site_on_roof(hm, x0 + px, y0 + py, mast_m=auto["mast_m"],
-                                 p_tx_dbm=auto["p_tx_dbm"], antenna=ant)
-                 for px, py in _auto_site_positions(x1 - x0, auto["count"])]
+        try:
+            sites = [ms.site_on_roof(hm, x0 + px, y0 + py, mast_m=auto["mast_m"],
+                                     p_tx_dbm=auto["p_tx_dbm"], antenna=ant)
+                     for px, py in _auto_site_positions(x1 - x0, auto["count"])]
+        except DomainError as exc:
+            raise ScenarioError(str(exc), "mapsim.auto_sites") from exc
     cfg = ms.MapSimConfig(frequency_hz=b["frequency_ghz"] * 1e9,
                           bandwidth_hz=b["bandwidth_mhz"] * 1e6,
                           noise_figure_db=b["noise_figure_db"],

@@ -18,7 +18,7 @@ import numpy as np
 from . import channel as ch
 from .antenna_geometry import Position3D, SectorAntenna, bs_gain_db
 from .errors import DomainError, ScenarioError
-from .heightmap import HeightMap, los_check
+from .heightmap import HeightMap, los_check, los_mask
 from .numerics import RngLike, as_generator
 
 SECTOR_COUNT = 3
@@ -43,6 +43,8 @@ def site_on_roof(hm: HeightMap, x: float, y: float, mast_m: float = 5.0,
                  **site_kwargs) -> SectorSite:
     """Place a site on the surface at (x, y), mast_m above the roof."""
     roof = float(hm.surface_at(x, y))
+    if math.isnan(roof):
+        raise DomainError(f"no roof height at ({x:g}, {y:g}): no-data cells")
     return SectorSite(position=Position3D(x, y, roof + mast_m), **site_kwargs)
 
 
@@ -204,13 +206,6 @@ class SinrGrid:
         return float(np.mean(self.los_any))
 
 
-def _los_mask(site: SectorSite, hm: HeightMap, xs, ys, ue_h: float) -> np.ndarray:
-    """LOS from the site to every (x, y, ue_h) raster point, shape (ny, nx)."""
-    flat = np.array([los_check(site.position, Position3D(float(x), float(y), ue_h), hm)
-                     for y in ys for x in xs])
-    return flat.reshape(len(ys), len(xs))
-
-
 def sinr_grid(sites: Sequence[SectorSite], hm: HeightMap, ue_height_m: float,
               cfg: MapSimConfig, stride: int = 1) -> SinrGrid:
     """SINR, serving-sector and LOS rasters at cell centers (optionally strided).
@@ -224,7 +219,7 @@ def sinr_grid(sites: Sequence[SectorSite], hm: HeightMap, ue_height_m: float,
         raise DomainError("need at least one site")
     xs, ys = (c[::stride] for c in hm.cell_centers())
     xx, yy = np.meshgrid(xs, ys)
-    masks = [_los_mask(site, hm, xs, ys, ue_height_m) for site in sites]
+    masks = [los_mask(site.position, xx, yy, ue_height_m, hm) for site in sites]
     rx = np.stack([_rx_dbm(site, az, cfg, xx, yy, ue_height_m, mask)
                    for site, mask in zip(sites, masks)
                    for az in site.sector_azimuths])  # (n_sectors, ny, nx)
@@ -256,9 +251,9 @@ def p_los_vs_altitude(sites, hm, heights: Sequence[float], stride: int = 1):
 
     Casts rays only; `sinr_grid(...).p_los_any` gives the same fraction.
     """
-    xs, ys = (c[::stride] for c in hm.cell_centers())
+    xx, yy = np.meshgrid(*(c[::stride] for c in hm.cell_centers()))
     out = []
     for h in heights:
-        masks = [_los_mask(site, hm, xs, ys, float(h)) for site in sites]
+        masks = [los_mask(site.position, xx, yy, float(h), hm) for site in sites]
         out.append((float(h), float(np.mean(np.logical_or.reduce(masks)))))
     return out

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -11,6 +12,7 @@ import a2gnet
 
 from a2gnet.cli import main, run_scenario
 from a2gnet.errors import ScenarioError
+from a2gnet.heightmap import HeightMap, save_ascii_grid
 from a2gnet.scenario import parse_scenario, serialize_scenario
 
 MINIMAL_CHANNEL = """
@@ -266,11 +268,17 @@ class TestMainEntry:
         ("  synthetic: {extent_m: 100, cellsize_m: 5}\n"
          "  sites_csv: nope.csv\n", 2, "mapsim.sites_csv"),
         ("  synthetic: {extent_m: 100, cellsize_m: 0}\n", 1, "cellsize_m"),
+        ("  heightmap: holed.asc\n  auto_sites: {count: 1}\n", 2,
+         "mapsim.auto_sites"),
     ])
     def test_bad_mapsim_input_exit_code(self, tmp_path, capsys, monkeypatch,
                                         block, code, named):
         (tmp_path / "bad.asc").write_text("ncols 2\nnrows 1\ncellsize 10\n"
                                           "1 oops\n")
+        # a no-data block under the map centre, where one auto site goes
+        holed = np.zeros((40, 40))
+        holed[18:23, 18:23] = np.nan
+        save_ascii_grid(HeightMap(holed, cellsize=10.0), tmp_path / "holed.asc")
         scn = tmp_path / "run.yaml"
         scn.write_text("command: mapsim\nmapsim:\n" + block)
         monkeypatch.chdir(tmp_path)  # the file names are relative

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2gnet import channel as ch
+from a2gnet import heightmap
 from a2gnet.antenna_geometry import Position3D
 from a2gnet.errors import DomainError, GridParseError
 from a2gnet.heightmap import (
@@ -9,6 +14,7 @@ from a2gnet.heightmap import (
     building_stats,
     load_ascii_grid,
     los_check,
+    los_mask,
     save_ascii_grid,
     synthetic_city,
 )
@@ -24,6 +30,87 @@ def sampled_los(a, b, hm, n=4000):
     y = a.y + t * (b.y - a.y)
     z = a.h + t * (b.h - a.h)
     return bool(np.all(z > hm.surface_at(x, y)))
+
+
+def _patch_breakpoints(p0, p1):
+    """Parameters in (0,1) where p(t) = p0 + t (p1-p0) crosses integers."""
+    dp = p1 - p0
+    if dp == 0.0:
+        return []
+    ks = range(math.ceil(min(p0, p1)), math.floor(max(p0, p1)) + 1)
+    return [t for t in ((k - p0) / dp for k in ks) if 0.0 < t < 1.0]
+
+
+def reference_los(a, b, hm):
+    """Scalar reference walker: one ray, one patch interval at a time.
+
+    True iff the open segment a-b clears the bilinear surface everywhere.
+    Endpoints at or below the surface count as obstructed. Exact per patch:
+    the clearance is quadratic in t on each interval, so its minimum is
+    evaluated in closed form.
+    """
+    for p in (a, b):
+        if not hm.contains(p.x, p.y):
+            raise DomainError("line-of-sight endpoints must lie inside the map")
+    if a.h <= hm.surface_at(a.x, a.y) or b.h <= hm.surface_at(b.x, b.y):
+        return False
+
+    inv = 1.0 / hm.cellsize
+    u0 = (a.x - hm.xllcorner) * inv - 0.5
+    u1 = (b.x - hm.xllcorner) * inv - 0.5
+    v0 = (a.y - hm.yllcorner) * inv - 0.5
+    v1 = (b.y - hm.yllcorner) * inv - 0.5
+
+    ts = sorted(set([0.0, 1.0] + _patch_breakpoints(u0, u1)
+                    + _patch_breakpoints(v0, v1)))
+
+    g = hm._padded_grid
+    du = u1 - u0
+    dv = v1 - v0
+    dz = b.h - a.h
+
+    for t_lo, t_hi in zip(ts, ts[1:]):
+        if t_hi - t_lo < 1e-15:
+            continue
+        tm = 0.5 * (t_lo + t_hi)
+        # patch (i, j) spans padded corners [i+1, j+1] .. [i+2, j+2]; over
+        # the border ring j or i is -1 or the last index
+        j = math.floor(u0 + tm * du)
+        i = math.floor(v0 + tm * dv)
+        fu0 = u0 + t_lo * du - j
+        fv0 = v0 + t_lo * dv - i
+
+        h00 = g[i + 1, j + 1]
+        h10 = g[i + 1, j + 2]
+        h01 = g[i + 2, j + 1]
+        h11 = g[i + 2, j + 2]
+        if np.isnan(h00) or np.isnan(h10) or np.isnan(h01) or np.isnan(h11):
+            return False  # no-data blocks by convention
+
+        # surface along the segment: s(tau) = c0 + c1 tau + c2 tau^2 with
+        # tau = t - t_lo, from the bilinear form
+        bx = h10 - h00
+        by = h01 - h00
+        bxy = h11 - h10 - h01 + h00
+        c0 = h00 + bx * fu0 + by * fv0 + bxy * fu0 * fv0
+        c1 = bx * du + by * dv + bxy * (fu0 * dv + fv0 * du)
+        c2 = bxy * du * dv
+        # clearance g(tau) = z(tau) - s(tau)
+        z0 = a.h + t_lo * dz
+        g0 = z0 - c0
+        g1 = dz - c1
+        g2 = -c2
+        span = t_hi - t_lo
+        g_lo = g0
+        g_hi = g0 + g1 * span + g2 * span * span
+        gmin = min(g_lo, g_hi)
+        if g2 > 0:  # convex clearance: interior vertex can dip lower
+            tv = -g1 / (2.0 * g2)
+            if 0.0 < tv < span:
+                gmin = min(gmin, g0 + g1 * tv + g2 * tv * tv)
+        if gmin <= 0.0:
+            return False
+    return True
 
 
 class TestAsciiGridIO:
@@ -187,6 +274,148 @@ class TestLosBorderRing:
         want = [sampled_los(a, b, hm) for a, b in rays]
         assert got == want
         assert 0 < sum(got) < len(got)
+
+
+def _world(hm, u, v, h):
+    """Position3D at cell-centre coordinates (u, v) of hm."""
+    return Position3D(hm.xllcorner + (u + 0.5) * hm.cellsize,
+                      hm.yllcorner + (v + 0.5) * hm.cellsize, h)
+
+
+def _assert_matches_reference(hm, site, ends):
+    """los_mask over all ends, and los_check per end, equal reference_los."""
+    x, y, h = (np.array(c) for c in zip(*((b.x, b.y, b.h) for b in ends)))
+    with np.errstate(over="ignore"):  # the reference's vertex can overflow
+        want = [reference_los(site, b, hm) for b in ends]
+    assert los_mask(site, x, y, h, hm).tolist() == want
+    assert [los_check(site, b, hm) for b in ends] == want
+
+
+def _random_map(rng):
+    nrows, ncols = (int(n) for n in rng.integers(1, 12, 2))
+    heights = rng.uniform(0.0, 20.0, (nrows, ncols))
+    if rng.random() < 0.5:
+        heights = np.round(heights)
+    for _ in range(rng.integers(0, 3)):  # on the edge or one cell in
+        r = int(rng.choice([0, 1, nrows - 2, nrows - 1])) % nrows
+        c = int(rng.choice([0, 1, ncols - 2, ncols - 1])) % ncols
+        if rng.random() < 0.5:
+            r = int(rng.integers(nrows))
+        else:
+            c = int(rng.integers(ncols))
+        heights[r, c] = np.nan
+    return HeightMap(heights, cellsize=float(rng.uniform(1.0, 7.3)),
+                     xllcorner=float(rng.uniform(-100, 100)),
+                     yllcorner=float(rng.uniform(-100, 100)))
+
+
+def _random_coord(rng, n):
+    """Cell-centre units: border ring, first/middle/last centre line, map
+    edge, a cell centre, or anywhere."""
+    return [rng.uniform(-0.5, 0.0), rng.uniform(n - 1.0, n - 0.5), 0.0,
+            (n - 1) / 2, n - 1.0, -0.5, n - 0.5, float(rng.integers(n)),
+            rng.uniform(-0.5, n - 0.5)][rng.integers(9)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLosMaskDifferential:
+    """The batched kernel against the scalar reference walker, decision by
+    decision; no decision may change and no NaN or 0/0 interval may warn."""
+
+    def test_seeded_random_maps(self):
+        rng = np.random.default_rng(606)
+        n = 0
+        for _ in range(30):
+            hm = _random_map(rng)
+            for _ in range(2):
+                ua = _random_coord(rng, hm.ncols)
+                va = _random_coord(rng, hm.nrows)
+                site = _world(hm, ua, va, float(rng.uniform(0.0, 25.0)))
+                ends = []
+                for _ in range(50):
+                    kind = rng.integers(5)
+                    u = ua if kind in (1, 3) else _random_coord(rng, hm.ncols)
+                    v = va if kind in (2, 3) else _random_coord(rng, hm.nrows)
+                    h = site.h if kind == 3 else float(rng.choice(
+                        [rng.uniform(0.0, 25.0), rng.integers(0, 21)]))
+                    ends.append(_world(hm, u, v, h))
+                _assert_matches_reference(hm, site, ends)
+                n += len(ends)
+        assert n == 3000
+
+    @staticmethod
+    @st.composite
+    def _case(draw):
+        nrows, ncols = draw(st.integers(1, 11)), draw(st.integers(1, 11))
+        height = st.one_of(st.integers(0, 20).map(float), st.floats(0.0, 20.0))
+        heights = np.array(draw(st.lists(height, min_size=nrows * ncols,
+                                         max_size=nrows * ncols)))
+        heights = heights.reshape(nrows, ncols)
+        edge_row = st.sampled_from([0, 1, nrows - 2, nrows - 1]).map(
+            lambda r: r % nrows)
+        edge_col = st.sampled_from([0, 1, ncols - 2, ncols - 1]).map(
+            lambda c: c % ncols)
+        nodata = st.one_of(st.tuples(edge_row, st.integers(0, ncols - 1)),
+                           st.tuples(st.integers(0, nrows - 1), edge_col))
+        for r, c in draw(st.lists(nodata, max_size=2)):
+            heights[r, c] = np.nan
+        corner = st.floats(-100.0, 100.0, allow_subnormal=False)
+        hm = HeightMap(heights, cellsize=draw(st.floats(1.0, 7.3)),
+                       xllcorner=draw(corner), yllcorner=draw(corner))
+
+        def coord(n):
+            return st.one_of(
+                st.sampled_from([-0.5, 0.0, (n - 1) / 2, n - 1.0, n - 0.5]),
+                st.floats(-0.5, 0.0), st.floats(n - 1.0, n - 0.5),
+                st.floats(-0.5, n - 0.5))
+
+        ua, va = draw(coord(ncols)), draw(coord(nrows))
+        site = _world(hm, ua, va, draw(st.floats(0.0, 25.0)))
+        ends = []
+        for kind in draw(st.lists(st.sampled_from(["free", "same_u", "same_v",
+                                                   "same_point"]),
+                                  min_size=1, max_size=20)):
+            u = ua if kind in ("same_u", "same_point") else draw(coord(ncols))
+            v = va if kind in ("same_v", "same_point") else draw(coord(nrows))
+            h = draw(st.one_of(st.just(site.h), height, st.floats(0.0, 25.0)))
+            ends.append(_world(hm, u, v, h))
+        return hm, site, ends
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_case())
+    def test_property_matches_reference(self, case):
+        _assert_matches_reference(*case)
+
+    def test_subnormal_curvature_does_not_warn(self):
+        # a subnormal height next to a tall one makes the clearance's
+        # curvature subnormal, and its vertex overflows
+        hm = HeightMap(np.array([[0.0], [20.0], [5e-320], [0.0]]),
+                       cellsize=1.0)
+        _assert_matches_reference(hm, Position3D(0.5, 0.0, 25.0),
+                                  [Position3D(0.0, 4.0, 25.0)])
+
+    def test_batches_match_single_batch(self, monkeypatch):
+        city = synthetic_city(120.0, 2.0, ch.dense_urban(), RngStream(8),
+                              min_height_m=4.0)
+        site = Position3D(61.0, 59.0, city.surface_at(61.0, 59.0) + 5.0)
+        xx, yy = np.meshgrid(*city.cell_centers())
+        batches = []
+        real = heightmap._blocked
+
+        def counting(*args):
+            batches.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(heightmap, "_blocked", counting)
+        monkeypatch.setattr(heightmap, "_BATCH_INTERVALS", 1 << 30)
+        one = [los_mask(site, xx, yy, h, city) for h in (1.5, 30.0)]
+        assert len(batches) == 2
+        monkeypatch.setattr(heightmap, "_BATCH_INTERVALS", 500)
+        split = [los_mask(site, xx, yy, h, city) for h in (1.5, 30.0)]
+        assert len(batches) > 20
+        for a, b in zip(split, one):
+            assert np.array_equal(a, b)
+            assert 0 < b.sum() < b.size
 
 
 class TestBuildingStats:

@@ -173,22 +173,27 @@ class TestCoverageCurves:
 
 class TestCastOnce:
     def test_cli_casts_each_ray_once(self, tmp_path, monkeypatch):
-        calls = []
-        real = ms.los_check
+        batches = []
+        real = ms.los_mask
 
-        def counting(a, b, hm):
-            calls.append((a.x, a.y, a.h, b.x, b.y, b.h))
-            return real(a, b, hm)
+        def counting(a, x, y, h, hm):
+            x, y, h = np.broadcast_arrays(x, y, h)
+            batches.append([(a.x, a.y, a.h, *b)
+                            for b in zip(x.ravel(), y.ravel(), h.ravel())])
+            return real(a, x, y, h, hm)
 
-        monkeypatch.setattr(ms, "los_check", counting)
+        monkeypatch.setattr(ms, "los_mask", counting)
         text = ("command: mapsim\nseed: 5\nmapsim:\n"
                 "  synthetic: {extent_m: 200, cellsize_m: 5}\n"
                 "  auto_sites: {count: 2}\n"
                 "  heights_m: [1.5, 40]\n  stride: 4\n")
         run_scenario(parse_scenario(text), tmp_path)
-        # 2 sites x (40 cells / stride 4)^2 x 2 heights
-        assert len(calls) == 2 * 10 * 10 * 2
-        assert len(set(calls)) == len(calls)
+        # one batch per (site, height); 2 sites x (40 cells / stride 4)^2
+        # x 2 heights rays
+        assert len(batches) == 2 * 2
+        rays = [ray for batch in batches for ray in batch]
+        assert len(rays) == 2 * 10 * 10 * 2
+        assert len(set(rays)) == len(rays)
 
 
 class TestSiteCsv:
