@@ -13,10 +13,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .errors import DomainError
-from .numerics import inv_marcum_q
+from .numerics import LazyModule, inv_marcum_q
+
+integrate = LazyModule("scipy.integrate")
+optimize = LazyModule("scipy.optimize")
+special = LazyModule("scipy.special")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from . import abs_net, aue_net, localization as loc, mapsim as ms
 from . import channel as ch
 from .antenna_geometry import ConeUav, LinkGeometry, OmniUav, SectorAntenna
 from .errors import DomainError, ScenarioError
-from .heightmap import load_ascii_grid, save_ascii_grid, synthetic_city
+from .heightmap import HeightMap, load_ascii_grid, save_ascii_grid, synthetic_city
 from .numerics import Nakagami, RngStream, dbm_to_watt
 from .scenario import Scenario, load_scenario
 
@@ -293,7 +293,6 @@ def _run_mapsim(s: Scenario, out_dir: Path):
         rows.append([h, grid.coverage_fraction(b["threshold_db"]),
                      grid.p_los_any])
         if b["emit_rasters"]:
-            from .heightmap import HeightMap
             raster = HeightMap(heights=grid.sinr_db[::-1, :],
                                cellsize=hm.cellsize * b["stride"],
                                xllcorner=hm.xllcorner, yllcorner=hm.yllcorner)

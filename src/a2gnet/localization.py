@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .antenna_geometry import Position3D
 from .errors import DomainError
-from .numerics import RngLike, RngStream, as_generator
+from .numerics import LazyModule, RngLike, RngStream, as_generator
+
+optimize = LazyModule("scipy.optimize")
 
 
 @dataclass(frozen=True)

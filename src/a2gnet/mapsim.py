@@ -52,8 +52,10 @@ SITE_CSV_COLUMNS = ["x", "y", "roof_h", "p_tx_dbm", "azimuth0_deg",
                     "tilt_deg", "max_gain_dbi", "beamwidth_deg"]
 
 
-def load_sites_csv(path) -> List[SectorSite]:
-    """Site list: x,y,roof_h,p_tx_dbm,azimuth0_deg,tilt_deg,max_gain_dbi,beamwidth_deg."""
+def load_sites_csv(path, mast_m: float = 5.0) -> List[SectorSite]:
+    """Site list: x,y,roof_h,p_tx_dbm,azimuth0_deg,tilt_deg,max_gain_dbi,beamwidth_deg.
+
+    Each site sits mast_m above its roof_h, as in save_sites_csv."""
     sites = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -70,7 +72,7 @@ def load_sites_csv(path) -> List[SectorSite]:
                 max_gain_dbi=vals["max_gain_dbi"],
                 beamwidth_3db=math.radians(vals["beamwidth_deg"]))
             sites.append(SectorSite(
-                position=Position3D(vals["x"], vals["y"], vals["roof_h"] + 5.0),
+                position=Position3D(vals["x"], vals["y"], vals["roof_h"] + mast_m),
                 p_tx_dbm=vals["p_tx_dbm"],
                 azimuth0=math.radians(vals["azimuth0_deg"]),
                 antenna=ant))

@@ -2,20 +2,45 @@
 
 Everything here is deterministic given an :class:`RngStream`, so Monte Carlo
 callers can parallelize per work unit and still merge bit-exact results.
+
+scipy is bound lazily: :class:`LazyModule` stands in for a scipy submodule
+at module level (``special`` here, ``special``/``integrate``/``optimize`` in
+``abs_net``, ``optimize`` in ``localization``) and imports it on its first
+attribute lookup. So ``import a2gnet`` loads no scipy, and runs that never
+call it (mapsim, aerial-UE Monte Carlo) never pay its import.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
 _TWO64 = 1 << 64
+
+
+class LazyModule:
+    """Stand-in for the module `name`, imported on the first attribute lookup.
+
+    Call sites keep the module spelling (``special.chndtr``), and the binding
+    stays a module attribute that can be swapped with setattr.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)  # later lookups skip __getattr__
+        return value
+
+
+special = LazyModule("scipy.special")
 
 
 # ---------------------------------------------------------------------------

@@ -294,3 +294,31 @@ def test_import_does_not_load_scipy_stats():
     code = ("import sys, a2gnet, a2gnet.cli; "
             "assert 'scipy.stats' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# scipy is most of the package's start-up time and is imported on first
+# use; only the abs-design, coverage-radius and localization paths use it
+_NO_SCIPY = ("bad = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+             "assert not bad, bad")
+
+
+def _run_fresh(code, *args):
+    src = str(Path(a2gnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                   check=True)
+
+
+def test_import_does_not_load_scipy():
+    _run_fresh("import sys, a2gnet, a2gnet.cli; " + _NO_SCIPY)
+
+
+def test_mapsim_and_aue_runs_do_not_load_scipy(tmp_path):
+    aue_tiny = AUE_TABLE_IV.replace("n_trials: 150", "n_trials: 10")
+    code = ("import sys, a2gnet.cli as cli, a2gnet.scenario as sc\n"
+            "for i, text in enumerate(sys.argv[2:]):\n"
+            "    cli.run_scenario(sc.parse_scenario(text), f'{sys.argv[1]}/{i}')\n"
+            + _NO_SCIPY)
+    _run_fresh(code, tmp_path, MAPSIM_SMALL, aue_tiny)
+    assert (tmp_path / "0" / "mapsim_summary.csv").is_file()
+    assert (tmp_path / "1" / "aue_coverage.csv").is_file()

@@ -209,6 +209,13 @@ class TestSiteCsv:
         assert back[1].azimuth0 == pytest.approx(math.radians(30))
         assert back[1].position.h == pytest.approx(25.0)
 
+    def test_round_trip_custom_mast(self, tmp_path):
+        site = ms.SectorSite(position=Position3D(300, 50, 33))
+        p = tmp_path / "sites.csv"
+        ms.save_sites_csv([site], p, mast_m=3.0)
+        back = ms.load_sites_csv(p, mast_m=3.0)
+        assert back[0].position.h == pytest.approx(33.0)
+
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("x,y\n1,2\n")

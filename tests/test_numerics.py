@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
+from a2gnet import abs_net, localization, numerics
 from a2gnet.errors import DomainError
 from a2gnet.numerics import (
     Nakagami,
@@ -222,3 +223,17 @@ class TestRngStream:
             RngStream(-1, 0)
         with pytest.raises(DomainError):
             RngStream(1, -2)
+
+
+class TestLazyModule:
+    # bench/tracing.py swaps localization.optimize and abs_net.integrate by
+    # getattr/setattr on the module, so these must stay module attributes
+    def test_bindings_resolve_to_scipy(self):
+        assert numerics.special.chndtr is special.chndtr
+        assert localization.optimize.least_squares is optimize.least_squares
+        assert abs_net.integrate.quad is integrate.quad
+        assert abs_net.optimize.brentq is optimize.brentq
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            numerics.LazyModule("scipy.special").no_such_function
