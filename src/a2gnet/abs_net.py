@@ -15,11 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import LazyModule, inv_marcum_q
-
-integrate = LazyModule("scipy.integrate")
-optimize = LazyModule("scipy.optimize")
-special = LazyModule("scipy.special")
+from .numerics import integrate, inv_marcum_q, optimize, special
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,7 @@ import numpy as np
 
 from .antenna_geometry import Position3D
 from .errors import DomainError
-from .numerics import LazyModule, RngLike, RngStream, as_generator
-
-optimize = LazyModule("scipy.optimize")
+from .numerics import RngLike, RngStream, as_generator, optimize
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .heightmap import HeightMap, los_check, los_mask
 from .numerics import RngLike, as_generator
 
 SECTOR_COUNT = 3
+MAST_M = 5.0               # default mast height above the roof, m
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class SectorSite:
                 for k in range(SECTOR_COUNT)]
 
 
-def site_on_roof(hm: HeightMap, x: float, y: float, mast_m: float = 5.0,
+def site_on_roof(hm: HeightMap, x: float, y: float, mast_m: float = MAST_M,
                  **site_kwargs) -> SectorSite:
     """Place a site on the surface at (x, y), mast_m above the roof."""
     roof = float(hm.surface_at(x, y))
@@ -52,10 +53,10 @@ SITE_CSV_COLUMNS = ["x", "y", "roof_h", "p_tx_dbm", "azimuth0_deg",
                     "tilt_deg", "max_gain_dbi", "beamwidth_deg"]
 
 
-def load_sites_csv(path, mast_m: float = 5.0) -> List[SectorSite]:
+def load_sites_csv(path) -> List[SectorSite]:
     """Site list: x,y,roof_h,p_tx_dbm,azimuth0_deg,tilt_deg,max_gain_dbi,beamwidth_deg.
 
-    Each site sits mast_m above its roof_h, as in save_sites_csv."""
+    Each site sits MAST_M above its roof_h, as save_sites_csv writes it."""
     sites = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -72,7 +73,7 @@ def load_sites_csv(path, mast_m: float = 5.0) -> List[SectorSite]:
                 max_gain_dbi=vals["max_gain_dbi"],
                 beamwidth_3db=math.radians(vals["beamwidth_deg"]))
             sites.append(SectorSite(
-                position=Position3D(vals["x"], vals["y"], vals["roof_h"] + mast_m),
+                position=Position3D(vals["x"], vals["y"], vals["roof_h"] + MAST_M),
                 p_tx_dbm=vals["p_tx_dbm"],
                 azimuth0=math.radians(vals["azimuth0_deg"]),
                 antenna=ant))
@@ -81,14 +82,14 @@ def load_sites_csv(path, mast_m: float = 5.0) -> List[SectorSite]:
     return sites
 
 
-def save_sites_csv(sites: Sequence[SectorSite], path, mast_m: float = 5.0):
+def save_sites_csv(sites: Sequence[SectorSite], path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SITE_CSV_COLUMNS)
         for s in sites:
             writer.writerow([
                 "%.9g" % s.position.x, "%.9g" % s.position.y,
-                "%.9g" % (s.position.h - mast_m), "%.9g" % s.p_tx_dbm,
+                "%.9g" % (s.position.h - MAST_M), "%.9g" % s.p_tx_dbm,
                 "%.9g" % math.degrees(s.azimuth0),
                 "%.9g" % math.degrees(s.antenna.downtilt),
                 "%.9g" % s.antenna.max_gain_dbi,

@@ -3,11 +3,11 @@
 Everything here is deterministic given an :class:`RngStream`, so Monte Carlo
 callers can parallelize per work unit and still merge bit-exact results.
 
-scipy is bound lazily: :class:`LazyModule` stands in for a scipy submodule
-at module level (``special`` here, ``special``/``integrate``/``optimize`` in
-``abs_net``, ``optimize`` in ``localization``) and imports it on its first
-attribute lookup. So ``import a2gnet`` loads no scipy, and runs that never
-call it (mapsim, aerial-UE Monte Carlo) never pay its import.
+scipy is bound lazily: ``special``, ``integrate`` and ``optimize`` here are
+:class:`LazyModule` stand-ins that import their scipy submodule on the first
+attribute lookup; ``abs_net`` and ``localization`` import these bindings. So
+``import a2gnet`` loads no scipy, and runs that never call it (mapsim,
+aerial-UE Monte Carlo) never pay its import.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ class LazyModule:
         return value
 
 
+integrate = LazyModule("scipy.integrate")
+optimize = LazyModule("scipy.optimize")
 special = LazyModule("scipy.special")
 
 

@@ -203,18 +203,13 @@ class TestSiteCsv:
                                p_tx_dbm=46.0, azimuth0=math.radians(30))]
         p = tmp_path / "sites.csv"
         ms.save_sites_csv(sites, p)
+        roof_h = float(p.read_text().splitlines()[2].split(",")[2])
+        assert roof_h == 25.0 - ms.MAST_M
         back = ms.load_sites_csv(p)
         assert len(back) == 2
         assert back[0].position.x == 100.0
         assert back[1].azimuth0 == pytest.approx(math.radians(30))
         assert back[1].position.h == pytest.approx(25.0)
-
-    def test_round_trip_custom_mast(self, tmp_path):
-        site = ms.SectorSite(position=Position3D(300, 50, 33))
-        p = tmp_path / "sites.csv"
-        ms.save_sites_csv([site], p, mast_m=3.0)
-        back = ms.load_sites_csv(p, mast_m=3.0)
-        assert back[0].position.h == pytest.approx(33.0)
 
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
