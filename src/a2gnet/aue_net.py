@@ -1,18 +1,21 @@
 """Aerial-UE performance under a Poisson field of sector base stations.
 
 Monte Carlo trials are independent work units keyed by (seed, trial index),
-so estimates are bit-exact for any evaluation order. Each
-trial deploys a fresh HPPP snapshot, draws one LOS state and one fading gain
-per base station (shared by its three co-sited sectors), associates the UE
-with the strongest mean received power, and forms the SINR against the sum
-of all remaining sectors plus noise.
+so estimates are bit-exact for any evaluation order. Each trial deploys a
+fresh HPPP snapshot and draws one LOS uniform and one fading gain per LOS
+state for each base station (shared by its three co-sited sectors); a
+deterministic evaluation then sets the LOS states, associates the UE with
+the strongest mean received power, and forms the SINR against the sum of
+all remaining sectors plus noise. Sweep points, and the ground and aerial
+users of the area spectral efficiency, are evaluated on each trial's one
+draw, and building P_LOS is read from a table built once per UE height.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +28,9 @@ from .antenna_geometry import (
     uav_gain_linear,
 )
 from .channel import (
+    BuildingPlosTable,
     Carrier,
     Environment,
-    _p_los_building_heights,
     free_space_reference_loss_db,
     urban,
 )
@@ -152,17 +155,41 @@ class SnapshotSinr:
     los_serving: bool
 
 
-def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
-                  rng: RngLike, aim_cone_at_serving: bool = False) -> SnapshotSinr:
-    """SINR of a UE at (x, y, h) against one snapshot.
+@dataclass(frozen=True)
+class LinkDraw:
+    """Per-site random numbers of one snapshot: a LOS uniform, then a fading
+    gain under each LOS state (one site's three sectors share them)."""
 
-    Draws an independent LOS state and fading gain per site, associates by
-    the largest fade-free mean power, and returns SINR with the drawn
-    fading applied. With `aim_cone_at_serving` a conical UE antenna is
+    los_u: np.ndarray
+    fading_los: np.ndarray
+    fading_nlos: np.ndarray
+
+
+def draw_links(snap: NetworkSnapshot, cfg: AueNetworkConfig,
+               rng: RngLike) -> LinkDraw:
+    gen = as_generator(rng)
+    n = snap.n_sites
+    return LinkDraw(gen.random(n), sample_fading(cfg.fading_los, gen, n),
+                    sample_fading(cfg.fading_nlos, gen, n))
+
+
+def p_los_table(uav_h: float, bs_h: float, env: Environment) -> BuildingPlosTable:
+    """Building P_LOS lookup for links between a UE at uav_h and sites at bs_h."""
+    return BuildingPlosTable(max(uav_h, bs_h), min(uav_h, bs_h), env)
+
+
+def evaluate_sinr(uav_xyh, snap: NetworkSnapshot, links: LinkDraw,
+                  cfg: AueNetworkConfig, p_los: BuildingPlosTable,
+                  aim_cone_at_serving: bool = False) -> SnapshotSinr:
+    """SINR of a UE at (x, y, h) on one drawn snapshot; no randomness.
+
+    A site is in LOS when its uniform falls below its building P_LOS, read
+    from `p_los`, the table for this UE height and the snapshot's site
+    height. The UE associates by the largest fade-free mean power and the
+    SINR applies the drawn fading. With `aim_cone_at_serving` a conical UE antenna is
     re-pointed at the site that serves under an omni antenna before gains
     are applied.
     """
-    gen = as_generator(rng)
     x, y, h = uav_xyh
     if snap.n_sites == 0:
         return SnapshotSinr(0.0, -1, -1, False)
@@ -177,9 +204,7 @@ def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
     az_from_uav = np.arctan2(dx, dy)
     el_from_uav = np.arctan2(dz, d_h)
 
-    p_los = _p_los_building_heights(d_h, max(h, snap.height_m),
-                                    min(h, snap.height_m), cfg.env)
-    los = gen.random(snap.n_sites) < p_los
+    los = links.los_u < p_los(d_h)
 
     eta = np.where(los, cfg.eta_los, cfg.eta_nlos)
     lam0 = np.where(los, cfg.reference_loss_db(True), cfg.reference_loss_db(False))
@@ -189,11 +214,7 @@ def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
     bs_gain = 10.0 ** (bs_gain_db(cfg.sector,
                                   az_from_bs[:, None] - snap.sector_azimuth,
                                   elevation_from_bs[:, None]) / 10.0)  # (n, 3)
-    fading = np.where(
-        los,
-        sample_fading(cfg.fading_los, gen, snap.n_sites),
-        sample_fading(cfg.fading_nlos, gen, snap.n_sites),
-    )
+    fading = np.where(los, links.fading_los, links.fading_nlos)
 
     path_gain = 10.0 ** (-pl_db / 10.0)
 
@@ -222,24 +243,51 @@ def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
     return SnapshotSinr(float(sinr), site, int(sector[site]), bool(los[site]))
 
 
+def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
+                  rng: RngLike, aim_cone_at_serving: bool = False) -> SnapshotSinr:
+    """SINR of a UE at (x, y, h) against one snapshot: draws the snapshot's
+    LOS uniforms and fading gains from `rng`, then evaluates them."""
+    table = p_los_table(uav_xyh[2], snap.height_m, cfg.env)
+    return evaluate_sinr(uav_xyh, snap, draw_links(snap, cfg, rng), cfg, table,
+                         aim_cone_at_serving)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
+
+def _sinr_matrix(draw_cfg: AueNetworkConfig,
+                 points: Sequence[Tuple[float, AueNetworkConfig]],
+                 n_trials: int, rng: RngStream,
+                 aim_cone_at_serving: bool = False) -> np.ndarray:
+    """(points x trials) SINR of a UE at the region center.
+
+    Trial i deploys and draws once, on `rng.child_generator(i)` under
+    `draw_cfg`, and every (UE height, config) point is evaluated on that
+    draw; the point configs must draw as `draw_cfg` does (same density,
+    region, site height and fading laws).
+    """
+    if n_trials < 1:
+        raise DomainError("need at least one trial")
+    tables = [p_los_table(h, draw_cfg.bs_height_m, point_cfg.env)
+              for h, point_cfg in points]
+    out = np.empty((len(points), n_trials))
+    for i in range(n_trials):
+        gen = rng.child_generator(i)
+        snap = deploy_hppp(draw_cfg, gen)
+        links = draw_links(snap, draw_cfg, gen)
+        for k, ((h, point_cfg), table) in enumerate(zip(points, tables)):
+            out[k, i] = evaluate_sinr((0.0, 0.0, h), snap, links, point_cfg,
+                                      table, aim_cone_at_serving).sinr
+    return out
+
 
 def sinr_samples(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
                  rng: RngStream,
                  aim_cone_at_serving: bool = False) -> np.ndarray:
     """n_trials independent SINR draws for a UE at the region center."""
-    if n_trials < 1:
-        raise DomainError("need at least one trial")
-
-    def run(i: int) -> float:
-        gen = rng.child_generator(i)
-        snap = deploy_hppp(cfg, gen)
-        return snapshot_sinr((0.0, 0.0, uav_h), snap, cfg, gen,
-                             aim_cone_at_serving=aim_cone_at_serving).sinr
-
-    return np.array([run(i) for i in range(n_trials)])
+    return _sinr_matrix(cfg, [(uav_h, cfg)], n_trials, rng,
+                        aim_cone_at_serving)[0]
 
 
 @dataclass(frozen=True)
@@ -249,17 +297,25 @@ class CoverageEstimate:
     n_trials: int
 
 
+def coverage_from_samples(sinr: np.ndarray, threshold: float) -> CoverageEstimate:
+    """Fraction of SINR samples above the threshold, with a normal CI."""
+    p = float(np.mean(sinr > threshold))
+    ci = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-12) / sinr.size)
+    return CoverageEstimate(p, ci, sinr.size)
+
+
+def _check_coverage_trials(n_trials: int):
+    if n_trials < 100:
+        raise DomainError("coverage estimation needs n_trials >= 100")
+
+
 def coverage_probability_mc(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
                             rng: RngStream,
                             threshold: float = None) -> CoverageEstimate:
     """Fraction of trials with SINR above the target, with a normal CI."""
-    if n_trials < 100:
-        raise DomainError("coverage estimation needs n_trials >= 100")
+    _check_coverage_trials(n_trials)
     t = cfg.threshold if threshold is None else threshold
-    sinr = sinr_samples(uav_h, cfg, n_trials, rng)
-    p = float(np.mean(sinr > t))
-    ci = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-12) / n_trials)
-    return CoverageEstimate(p, ci, n_trials)
+    return coverage_from_samples(sinr_samples(uav_h, cfg, n_trials, rng), t)
 
 
 @dataclass(frozen=True)
@@ -269,6 +325,27 @@ class CapacityEstimate:
     n_trials: int
 
 
+def _capacity_coefficients(k_nodes: int, t_max: float = None):
+    """Nodes t_n and coefficients w_n / (1 + t_n) / ln 2 of the capacity
+    quadrature; with t_max set, nodes above it are dropped."""
+    if k_nodes < 50:
+        raise DomainError("capacity quadrature needs K >= 50 nodes")
+    t, w = chebyshev_capacity_nodes(k_nodes)
+    if t_max is not None:
+        keep = t <= t_max
+        t, w = t[keep], w[keep]
+    return t, w / (1.0 + t) / math.log(2.0)
+
+
+def _capacity_from_samples(sinr: np.ndarray, t: np.ndarray,
+                           coeff: np.ndarray) -> CapacityEstimate:
+    # the quadrature applied per sample; its spread gives the CI
+    per_sample = (sinr[:, None] > t[None, :]) @ coeff
+    mean = float(np.mean(per_sample))
+    ci = 1.96 * float(np.std(per_sample)) / math.sqrt(sinr.size)
+    return CapacityEstimate(mean, ci, sinr.size)
+
+
 def capacity_from_pcov(pcov: Callable[[float], float], k_nodes: int,
                        t_max: float = None) -> float:
     """Quadrature (1/ln 2) sum w_n P_cov(t_n) / (1 + t_n) over the nodes.
@@ -276,14 +353,8 @@ def capacity_from_pcov(pcov: Callable[[float], float], k_nodes: int,
     With t_max set, nodes above it are dropped, bounding the integral at
     ln(1 + t_max)/ln 2 when P_cov is identically one.
     """
-    if k_nodes < 50:
-        raise DomainError("capacity quadrature needs K >= 50 nodes")
-    t, w = chebyshev_capacity_nodes(k_nodes)
-    if t_max is not None:
-        keep = t <= t_max
-        t, w = t[keep], w[keep]
-    vals = np.array([pcov(tn) for tn in t])
-    return float(np.sum(w * vals / (1.0 + t)) / math.log(2.0))
+    t, coeff = _capacity_coefficients(k_nodes, t_max)
+    return float(np.sum(coeff * np.array([pcov(tn) for tn in t])))
 
 
 def capacity(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
@@ -295,32 +366,23 @@ def capacity(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
     random numbers), which is exactly the quadrature applied per sample, so
     a per-sample spread gives the confidence interval.
     """
-    if k_nodes < 50:
-        raise DomainError("capacity quadrature needs K >= 50 nodes")
+    t, coeff = _capacity_coefficients(k_nodes, t_max)
     sinr = sinr_samples(uav_h, cfg, n_trials, rng,
                         aim_cone_at_serving=aim_cone_at_serving)
-    t, w = chebyshev_capacity_nodes(k_nodes)
-    if t_max is not None:
-        keep = t <= t_max
-        t, w = t[keep], w[keep]
-    coeff = w / (1.0 + t) / math.log(2.0)
-    per_sample = (sinr[:, None] > t[None, :]) @ coeff
-    mean = float(np.mean(per_sample))
-    ci = 1.96 * float(np.std(per_sample)) / math.sqrt(n_trials)
-    return CapacityEstimate(mean, ci, n_trials)
+    return _capacity_from_samples(sinr, t, coeff)
 
 
 def ase(cfg: AueNetworkConfig, uav_h: float, n_trials: int, rng: RngStream,
         k_nodes: int = 200) -> float:
     """Area spectral efficiency lambda[(1-rho) R(1.5) + rho R(h)].
 
-    Ground users always carry the 2.15 dBi omni antenna.
+    Ground users always carry the 2.15 dBi omni antenna; both rates come
+    from the same trial draws.
     """
-    ground_cfg = replace(cfg, uav=OmniUav())
-    r_ground = capacity(1.5, ground_cfg, n_trials, RngStream(rng.master_seed, rng.stream_index),
-                        k_nodes=k_nodes).bps_hz
-    r_aerial = capacity(uav_h, cfg, n_trials, RngStream(rng.master_seed, rng.stream_index),
-                        k_nodes=k_nodes).bps_hz
+    t, coeff = _capacity_coefficients(k_nodes)
+    points = [(1.5, replace(cfg, uav=OmniUav())), (uav_h, cfg)]
+    r_ground, r_aerial = (_capacity_from_samples(row, t, coeff).bps_hz
+                          for row in _sinr_matrix(cfg, points, n_trials, rng))
     rho = cfg.aue_ratio_rho
     return cfg.bs_density_per_km2 * ((1.0 - rho) * r_ground + rho * r_aerial)
 
@@ -361,24 +423,36 @@ def sweep(cfg: AueNetworkConfig, axis: str, grid: Sequence[float], uav_h: float,
 
     Every grid point reuses the same per-trial streams (common random
     numbers), so a single-point sweep equals the direct metric call and
-    cross-point orderings are paired comparisons.
+    cross-point orderings are paired comparisons. Each trial is drawn once
+    and evaluated at every grid point, except on the density axis, where
+    the Poisson mean changes and each point draws its own trials.
     """
     if axis not in _SWEEP_AXES:
         raise DomainError(f"unknown sweep axis {axis!r}")
     if len(grid) == 0:
         raise DomainError("sweep grid must be nonempty")
-    if metric not in ("capacity", "coverage"):
+    if metric == "coverage":
+        _check_coverage_trials(n_trials)
+        threshold = cfg.threshold      # no axis changes the target
+    elif metric == "capacity":
+        t, coeff = _capacity_coefficients(k_nodes, t_max)
+    else:
         raise DomainError(f"unknown sweep metric {metric!r}")
 
-    points = []
-    for x in grid:
-        point_cfg = _cfg_for(cfg, axis, x)
-        h = float(x) if axis == "altitude" else uav_h
+    points = [(float(x) if axis == "altitude" else uav_h, _cfg_for(cfg, axis, x))
+              for x in grid]
+    if axis == "density":
+        sinr = np.vstack([_sinr_matrix(point[1], [point], n_trials, rng)
+                          for point in points])
+    else:
+        sinr = _sinr_matrix(cfg, points, n_trials, rng)
+
+    out = []
+    for x, row in zip(grid, sinr):
         if metric == "coverage":
-            est = coverage_probability_mc(h, point_cfg, n_trials, rng)
-            points.append(SweepPoint(float(x), est.estimate, est.ci95))
+            est = coverage_from_samples(row, threshold)
+            out.append(SweepPoint(float(x), est.estimate, est.ci95))
         else:
-            est = capacity(h, point_cfg, n_trials, rng, k_nodes=k_nodes,
-                           t_max=t_max)
-            points.append(SweepPoint(float(x), est.bps_hz, est.ci95))
-    return points
+            est = _capacity_from_samples(row, t, coeff)
+            out.append(SweepPoint(float(x), est.bps_hz, est.ci95))
+    return out

@@ -249,6 +249,28 @@ def log_distance_pl_db(g, spec: LogDistance):
 # LOS probability models
 # ---------------------------------------------------------------------------
 
+def _building_index(d_h_m, env: Environment):
+    """Index m = floor(d_h sqrt(varsigma xi) - 1) of the last building a ray
+    of ground length d_h crosses; m < 0 means it crosses none."""
+    return np.floor(d_h_m / 1000.0 * math.sqrt(env.varsigma * env.xi) - 1.0).astype(int)
+
+
+def _clearance_products(m, h_hi, h_lo, env: Environment):
+    """prod_{n=0..m} P[building n is below the ray], one per entry of the
+    1-d integer array m (1 where m < 0); the ray height at building n is
+    interpolated between the endpoint heights."""
+    out = np.ones(m.shape)
+    mmax = int(m.max()) if m.size else -1
+    if mmax >= 0:
+        n = np.arange(mmax + 1)[None, :]
+        frac = (n + 0.5) / np.maximum(m[:, None] + 1.0, 1.0)
+        ray_h = h_hi - frac * (h_hi - h_lo)
+        factors = 1.0 - np.exp(-ray_h ** 2 / (2.0 * env.omega ** 2))
+        factors = np.where(n <= m[:, None], factors, 1.0)
+        out = np.prod(factors, axis=1)
+    return out
+
+
 def _p_los_building_heights(d_h_m, h_hi, h_lo, env: Environment):
     """Building-statistics LOS probability with ray heights interpolated
     between the two endpoint heights; symmetric in the endpoints.
@@ -258,17 +280,31 @@ def _p_los_building_heights(d_h_m, h_hi, h_lo, env: Environment):
     d_h = np.asarray(d_h_m, dtype=float)
     scalar = d_h.ndim == 0
     d_h = np.atleast_1d(d_h)
-    m = np.floor(d_h / 1000.0 * math.sqrt(env.varsigma * env.xi) - 1.0).astype(int)
-    out = np.ones_like(d_h)
-    mmax = int(m.max()) if m.size else -1
-    if mmax >= 0:
-        n = np.arange(mmax + 1)[None, :]
-        frac = (n + 0.5) / np.maximum(m[:, None] + 1.0, 1.0)
-        ray_h = h_hi - frac * (h_hi - h_lo)
-        factors = 1.0 - np.exp(-ray_h ** 2 / (2.0 * env.omega ** 2))
-        factors = np.where(n <= m[:, None], factors, 1.0)
-        out = np.prod(factors, axis=1)
+    out = _clearance_products(_building_index(d_h, env), h_hi, h_lo, env)
     return float(out[0]) if scalar else out
+
+
+class BuildingPlosTable:
+    """Building P_LOS between two fixed endpoint heights, as a lookup.
+
+    The probability depends on distance only through the building index m,
+    so the products for m = 0..M are computed once, M growing to the
+    largest m looked up, and each link is a table read; every read equals
+    `_p_los_building_heights` exactly.
+    """
+
+    def __init__(self, h_hi: float, h_lo: float, env: Environment):
+        self.h_hi, self.h_lo, self.env = h_hi, h_lo, env
+        self._rows = np.ones(1)   # row m + 1 holds m; row 0 is m = -1
+
+    def __call__(self, d_h_m: np.ndarray) -> np.ndarray:
+        m = _building_index(d_h_m, self.env)
+        top = int(m.max(initial=-1))
+        if top >= self._rows.size - 1:
+            products = _clearance_products(np.arange(top + 1), self.h_hi,
+                                           self.h_lo, self.env)
+            self._rows = np.concatenate(([1.0], products))
+        return self._rows[np.maximum(m, -1) + 1]
 
 
 def p_los_building(g: LinkGeometry, env: Environment):

@@ -168,10 +168,8 @@ def _run_aue_coverage(s: Scenario, out_dir: Path):
         sinr = aue_net.sinr_samples(h, cfg, run["n_trials"],
                                     RngStream(s.seed, i))
         for t_db in run["thresholds_db"]:
-            t = 10.0 ** (t_db / 10.0)
-            p = float(np.mean(sinr > t))
-            ci = 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / run["n_trials"])
-            rows.append([h, t_db, p, ci])
+            est = aue_net.coverage_from_samples(sinr, 10.0 ** (t_db / 10.0))
+            rows.append([h, t_db, est.estimate, est.ci95])
     return [_write_csv(out_dir / "aue_coverage.csv",
                        ["h_m", "threshold_db", "p_cov", "ci95"], rows)]
 

@@ -96,7 +96,7 @@ SCHEMAS: Dict[str, dict] = {
             "altitudes_m": Field(kind=list, default=[30.0, 60.0, 120.0],
                                  minimum=0.0, maximum=MAX_MODELED_ALTITUDE_M),
             "thresholds_db": Field(kind=list, default=[0.0]),
-            "n_trials": Field(kind=int, default=2000),
+            "n_trials": Field(kind=int, default=2000, minimum=1),
         }),
     },
     "aue-sweep": {
@@ -109,8 +109,8 @@ SCHEMAS: Dict[str, dict] = {
                              maximum=MAX_MODELED_ALTITUDE_M),
             "metric": Field(kind=str, default="capacity",
                             choices=("capacity", "coverage")),
-            "n_trials": Field(kind=int, default=2000),
-            "k_nodes": Field(kind=int, default=200),
+            "n_trials": Field(kind=int, default=2000, minimum=1),
+            "k_nodes": Field(kind=int, default=200, minimum=50),
             "t_max_db": Field(default=None),
         }),
     },

@@ -275,6 +275,85 @@ class TestSweep:
                      rng=RngStream(65, 1))
 
 
+def reference_sweep(cfg, axis, grid, uav_h, n_trials, rng, metric):
+    # one full Monte Carlo run per grid point, each on the same streams
+    out = []
+    for x in grid:
+        point_cfg = au._cfg_for(cfg, axis, x)
+        h = float(x) if axis == "altitude" else uav_h
+        if metric == "coverage":
+            est = au.coverage_probability_mc(h, point_cfg, n_trials, rng)
+            out.append(au.SweepPoint(float(x), est.estimate, est.ci95))
+        else:
+            est = au.capacity(h, point_cfg, n_trials, rng, t_max=1000.0)
+            out.append(au.SweepPoint(float(x), est.bps_hz, est.ci95))
+    return out
+
+
+class TestSharedDraws:
+    """Trial-major evaluation against per-point and per-snapshot loops."""
+
+    CONE = replace(CFG, uav=ConeUav(phi_b_deg=100.0))
+
+    @pytest.mark.parametrize("metric", ["capacity", "coverage"])
+    @pytest.mark.parametrize("axis,grid,cfg", [
+        ("altitude", [5.0, 60.0, 150.0], CFG),
+        ("density", [2.0, 5.0, 20.0], CFG),
+        ("phi_b", [40.0, 90.0, 140.0], CFG),
+        ("phi_t", [0.0, 0.3], CONE),
+    ])
+    def test_sweep_equals_per_point_loop(self, axis, grid, cfg, metric):
+        rng = RngStream(81, 2)
+        pts = au.sweep(cfg, axis, grid, uav_h=120.0, n_trials=100, rng=rng,
+                       metric=metric, t_max=1000.0)
+        assert pts == reference_sweep(cfg, axis, grid, 120.0, 100, rng, metric)
+
+    def test_draw_order(self):
+        # sites, then LOS uniforms, then LOS and NLOS fading: the order the
+        # shipped outputs were drawn in
+        gen, ref = (RngStream(85, 0).child_generator(3) for _ in range(2))
+        snap = au.deploy_hppp(CFG, gen)
+        links = au.draw_links(snap, CFG, gen)
+        n = au.deploy_hppp(CFG, ref).n_sites
+        assert np.array_equal(links.los_u, ref.random(n))
+        assert np.array_equal(links.fading_los, ref.gamma(3, 1 / 3, n))
+        assert np.array_equal(links.fading_nlos, ref.gamma(1, 1.0, n))
+
+    @pytest.mark.parametrize("h,cfg", [(1.5, CFG), (90.0, CFG), (200.0, CONE)])
+    def test_samples_equal_per_snapshot_loop(self, h, cfg):
+        # today's sinr_samples: one snapshot_sinr call per trial
+        rng = RngStream(82, 0)
+        direct = []
+        for i in range(60):
+            gen = rng.child_generator(i)
+            snap = au.deploy_hppp(cfg, gen)
+            direct.append(au.snapshot_sinr((0.0, 0.0, h), snap, cfg, gen).sinr)
+        assert np.array_equal(au.sinr_samples(h, cfg, 60, rng), direct)
+
+    def test_ase_equals_two_capacity_runs(self):
+        rng = RngStream(83, 0)
+        cfg = replace(CFG, aue_ratio_rho=0.3)
+        ground = au.capacity(1.5, replace(cfg, uav=OmniUav()), 200, rng,
+                             k_nodes=100).bps_hz
+        aerial = au.capacity(90.0, cfg, 200, rng, k_nodes=100).bps_hz
+        rho = cfg.aue_ratio_rho
+        expected = cfg.bs_density_per_km2 * ((1.0 - rho) * ground + rho * aerial)
+        assert au.ase(cfg, 90.0, 200, rng, k_nodes=100) == expected
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(metric="coverage", n_trials=99),
+        dict(metric="capacity", n_trials=200, k_nodes=49),
+        dict(metric="capacity", n_trials=0),
+    ])
+    def test_sweep_fails_before_any_trial(self, monkeypatch, kwargs):
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+        monkeypatch.setattr(au, "deploy_hppp", no_draw)
+        with pytest.raises(DomainError):
+            au.sweep(CFG, "phi_b", [60.0, 120.0], uav_h=150.0,
+                     rng=RngStream(84, 0), **kwargs)
+
+
 class TestConeAiming:
     def test_aimed_cone_not_worse_than_omni(self):
         cone_cfg = replace(CFG, uav=ConeUav(phi_b_deg=60.0))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2gnet import channel as ch
 from a2gnet.antenna_geometry import Position3D, link_geometry
@@ -151,6 +153,37 @@ class TestPlosBuilding:
     def test_descending_ray_required(self):
         with pytest.raises(DomainError):
             p_los_building(geom(100.0, 1.5, 30.0), self.URB)
+
+
+TABLE_ENVS = (ch.urban(), ch.dense_urban(), ch.highrise())
+
+
+class TestBuildingPlosTable:
+    """The per-height lookup against the direct product formula, bit for bit."""
+
+    @pytest.mark.parametrize("env", TABLE_ENVS, ids=lambda e: e.kind)
+    def test_seeded_random_links(self, env):
+        gen = np.random.default_rng(20)
+        for _ in range(40):
+            h_hi, h_lo = sorted(gen.uniform(0.0, 300.0, 2), reverse=True)
+            table = ch.BuildingPlosTable(h_hi, h_lo, env)
+            for d_max in (3000.0, 500.0, 6000.0):   # grows, then reads back
+                d_h = gen.uniform(0.0, d_max, 200)
+                direct = ch._p_los_building_heights(d_h, h_hi, h_lo, env)
+                assert np.array_equal(table(d_h), direct)
+
+    @settings(max_examples=200, deadline=None)
+    @given(h_a=st.floats(0.0, 300.0), h_b=st.floats(0.0, 300.0),
+           env=st.sampled_from(TABLE_ENVS),
+           d_h=st.lists(st.floats(0.0, 3000.0), min_size=1, max_size=30))
+    def test_matches_direct_formula(self, h_a, h_b, env, d_h):
+        # d_h = 0 and short links (m < 0) read 1 from both
+        d_h = np.array([0.0, 1.0] + d_h)
+        h_hi, h_lo = max(h_a, h_b), min(h_a, h_b)
+        table = ch.BuildingPlosTable(h_hi, h_lo, env)
+        direct = ch._p_los_building_heights(d_h, h_hi, h_lo, env)
+        assert np.array_equal(table(d_h), direct)
+        assert table(np.array([0.0]))[0] == 1.0
 
 
 class TestPlos3gpp:

@@ -125,6 +125,9 @@ class TestParsing:
         ("distances_m", [50, -50], "channel.distances_m[1]"),
         ("altitudes_m", [1.5, 400], "channel.altitudes_m[1]"),
         ("altitudes_m", [-1], "channel.altitudes_m[0]"),
+        ("n_trials", 0, "run.n_trials"),
+        ("n_trials", 0, "sweep.n_trials"),
+        ("k_nodes", 49, "sweep.k_nodes"),
     ])
     def test_bound_validation(self, key, value, path):
         block = path.split(".")[0]
@@ -287,17 +290,9 @@ class TestMainEntry:
         assert len(err) == 1 and named in err[0]
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about half a second and 20 MB at start-up
-    src = str(Path(a2gnet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, a2gnet, a2gnet.cli; "
-            "assert 'scipy.stats' not in sys.modules")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
-# scipy is most of the package's start-up time and is imported on first
-# use; only the abs-design, coverage-radius and localization paths use it
+# scipy is most of the package's start-up time (scipy.stats alone about half
+# a second and 20 MB) and is imported on first use; only the abs-design,
+# coverage-radius and localization paths use it
 _NO_SCIPY = ("bad = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
              "assert not bad, bad")
 
