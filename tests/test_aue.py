@@ -321,7 +321,7 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("h,cfg", [(1.5, CFG), (90.0, CFG), (200.0, CONE)])
     def test_samples_equal_per_snapshot_loop(self, h, cfg):
-        # today's sinr_samples: one snapshot_sinr call per trial
+        # reference: one deploy_hppp and snapshot_sinr call per trial
         rng = RngStream(82, 0)
         direct = []
         for i in range(60):
