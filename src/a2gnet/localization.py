@@ -133,6 +133,26 @@ def _range_residuals(xy, anchors_xy, r_hat):
     return d - r_hat
 
 
+_FD_REL_STEP = np.finfo(np.float64).eps ** 0.5
+
+
+def _range_jacobian(xy, anchors_xy, r_hat):
+    """Forward-difference Jacobian of `_range_residuals`, as scipy builds it.
+
+    scipy's unbounded '2-point' scheme steps x_j by
+    h_j = sqrt(eps) sign(x_j) max(1, |x_j|) with sign(0) = +1 and divides
+    f(x + h_j e_j) - f(x) by (x_j + h_j) - x_j. Here the point and its two
+    steps share one broadcast hypot, in the same float64 arithmetic, so
+    every entry equals scipy's bit for bit without its per-column overhead.
+    """
+    x, y = xy.tolist()
+    hx, hy = (_FD_REL_STEP * (1.0 if v >= 0 else -1.0) * max(1.0, abs(v))
+              for v in (x, y))
+    d = anchors_xy - [[[x, y]], [[x + hx, y]], [[x, y + hy]]]
+    f = np.hypot(d[..., 0], d[..., 1]) - r_hat
+    return (f[1:] - f[0]).T / [(x + hx) - x, (y + hy) - y]
+
+
 def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
                   search_center=None, search_radius_m: float = None,
                   grid_n: int = 21) -> MultilaterationResult:
@@ -142,6 +162,10 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     when noise drives d_i below the anchor altitude. The solver seeds local
     descent from the best cells of a grid over the search area and always
     returns a point at least as good as every grid seed.
+
+    Local descent is scipy's MINPACK Levenberg-Marquardt. Its Jacobian is
+    not analytic: `_range_jacobian` is scipy's forward difference computed
+    in one vectorized pass, so every iterate equals a plain scipy solve.
     """
     if len(anchors) < 3:
         raise DomainError("multilateration needs at least 3 anchors")
@@ -176,7 +200,8 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     for idx in flat:
         iy, ix = np.unravel_index(idx, cost_grid.shape)
         res = optimize.least_squares(_range_residuals, [xx[iy, ix], yy[iy, ix]],
-                                     args=(axy, r_hat), method="lm", xtol=1e-10)
+                                     jac=_range_jacobian, args=(axy, r_hat),
+                                     method="lm", xtol=1e-10)
         cost = float(np.sum(res.fun ** 2))
         if cost < best_cost:
             best_cost = cost

@@ -131,10 +131,11 @@ SCHEMAS: Dict[str, dict] = {
     },
     "localize": {
         "localize": Field(kind=dict, schema={
-            "m_points": Field(kind=list, item_kind=int, default=[3, 4]),
+            "m_points": Field(kind=list, item_kind=int, default=[3, 4],
+                              minimum=3),
             "radii_m": Field(kind=list, default=[120.0]),
             "altitudes_m": Field(kind=list, default=[200.0]),
-            "n_users": Field(kind=int, default=100),
+            "n_users": Field(kind=int, default=100, minimum=1),
             "user_area_radius_m": Field(default=200.0),
             "trials_per_user": Field(kind=int, default=1, minimum=1),
             "state_mode": Field(kind=str, default="independent",

@@ -128,6 +128,8 @@ class TestParsing:
         ("n_trials", 0, "run.n_trials"),
         ("n_trials", 0, "sweep.n_trials"),
         ("k_nodes", 49, "sweep.k_nodes"),
+        ("m_points", [3, 2], "localize.m_points[1]"),
+        ("n_users", 0, "localize.n_users"),
     ])
     def test_bound_validation(self, key, value, path):
         block = path.split(".")[0]

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
+from scipy.optimize._numdiff import approx_derivative
 
 from a2gnet import localization as loc
 from a2gnet.antenna_geometry import Position3D
@@ -155,6 +159,62 @@ class TestMultilaterate:
             loc.multilaterate(anchors[:2], [100.0, 100.0])
         with pytest.raises(DomainError):
             loc.multilaterate(anchors, [100.0])
+
+
+def _range_problem(rng):
+    """One multilateration solve as the campaign poses it, or wider."""
+    m = int(rng.integers(3, 7))
+    scale = 10.0 ** rng.uniform(0.0, math.log10(300.0))
+    axy = rng.uniform(-scale, scale, (m, 2))
+    r_hat = np.abs(rng.normal(scale, scale / 2, m))
+    x0 = rng.uniform(-scale, scale, 2)
+    kind = rng.integers(4)
+    if kind == 1:  # a grid start on an axis
+        x0[rng.integers(2)] = 0.0
+    elif kind == 2:  # both steps on the max(1, |x|) = 1 branch
+        x0 = rng.uniform(-1.0, 1.0, 2)
+    elif kind == 3:
+        x0[:] = 0.0
+    return x0, axy, r_hat
+
+
+class TestRangeJacobian:
+    def test_solves_match_scipy_two_point(self):
+        # the reference is scipy's own forward difference: same iterates,
+        # same residuals, same evaluation count, same final Jacobian
+        rng = RngStream(2024).generator()
+        for _ in range(1000):
+            x0, axy, r_hat = _range_problem(rng)
+            ref = optimize.least_squares(loc._range_residuals, x0,
+                                         args=(axy, r_hat), method="lm",
+                                         xtol=1e-10)
+            fast = optimize.least_squares(loc._range_residuals, x0,
+                                          jac=loc._range_jacobian,
+                                          args=(axy, r_hat), method="lm",
+                                          xtol=1e-10)
+            np.testing.assert_array_equal(fast.x, ref.x)
+            np.testing.assert_array_equal(fast.fun, ref.fun)
+            assert fast.nfev == ref.nfev
+            np.testing.assert_array_equal(
+                loc._range_jacobian(ref.x, axy, r_hat), ref.jac)
+
+    coord = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-1.0, 1.0),
+                      st.floats(1.0, 1e4), st.floats(-1e4, -1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.tuples(coord, coord),
+           anchors=st.lists(st.tuples(st.floats(-300.0, 300.0),
+                                      st.floats(-300.0, 300.0),
+                                      st.floats(0.0, 600.0)),
+                            min_size=3, max_size=6))
+    def test_equals_scipy_forward_difference(self, x, anchors):
+        xy = np.array(x)
+        axy = np.array([a[:2] for a in anchors])
+        r_hat = np.array([a[2] for a in anchors])
+        ref = approx_derivative(loc._range_residuals, xy, method="2-point",
+                                args=(axy, r_hat))
+        np.testing.assert_array_equal(loc._range_jacobian(xy, axy, r_hat), ref)
 
 
 class TestLocalizationError:
