@@ -416,6 +416,7 @@ def aerial_nlos_db(d_3d_m, h_uav_m, f_c_ghz):
 # stated validity windows for the ground-slice fits
 RMA_GROUND_LOS_RANGE_M = (10.0, 10_000.0)
 RMA_GROUND_NLOS_RANGE_M = (10.0, 5_000.0)
+RMA_GROUND_RANGE_M = {True: RMA_GROUND_LOS_RANGE_M, False: RMA_GROUND_NLOS_RANGE_M}
 
 
 def _check_range(d_h, lo, hi, what):
@@ -428,36 +429,42 @@ def _check_range(d_h, lo, hi, what):
             bound=lo if bad_lo else hi)
 
 
+def slice_pl_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz, env: Environment, los: bool,
+                slice_: PropagationSlice):
+    """3GPP-style loss per slice over an array of d_3d; callers apply the windows."""
+    if slice_ is PropagationSlice.GROUND:
+        if los:
+            return rma_ground_los_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz)
+        return rma_ground_nlos_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz, env)
+    if slice_ is PropagationSlice.AIR_TO_AIR:
+        raise DomainError("air-to-air links use the free-space model")
+    return (aerial_los_db if los else aerial_nlos_db)(d_3d_m, h_uav_m, f_c_ghz)
+
+
 def pl_3gpp_rural_db(g: LinkGeometry, f_c_ghz: float, env: Environment,
                      los: bool, slice_: PropagationSlice):
     """Slice-appropriate 3GPP-style path loss for one link."""
     if slice_ is PropagationSlice.GROUND:
-        if los:
-            _check_range(g.d_h, *RMA_GROUND_LOS_RANGE_M, what="ground-slice LOS")
-            return rma_ground_los_db(g.d_3d, g.h_uav, g.h_g, f_c_ghz)
-        _check_range(g.d_h, *RMA_GROUND_NLOS_RANGE_M, what="ground-slice NLOS")
-        return rma_ground_nlos_db(g.d_3d, g.h_uav, g.h_g, f_c_ghz, env)
-    if slice_ in (PropagationSlice.OBSTRUCTED, PropagationSlice.HIGH_ALTITUDE):
-        if los:
-            return aerial_los_db(g.d_3d, g.h_uav, f_c_ghz)
-        return aerial_nlos_db(g.d_3d, g.h_uav, f_c_ghz)
-    raise DomainError("air-to-air links use the free-space model")
+        _check_range(g.d_h, *RMA_GROUND_RANGE_M[los],
+                     what=f"ground-slice {'LOS' if los else 'NLOS'}")
+    return slice_pl_db(g.d_3d, g.h_uav, g.h_g, f_c_ghz, env, los, slice_)
 
 
 # ---------------------------------------------------------------------------
 # Shadowing table
 # ---------------------------------------------------------------------------
 
-def shadowing_sigma_db(slice_: PropagationSlice, los: bool, d_h_m: float,
+def shadowing_sigma_db(slice_: PropagationSlice, los: bool, d_h_m,
                        h_uav_m: float, h_g_m: float = None, f_c_ghz: float = None):
-    """Large-scale fading standard deviation per the model table."""
+    """Large-scale fading standard deviation per the model table (array d_h ok)."""
     if slice_ is PropagationSlice.GROUND:
         if not los:
             return 8.0
         if h_g_m is None or f_c_ghz is None:
             raise DomainError("ground-slice LOS sigma needs h_g and f_c for the breakpoint")
         d2 = rma_breakpoint_m(h_uav_m, h_g_m, f_c_ghz)
-        return 4.0 if d_h_m <= d2 else 6.0
+        out = np.where(np.asarray(d_h_m) <= d2, 4.0, 6.0)
+        return float(out) if out.ndim == 0 else out
     if slice_ is PropagationSlice.OBSTRUCTED:
         if los:
             return 4.2 * math.exp(-0.00046 * h_uav_m)

@@ -4,6 +4,11 @@ Every run is reproducible: identical seeds give byte-identical outputs,
 because all Monte Carlo work is keyed per work unit. Runs are serial; the
 `--threads` flag is accepted and has no effect.
 Floats print with 9 significant digits.
+
+The channel table evaluates each altitude in one array pass over its
+distances through `channel.slice_pl_db`. A cell outside a ground-slice fit
+window, or at d_3d = 0, prints nan, and so does the high-altitude NLOS
+sigma, which the model leaves undefined.
 """
 
 from __future__ import annotations
@@ -11,14 +16,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import abs_net, aue_net, localization as loc, mapsim as ms
 from . import channel as ch
-from .antenna_geometry import ConeUav, LinkGeometry, OmniUav, SectorAntenna
-from .errors import DomainError, ScenarioError
+from .antenna_geometry import ConeUav, OmniUav, SectorAntenna
+from .errors import DomainError, ModelGapError, ScenarioError
 from .heightmap import HeightMap, load_ascii_grid, save_ascii_grid, synthetic_city
 from .numerics import Nakagami, RngStream, dbm_to_watt
 from .scenario import Scenario, load_scenario
@@ -46,33 +52,18 @@ def _write_csv(path: Path, header, rows):
 
 def _environment(block) -> ch.Environment:
     preset = block.get("preset", "urban")
+    values = {k: v for k, v in block.items() if k != "preset" and v is not None}
     if preset != "custom":
         env = {"suburban": ch.suburban, "urban": ch.urban,
                "dense_urban": ch.dense_urban, "highrise": ch.highrise}[preset]()
-        overrides = {k: v for k, v in block.items()
-                     if k not in ("preset",) and v is not None}
-        if overrides:
-            env = ch.Environment(
-                kind=overrides.get("kind", env.kind),
-                varsigma=overrides.get("varsigma", env.varsigma),
-                xi=overrides.get("xi", env.xi),
-                omega=overrides.get("omega", env.omega),
-                mean_building_height_m=overrides.get(
-                    "mean_building_height_m", env.mean_building_height_m),
-                street_width_m=overrides.get("street_width_m", env.street_width_m))
-        return env
-    required = ("kind", "varsigma", "xi", "omega")
-    for key in required:
-        if block.get(key) is None:
+        return replace(env, **values)
+    for key in ("kind", "varsigma", "xi", "omega"):
+        if key not in values:
             raise ScenarioError("custom environment needs kind, varsigma, xi, omega",
                                 f"environment.{key}")
-    omega = block["omega"]
-    return ch.Environment(
-        kind=block["kind"], varsigma=block["varsigma"], xi=block["xi"],
-        omega=omega,
-        mean_building_height_m=block.get("mean_building_height_m")
-        or omega * math.sqrt(math.pi / 2.0),
-        street_width_m=block.get("street_width_m") or 20.0)
+    values.setdefault("mean_building_height_m",
+                      values["omega"] * math.sqrt(math.pi / 2.0))
+    return ch.Environment(**values)
 
 
 def _aue_config(block) -> aue_net.AueNetworkConfig:
@@ -128,32 +119,29 @@ def _run_channel_table(s: Scenario, out_dir: Path):
     env = _environment(block["environment"])
     f_ghz = block["frequency_ghz"]
     h_g = block["h_g_m"]
+    d_h = np.array(block["distances_m"])
     rows = []
     for h in block["altitudes_m"]:
         slice_ = ch.slice_of(h, env)
-        for d_h in block["distances_m"]:
-            hi, lo = max(h, h_g), min(h, h_g)
-            d_3d = math.hypot(d_h, h - h_g)
-            p_build = ch._p_los_building_heights(d_h, hi, lo, env)
-            p_3gpp = ch.p_los_3gpp(d_h, h, slice_)
-            g = LinkGeometry(d_h=d_h, d_3d=d_3d, h_uav=h, h_g=h_g,
-                             theta=math.atan2(h - h_g, d_h))
-            def pl(los):
-                try:
-                    return ch.pl_3gpp_rural_db(g, f_ghz, env, los, slice_)
-                except DomainError:
-                    return float("nan")
-            def sigma(los):
-                try:
-                    return ch.shadowing_sigma_db(slice_, los, d_h, h,
-                                                 h_g_m=h_g, f_c_ghz=f_ghz)
-                except DomainError:
-                    return float("nan")
-            pl_l, pl_n = pl(True), pl(False)
-            avg = (ch.averaged_pl_db(pl_l, pl_n, float(p_3gpp))
-                   if not (math.isnan(pl_l) or math.isnan(pl_n)) else float("nan"))
-            rows.append([h, d_h, slice_.value, float(p_build), float(p_3gpp),
-                         pl_l, pl_n, avg, sigma(True), sigma(False)])
+        ground = slice_ is ch.PropagationSlice.GROUND
+        d_3d = np.hypot(d_h, h - h_g)
+        p_3gpp = ch.p_los_3gpp(d_h, h, slice_)
+        pl, sigma = [], []
+        for los, (lo, hi) in ch.RMA_GROUND_RANGE_M.items():
+            no_loss = (d_3d == 0.0) | (ground & ((d_h < lo) | (d_h > hi)))
+            loss = ch.slice_pl_db(np.where(no_loss, 1.0, d_3d), h, h_g, f_ghz,
+                                  env, los, slice_)
+            pl.append(np.where(no_loss, np.nan, loss))
+            try:
+                sigma.append(ch.shadowing_sigma_db(slice_, los, d_h, h,
+                                                   h_g_m=h_g, f_c_ghz=f_ghz))
+            except ModelGapError:
+                sigma.append(np.nan)
+        columns = np.broadcast_arrays(
+            d_h, ch._p_los_building_heights(d_h, max(h, h_g), min(h, h_g), env),
+            p_3gpp, *pl, ch.averaged_pl_db(*pl, p_3gpp), *sigma)
+        rows += [[h, d, slice_.value, *rest]
+                 for d, *rest in zip(*(c.tolist() for c in columns))]
     return [_write_csv(out_dir / "channel_table.csv",
                        ["h_uav_m", "d_h_m", "slice", "p_los_building",
                         "p_los_3gpp", "pl_los_db", "pl_nlos_db", "pl_avg_db",

@@ -1,9 +1,9 @@
 """Semi-deterministic map-based downlink simulator.
 
 LOS/NLOS comes from ray casting against the heightmap; path loss then
-follows the slice-appropriate statistical model. Everything is
-deterministic: shadowing is off by default and no Monte Carlo is involved,
-so rasters are bit-reproducible.
+follows the slice-appropriate statistical model (`channel.slice_pl_db`).
+Everything is deterministic: shadowing is off by default and no Monte Carlo
+is involved, so rasters are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ class MapSimConfig:
 
     pl_model 'threegpp' uses the slice-aware statistical family with the
     map deciding LOS; 'free_space' applies the generalized Friis law with
-    eta_los/eta_nlos. Distances below each formula's validity window are
-    clamped to it (the map geometry can place users arbitrarily close).
+    eta_los/eta_nlos. Distances outside each formula's validity window are
+    clamped into it (the map geometry can place users arbitrarily close);
+    aloft, d_3d is at least 1 m.
     """
 
     frequency_hz: float = 1.8e9
@@ -129,24 +130,19 @@ class MapSimConfig:
                 + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db)
 
 
-def _path_loss_db(cfg: MapSimConfig, d_h, d_3d, ue_h, site_h, los):
+def _path_loss_db(cfg: MapSimConfig, d_3d, ue_h, site_h, los):
     """Vectorized slice-appropriate loss for one site (scalar heights)."""
-    f_ghz = cfg.frequency_hz / 1e9
     if cfg.pl_model == "free_space":
         spec = ch.FreeSpace(ch.Carrier(cfg.frequency_hz),
                             eta=cfg.eta_los if los else cfg.eta_nlos)
         return ch.free_space_pl_db(np.maximum(d_3d, spec.carrier.wavelength_m), spec)
     slice_ = ch.slice_of(ue_h, cfg.env)
     if slice_ is ch.PropagationSlice.GROUND:
-        lo, hi = (ch.RMA_GROUND_LOS_RANGE_M if los else ch.RMA_GROUND_NLOS_RANGE_M)
-        d3 = np.clip(d_3d, lo, hi)
-        if los:
-            return ch.rma_ground_los_db(d3, ue_h, site_h, f_ghz)
-        return ch.rma_ground_nlos_db(d3, ue_h, site_h, f_ghz, cfg.env)
-    d3 = np.maximum(d_3d, 1.0)
-    if los:
-        return ch.aerial_los_db(d3, ue_h, f_ghz)
-    return ch.aerial_nlos_db(d3, ue_h, f_ghz)
+        d3 = np.clip(d_3d, *ch.RMA_GROUND_RANGE_M[los])
+    else:
+        d3 = np.maximum(d_3d, 1.0)
+    return ch.slice_pl_db(d3, ue_h, site_h, cfg.frequency_hz / 1e9, cfg.env,
+                          los, slice_)
 
 
 def _rx_dbm(site: SectorSite, sector_az: float, cfg: MapSimConfig, x, y,
@@ -158,8 +154,8 @@ def _rx_dbm(site: SectorSite, sector_az: float, cfg: MapSimConfig, x, y,
     d_3d = np.hypot(d_h, ue_h - site.position.h)
     pl = np.where(
         los,
-        _path_loss_db(cfg, d_h, d_3d, ue_h, site.position.h, True),
-        _path_loss_db(cfg, d_h, d_3d, ue_h, site.position.h, False)) + shadow_db
+        _path_loss_db(cfg, d_3d, ue_h, site.position.h, True),
+        _path_loss_db(cfg, d_3d, ue_h, site.position.h, False)) + shadow_db
     az = np.arctan2(dx, dy)
     el = np.arctan2(ue_h - site.position.h, d_h)
     g_tx = bs_gain_db(replace(site.antenna, azimuth=sector_az), az, el)

@@ -30,6 +30,7 @@ class Field:
     choices: tuple = None
     minimum: Any = None            # inclusive bounds for numbers
     maximum: Any = None
+    above: Any = None              # strict lower bound, for logs and divisors
     item_kind: type = float        # for list fields
     schema: dict = None            # for nested blocks
 
@@ -42,8 +43,8 @@ def _env_schema(default_preset="urban"):
         "varsigma": Field(default=None),
         "xi": Field(default=None),
         "omega": Field(default=None),
-        "mean_building_height_m": Field(default=None),
-        "street_width_m": Field(default=None),
+        "mean_building_height_m": Field(default=None, above=0.0),
+        "street_width_m": Field(default=None, above=0.0),
     })
 
 
@@ -80,10 +81,10 @@ _AUE_BLOCK = {
 SCHEMAS: Dict[str, dict] = {
     "channel-table": {
         "channel": Field(kind=dict, schema={
-            "frequency_ghz": Field(default=1.8),
-            "h_g_m": Field(default=30.0),
+            "frequency_ghz": Field(default=1.8, above=0.0),
+            "h_g_m": Field(default=30.0, above=0.0),
             "altitudes_m": Field(kind=list, default=[1.5, 30.0, 150.0],
-                                 minimum=0.0, maximum=MAX_MODELED_ALTITUDE_M),
+                                 above=0.0, maximum=MAX_MODELED_ALTITUDE_M),
             "distances_m": Field(kind=list,
                                  default=[50.0, 100.0, 200.0, 500.0, 1000.0],
                                  minimum=0.0),
@@ -169,11 +170,12 @@ SCHEMAS: Dict[str, dict] = {
                 "max_gain_dbi": Field(default=16.0),
                 "beamwidth_deg": Field(default=65.0),
             }),
-            "heights_m": Field(kind=list, default=[1.5, 20.0, 60.0, 150.0]),
+            "heights_m": Field(kind=list, default=[1.5, 20.0, 60.0, 150.0],
+                               above=0.0, maximum=MAX_MODELED_ALTITUDE_M),
             "threshold_db": Field(default=-6.0),
             "stride": Field(kind=int, default=4, minimum=1),
-            "frequency_ghz": Field(default=1.8),
-            "bandwidth_mhz": Field(default=20.0),
+            "frequency_ghz": Field(default=1.8, above=0.0),
+            "bandwidth_mhz": Field(default=20.0, above=0.0),
             "noise_figure_db": Field(default=9.0),
             "pl_model": Field(kind=str, default="threegpp",
                               choices=("threegpp", "free_space")),
@@ -246,6 +248,8 @@ def _check_bounds(value, f: Field, path: str):
         return
     if f.minimum is not None and value < f.minimum:
         raise ScenarioError(f"must be at least {f.minimum}", path)
+    if f.above is not None and value <= f.above:
+        raise ScenarioError(f"must be greater than {f.above}", path)
     if f.maximum is not None and value > f.maximum:
         raise ScenarioError(f"must be at most {f.maximum}", path)
 

@@ -308,6 +308,11 @@ class TestShadowingTable:
         S = PropagationSlice
         assert shadowing_sigma_db(S.GROUND, True, d2 - 1, 1.5, h_g_m=30.0, f_c_ghz=1.8) == 4.0
         assert shadowing_sigma_db(S.GROUND, True, d2 + 1, 1.5, h_g_m=30.0, f_c_ghz=1.8) == 6.0
+        sigma = shadowing_sigma_db(S.GROUND, True, np.array([d2 - 1, d2, d2 + 1]), 1.5,
+                                   h_g_m=30.0, f_c_ghz=1.8)
+        assert sigma.tolist() == [4.0, 4.0, 6.0]
+        assert type(shadowing_sigma_db(S.GROUND, True, d2, 1.5, h_g_m=30.0,
+                                       f_c_ghz=1.8)) is float
 
     def test_model_gap(self):
         with pytest.raises(ModelGapError):

@@ -1,7 +1,9 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,10 @@ import yaml
 
 import a2gnet
 
-from a2gnet.cli import main, run_scenario
-from a2gnet.errors import ScenarioError
+from a2gnet import channel as ch
+from a2gnet.antenna_geometry import LinkGeometry
+from a2gnet.cli import _environment, _write_csv, main, run_scenario
+from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import HeightMap, save_ascii_grid
 from a2gnet.scenario import parse_scenario, serialize_scenario
 
@@ -130,6 +134,14 @@ class TestParsing:
         ("k_nodes", 49, "sweep.k_nodes"),
         ("m_points", [3, 2], "localize.m_points[1]"),
         ("n_users", 0, "localize.n_users"),
+        ("altitudes_m", [0], "channel.altitudes_m[0]"),
+        ("h_g_m", 0, "channel.h_g_m"),
+        ("h_g_m", -5, "channel.h_g_m"),
+        ("frequency_ghz", 0, "channel.frequency_ghz"),
+        ("frequency_ghz", 0, "mapsim.frequency_ghz"),
+        ("bandwidth_mhz", 0, "mapsim.bandwidth_mhz"),
+        ("heights_m", [0], "mapsim.heights_m[0]"),
+        ("heights_m", [1.5, 400], "mapsim.heights_m[1]"),
     ])
     def test_bound_validation(self, key, value, path):
         block = path.split(".")[0]
@@ -138,6 +150,34 @@ class TestParsing:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump(doc))
         assert path in str(err.value)
+
+    @pytest.mark.parametrize("preset", ["urban", "custom"])
+    @pytest.mark.parametrize("key", ["street_width_m", "mean_building_height_m"])
+    def test_environment_lengths_positive(self, preset, key):
+        # a custom 0 was silently replaced by the default; a preset
+        # override of 0 reached math.log10
+        env = {"preset": preset, key: 0}
+        if preset == "custom":
+            env.update(kind="urban", varsigma=0.3, xi=500, omega=15)
+        doc = {"command": "channel-table", "channel": {"environment": env}}
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(yaml.safe_dump(doc))
+        assert f"channel.environment.{key}" in str(err.value)
+
+    @pytest.mark.parametrize("env,expected", [
+        # a custom block defaults only the lengths it leaves out
+        ({"preset": "custom", "kind": "urban", "varsigma": 0.3, "xi": 500,
+          "omega": 15, "street_width_m": 12},
+         ch.Environment("urban", 0.3, 500.0, 15.0, 15 * math.sqrt(math.pi / 2), 12.0)),
+        # a preset override replaces only the keys it names
+        ({"preset": "dense_urban", "omega": 30},
+         ch.Environment("dense_urban", 0.5, 300.0, 30.0,
+                        ch.dense_urban().mean_building_height_m, 20.0)),
+    ])
+    def test_environment_block(self, env, expected):
+        s = parse_scenario(yaml.safe_dump(
+            {"command": "channel-table", "channel": {"environment": env}}))
+        assert _environment(s.params["channel"]["environment"]) == expected
 
     def test_localize_frequency_key_is_unknown(self):
         # RSS range inversion does not depend on the carrier
@@ -217,6 +257,93 @@ class TestRunners:
         lines = paths[0].read_text().splitlines()
         assert lines[0] == "x,metric,ci95"
         assert len(lines) == 3
+
+
+def _reference_channel_table(s, out_dir):
+    """The channel table one scalar cell at a time, each out-of-window or
+    undefined entry caught as a DomainError and written as nan."""
+    block = s.params["channel"]
+    env = _environment(block["environment"])
+    f_ghz = block["frequency_ghz"]
+    h_g = block["h_g_m"]
+    rows = []
+    for h in block["altitudes_m"]:
+        slice_ = ch.slice_of(h, env)
+        for d_h in block["distances_m"]:
+            d_3d = math.hypot(d_h, h - h_g)
+            p_build = ch._p_los_building_heights(d_h, max(h, h_g), min(h, h_g), env)
+            p_3gpp = ch.p_los_3gpp(d_h, h, slice_)
+            g = LinkGeometry(d_h=d_h, d_3d=d_3d, h_uav=h, h_g=h_g,
+                             theta=math.atan2(h - h_g, d_h))
+            cells = []
+            for los in (True, False):
+                try:
+                    cells.append(ch.pl_3gpp_rural_db(g, f_ghz, env, los, slice_))
+                except DomainError:
+                    cells.append(float("nan"))
+            pl_l, pl_n = cells
+            avg = (ch.averaged_pl_db(pl_l, pl_n, float(p_3gpp))
+                   if not (math.isnan(pl_l) or math.isnan(pl_n)) else float("nan"))
+            for los in (True, False):
+                try:
+                    cells.append(ch.shadowing_sigma_db(slice_, los, d_h, h,
+                                                       h_g_m=h_g, f_c_ghz=f_ghz))
+                except DomainError:
+                    cells.append(float("nan"))
+            rows.append([h, d_h, slice_.value, float(p_build), float(p_3gpp),
+                         pl_l, pl_n, avg] + cells[2:])
+    return _write_csv(out_dir / "channel_table.csv",
+                      ["h_uav_m", "d_h_m", "slice", "p_los_building",
+                       "p_los_3gpp", "pl_los_db", "pl_nlos_db", "pl_avg_db",
+                       "sigma_los_db", "sigma_nlos_db"], rows)
+
+
+def _geom_grid(lo, hi, n):
+    """The benchmark's log-spaced grid: 4 significant digits."""
+    return [float("%.4g" % (lo * (hi / lo) ** (k / (n - 1)))) for k in range(n)]
+
+
+# d_h = 0 at h = h_g (no loss) and at h != h_g (aerial loss at d_3d = |h - h_g|);
+# 5, 6000 and 12000 m fall outside the ground-slice windows; 150 and 300 m
+# are high-altitude, whose NLOS sigma the model leaves undefined
+EDGE_CHANNEL = {"h_g_m": 30.0, "altitudes_m": [1.5, 15.0, 30.0, 150.0, 300.0],
+                "distances_m": [0.0, 5.0, 10.0, 500.0, 5000.0, 6000.0, 10000.0,
+                                12000.0]}
+
+
+class TestChannelTableArray:
+    """The array table writes the bytes the per-cell loop writes."""
+
+    def _check(self, channel, tmp_path):
+        s = parse_scenario(yaml.safe_dump({"command": "channel-table",
+                                           "channel": channel}))
+        ref = _reference_channel_table(s, tmp_path)
+        expected = ref.read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_scenario(s, tmp_path / "array")[0].read_bytes()
+        assert got == expected
+        return got.decode().splitlines()[1:]
+
+    @pytest.mark.parametrize("h_g", [1.5, 30.0, 100.0])
+    @pytest.mark.parametrize("preset", ["suburban", "urban", "dense_urban",
+                                        "highrise"])
+    def test_bench_grid_byte_identical(self, preset, h_g, tmp_path):
+        self._check({"frequency_ghz": 1.8, "h_g_m": h_g,
+                     "altitudes_m": _geom_grid(1.5, 300, 40),
+                     "distances_m": _geom_grid(20, 5000, 40),
+                     "environment": {"preset": preset}}, tmp_path)
+
+    def test_edge_cells(self, tmp_path):
+        rows = {(float(r[0]), float(r[1])): r[5:]
+                for r in (line.split(",") for line in
+                          self._check(EDGE_CHANNEL, tmp_path))}
+        assert rows[30.0, 0.0][:3] == ["nan", "nan", "nan"]
+        assert all(v != "nan" for v in rows[150.0, 0.0][:4])
+        for d_h in (0.0, 5.0, 12000.0):
+            assert rows[1.5, d_h][:3] == ["nan", "nan", "nan"]
+        assert rows[1.5, 6000.0][0] != "nan" and rows[1.5, 6000.0][1] == "nan"
+        assert all(rows[300.0, d][4] == "nan" for d in EDGE_CHANNEL["distances_m"])
 
 
 class TestDeterminism:

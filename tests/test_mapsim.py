@@ -5,7 +5,7 @@ import pytest
 
 from a2gnet import channel as ch
 from a2gnet import mapsim as ms
-from a2gnet.antenna_geometry import Position3D, SectorAntenna
+from a2gnet.antenna_geometry import LinkGeometry, Position3D, SectorAntenna
 from a2gnet.cli import run_scenario
 from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import HeightMap, synthetic_city
@@ -64,6 +64,51 @@ class TestReceivedPower:
         val = ms.received_power_dbm(site, 0, Position3D(100, 100, 1.5), FLAT,
                                     cfg, rng=RngStream(4))
         assert math.isfinite(val)
+
+
+class TestPathLossClamps:
+    """mapsim clamps d_3d into the ground-slice windows and to 1 m aloft,
+    where `pl_3gpp_rural_db` would raise; inside, the two agree."""
+
+    CFG = flat_cfg()
+    SITE_H = 30.0
+
+    def _pl(self, d_3d, ue_h, los):
+        return ms._path_loss_db(self.CFG, np.asarray(d_3d, dtype=float), ue_h,
+                                self.SITE_H, los)
+
+    def _ref(self, d_3d, ue_h, los):
+        d_h = math.sqrt(d_3d ** 2 - (ue_h - self.SITE_H) ** 2)
+        g = LinkGeometry(d_h=d_h, d_3d=d_3d, h_uav=ue_h, h_g=self.SITE_H,
+                         theta=math.atan2(ue_h - self.SITE_H, d_h))
+        return ch.pl_3gpp_rural_db(g, 1.8, self.CFG.env, los,
+                                   ch.slice_of(ue_h, self.CFG.env))
+
+    @pytest.mark.parametrize("ue_h", [1.5, 60.0, 150.0])
+    @pytest.mark.parametrize("los", [True, False])
+    def test_inside_windows_matches_link_api(self, ue_h, los):
+        d_3d = np.array([130.0, 300.0, 2000.0, 4900.0])
+        assert self._pl(d_3d, ue_h, los).tolist() == [
+            self._ref(d, ue_h, los) for d in d_3d]
+
+    @pytest.mark.parametrize("los", [True, False])
+    def test_ground_clamps_below_window(self, los):
+        at_bound = ch.slice_pl_db(10.0, 1.5, self.SITE_H, 1.8, self.CFG.env, los,
+                                  ch.PropagationSlice.GROUND)
+        assert self._pl([0.5, 3.0, 9.99], 1.5, los).tolist() == [at_bound] * 3
+
+    def test_ground_nlos_clamps_above_window(self):
+        far = self._pl([5000.0, 6000.0, 9000.0], 1.5, False)
+        assert far.tolist() == [far[0]] * 3
+        assert far[0] == self._ref(5000.0, 1.5, False)
+        # the LOS window reaches 10 km
+        assert self._pl([6000.0], 1.5, True)[0] == self._ref(6000.0, 1.5, True)
+
+    @pytest.mark.parametrize("los", [True, False])
+    def test_aloft_clamps_to_one_metre(self, los):
+        near = self._pl([0.0, 0.3, 1.0], 60.0, los)
+        fn = ch.aerial_los_db if los else ch.aerial_nlos_db
+        assert near.tolist() == [fn(1.0, 60.0, 1.8)] * 3
 
 
 class TestSinrGrid:
