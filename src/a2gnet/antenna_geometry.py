@@ -189,12 +189,23 @@ def uav_gain_linear(ant: UavAntenna, azimuth, elevation):
         return float(g) if g.ndim == 0 else g
     if not isinstance(ant, ConeUav):
         raise DomainError(f"unknown UAV antenna {ant!r}")
+    el_axis = ant.axis_elevation
+    g = cone_gain_linear(ant, azimuth, elevation, math.sin(el_axis),
+                         math.cos(el_axis), ant.tilt_azimuth)
+    return float(g) if g.ndim == 0 else g
+
+
+def cone_gain_linear(ant: ConeUav, azimuth, elevation, sin_axis, cos_axis,
+                     axis_azimuth) -> np.ndarray:
+    """Gain of `ant`'s cone toward (azimuth, elevation) about the axis whose
+    elevation has sine `sin_axis` and cosine `cos_axis` and whose bearing is
+    `axis_azimuth`, in place of the cone's own tilt. The axis terms are
+    scalars or arrays broadcasting against the directions, so each
+    direction may carry its own axis."""
     az = np.asarray(azimuth, dtype=float)
     el = np.asarray(elevation, dtype=float)
-    el_axis = ant.axis_elevation
-    cos_sep = (np.sin(el) * math.sin(el_axis)
-               + np.cos(el) * math.cos(el_axis) * np.cos(az - ant.tilt_azimuth))
+    cos_sep = (np.sin(el) * sin_axis
+               + np.cos(el) * cos_axis * np.cos(az - axis_azimuth))
     sep = np.arccos(np.clip(cos_sep, -1.0, 1.0))
     inside = sep <= math.radians(ant.phi_b_deg) / 2.0
-    g = np.where(inside, ant.gain_linear, 0.0)
-    return float(g) if g.ndim == 0 else g
+    return np.where(inside, ant.gain_linear, 0.0)

@@ -9,6 +9,9 @@ the strongest mean received power, and forms the SINR against the sum of
 all remaining sectors plus noise. Sweep points, and the ground and aerial
 users of the area spectral efficiency, are evaluated on each trial's one
 draw, and building P_LOS is read from a table built once per UE height.
+Trials are evaluated in blocks of 16: the sites of a block sit in flat
+arrays and each point evaluates all of them in one array pass; a single
+snapshot is a block of one.
 """
 
 from __future__ import annotations
@@ -25,13 +28,16 @@ from .antenna_geometry import (
     SectorAntenna,
     UavAntenna,
     bs_gain_db,
+    cone_gain_linear,
     uav_gain_linear,
 )
 from .channel import (
     BuildingPlosTable,
     Carrier,
     Environment,
+    LogDistance,
     free_space_reference_loss_db,
+    log_distance_pl_db,
     urban,
 )
 from .errors import DomainError
@@ -173,88 +179,181 @@ def draw_links(snap: NetworkSnapshot, cfg: AueNetworkConfig,
                     sample_fading(cfg.fading_nlos, gen, n))
 
 
-def p_los_table(uav_h: float, bs_h: float, env: Environment) -> BuildingPlosTable:
-    """Building P_LOS lookup for links between a UE at uav_h and sites at bs_h."""
-    return BuildingPlosTable(max(uav_h, bs_h), min(uav_h, bs_h), env)
+@dataclass(frozen=True)
+class _Point:
+    """One evaluation point: a UE height and its config, with what is built
+    once for it: the building P_LOS table toward sites at `bs_h` and the
+    log-distance loss under each LOS state."""
+
+    h: float
+    cfg: AueNetworkConfig
+    p_los: BuildingPlosTable
+    loss_los: LogDistance
+    loss_nlos: LogDistance
 
 
-def evaluate_sinr(uav_xyh, snap: NetworkSnapshot, links: LinkDraw,
-                  cfg: AueNetworkConfig, p_los: BuildingPlosTable,
-                  aim_cone_at_serving: bool = False) -> SnapshotSinr:
-    """SINR of a UE at (x, y, h) on one drawn snapshot; no randomness.
+def _point(h: float, cfg: AueNetworkConfig, bs_h: float) -> _Point:
+    def loss(los: bool) -> LogDistance:
+        return LogDistance(Carrier(cfg.frequency_hz),
+                           cfg.eta_los if los else cfg.eta_nlos,
+                           cfg.reference_loss_db(los), cfg.d0_m)
 
-    A site is in LOS when its uniform falls below its building P_LOS, read
-    from `p_los`, the table for this UE height and the snapshot's site
-    height. The UE associates by the largest fade-free mean power and the
-    SINR applies the drawn fading. With `aim_cone_at_serving` a conical UE antenna is
+    table = BuildingPlosTable(max(h, bs_h), min(h, bs_h), cfg.env)
+    return _Point(h, cfg, table, loss(True), loss(False))
+
+
+@dataclass(frozen=True)
+class _SiteBlock:
+    """The sites of consecutive trials as flat arrays, trial j owning
+    entries starts[j]:ends[j], with the horizontal geometry toward a UE at
+    (x, y); (row, col) place each site in a (trials x max sites) matrix."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    height_m: float
+    sector_azimuth: np.ndarray   # (n, 3)
+    links: LinkDraw
+    d_h: np.ndarray
+    az_from_bs: np.ndarray
+    az_from_uav: np.ndarray
+
+
+def _site_block(snaps: Sequence[NetworkSnapshot], draws: Sequence[LinkDraw],
+                x: float, y: float) -> _SiteBlock:
+    counts = np.array([snap.n_sites for snap in snaps])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    row = np.repeat(np.arange(len(snaps)), counts)
+    xy = np.concatenate([snap.xy for snap in snaps])
+    dx = xy[:, 0] - x
+    dy = xy[:, 1] - y
+    links = LinkDraw(np.concatenate([d.los_u for d in draws]),
+                     np.concatenate([d.fading_los for d in draws]),
+                     np.concatenate([d.fading_nlos for d in draws]))
+    return _SiteBlock(
+        starts, ends, row, np.arange(xy.shape[0]) - starts[row],
+        snaps[0].height_m,
+        np.concatenate([snap.sector_azimuth for snap in snaps]), links,
+        np.hypot(dx, dy), np.arctan2(-dx, -dy), np.arctan2(dx, dy))
+
+
+def _strongest(block: _SiteBlock, power: np.ndarray):
+    """Flat index of each trial's strongest site (the first on ties) and its
+    power; a trial without sites reads index starts[j] and power -inf."""
+    n_trials = block.starts.size
+    padded = np.full((n_trials, int(block.col.max(initial=0)) + 1), -np.inf)
+    padded[block.row, block.col] = power
+    col = np.argmax(padded, axis=1)
+    return block.starts + col, padded[np.arange(n_trials), col]
+
+
+def _aimed_cone_gain(block: _SiteBlock, uav: ConeUav, omni_power: np.ndarray,
+                     el_from_uav: np.ndarray) -> np.ndarray:
+    """UE gain toward every site with each trial's cone re-pointed at the
+    site that serves it under an omni antenna."""
+    serving, _ = _strongest(block, omni_power)
+    counts = block.ends - block.starts
+    axis = np.zeros((3, counts.size))   # sin, cos of elevation; azimuth
+    for j in np.flatnonzero(counts):
+        s = serving[j]
+        aimed = replace(uav, phi_t=float(0.5 * math.pi + el_from_uav[s]),
+                        tilt_azimuth=float(block.az_from_uav[s]))
+        el_axis = aimed.axis_elevation
+        axis[:, j] = math.sin(el_axis), math.cos(el_axis), aimed.tilt_azimuth
+    sin_axis, cos_axis, axis_az = np.repeat(axis, counts, axis=1)
+    return cone_gain_linear(uav, block.az_from_uav, el_from_uav, sin_axis,
+                            cos_axis, axis_az)
+
+
+def _evaluate_block(block: _SiteBlock, point: _Point,
+                    aim_cone_at_serving: bool):
+    """SINR of a UE at the point's height on every trial of `block`.
+
+    A site is in LOS when its uniform falls below its building P_LOS. Each
+    trial's UE associates by the largest fade-free mean power and its SINR
+    applies the drawn fading; a trial with no site, or no positive mean
+    power, reads 0. With `aim_cone_at_serving` a conical UE antenna is
     re-pointed at the site that serves under an omni antenna before gains
-    are applied.
+    are applied. Returns the per-trial SINR and flat serving index (-1 when
+    nothing is received) and the per-site sector and LOS state.
     """
-    x, y, h = uav_xyh
-    if snap.n_sites == 0:
-        return SnapshotSinr(0.0, -1, -1, False)
-
-    dx = snap.xy[:, 0] - x
-    dy = snap.xy[:, 1] - y
-    d_h = np.hypot(dx, dy)
-    dz = snap.height_m - h
-    d_3d = np.hypot(d_h, dz)
-    elevation_from_bs = np.arctan2(-dz, d_h)          # toward the UE
-    az_from_bs = np.arctan2(-dx, -dy)
-    az_from_uav = np.arctan2(dx, dy)
-    el_from_uav = np.arctan2(dz, d_h)
-
-    los = links.los_u < p_los(d_h)
-
-    eta = np.where(los, cfg.eta_los, cfg.eta_nlos)
-    lam0 = np.where(los, cfg.reference_loss_db(True), cfg.reference_loss_db(False))
-    d = np.maximum(d_3d, cfg.d0_m)
-    pl_db = lam0 + 10.0 * eta * np.log10(d / cfg.d0_m)
-
-    bs_gain = 10.0 ** (bs_gain_db(cfg.sector,
-                                  az_from_bs[:, None] - snap.sector_azimuth,
-                                  elevation_from_bs[:, None]) / 10.0)  # (n, 3)
-    fading = np.where(los, links.fading_los, links.fading_nlos)
-
-    path_gain = 10.0 ** (-pl_db / 10.0)
-
-    uav_ant = cfg.uav
-    if aim_cone_at_serving and isinstance(uav_ant, ConeUav):
-        mean_omni = cfg.p_tx_w * np.max(bs_gain, axis=1) * path_gain
-        site0 = int(np.argmax(mean_omni))
-        phi_t = 0.5 * math.pi + el_from_uav[site0]  # tilt from nadir
-        uav_ant = replace(uav_ant, phi_t=float(phi_t),
-                          tilt_azimuth=float(az_from_uav[site0]))
-
-    g_uav = uav_gain_linear(uav_ant, az_from_uav, el_from_uav)
+    cfg = point.cfg
+    d_h = block.d_h
+    dz = block.height_m - point.h
 
     # one effective transmitter per site: its strongest sector toward the UE
-    # (the theory SINR carries a single P_Tx G Lambda X term per BS)
+    # (the theory SINR carries a single P_Tx G Lambda X term per BS); the
+    # (n, 3) gains are dropped before the per-site arrays are built
+    bs_gain = 10.0 ** (bs_gain_db(cfg.sector,
+                                  block.az_from_bs[:, None] - block.sector_azimuth,
+                                  np.arctan2(-dz, d_h)[:, None]) / 10.0)
     sector = np.argmax(bs_gain, axis=1)
-    site_gain = bs_gain[np.arange(snap.n_sites), sector]
-    mean_rx = cfg.p_tx_w * site_gain * g_uav * path_gain   # (n,)
-    if not np.any(mean_rx > 0.0):
-        return SnapshotSinr(0.0, -1, -1, False)
-    site = int(np.argmax(mean_rx))
-    rx = mean_rx * fading
-    signal = rx[site]
-    interference = float(np.sum(rx)) - signal
-    sinr = signal / (interference + cfg.noise_w)
-    return SnapshotSinr(float(sinr), site, int(sector[site]), bool(los[site]))
+    site_gain = bs_gain[np.arange(sector.size), sector]
+    del bs_gain
+
+    los = block.links.los_u < point.p_los(d_h)
+    d = np.maximum(np.hypot(d_h, dz), cfg.d0_m)
+    pl_db = np.where(los, log_distance_pl_db(d, point.loss_los),
+                     log_distance_pl_db(d, point.loss_nlos))
+    path_gain = 10.0 ** (-pl_db / 10.0)
+    el_from_uav = np.arctan2(dz, d_h)
+
+    if aim_cone_at_serving and isinstance(cfg.uav, ConeUav):
+        g_uav = _aimed_cone_gain(block, cfg.uav,
+                                 cfg.p_tx_w * site_gain * path_gain, el_from_uav)
+    else:
+        g_uav = uav_gain_linear(cfg.uav, block.az_from_uav, el_from_uav)
+    mean_rx = cfg.p_tx_w * site_gain * g_uav * path_gain
+
+    serving, best = _strongest(block, mean_rx)
+    served = best > 0.0
+    serving = np.where(served, serving, -1)
+    rx = mean_rx * np.where(los, block.links.fading_los,
+                            block.links.fading_nlos)
+    # each trial sums its own slice: summing padded rows would regroup the
+    # pairwise sum and move the last bits
+    total = np.array([np.sum(rx[a:b]) for a, b
+                      in zip(block.starts[served], block.ends[served])])
+    signal = rx[serving[served]]
+    sinr = np.zeros(block.starts.size)
+    sinr[served] = signal / (total - signal + cfg.noise_w)
+    return sinr, serving, sector, los
 
 
 def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
                   rng: RngLike, aim_cone_at_serving: bool = False) -> SnapshotSinr:
     """SINR of a UE at (x, y, h) against one snapshot: draws the snapshot's
     LOS uniforms and fading gains from `rng`, then evaluates them."""
-    table = p_los_table(uav_xyh[2], snap.height_m, cfg.env)
-    return evaluate_sinr(uav_xyh, snap, draw_links(snap, cfg, rng), cfg, table,
-                         aim_cone_at_serving)
+    x, y, h = uav_xyh
+    block = _site_block([snap], [draw_links(snap, cfg, rng)], x, y)
+    sinr, serving, sector, los = _evaluate_block(
+        block, _point(h, cfg, snap.height_m), aim_cone_at_serving)
+    site = int(serving[0])
+    if site < 0:
+        return SnapshotSinr(0.0, -1, -1, False)
+    return SnapshotSinr(float(sinr[0]), site, int(sector[site]), bool(los[site]))
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
+
+# trials evaluated together: enough to amortize the per-call numpy overhead,
+# few enough that a block's site arrays stay a few thousand entries long
+_BLOCK_TRIALS = 16
+
+
+def _draw_trials(cfg: AueNetworkConfig, rng: RngStream, trials: range):
+    """Snapshot and link draw of each trial, each on its own stream."""
+    snaps, draws = [], []
+    for i in trials:
+        gen = rng.child_generator(i)
+        snaps.append(deploy_hppp(cfg, gen))
+        draws.append(draw_links(snaps[-1], cfg, gen))
+    return snaps, draws
+
 
 def _sinr_matrix(draw_cfg: AueNetworkConfig,
                  points: Sequence[Tuple[float, AueNetworkConfig]],
@@ -265,20 +364,20 @@ def _sinr_matrix(draw_cfg: AueNetworkConfig,
     Trial i deploys and draws once, on `rng.child_generator(i)` under
     `draw_cfg`, and every (UE height, config) point is evaluated on that
     draw; the point configs must draw as `draw_cfg` does (same density,
-    region, site height and fading laws).
+    region, site height and fading laws). Trials are evaluated in blocks of
+    `_BLOCK_TRIALS`, each block in one array pass per point.
     """
     if n_trials < 1:
         raise DomainError("need at least one trial")
-    tables = [p_los_table(h, draw_cfg.bs_height_m, point_cfg.env)
-              for h, point_cfg in points]
+    prepared = [_point(h, point_cfg, draw_cfg.bs_height_m)
+                for h, point_cfg in points]
     out = np.empty((len(points), n_trials))
-    for i in range(n_trials):
-        gen = rng.child_generator(i)
-        snap = deploy_hppp(draw_cfg, gen)
-        links = draw_links(snap, draw_cfg, gen)
-        for k, ((h, point_cfg), table) in enumerate(zip(points, tables)):
-            out[k, i] = evaluate_sinr((0.0, 0.0, h), snap, links, point_cfg,
-                                      table, aim_cone_at_serving).sinr
+    for lo in range(0, n_trials, _BLOCK_TRIALS):
+        hi = min(lo + _BLOCK_TRIALS, n_trials)
+        block = _site_block(*_draw_trials(draw_cfg, rng, range(lo, hi)),
+                            0.0, 0.0)
+        for k, point in enumerate(prepared):
+            out[k, lo:hi] = _evaluate_block(block, point, aim_cone_at_serving)[0]
     return out
 
 

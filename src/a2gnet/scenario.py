@@ -3,11 +3,13 @@
 All model parameters live in the file; the command line only overrides the
 seed and output directory. Unknown keys are rejected with their full path
 so a typo like `bs_densty` fails loudly, and bounded numbers (list items
-too) name the offending path, e.g. `run.altitudes_m[2]`.
+too) name the offending path, e.g. `run.altitudes_m[2]`. NaN and infinite
+numbers are rejected everywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -49,25 +51,25 @@ def _env_schema(default_preset="urban"):
 
 
 _AUE_BLOCK = {
-    "frequency_ghz": Field(default=1.8),
-    "bs_density_per_km2": Field(default=5.0),
+    "frequency_ghz": Field(default=1.8, above=0.0),
+    "bs_density_per_km2": Field(default=5.0, above=0.0),
     "bs_height_m": Field(default=30.0),
     "p_tx_dbm": Field(default=43.0),
-    "bandwidth_mhz": Field(default=20.0),
+    "bandwidth_mhz": Field(default=20.0, above=0.0),
     "noise_density_dbm_hz": Field(default=-174.0),
     "noise_figure_db": Field(default=9.0),
     "noise_override_dbm": Field(default=None),
     "threshold_db": Field(default=0.0),
     "target_rate_mbps": Field(default=None),
-    "eta_los": Field(default=2.0),
-    "eta_nlos": Field(default=3.5),
+    "eta_los": Field(default=2.0, above=0.0),
+    "eta_nlos": Field(default=3.5, above=0.0),
     "nlos_excess_db": Field(default=20.0),
-    "fading_m_los": Field(kind=int, default=3),
-    "fading_m_nlos": Field(kind=int, default=1),
-    "aue_ratio_rho": Field(default=0.5),
-    "region_radius_m": Field(default=3000.0),
+    "fading_m_los": Field(kind=int, default=3, minimum=1),
+    "fading_m_nlos": Field(kind=int, default=1, minimum=1),
+    "aue_ratio_rho": Field(default=0.5, minimum=0.0, maximum=1.0),
+    "region_radius_m": Field(default=3000.0, above=0.0),
     "antenna": Field(kind=str, default="omni", choices=("omni", "cone")),
-    "phi_b_deg": Field(default=60.0),
+    "phi_b_deg": Field(default=60.0, above=0.0, maximum=180.0),
     "phi_t_deg": Field(default=0.0),
     "omni_gain_dbi": Field(default=2.15),
     "sector_max_gain_dbi": Field(default=16.0),
@@ -200,13 +202,24 @@ class Scenario:
     params: Dict[str, Any] = field(default_factory=dict)
 
 
+def _finite(value, path: str) -> float:
+    # NaN passes every bound check, and inf reaches the models as a number
+    try:
+        value = float(value)
+    except OverflowError:       # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError("must be a finite number", path)
+    return value
+
+
 def _coerce(value, f: Field, path: str):
     if value is None:
         return None
     if f.kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError("expected a number", path)
-        return float(value)
+        return _finite(value, path)
     if f.kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError("expected an integer", path)
@@ -234,7 +247,7 @@ def _coerce(value, f: Field, path: str):
             else:
                 if isinstance(item, bool) or not isinstance(item, (int, float)):
                     raise ScenarioError("expected numbers", f"{path}[{i}]")
-                out.append(float(item))
+                out.append(_finite(item, f"{path}[{i}]"))
         return out
     raise ScenarioError("unsupported field kind", path)  # pragma: no cover
 

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from a2gnet import aue_net as au
-from a2gnet.antenna_geometry import ConeUav, OmniUav
-from a2gnet.channel import Environment
+from a2gnet.antenna_geometry import ConeUav, OmniUav, bs_gain_db, uav_gain_linear
+from a2gnet.channel import BuildingPlosTable, Environment
 from a2gnet.errors import DomainError
 from a2gnet.numerics import Nakagami, RngStream, nakagami_power_cdf
 
@@ -363,3 +364,140 @@ class TestConeAiming:
                                      aim_cone_at_serving=True)
         aimed = float(np.mean(aimed_sinr > CFG.threshold))
         assert aimed >= omni.estimate - 3 * omni.ci95
+
+
+def evaluate_sinr(uav_xyh, snap, links, cfg, p_los, aim_cone_at_serving=False):
+    """Per-trial reference: the SINR of one drawn snapshot, site by site."""
+    x, y, h = uav_xyh
+    if snap.n_sites == 0:
+        return au.SnapshotSinr(0.0, -1, -1, False)
+
+    dx = snap.xy[:, 0] - x
+    dy = snap.xy[:, 1] - y
+    d_h = np.hypot(dx, dy)
+    dz = snap.height_m - h
+    d_3d = np.hypot(d_h, dz)
+    elevation_from_bs = np.arctan2(-dz, d_h)          # toward the UE
+    az_from_bs = np.arctan2(-dx, -dy)
+    az_from_uav = np.arctan2(dx, dy)
+    el_from_uav = np.arctan2(dz, d_h)
+
+    los = links.los_u < p_los(d_h)
+
+    eta = np.where(los, cfg.eta_los, cfg.eta_nlos)
+    lam0 = np.where(los, cfg.reference_loss_db(True), cfg.reference_loss_db(False))
+    d = np.maximum(d_3d, cfg.d0_m)
+    pl_db = lam0 + 10.0 * eta * np.log10(d / cfg.d0_m)
+
+    bs_gain = 10.0 ** (bs_gain_db(cfg.sector,
+                                  az_from_bs[:, None] - snap.sector_azimuth,
+                                  elevation_from_bs[:, None]) / 10.0)  # (n, 3)
+    fading = np.where(los, links.fading_los, links.fading_nlos)
+
+    path_gain = 10.0 ** (-pl_db / 10.0)
+
+    uav_ant = cfg.uav
+    if aim_cone_at_serving and isinstance(uav_ant, ConeUav):
+        mean_omni = cfg.p_tx_w * np.max(bs_gain, axis=1) * path_gain
+        site0 = int(np.argmax(mean_omni))
+        phi_t = 0.5 * math.pi + el_from_uav[site0]  # tilt from nadir
+        uav_ant = replace(uav_ant, phi_t=float(phi_t),
+                          tilt_azimuth=float(az_from_uav[site0]))
+
+    g_uav = uav_gain_linear(uav_ant, az_from_uav, el_from_uav)
+
+    sector = np.argmax(bs_gain, axis=1)
+    site_gain = bs_gain[np.arange(snap.n_sites), sector]
+    mean_rx = cfg.p_tx_w * site_gain * g_uav * path_gain   # (n,)
+    if not np.any(mean_rx > 0.0):
+        return au.SnapshotSinr(0.0, -1, -1, False)
+    site = int(np.argmax(mean_rx))
+    rx = mean_rx * fading
+    signal = rx[site]
+    interference = float(np.sum(rx)) - signal
+    sinr = signal / (interference + cfg.noise_w)
+    return au.SnapshotSinr(float(sinr), site, int(sector[site]), bool(los[site]))
+
+
+def reference_matrix(draw_cfg, points, n_trials, rng, aim_cone_at_serving=False):
+    """Per-trial reference for `_sinr_matrix`, also returning every
+    (point, trial) result in full."""
+    h_g = draw_cfg.bs_height_m
+    tables = [BuildingPlosTable(max(h, h_g), min(h, h_g), cfg.env)
+              for h, cfg in points]
+    results = [[] for _ in points]
+    for i in range(n_trials):
+        gen = rng.child_generator(i)
+        snap = au.deploy_hppp(draw_cfg, gen)
+        links = au.draw_links(snap, draw_cfg, gen)
+        for out, (h, cfg), table in zip(results, points, tables):
+            out.append(evaluate_sinr((0.0, 0.0, h), snap, links, cfg, table,
+                                     aim_cone_at_serving))
+    return results
+
+
+SPARSE = replace(CFG, bs_density_per_km2=0.5, region_radius_m=500.0)
+
+
+class TestBatchedKernel:
+    """The block evaluator against the per-trial reference, bit for bit."""
+
+    @pytest.mark.parametrize("cfg,points,aim", [
+        (CFG, [(1.5, replace(CFG, uav=OmniUav())), (30.0, CFG), (150.0, CFG)],
+         False),
+        (CFG, [(120.0, replace(CFG, uav=ConeUav(phi_b_deg=d)))
+               for d in (40.0, 100.0, 160.0)], False),
+        (replace(CFG, uav=ConeUav(phi_b_deg=60.0)),
+         [(h, replace(CFG, uav=ConeUav(phi_b_deg=60.0))) for h in (60.0, 200.0)],
+         True),
+        (SPARSE, [(1.5, SPARSE), (90.0, SPARSE)], False),
+        (replace(SPARSE, uav=ConeUav(phi_b_deg=80.0)),
+         [(90.0, replace(SPARSE, uav=ConeUav(phi_b_deg=80.0)))], True),
+        (CFG, [(150.0, replace(CFG, uav=ConeUav(phi_b_deg=5.0)))], False),
+    ], ids=["omni", "cone", "aimed", "sparse", "sparse-aimed", "blind"])
+    @pytest.mark.parametrize("block", [None, 1, 1000])
+    def test_matrix_equals_per_trial_reference(self, monkeypatch, cfg, points,
+                                               aim, block):
+        if block is not None:
+            monkeypatch.setattr(au, "_BLOCK_TRIALS", block)
+        rng = RngStream(91, 0)
+        n = 37       # not a multiple of the block size
+        got = au._sinr_matrix(cfg, points, n, rng, aim)
+        ref = reference_matrix(cfg, points, n, rng, aim)
+        assert np.array_equal(got, [[r.sinr for r in row] for row in ref])
+
+    def test_cases_reach_their_edges(self):
+        # the sparse region leaves some trials empty and the 5 degree cone
+        # sees no site on most trials
+        rng = RngStream(91, 0)
+        sparse = reference_matrix(SPARSE, [(90.0, SPARSE)], 37, rng)[0]
+        assert 0 < sum(r.serving_site < 0 for r in sparse) < 37
+        blind_cfg = replace(CFG, uav=ConeUav(phi_b_deg=5.0))
+        blind = reference_matrix(CFG, [(150.0, blind_cfg)], 37, rng)[0]
+        assert sum(r.serving_site < 0 for r in blind) > 30
+
+    @pytest.mark.parametrize("cfg,aim", [
+        (CFG, False), (replace(CFG, uav=ConeUav(phi_b_deg=60.0)), True),
+        (SPARSE, False), (replace(CFG, uav=ConeUav(phi_b_deg=5.0)), False)])
+    def test_snapshot_equals_per_trial_reference(self, cfg, aim):
+        # serving site, sector and LOS state too, off the region center
+        for i in range(30):
+            gen, ref = (RngStream(92, 0).child_generator(i) for _ in range(2))
+            snap = au.deploy_hppp(cfg, gen)
+            au.deploy_hppp(cfg, ref)
+            xyh = (120.0, -40.0, 75.0)
+            table = BuildingPlosTable(75.0, cfg.bs_height_m, cfg.env)
+            expected = evaluate_sinr(xyh, snap, au.draw_links(snap, cfg, ref),
+                                     cfg, table, aim)
+            assert au.snapshot_sinr(xyh, snap, cfg, gen, aim) == expected
+
+    def test_memory_stays_bounded(self):
+        # blocks keep the flat site arrays small; one pass over all 2000
+        # trials of a point would hold about 280k sites per array
+        tracemalloc.start()
+        try:
+            au.sinr_samples(60.0, au.AueNetworkConfig(), 2000, RngStream(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

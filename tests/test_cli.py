@@ -69,7 +69,7 @@ sweep:
 """
 
 # base scenario for each block whose bounds test_bound_validation checks
-BOUNDED_BASES = {"mapsim": MAPSIM_SMALL, "run": AUE_TABLE_IV,
+BOUNDED_BASES = {"mapsim": MAPSIM_SMALL, "run": AUE_TABLE_IV, "aue": AUE_TABLE_IV,
                  "sweep": SWEEP_ALTITUDE, "localize": LOCALIZE_TABLE_VI,
                  "channel": "command: channel-table\nchannel: {h_g_m: 30}\n"}
 
@@ -142,6 +142,18 @@ class TestParsing:
         ("bandwidth_mhz", 0, "mapsim.bandwidth_mhz"),
         ("heights_m", [0], "mapsim.heights_m[0]"),
         ("heights_m", [1.5, 400], "mapsim.heights_m[1]"),
+        ("frequency_ghz", 0, "aue.frequency_ghz"),
+        ("bandwidth_mhz", 0, "aue.bandwidth_mhz"),
+        ("bs_density_per_km2", 0, "aue.bs_density_per_km2"),
+        ("region_radius_m", -1, "aue.region_radius_m"),
+        ("eta_los", 0, "aue.eta_los"),
+        ("eta_nlos", -2, "aue.eta_nlos"),
+        ("aue_ratio_rho", -0.1, "aue.aue_ratio_rho"),
+        ("aue_ratio_rho", 1.5, "aue.aue_ratio_rho"),
+        ("phi_b_deg", 0, "aue.phi_b_deg"),
+        ("phi_b_deg", 181, "aue.phi_b_deg"),
+        ("fading_m_los", 0, "aue.fading_m_los"),
+        ("fading_m_nlos", 0, "aue.fading_m_nlos"),
     ])
     def test_bound_validation(self, key, value, path):
         block = path.split(".")[0]
@@ -390,6 +402,28 @@ class TestMainEntry:
         scn.write_text("command: localize\nlocalize:\n  radius: 5\n")
         assert main(["--scenario", str(scn)]) == 2
         assert "radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,path", [
+        ("command: aue-coverage\naue:\n  bs_density_per_km2: .nan\n",
+         "aue.bs_density_per_km2"),
+        ("command: channel-table\nchannel:\n  distances_m: [.nan]\n",
+         "channel.distances_m[0]"),
+        ("command: channel-table\nchannel:\n  frequency_ghz: .inf\n",
+         "channel.frequency_ghz"),
+        ("command: aue-coverage\nrun:\n  thresholds_db: [0, -.inf]\n",
+         "run.thresholds_db[1]"),
+        # an integer past the float range
+        ("command: channel-table\nchannel:\n  h_g_m: 1" + "0" * 400 + "\n",
+         "channel.h_g_m"),
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, text, path):
+        # NaN passed every bound and reached the Poisson draw as a raw
+        # ValueError; inf reached the models as a number
+        scn = tmp_path / "bad.yaml"
+        scn.write_text(text)
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "finite" in err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2
