@@ -7,7 +7,9 @@ scipy is bound lazily: ``special``, ``integrate`` and ``optimize`` here are
 :class:`LazyModule` stand-ins that import their scipy submodule on the first
 attribute lookup; ``abs_net`` and ``localization`` import these bindings. So
 ``import a2gnet`` loads no scipy, and runs that never call it (mapsim,
-aerial-UE Monte Carlo) never pay its import.
+aerial-UE Monte Carlo) never pay its import. No library code calls
+``integrate`` any more; it stays bound only because ``bench/tracing.py``
+proxies ``abs_net.integrate`` on traced runs.
 """
 
 from __future__ import annotations

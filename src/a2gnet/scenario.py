@@ -15,6 +15,7 @@ from typing import Any, Dict, Optional
 
 import yaml
 
+from .abs_net import MAX_RADIUS_M
 from .channel import MAX_MODELED_ALTITUDE_M
 from .errors import ScenarioError
 
@@ -33,6 +34,7 @@ class Field:
     minimum: Any = None            # inclusive bounds for numbers
     maximum: Any = None
     above: Any = None              # strict lower bound, for logs and divisors
+    below: Any = None              # strict upper bound
     item_kind: type = float        # for list fields
     schema: dict = None            # for nested blocks
 
@@ -48,6 +50,18 @@ def _env_schema(default_preset="urban"):
         "mean_building_height_m": Field(default=None, above=0.0),
         "street_width_m": Field(default=None, above=0.0),
     })
+
+
+# every abs-design term in dB lies within +-ABS_DB_LIMIT, which keeps each
+# link-budget product finite; a K past about 110 dB is beyond scipy's
+# noncentral chi-square and exits 1 as a model error
+ABS_DB_LIMIT = 150.0
+# well above any aerial platform (stratospheric ones fly near 20 km)
+ABS_MAX_ALTITUDE_M = 1e5
+
+
+def _abs_db(default):
+    return Field(default=default, minimum=-ABS_DB_LIMIT, maximum=ABS_DB_LIMIT)
 
 
 _AUE_BLOCK = {
@@ -119,17 +133,23 @@ SCHEMAS: Dict[str, dict] = {
     },
     "abs-design": {
         "abs": Field(kind=dict, schema={
-            "k0_db": Field(default=0.0),
-            "k90_db": Field(default=15.0),
-            "eta0": Field(default=3.5),
-            "eta90": Field(default=2.0),
-            "antenna_gain_db": Field(default=0.0),
-            "noise_dbm": Field(default=-92.0),
-            "threshold_db": Field(default=0.0),
-            "epsilon": Field(default=0.05),
-            "r_c_m": Field(default=500.0),
+            "k0_db": _abs_db(0.0),
+            "k90_db": _abs_db(15.0),
+            # path-loss exponents from free space up to a stated ceiling
+            "eta0": Field(default=3.5, minimum=2.0, maximum=10.0),
+            "eta90": Field(default=2.0, minimum=2.0, maximum=10.0),
+            "antenna_gain_db": _abs_db(0.0),
+            "noise_dbm": _abs_db(-92.0),
+            "threshold_db": _abs_db(0.0),
+            # under about 1.1e-16, 1 - epsilon rounds to 1 and the required
+            # power is infinite; 1e-12 keeps four digits of 1 - epsilon
+            "epsilon": Field(default=0.05, minimum=1e-12, below=1.0),
+            # a sub-metre disc underflows the required power; the ceiling is
+            # abs_net.coverage_radius's search cap
+            "r_c_m": Field(default=500.0, minimum=1.0, maximum=MAX_RADIUS_M),
             "altitudes_m": Field(kind=list,
-                                 default=[50.0, 100.0, 200.0, 400.0, 800.0]),
+                                 default=[50.0, 100.0, 200.0, 400.0, 800.0],
+                                 minimum=0.0, maximum=ABS_MAX_ALTITUDE_M),
         }),
     },
     "localize": {
@@ -265,6 +285,8 @@ def _check_bounds(value, f: Field, path: str):
         raise ScenarioError(f"must be greater than {f.above}", path)
     if f.maximum is not None and value > f.maximum:
         raise ScenarioError(f"must be at most {f.maximum}", path)
+    if f.below is not None and value >= f.below:
+        raise ScenarioError(f"must be less than {f.below}", path)
 
 
 def _validate_block(data, schema: dict, path: str):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +31,19 @@ def _outage_oracle(r, h, p_tx, prof):
     b_sq = (2.0 * prof.threshold_t * (1.0 + k) * d ** eta * prof.noise_w
             / (prof.antenna_gain * p_tx))
     return 1.0 - stats.ncx2.sf(b_sq, 2, 2.0 * k)
+
+
+def _mean_disc_outage_quad(h, p_tx, r_c, prof):
+    # the adaptive-quadrature disc average that the fixed rule replaced
+    from scipy import integrate
+
+    def f(r):
+        return ab.outage(r, h, p_tx, prof) * 2.0 * r / r_c ** 2
+
+    val, err = integrate.quad(f, 0.0, r_c, limit=100)
+    if err > 1e-6:
+        val = integrate.quad(f, 0.0, r_c, limit=500)[0]
+    return min(1.0, max(0.0, val))
 
 
 class TestOutage:
@@ -146,6 +160,25 @@ class TestSumRate:
         r = r_c * np.sqrt(rng.random(1_000_000))
         mc = float(np.mean(_outage_oracle(r, h, p, URBAN)))
         assert quad_value == pytest.approx(mc, rel=5e-3)
+
+    def test_disc_average_matches_adaptive_quad(self):
+        # every disc of radius r_c, boundary outage epsilon and altitude h,
+        # at the required power and 100x below and above it
+        worst = 0.0
+        for r_c, eps, h, scale in itertools.product(
+                [50.0, 250.0, 500.0, 1000.0, 3000.0],
+                [0.001, 0.01, 0.05, 0.2, 0.5],
+                [0.0, 1.0, 10.0, 100.0, 500.0, 1000.0, 5000.0],
+                [0.01, 1.0, 100.0]):
+            p = ab.required_power(ab.AbsDesign(h, r_c, eps), URBAN) * scale
+            worst = max(worst, abs(ab.mean_disc_outage(h, p, r_c, URBAN)
+                                   - _mean_disc_outage_quad(h, p, r_c, URBAN)))
+        assert worst <= 1e-10
+
+    def test_non_finite_disc_average_rejected(self):
+        # a NaN average is a model error, not an outage of 0
+        with pytest.raises(DomainError):
+            ab.mean_disc_outage(100.0, math.nan, 500.0, URBAN)
 
 
 class TestSumRateGain:
