@@ -492,8 +492,12 @@ def _run_fresh(code, *args):
                    check=True)
 
 
+def test_import_does_not_load_scipy_stats():
+    _run_fresh("import sys, a2gnet, a2gnet.cli; "
+               "assert 'scipy.stats' not in sys.modules")
+
+
 def test_import_does_not_load_scipy():
-    # no scipy module at all, so not scipy.stats (half of scipy's cost) either
     _run_fresh("import sys, a2gnet, a2gnet.cli; " + _NO_SCIPY)
 
 
