@@ -84,7 +84,6 @@ from .mapsim import (
     MapSimConfig,
     SectorSite,
     coverage_vs_altitude,
-    p_los_vs_altitude,
     received_power_dbm,
     sinr_grid,
     site_on_roof,

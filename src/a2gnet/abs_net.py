@@ -2,7 +2,8 @@
 
 The link between an aerial base station at altitude h and a ground user at
 horizontal range r is Rician with elevation-dependent K-factor and path-loss
-exponent; outage follows from the first-order Marcum Q-function. All angles
+exponent, each linear in elevation between its horizon and zenith values;
+outage follows from the first-order Marcum Q-function. All angles
 are radians, powers are watts, and K-factors are linear ratios.
 """
 
@@ -20,29 +21,24 @@ from .errors import DomainError
 from .numerics import integrate, inv_marcum_q, optimize, special
 
 
+_RAMP_THETA = (0.0, math.pi / 2)
+
+
 @dataclass(frozen=True)
-class PiecewiseLinear:
-    """Monotone piecewise-linear table over elevation angle [0, pi/2]."""
+class LinearRamp:
+    """Value linear in elevation angle, v_at_0 at the horizon to v_at_90 at
+    the zenith."""
 
-    theta_rad: tuple
-    values: tuple
-
-    def __post_init__(self):
-        th = np.asarray(self.theta_rad, dtype=float)
-        if th.ndim != 1 or th.size < 2 or np.any(np.diff(th) <= 0):
-            raise DomainError("theta grid must be strictly increasing")
-        if th[0] < 0 or th[-1] > math.pi / 2 + 1e-12:
-            raise DomainError("theta grid must lie within [0, pi/2]")
-        if len(self.values) != th.size:
-            raise DomainError("values must match the theta grid")
+    v_at_0: float
+    v_at_90: float
 
     def __call__(self, theta):
-        out = np.interp(theta, self.theta_rad, self.values)
+        out = np.interp(theta, _RAMP_THETA, (self.v_at_0, self.v_at_90))
         return float(out) if np.ndim(theta) == 0 else out
 
 
-def linear_profile(v_at_0: float, v_at_90: float) -> PiecewiseLinear:
-    return PiecewiseLinear((0.0, math.pi / 2), (v_at_0, v_at_90))
+def linear_profile(v_at_0: float, v_at_90: float) -> LinearRamp:
+    return LinearRamp(v_at_0, v_at_90)
 
 
 @dataclass(frozen=True)
@@ -54,19 +50,17 @@ class AbsProfile:
     noise_w is the total noise power over the signal bandwidth.
     """
 
-    k_of_theta: PiecewiseLinear
-    eta_of_theta: PiecewiseLinear
+    k_of_theta: LinearRamp
+    eta_of_theta: LinearRamp
     antenna_gain: float = 1.0
     noise_w: float = 6.31e-13          # -92 dBm
     threshold_t: float = 1.0           # 0 dB SNR target
 
     def __post_init__(self):
-        th = np.linspace(0.0, math.pi / 2, 64)
-        k = self.k_of_theta(th)
-        eta = self.eta_of_theta(th)
-        if np.any(np.diff(k) < -1e-12) or np.any(k < 0):
+        k, eta = self.k_of_theta, self.eta_of_theta
+        if not 0.0 <= k.v_at_0 <= k.v_at_90:
             raise DomainError("K(theta) must be nonnegative and nondecreasing")
-        if np.any(np.diff(eta) > 1e-12) or eta[-1] < 2.0:
+        if not eta.v_at_0 >= eta.v_at_90 >= 2.0:
             raise DomainError("eta(theta) must be nonincreasing with eta(pi/2) >= 2")
         if self.antenna_gain <= 0 or self.noise_w <= 0 or self.threshold_t <= 0:
             raise DomainError("gain, noise, and threshold must be positive")
@@ -131,15 +125,26 @@ def outage(r_m, h_abs_m: float, p_tx_w: float, prof: AbsProfile):
     return float(out[0]) if scalar else out
 
 
+def _link_factor(k: float, epsilon: float) -> float:
+    """x = (2K + 2) / b^2 with b = Q1^-1(sqrt(2K), 1 - epsilon): the SNR a
+    Rician link of factor K needs for outage epsilon, per unit threshold."""
+    b_sq = inv_marcum_q(math.sqrt(2.0 * k), 1.0 - epsilon) ** 2
+    if b_sq == 0.0:
+        raise DomainError("epsilon too small: 1 - epsilon rounds to 1")
+    x = (2.0 * k + 2.0) / b_sq
+    if not math.isfinite(x):
+        raise DomainError(f"link factor is not finite at K = {k:g}")
+    return x
+
+
 def required_power(design: AbsDesign, prof: AbsProfile) -> float:
     """Transmit power achieving outage epsilon at the coverage boundary."""
     theta_c = design.theta_c
-    k = prof.k_of_theta(theta_c)
     eta = prof.eta_of_theta(theta_c)
-    b = inv_marcum_q(math.sqrt(2.0 * k), 1.0 - design.epsilon)
+    x = _link_factor(prof.k_of_theta(theta_c), design.epsilon)
     slant = design.r_c_m / math.cos(theta_c)  # = boundary link length
     return (prof.noise_w * prof.threshold_t / prof.antenna_gain
-            * (2.0 * k + 2.0) / b ** 2 * slant ** eta)
+            * x * slant ** eta)
 
 
 def power_gain(h_abs_m: float, r_c_m: float, epsilon: float,
@@ -149,15 +154,11 @@ def power_gain(h_abs_m: float, r_c_m: float, epsilon: float,
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must be in (0, 1)")
     theta_c = math.atan2(h_abs_m, r_c_m)
-
-    def x(theta):
-        k = prof.k_of_theta(theta)
-        b = inv_marcum_q(math.sqrt(2.0 * k), 1.0 - epsilon)
-        return (2.0 * k + 2.0) / b ** 2
-
+    x0 = _link_factor(prof.k_of_theta(0.0), epsilon)
+    x_c = _link_factor(prof.k_of_theta(theta_c), epsilon)
     eta0 = prof.eta_of_theta(0.0)
     eta_c = prof.eta_of_theta(theta_c)
-    return (x(0.0) / x(theta_c) * r_c_m ** (eta0 - eta_c)
+    return (x0 / x_c * r_c_m ** (eta0 - eta_c)
             * math.cos(theta_c) ** eta_c)
 
 
@@ -188,16 +189,12 @@ def mean_disc_outage(h_abs_m: float, p_tx_w: float, r_c_m: float,
 
 
 def sum_rate(h_abs_m: float, p_tx_w: float, n_bar: float, w_hz: float,
-             r_c_m: float, prof: AbsProfile, threshold_t: float = None) -> float:
+             r_c_m: float, prof: AbsProfile) -> float:
     """Average sum rate N_bar W log2(1+T) (1 - mean disc outage), bit/s."""
     if n_bar < 0:
         raise DomainError("average user count must be >= 0")
-    t = prof.threshold_t if threshold_t is None else threshold_t
-    if threshold_t is not None and threshold_t != prof.threshold_t:
-        prof = AbsProfile(prof.k_of_theta, prof.eta_of_theta, prof.antenna_gain,
-                          prof.noise_w, threshold_t)
     p_out = mean_disc_outage(h_abs_m, p_tx_w, r_c_m, prof)
-    return n_bar * w_hz * math.log2(1.0 + t) * (1.0 - p_out)
+    return n_bar * w_hz * math.log2(1.0 + prof.threshold_t) * (1.0 - p_out)
 
 
 def sum_rate_gain(h_abs_m: float, prof: AbsProfile, design: AbsDesign) -> float:

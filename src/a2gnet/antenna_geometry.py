@@ -73,7 +73,7 @@ def azimuth_elevation(frm: Position3D, to: Position3D):
 
 @dataclass(frozen=True)
 class SectorAntenna:
-    """Separable azimuth/elevation sector pattern with downtilt.
+    """Separable azimuth/elevation sector pattern with electrical downtilt.
 
     Attenuation in each plane is min(12 (off/bw)^2, floor) dB and the total
     is floored at `sidelobe_floor_db` below the peak. When the elevation
@@ -83,7 +83,6 @@ class SectorAntenna:
 
     azimuth: float = 0.0                      # rad, boresight bearing
     electrical_tilt: float = math.radians(8)  # rad, downward positive
-    mechanical_tilt: float = 0.0              # rad, downward positive
     max_gain_dbi: float = 16.0
     beamwidth_3db: float = math.radians(65)   # rad, azimuth plane
     sidelobe_floor_db: float = 20.0           # max attenuation below peak
@@ -104,10 +103,6 @@ class SectorAntenna:
         return math.radians(min(max(theta3_deg, 2.0), phi3_deg))
 
     @property
-    def downtilt(self) -> float:
-        return self.electrical_tilt + self.mechanical_tilt
-
-    @property
     def main_gain(self) -> float:
         """G_M, linear."""
         return 10.0 ** (self.max_gain_dbi / 10.0)
@@ -126,11 +121,11 @@ def bs_gain_db(ant: SectorAntenna, azimuth, elevation):
     """Sector gain (dBi) toward a direction given as (azimuth, elevation).
 
     Accepts scalars or arrays; the pattern peak sits at the antenna azimuth
-    and `downtilt` below the horizon, and never drops below
+    and `electrical_tilt` below the horizon, and never drops below
     max_gain_dbi - sidelobe_floor_db.
     """
     daz = _wrap_angle(np.asarray(azimuth, dtype=float) - ant.azimuth)
-    dele = np.asarray(elevation, dtype=float) + ant.downtilt
+    dele = np.asarray(elevation, dtype=float) + ant.electrical_tilt
     a_az = np.minimum(12.0 * (daz / ant.beamwidth_3db) ** 2, ant.sidelobe_floor_db)
     a_el = np.minimum(12.0 * (dele / ant.elevation_beamwidth) ** 2, ant.sidelobe_floor_db)
     att = np.minimum(a_az + a_el, ant.sidelobe_floor_db)

@@ -51,6 +51,10 @@ from .numerics import (
     sample_fading,
 )
 
+# reference distance of the log-distance loss, m; closer links read the
+# loss at D0_M
+D0_M = 1.0
+
 
 def _default_sector() -> SectorAntenna:
     # downtilted macro sector; three of these at 120 degree spacing per site.
@@ -86,10 +90,7 @@ class AueNetworkConfig:
     env: Environment = field(default_factory=urban)
     eta_los: float = 2.0
     eta_nlos: float = 3.5
-    lambda0_los_db: Optional[float] = None    # None -> free-space at d0
-    lambda0_nlos_db: Optional[float] = None   # None -> free-space + excess
     nlos_excess_db: float = 20.0              # urban extra blockage loss
-    d0_m: float = 1.0
     fading_los: FadingModel = field(default_factory=lambda: Nakagami(3))
     fading_nlos: FadingModel = field(default_factory=lambda: Nakagami(1))
     aue_ratio_rho: float = 0.5
@@ -119,10 +120,8 @@ class AueNetworkConfig:
                 * 10.0 ** (self.noise_figure_db / 10.0) * self.bw_hz)
 
     def reference_loss_db(self, los: bool) -> float:
-        explicit = self.lambda0_los_db if los else self.lambda0_nlos_db
-        if explicit is not None:
-            return explicit
-        ref = free_space_reference_loss_db(Carrier(self.frequency_hz), self.d0_m)
+        """Free-space loss at D0_M, plus the NLOS excess when not in LOS."""
+        ref = free_space_reference_loss_db(Carrier(self.frequency_hz), D0_M)
         return ref if los else ref + self.nlos_excess_db
 
 
@@ -196,7 +195,7 @@ def _point(h: float, cfg: AueNetworkConfig, bs_h: float) -> _Point:
     def loss(los: bool) -> LogDistance:
         return LogDistance(Carrier(cfg.frequency_hz),
                            cfg.eta_los if los else cfg.eta_nlos,
-                           cfg.reference_loss_db(los), cfg.d0_m)
+                           cfg.reference_loss_db(los), D0_M)
 
     table = BuildingPlosTable(max(h, bs_h), min(h, bs_h), cfg.env)
     return _Point(h, cfg, table, loss(True), loss(False))
@@ -294,7 +293,7 @@ def _evaluate_block(block: _SiteBlock, point: _Point,
     del bs_gain
 
     los = block.links.los_u < point.p_los(d_h)
-    d = np.maximum(np.hypot(d_h, dz), cfg.d0_m)
+    d = np.maximum(np.hypot(d_h, dz), D0_M)
     pl_db = np.where(los, log_distance_pl_db(d, point.loss_los),
                      log_distance_pl_db(d, point.loss_nlos))
     path_gain = 10.0 ** (-pl_db / 10.0)

@@ -70,10 +70,9 @@ _OBSTRUCTED_CEILING_M = {
 }
 
 
-def _env(kind, varsigma, xi, omega, street=20.0):
+def _env(kind, varsigma, xi, omega):
     return Environment(kind=kind, varsigma=varsigma, xi=xi, omega=omega,
-                       mean_building_height_m=omega * math.sqrt(math.pi / 2.0),
-                       street_width_m=street)
+                       mean_building_height_m=omega * math.sqrt(math.pi / 2.0))
 
 
 def suburban() -> Environment:
@@ -136,12 +135,10 @@ class Carrier:
 
 @dataclass(frozen=True)
 class FreeSpace:
-    """Generalized free-space loss (4 pi d / lambda)^eta, optional fixed
-    additive dB term (e.g. mmWave absorption/rain margins)."""
+    """Generalized free-space loss (4 pi d / lambda)^eta."""
 
     carrier: Carrier
     eta: float = 2.0
-    extra_db: float = 0.0
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -227,7 +224,6 @@ def free_space_pl_db(g, spec: FreeSpace):
     if np.any(d <= 0.0):
         raise DomainError("free-space loss needs d_3d > 0")
     out = 10.0 * spec.eta * np.log10(4.0 * np.pi * d / spec.carrier.wavelength_m)
-    out = out + spec.extra_db
     return float(out) if out.ndim == 0 else out
 
 

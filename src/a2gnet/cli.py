@@ -27,7 +27,7 @@ from .antenna_geometry import ConeUav, OmniUav, SectorAntenna
 from .errors import DomainError, ModelGapError, ScenarioError
 from .heightmap import HeightMap, load_ascii_grid, save_ascii_grid, synthetic_city
 from .numerics import Nakagami, RngStream, dbm_to_watt
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, validate_seed
 
 FMT = "%.9g"
 
@@ -324,11 +324,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
+        if args.seed is not None:
+            scenario.seed = validate_seed(args.seed)
     except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        scenario.seed = args.seed
     out_dir = args.out or scenario.output or "."
     try:
         paths = run_scenario(scenario, out_dir)

@@ -1,17 +1,18 @@
 """RSS localization of ground users by aerial anchors.
 
-An anchor measures RSS, inverts the log-distance model of the drawn
-LOS/NLOS state into a range estimate, and the user position comes from
-nonlinear least squares on the horizontal ranges. Shadowing decays
-exponentially with elevation angle, which is what makes an optimal anchor
-altitude exist: too low means heavy NLOS noise, too high means a long link
-whose flat RSS-distance curve amplifies every dB of error.
+Anchors circle the origin and users lie in a disc about it. An anchor
+measures RSS, inverts the log-distance model of the drawn LOS/NLOS state
+into a range estimate, and the user position comes from nonlinear least
+squares on the horizontal ranges. Shadowing decays exponentially with
+elevation angle, which is what makes an optimal anchor altitude exist: too
+low means heavy NLOS noise, too high means a long link whose flat
+RSS-distance curve amplifies every dB of error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -23,12 +24,12 @@ from .numerics import RngLike, RngStream, as_generator, optimize
 
 @dataclass(frozen=True)
 class AnchorPlan:
-    """Equally spaced anchor points on a circle at fixed altitude."""
+    """Equally spaced anchor points on a circle about the origin at fixed
+    altitude."""
 
     m_points: int
     radius_m: float
     h_abs_m: float
-    center: Position3D = field(default_factory=lambda: Position3D(0.0, 0.0, 0.0))
 
     def __post_init__(self):
         if self.m_points < 3:
@@ -47,9 +48,8 @@ def place_anchors(plan: AnchorPlan) -> List[Position3D]:
     out = []
     for i in range(plan.m_points):
         ang = 2.0 * math.pi * i / plan.m_points
-        out.append(Position3D(plan.center.x + plan.radius_m * math.cos(ang),
-                              plan.center.y + plan.radius_m * math.sin(ang),
-                              plan.h_abs_m))
+        out.append(Position3D(plan.radius_m * math.cos(ang),
+                              plan.radius_m * math.sin(ang), plan.h_abs_m))
     return out
 
 
@@ -91,9 +91,10 @@ class ElevationChannel:
 
 @dataclass(frozen=True)
 class LocalizationScenario:
+    """Users drawn uniformly in a disc about the origin."""
+
     n_users: int = 100
     user_area_radius_m: float = 200.0
-    center: Position3D = field(default_factory=lambda: Position3D(0.0, 0.0, 0.0))
 
     def __post_init__(self):
         if self.n_users < 1 or self.user_area_radius_m <= 0:
@@ -134,6 +135,8 @@ def _range_residuals(xy, anchors_xy, r_hat):
 
 
 _FD_REL_STEP = np.finfo(np.float64).eps ** 0.5
+# the seed grid has _GRID_N x _GRID_N cells over the search square
+_GRID_N = 21
 
 
 def _range_jacobian(xy, anchors_xy, r_hat):
@@ -154,8 +157,8 @@ def _range_jacobian(xy, anchors_xy, r_hat):
 
 
 def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
-                  search_center=None, search_radius_m: float = None,
-                  grid_n: int = 21) -> MultilaterationResult:
+                  search_center=None,
+                  search_radius_m: float = None) -> MultilaterationResult:
     """Least-squares position from slant-range estimates.
 
     Horizontal ranges come from r_i = sqrt(d_i^2 - h_i^2), clamped to zero
@@ -188,8 +191,8 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
         spread = float(np.max(np.hypot(*(axy - [cx, cy]).T)))
         search_radius_m = max(float(np.max(r_hat)) + spread, 1.0)
 
-    gx = np.linspace(cx - search_radius_m, cx + search_radius_m, grid_n)
-    gy = np.linspace(cy - search_radius_m, cy + search_radius_m, grid_n)
+    gx = np.linspace(cx - search_radius_m, cx + search_radius_m, _GRID_N)
+    gy = np.linspace(cy - search_radius_m, cy + search_radius_m, _GRID_N)
     xx, yy = np.meshgrid(gx, gy)
     d_grid = np.hypot(axy[:, 0, None, None] - xx, axy[:, 1, None, None] - yy)
     cost_grid = np.sum((d_grid - r_hat[:, None, None]) ** 2, axis=0)
@@ -268,13 +271,12 @@ def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
     axy = np.array([[a.x, a.y] for a in anchors])
     pos_errors = []
     range_errors = []
-    cx, cy = scenario.center.x, scenario.center.y
     for u in range(scenario.n_users):
         for t in range(trials_per_user):
             gen = rng.child_generator(u, t)
             r = scenario.user_area_radius_m * math.sqrt(gen.random())
             ang = gen.uniform(0.0, 2.0 * math.pi)
-            ux, uy = cx + r * math.cos(ang), cy + r * math.sin(ang)
+            ux, uy = r * math.cos(ang), r * math.sin(ang)
             r_true = np.hypot(axy[:, 0] - ux, axy[:, 1] - uy)
             d_true = np.hypot(r_true, plan.h_abs_m)
             theta = np.arctan2(plan.h_abs_m, r_true)
@@ -292,7 +294,7 @@ def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
                     float(d_true[i]), float(theta[i]), ch, gen,
                     force_state=forced)
             est = multilaterate(anchors, d_hat,
-                                search_center=(cx, cy),
+                                search_center=(0.0, 0.0),
                                 search_radius_m=scenario.user_area_radius_m)
             r_hat = np.sqrt(np.maximum(d_hat ** 2 - plan.h_abs_m ** 2, 0.0))
             rng_err, pos_err = localization_error((est.x, est.y), (ux, uy),

@@ -2,8 +2,8 @@
 
 LOS/NLOS comes from ray casting against the heightmap; path loss then
 follows the slice-appropriate statistical model (`channel.slice_pl_db`).
-Everything is deterministic: shadowing is off by default and no Monte Carlo
-is involved, so rasters are bit-reproducible.
+Everything is deterministic: no shadowing is drawn and no Monte Carlo is
+involved, so rasters are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -19,10 +19,11 @@ from . import channel as ch
 from .antenna_geometry import Position3D, SectorAntenna, bs_gain_db
 from .errors import DomainError, ScenarioError
 from .heightmap import HeightMap, los_check, los_mask
-from .numerics import RngLike, as_generator
 
 SECTOR_COUNT = 3
 MAST_M = 5.0               # default mast height above the roof, m
+# path-loss exponents of the free-space model under LOS and NLOS
+FREE_SPACE_ETA = {True: 2.0, False: 3.5}
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def save_sites_csv(sites: Sequence[SectorSite], path):
                 "%.9g" % s.position.x, "%.9g" % s.position.y,
                 "%.9g" % (s.position.h - MAST_M), "%.9g" % s.p_tx_dbm,
                 "%.9g" % math.degrees(s.azimuth0),
-                "%.9g" % math.degrees(s.antenna.downtilt),
+                "%.9g" % math.degrees(s.antenna.electrical_tilt),
                 "%.9g" % s.antenna.max_gain_dbi,
                 "%.9g" % math.degrees(s.antenna.beamwidth_3db)])
 
@@ -102,9 +103,9 @@ class MapSimConfig:
 
     pl_model 'threegpp' uses the slice-aware statistical family with the
     map deciding LOS; 'free_space' applies the generalized Friis law with
-    eta_los/eta_nlos. Distances outside each formula's validity window are
-    clamped into it (the map geometry can place users arbitrarily close);
-    aloft, d_3d is at least 1 m.
+    the exponents in FREE_SPACE_ETA. Distances outside each formula's
+    validity window are clamped into it (the map geometry can place users
+    arbitrarily close); aloft, d_3d is at least 1 m.
     """
 
     frequency_hz: float = 1.8e9
@@ -114,9 +115,6 @@ class MapSimConfig:
     env: ch.Environment = None
     ue_gain_dbi: float = 2.15
     pl_model: str = "threegpp"
-    eta_los: float = 2.0
-    eta_nlos: float = 3.5
-    shadowing: bool = False
 
     def __post_init__(self):
         if self.pl_model not in ("threegpp", "free_space"):
@@ -133,8 +131,7 @@ class MapSimConfig:
 def _path_loss_db(cfg: MapSimConfig, d_3d, ue_h, site_h, los):
     """Vectorized slice-appropriate loss for one site (scalar heights)."""
     if cfg.pl_model == "free_space":
-        spec = ch.FreeSpace(ch.Carrier(cfg.frequency_hz),
-                            eta=cfg.eta_los if los else cfg.eta_nlos)
+        spec = ch.FreeSpace(ch.Carrier(cfg.frequency_hz), FREE_SPACE_ETA[los])
         return ch.free_space_pl_db(np.maximum(d_3d, spec.carrier.wavelength_m), spec)
     slice_ = ch.slice_of(ue_h, cfg.env)
     if slice_ is ch.PropagationSlice.GROUND:
@@ -146,7 +143,7 @@ def _path_loss_db(cfg: MapSimConfig, d_3d, ue_h, site_h, los):
 
 
 def _rx_dbm(site: SectorSite, sector_az: float, cfg: MapSimConfig, x, y,
-            ue_h: float, los, shadow_db=0.0):
+            ue_h: float, los):
     """P_rx = P_tx + G_tx + G_rx - PL from one sector, vectorized over points."""
     dx = x - site.position.x
     dy = y - site.position.y
@@ -155,7 +152,7 @@ def _rx_dbm(site: SectorSite, sector_az: float, cfg: MapSimConfig, x, y,
     pl = np.where(
         los,
         _path_loss_db(cfg, d_3d, ue_h, site.position.h, True),
-        _path_loss_db(cfg, d_3d, ue_h, site.position.h, False)) + shadow_db
+        _path_loss_db(cfg, d_3d, ue_h, site.position.h, False))
     az = np.arctan2(dx, dy)
     el = np.arctan2(ue_h - site.position.h, d_h)
     g_tx = bs_gain_db(replace(site.antenna, azimuth=sector_az), az, el)
@@ -163,23 +160,13 @@ def _rx_dbm(site: SectorSite, sector_az: float, cfg: MapSimConfig, x, y,
 
 
 def received_power_dbm(site: SectorSite, sector_idx: int, ue: Position3D,
-                       hm: HeightMap, cfg: MapSimConfig,
-                       rng: Optional[RngLike] = None) -> float:
+                       hm: HeightMap, cfg: MapSimConfig) -> float:
     """P_rx = P_tx + G_tx + G_rx - PL for one sector toward one location."""
     if not hm.contains(ue.x, ue.y):
         raise DomainError("evaluation point outside the map")
     los = los_check(site.position, ue, hm)
-    shadow_db = 0.0
-    if cfg.shadowing:
-        if rng is None:
-            raise DomainError("shadowing draws need an RngStream")
-        d_h = math.hypot(ue.x - site.position.x, ue.y - site.position.y)
-        sigma = ch.shadowing_sigma_db(ch.slice_of(ue.h, cfg.env), los, d_h, ue.h,
-                                      h_g_m=site.position.h,
-                                      f_c_ghz=cfg.frequency_hz / 1e9)
-        shadow_db = float(as_generator(rng).normal(0.0, sigma))
     return float(_rx_dbm(site, site.sector_azimuths[sector_idx], cfg,
-                         ue.x, ue.y, ue.h, los, shadow_db))
+                         ue.x, ue.y, ue.h, los))
 
 
 @dataclass
@@ -242,17 +229,4 @@ def coverage_vs_altitude(sites, hm, heights: Sequence[float], cfg: MapSimConfig,
     for h in heights:
         grid = sinr_grid(sites, hm, float(h), cfg, stride=stride)
         out.append((float(h), grid.coverage_fraction(threshold_db)))
-    return out
-
-
-def p_los_vs_altitude(sites, hm, heights: Sequence[float], stride: int = 1):
-    """Fraction of cells with LOS to at least one site, per height.
-
-    Casts rays only; `sinr_grid(...).p_los_any` gives the same fraction.
-    """
-    xx, yy = np.meshgrid(*(c[::stride] for c in hm.cell_centers()))
-    out = []
-    for h in heights:
-        masks = [los_mask(site.position, xx, yy, float(h), hm) for site in sites]
-        out.append((float(h), float(np.mean(np.logical_or.reduce(masks)))))
     return out

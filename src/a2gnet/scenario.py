@@ -156,21 +156,22 @@ SCHEMAS: Dict[str, dict] = {
         "localize": Field(kind=dict, schema={
             "m_points": Field(kind=list, item_kind=int, default=[3, 4],
                               minimum=3),
-            "radii_m": Field(kind=list, default=[120.0]),
-            "altitudes_m": Field(kind=list, default=[200.0]),
+            "radii_m": Field(kind=list, default=[120.0], above=0.0),
+            "altitudes_m": Field(kind=list, default=[200.0], above=0.0),
             "n_users": Field(kind=int, default=100, minimum=1),
-            "user_area_radius_m": Field(default=200.0),
+            "user_area_radius_m": Field(default=200.0, above=0.0),
             "trials_per_user": Field(kind=int, default=1, minimum=1),
             "state_mode": Field(kind=str, default="independent",
                                 choices=("independent", "common", "los", "nlos")),
-            "a_los": Field(default=10.0),
-            "b_los": Field(default=2.0),
-            "a_nlos": Field(default=30.0),
-            "b_nlos": Field(default=1.7),
+            # shadowing sigma a exp(-b theta) dB: a positive, b >= 0
+            "a_los": Field(default=10.0, above=0.0),
+            "b_los": Field(default=2.0, minimum=0.0),
+            "a_nlos": Field(default=30.0, above=0.0),
+            "b_nlos": Field(default=1.7, minimum=0.0),
             "a_o": Field(default=47.0),
             "b_o": Field(default=20.0),
-            "eta_los": Field(default=2.0),
-            "eta_nlos": Field(default=3.0),
+            "eta_los": Field(default=2.0, above=0.0),
+            "eta_nlos": Field(default=3.0, above=0.0),
         }),
     },
     "mapsim": {
@@ -209,7 +210,8 @@ SCHEMAS: Dict[str, dict] = {
 
 _TOP_LEVEL = {
     "command": Field(kind=str, required=True, choices=COMMANDS),
-    "seed": Field(kind=int, default=0),
+    # the master seed of numerics.RngStream is a 64-bit integer
+    "seed": Field(kind=int, default=0, minimum=0, maximum=2 ** 64 - 1),
     "output": Field(kind=str, default=None),
 }
 
@@ -235,7 +237,10 @@ def _finite(value, path: str) -> float:
 
 def _coerce(value, f: Field, path: str):
     if value is None:
-        return None
+        # null stands for "unset" only where unset is the default
+        if f.default is None and not f.required:
+            return None
+        raise ScenarioError("must not be null", path)
     if f.kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError("expected a number", path)
@@ -289,6 +294,18 @@ def _check_bounds(value, f: Field, path: str):
         raise ScenarioError(f"must be less than {f.below}", path)
 
 
+def _validate_value(value, f: Field, path: str):
+    value = _coerce(value, f, path)
+    _check_bounds(value, f, path)
+    return value
+
+
+def validate_seed(value) -> int:
+    """Check a command-line seed override as the scenario file's seed is
+    checked."""
+    return _validate_value(value, _TOP_LEVEL["seed"], "seed")
+
+
 def _validate_block(data, schema: dict, path: str):
     if data is None:
         data = {}
@@ -304,8 +321,7 @@ def _validate_block(data, schema: dict, path: str):
             out[key] = _validate_block(data.get(key), f.schema, sub_path)
             continue
         if key in data:
-            out[key] = _coerce(data[key], f, sub_path)
-            _check_bounds(out[key], f, sub_path)
+            out[key] = _validate_value(data[key], f, sub_path)
         elif f.required:
             raise ScenarioError("missing required key", sub_path)
         else:
@@ -327,22 +343,13 @@ def parse_scenario(text: str) -> Scenario:
     if command not in COMMANDS:
         raise ScenarioError(f"must be one of {', '.join(COMMANDS)}", "command")
     schema = SCHEMAS[command]
-    for key in raw:
-        if key not in schema and key not in _TOP_LEVEL:
-            raise ScenarioError(f"unknown key {key!r}", key)
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ScenarioError("seed must be a non-negative integer", "seed")
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ScenarioError("output must be a string path", "output")
-    params = {}
-    for key, f in schema.items():
-        params[key] = _validate_block(raw.get(key), f.schema, key)
+    doc = _validate_block(raw, {**_TOP_LEVEL, **schema}, "")
+    params = {key: doc[key] for key in schema}
     if command == "aue-sweep" and params["sweep"]["axis"] == "altitude":
         _check_bounds(params["sweep"]["grid"],
                       schema["sweep"].schema["uav_h_m"], "sweep.grid")
-    return Scenario(command=command, seed=seed, output=output, params=params)
+    return Scenario(command=command, seed=doc["seed"], output=doc["output"],
+                    params=params)
 
 
 def serialize_scenario(s: Scenario) -> str:

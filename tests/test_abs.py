@@ -116,6 +116,18 @@ class TestRequiredPower:
         with pytest.raises(DomainError):
             ab.AbsDesign(100.0, 500.0, 1.0)
 
+    @pytest.mark.parametrize("prof,eps,match", [
+        # 1 - 1e-17 rounds to 1, so b = 0: a ZeroDivisionError before
+        (URBAN, 1e-17, "epsilon"),
+        # scipy's quantile is NaN at K = 120 dB: a silent NaN before
+        (ab.urban_abs_profile(k90_db=120.0), 0.05, "not finite"),
+    ])
+    def test_link_factor_errors(self, prof, eps, match):
+        with pytest.raises(DomainError, match=match):
+            ab.required_power(ab.AbsDesign(100.0, 500.0, eps), prof)
+        with pytest.raises(DomainError, match=match):
+            ab.power_gain(100.0, 500.0, eps, prof)
+
 
 class TestPowerGain:
     def test_degenerate_profile_cosine_law(self):

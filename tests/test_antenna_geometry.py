@@ -70,16 +70,16 @@ class TestDirections:
 class TestSectorAntenna:
     def test_boresight_peak(self):
         ant = SectorAntenna(max_gain_dbi=16.0)
-        assert bs_gain_db(ant, 0.0, -ant.downtilt) == pytest.approx(16.0)
+        assert bs_gain_db(ant, 0.0, -ant.electrical_tilt) == pytest.approx(16.0)
 
     def test_half_beamwidth_is_3db(self):
         ant = SectorAntenna(max_gain_dbi=16.0)
-        g = bs_gain_db(ant, ant.beamwidth_3db / 2, -ant.downtilt)
+        g = bs_gain_db(ant, ant.beamwidth_3db / 2, -ant.electrical_tilt)
         assert g == pytest.approx(16.0 - 3.0, abs=0.1)
 
     def test_far_offset_hits_floor(self):
         ant = SectorAntenna(max_gain_dbi=16.0, sidelobe_floor_db=20.0)
-        assert bs_gain_db(ant, math.pi / 2, -ant.downtilt) == pytest.approx(-4.0)
+        assert bs_gain_db(ant, math.pi / 2, -ant.electrical_tilt) == pytest.approx(-4.0)
 
     def test_bounded_everywhere(self):
         ant = SectorAntenna(max_gain_dbi=18.0, sidelobe_floor_db=25.0)
@@ -98,14 +98,14 @@ class TestSectorAntenna:
     def test_elevation_sidelobe_rides_side_gain(self, gain, floor, bw_deg,
                                                 el_bw_deg, tilt_deg, az,
                                                 beyond, above):
-        # |el + downtilt| > theta3 sqrt(floor/12) saturates the elevation
+        # |el + electrical_tilt| > theta3 sqrt(floor/12) saturates the elevation
         # term, so the gain is G_m whatever the azimuth
         ant = SectorAntenna(max_gain_dbi=gain, sidelobe_floor_db=floor,
                             beamwidth_3db=math.radians(bw_deg),
                             elevation_beamwidth_3db=math.radians(el_bw_deg),
                             electrical_tilt=math.radians(tilt_deg))
         edge = ant.elevation_beamwidth * math.sqrt(floor / 12.0)
-        el = (1.0 if above else -1.0) * beyond * edge - ant.downtilt
+        el = (1.0 if above else -1.0) * beyond * edge - ant.electrical_tilt
         assert bs_gain_db(ant, az, el) == pytest.approx(gain - floor, abs=1e-9)
 
     def test_main_side_gain_ordering(self):

@@ -29,7 +29,7 @@ def expected_snr(cfg, d_h, h_uav, los=True):
     # independent transcription of the single-link budget (sidelobe level)
     d3 = math.hypot(d_h, h_uav - cfg.bs_height_m)
     pl = cfg.reference_loss_db(los) + 10 * (cfg.eta_los if los else cfg.eta_nlos) \
-        * math.log10(d3 / cfg.d0_m)
+        * math.log10(d3 / au.D0_M)
     g_bs = cfg.sector.max_gain_dbi - cfg.sector.sidelobe_floor_db
     g_ue = 2.15
     p_rx = cfg.p_tx_w * 10 ** ((g_bs + g_ue - pl) / 10)
@@ -386,8 +386,8 @@ def evaluate_sinr(uav_xyh, snap, links, cfg, p_los, aim_cone_at_serving=False):
 
     eta = np.where(los, cfg.eta_los, cfg.eta_nlos)
     lam0 = np.where(los, cfg.reference_loss_db(True), cfg.reference_loss_db(False))
-    d = np.maximum(d_3d, cfg.d0_m)
-    pl_db = lam0 + 10.0 * eta * np.log10(d / cfg.d0_m)
+    d = np.maximum(d_3d, au.D0_M)
+    pl_db = lam0 + 10.0 * eta * np.log10(d / au.D0_M)
 
     bs_gain = 10.0 ** (bs_gain_db(cfg.sector,
                                   az_from_bs[:, None] - snap.sector_azimuth,

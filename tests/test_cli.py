@@ -68,7 +68,8 @@ sweep:
   grid: [60]
 """
 
-# base scenario for each block whose bounds test_bound_validation checks
+# base scenario for each block whose bounds test_bound_validation checks;
+# top-level keys are checked on MINIMAL_CHANNEL
 BOUNDED_BASES = {"mapsim": MAPSIM_SMALL, "run": AUE_TABLE_IV, "aue": AUE_TABLE_IV,
                  "sweep": SWEEP_ALTITUDE, "localize": LOCALIZE_TABLE_VI,
                  "channel": "command: channel-table\nchannel: {h_g_m: 30}\n",
@@ -167,11 +168,26 @@ class TestParsing:
         ("eta90", 11, "abs.eta90"),
         ("k0_db", -151, "abs.k0_db"),
         ("noise_dbm", 151, "abs.noise_dbm"),
+        ("radii_m", [120, 0], "localize.radii_m[1]"),
+        ("altitudes_m", [0], "localize.altitudes_m[0]"),
+        ("user_area_radius_m", 0, "localize.user_area_radius_m"),
+        ("a_los", -1, "localize.a_los"),
+        ("a_nlos", 0, "localize.a_nlos"),
+        ("b_los", -0.5, "localize.b_los"),
+        ("b_nlos", -1, "localize.b_nlos"),
+        ("eta_los", 0, "localize.eta_los"),
+        ("eta_nlos", -3, "localize.eta_nlos"),
+        ("seed", -1, "seed"),
+        ("seed", 2 ** 64, "seed"),
+        ("seed", 1.5, "seed"),
+        ("seed", None, "seed"),
+        ("n_trials", None, "run.n_trials"),
+        ("output", 3, "output"),
     ])
     def test_bound_validation(self, key, value, path):
         block = path.split(".")[0]
-        doc = yaml.safe_load(BOUNDED_BASES[block])
-        doc[block][key] = value
+        doc = yaml.safe_load(BOUNDED_BASES.get(block, MINIMAL_CHANNEL))
+        (doc[block] if "." in path else doc)[key] = value
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump(doc))
         assert path in str(err.value)
@@ -409,6 +425,25 @@ class TestMainEntry:
         assert code == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out and out[0].endswith("localize.csv")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_override_bound_exit_code(self, tmp_path, capsys, seed):
+        # the override went unchecked: RngStream rejected it with exit 1
+        # and no key, or a run that draws nothing wrote its tables
+        scn = tmp_path / "run.yaml"
+        scn.write_text(MINIMAL_CHANNEL)
+        assert main(["--scenario", str(scn), "--out", str(tmp_path),
+                     "--seed", seed]) == 2
+        assert "seed:" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tmp_path):
+        # a synthetic city draws on RngStream(seed, 1000)
+        scn = tmp_path / "run.yaml"
+        scn.write_text(f"command: mapsim\nseed: {2 ** 64 - 1}\nmapsim:\n"
+                       "  synthetic: {extent_m: 100, cellsize_m: 10}\n"
+                       "  auto_sites: {count: 1}\n  heights_m: [40]\n"
+                       "  emit_rasters: false\n")
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 0
 
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         scn = tmp_path / "bad.yaml"

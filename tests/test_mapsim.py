@@ -8,7 +8,7 @@ from a2gnet import mapsim as ms
 from a2gnet.antenna_geometry import LinkGeometry, Position3D, SectorAntenna
 from a2gnet.cli import run_scenario
 from a2gnet.errors import DomainError, ScenarioError
-from a2gnet.heightmap import HeightMap, synthetic_city
+from a2gnet.heightmap import HeightMap, los_mask, synthetic_city
 from a2gnet.numerics import RngStream
 from a2gnet.scenario import parse_scenario
 
@@ -17,6 +17,17 @@ FLAT = HeightMap(np.zeros((40, 40)), cellsize=10.0)
 
 def flat_cfg(**kw):
     return ms.MapSimConfig(env=ch.urban(), **kw)
+
+
+def p_los_vs_altitude(sites, hm, heights, stride=1):
+    """Fraction of cells with LOS to at least one site, per height, from
+    rays cast on their own: the reference for `SinrGrid.p_los_any`."""
+    xx, yy = np.meshgrid(*(c[::stride] for c in hm.cell_centers()))
+    out = []
+    for h in heights:
+        masks = [los_mask(site.position, xx, yy, float(h), hm) for site in sites]
+        out.append((float(h), float(np.mean(np.logical_or.reduce(masks)))))
+    return out
 
 
 class TestReceivedPower:
@@ -55,15 +66,6 @@ class TestReceivedPower:
         # LOS -> NLOS transition behind the wall costs far more than the
         # extra 30 m of distance would
         assert blocked < clear - 10.0
-
-    def test_shadowing_flag_requires_rng(self):
-        site = ms.site_on_roof(FLAT, 200.0, 200.0)
-        cfg = flat_cfg(shadowing=True)
-        with pytest.raises(DomainError):
-            ms.received_power_dbm(site, 0, Position3D(100, 100, 1.5), FLAT, cfg)
-        val = ms.received_power_dbm(site, 0, Position3D(100, 100, 1.5), FLAT,
-                                    cfg, rng=RngStream(4))
-        assert math.isfinite(val)
 
 
 class TestPathLossClamps:
@@ -198,8 +200,8 @@ class TestCoverageCurves:
         # heights all above the tallest structure: clearing can only improve
         top = float(np.nanmax(self.city.heights))
         heights = [top + 5.0, top + 30.0, top + 80.0, top + 150.0]
-        fracs = [f for _, f in ms.p_los_vs_altitude(self.sites, self.city,
-                                                    heights, stride=6)]
+        fracs = [f for _, f in p_los_vs_altitude(self.sites, self.city,
+                                                 heights, stride=6)]
         assert all(b >= a - 1e-12 for a, b in zip(fracs, fracs[1:]))
 
     def test_empty_heights_rejected(self):
@@ -209,7 +211,7 @@ class TestCoverageCurves:
     def test_grid_los_fraction_matches_reference(self):
         # p_los_vs_altitude casts the rays on its own: the reference path
         heights = [1.5, 20.0, 60.0, 150.0]
-        ref = ms.p_los_vs_altitude(self.sites, self.city, heights, stride=6)
+        ref = p_los_vs_altitude(self.sites, self.city, heights, stride=6)
         for h, p_ref in ref:
             grid = ms.sinr_grid(self.sites, self.city, h, self.cfg, stride=6)
             assert grid.p_los_any == p_ref
