@@ -37,10 +37,6 @@ class LinearRamp:
         return float(out) if np.ndim(theta) == 0 else out
 
 
-def linear_profile(v_at_0: float, v_at_90: float) -> LinearRamp:
-    return LinearRamp(v_at_0, v_at_90)
-
-
 @dataclass(frozen=True)
 class AbsProfile:
     """Elevation-dependent channel profile plus link budget constants.
@@ -72,8 +68,8 @@ def urban_abs_profile(k0_db: float = 0.0, k90_db: float = 15.0,
     """Documented urban default: eta 3.5 -> 2 and K 0 dB -> 15 dB over
     elevation, interpolated linearly in the linear K ratio."""
     return AbsProfile(
-        k_of_theta=linear_profile(10.0 ** (k0_db / 10.0), 10.0 ** (k90_db / 10.0)),
-        eta_of_theta=linear_profile(eta0, eta90),
+        k_of_theta=LinearRamp(10.0 ** (k0_db / 10.0), 10.0 ** (k90_db / 10.0)),
+        eta_of_theta=LinearRamp(eta0, eta90),
         **kwargs,
     )
 

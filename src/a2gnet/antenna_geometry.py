@@ -71,6 +71,10 @@ def azimuth_elevation(frm: Position3D, to: Position3D):
 # Tilted sector base-station antenna
 # ---------------------------------------------------------------------------
 
+# bearings of a three-sector site's sectors from its first sector, rad
+SECTOR_OFFSETS = np.array([0.0, 2.0, 4.0]) * math.pi / 3.0
+
+
 @dataclass(frozen=True)
 class SectorAntenna:
     """Separable azimuth/elevation sector pattern with electrical downtilt.

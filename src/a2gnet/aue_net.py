@@ -23,6 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .antenna_geometry import (
+    SECTOR_OFFSETS,
     ConeUav,
     OmniUav,
     SectorAntenna,
@@ -147,7 +148,7 @@ def deploy_hppp(cfg: AueNetworkConfig, rng: RngLike) -> NetworkSnapshot:
     angle = gen.uniform(0.0, 2.0 * math.pi, n)
     xy = np.column_stack([radius * np.sin(angle), radius * np.cos(angle)])
     rotation = gen.uniform(0.0, 2.0 * math.pi, n)
-    sector_azimuth = rotation[:, None] + np.array([0.0, 2.0, 4.0]) * math.pi / 3.0
+    sector_azimuth = rotation[:, None] + SECTOR_OFFSETS
     return NetworkSnapshot(xy=xy, height_m=cfg.bs_height_m,
                            sector_azimuth=sector_azimuth)
 
@@ -402,9 +403,13 @@ def coverage_from_samples(sinr: np.ndarray, threshold: float) -> CoverageEstimat
     return CoverageEstimate(p, ci, sinr.size)
 
 
+COVERAGE_MIN_TRIALS = 100   # fewest trials a coverage estimate accepts
+
+
 def _check_coverage_trials(n_trials: int):
-    if n_trials < 100:
-        raise DomainError("coverage estimation needs n_trials >= 100")
+    if n_trials < COVERAGE_MIN_TRIALS:
+        raise DomainError(
+            f"coverage estimation needs n_trials >= {COVERAGE_MIN_TRIALS}")
 
 
 def coverage_probability_mc(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
@@ -496,9 +501,6 @@ class SweepPoint:
     ci95: float
 
 
-_SWEEP_AXES = ("altitude", "density", "phi_b", "phi_t")
-
-
 def _cfg_for(cfg: AueNetworkConfig, axis: str, x: float) -> AueNetworkConfig:
     if axis == "altitude":
         return cfg
@@ -525,8 +527,6 @@ def sweep(cfg: AueNetworkConfig, axis: str, grid: Sequence[float], uav_h: float,
     and evaluated at every grid point, except on the density axis, where
     the Poisson mean changes and each point draws its own trials.
     """
-    if axis not in _SWEEP_AXES:
-        raise DomainError(f"unknown sweep axis {axis!r}")
     if len(grid) == 0:
         raise DomainError("sweep grid must be nonempty")
     if metric == "coverage":

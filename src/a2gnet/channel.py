@@ -24,7 +24,8 @@ import numpy as np
 
 from .antenna_geometry import LinkGeometry
 from .errors import ApplicabilityError, DomainError, ModelGapError, OutOfEnvelopeError
-from .numerics import FadingModel, RngLike, as_generator, sample_fading
+from .numerics import (FadingModel, RngLike, as_generator, sample_fading,
+                       sample_shadowing_db)
 
 SPEED_OF_LIGHT = 299_792_458.0
 # the 3GPP 40*pi*f/3 idiom embeds c = 3e8; the breakpoint uses the same
@@ -36,59 +37,68 @@ MAX_MODELED_ALTITUDE_M = 300.0
 # Environment and propagation slices
 # ---------------------------------------------------------------------------
 
+# (varsigma, xi, omega) of the four building-statistics environments
+ENV_PRESETS = {
+    "suburban": (0.1, 750.0, 8.0),
+    "urban": (0.3, 500.0, 15.0),
+    "dense_urban": (0.5, 300.0, 20.0),
+    "highrise": (0.5, 300.0, 50.0),
+}
+
+# environment kind -> (ground ceiling, obstructed ceiling) of the slices, m
+SLICE_CEILINGS_M = {
+    **dict.fromkeys(("suburban", "rural", "open"), (10.0, 40.0)),
+    **dict.fromkeys(("urban", "dense_urban", "highrise"), (22.5, 100.0)),
+}
+
+
 @dataclass(frozen=True)
 class Environment:
     """Built-environment statistics driving LOS probability and slices.
 
     varsigma: fraction of land covered by buildings; xi: buildings per km^2;
-    omega: Rayleigh scale of building heights (m).
+    omega: Rayleigh scale of building heights (m). The mean building height
+    defaults to the Rayleigh mean omega sqrt(pi/2).
     """
 
-    kind: str = "urban"
-    varsigma: float = 0.3
-    xi: float = 500.0
-    omega: float = 15.0
-    mean_building_height_m: float = 15.0 * math.sqrt(math.pi / 2.0)
+    kind: str
+    varsigma: float
+    xi: float
+    omega: float
+    mean_building_height_m: Optional[float] = None
     street_width_m: float = 20.0
 
     def __post_init__(self):
-        if self.kind not in _GROUND_CEILING_M:
+        if self.kind not in SLICE_CEILINGS_M:
             raise DomainError(f"unknown environment kind {self.kind!r}")
         if not 0.0 <= self.varsigma <= 1.0:
             raise DomainError("varsigma must be in [0, 1]")
         if self.xi <= 0 or self.omega <= 0:
             raise DomainError("xi and omega must be positive")
+        if self.mean_building_height_m is None:
+            object.__setattr__(self, "mean_building_height_m",
+                               self.omega * math.sqrt(math.pi / 2.0))
 
 
-_GROUND_CEILING_M = {
-    "suburban": 10.0, "rural": 10.0, "open": 10.0,
-    "urban": 22.5, "dense_urban": 22.5, "highrise": 22.5,
-}
-_OBSTRUCTED_CEILING_M = {
-    "suburban": 40.0, "rural": 40.0, "open": 40.0,
-    "urban": 100.0, "dense_urban": 100.0, "highrise": 100.0,
-}
-
-
-def _env(kind, varsigma, xi, omega):
-    return Environment(kind=kind, varsigma=varsigma, xi=xi, omega=omega,
-                       mean_building_height_m=omega * math.sqrt(math.pi / 2.0))
+def preset_environment(name: str) -> Environment:
+    """The environment of the ENV_PRESETS row `name`."""
+    return Environment(name, *ENV_PRESETS[name])
 
 
 def suburban() -> Environment:
-    return _env("suburban", 0.1, 750.0, 8.0)
+    return preset_environment("suburban")
 
 
 def urban() -> Environment:
-    return _env("urban", 0.3, 500.0, 15.0)
+    return preset_environment("urban")
 
 
 def dense_urban() -> Environment:
-    return _env("dense_urban", 0.5, 300.0, 20.0)
+    return preset_environment("dense_urban")
 
 
 def highrise() -> Environment:
-    return _env("highrise", 0.5, 300.0, 50.0)
+    return preset_environment("highrise")
 
 
 class PropagationSlice(Enum):
@@ -105,9 +115,10 @@ def slice_of(h_uav_m: float, env: Environment) -> PropagationSlice:
     if h_uav_m > MAX_MODELED_ALTITUDE_M:
         raise OutOfEnvelopeError(
             f"altitude {h_uav_m} m above the modeled 300 m envelope")
-    if h_uav_m < _GROUND_CEILING_M[env.kind]:
+    ground, obstructed = SLICE_CEILINGS_M[env.kind]
+    if h_uav_m < ground:
         return PropagationSlice.GROUND
-    if h_uav_m < _OBSTRUCTED_CEILING_M[env.kind]:
+    if h_uav_m < obstructed:
         return PropagationSlice.OBSTRUCTED
     return PropagationSlice.HIGH_ALTITUDE
 
@@ -618,7 +629,7 @@ def sample_link_loss_db(g: LinkGeometry, spec: LosNlosAveraged, rng: RngLike,
         branch = spec.los if state else spec.nlos
         pl = path_loss_db(g, branch, los=state)
         sigma = shadowing_sigma_for(g, branch, state)
-        shad = gen.normal(0.0, sigma, idx.size) if sigma > 0 else 0.0
+        shad = sample_shadowing_db(sigma, gen, idx.size)
         model = fading if state else (fading_nlos or fading)
         if model is not None:
             gains = sample_fading(model, gen, idx.size)

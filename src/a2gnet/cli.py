@@ -54,15 +54,11 @@ def _environment(block) -> ch.Environment:
     preset = block.get("preset", "urban")
     values = {k: v for k, v in block.items() if k != "preset" and v is not None}
     if preset != "custom":
-        env = {"suburban": ch.suburban, "urban": ch.urban,
-               "dense_urban": ch.dense_urban, "highrise": ch.highrise}[preset]()
-        return replace(env, **values)
+        return replace(ch.preset_environment(preset), **values)
     for key in ("kind", "varsigma", "xi", "omega"):
         if key not in values:
             raise ScenarioError("custom environment needs kind, varsigma, xi, omega",
                                 f"environment.{key}")
-    values.setdefault("mean_building_height_m",
-                      values["omega"] * math.sqrt(math.pi / 2.0))
     return ch.Environment(**values)
 
 

@@ -76,39 +76,30 @@ class HeightMap:
         y = self.yllcorner + (np.arange(self.nrows) + 0.5) * self.cellsize
         return x, y
 
-    def _grid_bottom_up(self):
-        # rows flipped so index increases with y
-        return self.heights[::-1, :]
-
     @functools.cached_property
     def _padded_grid(self):
-        # bottom-up grid plus an edge ring that also takes the no-data of
-        # the cell one further in, as the clamped surface_at patch reads it
-        g = self._grid_bottom_up()
+        # rows flipped so index increases with y, plus an edge ring that
+        # also takes the no-data of the cell one further in, as the clamped
+        # surface_at patch reads it
+        g = self.heights[::-1, :]
         padded = np.pad(g, 1, mode="edge")
         padded[np.isnan(np.pad(g, 1, mode="reflect"))] = np.nan
         return padded
 
     def surface_at(self, x, y):
         """Bilinear surface height at world coordinates (vectorized)."""
-        g = self._grid_bottom_up()
         u = (np.asarray(x, dtype=float) - self.xllcorner) / self.cellsize - 0.5
         v = (np.asarray(y, dtype=float) - self.yllcorner) / self.cellsize - 0.5
         u = np.clip(u, 0.0, self.ncols - 1.0)
         v = np.clip(v, 0.0, self.nrows - 1.0)
-        j0 = np.clip(np.floor(u).astype(int), 0, self.ncols - 2) \
-            if self.ncols > 1 else np.zeros_like(u, dtype=int)
-        i0 = np.clip(np.floor(v).astype(int), 0, self.nrows - 2) \
-            if self.nrows > 1 else np.zeros_like(v, dtype=int)
-        fu = u - j0
-        fv = v - i0
-        h00 = g[i0, j0]
-        h10 = g[i0, np.minimum(j0 + 1, self.ncols - 1)]
-        h01 = g[np.minimum(i0 + 1, self.nrows - 1), j0]
-        h11 = g[np.minimum(i0 + 1, self.nrows - 1),
-                np.minimum(j0 + 1, self.ncols - 1)]
-        out = (h00 * (1 - fu) * (1 - fv) + h10 * fu * (1 - fv)
-               + h01 * (1 - fu) * fv + h11 * fu * fv)
+        j = np.minimum(np.floor(u), self.ncols - 2.0)
+        i = np.minimum(np.floor(v), self.nrows - 2.0)
+        fu = u - j
+        fv = v - i
+        g = self._padded_grid   # padded index k + 1 holds grid index k
+        i, j = i.astype(np.intp) + 1, j.astype(np.intp) + 1
+        out = (g[i, j] * (1 - fu) * (1 - fv) + g[i, j + 1] * fu * (1 - fv)
+               + g[i + 1, j] * (1 - fu) * fv + g[i + 1, j + 1] * fu * fv)
         return float(out) if np.ndim(out) == 0 else out
 
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .antenna_geometry import Position3D
 from .errors import DomainError
-from .numerics import RngLike, RngStream, as_generator, optimize
+from .numerics import (RngLike, RngStream, as_generator, optimize,
+                       sample_shadowing_db)
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,7 @@ def sample_rss_distance(true_d_m: float, theta_rad: float, ch: ElevationChannel,
         los = bool(gen.random() < ch.p_los(theta_rad))
     else:
         los = bool(force_state)
-    sigma = float(ch.sigma_db(theta_rad, los))
-    x_db = gen.normal(0.0, sigma) if sigma > 0 else 0.0
+    x_db = sample_shadowing_db(float(ch.sigma_db(theta_rad, los)), gen)
     eta = ch.eta_los if los else ch.eta_nlos
     return true_d_m * 10.0 ** (x_db / (10.0 * eta)), los
 

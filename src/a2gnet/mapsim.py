@@ -16,11 +16,11 @@ from typing import List, Sequence
 import numpy as np
 
 from . import channel as ch
-from .antenna_geometry import Position3D, SectorAntenna, bs_gain_db
+from .antenna_geometry import (SECTOR_OFFSETS, Position3D, SectorAntenna,
+                               bs_gain_db)
 from .errors import DomainError, ScenarioError
 from .heightmap import HeightMap, los_check, los_mask
 
-SECTOR_COUNT = 3
 MAST_M = 5.0               # default mast height above the roof, m
 # path-loss exponents of the free-space model under LOS and NLOS
 FREE_SPACE_ETA = {True: 2.0, False: 3.5}
@@ -36,9 +36,8 @@ class SectorSite:
     antenna: SectorAntenna = field(default_factory=SectorAntenna)
 
     @property
-    def sector_azimuths(self):
-        return [self.azimuth0 + k * 2.0 * math.pi / SECTOR_COUNT
-                for k in range(SECTOR_COUNT)]
+    def sector_azimuths(self) -> np.ndarray:
+        return self.azimuth0 + SECTOR_OFFSETS
 
 
 def site_on_roof(hm: HeightMap, x: float, y: float, mast_m: float = MAST_M,
@@ -142,9 +141,10 @@ def _path_loss_db(cfg: MapSimConfig, d_3d, ue_h, site_h, los):
                           los, slice_)
 
 
-def _rx_dbm(site: SectorSite, sector_az: float, cfg: MapSimConfig, x, y,
-            ue_h: float, los):
-    """P_rx = P_tx + G_tx + G_rx - PL from one sector, vectorized over points."""
+def _rx_dbm(site: SectorSite, cfg: MapSimConfig, x, y, ue_h: float, los):
+    """P_rx = P_tx + G_tx + G_rx - PL from each sector of one site, one row
+    per sector, vectorized over points; the path loss and the angles are
+    computed once for all sectors."""
     dx = x - site.position.x
     dy = y - site.position.y
     d_h = np.hypot(dx, dy)
@@ -155,8 +155,10 @@ def _rx_dbm(site: SectorSite, sector_az: float, cfg: MapSimConfig, x, y,
         _path_loss_db(cfg, d_3d, ue_h, site.position.h, False))
     az = np.arctan2(dx, dy)
     el = np.arctan2(ue_h - site.position.h, d_h)
-    g_tx = bs_gain_db(replace(site.antenna, azimuth=sector_az), az, el)
-    return site.p_tx_dbm + g_tx + cfg.ue_gain_dbi - pl
+    return np.stack([
+        site.p_tx_dbm + bs_gain_db(replace(site.antenna, azimuth=sector_az),
+                                   az, el) + cfg.ue_gain_dbi - pl
+        for sector_az in site.sector_azimuths])
 
 
 def received_power_dbm(site: SectorSite, sector_idx: int, ue: Position3D,
@@ -165,8 +167,7 @@ def received_power_dbm(site: SectorSite, sector_idx: int, ue: Position3D,
     if not hm.contains(ue.x, ue.y):
         raise DomainError("evaluation point outside the map")
     los = los_check(site.position, ue, hm)
-    return float(_rx_dbm(site, site.sector_azimuths[sector_idx], cfg,
-                         ue.x, ue.y, ue.h, los))
+    return float(_rx_dbm(site, cfg, ue.x, ue.y, ue.h, los)[sector_idx])
 
 
 @dataclass
@@ -206,9 +207,8 @@ def sinr_grid(sites: Sequence[SectorSite], hm: HeightMap, ue_height_m: float,
     xs, ys = (c[::stride] for c in hm.cell_centers())
     xx, yy = np.meshgrid(xs, ys)
     masks = [los_mask(site.position, xx, yy, ue_height_m, hm) for site in sites]
-    rx = np.stack([_rx_dbm(site, az, cfg, xx, yy, ue_height_m, mask)
-                   for site, mask in zip(sites, masks)
-                   for az in site.sector_azimuths])  # (n_sectors, ny, nx)
+    rx = np.concatenate([_rx_dbm(site, cfg, xx, yy, ue_height_m, mask)
+                         for site, mask in zip(sites, masks)])  # (sectors, ny, nx)
     rx_lin = 10.0 ** (rx / 10.0)
     total = np.sum(rx_lin, axis=0)
     noise = 10.0 ** (cfg.noise_dbm / 10.0)

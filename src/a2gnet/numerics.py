@@ -77,8 +77,7 @@ class RngStream:
             raise DomainError("stream_index must be non-negative")
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
-        return np.random.Generator(np.random.PCG64(ss))
+        return self.child_generator()
 
     def child_generator(self, *key: int) -> np.random.Generator:
         """Independent generator for a work unit, e.g. (trial index,)."""
@@ -228,8 +227,10 @@ def nakagami_power_cdf(omega, m: int):
 
 
 def sample_shadowing_db(sigma_db: float, rng: RngLike, size=None):
-    """Zero-mean normal large-scale fading in dB."""
+    """Zero-mean normal large-scale fading in dB; sigma 0 draws nothing and
+    returns zeros."""
     if not (math.isfinite(sigma_db) and sigma_db >= 0.0):
         raise DomainError("shadowing sigma must be >= 0 dB")
-    g = as_generator(rng)
-    return g.normal(0.0, sigma_db, size)
+    if sigma_db == 0.0:
+        return 0.0 if size is None else np.zeros(size)
+    return as_generator(rng).normal(0.0, sigma_db, size)

@@ -16,13 +16,12 @@ from typing import Any, Dict, Optional
 import yaml
 
 from .abs_net import MAX_RADIUS_M
-from .channel import MAX_MODELED_ALTITUDE_M
+from .aue_net import COVERAGE_MIN_TRIALS
+from .channel import ENV_PRESETS, MAX_MODELED_ALTITUDE_M, SLICE_CEILINGS_M
 from .errors import ScenarioError
 
 COMMANDS = ("channel-table", "aue-coverage", "aue-sweep", "abs-design",
             "localize", "mapsim")
-
-ENV_PRESETS = ("suburban", "urban", "dense_urban", "highrise")
 
 
 @dataclass(frozen=True)
@@ -42,11 +41,11 @@ class Field:
 def _env_schema(default_preset="urban"):
     return Field(kind=dict, schema={
         "preset": Field(kind=str, default=default_preset,
-                        choices=ENV_PRESETS + ("custom",)),
-        "kind": Field(kind=str, default=None),
-        "varsigma": Field(default=None),
-        "xi": Field(default=None),
-        "omega": Field(default=None),
+                        choices=(*ENV_PRESETS, "custom")),
+        "kind": Field(kind=str, default=None, choices=tuple(SLICE_CEILINGS_M)),
+        "varsigma": Field(default=None, minimum=0.0, maximum=1.0),
+        "xi": Field(default=None, above=0.0),
+        "omega": Field(default=None, above=0.0),
         "mean_building_height_m": Field(default=None, above=0.0),
         "street_width_m": Field(default=None, above=0.0),
     })
@@ -67,7 +66,7 @@ def _abs_db(default):
 _AUE_BLOCK = {
     "frequency_ghz": Field(default=1.8, above=0.0),
     "bs_density_per_km2": Field(default=5.0, above=0.0),
-    "bs_height_m": Field(default=30.0),
+    "bs_height_m": Field(default=30.0, minimum=0.0),
     "p_tx_dbm": Field(default=43.0),
     "bandwidth_mhz": Field(default=20.0, above=0.0),
     "noise_density_dbm_hz": Field(default=-174.0),
@@ -88,9 +87,9 @@ _AUE_BLOCK = {
     "omni_gain_dbi": Field(default=2.15),
     "sector_max_gain_dbi": Field(default=16.0),
     "sector_downtilt_deg": Field(default=8.0),
-    "sector_beamwidth_deg": Field(default=65.0),
-    "sector_elevation_beamwidth_deg": Field(default=6.0),
-    "sector_sidelobe_floor_db": Field(default=20.0),
+    "sector_beamwidth_deg": Field(default=65.0, above=0.0),
+    "sector_elevation_beamwidth_deg": Field(default=6.0, above=0.0),
+    "sector_sidelobe_floor_db": Field(default=20.0, above=0.0),
     "environment": _env_schema(),
 }
 
@@ -168,8 +167,10 @@ SCHEMAS: Dict[str, dict] = {
             "b_los": Field(default=2.0, minimum=0.0),
             "a_nlos": Field(default=30.0, above=0.0),
             "b_nlos": Field(default=1.7, minimum=0.0),
-            "a_o": Field(default=47.0),
-            "b_o": Field(default=20.0),
+            # LOS probability 1/(1 + a_o exp(-b_o (theta - a_o))): a_o >= 0
+            # keeps it in [0, 1], b_o >= 0 keeps it rising with elevation
+            "a_o": Field(default=47.0, minimum=0.0),
+            "b_o": Field(default=20.0, minimum=0.0),
             "eta_los": Field(default=2.0, above=0.0),
             "eta_nlos": Field(default=3.0, above=0.0),
         }),
@@ -178,8 +179,8 @@ SCHEMAS: Dict[str, dict] = {
         "mapsim": Field(kind=dict, schema={
             "heightmap": Field(kind=str, default=None),
             "synthetic": Field(kind=dict, schema={
-                "extent_m": Field(default=480.0),
-                "cellsize_m": Field(default=4.0),
+                "extent_m": Field(default=480.0, above=0.0),
+                "cellsize_m": Field(default=4.0, above=0.0),
                 "min_height_m": Field(default=4.0),
                 "environment": _env_schema("dense_urban"),
             }),
@@ -191,7 +192,7 @@ SCHEMAS: Dict[str, dict] = {
                 "mast_m": Field(default=5.0),
                 "downtilt_deg": Field(default=8.0),
                 "max_gain_dbi": Field(default=16.0),
-                "beamwidth_deg": Field(default=65.0),
+                "beamwidth_deg": Field(default=65.0, above=0.0),
             }),
             "heights_m": Field(kind=list, default=[1.5, 20.0, 60.0, 150.0],
                                above=0.0, maximum=MAX_MODELED_ALTITUDE_M),
@@ -263,17 +264,8 @@ def _coerce(value, f: Field, path: str):
     if f.kind is list:
         if not isinstance(value, list) or not value:
             raise ScenarioError("expected a nonempty list", path)
-        out = []
-        for i, item in enumerate(value):
-            if f.item_kind is int:
-                if isinstance(item, bool) or not isinstance(item, int):
-                    raise ScenarioError("expected integers", f"{path}[{i}]")
-                out.append(int(item))
-            else:
-                if isinstance(item, bool) or not isinstance(item, (int, float)):
-                    raise ScenarioError("expected numbers", f"{path}[{i}]")
-                out.append(_finite(item, f"{path}[{i}]"))
-        return out
+        item = Field(kind=f.item_kind, required=True)
+        return [_coerce(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
     raise ScenarioError("unsupported field kind", path)  # pragma: no cover
 
 
@@ -345,9 +337,19 @@ def parse_scenario(text: str) -> Scenario:
     schema = SCHEMAS[command]
     doc = _validate_block(raw, {**_TOP_LEVEL, **schema}, "")
     params = {key: doc[key] for key in schema}
-    if command == "aue-sweep" and params["sweep"]["axis"] == "altitude":
-        _check_bounds(params["sweep"]["grid"],
-                      schema["sweep"].schema["uav_h_m"], "sweep.grid")
+    if command == "aue-sweep":
+        sweep = params["sweep"]
+        if sweep["axis"] == "altitude":
+            _check_bounds(sweep["grid"], schema["sweep"].schema["uav_h_m"],
+                          "sweep.grid")
+        if sweep["metric"] == "coverage" and sweep["n_trials"] < COVERAGE_MIN_TRIALS:
+            raise ScenarioError(f"must be at least {COVERAGE_MIN_TRIALS} "
+                                "for metric coverage", "sweep.n_trials")
+    if command == "mapsim":
+        syn = params["mapsim"]["synthetic"]
+        if syn["cellsize_m"] > syn["extent_m"]:
+            raise ScenarioError("must be at most extent_m",
+                                "mapsim.synthetic.cellsize_m")
     return Scenario(command=command, seed=doc["seed"], output=doc["output"],
                     params=params)
 

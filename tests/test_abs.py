@@ -10,12 +10,12 @@ from a2gnet.numerics import RngStream
 
 URBAN = ab.urban_abs_profile()
 FLAT = ab.AbsProfile(
-    k_of_theta=ab.linear_profile(2.0, 2.0),
-    eta_of_theta=ab.linear_profile(3.0, 3.0),
+    k_of_theta=ab.LinearRamp(2.0, 2.0),
+    eta_of_theta=ab.LinearRamp(3.0, 3.0),
 )
 RAYLEIGH = ab.AbsProfile(
-    k_of_theta=ab.linear_profile(0.0, 0.0),
-    eta_of_theta=ab.linear_profile(3.0, 3.0),
+    k_of_theta=ab.LinearRamp(0.0, 0.0),
+    eta_of_theta=ab.LinearRamp(3.0, 3.0),
 )
 
 
@@ -295,15 +295,15 @@ class TestOptimizeAltitude:
 class TestProfileValidation:
     def test_decreasing_k_rejected(self):
         with pytest.raises(DomainError):
-            ab.AbsProfile(k_of_theta=ab.linear_profile(5.0, 1.0),
-                          eta_of_theta=ab.linear_profile(3.0, 2.0))
+            ab.AbsProfile(k_of_theta=ab.LinearRamp(5.0, 1.0),
+                          eta_of_theta=ab.LinearRamp(3.0, 2.0))
 
     def test_increasing_eta_rejected(self):
         with pytest.raises(DomainError):
-            ab.AbsProfile(k_of_theta=ab.linear_profile(1.0, 5.0),
-                          eta_of_theta=ab.linear_profile(2.0, 3.0))
+            ab.AbsProfile(k_of_theta=ab.LinearRamp(1.0, 5.0),
+                          eta_of_theta=ab.LinearRamp(2.0, 3.0))
 
     def test_zenith_eta_floor(self):
         with pytest.raises(DomainError):
-            ab.AbsProfile(k_of_theta=ab.linear_profile(1.0, 5.0),
-                          eta_of_theta=ab.linear_profile(3.0, 1.5))
+            ab.AbsProfile(k_of_theta=ab.LinearRamp(1.0, 5.0),
+                          eta_of_theta=ab.LinearRamp(3.0, 1.5))

@@ -42,6 +42,27 @@ def geom(d_h, h_uav, h_g=1.5):
     return link_geometry(Position3D(dx, 0, h_uav), Position3D(0, 0, h_g))
 
 
+class TestEnvironment:
+    def test_presets(self):
+        envs = (ch.suburban(), ch.urban(), ch.dense_urban(), ch.highrise())
+        assert [e.kind for e in envs] == list(ch.ENV_PRESETS)
+        assert ch.urban() == ch.Environment("urban", 0.3, 500.0, 15.0)
+        for env in envs:
+            assert (env.varsigma, env.xi, env.omega) == ch.ENV_PRESETS[env.kind]
+            assert env.mean_building_height_m == env.omega * math.sqrt(math.pi / 2)
+
+    def test_mean_height_derived_only_when_unset(self):
+        assert ch.Environment("open", 0.1, 10.0, 4.0).mean_building_height_m \
+            == 4.0 * math.sqrt(math.pi / 2)
+        assert ch.Environment("open", 0.1, 10.0, 4.0,
+                              mean_building_height_m=7.0).mean_building_height_m == 7.0
+
+    def test_every_kind_has_slice_ceilings(self):
+        assert set(ch.ENV_PRESETS) <= set(ch.SLICE_CEILINGS_M)
+        with pytest.raises(DomainError):
+            ch.Environment("foo", 0.1, 10.0, 4.0)
+
+
 class TestSlices:
     def test_boundaries(self):
         sub, urb = ch.suburban(), ch.urban()

@@ -80,6 +80,43 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+_CUSTOM_URBAN = {"preset": "custom", "kind": "urban", "varsigma": 0.3,
+                 "xi": 500, "omega": 15}
+
+# bounds whose breach used to reach the models, exiting 1 with a message
+# that did not name the key, or exit 0 and write rows
+MODEL_BOUNDS = [
+    ("environment", {"varsigma": 2}, "channel.environment.varsigma"),
+    ("environment", {**_CUSTOM_URBAN, "varsigma": -0.1},
+     "channel.environment.varsigma"),
+    ("environment", {"xi": 0}, "channel.environment.xi"),
+    ("environment", {**_CUSTOM_URBAN, "omega": 0}, "channel.environment.omega"),
+    ("environment", {"omega": -5}, "aue.environment.omega"),
+    ("environment", {"xi": -1}, "mapsim.environment.xi"),
+    ("environment", {**_CUSTOM_URBAN, "kind": "foo"},
+     "channel.environment.kind"),
+    ("sector_beamwidth_deg", 0, "aue.sector_beamwidth_deg"),
+    ("sector_sidelobe_floor_db", 0, "aue.sector_sidelobe_floor_db"),
+    ("sector_elevation_beamwidth_deg", 0, "aue.sector_elevation_beamwidth_deg"),
+    ("bs_height_m", -10, "aue.bs_height_m"),
+    ("auto_sites", {"beamwidth_deg": 0}, "mapsim.auto_sites.beamwidth_deg"),
+    ("synthetic", {"cellsize_m": 0}, "mapsim.synthetic.cellsize_m"),
+    ("synthetic", {"extent_m": -100}, "mapsim.synthetic.extent_m"),
+    ("synthetic", {"extent_m": 100, "cellsize_m": 500},
+     "mapsim.synthetic.cellsize_m"),
+    ("a_o", -1, "localize.a_o"),
+    ("b_o", -20, "localize.b_o"),
+]
+
+
+def _bounded_doc(key, value, path):
+    """The base scenario of path's block with key set to value."""
+    block = path.split(".")[0]
+    doc = yaml.safe_load(BOUNDED_BASES.get(block, MINIMAL_CHANNEL))
+    (doc[block] if "." in path else doc)[key] = value
+    return doc
+
+
 class TestParsing:
     def test_minimal_gets_defaults(self):
         s = parse_scenario(MINIMAL_CHANNEL)
@@ -183,14 +220,35 @@ class TestParsing:
         ("seed", None, "seed"),
         ("n_trials", None, "run.n_trials"),
         ("output", 3, "output"),
+        ("altitudes_m", [30, None], "run.altitudes_m[1]"),
+        ("m_points", [3, True], "localize.m_points[1]"),
+        ("m_points", [3, 4.0], "localize.m_points[1]"),
+        *MODEL_BOUNDS,
     ])
     def test_bound_validation(self, key, value, path):
-        block = path.split(".")[0]
-        doc = yaml.safe_load(BOUNDED_BASES.get(block, MINIMAL_CHANNEL))
-        (doc[block] if "." in path else doc)[key] = value
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(yaml.safe_dump(_bounded_doc(key, value, path)))
+        assert path in str(err.value)
+
+    def test_cellsize_equal_to_extent_accepted(self):
+        doc = _bounded_doc("synthetic", {"extent_m": 100, "cellsize_m": 100},
+                           "mapsim.synthetic")
+        assert parse_scenario(yaml.safe_dump(doc)).params["mapsim"][
+            "synthetic"]["cellsize_m"] == 100
+
+    @pytest.mark.parametrize("metric,n_trials,ok", [
+        ("coverage", 99, False), ("coverage", 100, True),
+        ("capacity", 20, True)])
+    def test_coverage_sweep_trials(self, metric, n_trials, ok):
+        # the coverage estimator needs 100 trials; capacity runs on fewer
+        doc = yaml.safe_load(SWEEP_ALTITUDE)
+        doc["sweep"].update(metric=metric, n_trials=n_trials)
+        if ok:
+            parse_scenario(yaml.safe_dump(doc))
+            return
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump(doc))
-        assert path in str(err.value)
+        assert "sweep.n_trials" in str(err.value)
 
     @pytest.mark.parametrize("preset", ["urban", "custom"])
     @pytest.mark.parametrize("key", ["street_width_m", "mean_building_height_m"])
@@ -485,6 +543,13 @@ class TestMainEntry:
         assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
         assert f"abs.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,path", MODEL_BOUNDS)
+    def test_model_bound_exit_code(self, tmp_path, capsys, key, value, path):
+        scn = tmp_path / "bad.yaml"
+        scn.write_text(yaml.safe_dump(_bounded_doc(key, value, path)))
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        assert path in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2
 
@@ -493,7 +558,8 @@ class TestMainEntry:
         ("  heightmap: bad.asc\n", 2, "mapsim.heightmap"),
         ("  synthetic: {extent_m: 100, cellsize_m: 5}\n"
          "  sites_csv: nope.csv\n", 2, "mapsim.sites_csv"),
-        ("  synthetic: {extent_m: 100, cellsize_m: 0}\n", 1, "cellsize_m"),
+        ("  synthetic: {extent_m: 100, cellsize_m: 0}\n", 2,
+         "mapsim.synthetic.cellsize_m"),
         ("  heightmap: holed.asc\n  auto_sites: {count: 1}\n", 2,
          "mapsim.auto_sites"),
     ])

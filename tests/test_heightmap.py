@@ -159,7 +159,69 @@ class TestAsciiGridIO:
         assert np.isnan(back.heights[0, 1])
 
 
+def reference_surface_at(hm, x, y):
+    """Clamp-branch reference: the bilinear surface read from the unpadded
+    bottom-up grid, each corner index clamped into the grid."""
+    g = hm.heights[::-1, :]
+    u = (np.asarray(x, dtype=float) - hm.xllcorner) / hm.cellsize - 0.5
+    v = (np.asarray(y, dtype=float) - hm.yllcorner) / hm.cellsize - 0.5
+    u = np.clip(u, 0.0, hm.ncols - 1.0)
+    v = np.clip(v, 0.0, hm.nrows - 1.0)
+    j0 = np.clip(np.floor(u).astype(int), 0, hm.ncols - 2) \
+        if hm.ncols > 1 else np.zeros_like(u, dtype=int)
+    i0 = np.clip(np.floor(v).astype(int), 0, hm.nrows - 2) \
+        if hm.nrows > 1 else np.zeros_like(v, dtype=int)
+    fu = u - j0
+    fv = v - i0
+    h00 = g[i0, j0]
+    h10 = g[i0, np.minimum(j0 + 1, hm.ncols - 1)]
+    h01 = g[np.minimum(i0 + 1, hm.nrows - 1), j0]
+    h11 = g[np.minimum(i0 + 1, hm.nrows - 1),
+            np.minimum(j0 + 1, hm.ncols - 1)]
+    out = (h00 * (1 - fu) * (1 - fv) + h10 * fu * (1 - fv)
+           + h01 * (1 - fu) * fv + h11 * fu * fv)
+    return float(out) if np.ndim(out) == 0 else out
+
+
 class TestSurface:
+    def test_matches_clamp_reference_bit_for_bit(self):
+        # 1-row and 1-column grids, no-data and infinite cells, cell
+        # centres, borders, the outermost centre lines and points outside
+        # the map
+        rng = np.random.default_rng(214)
+        shapes = [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (2, 2), (5, 3), (11, 11)]
+        n = 0
+        for nrows, ncols in shapes:
+            for bad in (None, np.nan, np.inf):
+                heights = rng.uniform(0.0, 30.0, (nrows, ncols))
+                if bad is not None:
+                    heights[rng.random((nrows, ncols)) < 0.2] = bad
+                    heights[rng.integers(nrows), rng.integers(ncols)] = bad
+                hm = HeightMap(heights, cellsize=float(rng.uniform(1.0, 7.3)),
+                               xllcorner=float(rng.uniform(-50, 50)),
+                               yllcorner=float(rng.uniform(-50, 50)))
+                u = np.concatenate([
+                    np.arange(ncols) + 0.0, [-3.0, -0.5, 0.0, ncols - 1.0,
+                                             ncols - 0.5, ncols + 2.0],
+                    rng.uniform(-1.0, ncols, 40)])
+                v = np.concatenate([
+                    np.arange(nrows) + 0.0, [-3.0, -0.5, 0.0, nrows - 1.0,
+                                             nrows - 0.5, nrows + 2.0],
+                    rng.uniform(-1.0, nrows, 40)])
+                uu, vv = np.meshgrid(u, v)
+                x = hm.xllcorner + (uu + 0.5) * hm.cellsize
+                y = hm.yllcorner + (vv + 0.5) * hm.cellsize
+                with np.errstate(invalid="ignore"):  # inf * 0 reads NaN
+                    got = hm.surface_at(x, y)
+                    want = reference_surface_at(hm, x, y)
+                    scalars = [hm.surface_at(x.flat[k], y.flat[k])
+                               for k in (0, -1)]
+                np.testing.assert_array_equal(got, want)  # NaN where NaN
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                np.testing.assert_array_equal(scalars, want.flat[[0, -1]])
+                n += got.size
+        assert n > 10_000
+
     def test_bilinear_between_centers(self):
         hm = HeightMap(np.array([[0.0, 10.0], [0.0, 10.0]]), cellsize=10.0)
         # halfway between the two columns' centers

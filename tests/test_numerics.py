@@ -184,6 +184,12 @@ class TestShadowing:
         x = sample_shadowing_db(0.0, RngStream(1), size=1000)
         assert np.all(x == 0.0)
 
+    def test_sigma_zero_draws_nothing(self):
+        gen = np.random.default_rng(5)
+        assert sample_shadowing_db(0.0, gen) == 0.0
+        assert np.array_equal(sample_shadowing_db(0.0, gen, size=3), np.zeros(3))
+        assert gen.random() == np.random.default_rng(5).random()
+
     def test_sigma4_std(self):
         x = sample_shadowing_db(4.0, RngStream(2), size=1_000_000)
         assert np.std(x) == pytest.approx(4.0, abs=2e-2)
@@ -217,6 +223,11 @@ class TestRngStream:
         c = s.child_generator(4).normal(size=10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_generator_is_the_unkeyed_child(self):
+        s = RngStream(9, 2)
+        assert np.array_equal(s.generator().random(5),
+                              s.child_generator().random(5))
 
     def test_seed_validation(self):
         with pytest.raises(DomainError):
