@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 # integrate is unused here; bench/tracing.py proxies it on traced runs
-from .numerics import integrate, inv_marcum_q, optimize, special
+from .numerics import dbm_to_watt, integrate, inv_marcum_q, optimize, special
 
 
 _RAMP_THETA = (0.0, math.pi / 2)
@@ -49,7 +49,7 @@ class AbsProfile:
     k_of_theta: LinearRamp
     eta_of_theta: LinearRamp
     antenna_gain: float = 1.0
-    noise_w: float = 6.31e-13          # -92 dBm
+    noise_w: float = dbm_to_watt(-92.0)
     threshold_t: float = 1.0           # 0 dB SNR target
 
     def __post_init__(self):

@@ -85,7 +85,6 @@ class SectorAntenna:
     via the 31000/(G0 phi3) rule used for sectoral reference patterns.
     """
 
-    azimuth: float = 0.0                      # rad, boresight bearing
     electrical_tilt: float = math.radians(8)  # rad, downward positive
     max_gain_dbi: float = 16.0
     beamwidth_3db: float = math.radians(65)   # rad, azimuth plane
@@ -122,13 +121,14 @@ def _wrap_angle(a):
 
 
 def bs_gain_db(ant: SectorAntenna, azimuth, elevation):
-    """Sector gain (dBi) toward a direction given as (azimuth, elevation).
+    """Sector gain (dBi) toward a direction given as (azimuth, elevation),
+    the azimuth measured from the sector's boresight bearing.
 
-    Accepts scalars or arrays; the pattern peak sits at the antenna azimuth
-    and `electrical_tilt` below the horizon, and never drops below
+    Accepts scalars or arrays; the pattern peak sits at azimuth 0 and
+    `electrical_tilt` below the horizon, and never drops below
     max_gain_dbi - sidelobe_floor_db.
     """
-    daz = _wrap_angle(np.asarray(azimuth, dtype=float) - ant.azimuth)
+    daz = _wrap_angle(azimuth)
     dele = np.asarray(elevation, dtype=float) + ant.electrical_tilt
     a_az = np.minimum(12.0 * (daz / ant.beamwidth_3db) ** 2, ant.sidelobe_floor_db)
     a_el = np.minimum(12.0 * (dele / ant.elevation_beamwidth) ** 2, ant.sidelobe_floor_db)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .numerics import (
     RngStream,
     as_generator,
     chebyshev_capacity_nodes,
+    dbm_to_watt,
     sample_fading,
 )
 
@@ -61,31 +62,27 @@ def _default_sector() -> SectorAntenna:
     # downtilted macro sector; three of these at 120 degree spacing per site.
     # The 6 degree elevation beamwidth with 8 degree downtilt keeps the whole
     # sky in the sidelobe region, so links to an elevated UE ride G_m.
-    return SectorAntenna(azimuth=0.0, electrical_tilt=math.radians(8.0),
-                         max_gain_dbi=16.0, beamwidth_3db=math.radians(65.0),
-                         sidelobe_floor_db=20.0,
-                         elevation_beamwidth_3db=math.radians(6.0))
+    return SectorAntenna(elevation_beamwidth_3db=math.radians(6.0))
 
 
 @dataclass(frozen=True)
 class AueNetworkConfig:
     """Scenario knobs for the aerial-UE coverage/capacity analysis.
 
-    Exactly one of threshold_t (linear SINR) and target_rate_bps should be
-    set; the rate converts through T = 2^(R/BW) - 1. `aue_ratio_rho` is the
-    fraction of users that are aerial in the area-spectral-efficiency mix.
+    The link budget is what the SINR reads: `noise_w`, the total noise
+    power over the signal bandwidth (W), and `threshold_t`, the linear SINR
+    target (a rate target R converts through T = 2^(R/B) - 1 before it
+    gets here). The defaults are the CLI's: 43 dBm, and -174 dBm/Hz with a
+    9 dB noise figure over 20 MHz. `aue_ratio_rho` is the fraction of users
+    that are aerial in the area-spectral-efficiency mix.
     """
 
     frequency_hz: float = 1.8e9
     bs_density_per_km2: float = 5.0
     bs_height_m: float = 30.0
-    p_tx_w: float = 20.0
-    bw_hz: float = 20e6
-    noise_density_w_per_hz: float = 3.98107170553497e-21   # -174 dBm/Hz
-    noise_figure_db: float = 9.0
-    noise_override_w: Optional[float] = None
-    threshold_t: Optional[float] = 1.0
-    target_rate_bps: Optional[float] = None
+    p_tx_w: float = dbm_to_watt(43.0)
+    noise_w: float = dbm_to_watt(-174.0) * 10.0 ** (9.0 / 10.0) * 20e6
+    threshold_t: float = 1.0
     uav: UavAntenna = field(default_factory=OmniUav)
     sector: SectorAntenna = field(default_factory=_default_sector)
     env: Environment = field(default_factory=urban)
@@ -104,21 +101,6 @@ class AueNetworkConfig:
             raise DomainError("aue_ratio_rho must be in [0, 1]")
         if self.region_radius_m <= 0:
             raise DomainError("region radius must be positive")
-
-    @property
-    def threshold(self) -> float:
-        if self.threshold_t is not None:
-            return self.threshold_t
-        if self.target_rate_bps is not None:
-            return 2.0 ** (self.target_rate_bps / self.bw_hz) - 1.0
-        raise DomainError("set threshold_t or target_rate_bps")
-
-    @property
-    def noise_w(self) -> float:
-        if self.noise_override_w is not None:
-            return self.noise_override_w
-        return (self.noise_density_w_per_hz
-                * 10.0 ** (self.noise_figure_db / 10.0) * self.bw_hz)
 
     def reference_loss_db(self, los: bool) -> float:
         """Free-space loss at D0_M, plus the NLOS excess when not in LOS."""
@@ -417,7 +399,7 @@ def coverage_probability_mc(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
                             threshold: float = None) -> CoverageEstimate:
     """Fraction of trials with SINR above the target, with a normal CI."""
     _check_coverage_trials(n_trials)
-    t = cfg.threshold if threshold is None else threshold
+    t = cfg.threshold_t if threshold is None else threshold
     return coverage_from_samples(sinr_samples(uav_h, cfg, n_trials, rng), t)
 
 
@@ -531,7 +513,7 @@ def sweep(cfg: AueNetworkConfig, axis: str, grid: Sequence[float], uav_h: float,
         raise DomainError("sweep grid must be nonempty")
     if metric == "coverage":
         _check_coverage_trials(n_trials)
-        threshold = cfg.threshold      # no axis changes the target
+        threshold = cfg.threshold_t    # no axis changes the target
     elif metric == "capacity":
         t, coeff = _capacity_coefficients(k_nodes, t_max)
     else:

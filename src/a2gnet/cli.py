@@ -75,24 +75,25 @@ def _aue_config(block) -> aue_net.AueNetworkConfig:
         sidelobe_floor_db=block["sector_sidelobe_floor_db"],
         elevation_beamwidth_3db=math.radians(
             block["sector_elevation_beamwidth_deg"]))
-    threshold = None
-    rate = None
-    if block["target_rate_mbps"] is not None:
-        rate = block["target_rate_mbps"] * 1e6
+    # the config holds what the SINR reads: the total noise power N and the
+    # linear target T; a rate target R enters through T = 2^(R/B) - 1
+    bw_hz = block["bandwidth_mhz"] * 1e6
+    if block["noise_override_dbm"] is not None:
+        noise_w = dbm_to_watt(block["noise_override_dbm"])
     else:
-        threshold = 10.0 ** (block["threshold_db"] / 10.0)
+        noise_w = (dbm_to_watt(block["noise_density_dbm_hz"])
+                   * 10.0 ** (block["noise_figure_db"] / 10.0) * bw_hz)
+    if block["target_rate_mbps"] is not None:
+        threshold_t = 2.0 ** (block["target_rate_mbps"] * 1e6 / bw_hz) - 1.0
+    else:
+        threshold_t = 10.0 ** (block["threshold_db"] / 10.0)
     return aue_net.AueNetworkConfig(
         frequency_hz=block["frequency_ghz"] * 1e9,
         bs_density_per_km2=block["bs_density_per_km2"],
         bs_height_m=block["bs_height_m"],
         p_tx_w=dbm_to_watt(block["p_tx_dbm"]),
-        bw_hz=block["bandwidth_mhz"] * 1e6,
-        noise_density_w_per_hz=dbm_to_watt(block["noise_density_dbm_hz"]),
-        noise_figure_db=block["noise_figure_db"],
-        noise_override_w=(dbm_to_watt(block["noise_override_dbm"])
-                          if block["noise_override_dbm"] is not None else None),
-        threshold_t=threshold,
-        target_rate_bps=rate,
+        noise_w=noise_w,
+        threshold_t=threshold_t,
         uav=uav,
         sector=sector,
         env=_environment(block["environment"]),
@@ -164,11 +165,14 @@ def _run_aue_sweep(s: Scenario, out_dir: Path):
     t_max = None
     if sw["t_max_db"] is not None:
         t_max = 10.0 ** (sw["t_max_db"] / 10.0)
-    points = aue_net.sweep(cfg, sw["axis"], sw["grid"], uav_h=sw["uav_h_m"],
+    grid = sw["grid"]
+    if sw["axis"] == "phi_t":    # degrees in the file, as aue.phi_t_deg
+        grid = [math.radians(x) for x in grid]
+    points = aue_net.sweep(cfg, sw["axis"], grid, uav_h=sw["uav_h_m"],
                            n_trials=sw["n_trials"], rng=RngStream(s.seed, 0),
                            metric=sw["metric"], k_nodes=sw["k_nodes"],
                            t_max=t_max)
-    rows = [[p.x, p.value, p.ci95] for p in points]
+    rows = [[x, p.value, p.ci95] for x, p in zip(sw["grid"], points)]
     return [_write_csv(out_dir / "aue_sweep.csv", ["x", "metric", "ci95"], rows)]
 
 

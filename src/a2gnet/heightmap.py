@@ -322,6 +322,18 @@ def building_stats(hm: HeightMap, min_building_height_m: float = 4.0) -> Buildin
 # Synthetic city generator
 # ---------------------------------------------------------------------------
 
+def synthetic_cells(extent_m: float, cellsize_m: float) -> int:
+    """Cells per side of a synthetic city; the cell size must divide the
+    extent, so that the map spans exactly extent_m."""
+    if cellsize_m <= 0 or extent_m <= 0:
+        raise DomainError("synthetic city needs positive extent_m and cellsize_m")
+    n = round(extent_m / cellsize_m)
+    if not math.isclose(n * cellsize_m, extent_m, rel_tol=1e-9):
+        raise DomainError(f"a {cellsize_m:g} m cell does not divide the "
+                          f"{extent_m:g} m extent")
+    return n
+
+
 def synthetic_city(extent_m: float, cellsize_m: float, env_or_stats,
                    rng: RngLike, min_height_m: float = 0.0) -> HeightMap:
     """Manhattan-grid city: square buildings on a regular lattice.
@@ -334,10 +346,8 @@ def synthetic_city(extent_m: float, cellsize_m: float, env_or_stats,
     varsigma = env_or_stats.varsigma
     xi = env_or_stats.xi
     omega = env_or_stats.omega
-    if cellsize_m <= 0 or extent_m <= 0:
-        raise DomainError("synthetic city needs positive extent_m and cellsize_m")
+    n = synthetic_cells(extent_m, cellsize_m)
     gen = as_generator(rng)
-    n = int(round(extent_m / cellsize_m))
     heights = np.zeros((n, n))
     pitch = 1000.0 / math.sqrt(xi)
     side = pitch * math.sqrt(varsigma)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
@@ -101,25 +101,24 @@ class MapSimConfig:
     """Radio configuration for the map simulator.
 
     pl_model 'threegpp' uses the slice-aware statistical family with the
-    map deciding LOS; 'free_space' applies the generalized Friis law with
-    the exponents in FREE_SPACE_ETA. Distances outside each formula's
-    validity window are clamped into it (the map geometry can place users
-    arbitrarily close); aloft, d_3d is at least 1 m.
+    map deciding LOS and `env` (no default) setting the slices; 'free_space'
+    applies the generalized Friis law with the exponents in FREE_SPACE_ETA.
+    Distances outside each formula's validity window are clamped into it
+    (the map geometry can place users arbitrarily close); aloft, d_3d is at
+    least 1 m.
     """
 
+    env: ch.Environment
     frequency_hz: float = 1.8e9
     bandwidth_hz: float = 20e6
     noise_density_dbm_hz: float = -174.0
     noise_figure_db: float = 9.0
-    env: ch.Environment = None
     ue_gain_dbi: float = 2.15
     pl_model: str = "threegpp"
 
     def __post_init__(self):
         if self.pl_model not in ("threegpp", "free_space"):
             raise DomainError(f"unknown path-loss model {self.pl_model!r}")
-        if self.env is None:
-            object.__setattr__(self, "env", ch.urban())
 
     @property
     def noise_dbm(self) -> float:
@@ -144,7 +143,8 @@ def _path_loss_db(cfg: MapSimConfig, d_3d, ue_h, site_h, los):
 def _rx_dbm(site: SectorSite, cfg: MapSimConfig, x, y, ue_h: float, los):
     """P_rx = P_tx + G_tx + G_rx - PL from each sector of one site, one row
     per sector, vectorized over points; the path loss and the angles are
-    computed once for all sectors."""
+    computed once, and the pattern takes every sector's azimuths from its
+    bearing in one call."""
     dx = x - site.position.x
     dy = y - site.position.y
     d_h = np.hypot(dx, dy)
@@ -155,10 +155,9 @@ def _rx_dbm(site: SectorSite, cfg: MapSimConfig, x, y, ue_h: float, los):
         _path_loss_db(cfg, d_3d, ue_h, site.position.h, False))
     az = np.arctan2(dx, dy)
     el = np.arctan2(ue_h - site.position.h, d_h)
-    return np.stack([
-        site.p_tx_dbm + bs_gain_db(replace(site.antenna, azimuth=sector_az),
-                                   az, el) + cfg.ue_gain_dbi - pl
-        for sector_az in site.sector_azimuths])
+    off_boresight = az - site.sector_azimuths.reshape((3,) + (1,) * az.ndim)
+    return (site.p_tx_dbm + bs_gain_db(site.antenna, off_boresight, el)
+            + cfg.ue_gain_dbi - pl)
 
 
 def received_power_dbm(site: SectorSite, sector_idx: int, ue: Position3D,

@@ -18,7 +18,8 @@ import yaml
 from .abs_net import MAX_RADIUS_M
 from .aue_net import COVERAGE_MIN_TRIALS
 from .channel import ENV_PRESETS, MAX_MODELED_ALTITUDE_M, SLICE_CEILINGS_M
-from .errors import ScenarioError
+from .errors import DomainError, ScenarioError
+from .heightmap import synthetic_cells
 
 COMMANDS = ("channel-table", "aue-coverage", "aue-sweep", "abs-design",
             "localize", "mapsim")
@@ -51,58 +52,80 @@ def _env_schema(default_preset="urban"):
     })
 
 
-# every abs-design term in dB lies within +-ABS_DB_LIMIT, which keeps each
-# link-budget product finite; a K past about 110 dB is beyond scipy's
-# noncentral chi-square and exits 1 as a model error
-ABS_DB_LIMIT = 150.0
+# every power, gain, loss and target in dB lies within +-DB_LIMIT, which
+# keeps each link-budget product finite; a K past about 110 dB is beyond
+# scipy's noncentral chi-square and exits 1 as a model error
+DB_LIMIT = 150.0
 # well above any aerial platform (stratospheric ones fly near 20 km)
-ABS_MAX_ALTITUDE_M = 1e5
+MAX_PLATFORM_ALTITUDE_M = 1e5
+# beyond the radio horizon of a UE at the highest modeled altitude (70 km)
+MAX_RANGE_M = 1e5
+# the top of the EHF band; no bandwidth is wider than its carrier
+MAX_FREQUENCY_GHZ = 300.0
+MAX_BANDWIDTH_MHZ = MAX_FREQUENCY_GHZ * 1e3
+# an ultra-dense layout with about 10 m between base stations
+MAX_BS_DENSITY_PER_KM2 = 1e4
+# a rate target past 50 b/s/Hz needs an SINR target past DB_LIMIT
+MAX_SPECTRAL_EFFICIENCY = 50.0
 
 
-def _abs_db(default):
-    return Field(default=default, minimum=-ABS_DB_LIMIT, maximum=ABS_DB_LIMIT)
+def _db(default):
+    return Field(default=default, minimum=-DB_LIMIT, maximum=DB_LIMIT)
+
+
+_FREQUENCY_GHZ = Field(default=1.8, above=0.0, maximum=MAX_FREQUENCY_GHZ)
+_BANDWIDTH_MHZ = Field(default=20.0, above=0.0, maximum=MAX_BANDWIDTH_MHZ)
+_DOWNTILT_DEG = Field(default=8.0, minimum=-90.0, maximum=90.0)
 
 
 _AUE_BLOCK = {
-    "frequency_ghz": Field(default=1.8, above=0.0),
-    "bs_density_per_km2": Field(default=5.0, above=0.0),
-    "bs_height_m": Field(default=30.0, minimum=0.0),
-    "p_tx_dbm": Field(default=43.0),
-    "bandwidth_mhz": Field(default=20.0, above=0.0),
-    "noise_density_dbm_hz": Field(default=-174.0),
-    "noise_figure_db": Field(default=9.0),
-    "noise_override_dbm": Field(default=None),
-    "threshold_db": Field(default=0.0),
-    "target_rate_mbps": Field(default=None),
+    "frequency_ghz": _FREQUENCY_GHZ,
+    "bs_density_per_km2": Field(default=5.0, above=0.0,
+                                maximum=MAX_BS_DENSITY_PER_KM2),
+    "bs_height_m": Field(default=30.0, minimum=0.0,
+                         maximum=MAX_MODELED_ALTITUDE_M),
+    "p_tx_dbm": _db(43.0),
+    "bandwidth_mhz": _BANDWIDTH_MHZ,
+    # thermal noise kT is -174 dBm/Hz at 290 K; -200 is under 1 K, and -100
+    # far above any receiver's (its noise figure carries the rest)
+    "noise_density_dbm_hz": Field(default=-174.0, minimum=-200.0,
+                                  maximum=-100.0),
+    "noise_figure_db": _db(9.0),
+    "noise_override_dbm": _db(None),
+    "threshold_db": _db(0.0),
+    # at most MAX_SPECTRAL_EFFICIENCY times bandwidth_mhz (checked below)
+    "target_rate_mbps": Field(default=None, above=0.0),
     "eta_los": Field(default=2.0, above=0.0),
     "eta_nlos": Field(default=3.5, above=0.0),
-    "nlos_excess_db": Field(default=20.0),
+    "nlos_excess_db": _db(20.0),
     "fading_m_los": Field(kind=int, default=3, minimum=1),
     "fading_m_nlos": Field(kind=int, default=1, minimum=1),
     "aue_ratio_rho": Field(default=0.5, minimum=0.0, maximum=1.0),
-    "region_radius_m": Field(default=3000.0, above=0.0),
+    "region_radius_m": Field(default=3000.0, above=0.0, maximum=MAX_RANGE_M),
     "antenna": Field(kind=str, default="omni", choices=("omni", "cone")),
     "phi_b_deg": Field(default=60.0, above=0.0, maximum=180.0),
-    "phi_t_deg": Field(default=0.0),
-    "omni_gain_dbi": Field(default=2.15),
-    "sector_max_gain_dbi": Field(default=16.0),
-    "sector_downtilt_deg": Field(default=8.0),
+    "phi_t_deg": Field(default=0.0, minimum=0.0, maximum=180.0),
+    "omni_gain_dbi": _db(2.15),
+    "sector_max_gain_dbi": _db(16.0),
+    "sector_downtilt_deg": _DOWNTILT_DEG,
     "sector_beamwidth_deg": Field(default=65.0, above=0.0),
     "sector_elevation_beamwidth_deg": Field(default=6.0, above=0.0),
-    "sector_sidelobe_floor_db": Field(default=20.0, above=0.0),
+    "sector_sidelobe_floor_db": Field(default=20.0, above=0.0,
+                                      maximum=DB_LIMIT),
     "environment": _env_schema(),
 }
 
 SCHEMAS: Dict[str, dict] = {
     "channel-table": {
         "channel": Field(kind=dict, schema={
-            "frequency_ghz": Field(default=1.8, above=0.0),
-            "h_g_m": Field(default=30.0, above=0.0),
+            "frequency_ghz": _FREQUENCY_GHZ,
+            "h_g_m": Field(default=30.0, above=0.0,
+                           maximum=MAX_MODELED_ALTITUDE_M),
             "altitudes_m": Field(kind=list, default=[1.5, 30.0, 150.0],
                                  above=0.0, maximum=MAX_MODELED_ALTITUDE_M),
             "distances_m": Field(kind=list,
                                  default=[50.0, 100.0, 200.0, 500.0, 1000.0],
-                                 minimum=0.0),
+                                 minimum=0.0, maximum=MAX_RANGE_M),
             "environment": _env_schema(),
         }),
     },
@@ -111,7 +134,8 @@ SCHEMAS: Dict[str, dict] = {
         "run": Field(kind=dict, schema={
             "altitudes_m": Field(kind=list, default=[30.0, 60.0, 120.0],
                                  minimum=0.0, maximum=MAX_MODELED_ALTITUDE_M),
-            "thresholds_db": Field(kind=list, default=[0.0]),
+            "thresholds_db": Field(kind=list, default=[0.0],
+                                   minimum=-DB_LIMIT, maximum=DB_LIMIT),
             "n_trials": Field(kind=int, default=2000, minimum=1),
         }),
     },
@@ -120,6 +144,7 @@ SCHEMAS: Dict[str, dict] = {
         "sweep": Field(kind=dict, schema={
             "axis": Field(kind=str, required=True,
                           choices=("altitude", "density", "phi_b", "phi_t")),
+            # bounded by the axis's own key (checked below)
             "grid": Field(kind=list, required=True),
             "uav_h_m": Field(default=150.0, minimum=0.0,
                              maximum=MAX_MODELED_ALTITUDE_M),
@@ -127,19 +152,19 @@ SCHEMAS: Dict[str, dict] = {
                             choices=("capacity", "coverage")),
             "n_trials": Field(kind=int, default=2000, minimum=1),
             "k_nodes": Field(kind=int, default=200, minimum=50),
-            "t_max_db": Field(default=None),
+            "t_max_db": _db(None),
         }),
     },
     "abs-design": {
         "abs": Field(kind=dict, schema={
-            "k0_db": _abs_db(0.0),
-            "k90_db": _abs_db(15.0),
+            "k0_db": _db(0.0),
+            "k90_db": _db(15.0),
             # path-loss exponents from free space up to a stated ceiling
             "eta0": Field(default=3.5, minimum=2.0, maximum=10.0),
             "eta90": Field(default=2.0, minimum=2.0, maximum=10.0),
-            "antenna_gain_db": _abs_db(0.0),
-            "noise_dbm": _abs_db(-92.0),
-            "threshold_db": _abs_db(0.0),
+            "antenna_gain_db": _db(0.0),
+            "noise_dbm": _db(-92.0),
+            "threshold_db": _db(0.0),
             # under about 1.1e-16, 1 - epsilon rounds to 1 and the required
             # power is infinite; 1e-12 keeps four digits of 1 - epsilon
             "epsilon": Field(default=0.05, minimum=1e-12, below=1.0),
@@ -148,59 +173,69 @@ SCHEMAS: Dict[str, dict] = {
             "r_c_m": Field(default=500.0, minimum=1.0, maximum=MAX_RADIUS_M),
             "altitudes_m": Field(kind=list,
                                  default=[50.0, 100.0, 200.0, 400.0, 800.0],
-                                 minimum=0.0, maximum=ABS_MAX_ALTITUDE_M),
+                                 minimum=0.0, maximum=MAX_PLATFORM_ALTITUDE_M),
         }),
     },
     "localize": {
         "localize": Field(kind=dict, schema={
             "m_points": Field(kind=list, item_kind=int, default=[3, 4],
                               minimum=3),
-            "radii_m": Field(kind=list, default=[120.0], above=0.0),
-            "altitudes_m": Field(kind=list, default=[200.0], above=0.0),
+            "radii_m": Field(kind=list, default=[120.0], above=0.0,
+                             maximum=MAX_RANGE_M),
+            "altitudes_m": Field(kind=list, default=[200.0], above=0.0,
+                                 maximum=MAX_PLATFORM_ALTITUDE_M),
             "n_users": Field(kind=int, default=100, minimum=1),
-            "user_area_radius_m": Field(default=200.0, above=0.0),
+            "user_area_radius_m": Field(default=200.0, above=0.0,
+                                        maximum=MAX_RANGE_M),
             "trials_per_user": Field(kind=int, default=1, minimum=1),
             "state_mode": Field(kind=str, default="independent",
                                 choices=("independent", "common", "los", "nlos")),
             # shadowing sigma a exp(-b theta) dB: a positive, b >= 0
-            "a_los": Field(default=10.0, above=0.0),
+            "a_los": Field(default=10.0, above=0.0, maximum=DB_LIMIT),
             "b_los": Field(default=2.0, minimum=0.0),
-            "a_nlos": Field(default=30.0, above=0.0),
+            "a_nlos": Field(default=30.0, above=0.0, maximum=DB_LIMIT),
             "b_nlos": Field(default=1.7, minimum=0.0),
             # LOS probability 1/(1 + a_o exp(-b_o (theta - a_o))): a_o >= 0
-            # keeps it in [0, 1], b_o >= 0 keeps it rising with elevation
-            "a_o": Field(default=47.0, minimum=0.0),
+            # keeps it in [0, 1], b_o >= 0 keeps it rising with elevation,
+            # and a_o is also the elevation in degrees where it turns
+            "a_o": Field(default=47.0, minimum=0.0, maximum=90.0),
             "b_o": Field(default=20.0, minimum=0.0),
-            "eta_los": Field(default=2.0, above=0.0),
-            "eta_nlos": Field(default=3.0, above=0.0),
+            # the range inversion 10^(loss / (10 eta)) overflows as eta -> 0;
+            # no path loss grows slower than with distance itself
+            "eta_los": Field(default=2.0, minimum=1.0),
+            "eta_nlos": Field(default=3.0, minimum=1.0),
         }),
     },
     "mapsim": {
         "mapsim": Field(kind=dict, schema={
             "heightmap": Field(kind=str, default=None),
             "synthetic": Field(kind=dict, schema={
-                "extent_m": Field(default=480.0, above=0.0),
+                "extent_m": Field(default=480.0, above=0.0,
+                                  maximum=MAX_RANGE_M),
+                # a whole number of cells spans extent_m (checked below)
                 "cellsize_m": Field(default=4.0, above=0.0),
-                "min_height_m": Field(default=4.0),
+                "min_height_m": Field(default=4.0, minimum=0.0,
+                                      maximum=MAX_MODELED_ALTITUDE_M),
                 "environment": _env_schema("dense_urban"),
             }),
             "sites_csv": Field(kind=str, default=None),
             "auto_sites": Field(kind=dict, schema={
                 # the automatic layout has 9 positions
                 "count": Field(kind=int, default=5, minimum=1, maximum=9),
-                "p_tx_dbm": Field(default=46.0),
-                "mast_m": Field(default=5.0),
-                "downtilt_deg": Field(default=8.0),
-                "max_gain_dbi": Field(default=16.0),
+                "p_tx_dbm": _db(46.0),
+                "mast_m": Field(default=5.0, minimum=0.0,
+                                maximum=MAX_MODELED_ALTITUDE_M),
+                "downtilt_deg": _DOWNTILT_DEG,
+                "max_gain_dbi": _db(16.0),
                 "beamwidth_deg": Field(default=65.0, above=0.0),
             }),
             "heights_m": Field(kind=list, default=[1.5, 20.0, 60.0, 150.0],
                                above=0.0, maximum=MAX_MODELED_ALTITUDE_M),
-            "threshold_db": Field(default=-6.0),
+            "threshold_db": _db(-6.0),
             "stride": Field(kind=int, default=4, minimum=1),
-            "frequency_ghz": Field(default=1.8, above=0.0),
-            "bandwidth_mhz": Field(default=20.0, above=0.0),
-            "noise_figure_db": Field(default=9.0),
+            "frequency_ghz": _FREQUENCY_GHZ,
+            "bandwidth_mhz": _BANDWIDTH_MHZ,
+            "noise_figure_db": _db(9.0),
             "pl_model": Field(kind=str, default="threegpp",
                               choices=("threegpp", "free_space")),
             "emit_rasters": Field(kind=bool, default=True),
@@ -208,6 +243,12 @@ SCHEMAS: Dict[str, dict] = {
         }),
     },
 }
+
+# the key whose bounds each sweep axis's grid values take
+_SWEEP_AXIS_KEYS = {"altitude": ("sweep", "uav_h_m"),
+                    "density": ("aue", "bs_density_per_km2"),
+                    "phi_b": ("aue", "phi_b_deg"),
+                    "phi_t": ("aue", "phi_t_deg")}
 
 _TOP_LEVEL = {
     "command": Field(kind=str, required=True, choices=COMMANDS),
@@ -337,19 +378,25 @@ def parse_scenario(text: str) -> Scenario:
     schema = SCHEMAS[command]
     doc = _validate_block(raw, {**_TOP_LEVEL, **schema}, "")
     params = {key: doc[key] for key in schema}
+    aue = params.get("aue")
+    if (aue is not None and aue["target_rate_mbps"] is not None
+            and aue["target_rate_mbps"]
+            > MAX_SPECTRAL_EFFICIENCY * aue["bandwidth_mhz"]):
+        raise ScenarioError(f"must be at most {MAX_SPECTRAL_EFFICIENCY:g} "
+                            "times bandwidth_mhz", "aue.target_rate_mbps")
     if command == "aue-sweep":
         sweep = params["sweep"]
-        if sweep["axis"] == "altitude":
-            _check_bounds(sweep["grid"], schema["sweep"].schema["uav_h_m"],
-                          "sweep.grid")
+        block, key = _SWEEP_AXIS_KEYS[sweep["axis"]]
+        _check_bounds(sweep["grid"], schema[block].schema[key], "sweep.grid")
         if sweep["metric"] == "coverage" and sweep["n_trials"] < COVERAGE_MIN_TRIALS:
             raise ScenarioError(f"must be at least {COVERAGE_MIN_TRIALS} "
                                 "for metric coverage", "sweep.n_trials")
     if command == "mapsim":
         syn = params["mapsim"]["synthetic"]
-        if syn["cellsize_m"] > syn["extent_m"]:
-            raise ScenarioError("must be at most extent_m",
-                                "mapsim.synthetic.cellsize_m")
+        try:
+            synthetic_cells(syn["extent_m"], syn["cellsize_m"])
+        except DomainError as exc:
+            raise ScenarioError(str(exc), "mapsim.synthetic.cellsize_m") from exc
     return Scenario(command=command, seed=doc["seed"], output=doc["output"],
                     params=params)
 

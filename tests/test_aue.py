@@ -37,22 +37,9 @@ def expected_snr(cfg, d_h, h_uav, los=True):
 
 
 class TestConfig:
-    def test_threshold_from_rate(self):
-        cfg = replace(CFG, threshold_t=None, target_rate_bps=20e6)
-        assert cfg.threshold == pytest.approx(2 ** 1.0 - 1)
-
-    def test_threshold_requires_one_setting(self):
-        cfg = replace(CFG, threshold_t=None, target_rate_bps=None)
-        with pytest.raises(DomainError):
-            cfg.threshold
-
     def test_noise_matches_first_principles(self):
         # -174 dBm/Hz + 10 log10(20 MHz) + 9 dB = -92 dBm (= -122 dBW)
         assert 10 * math.log10(CFG.noise_w) + 30 == pytest.approx(-92.0, abs=0.02)
-
-    def test_noise_override(self):
-        cfg = replace(CFG, noise_override_w=1e-12)
-        assert cfg.noise_w == 1e-12
 
 
 class TestDeploy:
@@ -92,7 +79,7 @@ class TestSnapshotSinr:
                                               rel=0.05)
 
     def test_two_equidistant_bs_no_noise_symmetry(self):
-        cfg = replace(CFG, env=FREE_ENV, noise_override_w=1e-30)
+        cfg = replace(CFG, env=FREE_ENV, noise_w=1e-30)
         snap = au.NetworkSnapshot(
             xy=np.array([[0.0, 500.0], [0.0, -500.0]]),
             height_m=30.0,
@@ -362,7 +349,7 @@ class TestConeAiming:
         omni = au.coverage_probability_mc(120.0, CFG, n, RngStream(71, 0))
         aimed_sinr = au.sinr_samples(120.0, cone_cfg, n, RngStream(71, 0),
                                      aim_cone_at_serving=True)
-        aimed = float(np.mean(aimed_sinr > CFG.threshold))
+        aimed = float(np.mean(aimed_sinr > CFG.threshold_t))
         assert aimed >= omni.estimate - 3 * omni.ci95
 
 

@@ -12,12 +12,17 @@ import yaml
 
 import a2gnet
 
+from a2gnet import abs_net, aue_net
 from a2gnet import channel as ch
+from a2gnet import localization as loc
+from a2gnet import mapsim as ms
 from a2gnet.antenna_geometry import LinkGeometry
-from a2gnet.cli import _environment, _write_csv, main, run_scenario
+from a2gnet.cli import _aue_config, _environment, _write_csv, main, run_scenario
 from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import HeightMap, save_ascii_grid
-from a2gnet.scenario import parse_scenario, serialize_scenario
+from a2gnet.numerics import dbm_to_watt
+from a2gnet.scenario import (_TOP_LEVEL, SCHEMAS, parse_scenario,
+                             serialize_scenario)
 
 MINIMAL_CHANNEL = """
 command: channel-table
@@ -106,6 +111,59 @@ MODEL_BOUNDS = [
      "mapsim.synthetic.cellsize_m"),
     ("a_o", -1, "localize.a_o"),
     ("b_o", -20, "localize.b_o"),
+]
+
+# bounds whose breach at +-1e300 ended in a raw OverflowError or
+# ZeroDivisionError, or exited 0 with warnings or nonsense rows
+OVERFLOW_BOUNDS = [
+    ("p_tx_dbm", 151, "aue.p_tx_dbm"),
+    ("noise_density_dbm_hz", -201, "aue.noise_density_dbm_hz"),
+    ("noise_density_dbm_hz", -99, "aue.noise_density_dbm_hz"),
+    ("noise_figure_db", 151, "aue.noise_figure_db"),
+    ("noise_override_dbm", -151, "aue.noise_override_dbm"),
+    ("threshold_db", 151, "aue.threshold_db"),
+    ("omni_gain_dbi", 151, "aue.omni_gain_dbi"),
+    ("sector_max_gain_dbi", 151, "aue.sector_max_gain_dbi"),
+    ("nlos_excess_db", -151, "aue.nlos_excess_db"),
+    ("sector_sidelobe_floor_db", 151, "aue.sector_sidelobe_floor_db"),
+    ("sector_downtilt_deg", 91, "aue.sector_downtilt_deg"),
+    ("sector_downtilt_deg", -91, "aue.sector_downtilt_deg"),
+    ("phi_t_deg", -1, "aue.phi_t_deg"),
+    ("phi_t_deg", 181, "aue.phi_t_deg"),
+    ("frequency_ghz", 301, "aue.frequency_ghz"),
+    ("bandwidth_mhz", 3.1e5, "aue.bandwidth_mhz"),
+    ("bs_density_per_km2", 2e4, "aue.bs_density_per_km2"),
+    ("bs_height_m", 301, "aue.bs_height_m"),
+    ("region_radius_m", 2e5, "aue.region_radius_m"),
+    ("target_rate_mbps", 0, "aue.target_rate_mbps"),
+    # aue-coverage never read the target, so this exited 0
+    ("target_rate_mbps", 1e300, "aue.target_rate_mbps"),
+    ("thresholds_db", [0, 151], "run.thresholds_db[1]"),
+    ("t_max_db", 151, "sweep.t_max_db"),
+    ("frequency_ghz", 301, "channel.frequency_ghz"),
+    ("h_g_m", 301, "channel.h_g_m"),
+    ("distances_m", [50, 2e5], "channel.distances_m[1]"),
+    ("radii_m", [2e5], "localize.radii_m[0]"),
+    ("altitudes_m", [2e5], "localize.altitudes_m[0]"),
+    ("user_area_radius_m", 2e5, "localize.user_area_radius_m"),
+    ("a_nlos", 151, "localize.a_nlos"),
+    ("a_los", 151, "localize.a_los"),
+    ("a_o", 91, "localize.a_o"),
+    ("eta_nlos", 0.5, "localize.eta_nlos"),
+    ("threshold_db", 151, "mapsim.threshold_db"),
+    ("noise_figure_db", 151, "mapsim.noise_figure_db"),
+    ("frequency_ghz", 301, "mapsim.frequency_ghz"),
+    ("bandwidth_mhz", 3.1e5, "mapsim.bandwidth_mhz"),
+    ("auto_sites", {"p_tx_dbm": 151}, "mapsim.auto_sites.p_tx_dbm"),
+    ("auto_sites", {"max_gain_dbi": -151}, "mapsim.auto_sites.max_gain_dbi"),
+    ("auto_sites", {"mast_m": 301}, "mapsim.auto_sites.mast_m"),
+    ("auto_sites", {"mast_m": -1}, "mapsim.auto_sites.mast_m"),
+    ("auto_sites", {"downtilt_deg": 91}, "mapsim.auto_sites.downtilt_deg"),
+    ("synthetic", {"min_height_m": 301}, "mapsim.synthetic.min_height_m"),
+    ("synthetic", {"extent_m": 2e5}, "mapsim.synthetic.extent_m"),
+    # a cell that does not divide the extent gave a 90 m map
+    ("synthetic", {"extent_m": 100, "cellsize_m": 30},
+     "mapsim.synthetic.cellsize_m"),
 ]
 
 
@@ -224,6 +282,7 @@ class TestParsing:
         ("m_points", [3, True], "localize.m_points[1]"),
         ("m_points", [3, 4.0], "localize.m_points[1]"),
         *MODEL_BOUNDS,
+        *OVERFLOW_BOUNDS,
     ])
     def test_bound_validation(self, key, value, path):
         with pytest.raises(ScenarioError) as err:
@@ -287,8 +346,25 @@ class TestParsing:
     def test_altitude_bounds_inclusive(self):
         parse_scenario("command: aue-coverage\nrun:\n  altitudes_m: [0, 300]\n")
         # only an altitude axis reads the grid as heights
-        parse_scenario("command: aue-sweep\nsweep:\n  axis: phi_b\n"
+        parse_scenario("command: aue-sweep\nsweep:\n  axis: density\n"
                        "  grid: [40, 360]\n")
+
+    @pytest.mark.parametrize("axis,grid,path", [
+        ("phi_b", [60, 0], "sweep.grid[1]"),
+        ("phi_b", [181], "sweep.grid[0]"),
+        ("phi_t", [-10], "sweep.grid[0]"),
+        ("phi_t", [0, 190], "sweep.grid[1]"),
+        ("density", [0], "sweep.grid[0]"),
+        ("density", [2e4], "sweep.grid[0]"),
+    ])
+    def test_sweep_grid_bounded_by_axis_key(self, axis, grid, path):
+        # each axis bounds its grid as its aue key; a phi_b or density of 0
+        # exited 1 without naming the key
+        doc = {"command": "aue-sweep", "aue": {"antenna": "cone"},
+               "sweep": {"axis": axis, "grid": grid}}
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(yaml.safe_dump(doc))
+        assert path in str(err.value)
 
     def test_round_trip_fixpoint(self):
         for text in (MINIMAL_CHANNEL, AUE_TABLE_IV, LOCALIZE_TABLE_VI,
@@ -348,6 +424,23 @@ class TestRunners:
         assert lines[0] == "h_m,r_c_m,p_req_w,power_gain,sum_rate_gain"
         assert len(lines) == 3
 
+    def test_phi_t_sweep_reads_degrees(self, tmp_path):
+        # each point equals a run with aue.phi_t_deg at that value; the grid
+        # was read in radians
+        sweep = {"command": "aue-sweep", "seed": 1, "aue": {"antenna": "cone"},
+                 "sweep": {"axis": "phi_t", "grid": [0, 30], "n_trials": 40}}
+        lines = run_scenario(parse_scenario(yaml.safe_dump(sweep)),
+                             tmp_path / "phi_t")[0].read_text().splitlines()
+        for i, line in enumerate(lines[1:]):
+            x = line.split(",")[0]
+            fixed = {**sweep, "aue": {"antenna": "cone", "phi_t_deg": float(x)},
+                     "sweep": {**sweep["sweep"], "axis": "altitude",
+                               "grid": [150]}}
+            ref = run_scenario(parse_scenario(yaml.safe_dump(fixed)),
+                               tmp_path / str(i))[0].read_text().splitlines()
+            assert line.split(",")[1:] == ref[1].split(",")[1:]
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "30"]
+
     def test_sweep_runner(self, tmp_path):
         text = ("command: aue-sweep\nseed: 2\n"
                 "sweep:\n  axis: density\n  grid: [5, 20]\n  n_trials: 120\n")
@@ -356,6 +449,130 @@ class TestRunners:
         lines = paths[0].read_text().splitlines()
         assert lines[0] == "x,metric,ci95"
         assert len(lines) == 3
+
+
+def _aue_block(**values):
+    doc = {"command": "aue-coverage", "aue": values}
+    return parse_scenario(yaml.safe_dump(doc)).params["aue"]
+
+
+class TestAueConfig:
+    """The CLI works out the noise power N and the target T once."""
+
+    def test_threshold_from_rate(self):
+        # T = 2^(R/B) - 1 wins over the dB target when a rate is set
+        cfg = _aue_config(_aue_block(target_rate_mbps=20, threshold_db=6))
+        assert cfg.threshold_t == 2.0 ** 1.0 - 1.0
+        assert _aue_config(_aue_block(threshold_db=6)).threshold_t == \
+            10.0 ** 0.6
+
+    def test_noise_override(self):
+        # the override replaces density * noise figure * bandwidth
+        cfg = _aue_config(_aue_block(noise_override_dbm=-90))
+        assert cfg.noise_w == dbm_to_watt(-90.0)
+        cfg = _aue_config(_aue_block(noise_density_dbm_hz=-170,
+                                     noise_figure_db=3, bandwidth_mhz=10))
+        assert cfg.noise_w == dbm_to_watt(-170.0) * 10.0 ** 0.3 * 1e7
+
+    def test_largest_rate_is_finite(self):
+        # at 50 b/s/Hz T is 2^50 - 1; 1e300 raised OverflowError
+        cfg = _aue_config(_aue_block(target_rate_mbps=1000, bandwidth_mhz=20))
+        assert cfg.threshold_t == 2.0 ** 50 - 1.0
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestLibraryDefaults:
+    """A scenario that sets nothing builds each model from the library's
+    own defaults: the library and the command line give the same numbers."""
+
+    def _capture(self, monkeypatch, tmp_path, module, name, command):
+        seen = []
+
+        def stop(*args, **kwargs):
+            seen.append(args)
+            raise _Captured
+
+        monkeypatch.setattr(module, name, stop)
+        with pytest.raises(_Captured):
+            run_scenario(parse_scenario(f"command: {command}\n"), tmp_path)
+        return seen[0]
+
+    def test_aue(self, monkeypatch, tmp_path):
+        _, cfg, _, _ = self._capture(monkeypatch, tmp_path, aue_net,
+                                     "sinr_samples", "aue-coverage")
+        assert cfg == aue_net.AueNetworkConfig()
+
+    def test_abs_profile(self, monkeypatch, tmp_path):
+        _, prof = self._capture(monkeypatch, tmp_path, abs_net,
+                                "required_power", "abs-design")
+        assert prof == abs_net.urban_abs_profile()
+
+    def test_localize(self, monkeypatch, tmp_path):
+        scen, _, chan, _ = self._capture(monkeypatch, tmp_path, loc,
+                                         "run_campaign", "localize")
+        assert scen == loc.LocalizationScenario()
+        assert chan == loc.ElevationChannel()
+
+    def test_mapsim_auto_sites(self, monkeypatch, tmp_path):
+        sites, hm, _, cfg = self._capture(monkeypatch, tmp_path, ms,
+                                          "sinr_grid", "mapsim")
+        # the mapsim block's environment defaults to the dense-urban preset
+        assert cfg == ms.MapSimConfig(env=ch.dense_urban())
+        assert sites == [ms.site_on_roof(hm, s.position.x, s.position.y)
+                         for s in sites]
+
+
+def _numeric_leaves(schema, path=()):
+    for key, f in schema.items():
+        if f.schema is not None:
+            yield from _numeric_leaves(f.schema, (*path, key))
+        elif f.kind in (int, float) or (f.kind is list
+                                        and f.item_kind in (int, float)):
+            yield (*path, key), f
+
+
+def _past_bounds(f):
+    """NaN, +-inf and a value just past each of the field's bounds."""
+    integral = int in (f.kind, f.item_kind)
+    values = [math.nan, math.inf, -math.inf]
+    if f.minimum is not None:
+        values.append(f.minimum - 1 if integral
+                      else math.nextafter(f.minimum, -math.inf))
+    if f.maximum is not None:
+        values.append(f.maximum + 1 if integral
+                      else math.nextafter(f.maximum, math.inf))
+    values += [v for v in (f.above, f.below) if v is not None]
+    return [[v] if f.kind is list else v for v in values]
+
+
+# the smallest valid scenario of each command
+_WALK_BASES = {command: {"command": command} for command in SCHEMAS}
+_WALK_BASES["aue-sweep"] = yaml.safe_load(SWEEP_ALTITUDE)
+_SCHEMA_WALK = [(command, path, value)
+                for command, schema in SCHEMAS.items()
+                for path, f in _numeric_leaves({**_TOP_LEVEL, **schema})
+                for value in _past_bounds(f)]
+
+
+@pytest.mark.parametrize("command,path,value", _SCHEMA_WALK, ids=[
+    f"{command}:{'.'.join(path)}={value!r}"
+    for command, path, value in _SCHEMA_WALK])
+def test_schema_walk_exit_code(tmp_path, capsys, command, path, value):
+    # every numeric leaf rejects NaN, +-inf and each breach of its bounds
+    # when the file is parsed: exit 2, the key named, no traceback
+    doc = yaml.safe_load(yaml.safe_dump(_WALK_BASES[command]))
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    scn = tmp_path / "walk.yaml"
+    scn.write_text(yaml.safe_dump(doc))
+    assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert ".".join(path) in err and "Traceback" not in err
 
 
 def _reference_channel_table(s, out_dir):

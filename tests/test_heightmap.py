@@ -519,3 +519,18 @@ class TestSyntheticCity:
         city = synthetic_city(4320.0, 6.0, env, RngStream(15))
         st = building_stats(city, 0.5)
         assert st.rayleigh_scale_m == pytest.approx(env.omega, rel=0.02)
+
+    @pytest.mark.parametrize("extent,cellsize", [(100.0, 30.0), (100.0, 60.0),
+                                                 (480.0, 7.0), (10.0, 25.0)])
+    def test_cell_must_divide_extent(self, extent, cellsize):
+        # round(extent / cellsize) cells silently gave a 90 m map for
+        # (100, 30) and a 120 m one for (100, 60)
+        with pytest.raises(DomainError):
+            synthetic_city(extent, cellsize, ch.urban(), RngStream(1))
+
+    @pytest.mark.parametrize("extent,cellsize", [(480.0, 4.0), (0.3, 0.1),
+                                                 (100.0, 100.0)])
+    def test_map_spans_extent(self, extent, cellsize):
+        city = synthetic_city(extent, cellsize, ch.urban(), RngStream(1))
+        x0, x1, y0, y1 = city.extent
+        assert x1 - x0 == pytest.approx(extent) and y1 - y0 == pytest.approx(extent)
