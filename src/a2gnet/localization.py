@@ -135,6 +135,14 @@ def _range_residuals(xy, anchors_xy, r_hat):
 
 
 _FD_REL_STEP = np.finfo(np.float64).eps ** 0.5
+# MINPACK lmder settings, each the value least_squares(method="lm",
+# xtol=1e-10) hands it for two unknowns; every shipped output was made with
+# them. leastsq's own defaults differ (ftol 1.49e-8, gtol 0, maxfev 300), so
+# all four are passed.
+_LM_FTOL = 1e-8    # stop when a step cuts the cost by under this share
+_LM_XTOL = 1e-10   # or moves the point by under this share: 20 nm at 200 m
+_LM_GTOL = 1e-8    # or leaves the residuals this close to orthogonal to J
+_LM_MAXFEV = 200   # least_squares' 100 evaluations per unknown
 # the seed grid has _GRID_N x _GRID_N cells over the search square
 _GRID_N = 21
 
@@ -156,6 +164,20 @@ def _range_jacobian(xy, anchors_xy, r_hat):
     return (f[1:] - f[0]).T / [(x + hx) - x, (y + hy) - y]
 
 
+def _lm_descent(x0, axy, r_hat):
+    """One Levenberg-Marquardt descent from x0: (x, residuals, nfev).
+
+    This is the MINPACK lmder call that least_squares(method="lm") makes,
+    without its per-evaluation wrapper; full_output keeps leastsq from
+    warning where least_squares returns silently.
+    """
+    x, _, info, _, _ = optimize.leastsq(
+        _range_residuals, x0, args=(axy, r_hat), Dfun=_range_jacobian,
+        full_output=True, ftol=_LM_FTOL, xtol=_LM_XTOL, gtol=_LM_GTOL,
+        maxfev=_LM_MAXFEV)
+    return x, info["fvec"], info["nfev"]
+
+
 def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
                   search_center=None,
                   search_radius_m: float = None) -> MultilaterationResult:
@@ -166,9 +188,13 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     descent from the best cells of a grid over the search area and always
     returns a point at least as good as every grid seed.
 
-    Local descent is scipy's MINPACK Levenberg-Marquardt. Its Jacobian is
-    not analytic: `_range_jacobian` is scipy's forward difference computed
-    in one vectorized pass, so every iterate equals a plain scipy solve.
+    Local descent is scipy's MINPACK Levenberg-Marquardt through
+    `optimize.leastsq`, with the ftol, xtol, gtol and maxfev that
+    `least_squares(method="lm", xtol=1e-10)` uses. Its Jacobian is not
+    analytic: `_range_jacobian` is scipy's forward difference computed in
+    one vectorized pass. So every iterate, residual and evaluation count
+    equals a plain `least_squares` solve on scipy's own finite difference,
+    which `TestRangeJacobian::test_solves_match_scipy_two_point` pins.
     """
     if len(anchors) < 3:
         raise DomainError("multilateration needs at least 3 anchors")
@@ -202,13 +228,11 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     best_cost = math.inf
     for idx in flat:
         iy, ix = np.unravel_index(idx, cost_grid.shape)
-        res = optimize.least_squares(_range_residuals, [xx[iy, ix], yy[iy, ix]],
-                                     jac=_range_jacobian, args=(axy, r_hat),
-                                     method="lm", xtol=1e-10)
-        cost = float(np.sum(res.fun ** 2))
+        x, fvec, _ = _lm_descent([xx[iy, ix], yy[iy, ix]], axy, r_hat)
+        cost = float(np.sum(fvec ** 2))
         if cost < best_cost:
             best_cost = cost
-            best_xy = res.x
+            best_xy = x
     grid_best = float(cost_grid.flat[flat[0]])
     if grid_best < best_cost:  # pragma: no cover - descent rarely loses
         iy, ix = np.unravel_index(flat[0], cost_grid.shape)

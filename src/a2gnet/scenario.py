@@ -67,6 +67,11 @@ MAX_BANDWIDTH_MHZ = MAX_FREQUENCY_GHZ * 1e3
 MAX_BS_DENSITY_PER_KM2 = 1e4
 # a rate target past 50 b/s/Hz needs an SINR target past DB_LIMIT
 MAX_SPECTRAL_EFFICIENCY = 50.0
+# no beam is wider than the full circle
+MAX_BEAMWIDTH_DEG = 360.0
+# path-loss exponents run from 2 in free space to about 6 in dense cover;
+# every exponent key shares this stated ceiling past both
+MAX_PATH_LOSS_EXPONENT = 10.0
 
 
 def _db(default):
@@ -95,8 +100,8 @@ _AUE_BLOCK = {
     "threshold_db": _db(0.0),
     # at most MAX_SPECTRAL_EFFICIENCY times bandwidth_mhz (checked below)
     "target_rate_mbps": Field(default=None, above=0.0),
-    "eta_los": Field(default=2.0, above=0.0),
-    "eta_nlos": Field(default=3.5, above=0.0),
+    "eta_los": Field(default=2.0, above=0.0, maximum=MAX_PATH_LOSS_EXPONENT),
+    "eta_nlos": Field(default=3.5, above=0.0, maximum=MAX_PATH_LOSS_EXPONENT),
     "nlos_excess_db": _db(20.0),
     "fading_m_los": Field(kind=int, default=3, minimum=1),
     "fading_m_nlos": Field(kind=int, default=1, minimum=1),
@@ -108,8 +113,10 @@ _AUE_BLOCK = {
     "omni_gain_dbi": _db(2.15),
     "sector_max_gain_dbi": _db(16.0),
     "sector_downtilt_deg": _DOWNTILT_DEG,
-    "sector_beamwidth_deg": Field(default=65.0, above=0.0),
-    "sector_elevation_beamwidth_deg": Field(default=6.0, above=0.0),
+    "sector_beamwidth_deg": Field(default=65.0, above=0.0,
+                                  maximum=MAX_BEAMWIDTH_DEG),
+    "sector_elevation_beamwidth_deg": Field(default=6.0, above=0.0,
+                                            maximum=MAX_BEAMWIDTH_DEG),
     "sector_sidelobe_floor_db": Field(default=20.0, above=0.0,
                                       maximum=DB_LIMIT),
     "environment": _env_schema(),
@@ -160,8 +167,10 @@ SCHEMAS: Dict[str, dict] = {
             "k0_db": _db(0.0),
             "k90_db": _db(15.0),
             # path-loss exponents from free space up to a stated ceiling
-            "eta0": Field(default=3.5, minimum=2.0, maximum=10.0),
-            "eta90": Field(default=2.0, minimum=2.0, maximum=10.0),
+            "eta0": Field(default=3.5, minimum=2.0,
+                          maximum=MAX_PATH_LOSS_EXPONENT),
+            "eta90": Field(default=2.0, minimum=2.0,
+                           maximum=MAX_PATH_LOSS_EXPONENT),
             "antenna_gain_db": _db(0.0),
             "noise_dbm": _db(-92.0),
             "threshold_db": _db(0.0),
@@ -192,18 +201,23 @@ SCHEMAS: Dict[str, dict] = {
                                 choices=("independent", "common", "los", "nlos")),
             # shadowing sigma a exp(-b theta) dB: a positive, b >= 0
             "a_los": Field(default=10.0, above=0.0, maximum=DB_LIMIT),
-            "b_los": Field(default=2.0, minimum=0.0),
+            # at 20/rad the zenith sigma is e^(-10 pi) < 1e-13 of a_los
+            "b_los": Field(default=2.0, minimum=0.0, maximum=20.0),
             "a_nlos": Field(default=30.0, above=0.0, maximum=DB_LIMIT),
-            "b_nlos": Field(default=1.7, minimum=0.0),
+            # the same ceiling: a faster decay leaves no NLOS shadowing
+            "b_nlos": Field(default=1.7, minimum=0.0, maximum=20.0),
             # LOS probability 1/(1 + a_o exp(-b_o (theta - a_o))): a_o >= 0
             # keeps it in [0, 1], b_o >= 0 keeps it rising with elevation,
             # and a_o is also the elevation in degrees where it turns
             "a_o": Field(default=47.0, minimum=0.0, maximum=90.0),
-            "b_o": Field(default=20.0, minimum=0.0),
+            # at 100/degree the 10-90% LOS step is 2 ln 9 / 100 < 0.05 deg
+            "b_o": Field(default=20.0, minimum=0.0, maximum=100.0),
             # the range inversion 10^(loss / (10 eta)) overflows as eta -> 0;
             # no path loss grows slower than with distance itself
-            "eta_los": Field(default=2.0, minimum=1.0),
-            "eta_nlos": Field(default=3.0, minimum=1.0),
+            "eta_los": Field(default=2.0, minimum=1.0,
+                             maximum=MAX_PATH_LOSS_EXPONENT),
+            "eta_nlos": Field(default=3.0, minimum=1.0,
+                              maximum=MAX_PATH_LOSS_EXPONENT),
         }),
     },
     "mapsim": {
@@ -227,7 +241,8 @@ SCHEMAS: Dict[str, dict] = {
                                 maximum=MAX_MODELED_ALTITUDE_M),
                 "downtilt_deg": _DOWNTILT_DEG,
                 "max_gain_dbi": _db(16.0),
-                "beamwidth_deg": Field(default=65.0, above=0.0),
+                "beamwidth_deg": Field(default=65.0, above=0.0,
+                                       maximum=MAX_BEAMWIDTH_DEG),
             }),
             "heights_m": Field(kind=list, default=[1.5, 20.0, 60.0, 150.0],
                                above=0.0, maximum=MAX_MODELED_ALTITUDE_M),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,25 +179,67 @@ def _range_problem(rng):
     return x0, axy, r_hat
 
 
+def _exact_range_problem(rng):
+    """Ranges with no noise: most descents stop on the step test, xtol."""
+    x0, axy, _ = _range_problem(rng)
+    scale = np.max(np.abs(axy))
+    true_xy = rng.uniform(-scale, scale, 2)
+    return x0, axy, np.hypot(*(axy - true_xy).T)
+
+
+def _collinear_problem(rng):
+    """Anchors on one line: some descents stop on gtol or run out of maxfev."""
+    x0, axy, r_hat = _range_problem(rng)
+    axy[:, 1] = 0.0
+    return x0, axy, r_hat
+
+
+def _least_squares_solve(x0, axy, r_hat):
+    """The reference descent: least_squares on scipy's own forward difference.
+
+    x_scale="jac" is MINPACK's own scaling, least_squares' default since
+    scipy 1.16; passing it keeps the reference the same on older scipy.
+    """
+    return optimize.least_squares(loc._range_residuals, x0, args=(axy, r_hat),
+                                  method="lm", xtol=1e-10, x_scale="jac")
+
+
 class TestRangeJacobian:
     def test_solves_match_scipy_two_point(self):
-        # the reference is scipy's own forward difference: same iterates,
-        # same residuals, same evaluation count, same final Jacobian
-        rng = RngStream(2024).generator()
-        for _ in range(1000):
-            x0, axy, r_hat = _range_problem(rng)
-            ref = optimize.least_squares(loc._range_residuals, x0,
-                                         args=(axy, r_hat), method="lm",
-                                         xtol=1e-10)
-            fast = optimize.least_squares(loc._range_residuals, x0,
-                                          jac=loc._range_jacobian,
-                                          args=(axy, r_hat), method="lm",
-                                          xtol=1e-10)
-            np.testing.assert_array_equal(fast.x, ref.x)
-            np.testing.assert_array_equal(fast.fun, ref.fun)
-            assert fast.nfev == ref.nfev
-            np.testing.assert_array_equal(
-                loc._range_jacobian(ref.x, axy, r_hat), ref.jac)
+        # the production descent against the reference: same iterates,
+        # same residuals, same evaluation count, same final Jacobian. Noisy
+        # ranges stop on ftol; the other two corpora reach xtol, gtol and
+        # maxfev, so a change to any one of the four settings shows
+        corpora = [(_range_problem, 2024, 1000), (_exact_range_problem, 7, 300),
+                   (_collinear_problem, 7, 300)]
+        for draw, seed, count in corpora:
+            rng = RngStream(seed).generator()
+            for _ in range(count):
+                x0, axy, r_hat = draw(rng)
+                ref = _least_squares_solve(x0, axy, r_hat)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    x, fvec, nfev = loc._lm_descent(x0, axy, r_hat)
+                np.testing.assert_array_equal(x, ref.x)
+                np.testing.assert_array_equal(fvec, ref.fun)
+                assert nfev == ref.nfev
+                np.testing.assert_array_equal(
+                    loc._range_jacobian(ref.x, axy, r_hat), ref.jac)
+
+    def test_campaign_matches_least_squares(self, monkeypatch):
+        # at R = 50 m the three starts of most solves end apart, so the
+        # pick of the best start is compared too
+        scen = loc.LocalizationScenario(n_users=20)
+        plan = loc.AnchorPlan(3, 50.0, 200.0)
+        fast = loc.run_campaign(scen, plan, TABLE_CH, RngStream(50))
+
+        def reference_descent(x0, axy, r_hat):
+            res = _least_squares_solve(x0, axy, r_hat)
+            return res.x, res.fun, res.nfev
+
+        monkeypatch.setattr(loc, "_lm_descent", reference_descent)
+        ref = loc.run_campaign(scen, plan, TABLE_CH, RngStream(50))
+        np.testing.assert_array_equal(fast.pos_errors, ref.pos_errors)
 
     coord = st.one_of(st.sampled_from([0.0, -0.0]),
                       st.floats(-1.0, 1.0),

@@ -241,7 +241,7 @@ class TestLazyModule:
     # getattr/setattr on the module, so these must stay module attributes
     def test_bindings_resolve_to_scipy(self):
         assert numerics.special.chndtr is special.chndtr
-        assert localization.optimize.least_squares is optimize.least_squares
+        assert localization.optimize.leastsq is optimize.leastsq
         assert abs_net.integrate.quad is integrate.quad
         assert abs_net.optimize.brentq is optimize.brentq
 
