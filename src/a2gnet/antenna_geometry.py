@@ -117,7 +117,14 @@ class SectorAntenna:
 
 
 def _wrap_angle(a):
-    return (np.asarray(a) + np.pi) % (2.0 * np.pi) - np.pi
+    """a wrapped into [-pi, pi], bit for bit as (a + pi) % (2 pi) - pi.
+
+    fmod keeps the sign of a + pi, so negative remainders move up by 2 pi;
+    the others gain +0.0, which only turns -0.0 into +0.0, and both give -pi.
+    """
+    r = np.fmod(np.asarray(a) + np.pi, 2.0 * np.pi)
+    r += (r < 0.0) * (2.0 * np.pi)
+    return r - np.pi
 
 
 def bs_gain_db(ant: SectorAntenna, azimuth, elevation):

@@ -1,17 +1,24 @@
 """Aerial-UE performance under a Poisson field of sector base stations.
 
 Monte Carlo trials are independent work units keyed by (seed, trial index),
-so estimates are bit-exact for any evaluation order. Each trial deploys a
-fresh HPPP snapshot and draws one LOS uniform and one fading gain per LOS
-state for each base station (shared by its three co-sited sectors); a
+so estimates are bit-exact for any evaluation order. Each trial draws on its
+own generator a Poisson site count, one run of uniforms (each site's radius,
+angle, sector rotation and LOS uniform), and one fading gain per LOS state
+for each base station (shared by its three co-sited sectors); a
 deterministic evaluation then sets the LOS states, associates the UE with
 the strongest mean received power, and forms the SINR against the sum of
-all remaining sectors plus noise. Sweep points, and the ground and aerial
-users of the area spectral efficiency, are evaluated on each trial's one
-draw, and building P_LOS is read from a table built once per UE height.
-Trials are evaluated in blocks of 16: the sites of a block sit in flat
-arrays and each point evaluates all of them in one array pass; a single
-snapshot is a block of one.
+all remaining sectors plus noise.
+
+Trials are drawn and evaluated in blocks of 16. Per trial only the draws
+run; the site geometry of a whole block is built once, on flat arrays, by
+the helper `deploy_hppp` uses for one snapshot. A block is evaluated in two
+stages: the site stage (chosen sector, LOS state, path gain and elevation of
+every site) depends on the UE height and the network, the UE stage (UE
+antenna gain, association and SINR) on the UE antenna as well. Sweep
+points, and the ground and aerial users of the area spectral efficiency,
+are evaluated on each trial's one draw; points that differ only in the UE
+antenna share one site stage per block, and building P_LOS is read from a
+table built once per UE height. A single snapshot is a block of one.
 """
 
 from __future__ import annotations
@@ -121,18 +128,30 @@ class NetworkSnapshot:
         return int(self.xy.shape[0])
 
 
+def _poisson_mean(cfg: AueNetworkConfig) -> float:
+    """Mean site count of the simulation disc."""
+    area_km2 = math.pi * cfg.region_radius_m ** 2 / 1e6
+    return cfg.bs_density_per_km2 * area_km2
+
+
+def _sites_from_uniforms(cfg: AueNetworkConfig,
+                         u: np.ndarray) -> NetworkSnapshot:
+    """Sites uniform in the simulation disc: rows 0-2 of `u` hold each
+    site's radius, angle and sector-rotation uniform. 2 pi u equals numpy's
+    uniform(0, 2 pi) on the same double bit for bit."""
+    radius = cfg.region_radius_m * np.sqrt(u[0])
+    angle = 2.0 * math.pi * u[1]
+    xy = np.column_stack([radius * np.sin(angle), radius * np.cos(angle)])
+    rotation = 2.0 * math.pi * u[2]
+    return NetworkSnapshot(xy=xy, height_m=cfg.bs_height_m,
+                           sector_azimuth=rotation[:, None] + SECTOR_OFFSETS)
+
+
 def deploy_hppp(cfg: AueNetworkConfig, rng: RngLike) -> NetworkSnapshot:
     """Draw a Poisson number of sites uniformly in the simulation disc."""
     gen = as_generator(rng)
-    area_km2 = math.pi * cfg.region_radius_m ** 2 / 1e6
-    n = int(gen.poisson(cfg.bs_density_per_km2 * area_km2))
-    radius = cfg.region_radius_m * np.sqrt(gen.random(n))
-    angle = gen.uniform(0.0, 2.0 * math.pi, n)
-    xy = np.column_stack([radius * np.sin(angle), radius * np.cos(angle)])
-    rotation = gen.uniform(0.0, 2.0 * math.pi, n)
-    sector_azimuth = rotation[:, None] + SECTOR_OFFSETS
-    return NetworkSnapshot(xy=xy, height_m=cfg.bs_height_m,
-                           sector_azimuth=sector_azimuth)
+    n = int(gen.poisson(_poisson_mean(cfg)))
+    return _sites_from_uniforms(cfg, gen.random(3 * n).reshape(3, n))
 
 
 @dataclass(frozen=True)
@@ -163,9 +182,10 @@ def draw_links(snap: NetworkSnapshot, cfg: AueNetworkConfig,
 
 @dataclass(frozen=True)
 class _Point:
-    """One evaluation point: a UE height and its config, with what is built
+    """One network point: a UE height and its config, with what is built
     once for it: the building P_LOS table toward sites at `bs_h` and the
-    log-distance loss under each LOS state."""
+    log-distance loss under each LOS state. Only the site stage reads it,
+    so the UE antenna of its config is never read."""
 
     h: float
     cfg: AueNetworkConfig
@@ -202,22 +222,18 @@ class _SiteBlock:
     az_from_uav: np.ndarray
 
 
-def _site_block(snaps: Sequence[NetworkSnapshot], draws: Sequence[LinkDraw],
+def _site_block(counts: np.ndarray, sites: NetworkSnapshot, links: LinkDraw,
                 x: float, y: float) -> _SiteBlock:
-    counts = np.array([snap.n_sites for snap in snaps])
+    """Block of the flat `sites` and `links`, trial j owning the next
+    counts[j] entries."""
     ends = np.cumsum(counts)
     starts = ends - counts
-    row = np.repeat(np.arange(len(snaps)), counts)
-    xy = np.concatenate([snap.xy for snap in snaps])
-    dx = xy[:, 0] - x
-    dy = xy[:, 1] - y
-    links = LinkDraw(np.concatenate([d.los_u for d in draws]),
-                     np.concatenate([d.fading_los for d in draws]),
-                     np.concatenate([d.fading_nlos for d in draws]))
+    row = np.repeat(np.arange(counts.size), counts)
+    dx = sites.xy[:, 0] - x
+    dy = sites.xy[:, 1] - y
     return _SiteBlock(
-        starts, ends, row, np.arange(xy.shape[0]) - starts[row],
-        snaps[0].height_m,
-        np.concatenate([snap.sector_azimuth for snap in snaps]), links,
+        starts, ends, row, np.arange(row.size) - starts[row], sites.height_m,
+        sites.sector_azimuth, links,
         np.hypot(dx, dy), np.arctan2(-dx, -dy), np.arctan2(dx, dy))
 
 
@@ -249,18 +265,23 @@ def _aimed_cone_gain(block: _SiteBlock, uav: ConeUav, omni_power: np.ndarray,
                             cos_axis, axis_az)
 
 
-def _evaluate_block(block: _SiteBlock, point: _Point,
-                    aim_cone_at_serving: bool):
-    """SINR of a UE at the point's height on every trial of `block`.
+@dataclass(frozen=True)
+class _SiteStage:
+    """A block seen from one network point, before the UE antenna: per site
+    the chosen sector, the transmit power times its gain, the LOS state,
+    path gain, elevation seen from the UE and the fading of its LOS state."""
 
-    A site is in LOS when its uniform falls below its building P_LOS. Each
-    trial's UE associates by the largest fade-free mean power and its SINR
-    applies the drawn fading; a trial with no site, or no positive mean
-    power, reads 0. With `aim_cone_at_serving` a conical UE antenna is
-    re-pointed at the site that serves under an omni antenna before gains
-    are applied. Returns the per-trial SINR and flat serving index (-1 when
-    nothing is received) and the per-site sector and LOS state.
-    """
+    sector: np.ndarray
+    tx_gain: np.ndarray
+    los: np.ndarray
+    path_gain: np.ndarray
+    el_from_uav: np.ndarray
+    fading: np.ndarray
+
+
+def _site_stage(block: _SiteBlock, point: _Point) -> _SiteStage:
+    """Site stage of `block` for a UE at the point's height. A site is in
+    LOS when its uniform falls below its building P_LOS."""
     cfg = point.cfg
     d_h = block.d_h
     dz = block.height_m - point.h
@@ -279,21 +300,34 @@ def _evaluate_block(block: _SiteBlock, point: _Point,
     d = np.maximum(np.hypot(d_h, dz), D0_M)
     pl_db = np.where(los, log_distance_pl_db(d, point.loss_los),
                      log_distance_pl_db(d, point.loss_nlos))
-    path_gain = 10.0 ** (-pl_db / 10.0)
-    el_from_uav = np.arctan2(dz, d_h)
+    return _SiteStage(sector, cfg.p_tx_w * site_gain, los,
+                      10.0 ** (-pl_db / 10.0), np.arctan2(dz, d_h),
+                      np.where(los, block.links.fading_los,
+                               block.links.fading_nlos))
 
+
+def _ue_stage(block: _SiteBlock, stage: _SiteStage, cfg: AueNetworkConfig,
+              aim_cone_at_serving: bool):
+    """SINR on every trial of `block` for a UE carrying `cfg.uav`.
+
+    Each trial's UE associates by the largest fade-free mean power and its
+    SINR applies the drawn fading; a trial with no site, or no positive mean
+    power, reads 0. With `aim_cone_at_serving` a conical UE antenna is
+    re-pointed at the site that serves under an omni antenna before gains
+    are applied. Returns the per-trial SINR and flat serving index (-1 when
+    nothing is received).
+    """
     if aim_cone_at_serving and isinstance(cfg.uav, ConeUav):
-        g_uav = _aimed_cone_gain(block, cfg.uav,
-                                 cfg.p_tx_w * site_gain * path_gain, el_from_uav)
+        g_uav = _aimed_cone_gain(block, cfg.uav, stage.tx_gain * stage.path_gain,
+                                 stage.el_from_uav)
     else:
-        g_uav = uav_gain_linear(cfg.uav, block.az_from_uav, el_from_uav)
-    mean_rx = cfg.p_tx_w * site_gain * g_uav * path_gain
+        g_uav = uav_gain_linear(cfg.uav, block.az_from_uav, stage.el_from_uav)
+    mean_rx = stage.tx_gain * g_uav * stage.path_gain
 
     serving, best = _strongest(block, mean_rx)
     served = best > 0.0
     serving = np.where(served, serving, -1)
-    rx = mean_rx * np.where(los, block.links.fading_los,
-                            block.links.fading_nlos)
+    rx = mean_rx * stage.fading
     # each trial sums its own slice: summing padded rows would regroup the
     # pairwise sum and move the last bits
     total = np.array([np.sum(rx[a:b]) for a, b
@@ -301,7 +335,7 @@ def _evaluate_block(block: _SiteBlock, point: _Point,
     signal = rx[serving[served]]
     sinr = np.zeros(block.starts.size)
     sinr[served] = signal / (total - signal + cfg.noise_w)
-    return sinr, serving, sector, los
+    return sinr, serving
 
 
 def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
@@ -309,13 +343,15 @@ def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
     """SINR of a UE at (x, y, h) against one snapshot: draws the snapshot's
     LOS uniforms and fading gains from `rng`, then evaluates them."""
     x, y, h = uav_xyh
-    block = _site_block([snap], [draw_links(snap, cfg, rng)], x, y)
-    sinr, serving, sector, los = _evaluate_block(
-        block, _point(h, cfg, snap.height_m), aim_cone_at_serving)
+    block = _site_block(np.array([snap.n_sites]), snap,
+                        draw_links(snap, cfg, rng), x, y)
+    stage = _site_stage(block, _point(h, cfg, snap.height_m))
+    sinr, serving = _ue_stage(block, stage, cfg, aim_cone_at_serving)
     site = int(serving[0])
     if site < 0:
         return SnapshotSinr(0.0, -1, -1, False)
-    return SnapshotSinr(float(sinr[0]), site, int(sector[site]), bool(los[site]))
+    return SnapshotSinr(float(sinr[0]), site, int(stage.sector[site]),
+                        bool(stage.los[site]))
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +363,27 @@ def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
 _BLOCK_TRIALS = 16
 
 
-def _draw_trials(cfg: AueNetworkConfig, rng: RngStream, trials: range):
-    """Snapshot and link draw of each trial, each on its own stream."""
-    snaps, draws = [], []
+def _draw_block(cfg: AueNetworkConfig, rng: RngStream, trials: range):
+    """Site counts, flat sites and flat link draws of consecutive trials.
+
+    Trial i draws on `rng.child_generator(i)` in the order `deploy_hppp`
+    then `draw_links` would: its site count, one run of 4n uniforms (n
+    radius, then n angle, n rotation and n LOS uniforms), then the LOS and
+    the NLOS fading gains.
+    """
+    lam = _poisson_mean(cfg)
+    counts, uniforms, fading_los, fading_nlos = [], [], [], []
     for i in trials:
         gen = rng.child_generator(i)
-        snaps.append(deploy_hppp(cfg, gen))
-        draws.append(draw_links(snaps[-1], cfg, gen))
-    return snaps, draws
+        n = int(gen.poisson(lam))
+        counts.append(n)
+        uniforms.append(gen.random(4 * n).reshape(4, n))
+        fading_los.append(sample_fading(cfg.fading_los, gen, n))
+        fading_nlos.append(sample_fading(cfg.fading_nlos, gen, n))
+    u = np.concatenate(uniforms, axis=1)
+    links = LinkDraw(u[3], np.concatenate(fading_los),
+                     np.concatenate(fading_nlos))
+    return np.array(counts), _sites_from_uniforms(cfg, u), links
 
 
 def _sinr_matrix(draw_cfg: AueNetworkConfig,
@@ -346,20 +395,27 @@ def _sinr_matrix(draw_cfg: AueNetworkConfig,
     Trial i deploys and draws once, on `rng.child_generator(i)` under
     `draw_cfg`, and every (UE height, config) point is evaluated on that
     draw; the point configs must draw as `draw_cfg` does (same density,
-    region, site height and fading laws). Trials are evaluated in blocks of
-    `_BLOCK_TRIALS`, each block in one array pass per point.
+    region, site height and fading laws). Trials are drawn and evaluated in
+    blocks of `_BLOCK_TRIALS`. Each block runs one site stage per distinct
+    (height, config without its UE antenna), shared by the points that
+    differ only in the antenna, and one UE stage per point.
     """
     if n_trials < 1:
         raise DomainError("need at least one trial")
-    prepared = [_point(h, point_cfg, draw_cfg.bs_height_m)
-                for h, point_cfg in points]
+    # the site stage never reads the UE antenna: key it without one
+    keys = [(h, replace(point_cfg, uav=None)) for h, point_cfg in points]
+    prepared = {key: _point(*key, draw_cfg.bs_height_m)
+                for key in dict.fromkeys(keys)}
     out = np.empty((len(points), n_trials))
     for lo in range(0, n_trials, _BLOCK_TRIALS):
         hi = min(lo + _BLOCK_TRIALS, n_trials)
-        block = _site_block(*_draw_trials(draw_cfg, rng, range(lo, hi)),
+        block = _site_block(*_draw_block(draw_cfg, rng, range(lo, hi)),
                             0.0, 0.0)
-        for k, point in enumerate(prepared):
-            out[k, lo:hi] = _evaluate_block(block, point, aim_cone_at_serving)[0]
+        stages = {key: _site_stage(block, point)
+                  for key, point in prepared.items()}
+        for k, (key, (_, point_cfg)) in enumerate(zip(keys, points)):
+            out[k, lo:hi] = _ue_stage(block, stages[key], point_cfg,
+                                      aim_cone_at_serving)[0]
     return out
 
 

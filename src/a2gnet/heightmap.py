@@ -322,12 +322,24 @@ def building_stats(hm: HeightMap, min_building_height_m: float = 4.0) -> Buildin
 # Synthetic city generator
 # ---------------------------------------------------------------------------
 
+# most cells per side of a synthetic city: one float64 raster of 4096^2
+# cells is about 134 MB
+MAX_SYNTHETIC_CELLS = 4096
+
+
 def synthetic_cells(extent_m: float, cellsize_m: float) -> int:
     """Cells per side of a synthetic city; the cell size must divide the
-    extent, so that the map spans exactly extent_m."""
+    extent, so that the map spans exactly extent_m, in at most
+    MAX_SYNTHETIC_CELLS cells."""
     if cellsize_m <= 0 or extent_m <= 0:
         raise DomainError("synthetic city needs positive extent_m and cellsize_m")
-    n = round(extent_m / cellsize_m)
+    cells = extent_m / cellsize_m
+    # checked before round(), which overflows on an infinite ratio
+    if cells > MAX_SYNTHETIC_CELLS + 0.5:
+        raise DomainError(f"a {cellsize_m:g} m cell makes more than "
+                          f"{MAX_SYNTHETIC_CELLS} cells a side over the "
+                          f"{extent_m:g} m extent")
+    n = round(cells)
     if not math.isclose(n * cellsize_m, extent_m, rel_tol=1e-9):
         raise DomainError(f"a {cellsize_m:g} m cell does not divide the "
                           f"{extent_m:g} m extent")

@@ -10,6 +10,7 @@ from a2gnet.antenna_geometry import (
     OmniUav,
     Position3D,
     SectorAntenna,
+    _wrap_angle,
     azimuth_elevation,
     bs_gain_db,
     link_geometry,
@@ -111,6 +112,43 @@ class TestSectorAntenna:
     def test_main_side_gain_ordering(self):
         ant = SectorAntenna(max_gain_dbi=16.0, sidelobe_floor_db=20.0)
         assert ant.main_gain >= ant.side_gain > 0
+
+
+def same_bits(a, b):
+    # equal bit patterns, -0.0 against +0.0 included; any NaN matches any NaN
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+class TestWrapAngle:
+    """The fmod wrap against the remainder form it replaced, bit for bit."""
+
+    @staticmethod
+    def remainder_wrap(a):
+        return (np.asarray(a) + np.pi) % (2.0 * np.pi) - np.pi
+
+    @pytest.mark.parametrize("lo,hi", [(-12.0, 4.0), (-1e3, 1e3),
+                                       (-1e-300, 1e-300)])
+    def test_random_angles(self, lo, hi):
+        a = np.random.default_rng(7).uniform(lo, hi, 200_000)
+        assert same_bits(_wrap_angle(a), self.remainder_wrap(a))
+
+    def test_edges(self):
+        k = np.arange(-3, 4) * np.pi
+        a = np.concatenate([
+            k, np.nextafter(k, np.inf), np.nextafter(k, -np.inf),
+            [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.nan, np.inf,
+             -np.inf]])
+        with np.errstate(invalid="ignore"):
+            got, ref = _wrap_angle(a), self.remainder_wrap(a)
+            assert all(same_bits(_wrap_angle(x), self.remainder_wrap(x))
+                       for x in a)
+        assert same_bits(got, ref)
+        assert np.isnan(got[-3:]).all()
+        # rounding can land a remainder just below 0 on 2 pi, hence <= pi
+        assert np.all(np.abs(got[:-3]) <= np.pi)
 
 
 class TestUavAntenna:

@@ -9,9 +9,11 @@ from a2gnet import aue_net as au
 from a2gnet.antenna_geometry import ConeUav, OmniUav, bs_gain_db, uav_gain_linear
 from a2gnet.channel import BuildingPlosTable, Environment
 from a2gnet.errors import DomainError
-from a2gnet.numerics import Nakagami, RngStream, nakagami_power_cdf
+from a2gnet.numerics import Nakagami, Rayleigh, Rician, RngStream, nakagami_power_cdf
 
 CFG = au.AueNetworkConfig()
+# about 0.4 sites per trial: many trials draw no site
+SPARSE = replace(CFG, bs_density_per_km2=0.5, region_radius_m=500.0)
 # environment whose building field never blocks: m < 0 for every distance
 FREE_ENV = Environment(kind="urban", varsigma=1e-9, xi=1e-6, omega=15.0,
                        mean_building_height_m=18.8, street_width_m=20.0)
@@ -297,12 +299,23 @@ class TestSharedDraws:
         assert pts == reference_sweep(cfg, axis, grid, 120.0, 100, rng, metric)
 
     def test_draw_order(self):
-        # sites, then LOS uniforms, then LOS and NLOS fading: the order the
-        # shipped outputs were drawn in
+        # site count, radius, angle and rotation uniforms, then LOS
+        # uniforms, then LOS and NLOS fading: the order and the numpy calls
+        # the shipped outputs were drawn with (deploy_hppp now scales
+        # random() by 2 pi where they called uniform(0, 2 pi))
         gen, ref = (RngStream(85, 0).child_generator(3) for _ in range(2))
         snap = au.deploy_hppp(CFG, gen)
         links = au.draw_links(snap, CFG, gen)
-        n = au.deploy_hppp(CFG, ref).n_sites
+        area_km2 = math.pi * CFG.region_radius_m ** 2 / 1e6
+        n = int(ref.poisson(CFG.bs_density_per_km2 * area_km2))
+        radius = CFG.region_radius_m * np.sqrt(ref.random(n))
+        angle = ref.uniform(0.0, 2.0 * math.pi, n)
+        rotation = ref.uniform(0.0, 2.0 * math.pi, n)
+        assert n == snap.n_sites > 0
+        assert np.array_equal(snap.xy, np.column_stack(
+            [radius * np.sin(angle), radius * np.cos(angle)]))
+        offsets = np.array([0.0, 2.0, 4.0]) * math.pi / 3.0
+        assert np.array_equal(snap.sector_azimuth, rotation[:, None] + offsets)
         assert np.array_equal(links.los_u, ref.random(n))
         assert np.array_equal(links.fading_los, ref.gamma(3, 1 / 3, n))
         assert np.array_equal(links.fading_nlos, ref.gamma(1, 1.0, n))
@@ -336,10 +349,46 @@ class TestSharedDraws:
     def test_sweep_fails_before_any_trial(self, monkeypatch, kwargs):
         def no_draw(*args):
             raise AssertionError("a trial was drawn")
-        monkeypatch.setattr(au, "deploy_hppp", no_draw)
+        # every trial draws on its own child generator
+        monkeypatch.setattr(RngStream, "child_generator", no_draw)
         with pytest.raises(DomainError):
             au.sweep(CFG, "phi_b", [60.0, 120.0], uav_h=150.0,
                      rng=RngStream(84, 0), **kwargs)
+
+
+class TestBlockDraw:
+    """The one-pass block draw against per-trial deploy_hppp + draw_links."""
+
+    @pytest.mark.parametrize("cfg", [
+        CFG, SPARSE,
+        replace(CFG, fading_los=Rician(5.0), fading_nlos=Rayleigh()),
+        replace(SPARSE, fading_los=Rayleigh(), fading_nlos=Rician(0.5)),
+    ], ids=["nakagami", "sparse", "rician-rayleigh", "sparse-rayleigh-rician"])
+    def test_block_equals_per_trial_draws(self, cfg):
+        rng = RngStream(87, 1)
+        trials = range(5, 42)
+        counts, sites, links = au._draw_block(cfg, rng, trials)
+        snaps, draws = [], []
+        for i in trials:
+            gen = rng.child_generator(i)
+            snaps.append(au.deploy_hppp(cfg, gen))
+            draws.append(au.draw_links(snaps[-1], cfg, gen))
+        assert counts.tolist() == [snap.n_sites for snap in snaps]
+        assert sites.height_m == cfg.bs_height_m
+        for got, ref in [
+                (sites.xy, [snap.xy for snap in snaps]),
+                (sites.sector_azimuth, [snap.sector_azimuth for snap in snaps]),
+                (links.los_u, [d.los_u for d in draws]),
+                (links.fading_los, [d.fading_los for d in draws]),
+                (links.fading_nlos, [d.fading_nlos for d in draws])]:
+            ref = np.concatenate(ref)
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_sparse_block_holds_empty_trials(self):
+        counts, sites, _ = au._draw_block(SPARSE, RngStream(87, 1), range(5, 42))
+        assert 0 < np.count_nonzero(counts == 0) < counts.size
+        assert sites.n_sites == counts.sum()
 
 
 class TestConeAiming:
@@ -421,9 +470,6 @@ def reference_matrix(draw_cfg, points, n_trials, rng, aim_cone_at_serving=False)
             out.append(evaluate_sinr((0.0, 0.0, h), snap, links, cfg, table,
                                      aim_cone_at_serving))
     return results
-
-
-SPARSE = replace(CFG, bs_density_per_km2=0.5, region_radius_m=500.0)
 
 
 class TestBatchedKernel:

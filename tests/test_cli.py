@@ -19,7 +19,7 @@ from a2gnet import mapsim as ms
 from a2gnet.antenna_geometry import LinkGeometry
 from a2gnet.cli import _aue_config, _environment, _write_csv, main, run_scenario
 from a2gnet.errors import DomainError, ScenarioError
-from a2gnet.heightmap import HeightMap, save_ascii_grid
+from a2gnet.heightmap import MAX_SYNTHETIC_CELLS, HeightMap, save_ascii_grid
 from a2gnet.numerics import dbm_to_watt
 from a2gnet.scenario import (_TOP_LEVEL, SCHEMAS, parse_scenario,
                              serialize_scenario)
@@ -288,6 +288,24 @@ class TestParsing:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump(_bounded_doc(key, value, path)))
         assert path in str(err.value)
+
+    @pytest.mark.parametrize("extent,cellsize", [(1e5, 4.0), (4097.0, 1.0),
+                                                 (1e5, 5e-324)])
+    def test_synthetic_cell_count_capped(self, extent, cellsize):
+        # a 1e5 m city at 4 m cells asked for a 5 GB raster, and a
+        # subnormal cell ended in a raw OverflowError
+        doc = _bounded_doc("synthetic", {"extent_m": extent,
+                                         "cellsize_m": cellsize},
+                           "mapsim.synthetic")
+        with pytest.raises(ScenarioError, match="4096 cells a side") as err:
+            parse_scenario(yaml.safe_dump(doc))
+        assert "mapsim.synthetic.cellsize_m" in str(err.value)
+
+    def test_synthetic_cell_cap_inclusive(self):
+        doc = _bounded_doc("synthetic", {"extent_m": 8192, "cellsize_m": 2},
+                           "mapsim.synthetic")
+        syn = parse_scenario(yaml.safe_dump(doc)).params["mapsim"]["synthetic"]
+        assert syn["extent_m"] / syn["cellsize_m"] == MAX_SYNTHETIC_CELLS
 
     def test_cellsize_equal_to_extent_accepted(self):
         doc = _bounded_doc("synthetic", {"extent_m": 100, "cellsize_m": 100},
