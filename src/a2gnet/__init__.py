@@ -41,6 +41,7 @@ from .abs_net import (
     AbsDesign,
     AbsProfile,
     coverage_radius,
+    design_rows,
     optimize_altitude,
     outage,
     power_gain,

@@ -5,6 +5,12 @@ horizontal range r is Rician with elevation-dependent K-factor and path-loss
 exponent, each linear in elevation between its horizon and zenith values;
 outage follows from the first-order Marcum Q-function. All angles
 are radians, powers are watts, and K-factors are linear ratios.
+
+A design study rates each altitude of one coverage disc (r_c, epsilon)
+against a ground station serving the same disc. `design_rows` solves the
+ground side once per disc: its boundary link factor (one inverse Marcum Q
+solve), its required power and its mean disc outage. Each altitude then
+costs one solve and one disc outage.
 """
 
 from __future__ import annotations
@@ -133,14 +139,55 @@ def _link_factor(k: float, epsilon: float) -> float:
     return x
 
 
+class _Disc:
+    """One coverage disc (r_c, epsilon) under one profile.
+
+    A boundary is the disc's edge seen from one altitude: the tuple
+    (theta_c, eta(theta_c), x), x the link factor at K(theta_c). The ground
+    side, the boundary at theta_c = 0 and the delivered fraction of a ground
+    station at its required power, is the same at every altitude: each is
+    computed on first use and then shared.
+    """
+
+    def __init__(self, r_c_m: float, epsilon: float, prof: AbsProfile):
+        self.r_c_m, self.epsilon, self.prof = r_c_m, epsilon, prof
+
+    def boundary(self, theta_c: float):
+        eta = self.prof.eta_of_theta(theta_c)
+        return theta_c, eta, _link_factor(self.prof.k_of_theta(theta_c),
+                                          self.epsilon)
+
+    def required_power(self, boundary) -> float:
+        theta_c, eta, x = boundary
+        prof = self.prof
+        slant = self.r_c_m / math.cos(theta_c)  # = boundary link length
+        return (prof.noise_w * prof.threshold_t / prof.antenna_gain
+                * x * slant ** eta)
+
+    @functools.cached_property
+    def ground(self):
+        return self.boundary(0.0)
+
+    def power_gain(self, aerial) -> float:
+        """x_0 x_theta^-1 r^(eta(0)-eta(theta_c)) cos(theta_c)^eta(theta_c)."""
+        _, eta0, x0 = self.ground
+        theta_c, eta_c, x_c = aerial
+        return (x0 / x_c * self.r_c_m ** (eta0 - eta_c)
+                * math.cos(theta_c) ** eta_c)
+
+    def served(self, h_abs_m: float, p_tx_w: float) -> float:
+        """1 - mean disc outage of a station at h transmitting p_tx_w."""
+        return 1.0 - mean_disc_outage(h_abs_m, p_tx_w, self.r_c_m, self.prof)
+
+    @functools.cached_property
+    def ground_served(self) -> float:
+        return self.served(0.0, self.required_power(self.ground))
+
+
 def required_power(design: AbsDesign, prof: AbsProfile) -> float:
     """Transmit power achieving outage epsilon at the coverage boundary."""
-    theta_c = design.theta_c
-    eta = prof.eta_of_theta(theta_c)
-    x = _link_factor(prof.k_of_theta(theta_c), design.epsilon)
-    slant = design.r_c_m / math.cos(theta_c)  # = boundary link length
-    return (prof.noise_w * prof.threshold_t / prof.antenna_gain
-            * x * slant ** eta)
+    disc = _Disc(design.r_c_m, design.epsilon, prof)
+    return disc.required_power(disc.boundary(design.theta_c))
 
 
 def power_gain(h_abs_m: float, r_c_m: float, epsilon: float,
@@ -149,13 +196,8 @@ def power_gain(h_abs_m: float, r_c_m: float, epsilon: float,
     x_0 x_theta^-1 r^(eta(0)-eta(theta_c)) cos(theta_c)^eta(theta_c)."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must be in (0, 1)")
-    theta_c = math.atan2(h_abs_m, r_c_m)
-    x0 = _link_factor(prof.k_of_theta(0.0), epsilon)
-    x_c = _link_factor(prof.k_of_theta(theta_c), epsilon)
-    eta0 = prof.eta_of_theta(0.0)
-    eta_c = prof.eta_of_theta(theta_c)
-    return (x0 / x_c * r_c_m ** (eta0 - eta_c)
-            * math.cos(theta_c) ** eta_c)
+    disc = _Disc(r_c_m, epsilon, prof)
+    return disc.power_gain(disc.boundary(math.atan2(h_abs_m, r_c_m)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +238,22 @@ def sum_rate(h_abs_m: float, p_tx_w: float, n_bar: float, w_hz: float,
 def sum_rate_gain(h_abs_m: float, prof: AbsProfile, design: AbsDesign) -> float:
     """(1 - mean outage @ ABS power) / (1 - mean outage @ ground-BS power),
     each side transmitting its own required power for the disc."""
-    aerial = AbsDesign(h_abs_m, design.r_c_m, design.epsilon)
-    ground = AbsDesign(0.0, design.r_c_m, design.epsilon)
-    p_abs = required_power(aerial, prof)
-    p_tbs = required_power(ground, prof)
-    num = 1.0 - mean_disc_outage(h_abs_m, p_abs, design.r_c_m, prof)
-    den = 1.0 - mean_disc_outage(0.0, p_tbs, design.r_c_m, prof)
-    return num / den
+    return design_rows([h_abs_m], design.r_c_m, design.epsilon, prof)[0][2]
+
+
+def design_rows(altitudes: Sequence[float], r_c_m: float, epsilon: float,
+                prof: AbsProfile):
+    """[(required power, power gain, sum-rate gain)], one per altitude, for
+    one disc: each altitude's boundary is solved once, and the ground side
+    once for all of them."""
+    disc = _Disc(r_c_m, epsilon, prof)
+    rows = []
+    for h in altitudes:
+        aerial = disc.boundary(AbsDesign(h, r_c_m, epsilon).theta_c)
+        p_abs = disc.required_power(aerial)
+        rows.append((p_abs, disc.power_gain(aerial),
+                     disc.served(h, p_abs) / disc.ground_served))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +301,15 @@ def optimize_altitude(metric: str, prof: AbsProfile, grid: Sequence[float],
     if not grid:
         raise DomainError("altitude grid must be nonempty")
 
-    def evaluate(h):
-        if metric == "power_gain":
-            return power_gain(h, design.r_c_m, design.epsilon, prof)
-        if metric == "sum_rate_gain":
-            return sum_rate_gain(h, prof, design)
-        return coverage_radius(h, p_tx_w, epsilon, prof).radius_m
-
-    values = [evaluate(h) for h in grid]
+    if metric == "coverage_radius":
+        values = [coverage_radius(h, p_tx_w, epsilon, prof).radius_m
+                  for h in grid]
+    elif metric == "sum_rate_gain":
+        values = [row[2] for row in
+                  design_rows(grid, design.r_c_m, design.epsilon, prof)]
+    else:  # the power gain needs no disc outage: only the boundaries
+        disc = _Disc(design.r_c_m, design.epsilon, prof)
+        values = [disc.power_gain(disc.boundary(math.atan2(h, design.r_c_m)))
+                  for h in grid]
     best = int(np.argmax(values))  # first occurrence = lowest altitude
     return grid[best], values[best]

@@ -3,7 +3,8 @@
 Every run is reproducible: identical seeds give byte-identical outputs,
 because all Monte Carlo work is keyed per work unit. Runs are serial; the
 `--threads` flag is accepted and has no effect.
-Floats print with 9 significant digits.
+Floats print as `%.9g` (NaN of either sign as `nan`, infinities as `inf`
+and `-inf`), None as `nan`, integers in full (booleans as 1 and 0), text as it is.
 
 The channel table evaluates each altitude in one array pass over its
 distances through `channel.slice_pl_db`. A cell outside a ground-slice fit
@@ -43,10 +44,13 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    # a plain float is the common cell: FMT prints nan and inf as _fmt does
+    lines = [",".join(header)]
+    lines += [",".join([FMT % v if type(v) is float else _fmt(v) for v in row])
+              for row in rows]
+    lines.append("")  # the file ends with a newline
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines))
     return path
 
 
@@ -183,13 +187,9 @@ def _run_abs_design(s: Scenario, out_dir: Path):
         antenna_gain=10.0 ** (b["antenna_gain_db"] / 10.0),
         noise_w=dbm_to_watt(b["noise_dbm"]),
         threshold_t=10.0 ** (b["threshold_db"] / 10.0))
-    rows = []
-    for h in b["altitudes_m"]:
-        design = abs_net.AbsDesign(h, b["r_c_m"], b["epsilon"])
-        p_req = abs_net.required_power(design, prof)
-        gain = abs_net.power_gain(h, b["r_c_m"], b["epsilon"], prof)
-        srg = abs_net.sum_rate_gain(h, prof, design)
-        rows.append([h, b["r_c_m"], p_req, gain, srg])
+    rows = [[h, b["r_c_m"], *row] for h, row in zip(
+        b["altitudes_m"],
+        abs_net.design_rows(b["altitudes_m"], b["r_c_m"], b["epsilon"], prof))]
     return [_write_csv(out_dir / "abs_design.csv",
                        ["h_m", "r_c_m", "p_req_w", "power_gain",
                         "sum_rate_gain"], rows)]

@@ -226,6 +226,77 @@ class TestSumRateGain:
         assert abs(ab.sum_rate_gain(h, URBAN, self.DESIGN) - mc) < se
 
 
+def _reference_design_row(h, r_c, eps, prof):
+    """One abs-design row from scratch, as the per-altitude functions once
+    computed it: five link-factor solves and two disc outages."""
+    def power(theta_c):
+        eta = prof.eta_of_theta(theta_c)
+        x = ab._link_factor(prof.k_of_theta(theta_c), eps)
+        slant = r_c / math.cos(theta_c)
+        return (prof.noise_w * prof.threshold_t / prof.antenna_gain
+                * x * slant ** eta)
+
+    theta_c = math.atan2(h, r_c)
+    p_abs, p_tbs = power(theta_c), power(math.atan2(0.0, r_c))
+    x0 = ab._link_factor(prof.k_of_theta(0.0), eps)
+    x_c = ab._link_factor(prof.k_of_theta(theta_c), eps)
+    eta0, eta_c = prof.eta_of_theta(0.0), prof.eta_of_theta(theta_c)
+    gain = x0 / x_c * r_c ** (eta0 - eta_c) * math.cos(theta_c) ** eta_c
+    num = 1.0 - ab.mean_disc_outage(h, p_abs, r_c, prof)
+    den = 1.0 - ab.mean_disc_outage(0.0, p_tbs, r_c, prof)
+    return p_abs, gain, num / den
+
+
+class TestDesignRows:
+    """The shared rows solve the ground side once and write the values the
+    per-altitude formulas give, bit for bit."""
+
+    ALTITUDES = [0.0, 1.0, 50.0, 123.456, 400.0, 1600.0]
+
+    @pytest.mark.parametrize("prof", [FLAT, URBAN], ids=["flat", "urban"])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-6, 0.01, 0.05, 0.5])
+    @pytest.mark.parametrize("r_c", [1.0, 37.5, 500.0, 1e4, 1e6])
+    def test_equal_to_per_altitude_calls(self, r_c, eps, prof):
+        rows = ab.design_rows(self.ALTITUDES, r_c, eps, prof)
+        for h, row in zip(self.ALTITUDES, rows, strict=True):
+            assert row == _reference_design_row(h, r_c, eps, prof)
+            design = ab.AbsDesign(h, r_c, eps)
+            assert row == (ab.required_power(design, prof),
+                           ab.power_gain(h, r_c, eps, prof),
+                           ab.sum_rate_gain(h, prof, design))
+
+    def test_optimize_altitude_uses_the_same_values(self):
+        design = ab.AbsDesign(200.0, 500.0, 0.05)
+        rows = ab.design_rows(self.ALTITUDES, 500.0, 0.05, URBAN)
+        for metric, column in (("power_gain", 1), ("sum_rate_gain", 2)):
+            best = max((row[column], -h) for h, row in zip(self.ALTITUDES, rows))
+            assert ab.optimize_altitude(metric, URBAN, self.ALTITUDES[::-1],
+                                        design=design) == (-best[1], best[0])
+
+    def test_ground_side_solved_once(self, monkeypatch):
+        counts = {"_link_factor": 0, "mean_disc_outage": 0}
+        for name in counts:
+            def counted(*args, _f=getattr(ab, name), _name=name):
+                counts[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(ab, name, counted)
+        ab.design_rows(self.ALTITUDES, 500.0, 0.05, URBAN)
+        n = len(self.ALTITUDES)
+        assert counts == {"_link_factor": n + 1, "mean_disc_outage": n + 1}
+        design = ab.AbsDesign(200.0, 500.0, 0.05)
+        for metric, outages in (("power_gain", 0), ("sum_rate_gain", n + 1)):
+            counts.update(_link_factor=0, mean_disc_outage=0)
+            ab.optimize_altitude(metric, URBAN, self.ALTITUDES, design=design)
+            assert counts == {"_link_factor": n + 1, "mean_disc_outage": outages}
+        counts.update(_link_factor=0, mean_disc_outage=0)
+        assert ab.design_rows([], 500.0, 0.05, URBAN) == []
+        assert counts == {"_link_factor": 0, "mean_disc_outage": 0}
+
+    def test_invalid_altitude_rejected(self):
+        with pytest.raises(DomainError, match="h_abs"):
+            ab.design_rows([100.0, -1.0], 500.0, 0.05, URBAN)
+
+
 class TestCoverageRadius:
     def test_round_trip_with_required_power(self):
         for h, r_c in [(100.0, 400.0), (400.0, 800.0), (800.0, 300.0)]:

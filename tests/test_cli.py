@@ -17,12 +17,15 @@ from a2gnet import channel as ch
 from a2gnet import localization as loc
 from a2gnet import mapsim as ms
 from a2gnet.antenna_geometry import LinkGeometry
-from a2gnet.cli import _aue_config, _environment, _write_csv, main, run_scenario
+from a2gnet.cli import (_aue_config, _environment, _fmt, _write_csv, main,
+                        run_scenario)
 from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import MAX_SYNTHETIC_CELLS, HeightMap, save_ascii_grid
 from a2gnet.numerics import dbm_to_watt
-from a2gnet.scenario import (_TOP_LEVEL, SCHEMAS, parse_scenario,
-                             serialize_scenario)
+from a2gnet.scenario import (_TOP_LEVEL, SCHEMAS, load_scenario,
+                             parse_scenario, serialize_scenario)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 MINIMAL_CHANNEL = """
 command: channel-table
@@ -524,8 +527,8 @@ class TestLibraryDefaults:
         assert cfg == aue_net.AueNetworkConfig()
 
     def test_abs_profile(self, monkeypatch, tmp_path):
-        _, prof = self._capture(monkeypatch, tmp_path, abs_net,
-                                "required_power", "abs-design")
+        *_, prof = self._capture(monkeypatch, tmp_path, abs_net,
+                                 "design_rows", "abs-design")
         assert prof == abs_net.urban_abs_profile()
 
     def test_localize(self, monkeypatch, tmp_path):
@@ -593,6 +596,72 @@ def test_schema_walk_exit_code(tmp_path, capsys, command, path, value):
     assert ".".join(path) in err and "Traceback" not in err
 
 
+def _reference_write_csv(path, header, rows):
+    """The CSV writer one value and one write at a time, each value through
+    `_fmt`."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
+
+
+def test_write_csv_matches_per_value_writer(tmp_path):
+    rows = [[1.5, np.float64(2.25), -0.0, 0.0, math.nan, -math.nan,
+             math.inf, -math.inf, None],
+            [7, np.int64(-3), True, False, "urban", 10 ** 9, 123456789012,
+             -(10 ** 12), np.int64(2 ** 62)],
+            [1e-300, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1e9, 1e16,
+             np.float64(math.nan), np.float32(0.1), np.float64(-math.inf)]]
+    expected = _reference_write_csv(tmp_path / "ref.csv", ["a", "b"], rows)
+    got = _write_csv(tmp_path / "new.csv", ["a", "b"], rows)
+    assert got.read_bytes() == expected.read_bytes()
+    empty = _write_csv(tmp_path / "empty.csv", ["a"], [])
+    assert empty.read_bytes() == b"a\n"
+    assert got.read_text().splitlines()[2].split(",")[5:7] == [
+        "1000000000", "123456789012"]
+
+
+def _reference_abs_design(s, out_dir):
+    """The abs-design table one altitude at a time, each row from the
+    per-altitude library calls."""
+    b = s.params["abs"]
+    prof = abs_net.urban_abs_profile(
+        k0_db=b["k0_db"], k90_db=b["k90_db"], eta0=b["eta0"], eta90=b["eta90"],
+        antenna_gain=10.0 ** (b["antenna_gain_db"] / 10.0),
+        noise_w=dbm_to_watt(b["noise_dbm"]),
+        threshold_t=10.0 ** (b["threshold_db"] / 10.0))
+    rows = []
+    for h in b["altitudes_m"]:
+        design = abs_net.AbsDesign(h, b["r_c_m"], b["epsilon"])
+        p_req = abs_net.required_power(design, prof)
+        gain = abs_net.power_gain(h, b["r_c_m"], b["epsilon"], prof)
+        srg = abs_net.sum_rate_gain(h, prof, design)
+        rows.append([h, b["r_c_m"], p_req, gain, srg])
+    return _reference_write_csv(out_dir / "abs_design.csv",
+                                ["h_m", "r_c_m", "p_req_w", "power_gain",
+                                 "sum_rate_gain"], rows)
+
+
+class TestAbsDesignRows:
+    """The shared design rows write the bytes the per-altitude loop writes."""
+
+    def _check(self, s, tmp_path):
+        expected = _reference_abs_design(s, tmp_path).read_bytes()
+        assert run_scenario(s, tmp_path / "rows")[0].read_bytes() == expected
+
+    def test_shipped_scenario(self, tmp_path):
+        self._check(load_scenario(SCENARIOS / "abs_design.yaml"), tmp_path)
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.1])
+    @pytest.mark.parametrize("r_c", [250, 500, 1000])
+    def test_bench_grid(self, r_c, epsilon, tmp_path):
+        self._check(parse_scenario(yaml.safe_dump(
+            {"command": "abs-design",
+             "abs": {"epsilon": epsilon, "r_c_m": r_c,
+                     "altitudes_m": _geom_grid(50, 1600, 12)}})), tmp_path)
+
+
 def _reference_channel_table(s, out_dir):
     """The channel table one scalar cell at a time, each out-of-window or
     undefined entry caught as a DomainError and written as nan."""
@@ -626,10 +695,11 @@ def _reference_channel_table(s, out_dir):
                     cells.append(float("nan"))
             rows.append([h, d_h, slice_.value, float(p_build), float(p_3gpp),
                          pl_l, pl_n, avg] + cells[2:])
-    return _write_csv(out_dir / "channel_table.csv",
-                      ["h_uav_m", "d_h_m", "slice", "p_los_building",
-                       "p_los_3gpp", "pl_los_db", "pl_nlos_db", "pl_avg_db",
-                       "sigma_los_db", "sigma_nlos_db"], rows)
+    return _reference_write_csv(out_dir / "channel_table.csv",
+                                ["h_uav_m", "d_h_m", "slice", "p_los_building",
+                                 "p_los_3gpp", "pl_los_db", "pl_nlos_db",
+                                 "pl_avg_db", "sigma_los_db", "sigma_nlos_db"],
+                                rows)
 
 
 def _geom_grid(lo, hi, n):
