@@ -6,7 +6,6 @@ from .antenna_geometry import (
     OmniUav,
     Position3D,
     SectorAntenna,
-    azimuth_elevation,
     bs_gain_db,
     link_geometry,
     uav_gain_linear,
@@ -55,7 +54,6 @@ from .aue_net import (
     NetworkSnapshot,
     ase,
     capacity,
-    capacity_from_pcov,
     coverage_probability_mc,
     deploy_hppp,
     sinr_samples,
@@ -85,7 +83,6 @@ from .mapsim import (
     MapSimConfig,
     SectorSite,
     coverage_vs_altitude,
-    received_power_dbm,
     sinr_grid,
     site_on_roof,
 )

@@ -56,17 +56,6 @@ def link_geometry(aerial: Position3D, ground: Position3D) -> LinkGeometry:
     return LinkGeometry(d_h=d_h, d_3d=d_3d, h_uav=aerial.h, h_g=ground.h, theta=theta)
 
 
-def azimuth_elevation(frm: Position3D, to: Position3D):
-    """(azimuth, elevation) of the direction from `frm` toward `to`."""
-    dx = to.x - frm.x
-    dy = to.y - frm.y
-    dz = to.h - frm.h
-    d_h = math.hypot(dx, dy)
-    if d_h == 0.0 and dz == 0.0:
-        raise DomainError("direction between coincident points is undefined")
-    return math.atan2(dx, dy), math.atan2(dz, d_h)
-
-
 # ---------------------------------------------------------------------------
 # Tilted sector base-station antenna
 # ---------------------------------------------------------------------------
@@ -104,16 +93,6 @@ class SectorAntenna:
         phi3_deg = math.degrees(self.beamwidth_3db)
         theta3_deg = 31000.0 * 10.0 ** (-self.max_gain_dbi / 10.0) / phi3_deg
         return math.radians(min(max(theta3_deg, 2.0), phi3_deg))
-
-    @property
-    def main_gain(self) -> float:
-        """G_M, linear."""
-        return 10.0 ** (self.max_gain_dbi / 10.0)
-
-    @property
-    def side_gain(self) -> float:
-        """G_m, linear (peak minus the sidelobe floor)."""
-        return 10.0 ** ((self.max_gain_dbi - self.sidelobe_floor_db) / 10.0)
 
 
 def _wrap_angle(a):
@@ -162,14 +141,13 @@ class ConeUav:
     """Ideal cone: gain 29000/phi_B^2 inside the main lobe, zero outside.
 
     phi_b_deg is the full opening angle in degrees; phi_t tilts the cone
-    axis away from straight down, toward `tilt_azimuth`. The idealized
+    axis away from straight down, toward azimuth 0 (north). The idealized
     pattern radiates about 55% of the spherical power budget at every
     opening angle, so it never claims over-unity directivity.
     """
 
     phi_b_deg: float
     phi_t: float = 0.0         # rad from nadir
-    tilt_azimuth: float = 0.0  # rad
 
     def __post_init__(self):
         if not 0.0 < self.phi_b_deg <= 180.0:
@@ -178,10 +156,6 @@ class ConeUav:
     @property
     def gain_linear(self) -> float:
         return 29000.0 / self.phi_b_deg ** 2
-
-    @property
-    def axis_elevation(self) -> float:
-        return self.phi_t - 0.5 * math.pi
 
 
 UavAntenna = Union[OmniUav, ConeUav]
@@ -195,23 +169,14 @@ def uav_gain_linear(ant: UavAntenna, azimuth, elevation):
         return float(g) if g.ndim == 0 else g
     if not isinstance(ant, ConeUav):
         raise DomainError(f"unknown UAV antenna {ant!r}")
-    el_axis = ant.axis_elevation
-    g = cone_gain_linear(ant, azimuth, elevation, math.sin(el_axis),
-                         math.cos(el_axis), ant.tilt_azimuth)
-    return float(g) if g.ndim == 0 else g
-
-
-def cone_gain_linear(ant: ConeUav, azimuth, elevation, sin_axis, cos_axis,
-                     axis_azimuth) -> np.ndarray:
-    """Gain of `ant`'s cone toward (azimuth, elevation) about the axis whose
-    elevation has sine `sin_axis` and cosine `cos_axis` and whose bearing is
-    `axis_azimuth`, in place of the cone's own tilt. The axis terms are
-    scalars or arrays broadcasting against the directions, so each
-    direction may carry its own axis."""
+    # angle between each direction and the cone axis, tilted phi_t from
+    # nadir toward azimuth 0
+    el_axis = ant.phi_t - 0.5 * math.pi
     az = np.asarray(azimuth, dtype=float)
     el = np.asarray(elevation, dtype=float)
-    cos_sep = (np.sin(el) * sin_axis
-               + np.cos(el) * cos_axis * np.cos(az - axis_azimuth))
+    cos_sep = (np.sin(el) * math.sin(el_axis)
+               + np.cos(el) * math.cos(el_axis) * np.cos(az))
     sep = np.arccos(np.clip(cos_sep, -1.0, 1.0))
     inside = sep <= math.radians(ant.phi_b_deg) / 2.0
-    return np.where(inside, ant.gain_linear, 0.0)
+    g = np.where(inside, ant.gain_linear, 0.0)
+    return float(g) if g.ndim == 0 else g

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .antenna_geometry import (
     SectorAntenna,
     UavAntenna,
     bs_gain_db,
-    cone_gain_linear,
     uav_gain_linear,
 )
 from .channel import (
@@ -247,24 +246,6 @@ def _strongest(block: _SiteBlock, power: np.ndarray):
     return block.starts + col, padded[np.arange(n_trials), col]
 
 
-def _aimed_cone_gain(block: _SiteBlock, uav: ConeUav, omni_power: np.ndarray,
-                     el_from_uav: np.ndarray) -> np.ndarray:
-    """UE gain toward every site with each trial's cone re-pointed at the
-    site that serves it under an omni antenna."""
-    serving, _ = _strongest(block, omni_power)
-    counts = block.ends - block.starts
-    axis = np.zeros((3, counts.size))   # sin, cos of elevation; azimuth
-    for j in np.flatnonzero(counts):
-        s = serving[j]
-        aimed = replace(uav, phi_t=float(0.5 * math.pi + el_from_uav[s]),
-                        tilt_azimuth=float(block.az_from_uav[s]))
-        el_axis = aimed.axis_elevation
-        axis[:, j] = math.sin(el_axis), math.cos(el_axis), aimed.tilt_azimuth
-    sin_axis, cos_axis, axis_az = np.repeat(axis, counts, axis=1)
-    return cone_gain_linear(uav, block.az_from_uav, el_from_uav, sin_axis,
-                            cos_axis, axis_az)
-
-
 @dataclass(frozen=True)
 class _SiteStage:
     """A block seen from one network point, before the UE antenna: per site
@@ -306,22 +287,15 @@ def _site_stage(block: _SiteBlock, point: _Point) -> _SiteStage:
                                block.links.fading_nlos))
 
 
-def _ue_stage(block: _SiteBlock, stage: _SiteStage, cfg: AueNetworkConfig,
-              aim_cone_at_serving: bool):
+def _ue_stage(block: _SiteBlock, stage: _SiteStage, cfg: AueNetworkConfig):
     """SINR on every trial of `block` for a UE carrying `cfg.uav`.
 
     Each trial's UE associates by the largest fade-free mean power and its
     SINR applies the drawn fading; a trial with no site, or no positive mean
-    power, reads 0. With `aim_cone_at_serving` a conical UE antenna is
-    re-pointed at the site that serves under an omni antenna before gains
-    are applied. Returns the per-trial SINR and flat serving index (-1 when
-    nothing is received).
+    power, reads 0. Returns the per-trial SINR and flat serving index (-1
+    when nothing is received).
     """
-    if aim_cone_at_serving and isinstance(cfg.uav, ConeUav):
-        g_uav = _aimed_cone_gain(block, cfg.uav, stage.tx_gain * stage.path_gain,
-                                 stage.el_from_uav)
-    else:
-        g_uav = uav_gain_linear(cfg.uav, block.az_from_uav, stage.el_from_uav)
+    g_uav = uav_gain_linear(cfg.uav, block.az_from_uav, stage.el_from_uav)
     mean_rx = stage.tx_gain * g_uav * stage.path_gain
 
     serving, best = _strongest(block, mean_rx)
@@ -339,14 +313,14 @@ def _ue_stage(block: _SiteBlock, stage: _SiteStage, cfg: AueNetworkConfig,
 
 
 def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
-                  rng: RngLike, aim_cone_at_serving: bool = False) -> SnapshotSinr:
+                  rng: RngLike) -> SnapshotSinr:
     """SINR of a UE at (x, y, h) against one snapshot: draws the snapshot's
     LOS uniforms and fading gains from `rng`, then evaluates them."""
     x, y, h = uav_xyh
     block = _site_block(np.array([snap.n_sites]), snap,
                         draw_links(snap, cfg, rng), x, y)
     stage = _site_stage(block, _point(h, cfg, snap.height_m))
-    sinr, serving = _ue_stage(block, stage, cfg, aim_cone_at_serving)
+    sinr, serving = _ue_stage(block, stage, cfg)
     site = int(serving[0])
     if site < 0:
         return SnapshotSinr(0.0, -1, -1, False)
@@ -388,8 +362,7 @@ def _draw_block(cfg: AueNetworkConfig, rng: RngStream, trials: range):
 
 def _sinr_matrix(draw_cfg: AueNetworkConfig,
                  points: Sequence[Tuple[float, AueNetworkConfig]],
-                 n_trials: int, rng: RngStream,
-                 aim_cone_at_serving: bool = False) -> np.ndarray:
+                 n_trials: int, rng: RngStream) -> np.ndarray:
     """(points x trials) SINR of a UE at the region center.
 
     Trial i deploys and draws once, on `rng.child_generator(i)` under
@@ -414,17 +387,14 @@ def _sinr_matrix(draw_cfg: AueNetworkConfig,
         stages = {key: _site_stage(block, point)
                   for key, point in prepared.items()}
         for k, (key, (_, point_cfg)) in enumerate(zip(keys, points)):
-            out[k, lo:hi] = _ue_stage(block, stages[key], point_cfg,
-                                      aim_cone_at_serving)[0]
+            out[k, lo:hi] = _ue_stage(block, stages[key], point_cfg)[0]
     return out
 
 
 def sinr_samples(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
-                 rng: RngStream,
-                 aim_cone_at_serving: bool = False) -> np.ndarray:
+                 rng: RngStream) -> np.ndarray:
     """n_trials independent SINR draws for a UE at the region center."""
-    return _sinr_matrix(cfg, [(uav_h, cfg)], n_trials, rng,
-                        aim_cone_at_serving)[0]
+    return _sinr_matrix(cfg, [(uav_h, cfg)], n_trials, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -451,12 +421,11 @@ def _check_coverage_trials(n_trials: int):
 
 
 def coverage_probability_mc(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
-                            rng: RngStream,
-                            threshold: float = None) -> CoverageEstimate:
-    """Fraction of trials with SINR above the target, with a normal CI."""
+                            rng: RngStream) -> CoverageEstimate:
+    """Fraction of trials with SINR above `cfg.threshold_t`, with a normal CI."""
     _check_coverage_trials(n_trials)
-    t = cfg.threshold_t if threshold is None else threshold
-    return coverage_from_samples(sinr_samples(uav_h, cfg, n_trials, rng), t)
+    return coverage_from_samples(sinr_samples(uav_h, cfg, n_trials, rng),
+                                 cfg.threshold_t)
 
 
 @dataclass(frozen=True)
@@ -468,11 +437,16 @@ class CapacityEstimate:
 
 def _capacity_coefficients(k_nodes: int, t_max: float = None):
     """Nodes t_n and coefficients w_n / (1 + t_n) / ln 2 of the capacity
-    quadrature; with t_max set, nodes above it are dropped."""
+    quadrature; with t_max set, nodes above it are dropped, and a t_max
+    below every node, which would leave a capacity of 0, is an error."""
     if k_nodes < 50:
         raise DomainError("capacity quadrature needs K >= 50 nodes")
     t, w = chebyshev_capacity_nodes(k_nodes)
     if t_max is not None:
+        if not t[0] <= t_max:
+            raise DomainError(
+                f"t_max {t_max:.9g} lies below the smallest of the {k_nodes} "
+                f"quadrature nodes ({t[0]:.9g}); no node is left")
         keep = t <= t_max
         t, w = t[keep], w[keep]
     return t, w / (1.0 + t) / math.log(2.0)
@@ -487,20 +461,9 @@ def _capacity_from_samples(sinr: np.ndarray, t: np.ndarray,
     return CapacityEstimate(mean, ci, sinr.size)
 
 
-def capacity_from_pcov(pcov: Callable[[float], float], k_nodes: int,
-                       t_max: float = None) -> float:
-    """Quadrature (1/ln 2) sum w_n P_cov(t_n) / (1 + t_n) over the nodes.
-
-    With t_max set, nodes above it are dropped, bounding the integral at
-    ln(1 + t_max)/ln 2 when P_cov is identically one.
-    """
-    t, coeff = _capacity_coefficients(k_nodes, t_max)
-    return float(np.sum(coeff * np.array([pcov(tn) for tn in t])))
-
-
 def capacity(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
-             rng: RngStream, k_nodes: int = 200, t_max: float = None,
-             aim_cone_at_serving: bool = False) -> CapacityEstimate:
+             rng: RngStream, k_nodes: int = 200,
+             t_max: float = None) -> CapacityEstimate:
     """Monte Carlo capacity via the coverage quadrature.
 
     The same SINR draws feed the empirical coverage at every node (common
@@ -508,9 +471,8 @@ def capacity(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
     a per-sample spread gives the confidence interval.
     """
     t, coeff = _capacity_coefficients(k_nodes, t_max)
-    sinr = sinr_samples(uav_h, cfg, n_trials, rng,
-                        aim_cone_at_serving=aim_cone_at_serving)
-    return _capacity_from_samples(sinr, t, coeff)
+    return _capacity_from_samples(sinr_samples(uav_h, cfg, n_trials, rng),
+                                  t, coeff)
 
 
 def ase(cfg: AueNetworkConfig, uav_h: float, n_trials: int, rng: RngStream,

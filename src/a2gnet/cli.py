@@ -124,6 +124,7 @@ def _run_channel_table(s: Scenario, out_dir: Path):
     rows = []
     for h in block["altitudes_m"]:
         slice_ = ch.slice_of(h, env)
+        name = slice_.value
         ground = slice_ is ch.PropagationSlice.GROUND
         d_3d = np.hypot(d_h, h - h_g)
         p_3gpp = ch.p_los_3gpp(d_h, h, slice_)
@@ -141,7 +142,7 @@ def _run_channel_table(s: Scenario, out_dir: Path):
         columns = np.broadcast_arrays(
             d_h, ch._p_los_building_heights(d_h, max(h, h_g), min(h, h_g), env),
             p_3gpp, *pl, ch.averaged_pl_db(*pl, p_3gpp), *sigma)
-        rows += [[h, d, slice_.value, *rest]
+        rows += [[h, d, name, *rest]
                  for d, *rest in zip(*(c.tolist() for c in columns))]
     return [_write_csv(out_dir / "channel_table.csv",
                        ["h_uav_m", "d_h_m", "slice", "p_los_building",

@@ -274,10 +274,6 @@ class CampaignResult:
     def p90_m(self) -> float:
         return float(np.quantile(self.pos_errors, 0.9))
 
-    def error_cdf(self):
-        x = np.sort(self.pos_errors)
-        return x, np.arange(1, x.size + 1) / x.size
-
 
 def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
                  ch: ElevationChannel, rng: RngStream,

@@ -19,7 +19,7 @@ from . import channel as ch
 from .antenna_geometry import (SECTOR_OFFSETS, Position3D, SectorAntenna,
                                bs_gain_db)
 from .errors import DomainError, ScenarioError
-from .heightmap import HeightMap, los_check, los_mask
+from .heightmap import HeightMap, los_mask
 
 MAST_M = 5.0               # default mast height above the roof, m
 # path-loss exponents of the free-space model under LOS and NLOS
@@ -158,15 +158,6 @@ def _rx_dbm(site: SectorSite, cfg: MapSimConfig, x, y, ue_h: float, los):
     off_boresight = az - site.sector_azimuths.reshape((3,) + (1,) * az.ndim)
     return (site.p_tx_dbm + bs_gain_db(site.antenna, off_boresight, el)
             + cfg.ue_gain_dbi - pl)
-
-
-def received_power_dbm(site: SectorSite, sector_idx: int, ue: Position3D,
-                       hm: HeightMap, cfg: MapSimConfig) -> float:
-    """P_rx = P_tx + G_tx + G_rx - PL for one sector toward one location."""
-    if not hm.contains(ue.x, ue.y):
-        raise DomainError("evaluation point outside the map")
-    los = los_check(site.position, ue, hm)
-    return float(_rx_dbm(site, cfg, ue.x, ue.y, ue.h, los)[sector_idx])
 
 
 @dataclass

@@ -129,8 +129,8 @@ class TestSnapshotSinr:
 
 class TestCoverage:
     def test_tiny_threshold_full_coverage(self):
-        est = au.coverage_probability_mc(60.0, CFG, 300, RngStream(41, 0),
-                                         threshold=1e-12)
+        est = au.coverage_probability_mc(60.0, replace(CFG, threshold_t=1e-12),
+                                         300, RngStream(41, 0))
         assert est.estimate == 1.0
 
     def test_nonincreasing_in_threshold(self):
@@ -165,30 +165,54 @@ class TestCoverage:
         assert a == b
 
 
+def quadrature(pcov, k_nodes, t_max=None):
+    """(1/ln 2) sum w_n P_cov(t_n) / (1 + t_n) for a P_cov given in closed form."""
+    t, coeff = au._capacity_coefficients(k_nodes, t_max)
+    return float(np.sum(coeff * pcov(t)))
+
+
 class TestCapacity:
     def test_injected_rational_pcov(self):
         # integral of 1/(1+t)^2 over [0, inf) is 1, so capacity is 1/ln 2
-        value = au.capacity_from_pcov(lambda t: 1.0 / (1.0 + t), k_nodes=400)
+        value = quadrature(lambda t: 1.0 / (1.0 + t), k_nodes=400)
         assert value == pytest.approx(1.0 / math.log(2.0), abs=1e-2)
 
     def test_bounded_variant_with_unit_pcov(self):
         t_max = 1000.0
-        value = au.capacity_from_pcov(lambda t: 1.0, k_nodes=4000, t_max=t_max)
+        value = quadrature(np.ones_like, k_nodes=4000, t_max=t_max)
         assert value == pytest.approx(math.log2(1.0 + t_max), rel=2e-2)
 
     def test_unbounded_unit_pcov_diverges_with_node_count(self):
         # the underlying integral diverges; the node sum keeps growing with
         # the reach of the largest node (about 6.6 b/s/Hz per decade of K)
-        vals = [au.capacity_from_pcov(lambda t: 1.0, k_nodes=k)
-                for k in (50, 500, 5000)]
+        vals = [quadrature(np.ones_like, k_nodes=k) for k in (50, 500, 5000)]
         assert vals[0] < vals[1] < vals[2]
         assert vals[2] - vals[0] > 10.0
 
     def test_node_floor(self):
         with pytest.raises(DomainError):
-            au.capacity_from_pcov(lambda t: 1.0, k_nodes=10)
-        with pytest.raises(DomainError):
             au.capacity(60.0, CFG, 100, RngStream(1, 0), k_nodes=10)
+
+    @pytest.mark.parametrize("k_nodes", [50, 200, 4000])
+    def test_t_max_below_every_node_rejected(self, k_nodes):
+        # a bound below the smallest node would keep no node: capacity 0
+        t, _ = au._capacity_coefficients(k_nodes)
+        with pytest.raises(DomainError, match="t_max"):
+            au._capacity_coefficients(k_nodes, float(np.nextafter(t[0], 0.0)))
+        with pytest.raises(DomainError, match="t_max"):
+            au._capacity_coefficients(k_nodes, 1e-10)
+        kept, _ = au._capacity_coefficients(k_nodes, float(t[0]))
+        assert kept.tolist() == [t[0]]
+
+    def test_t_max_below_every_node_fails_before_any_trial(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+        monkeypatch.setattr(RngStream, "child_generator", no_draw)
+        with pytest.raises(DomainError, match="t_max"):
+            au.capacity(60.0, CFG, 100, RngStream(1, 0), t_max=1e-10)
+        with pytest.raises(DomainError, match="t_max"):
+            au.sweep(CFG, "altitude", [60.0], uav_h=0.0, n_trials=100,
+                     rng=RngStream(1, 0), t_max=1e-10)
 
     def test_interior_altitude_maximum(self):
         # street level and 300 m are both dominated by the low-altitude peak
@@ -391,18 +415,7 @@ class TestBlockDraw:
         assert sites.n_sites == counts.sum()
 
 
-class TestConeAiming:
-    def test_aimed_cone_not_worse_than_omni(self):
-        cone_cfg = replace(CFG, uav=ConeUav(phi_b_deg=60.0))
-        n = 800
-        omni = au.coverage_probability_mc(120.0, CFG, n, RngStream(71, 0))
-        aimed_sinr = au.sinr_samples(120.0, cone_cfg, n, RngStream(71, 0),
-                                     aim_cone_at_serving=True)
-        aimed = float(np.mean(aimed_sinr > CFG.threshold_t))
-        assert aimed >= omni.estimate - 3 * omni.ci95
-
-
-def evaluate_sinr(uav_xyh, snap, links, cfg, p_los, aim_cone_at_serving=False):
+def evaluate_sinr(uav_xyh, snap, links, cfg, p_los):
     """Per-trial reference: the SINR of one drawn snapshot, site by site."""
     x, y, h = uav_xyh
     if snap.n_sites == 0:
@@ -432,15 +445,7 @@ def evaluate_sinr(uav_xyh, snap, links, cfg, p_los, aim_cone_at_serving=False):
 
     path_gain = 10.0 ** (-pl_db / 10.0)
 
-    uav_ant = cfg.uav
-    if aim_cone_at_serving and isinstance(uav_ant, ConeUav):
-        mean_omni = cfg.p_tx_w * np.max(bs_gain, axis=1) * path_gain
-        site0 = int(np.argmax(mean_omni))
-        phi_t = 0.5 * math.pi + el_from_uav[site0]  # tilt from nadir
-        uav_ant = replace(uav_ant, phi_t=float(phi_t),
-                          tilt_azimuth=float(az_from_uav[site0]))
-
-    g_uav = uav_gain_linear(uav_ant, az_from_uav, el_from_uav)
+    g_uav = uav_gain_linear(cfg.uav, az_from_uav, el_from_uav)
 
     sector = np.argmax(bs_gain, axis=1)
     site_gain = bs_gain[np.arange(snap.n_sites), sector]
@@ -455,7 +460,7 @@ def evaluate_sinr(uav_xyh, snap, links, cfg, p_los, aim_cone_at_serving=False):
     return au.SnapshotSinr(float(sinr), site, int(sector[site]), bool(los[site]))
 
 
-def reference_matrix(draw_cfg, points, n_trials, rng, aim_cone_at_serving=False):
+def reference_matrix(draw_cfg, points, n_trials, rng):
     """Per-trial reference for `_sinr_matrix`, also returning every
     (point, trial) result in full."""
     h_g = draw_cfg.bs_height_m
@@ -467,36 +472,39 @@ def reference_matrix(draw_cfg, points, n_trials, rng, aim_cone_at_serving=False)
         snap = au.deploy_hppp(draw_cfg, gen)
         links = au.draw_links(snap, draw_cfg, gen)
         for out, (h, cfg), table in zip(results, points, tables):
-            out.append(evaluate_sinr((0.0, 0.0, h), snap, links, cfg, table,
-                                     aim_cone_at_serving))
+            out.append(evaluate_sinr((0.0, 0.0, h), snap, links, cfg, table))
     return results
+
+
+# cones whose axis is aimed off nadir, toward north, at a fixed tilt: they
+# reach sites that the same cone pointing straight down does not
+TILTED = ConeUav(phi_b_deg=60.0, phi_t=math.radians(70.0))
+SPARSE_TILTED = ConeUav(phi_b_deg=80.0, phi_t=math.radians(60.0))
 
 
 class TestBatchedKernel:
     """The block evaluator against the per-trial reference, bit for bit."""
 
-    @pytest.mark.parametrize("cfg,points,aim", [
-        (CFG, [(1.5, replace(CFG, uav=OmniUav())), (30.0, CFG), (150.0, CFG)],
-         False),
+    @pytest.mark.parametrize("cfg,points", [
+        (CFG, [(1.5, replace(CFG, uav=OmniUav())), (30.0, CFG), (150.0, CFG)]),
         (CFG, [(120.0, replace(CFG, uav=ConeUav(phi_b_deg=d)))
-               for d in (40.0, 100.0, 160.0)], False),
-        (replace(CFG, uav=ConeUav(phi_b_deg=60.0)),
-         [(h, replace(CFG, uav=ConeUav(phi_b_deg=60.0))) for h in (60.0, 200.0)],
-         True),
-        (SPARSE, [(1.5, SPARSE), (90.0, SPARSE)], False),
-        (replace(SPARSE, uav=ConeUav(phi_b_deg=80.0)),
-         [(90.0, replace(SPARSE, uav=ConeUav(phi_b_deg=80.0)))], True),
-        (CFG, [(150.0, replace(CFG, uav=ConeUav(phi_b_deg=5.0)))], False),
+               for d in (40.0, 100.0, 160.0)]),
+        (replace(CFG, uav=TILTED),
+         [(h, replace(CFG, uav=TILTED)) for h in (60.0, 200.0)]),
+        (SPARSE, [(1.5, SPARSE), (90.0, SPARSE)]),
+        (replace(SPARSE, uav=SPARSE_TILTED),
+         [(90.0, replace(SPARSE, uav=SPARSE_TILTED))]),
+        (CFG, [(150.0, replace(CFG, uav=ConeUav(phi_b_deg=5.0)))]),
     ], ids=["omni", "cone", "aimed", "sparse", "sparse-aimed", "blind"])
     @pytest.mark.parametrize("block", [None, 1, 1000])
     def test_matrix_equals_per_trial_reference(self, monkeypatch, cfg, points,
-                                               aim, block):
+                                               block):
         if block is not None:
             monkeypatch.setattr(au, "_BLOCK_TRIALS", block)
         rng = RngStream(91, 0)
         n = 37       # not a multiple of the block size
-        got = au._sinr_matrix(cfg, points, n, rng, aim)
-        ref = reference_matrix(cfg, points, n, rng, aim)
+        got = au._sinr_matrix(cfg, points, n, rng)
+        ref = reference_matrix(cfg, points, n, rng)
         assert np.array_equal(got, [[r.sinr for r in row] for row in ref])
 
     def test_cases_reach_their_edges(self):
@@ -509,11 +517,14 @@ class TestBatchedKernel:
         blind = reference_matrix(CFG, [(150.0, blind_cfg)], 37, rng)[0]
         assert sum(r.serving_site < 0 for r in blind) > 30
 
-    @pytest.mark.parametrize("cfg,aim", [
+    @pytest.mark.parametrize("cfg,tilted", [
         (CFG, False), (replace(CFG, uav=ConeUav(phi_b_deg=60.0)), True),
         (SPARSE, False), (replace(CFG, uav=ConeUav(phi_b_deg=5.0)), False)])
-    def test_snapshot_equals_per_trial_reference(self, cfg, aim):
+    def test_snapshot_equals_per_trial_reference(self, cfg, tilted):
         # serving site, sector and LOS state too, off the region center
+        if tilted:    # pointing down from 75 m, the 60 degree cone sees no site
+            cfg = replace(cfg, uav=replace(cfg.uav, phi_t=math.radians(70.0)))
+        served = 0
         for i in range(30):
             gen, ref = (RngStream(92, 0).child_generator(i) for _ in range(2))
             snap = au.deploy_hppp(cfg, gen)
@@ -521,8 +532,10 @@ class TestBatchedKernel:
             xyh = (120.0, -40.0, 75.0)
             table = BuildingPlosTable(75.0, cfg.bs_height_m, cfg.env)
             expected = evaluate_sinr(xyh, snap, au.draw_links(snap, cfg, ref),
-                                     cfg, table, aim)
-            assert au.snapshot_sinr(xyh, snap, cfg, gen, aim) == expected
+                                     cfg, table)
+            assert au.snapshot_sinr(xyh, snap, cfg, gen) == expected
+            served += expected.serving_site >= 0
+        assert served > 0 or not tilted
 
     def test_memory_stays_bounded(self):
         # blocks keep the flat site arrays small; one pass over all 2000

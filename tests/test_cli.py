@@ -858,6 +858,16 @@ class TestMainEntry:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_t_max_below_every_node_exit_code(self, tmp_path, capsys):
+        # -100 dB lies below the smallest of K = 200 nodes (about -46 dB):
+        # the sweep kept no node and wrote a capacity of 0 on every row
+        scn = tmp_path / "run.yaml"
+        scn.write_text("command: aue-sweep\nsweep:\n  axis: altitude\n"
+                       "  grid: [60]\n  n_trials: 100\n  t_max_db: -100\n")
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 1
+        assert "t_max" in capsys.readouterr().err
+        assert not (tmp_path / "aue_sweep.csv").exists()
+
     @pytest.mark.parametrize("block,code,named", [
         ("  heightmap: nope.asc\n", 2, "mapsim.heightmap"),
         ("  heightmap: bad.asc\n", 2, "mapsim.heightmap"),

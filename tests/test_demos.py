@@ -1,10 +1,14 @@
-"""The quick demos run to completion against the current library.
+"""The quick demos run to completion against the current library, and
+every demo names only what the library has.
 
-Each runs in a fresh interpreter with a temporary working directory, so
+Each run is in a fresh interpreter with a temporary working directory, so
 files a demo writes (mapsim_city.py writes sinr_rooftop.asc) stay out of
 the checkout.
 """
 
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -25,3 +29,54 @@ def test_demo_runs(tmp_path, demo):
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def _unknown_names(tree):
+    """Each a2gnet name a demo imports, or reaches as module.attr, that the
+    package lacks, and each keyword it passes to an a2gnet callable that the
+    callable does not take."""
+    bound, unknown = {}, []
+
+    def lookup(owner, name, node):
+        if not hasattr(owner, name):
+            unknown.append(f"line {node.lineno}: {name}")
+        return getattr(owner, name, None)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("a2gnet"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = lookup(module, alias.name,
+                                                           node)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner = bound.get(node.value.id)
+            if inspect.ismodule(owner):
+                lookup(owner, node.attr, node)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                target = bound.get(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value,
+                                                                ast.Name):
+                owner = bound.get(func.value.id)
+                target = getattr(owner, func.attr, None) \
+                    if inspect.ismodule(owner) else None
+            else:
+                continue
+            if callable(target):
+                try:
+                    inspect.signature(target).bind_partial(
+                        **{kw.arg: None for kw in node.keywords if kw.arg})
+                except TypeError as exc:
+                    unknown.append(f"line {node.lineno}: {exc}")
+    return unknown
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in
+                                        (ROOT / "demos").glob("*.py")))
+def test_demo_names_exist(demo):
+    # also holds the demos test_demo_runs leaves out (a minute or more each)
+    # to the package's current names and keywords
+    tree = ast.parse((ROOT / "demos" / demo).read_text(encoding="utf-8"))
+    assert _unknown_names(tree) == []

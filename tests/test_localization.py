@@ -345,8 +345,6 @@ class TestCampaign:
         plan = loc.AnchorPlan(4, 120.0, 200.0)
         res = loc.run_campaign(self.SCEN, plan, TABLE_CH, RngStream(65))
         assert res.p50_m <= res.p90_m
-        x, f = res.error_cdf()
-        assert f[-1] == 1.0 and np.all(np.diff(x) >= 0)
 
     def test_unknown_mode_rejected(self):
         plan = loc.AnchorPlan(3, 120.0, 200.0)
