@@ -454,8 +454,11 @@ def _capacity_coefficients(k_nodes: int, t_max: float = None):
 
 def _capacity_from_samples(sinr: np.ndarray, t: np.ndarray,
                            coeff: np.ndarray) -> CapacityEstimate:
-    # the quadrature applied per sample; its spread gives the CI
-    per_sample = (sinr[:, None] > t[None, :]) @ coeff
+    # the quadrature applied per sample; its spread gives the CI. A sample
+    # scores the coefficients of the nodes strictly below its SINR, a prefix
+    # of the ascending nodes, so it reads one prefix sum
+    per_sample = np.concatenate(([0.0], np.cumsum(coeff)))[
+        np.searchsorted(t, sinr, side="left")]
     mean = float(np.mean(per_sample))
     ci = 1.96 * float(np.std(per_sample)) / math.sqrt(sinr.size)
     return CapacityEstimate(mean, ci, sinr.size)

@@ -55,14 +55,11 @@ def _write_csv(path: Path, header, rows):
 
 
 def _environment(block) -> ch.Environment:
+    # the parser checked that a custom block sets every key a preset would
     preset = block.get("preset", "urban")
     values = {k: v for k, v in block.items() if k != "preset" and v is not None}
     if preset != "custom":
         return replace(ch.preset_environment(preset), **values)
-    for key in ("kind", "varsigma", "xi", "omega"):
-        if key not in values:
-            raise ScenarioError("custom environment needs kind, varsigma, xi, omega",
-                                f"environment.{key}")
     return ch.Environment(**values)
 
 
@@ -79,25 +76,20 @@ def _aue_config(block) -> aue_net.AueNetworkConfig:
         sidelobe_floor_db=block["sector_sidelobe_floor_db"],
         elevation_beamwidth_3db=math.radians(
             block["sector_elevation_beamwidth_deg"]))
-    # the config holds what the SINR reads: the total noise power N and the
-    # linear target T; a rate target R enters through T = 2^(R/B) - 1
+    # the config holds what the SINR reads: the total noise power N; only a
+    # coverage sweep adds a target (_sinr_target)
     bw_hz = block["bandwidth_mhz"] * 1e6
     if block["noise_override_dbm"] is not None:
         noise_w = dbm_to_watt(block["noise_override_dbm"])
     else:
         noise_w = (dbm_to_watt(block["noise_density_dbm_hz"])
                    * 10.0 ** (block["noise_figure_db"] / 10.0) * bw_hz)
-    if block["target_rate_mbps"] is not None:
-        threshold_t = 2.0 ** (block["target_rate_mbps"] * 1e6 / bw_hz) - 1.0
-    else:
-        threshold_t = 10.0 ** (block["threshold_db"] / 10.0)
     return aue_net.AueNetworkConfig(
         frequency_hz=block["frequency_ghz"] * 1e9,
         bs_density_per_km2=block["bs_density_per_km2"],
         bs_height_m=block["bs_height_m"],
         p_tx_w=dbm_to_watt(block["p_tx_dbm"]),
         noise_w=noise_w,
-        threshold_t=threshold_t,
         uav=uav,
         sector=sector,
         env=_environment(block["environment"]),
@@ -106,9 +98,17 @@ def _aue_config(block) -> aue_net.AueNetworkConfig:
         nlos_excess_db=block["nlos_excess_db"],
         fading_los=Nakagami(block["fading_m_los"]),
         fading_nlos=Nakagami(block["fading_m_nlos"]),
-        aue_ratio_rho=block["aue_ratio_rho"],
         region_radius_m=block["region_radius_m"],
     )
+
+
+def _sinr_target(block) -> float:
+    """The linear SINR target T of a coverage sweep; a rate target R enters
+    through T = 2^(R/B) - 1."""
+    if block["target_rate_mbps"] is not None:
+        return 2.0 ** (block["target_rate_mbps"] * 1e6
+                       / (block["bandwidth_mhz"] * 1e6)) - 1.0
+    return 10.0 ** (block["threshold_db"] / 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,9 @@ def _run_aue_sweep(s: Scenario, out_dir: Path):
     cfg = _aue_config(s.params["aue"])
     sw = s.params["sweep"]
     t_max = None
-    if sw["t_max_db"] is not None:
+    if sw["metric"] == "coverage":
+        cfg = replace(cfg, threshold_t=_sinr_target(s.params["aue"]))
+    elif sw["t_max_db"] is not None:
         t_max = 10.0 ** (sw["t_max_db"] / 10.0)
     grid = sw["grid"]
     if sw["axis"] == "phi_t":    # degrees in the file, as aue.phi_t_deg

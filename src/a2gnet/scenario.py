@@ -4,7 +4,16 @@ All model parameters live in the file; the command line only overrides the
 seed and output directory. Unknown keys are rejected with their full path
 so a typo like `bs_densty` fails loudly, and bounded numbers (list items
 too) name the offending path, e.g. `run.altitudes_m[2]`. NaN and infinite
-numbers are rejected everywhere.
+numbers are rejected everywhere, and so is a key repeated within one
+mapping.
+
+The schema states what each run reads. A field's `read_when` conditions
+name the keys that switch it off (`aue.phi_b_deg` is read only under
+`aue.antenna: cone`), and a sweep never reads the key its axis varies. A
+file that sets a key the run would not read is rejected after the type and
+bound checks, naming both keys; null counts as unset. The canonical form
+from `serialize_scenario` leaves those keys out, so it holds exactly what
+the run reads.
 """
 
 from __future__ import annotations
@@ -37,19 +46,9 @@ class Field:
     below: Any = None              # strict upper bound
     item_kind: type = float        # for list fields
     schema: dict = None            # for nested blocks
-
-
-def _env_schema(default_preset="urban"):
-    return Field(kind=dict, schema={
-        "preset": Field(kind=str, default=default_preset,
-                        choices=(*ENV_PRESETS, "custom")),
-        "kind": Field(kind=str, default=None, choices=tuple(SLICE_CEILINGS_M)),
-        "varsigma": Field(default=None, minimum=0.0, maximum=1.0),
-        "xi": Field(default=None, above=0.0),
-        "omega": Field(default=None, above=0.0),
-        "mean_building_height_m": Field(default=None, above=0.0),
-        "street_width_m": Field(default=None, above=0.0),
-    })
+    # (dotted path, allowed values) conditions on the parsed document; the
+    # run reads the key only when every one holds
+    read_when: tuple = ()
 
 
 # every power, gain, loss and target in dB lies within +-DB_LIMIT, which
@@ -62,26 +61,68 @@ MAX_PLATFORM_ALTITUDE_M = 1e5
 MAX_RANGE_M = 1e5
 # the top of the EHF band; no bandwidth is wider than its carrier
 MAX_FREQUENCY_GHZ = 300.0
+# 1 MHz, below any cellular carrier; a subnormal carrier has an infinite
+# wavelength, and its free-space loss is the log of 0
+MIN_FREQUENCY_GHZ = 1e-3
 MAX_BANDWIDTH_MHZ = MAX_FREQUENCY_GHZ * 1e3
-# an ultra-dense layout with about 10 m between base stations
+# the lowest ground antenna of the 3GPP ground fits
+MIN_ANTENNA_HEIGHT_M = 1.0
+# an ultra-dense layout with about 10 m between base stations, and
+# between buildings
 MAX_BS_DENSITY_PER_KM2 = 1e4
+MAX_BUILDINGS_PER_KM2 = 1e4
 # a rate target past 50 b/s/Hz needs an SINR target past DB_LIMIT
 MAX_SPECTRAL_EFFICIENCY = 50.0
 # no beam is wider than the full circle
 MAX_BEAMWIDTH_DEG = 360.0
+# the cone's gain 29000 / phi_b^2 stays within DB_LIMIT; a subnormal
+# opening angle squares to 0
+MIN_CONE_BEAMWIDTH_DEG = math.sqrt(29000.0 / 10.0 ** (DB_LIMIT / 10.0))
 # path-loss exponents run from 2 in free space to about 6 in dense cover;
 # every exponent key shares this stated ceiling past both
 MAX_PATH_LOSS_EXPONENT = 10.0
+# a capacity quadrature converges well before 10^5 nodes, and the nodes
+# stay a few MB
+MAX_CAPACITY_NODES = 10 ** 5
 
 
-def _db(default):
-    return Field(default=default, minimum=-DB_LIMIT, maximum=DB_LIMIT)
+def _env_schema(default_preset="urban", read_when=()):
+    return Field(kind=dict, read_when=read_when, schema={
+        "preset": Field(kind=str, default=default_preset,
+                        choices=(*ENV_PRESETS, "custom")),
+        "kind": Field(kind=str, default=None, choices=tuple(SLICE_CEILINGS_M)),
+        "varsigma": Field(default=None, minimum=0.0, maximum=1.0),
+        "xi": Field(default=None, above=0.0, maximum=MAX_BUILDINGS_PER_KM2),
+        # building heights, their Rayleigh scale included, stay within the
+        # modelled envelope
+        "omega": Field(default=None, above=0.0,
+                       maximum=MAX_MODELED_ALTITUDE_M),
+        "mean_building_height_m": Field(default=None, above=0.0,
+                                        maximum=MAX_MODELED_ALTITUDE_M),
+        "street_width_m": Field(default=None, above=0.0),
+    })
 
 
-_FREQUENCY_GHZ = Field(default=1.8, above=0.0, maximum=MAX_FREQUENCY_GHZ)
+# a custom environment states the keys the presets supply
+_CUSTOM_ENV_KEYS = ("kind", "varsigma", "xi", "omega")
+
+
+def _db(default, read_when=()):
+    return Field(default=default, minimum=-DB_LIMIT, maximum=DB_LIMIT,
+                 read_when=read_when)
+
+
+_FREQUENCY_GHZ = Field(default=1.8, minimum=MIN_FREQUENCY_GHZ,
+                       maximum=MAX_FREQUENCY_GHZ)
 _BANDWIDTH_MHZ = Field(default=20.0, above=0.0, maximum=MAX_BANDWIDTH_MHZ)
 _DOWNTILT_DEG = Field(default=8.0, minimum=-90.0, maximum=90.0)
 
+
+_NOISE_FROM_DENSITY = (("aue.noise_override_dbm", (None,)),)
+_CONE = (("aue.antenna", ("cone",)),)
+_OMNI = (("aue.antenna", ("omni",)),)
+_COVERAGE_SWEEP = (("sweep.metric", ("coverage",)),)
+_CAPACITY_SWEEP = (("sweep.metric", ("capacity",)),)
 
 _AUE_BLOCK = {
     "frequency_ghz": _FREQUENCY_GHZ,
@@ -94,23 +135,22 @@ _AUE_BLOCK = {
     # thermal noise kT is -174 dBm/Hz at 290 K; -200 is under 1 K, and -100
     # far above any receiver's (its noise figure carries the rest)
     "noise_density_dbm_hz": Field(default=-174.0, minimum=-200.0,
-                                  maximum=-100.0),
-    "noise_figure_db": _db(9.0),
+                                  maximum=-100.0,
+                                  read_when=_NOISE_FROM_DENSITY),
+    "noise_figure_db": _db(9.0, _NOISE_FROM_DENSITY),
     "noise_override_dbm": _db(None),
-    "threshold_db": _db(0.0),
-    # at most MAX_SPECTRAL_EFFICIENCY times bandwidth_mhz (checked below)
-    "target_rate_mbps": Field(default=None, above=0.0),
     "eta_los": Field(default=2.0, above=0.0, maximum=MAX_PATH_LOSS_EXPONENT),
     "eta_nlos": Field(default=3.5, above=0.0, maximum=MAX_PATH_LOSS_EXPONENT),
     "nlos_excess_db": _db(20.0),
     "fading_m_los": Field(kind=int, default=3, minimum=1),
     "fading_m_nlos": Field(kind=int, default=1, minimum=1),
-    "aue_ratio_rho": Field(default=0.5, minimum=0.0, maximum=1.0),
     "region_radius_m": Field(default=3000.0, above=0.0, maximum=MAX_RANGE_M),
     "antenna": Field(kind=str, default="omni", choices=("omni", "cone")),
-    "phi_b_deg": Field(default=60.0, above=0.0, maximum=180.0),
-    "phi_t_deg": Field(default=0.0, minimum=0.0, maximum=180.0),
-    "omni_gain_dbi": _db(2.15),
+    "phi_b_deg": Field(default=60.0, minimum=MIN_CONE_BEAMWIDTH_DEG,
+                       maximum=180.0, read_when=_CONE),
+    "phi_t_deg": Field(default=0.0, minimum=0.0, maximum=180.0,
+                       read_when=_CONE),
+    "omni_gain_dbi": _db(2.15, _OMNI),
     "sector_max_gain_dbi": _db(16.0),
     "sector_downtilt_deg": _DOWNTILT_DEG,
     "sector_beamwidth_deg": Field(default=65.0, above=0.0,
@@ -122,11 +162,25 @@ _AUE_BLOCK = {
     "environment": _env_schema(),
 }
 
+# only a coverage sweep reads an SINR target; a phi_b sweep fits a cone
+_AUE_SWEEP_BLOCK = {
+    **_AUE_BLOCK,
+    "threshold_db": _db(0.0, (*_COVERAGE_SWEEP,
+                              ("aue.target_rate_mbps", (None,)))),
+    # at most MAX_SPECTRAL_EFFICIENCY times bandwidth_mhz (checked below)
+    "target_rate_mbps": Field(default=None, above=0.0,
+                              read_when=_COVERAGE_SWEEP),
+    "omni_gain_dbi": _db(2.15, (*_OMNI, ("sweep.axis",
+                                         ("altitude", "density", "phi_t")))),
+}
+
 SCHEMAS: Dict[str, dict] = {
     "channel-table": {
         "channel": Field(kind=dict, schema={
             "frequency_ghz": _FREQUENCY_GHZ,
-            "h_g_m": Field(default=30.0, above=0.0,
+            # the 3GPP ground fits start at a 1 m terminal; under it the
+            # (h_b / h_g)^2 term of the NLOS fit overflows
+            "h_g_m": Field(default=30.0, minimum=MIN_ANTENNA_HEIGHT_M,
                            maximum=MAX_MODELED_ALTITUDE_M),
             "altitudes_m": Field(kind=list, default=[1.5, 30.0, 150.0],
                                  above=0.0, maximum=MAX_MODELED_ALTITUDE_M),
@@ -137,7 +191,7 @@ SCHEMAS: Dict[str, dict] = {
         }),
     },
     "aue-coverage": {
-        "aue": Field(kind=dict, schema=dict(_AUE_BLOCK)),
+        "aue": Field(kind=dict, schema=_AUE_BLOCK),
         "run": Field(kind=dict, schema={
             "altitudes_m": Field(kind=list, default=[30.0, 60.0, 120.0],
                                  minimum=0.0, maximum=MAX_MODELED_ALTITUDE_M),
@@ -147,7 +201,7 @@ SCHEMAS: Dict[str, dict] = {
         }),
     },
     "aue-sweep": {
-        "aue": Field(kind=dict, schema=dict(_AUE_BLOCK)),
+        "aue": Field(kind=dict, schema=_AUE_SWEEP_BLOCK),
         "sweep": Field(kind=dict, schema={
             "axis": Field(kind=str, required=True,
                           choices=("altitude", "density", "phi_b", "phi_t")),
@@ -158,8 +212,10 @@ SCHEMAS: Dict[str, dict] = {
             "metric": Field(kind=str, default="capacity",
                             choices=("capacity", "coverage")),
             "n_trials": Field(kind=int, default=2000, minimum=1),
-            "k_nodes": Field(kind=int, default=200, minimum=50),
-            "t_max_db": _db(None),
+            "k_nodes": Field(kind=int, default=200, minimum=50,
+                             maximum=MAX_CAPACITY_NODES,
+                             read_when=_CAPACITY_SWEEP),
+            "t_max_db": _db(None, _CAPACITY_SWEEP),
         }),
     },
     "abs-design": {
@@ -223,7 +279,8 @@ SCHEMAS: Dict[str, dict] = {
     "mapsim": {
         "mapsim": Field(kind=dict, schema={
             "heightmap": Field(kind=str, default=None),
-            "synthetic": Field(kind=dict, schema={
+            "synthetic": Field(kind=dict, read_when=(
+                ("mapsim.heightmap", (None,)),), schema={
                 "extent_m": Field(default=480.0, above=0.0,
                                   maximum=MAX_RANGE_M),
                 # a whole number of cells spans extent_m (checked below)
@@ -233,11 +290,13 @@ SCHEMAS: Dict[str, dict] = {
                 "environment": _env_schema("dense_urban"),
             }),
             "sites_csv": Field(kind=str, default=None),
-            "auto_sites": Field(kind=dict, schema={
+            "auto_sites": Field(kind=dict, read_when=(
+                ("mapsim.sites_csv", (None,)),), schema={
                 # the automatic layout has 9 positions
                 "count": Field(kind=int, default=5, minimum=1, maximum=9),
                 "p_tx_dbm": _db(46.0),
-                "mast_m": Field(default=5.0, minimum=0.0,
+                # a site on bare ground is still a ground terminal
+                "mast_m": Field(default=5.0, minimum=MIN_ANTENNA_HEIGHT_M,
                                 maximum=MAX_MODELED_ALTITUDE_M),
                 "downtilt_deg": _DOWNTILT_DEG,
                 "max_gain_dbi": _db(16.0),
@@ -254,7 +313,9 @@ SCHEMAS: Dict[str, dict] = {
             "pl_model": Field(kind=str, default="threegpp",
                               choices=("threegpp", "free_space")),
             "emit_rasters": Field(kind=bool, default=True),
-            "environment": _env_schema("dense_urban"),
+            # the free-space loss has no environment
+            "environment": _env_schema("dense_urban", (
+                ("mapsim.pl_model", ("threegpp",)),)),
         }),
     },
 }
@@ -374,13 +435,70 @@ def _validate_block(data, schema: dict, path: str):
             raise ScenarioError("missing required key", sub_path)
         else:
             out[key] = f.default
+    if out.get("preset") == "custom":
+        for key in _CUSTOM_ENV_KEYS:
+            if out[key] is None:
+                raise ScenarioError("custom environment needs "
+                                    f"{', '.join(_CUSTOM_ENV_KEYS)}",
+                                    f"{path}.{key}")
     return out
+
+
+def _lookup(tree, path: str):
+    """The value at a dotted path, None where any part is missing."""
+    for key in path.split("."):
+        if not isinstance(tree, dict):
+            return None
+        tree = tree.get(key)
+    return tree
+
+
+def _unread(doc: dict, schema: dict, swept: str, path: str = ""):
+    """Yield (path, reason) for each key of the parsed document that the
+    run does not read; a block that is not read is not walked into."""
+    for key, f in schema.items():
+        sub_path = f"{path}.{key}" if path else key
+        off = [cond for cond, allowed in f.read_when
+               if _lookup(doc, cond) not in allowed]
+        if sub_path == swept:
+            off.append("sweep.axis")
+        if off:
+            yield sub_path, f"not read when {off[0]} is {_lookup(doc, off[0])}"
+        elif f.schema is not None:
+            yield from _unread(doc, f.schema, swept, sub_path)
+
+
+def _swept_key(doc: dict) -> str:
+    """The dotted key a sweep's axis varies; a sweep never reads it."""
+    if doc["command"] != "aue-sweep":
+        return None
+    return ".".join(_SWEEP_AXIS_KEYS[doc["sweep"]["axis"]])
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A safe loader that rejects a key repeated within one mapping, where
+    the plain loader keeps the last. Merge keys (`<<`) keep their meaning:
+    a key set beside them overrides the merged one."""
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            seen = set()
+            for key_node, _ in node.value:
+                if not isinstance(key_node, yaml.ScalarNode) or \
+                        key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ScenarioError(f"duplicate key {key!r} on line "
+                                        f"{key_node.start_mark.line + 1}")
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"not valid YAML: {exc}")
     if not isinstance(raw, dict):
@@ -394,7 +512,7 @@ def parse_scenario(text: str) -> Scenario:
     doc = _validate_block(raw, {**_TOP_LEVEL, **schema}, "")
     params = {key: doc[key] for key in schema}
     aue = params.get("aue")
-    if (aue is not None and aue["target_rate_mbps"] is not None
+    if (aue is not None and aue.get("target_rate_mbps") is not None
             and aue["target_rate_mbps"]
             > MAX_SPECTRAL_EFFICIENCY * aue["bandwidth_mhz"]):
         raise ScenarioError(f"must be at most {MAX_SPECTRAL_EFFICIENCY:g} "
@@ -412,19 +530,41 @@ def parse_scenario(text: str) -> Scenario:
             synthetic_cells(syn["extent_m"], syn["cellsize_m"])
         except DomainError as exc:
             raise ScenarioError(str(exc), "mapsim.synthetic.cellsize_m") from exc
+    for path, reason in _unread(doc, schema, _swept_key(doc)):
+        if _lookup(raw, path) is not None:
+            raise ScenarioError(reason, path)
     return Scenario(command=command, seed=doc["seed"], output=doc["output"],
                     params=params)
 
 
+def _read_only(tree: dict, unread: set, path: str = "") -> dict:
+    out = {}
+    for key, value in tree.items():
+        sub_path = f"{path}.{key}" if path else key
+        if sub_path not in unread:
+            out[key] = (_read_only(value, unread, sub_path)
+                        if isinstance(value, dict) else value)
+    return out
+
+
 def serialize_scenario(s: Scenario) -> str:
-    """Canonical YAML for a validated scenario (parse-stable)."""
+    """Canonical YAML for a validated scenario (parse-stable): the keys the
+    run reads, and no other."""
     doc = {"command": s.command, "seed": s.seed}
     if s.output is not None:
         doc["output"] = s.output
     doc.update(s.params)
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
+    unread = {path for path, _ in _unread(doc, SCHEMAS[s.command],
+                                          _swept_key(doc))}
+    return yaml.safe_dump(_read_only(doc, unread), sort_keys=True,
+                          default_flow_style=False)
 
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path} is not UTF-8 text: {exc.reason} "
+                                f"at byte {exc.start}") from exc
+    return parse_scenario(text)

@@ -226,6 +226,28 @@ class TestCapacity:
             margin = vals[best] - vals[edge]
             assert margin > 3 * max(caps[best].ci95, caps[edge].ci95)
 
+    @pytest.mark.parametrize("t_max", [None, 30.0])
+    @pytest.mark.parametrize("k_nodes", [50, 200, 2000])
+    def test_sorted_lookup_matches_matrix_form(self, k_nodes, t_max):
+        # the (n x K) indicator matrix the lookup replaced; a sample scores
+        # the nodes strictly below its SINR, so one exactly on a node does
+        # not score that node
+        t, coeff = au._capacity_coefficients(k_nodes, t_max)
+        sinr = np.concatenate([
+            [0.0, math.inf, t[0], t[-1], t[len(t) // 2]],
+            np.nextafter(t[[0, -1]], math.inf),
+            10.0 ** np.random.default_rng(k_nodes).uniform(-3, 4, 200)])
+        expected = (sinr[:, None] > t[None, :]).astype(float) @ coeff
+        est = au._capacity_from_samples(sinr, t, coeff)
+        assert est.bps_hz == pytest.approx(float(np.mean(expected)), rel=1e-12)
+        assert est.ci95 == pytest.approx(
+            1.96 * float(np.std(expected)) / math.sqrt(sinr.size), rel=1e-12)
+        per_sample = [au._capacity_from_samples(np.array([x]), t, coeff).bps_hz
+                      for x in sinr[:7]]
+        assert per_sample == pytest.approx(expected[:7].tolist(), rel=1e-12,
+                                           abs=0.0)
+        assert per_sample[0] == 0.0 and per_sample[2] == 0.0
+
     def test_matches_log2_mean_of_samples(self):
         sinr = au.sinr_samples(60.0, CFG, 800, RngStream(47, 0))
         direct = float(np.mean(np.log2(1.0 + np.minimum(sinr, 1000.0))))

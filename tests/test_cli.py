@@ -17,8 +17,8 @@ from a2gnet import channel as ch
 from a2gnet import localization as loc
 from a2gnet import mapsim as ms
 from a2gnet.antenna_geometry import LinkGeometry
-from a2gnet.cli import (_aue_config, _environment, _fmt, _write_csv, main,
-                        run_scenario)
+from a2gnet.cli import (_aue_config, _environment, _fmt, _sinr_target,
+                        _write_csv, main, run_scenario)
 from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import MAX_SYNTHETIC_CELLS, HeightMap, save_ascii_grid
 from a2gnet.numerics import dbm_to_watt
@@ -76,12 +76,17 @@ sweep:
   grid: [60]
 """
 
-# base scenario for each block whose bounds test_bound_validation checks;
-# top-level keys are checked on MINIMAL_CHANNEL
+# the only run that reads an SINR target
+SWEEP_COVERAGE = SWEEP_ALTITUDE + "  metric: coverage\n"
+
+# base scenario for each block, or key, whose bounds test_bound_validation
+# checks; top-level keys are checked on MINIMAL_CHANNEL
 BOUNDED_BASES = {"mapsim": MAPSIM_SMALL, "run": AUE_TABLE_IV, "aue": AUE_TABLE_IV,
                  "sweep": SWEEP_ALTITUDE, "localize": LOCALIZE_TABLE_VI,
                  "channel": "command: channel-table\nchannel: {h_g_m: 30}\n",
-                 "abs": "command: abs-design\nabs: {r_c_m: 500}\n"}
+                 "abs": "command: abs-design\nabs: {r_c_m: 500}\n",
+                 "aue.threshold_db": SWEEP_COVERAGE,
+                 "aue.target_rate_mbps": SWEEP_COVERAGE}
 
 
 def sha(path):
@@ -139,7 +144,8 @@ OVERFLOW_BOUNDS = [
     ("bs_height_m", 301, "aue.bs_height_m"),
     ("region_radius_m", 2e5, "aue.region_radius_m"),
     ("target_rate_mbps", 0, "aue.target_rate_mbps"),
-    # aue-coverage never read the target, so this exited 0
+    # past 50 times bandwidth_mhz; aue-coverage, which never read the
+    # target, used to take it with exit 0
     ("target_rate_mbps", 1e300, "aue.target_rate_mbps"),
     ("thresholds_db", [0, 151], "run.thresholds_db[1]"),
     ("t_max_db", 151, "sweep.t_max_db"),
@@ -173,8 +179,9 @@ OVERFLOW_BOUNDS = [
 def _bounded_doc(key, value, path):
     """The base scenario of path's block with key set to value."""
     block = path.split(".")[0]
-    doc = yaml.safe_load(BOUNDED_BASES.get(block, MINIMAL_CHANNEL))
-    (doc[block] if "." in path else doc)[key] = value
+    base = BOUNDED_BASES.get(path, BOUNDED_BASES.get(block, MINIMAL_CHANNEL))
+    doc = yaml.safe_load(base)
+    (doc.setdefault(block, {}) if "." in path else doc)[key] = value
     return doc
 
 
@@ -248,8 +255,10 @@ class TestParsing:
         ("region_radius_m", -1, "aue.region_radius_m"),
         ("eta_los", 0, "aue.eta_los"),
         ("eta_nlos", -2, "aue.eta_nlos"),
-        ("aue_ratio_rho", -0.1, "aue.aue_ratio_rho"),
-        ("aue_ratio_rho", 1.5, "aue.aue_ratio_rho"),
+        # a subnormal carrier or cone angle ended in a raw ValueError or
+        # ZeroDivisionError
+        ("frequency_ghz", 1e-4, "aue.frequency_ghz"),
+        ("phi_b_deg", 1e-323, "aue.phi_b_deg"),
         ("phi_b_deg", 0, "aue.phi_b_deg"),
         ("phi_b_deg", 181, "aue.phi_b_deg"),
         ("fading_m_los", 0, "aue.fading_m_los"),
@@ -472,8 +481,9 @@ class TestRunners:
         assert len(lines) == 3
 
 
-def _aue_block(**values):
-    doc = {"command": "aue-coverage", "aue": values}
+def _aue_block(base=AUE_TABLE_IV, **values):
+    doc = yaml.safe_load(base)
+    doc["aue"] = values
     return parse_scenario(yaml.safe_dump(doc)).params["aue"]
 
 
@@ -481,11 +491,27 @@ class TestAueConfig:
     """The CLI works out the noise power N and the target T once."""
 
     def test_threshold_from_rate(self):
-        # T = 2^(R/B) - 1 wins over the dB target when a rate is set
-        cfg = _aue_config(_aue_block(target_rate_mbps=20, threshold_db=6))
-        assert cfg.threshold_t == 2.0 ** 1.0 - 1.0
-        assert _aue_config(_aue_block(threshold_db=6)).threshold_t == \
+        # T = 2^(R/B) - 1 from a rate target, else from the dB target; a file
+        # with both is rejected (TestUnreadKeys)
+        block = _aue_block(SWEEP_COVERAGE, target_rate_mbps=20)
+        assert _sinr_target(block) == 2.0 ** 1.0 - 1.0
+        assert _sinr_target(_aue_block(SWEEP_COVERAGE, threshold_db=6)) == \
             10.0 ** 0.6
+
+    def test_only_coverage_sweep_has_target(self, monkeypatch, tmp_path):
+        seen = []
+
+        def stop(cfg, *args, **kwargs):
+            seen.append(cfg)
+            raise _Captured
+
+        monkeypatch.setattr(aue_net, "sweep", stop)
+        doc = yaml.safe_load(SWEEP_COVERAGE)
+        doc["aue"] = {"threshold_db": 6}
+        for text in (yaml.safe_dump(doc), SWEEP_ALTITUDE):
+            with pytest.raises(_Captured):
+                run_scenario(parse_scenario(text), tmp_path)
+        assert [cfg.threshold_t for cfg in seen] == [10.0 ** 0.6, 1.0]
 
     def test_noise_override(self):
         # the override replaces density * noise figure * bandwidth
@@ -497,8 +523,9 @@ class TestAueConfig:
 
     def test_largest_rate_is_finite(self):
         # at 50 b/s/Hz T is 2^50 - 1; 1e300 raised OverflowError
-        cfg = _aue_config(_aue_block(target_rate_mbps=1000, bandwidth_mhz=20))
-        assert cfg.threshold_t == 2.0 ** 50 - 1.0
+        block = _aue_block(SWEEP_COVERAGE, target_rate_mbps=1000,
+                           bandwidth_mhz=20)
+        assert _sinr_target(block) == 2.0 ** 50 - 1.0
 
 
 class _Captured(Exception):
@@ -857,6 +884,14 @@ class TestMainEntry:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2
+
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        # byte 0xff ended in a raw UnicodeDecodeError with exit 1
+        scn = tmp_path / "run.yaml"
+        scn.write_bytes(b"command: channel-table\nseed: \xff\n")
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "Traceback" not in err
 
     def test_t_max_below_every_node_exit_code(self, tmp_path, capsys):
         # -100 dB lies below the smallest of K = 200 nodes (about -46 dB):

@@ -1,0 +1,412 @@
+"""A scenario file sets only what its run reads.
+
+Keys that a run would not read are rejected when the file is parsed, the
+canonical form leaves them out, and a run of the canonical form reads every
+key it holds. Repeated keys are rejected too.
+"""
+
+import math
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from a2gnet.cli import main, run_scenario
+from a2gnet.errors import ScenarioError
+from a2gnet.heightmap import HeightMap, save_ascii_grid
+from a2gnet.mapsim import save_sites_csv, site_on_roof
+from a2gnet.scenario import (_SWEEP_AXIS_KEYS, _TOP_LEVEL, SCHEMAS,
+                             parse_scenario, serialize_scenario)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _doc(command, **blocks):
+    return {"command": command, **blocks}
+
+
+def _sweep(axis="altitude", metric="capacity", grid=(60,), aue=None, **keys):
+    doc = _doc("aue-sweep", sweep={"axis": axis, "grid": list(grid),
+                                   "metric": metric, **keys})
+    if aue is not None:
+        doc["aue"] = aue
+    return doc
+
+
+def _coverage(**aue):
+    return _doc("aue-coverage", aue=aue)
+
+
+def _mapsim(**keys):
+    return _doc("mapsim", mapsim=keys)
+
+
+_CONE = {"antenna": "cone"}
+_OVERRIDE = {"noise_override_dbm": -90}
+
+# (document, key path, what the message names besides the key)
+UNREAD = [
+    # no command reads the aerial-user ratio; aue-coverage reads
+    # run.thresholds_db, never a target of its own
+    (_coverage(aue_ratio_rho=0.9), "aue.aue_ratio_rho", "unknown key"),
+    (_sweep(aue={"aue_ratio_rho": 0.9}), "aue.aue_ratio_rho", "unknown key"),
+    (_coverage(threshold_db=40), "aue.threshold_db", "unknown key"),
+    (_coverage(target_rate_mbps=10), "aue.target_rate_mbps", "unknown key"),
+    # a capacity sweep integrates over every target
+    (_sweep(aue={"threshold_db": 6}), "aue.threshold_db",
+     "sweep.metric is capacity"),
+    (_sweep(aue={"target_rate_mbps": 10}), "aue.target_rate_mbps",
+     "sweep.metric is capacity"),
+    # a coverage sweep has no quadrature
+    (_sweep(metric="coverage", k_nodes=100), "sweep.k_nodes",
+     "sweep.metric is coverage"),
+    (_sweep(metric="coverage", t_max_db=30), "sweep.t_max_db",
+     "sweep.metric is coverage"),
+    # the rate target used to win over the dB target silently
+    (_sweep(metric="coverage",
+            aue={"threshold_db": 6, "target_rate_mbps": 10}),
+     "aue.threshold_db", "aue.target_rate_mbps is 10"),
+    # the key the axis varies
+    (_sweep(uav_h_m=100), "sweep.uav_h_m", "sweep.axis is altitude"),
+    (_sweep("density", grid=[5], aue={"bs_density_per_km2": 5}),
+     "aue.bs_density_per_km2", "sweep.axis is density"),
+    (_sweep("phi_b", aue={**_CONE, "phi_b_deg": 60}), "aue.phi_b_deg",
+     "sweep.axis is phi_b"),
+    (_sweep("phi_t", grid=[10], aue={**_CONE, "phi_t_deg": 10}),
+     "aue.phi_t_deg", "sweep.axis is phi_t"),
+    # a phi_b sweep fits a cone whatever the antenna
+    (_sweep("phi_b", aue={"omni_gain_dbi": 2}), "aue.omni_gain_dbi",
+     "sweep.axis is phi_b"),
+    # the antenna and the noise model
+    *[(make(aue), path, named)
+      for make in (lambda aue: _coverage(**aue), lambda aue: _sweep(aue=aue))
+      for aue, path, named in [
+          ({"phi_b_deg": 10}, "aue.phi_b_deg", "aue.antenna is omni"),
+          ({"phi_t_deg": 10}, "aue.phi_t_deg", "aue.antenna is omni"),
+          ({**_CONE, "omni_gain_dbi": 2}, "aue.omni_gain_dbi",
+           "aue.antenna is cone"),
+          ({**_OVERRIDE, "noise_density_dbm_hz": -170},
+           "aue.noise_density_dbm_hz", "aue.noise_override_dbm is -90"),
+          ({**_OVERRIDE, "noise_figure_db": 5}, "aue.noise_figure_db",
+           "aue.noise_override_dbm is -90")]],
+    # the map and the sites come from a file or are generated
+    (_mapsim(heightmap="city.asc", synthetic={"extent_m": 100}),
+     "mapsim.synthetic", "mapsim.heightmap is city.asc"),
+    (_mapsim(sites_csv="sites.csv", auto_sites={"count": 2}),
+     "mapsim.auto_sites", "mapsim.sites_csv is sites.csv"),
+    (_mapsim(pl_model="free_space", environment={"preset": "urban"}),
+     "mapsim.environment", "mapsim.pl_model is free_space"),
+]
+
+
+def _case_id(case):
+    return f"{case[0]['command']}:{case[1]}:{case[2]}"
+
+
+class TestUnreadKeys:
+    @pytest.mark.parametrize("doc,path,named", UNREAD,
+                             ids=[_case_id(c) for c in UNREAD])
+    def test_exit_code(self, tmp_path, capsys, doc, path, named):
+        scn = tmp_path / "run.yaml"
+        scn.write_text(yaml.safe_dump(doc))
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
+        _sweep(aue={"target_rate_mbps": None}),
+        _sweep(metric="coverage", n_trials=100, t_max_db=None),
+        _mapsim(heightmap="city.asc", synthetic=None),
+        _mapsim(pl_model="free_space", environment=None),
+    ])
+    def test_null_is_unset(self, doc):
+        parse_scenario(yaml.safe_dump(doc))
+
+    def test_bound_checked_first(self):
+        # a value out of bounds is named as such even where it is not read
+        with pytest.raises(ScenarioError, match="must be at most 150"):
+            parse_scenario(yaml.safe_dump(_coverage(antenna="cone",
+                                                    omni_gain_dbi=151)))
+
+    def test_canonical_form_leaves_unread_keys_out(self):
+        s = parse_scenario(yaml.safe_dump(_sweep(
+            "phi_b", metric="coverage", grid=[60], n_trials=100,
+            aue={"target_rate_mbps": 10, "noise_override_dbm": -90})))
+        canon = yaml.safe_load(serialize_scenario(s))
+        for key in ("threshold_db", "noise_density_dbm_hz", "noise_figure_db",
+                    "phi_b_deg", "phi_t_deg", "omni_gain_dbi"):
+            assert key not in canon["aue"]
+        assert "k_nodes" not in canon["sweep"]
+        assert "t_max_db" not in canon["sweep"]
+        assert canon["aue"]["target_rate_mbps"] == 10
+        assert parse_scenario(serialize_scenario(s)) == s
+
+
+class TestDuplicateKeys:
+    @pytest.mark.parametrize("text,key,line", [
+        # the second block replaced the first, and the default altitudes
+        # were written
+        ("command: abs-design\nabs:\n  altitudes_m: [50]\nabs:\n"
+         "  r_c_m: 400\n", "'abs'", 4),
+        ("command: aue-coverage\naue:\n  p_tx_dbm: 43\n  antenna: omni\n"
+         "  p_tx_dbm: 46\n", "'p_tx_dbm'", 5),
+        ("command: channel-table\nseed: 1\nseed: 2\n", "'seed'", 3),
+    ])
+    def test_exit_code(self, tmp_path, capsys, text, key, line):
+        scn = tmp_path / "run.yaml"
+        scn.write_text(text)
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"duplicate key {key} on line {line}" in err
+        assert "Traceback" not in err
+
+    def test_same_key_in_two_mappings(self):
+        s = parse_scenario("command: mapsim\nmapsim:\n"
+                           "  environment: {preset: urban, omega: 20}\n"
+                           "  synthetic:\n"
+                           "    environment: {preset: urban, omega: 25}\n")
+        assert s.params["mapsim"]["environment"]["omega"] == 20
+        assert s.params["mapsim"]["synthetic"]["environment"]["omega"] == 25
+
+    def test_merge_key_keeps_its_meaning(self):
+        # a key beside << overrides the merged one; it is no duplicate
+        s = parse_scenario("command: mapsim\nmapsim:\n"
+                           "  synthetic:\n"
+                           "    environment: &env {preset: urban, omega: 30}\n"
+                           "  environment:\n    <<: *env\n    omega: 25\n")
+        b = s.params["mapsim"]
+        assert b["synthetic"]["environment"]["omega"] == 30
+        assert b["environment"]["omega"] == 25
+        assert b["environment"]["preset"] == "urban"
+
+
+@pytest.mark.parametrize("command,block", [
+    ("channel-table", ("channel",)), ("aue-coverage", ("aue",)),
+    ("mapsim", ("mapsim",)), ("mapsim", ("mapsim", "synthetic"))])
+@pytest.mark.parametrize("missing", ["kind", "varsigma", "xi", "omega"])
+def test_custom_environment_names_its_block(tmp_path, capsys, command, block,
+                                            missing):
+    # the run-time check named only `environment.varsigma`, and mapsim has
+    # two environment blocks
+    env = {"preset": "custom", "kind": "urban", "varsigma": 0.3, "xi": 500,
+           "omega": 15}
+    del env[missing]
+    doc = {"command": command}
+    node = doc
+    for key in block:
+        node = node.setdefault(key, {})
+    node["environment"] = env
+    scn = tmp_path / "run.yaml"
+    scn.write_text(yaml.safe_dump(doc))
+    assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    path = f"{'.'.join(block)}.environment.{missing}"
+    assert f"{path}: custom environment" in err
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_shipped_scenario_round_trips(path):
+    s = parse_scenario(path.read_text(encoding="utf-8"))
+    canon = serialize_scenario(s)
+    again = parse_scenario(canon)     # holds no key that parsing rejects
+    assert again == s
+    assert serialize_scenario(again) == canon
+
+
+# ---------------------------------------------------------------------------
+# A run of the canonical form reads every key it holds
+# ---------------------------------------------------------------------------
+
+class _Reads(dict):
+    """A params tree that records the dotted path of each key read."""
+
+    def __init__(self, tree, seen, path=""):
+        super().__init__({k: _Reads(v, seen, f"{path}{k}.")
+                          if isinstance(v, dict) else v
+                          for k, v in tree.items()})
+        self._seen, self._path = seen, path
+
+    def __getitem__(self, key):
+        self._seen.add(self._path + key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._seen.add(self._path + key)
+        return super().get(key, default)
+
+    def items(self):
+        self._seen.update(self._path + k for k in self)
+        return super().items()
+
+
+def _leaves(tree, path=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{path}{key}.")
+        else:
+            yield path + key
+
+
+_TINY_RUN = {"altitudes_m": [60], "thresholds_db": [0], "n_trials": 5}
+_TINY_CITY = {"synthetic": {"extent_m": 100, "cellsize_m": 10},
+              "auto_sites": {"count": 1}, "heights_m": [40], "stride": 5,
+              "emit_rasters": False}
+_CUSTOM_ENV = {"preset": "custom", "kind": "urban", "varsigma": 0.3,
+               "xi": 500, "omega": 15}
+
+# one base per branch of the runners
+READ_BASES = {
+    "channel-table": _doc("channel-table", channel={
+        "altitudes_m": [30], "distances_m": [100]}),
+    "channel-table-custom": _doc("channel-table", channel={
+        "altitudes_m": [30], "distances_m": [100],
+        "environment": _CUSTOM_ENV}),
+    "aue-coverage-omni": _doc("aue-coverage", run=_TINY_RUN),
+    "aue-coverage-cone-override": _doc(
+        "aue-coverage", run=_TINY_RUN,
+        aue={**_CONE, **_OVERRIDE, "environment": _CUSTOM_ENV}),
+    "capacity-altitude-t-max": _sweep(n_trials=5, t_max_db=30),
+    "capacity-density": _sweep("density", grid=[5], n_trials=5),
+    "capacity-phi-b-cone": _sweep("phi_b", aue=dict(_CONE), n_trials=5),
+    "capacity-phi-b-omni": _sweep("phi_b", n_trials=5),
+    "capacity-phi-t": _sweep("phi_t", grid=[10], aue=dict(_CONE), n_trials=5),
+    "coverage-threshold": _sweep(metric="coverage", n_trials=100,
+                                 aue={"threshold_db": 3}),
+    "coverage-rate-override": _sweep(
+        metric="coverage", n_trials=100,
+        aue={"target_rate_mbps": 10, **_OVERRIDE}),
+    "abs-design": _doc("abs-design", abs={"altitudes_m": [100]}),
+    "localize": _doc("localize", localize={
+        "m_points": [3], "n_users": 2, "state_mode": "common"}),
+    "mapsim-synthetic-auto": _mapsim(**_TINY_CITY),
+    "mapsim-free-space": _mapsim(**_TINY_CITY, pl_model="free_space"),
+    "mapsim-files": _mapsim(heightmap="city.asc", sites_csv="sites.csv",
+                            heights_m=[40], stride=5),
+}
+
+
+@pytest.mark.parametrize("name", READ_BASES)
+def test_run_reads_every_canonical_key(tmp_path, monkeypatch, name):
+    city = HeightMap(np.full((10, 10), 3.0), cellsize=10.0)
+    save_ascii_grid(city, tmp_path / "city.asc")
+    save_sites_csv([site_on_roof(city, 50.0, 50.0)], tmp_path / "sites.csv")
+    monkeypatch.chdir(tmp_path)
+    s = parse_scenario(yaml.safe_dump(READ_BASES[name]))
+    canon = yaml.safe_load(serialize_scenario(s))
+    s = parse_scenario(serialize_scenario(s))
+    seen = set()
+    s.params = _Reads(s.params, seen)
+    run_scenario(s, tmp_path / "out")
+    keys = set(_leaves({k: canon[k] for k in SCHEMAS[s.command]}))
+    assert keys - seen == set()
+
+
+# ---------------------------------------------------------------------------
+# In-bound values never end in a traceback
+# ---------------------------------------------------------------------------
+
+# sizes that keep one run to milliseconds; the rest take their bounds
+_SIZE_CAPS = {
+    # a coverage sweep needs 100 trials
+    "run.n_trials": (1, 50), "sweep.n_trials": (1, 120),
+    "sweep.k_nodes": (50, 2000), "localize.n_users": (1, 2),
+    "localize.trials_per_user": (1, 2), "localize.m_points": (3, 5),
+    "mapsim.stride": (1, 40), "mapsim.auto_sites.count": (1, 3),
+    # at most about 30 sites per snapshot
+    "aue.bs_density_per_km2": (1e-3, 10.0),
+    "aue.region_radius_m": (100.0, 1000.0),
+}
+# sizes whose defaults are past their caps are always drawn
+_ALWAYS_SET = ("run.n_trials", "sweep.n_trials", "localize.n_users",
+               "mapsim.auto_sites.count", "aue.region_radius_m")
+_MAX_ITEMS = 3
+# a localize run solves once per list entry combination, user and trial
+_MAX_ITEMS_LOCALIZE = 2
+_OMIT = object()
+
+
+def _number(f, path):
+    integral = f.kind is int or f.item_kind is int
+    lo, hi = _SIZE_CAPS.get(path, (None, None))
+    big = sys.float_info.max
+    lo = lo if lo is not None else next(
+        (v for v in (f.minimum, f.above) if v is not None), -big)
+    hi = hi if hi is not None else next(
+        (v for v in (f.maximum, f.below) if v is not None), big)
+    if integral:
+        return st.integers(int(math.ceil(lo)), int(min(hi, 10 ** 6)))
+    return st.floats(lo, hi, exclude_min=lo == f.above,
+                     exclude_max=hi == f.below, allow_nan=False)
+
+
+def _leaf(f, path, max_items):
+    if f.kind is str:
+        # the file-name keys are left to the file tests
+        return st.sampled_from(f.choices) if f.choices else st.just(_OMIT)
+    if f.kind is bool:
+        return st.booleans()
+    if f.kind is list:
+        return st.lists(_number(f, path), min_size=1, max_size=max_items)
+    return _number(f, path)
+
+
+def _block(schema, max_items, path=""):
+    """A strategy for a block: every leaf drawn in its bounds, or left out."""
+    parts = {}
+    for key, f in schema.items():
+        sub_path = f"{path}.{key}" if path else key
+        if f.schema is not None:
+            parts[key] = _block(f.schema, max_items, sub_path)
+        elif sub_path in _ALWAYS_SET:
+            parts[key] = _leaf(f, sub_path, max_items)
+        else:
+            parts[key] = st.one_of(st.just(_OMIT),
+                                   _leaf(f, sub_path, max_items))
+    return st.fixed_dictionaries(parts).map(
+        lambda d: {k: v for k, v in d.items() if v is not _OMIT})
+
+
+@st.composite
+def _scenario(draw, command):
+    doc = draw(_block({"seed": _TOP_LEVEL["seed"], **SCHEMAS[command]},
+                      _MAX_ITEMS_LOCALIZE if command == "localize"
+                      else _MAX_ITEMS))
+    doc["command"] = command
+    if command == "mapsim":
+        # a city of at most 40 cells a side
+        cells = draw(st.integers(1, 40))
+        cellsize = draw(st.sampled_from([1.0, 2.5, 4.0, 10.0]))
+        doc["mapsim"]["synthetic"].update(extent_m=cells * cellsize,
+                                          cellsize_m=cellsize)
+    if command == "aue-sweep":
+        # the grid takes the bounds of the key its axis varies
+        axis = draw(st.sampled_from(sorted(_SWEEP_AXIS_KEYS)))
+        block, key = _SWEEP_AXIS_KEYS[axis]
+        f = SCHEMAS[command][block].schema[key]
+        doc["sweep"].update(axis=axis, grid=draw(st.lists(
+            _number(f, f"{block}.{key}"), min_size=1, max_size=_MAX_ITEMS)))
+    return doc
+
+
+_NAMED_KEY = re.compile(r"^scenario error: [A-Za-z_][\w.\[\]]*: ", re.M)
+
+
+@pytest.mark.parametrize("command", SCHEMAS)
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_in_bound_values_never_raise(tmp_path, capsys, command, data):
+    doc = data.draw(_scenario(command))
+    scn = tmp_path / "fuzz.yaml"
+    scn.write_text(yaml.safe_dump(doc))
+    code = main(["--scenario", str(scn), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code in (0, 1) or (code == 2 and _NAMED_KEY.search(err)), err
