@@ -127,10 +127,11 @@ class NetworkSnapshot:
         return int(self.xy.shape[0])
 
 
-def _poisson_mean(cfg: AueNetworkConfig) -> float:
-    """Mean site count of the simulation disc."""
-    area_km2 = math.pi * cfg.region_radius_m ** 2 / 1e6
-    return cfg.bs_density_per_km2 * area_km2
+def mean_site_count(bs_density_per_km2: float,
+                    region_radius_m: float) -> float:
+    """Mean site count of the simulation disc: the Poisson mean per snapshot."""
+    area_km2 = math.pi * region_radius_m ** 2 / 1e6
+    return bs_density_per_km2 * area_km2
 
 
 def _sites_from_uniforms(cfg: AueNetworkConfig,
@@ -149,7 +150,8 @@ def _sites_from_uniforms(cfg: AueNetworkConfig,
 def deploy_hppp(cfg: AueNetworkConfig, rng: RngLike) -> NetworkSnapshot:
     """Draw a Poisson number of sites uniformly in the simulation disc."""
     gen = as_generator(rng)
-    n = int(gen.poisson(_poisson_mean(cfg)))
+    lam = mean_site_count(cfg.bs_density_per_km2, cfg.region_radius_m)
+    n = int(gen.poisson(lam))
     return _sites_from_uniforms(cfg, gen.random(3 * n).reshape(3, n))
 
 
@@ -345,7 +347,7 @@ def _draw_block(cfg: AueNetworkConfig, rng: RngStream, trials: range):
     radius, then n angle, n rotation and n LOS uniforms), then the LOS and
     the NLOS fading gains.
     """
-    lam = _poisson_mean(cfg)
+    lam = mean_site_count(cfg.bs_density_per_km2, cfg.region_radius_m)
     counts, uniforms, fading_los, fading_nlos = [], [], [], []
     for i in trials:
         gen = rng.child_generator(i)

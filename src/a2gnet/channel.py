@@ -262,19 +262,29 @@ def _building_index(d_h_m, env: Environment):
     return np.floor(d_h_m / 1000.0 * math.sqrt(env.varsigma * env.xi) - 1.0).astype(int)
 
 
+# entries of m whose factors are built at once, so the scratch is at most
+# _CLEARANCE_BLOCK x (max m + 1): a table of m = 0..M takes memory linear in M
+_CLEARANCE_BLOCK = 128
+
+
 def _clearance_products(m, h_hi, h_lo, env: Environment):
     """prod_{n=0..m} P[building n is below the ray], one per entry of the
     1-d integer array m (1 where m < 0); the ray height at building n is
-    interpolated between the endpoint heights."""
+    interpolated between the endpoint heights. The ray-height fraction
+    (n + 0.5) / (m + 1) depends on m, so each entry is its own product; a
+    row is padded with 1.0 past its m, which leaves the product exact."""
     out = np.ones(m.shape)
-    mmax = int(m.max()) if m.size else -1
-    if mmax >= 0:
+    for lo in range(0, m.size, _CLEARANCE_BLOCK):
+        mb = m[lo:lo + _CLEARANCE_BLOCK, None]
+        mmax = int(mb.max())
+        if mmax < 0:
+            continue
         n = np.arange(mmax + 1)[None, :]
-        frac = (n + 0.5) / np.maximum(m[:, None] + 1.0, 1.0)
+        frac = (n + 0.5) / np.maximum(mb + 1.0, 1.0)
         ray_h = h_hi - frac * (h_hi - h_lo)
         factors = 1.0 - np.exp(-ray_h ** 2 / (2.0 * env.omega ** 2))
-        factors = np.where(n <= m[:, None], factors, 1.0)
-        out = np.prod(factors, axis=1)
+        factors = np.where(n <= mb, factors, 1.0)
+        out[lo:lo + _CLEARANCE_BLOCK] = np.prod(factors, axis=1)
     return out
 
 

@@ -129,53 +129,106 @@ class MultilaterationResult:
     ill_conditioned: bool = False
 
 
-def _range_residuals(xy, anchors_xy, r_hat):
-    d = np.hypot(anchors_xy[:, 0] - xy[0], anchors_xy[:, 1] - xy[1])
-    return d - r_hat
+def _range_residuals(xy, ax, ay, r_hat):
+    return np.hypot(ax - xy[0], ay - xy[1]) - r_hat
 
 
 _FD_REL_STEP = np.finfo(np.float64).eps ** 0.5
 # MINPACK lmder settings, each the value least_squares(method="lm",
 # xtol=1e-10) hands it for two unknowns; every shipped output was made with
-# them. leastsq's own defaults differ (ftol 1.49e-8, gtol 0, maxfev 300), so
-# all four are passed.
+# them. lmder has no defaults, so each is passed.
 _LM_FTOL = 1e-8    # stop when a step cuts the cost by under this share
 _LM_XTOL = 1e-10   # or moves the point by under this share: 20 nm at 200 m
 _LM_GTOL = 1e-8    # or leaves the residuals this close to orthogonal to J
 _LM_MAXFEV = 200   # least_squares' 100 evaluations per unknown
+_LM_FACTOR = 100.0  # first step bound, factor * |x|: MINPACK's default
 # the seed grid has _GRID_N x _GRID_N cells over the search square
 _GRID_N = 21
 
 
-def _range_jacobian(xy, anchors_xy, r_hat):
-    """Forward-difference Jacobian of `_range_residuals`, as scipy builds it.
+def _range_jacobian(xy, ax, ay, r_hat):
+    """Forward-difference Jacobian of `_range_residuals`, as scipy builds it,
+    returned as its two columns (shape (2, m), lmder's col_deriv layout).
 
     scipy's unbounded '2-point' scheme steps x_j by
     h_j = sqrt(eps) sign(x_j) max(1, |x_j|) with sign(0) = +1 and divides
-    f(x + h_j e_j) - f(x) by (x_j + h_j) - x_j. Here the point and its two
-    steps share one broadcast hypot, in the same float64 arithmetic, so
-    every entry equals scipy's bit for bit without its per-column overhead.
+    f(x + h_j e_j) - f(x) by (x_j + h_j) - x_j. Here each column is that
+    difference on the anchor rows, in the same float64 arithmetic, so every
+    entry equals scipy's bit for bit without its per-column overhead.
     """
     x, y = xy.tolist()
-    hx, hy = (_FD_REL_STEP * (1.0 if v >= 0 else -1.0) * max(1.0, abs(v))
-              for v in (x, y))
-    d = anchors_xy - [[[x, y]], [[x + hx, y]], [[x, y + hy]]]
-    f = np.hypot(d[..., 0], d[..., 1]) - r_hat
-    return (f[1:] - f[0]).T / [(x + hx) - x, (y + hy) - y]
+    xh = x + _FD_REL_STEP * (1.0 if x >= 0 else -1.0) * max(1.0, abs(x))
+    yh = y + _FD_REL_STEP * (1.0 if y >= 0 else -1.0) * max(1.0, abs(y))
+    dx = ax - x
+    dy = ay - y
+    f0 = np.hypot(dx, dy) - r_hat
+    return np.array(((np.hypot(ax - xh, dy) - r_hat - f0) / (xh - x),
+                     (np.hypot(dx, ay - yh) - r_hat - f0) / (yh - y)))
 
 
-def _lm_descent(x0, axy, r_hat):
+def _lm_descent(x0, ax, ay, r_hat):
     """One Levenberg-Marquardt descent from x0: (x, residuals, nfev).
 
     This is the MINPACK lmder call that least_squares(method="lm") makes,
-    without its per-evaluation wrapper; full_output keeps leastsq from
-    warning where least_squares returns silently.
+    made directly through scipy's private binding: no Python wrapper checks
+    shapes by evaluating the residuals and the Jacobian, and no covariance
+    or message is built. The Jacobian is still scipy's forward difference
+    (`_range_jacobian`). lmder iterates in place, so it gets a copy of x0.
     """
-    x, _, info, _, _ = optimize.leastsq(
-        _range_residuals, x0, args=(axy, r_hat), Dfun=_range_jacobian,
-        full_output=True, ftol=_LM_FTOL, xtol=_LM_XTOL, gtol=_LM_GTOL,
-        maxfev=_LM_MAXFEV)
+    x, info, _ = optimize._minpack._lmder(
+        _range_residuals, _range_jacobian, np.array(x0, dtype=float),
+        (ax, ay, r_hat), 1, 1, _LM_FTOL, _LM_XTOL, _LM_GTOL, _LM_MAXFEV,
+        _LM_FACTOR, None)
     return x, info["fvec"], info["nfev"]
+
+
+@dataclass(frozen=True)
+class _SearchGrid:
+    """What a solve needs that does not depend on the ranges: the anchor
+    coordinates as rows, the conditioning flag of the anchor layout, the
+    seed grid over the search square (flattened) and each anchor's distance
+    to each grid point."""
+
+    ax: np.ndarray
+    ay: np.ndarray
+    ill_conditioned: bool
+    gx: np.ndarray
+    gy: np.ndarray
+    d_grid: np.ndarray
+
+
+def _search_grid(axy, cx, cy, radius_m) -> _SearchGrid:
+    centered = axy - axy.mean(axis=0)
+    svals = np.linalg.svd(centered, compute_uv=False)
+    ill = bool(svals[-1] < 1e-9 * max(svals[0], 1.0))
+    xx, yy = np.meshgrid(np.linspace(cx - radius_m, cx + radius_m, _GRID_N),
+                         np.linspace(cy - radius_m, cy + radius_m, _GRID_N))
+    gx, gy = xx.ravel(), yy.ravel()
+    ax, ay = np.ascontiguousarray(axy.T)
+    d_grid = np.hypot(ax[:, None] - gx, ay[:, None] - gy)
+    return _SearchGrid(ax, ay, ill, gx, gy, d_grid)
+
+
+def _solve(grid: _SearchGrid, r_hat) -> MultilaterationResult:
+    """Descend from the three best grid seeds and keep the best end point,
+    or the best seed should every descent end above it."""
+    cost_grid = np.sum((grid.d_grid - r_hat[:, None]) ** 2, axis=0)
+    flat = np.argsort(cost_grid)[:3]
+    best_xy = None
+    best_cost = math.inf
+    for idx in flat:
+        x, fvec, _ = _lm_descent((grid.gx[idx], grid.gy[idx]), grid.ax,
+                                 grid.ay, r_hat)
+        cost = float(np.sum(fvec ** 2))
+        if cost < best_cost:
+            best_cost = cost
+            best_xy = x
+    grid_best = float(cost_grid[flat[0]])
+    if grid_best < best_cost:  # pragma: no cover - descent rarely loses
+        best_xy = (grid.gx[flat[0]], grid.gy[flat[0]])
+        best_cost = grid_best
+    return MultilaterationResult(float(best_xy[0]), float(best_xy[1]),
+                                 math.sqrt(best_cost), grid.ill_conditioned)
 
 
 def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
@@ -188,13 +241,15 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     descent from the best cells of a grid over the search area and always
     returns a point at least as good as every grid seed.
 
-    Local descent is scipy's MINPACK Levenberg-Marquardt through
-    `optimize.leastsq`, with the ftol, xtol, gtol and maxfev that
+    Local descent is MINPACK's Levenberg-Marquardt, scipy's private `lmder`
+    binding called directly, with the ftol, xtol, gtol and maxfev that
     `least_squares(method="lm", xtol=1e-10)` uses. Its Jacobian is not
     analytic: `_range_jacobian` is scipy's forward difference computed in
-    one vectorized pass. So every iterate, residual and evaluation count
-    equals a plain `least_squares` solve on scipy's own finite difference,
-    which `TestRangeJacobian::test_solves_match_scipy_two_point` pins.
+    one pass. So every iterate, residual and evaluation count equals a
+    plain `least_squares` solve on scipy's own finite difference, which
+    `TestRangeJacobian::test_solves_match_scipy_two_point` pins.
+    `run_campaign` solves through the same path, with one search grid for
+    all of its solves.
     """
     if len(anchors) < 3:
         raise DomainError("multilateration needs at least 3 anchors")
@@ -204,11 +259,6 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     heights = np.array([a.h for a in anchors])
     d_hat = np.asarray(d_hat, dtype=float)
     r_hat = np.sqrt(np.maximum(d_hat ** 2 - heights ** 2, 0.0))
-
-    centered = axy - axy.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    ill = bool(svals[-1] < 1e-9 * max(svals[0], 1.0))
-
     if search_center is None:
         cx, cy = axy.mean(axis=0)
     else:
@@ -216,30 +266,7 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     if search_radius_m is None:
         spread = float(np.max(np.hypot(*(axy - [cx, cy]).T)))
         search_radius_m = max(float(np.max(r_hat)) + spread, 1.0)
-
-    gx = np.linspace(cx - search_radius_m, cx + search_radius_m, _GRID_N)
-    gy = np.linspace(cy - search_radius_m, cy + search_radius_m, _GRID_N)
-    xx, yy = np.meshgrid(gx, gy)
-    d_grid = np.hypot(axy[:, 0, None, None] - xx, axy[:, 1, None, None] - yy)
-    cost_grid = np.sum((d_grid - r_hat[:, None, None]) ** 2, axis=0)
-
-    flat = np.argsort(cost_grid, axis=None)[:3]
-    best_xy = None
-    best_cost = math.inf
-    for idx in flat:
-        iy, ix = np.unravel_index(idx, cost_grid.shape)
-        x, fvec, _ = _lm_descent([xx[iy, ix], yy[iy, ix]], axy, r_hat)
-        cost = float(np.sum(fvec ** 2))
-        if cost < best_cost:
-            best_cost = cost
-            best_xy = x
-    grid_best = float(cost_grid.flat[flat[0]])
-    if grid_best < best_cost:  # pragma: no cover - descent rarely loses
-        iy, ix = np.unravel_index(flat[0], cost_grid.shape)
-        best_xy = np.array([xx[iy, ix], yy[iy, ix]])
-        best_cost = grid_best
-    return MultilaterationResult(float(best_xy[0]), float(best_xy[1]),
-                                 math.sqrt(best_cost), ill)
+    return _solve(_search_grid(axy, cx, cy, search_radius_m), r_hat)
 
 
 def localization_error(estimate_xy, true_xy, r_hat, r_true):
@@ -289,6 +316,8 @@ def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
         raise DomainError(f"unknown state mode {state_mode!r}")
     anchors = place_anchors(plan)
     axy = np.array([[a.x, a.y] for a in anchors])
+    # every solve searches the user disc, so all share one grid
+    grid = _search_grid(axy, 0.0, 0.0, scenario.user_area_radius_m)
     pos_errors = []
     range_errors = []
     for u in range(scenario.n_users):
@@ -297,7 +326,7 @@ def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
             r = scenario.user_area_radius_m * math.sqrt(gen.random())
             ang = gen.uniform(0.0, 2.0 * math.pi)
             ux, uy = r * math.cos(ang), r * math.sin(ang)
-            r_true = np.hypot(axy[:, 0] - ux, axy[:, 1] - uy)
+            r_true = np.hypot(grid.ax - ux, grid.ay - uy)
             d_true = np.hypot(r_true, plan.h_abs_m)
             theta = np.arctan2(plan.h_abs_m, r_true)
             if state_mode == "common":
@@ -313,10 +342,8 @@ def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
                 d_hat[i], _ = sample_rss_distance(
                     float(d_true[i]), float(theta[i]), ch, gen,
                     force_state=forced)
-            est = multilaterate(anchors, d_hat,
-                                search_center=(0.0, 0.0),
-                                search_radius_m=scenario.user_area_radius_m)
             r_hat = np.sqrt(np.maximum(d_hat ** 2 - plan.h_abs_m ** 2, 0.0))
+            est = _solve(grid, r_hat)
             rng_err, pos_err = localization_error((est.x, est.y), (ux, uy),
                                                   r_hat, r_true)
             pos_errors.append(pos_err)

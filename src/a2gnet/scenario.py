@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional
 import yaml
 
 from .abs_net import MAX_RADIUS_M
-from .aue_net import COVERAGE_MIN_TRIALS
+from .aue_net import COVERAGE_MIN_TRIALS, mean_site_count
 from .channel import ENV_PRESETS, MAX_MODELED_ALTITUDE_M, SLICE_CEILINGS_M
 from .errors import DomainError, ScenarioError
 from .heightmap import synthetic_cells
@@ -71,6 +71,11 @@ MIN_ANTENNA_HEIGHT_M = 1.0
 # between buildings
 MAX_BS_DENSITY_PER_KM2 = 1e4
 MAX_BUILDINGS_PER_KM2 = 1e4
+# the Poisson mean of sites per AUE snapshot, density times the area of
+# aue.region_radius_m: a snapshot's site arrays grow with it (about 200 MB
+# over 16 trials at this mean), and density and radius each at their own
+# ceiling would give 3e8
+MAX_MEAN_SITES = 5e4
 # a rate target past 50 b/s/Hz needs an SINR target past DB_LIMIT
 MAX_SPECTRAL_EFFICIENCY = 50.0
 # no beam is wider than the full circle
@@ -524,6 +529,15 @@ def parse_scenario(text: str) -> Scenario:
         if sweep["metric"] == "coverage" and sweep["n_trials"] < COVERAGE_MIN_TRIALS:
             raise ScenarioError(f"must be at least {COVERAGE_MIN_TRIALS} "
                                 "for metric coverage", "sweep.n_trials")
+    if aue is not None:
+        density = aue["bs_density_per_km2"]
+        if command == "aue-sweep" and params["sweep"]["axis"] == "density":
+            density = max(params["sweep"]["grid"])
+        if mean_site_count(density, aue["region_radius_m"]) > MAX_MEAN_SITES:
+            raise ScenarioError(
+                f"times the area of aue.region_radius_m gives a mean of more "
+                f"than {MAX_MEAN_SITES:g} sites per snapshot",
+                "aue.bs_density_per_km2")
     if command == "mapsim":
         syn = params["mapsim"]["synthetic"]
         try:

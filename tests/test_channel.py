@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,37 @@ class TestBuildingPlosTable:
         direct = ch._p_los_building_heights(d_h, h_hi, h_lo, env)
         assert np.array_equal(table(d_h), direct)
         assert table(np.array([0.0]))[0] == 1.0
+
+
+class TestClearanceBlocks:
+    # sqrt(varsigma xi) = 100 buildings per km: a 20 km link reaches m = 1999
+    DENSE = ch.Environment("urban", 1.0, 1e4, 20.0)
+
+    def test_table_scratch_is_linear_in_buildings(self):
+        # one (M+1) x (M+1) matrix read 132 MB here
+        table = ch.BuildingPlosTable(100.0, 1.5, self.DENSE)
+        tracemalloc.start()
+        try:
+            table(np.array([20000.0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table._rows.size == 2001
+        assert peak < 20e6
+
+    def test_equal_across_block_boundary(self):
+        # entries on both sides of each block edge, in one call and alone
+        block = ch._CLEARANCE_BLOCK
+        m = np.arange(2 * block + 3) - 1
+        d_h = (m + 1.5) / 100.0 * 1000.0
+        np.testing.assert_array_equal(ch._building_index(d_h, self.DENSE), m)
+        batch = ch._p_los_building_heights(d_h, 120.0, 1.5, self.DENSE)
+        alone = [ch._p_los_building_heights(d, 120.0, 1.5, self.DENSE)
+                 for d in d_h]
+        table = ch.BuildingPlosTable(120.0, 1.5, self.DENSE)
+        assert np.array_equal(batch, alone)
+        assert np.array_equal(table(d_h[::-1]), batch[::-1])
+        assert batch[0] == 1.0
 
 
 class TestPlos3gpp:

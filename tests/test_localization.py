@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -194,14 +195,110 @@ def _collinear_problem(rng):
     return x0, axy, r_hat
 
 
-def _least_squares_solve(x0, axy, r_hat):
+def _rows(axy):
+    """The solver's anchor layout: x and y as two contiguous rows."""
+    ax, ay = np.ascontiguousarray(axy.T)
+    return ax, ay
+
+
+def _least_squares_solve(x0, ax, ay, r_hat):
     """The reference descent: least_squares on scipy's own forward difference.
 
     x_scale="jac" is MINPACK's own scaling, least_squares' default since
     scipy 1.16; passing it keeps the reference the same on older scipy.
     """
-    return optimize.least_squares(loc._range_residuals, x0, args=(axy, r_hat),
-                                  method="lm", xtol=1e-10, x_scale="jac")
+    return optimize.least_squares(loc._range_residuals, x0,
+                                  args=(ax, ay, r_hat), method="lm",
+                                  xtol=1e-10, x_scale="jac")
+
+
+def _reference_jacobian(xy, anchors_xy, r_hat):
+    # one broadcast over the point and its two steps; one row per anchor
+    x, y = xy.tolist()
+    hx, hy = (loc._FD_REL_STEP * (1.0 if v >= 0 else -1.0) * max(1.0, abs(v))
+              for v in (x, y))
+    d = anchors_xy - [[[x, y]], [[x + hx, y]], [[x, y + hy]]]
+    f = np.hypot(d[..., 0], d[..., 1]) - r_hat
+    return (f[1:] - f[0]).T / [(x + hx) - x, (y + hy) - y]
+
+
+def reference_multilaterate(anchors, d_hat, search_center=None,
+                            search_radius_m=None):
+    """The simple multilaterate: a grid of its own per call, and each
+    descent through optimize.leastsq on the row-per-anchor Jacobian."""
+    axy = np.array([[a.x, a.y] for a in anchors])
+    heights = np.array([a.h for a in anchors])
+    d_hat = np.asarray(d_hat, dtype=float)
+    r_hat = np.sqrt(np.maximum(d_hat ** 2 - heights ** 2, 0.0))
+    centered = axy - axy.mean(axis=0)
+    svals = np.linalg.svd(centered, compute_uv=False)
+    ill = bool(svals[-1] < 1e-9 * max(svals[0], 1.0))
+    if search_center is None:
+        cx, cy = axy.mean(axis=0)
+    else:
+        cx, cy = search_center
+    if search_radius_m is None:
+        spread = float(np.max(np.hypot(*(axy - [cx, cy]).T)))
+        search_radius_m = max(float(np.max(r_hat)) + spread, 1.0)
+    gx = np.linspace(cx - search_radius_m, cx + search_radius_m, 21)
+    gy = np.linspace(cy - search_radius_m, cy + search_radius_m, 21)
+    xx, yy = np.meshgrid(gx, gy)
+    d_grid = np.hypot(axy[:, 0, None, None] - xx, axy[:, 1, None, None] - yy)
+    cost_grid = np.sum((d_grid - r_hat[:, None, None]) ** 2, axis=0)
+
+    def residuals(xy, anchors_xy, r):
+        return np.hypot(anchors_xy[:, 0] - xy[0], anchors_xy[:, 1] - xy[1]) - r
+
+    flat = np.argsort(cost_grid, axis=None)[:3]
+    best_xy, best_cost = None, math.inf
+    for idx in flat:
+        iy, ix = np.unravel_index(idx, cost_grid.shape)
+        x, _, info, _, _ = optimize.leastsq(
+            residuals, [xx[iy, ix], yy[iy, ix]], args=(axy, r_hat),
+            Dfun=_reference_jacobian, full_output=True, ftol=1e-8,
+            xtol=1e-10, gtol=1e-8, maxfev=200)
+        cost = float(np.sum(info["fvec"] ** 2))
+        if cost < best_cost:
+            best_cost, best_xy = cost, x
+    grid_best = float(cost_grid.flat[flat[0]])
+    if grid_best < best_cost:
+        iy, ix = np.unravel_index(flat[0], cost_grid.shape)
+        best_xy = np.array([xx[iy, ix], yy[iy, ix]])
+        best_cost = grid_best
+    return loc.MultilaterationResult(float(best_xy[0]), float(best_xy[1]),
+                                     math.sqrt(best_cost), ill)
+
+
+def reference_campaign(scenario, plan, ch, rng, trials_per_user=1,
+                       state_mode="independent"):
+    """run_campaign's draws, each user solved by the public multilaterate."""
+    anchors = loc.place_anchors(plan)
+    axy = np.array([[a.x, a.y] for a in anchors])
+    pos_errors, range_errors = [], []
+    for u in range(scenario.n_users):
+        for t in range(trials_per_user):
+            gen = rng.child_generator(u, t)
+            r = scenario.user_area_radius_m * math.sqrt(gen.random())
+            ang = gen.uniform(0.0, 2.0 * math.pi)
+            ux, uy = r * math.cos(ang), r * math.sin(ang)
+            r_true = np.hypot(axy[:, 0] - ux, axy[:, 1] - uy)
+            d_true = np.hypot(r_true, plan.h_abs_m)
+            theta = np.arctan2(plan.h_abs_m, r_true)
+            if state_mode == "common":
+                forced = bool(gen.random() < float(ch.p_los(np.min(theta))))
+            else:
+                forced = {"los": True, "nlos": False}.get(state_mode)
+            d_hat = np.array([loc.sample_rss_distance(
+                float(d_true[i]), float(theta[i]), ch, gen,
+                force_state=forced)[0] for i in range(plan.m_points)])
+            est = loc.multilaterate(anchors, d_hat, search_center=(0.0, 0.0),
+                                    search_radius_m=scenario.user_area_radius_m)
+            r_hat = np.sqrt(np.maximum(d_hat ** 2 - plan.h_abs_m ** 2, 0.0))
+            rng_err, pos_err = loc.localization_error((est.x, est.y), (ux, uy),
+                                                      r_hat, r_true)
+            pos_errors.append(pos_err)
+            range_errors.append(rng_err)
+    return np.array(pos_errors), np.array(range_errors)
 
 
 class TestRangeJacobian:
@@ -216,15 +313,16 @@ class TestRangeJacobian:
             rng = RngStream(seed).generator()
             for _ in range(count):
                 x0, axy, r_hat = draw(rng)
-                ref = _least_squares_solve(x0, axy, r_hat)
+                ax, ay = _rows(axy)
+                ref = _least_squares_solve(x0, ax, ay, r_hat)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    x, fvec, nfev = loc._lm_descent(x0, axy, r_hat)
+                    x, fvec, nfev = loc._lm_descent(x0, ax, ay, r_hat)
                 np.testing.assert_array_equal(x, ref.x)
                 np.testing.assert_array_equal(fvec, ref.fun)
                 assert nfev == ref.nfev
                 np.testing.assert_array_equal(
-                    loc._range_jacobian(ref.x, axy, r_hat), ref.jac)
+                    loc._range_jacobian(ref.x, ax, ay, r_hat), ref.jac.T)
 
     def test_campaign_matches_least_squares(self, monkeypatch):
         # at R = 50 m the three starts of most solves end apart, so the
@@ -233,13 +331,57 @@ class TestRangeJacobian:
         plan = loc.AnchorPlan(3, 50.0, 200.0)
         fast = loc.run_campaign(scen, plan, TABLE_CH, RngStream(50))
 
-        def reference_descent(x0, axy, r_hat):
-            res = _least_squares_solve(x0, axy, r_hat)
+        def reference_descent(x0, ax, ay, r_hat):
+            res = _least_squares_solve(x0, ax, ay, r_hat)
             return res.x, res.fun, res.nfev
 
         monkeypatch.setattr(loc, "_lm_descent", reference_descent)
         ref = loc.run_campaign(scen, plan, TABLE_CH, RngStream(50))
         np.testing.assert_array_equal(fast.pos_errors, ref.pos_errors)
+
+    def test_each_evaluation_is_an_iteration_step(self, monkeypatch):
+        # lmder counts its own calls as nfev and njev. scipy's C binding
+        # evaluates the residuals once more, at x0, to size them; any other
+        # call outside the iteration (a shape check, say) shows as a surplus
+        calls = {"f": 0, "j": 0}
+        infos = []
+        residuals, jacobian = loc._range_residuals, loc._range_jacobian
+        lmder = loc.optimize._minpack._lmder
+
+        def counted_residuals(*args):
+            calls["f"] += 1
+            return residuals(*args)
+
+        def counted_jacobian(*args):
+            calls["j"] += 1
+            return jacobian(*args)
+
+        def recorded_lmder(*args):
+            out = lmder(*args)
+            infos.append(out[1])
+            return out
+
+        monkeypatch.setattr(loc, "_range_residuals", counted_residuals)
+        monkeypatch.setattr(loc, "_range_jacobian", counted_jacobian)
+        monkeypatch.setattr(loc, "optimize", types.SimpleNamespace(
+            _minpack=types.SimpleNamespace(_lmder=recorded_lmder)))
+        rng = RngStream(11).generator()
+        for draw in (_range_problem, _exact_range_problem, _collinear_problem):
+            for _ in range(50):
+                x0, axy, r_hat = draw(rng)
+                calls.update(f=0, j=0)
+                _, _, nfev = loc._lm_descent(x0, *_rows(axy), r_hat)
+                assert nfev == infos[-1]["nfev"]
+                assert calls["f"] == nfev + 1
+                assert calls["j"] == infos[-1]["njev"] >= 1
+
+    def test_start_is_not_overwritten(self):
+        # lmder iterates in place on a float64 start it is handed
+        x0 = np.array([30.0, -20.0])
+        axy = np.array([[120.0, 0.0], [0.0, 120.0], [-120.0, 0.0]])
+        x, _, _ = loc._lm_descent(x0, *_rows(axy), np.array([90.0, 100.0, 110.0]))
+        np.testing.assert_array_equal(x0, [30.0, -20.0])
+        assert not np.array_equal(x, x0)
 
     coord = st.one_of(st.sampled_from([0.0, -0.0]),
                       st.floats(-1.0, 1.0),
@@ -253,11 +395,48 @@ class TestRangeJacobian:
                             min_size=3, max_size=6))
     def test_equals_scipy_forward_difference(self, x, anchors):
         xy = np.array(x)
-        axy = np.array([a[:2] for a in anchors])
+        ax, ay = _rows(np.array([a[:2] for a in anchors]))
         r_hat = np.array([a[2] for a in anchors])
         ref = approx_derivative(loc._range_residuals, xy, method="2-point",
-                                args=(axy, r_hat))
-        np.testing.assert_array_equal(loc._range_jacobian(xy, axy, r_hat), ref)
+                                args=(ax, ay, r_hat))
+        np.testing.assert_array_equal(loc._range_jacobian(xy, ax, ay, r_hat),
+                                      ref.T)
+
+
+class TestSharedSearchGrid:
+    @pytest.mark.parametrize("state_mode", ["independent", "common", "los",
+                                            "nlos"])
+    @pytest.mark.parametrize("radius", [50.0, 200.0])
+    @pytest.mark.parametrize("m_points", [3, 4])
+    def test_campaign_equals_per_user_multilaterate(self, m_points, radius,
+                                                    state_mode):
+        scen = loc.LocalizationScenario(n_users=6)
+        plan = loc.AnchorPlan(m_points, radius, 200.0)
+        res = loc.run_campaign(scen, plan, TABLE_CH, RngStream(70, m_points),
+                               trials_per_user=2, state_mode=state_mode)
+        pos, rng_err = reference_campaign(scen, plan, TABLE_CH,
+                                          RngStream(70, m_points),
+                                          trials_per_user=2,
+                                          state_mode=state_mode)
+        np.testing.assert_array_equal(res.pos_errors, pos)
+        np.testing.assert_array_equal(res.range_errors, rng_err)
+
+    def test_default_search_area_matches_reference(self):
+        # no search radius: each call sizes its grid from its own ranges
+        rng = RngStream(71).generator()
+        for k in range(60):
+            m = int(rng.integers(3, 7))
+            h = rng.uniform(20.0, 300.0)
+            anchors = [Position3D(*rng.uniform(-250.0, 250.0, 2), h)
+                       for _ in range(m)]
+            if k % 10 == 0:  # collinear: the conditioning flag is set
+                anchors = [Position3D(a.x, 0.0, h) for a in anchors]
+            d_hat = np.hypot(rng.uniform(0.0, 400.0, m), h) \
+                * 10 ** (rng.normal(0.0, 3.0, m) / 20.0)
+            center = None if k % 2 else tuple(rng.uniform(-50.0, 50.0, 2))
+            got = loc.multilaterate(anchors, d_hat, search_center=center)
+            want = reference_multilaterate(anchors, d_hat, search_center=center)
+            assert got == want
 
 
 class TestLocalizationError:
@@ -277,7 +456,7 @@ class TestLocalizationError:
         # the mixed-state mean equals the P_LOS-weighted mix of the
         # conditional means. Range errors depend neither on the solver nor
         # on its draws, so a fixed estimate stands in for the 12,000 solves.
-        monkeypatch.setattr(loc, "multilaterate", lambda *args, **kwargs:
+        monkeypatch.setattr(loc, "_solve", lambda *args:
                             loc.MultilaterationResult(0.0, 0.0, 0.0))
         h = 129.6  # elevation ~47.2 deg at R = 120 -> p_los ~ 0.5
         plan = loc.AnchorPlan(3, 120.0, h)

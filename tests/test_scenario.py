@@ -16,12 +16,13 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from a2gnet.aue_net import mean_site_count
 from a2gnet.cli import main, run_scenario
 from a2gnet.errors import ScenarioError
 from a2gnet.heightmap import HeightMap, save_ascii_grid
 from a2gnet.mapsim import save_sites_csv, site_on_roof
-from a2gnet.scenario import (_SWEEP_AXIS_KEYS, _TOP_LEVEL, SCHEMAS,
-                             parse_scenario, serialize_scenario)
+from a2gnet.scenario import (_SWEEP_AXIS_KEYS, _TOP_LEVEL, MAX_MEAN_SITES,
+                             SCHEMAS, parse_scenario, serialize_scenario)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -305,6 +306,57 @@ def test_run_reads_every_canonical_key(tmp_path, monkeypatch, name):
     run_scenario(s, tmp_path / "out")
     keys = set(_leaves({k: canon[k] for k in SCHEMAS[s.command]}))
     assert keys - seen == set()
+
+
+# ---------------------------------------------------------------------------
+# The site count of an AUE snapshot has a ceiling
+# ---------------------------------------------------------------------------
+
+def _densest(radius_m):
+    """The largest density whose mean site count in the disc is at most
+    MAX_MEAN_SITES."""
+    d = MAX_MEAN_SITES / (math.pi * (radius_m / 1e3) ** 2)
+    while mean_site_count(d, radius_m) > MAX_MEAN_SITES:
+        d = math.nextafter(d, 0.0)
+    while mean_site_count(math.nextafter(d, math.inf), radius_m) \
+            <= MAX_MEAN_SITES:
+        d = math.nextafter(d, math.inf)
+    return d
+
+
+_AT_CEILING = _densest(3000.0)
+_ABOVE_CEILING = math.nextafter(_AT_CEILING, math.inf)
+# the radius that holds MAX_MEAN_SITES sites at the default 5 per km^2
+_CEILING_RADIUS_M = 1e3 * math.sqrt(MAX_MEAN_SITES / (5.0 * math.pi))
+
+
+class TestSiteCeiling:
+    @pytest.mark.parametrize("make", [
+        lambda d: _coverage(bs_density_per_km2=d),
+        lambda d: _sweep(aue={"bs_density_per_km2": d}),
+        lambda d: _sweep("density", grid=[5, d, 1]),
+    ], ids=["coverage", "sweep", "density-axis"])
+    def test_density_at_and_above(self, make):
+        assert _AT_CEILING > 1000.0  # the shipped files sit at 5 per km^2
+        parse_scenario(yaml.safe_dump(make(_AT_CEILING)))
+        with pytest.raises(ScenarioError, match="sites per snapshot") as exc:
+            parse_scenario(yaml.safe_dump(make(_ABOVE_CEILING)))
+        assert exc.value.path == "aue.bs_density_per_km2"
+
+    def test_region_radius_counts(self):
+        parse_scenario(yaml.safe_dump(_coverage(
+            region_radius_m=0.999 * _CEILING_RADIUS_M)))
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(yaml.safe_dump(_coverage(
+                region_radius_m=1.001 * _CEILING_RADIUS_M)))
+        assert exc.value.path == "aue.bs_density_per_km2"
+
+    def test_exit_code(self, tmp_path, capsys):
+        scn = tmp_path / "run.yaml"
+        scn.write_text(yaml.safe_dump(_coverage(bs_density_per_km2=1e4)))
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "aue.bs_density_per_km2: " in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
