@@ -272,7 +272,8 @@ class CoverageRadius:
 
 def coverage_radius(h_abs_m: float, p_tx_w: float, epsilon: float,
                     prof: AbsProfile, r_max_m: float = MAX_RADIUS_M) -> CoverageRadius:
-    """Largest r with outage(r) <= epsilon, bisected to 0.1 m."""
+    """Largest r with outage(r) <= epsilon, found by Brent's method to
+    0.01 m."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must be in (0, 1)")
     if outage(0.0, h_abs_m, p_tx_w, prof) > epsilon:

@@ -523,21 +523,12 @@ def path_loss_db(g: LinkGeometry, spec: PathLossSpec, los: bool = None):
     raise DomainError(f"unknown path-loss spec {spec!r}")
 
 
-def averaged_pl_db(pl_los_db, pl_nlos_db, p_los, linear_domain: bool = False):
-    """P_LOS-weighted loss, on dB values as the model is written.
-
-    linear_domain=True instead averages the linear power gains and converts
-    back to dB.
-    """
+def averaged_pl_db(pl_los_db, pl_nlos_db, p_los):
+    """P_LOS-weighted loss, on dB values as the model is written."""
     p = np.asarray(p_los, dtype=float)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise DomainError("LOS probability must be in [0, 1]")
-    if linear_domain:
-        g = (p * 10.0 ** (-np.asarray(pl_los_db) / 10.0)
-             + (1.0 - p) * 10.0 ** (-np.asarray(pl_nlos_db) / 10.0))
-        out = -10.0 * np.log10(g)
-    else:
-        out = p * np.asarray(pl_los_db) + (1.0 - p) * np.asarray(pl_nlos_db)
+    out = p * np.asarray(pl_los_db) + (1.0 - p) * np.asarray(pl_nlos_db)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -55,12 +55,9 @@ def _write_csv(path: Path, header, rows):
 
 
 def _environment(block) -> ch.Environment:
-    # the parser checked that a custom block sets every key a preset would
-    preset = block.get("preset", "urban")
-    values = {k: v for k, v in block.items() if k != "preset" and v is not None}
-    if preset != "custom":
-        return replace(ch.preset_environment(preset), **values)
-    return ch.Environment(**values)
+    return replace(ch.preset_environment(block["preset"]),
+                   **{k: v for k, v in block.items()
+                      if k != "preset" and v is not None})
 
 
 def _aue_config(block) -> aue_net.AueNetworkConfig:

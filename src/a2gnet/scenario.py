@@ -14,6 +14,10 @@ file that sets a key the run would not read is rejected after the type and
 bound checks, naming both keys; null counts as unset. The canonical form
 from `serialize_scenario` leaves those keys out, so it holds exactly what
 the run reads.
+
+An `environment` block names a preset and overrides only the keys its
+command's model reads; an override keeps the preset's mean building
+height unless the file sets it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Any, Dict, Optional
 import yaml
 
 from .abs_net import MAX_RADIUS_M
-from .aue_net import COVERAGE_MIN_TRIALS, mean_site_count
+from .aue_net import COVERAGE_MIN_TRIALS, _capacity_coefficients, mean_site_count
 from .channel import ENV_PRESETS, MAX_MODELED_ALTITUDE_M, SLICE_CEILINGS_M
 from .errors import DomainError, ScenarioError
 from .heightmap import synthetic_cells
@@ -91,25 +95,27 @@ MAX_PATH_LOSS_EXPONENT = 10.0
 MAX_CAPACITY_NODES = 10 ** 5
 
 
-def _env_schema(default_preset="urban", read_when=()):
+# every environment key, bounded once: building P_LOS and the synthetic
+# city read the building statistics, the 3GPP slices the slice keys
+_ENV_FIELDS = {
+    "kind": Field(kind=str, choices=tuple(SLICE_CEILINGS_M)),
+    "varsigma": Field(minimum=0.0, maximum=1.0),
+    "xi": Field(above=0.0, maximum=MAX_BUILDINGS_PER_KM2),
+    # heights, the Rayleigh scale included, within the modelled envelope
+    "omega": Field(above=0.0, maximum=MAX_MODELED_ALTITUDE_M),
+    "mean_building_height_m": Field(above=0.0, maximum=MAX_MODELED_ALTITUDE_M),
+    "street_width_m": Field(above=0.0),
+}
+_BUILDING_KEYS = ("varsigma", "xi", "omega")
+_SLICE_KEYS = ("kind", "mean_building_height_m", "street_width_m")
+
+
+def _env_schema(keys, default_preset="urban", read_when=()):
     return Field(kind=dict, read_when=read_when, schema={
         "preset": Field(kind=str, default=default_preset,
-                        choices=(*ENV_PRESETS, "custom")),
-        "kind": Field(kind=str, default=None, choices=tuple(SLICE_CEILINGS_M)),
-        "varsigma": Field(default=None, minimum=0.0, maximum=1.0),
-        "xi": Field(default=None, above=0.0, maximum=MAX_BUILDINGS_PER_KM2),
-        # building heights, their Rayleigh scale included, stay within the
-        # modelled envelope
-        "omega": Field(default=None, above=0.0,
-                       maximum=MAX_MODELED_ALTITUDE_M),
-        "mean_building_height_m": Field(default=None, above=0.0,
-                                        maximum=MAX_MODELED_ALTITUDE_M),
-        "street_width_m": Field(default=None, above=0.0),
+                        choices=tuple(ENV_PRESETS)),
+        **{key: f for key, f in _ENV_FIELDS.items() if key in keys},
     })
-
-
-# a custom environment states the keys the presets supply
-_CUSTOM_ENV_KEYS = ("kind", "varsigma", "xi", "omega")
 
 
 def _db(default, read_when=()):
@@ -164,7 +170,7 @@ _AUE_BLOCK = {
                                             maximum=MAX_BEAMWIDTH_DEG),
     "sector_sidelobe_floor_db": Field(default=20.0, above=0.0,
                                       maximum=DB_LIMIT),
-    "environment": _env_schema(),
+    "environment": _env_schema(_BUILDING_KEYS),
 }
 
 # only a coverage sweep reads an SINR target; a phi_b sweep fits a cone
@@ -192,7 +198,7 @@ SCHEMAS: Dict[str, dict] = {
             "distances_m": Field(kind=list,
                                  default=[50.0, 100.0, 200.0, 500.0, 1000.0],
                                  minimum=0.0, maximum=MAX_RANGE_M),
-            "environment": _env_schema(),
+            "environment": _env_schema((*_BUILDING_KEYS, *_SLICE_KEYS)),
         }),
     },
     "aue-coverage": {
@@ -292,7 +298,7 @@ SCHEMAS: Dict[str, dict] = {
                 "cellsize_m": Field(default=4.0, above=0.0),
                 "min_height_m": Field(default=4.0, minimum=0.0,
                                       maximum=MAX_MODELED_ALTITUDE_M),
-                "environment": _env_schema("dense_urban"),
+                "environment": _env_schema(_BUILDING_KEYS, "dense_urban"),
             }),
             "sites_csv": Field(kind=str, default=None),
             "auto_sites": Field(kind=dict, read_when=(
@@ -318,8 +324,8 @@ SCHEMAS: Dict[str, dict] = {
             "pl_model": Field(kind=str, default="threegpp",
                               choices=("threegpp", "free_space")),
             "emit_rasters": Field(kind=bool, default=True),
-            # the free-space loss has no environment
-            "environment": _env_schema("dense_urban", (
+            # LOS comes from the map; the free-space loss has no environment
+            "environment": _env_schema(_SLICE_KEYS, "dense_urban", (
                 ("mapsim.pl_model", ("threegpp",)),)),
         }),
     },
@@ -440,12 +446,6 @@ def _validate_block(data, schema: dict, path: str):
             raise ScenarioError("missing required key", sub_path)
         else:
             out[key] = f.default
-    if out.get("preset") == "custom":
-        for key in _CUSTOM_ENV_KEYS:
-            if out[key] is None:
-                raise ScenarioError("custom environment needs "
-                                    f"{', '.join(_CUSTOM_ENV_KEYS)}",
-                                    f"{path}.{key}")
     return out
 
 
@@ -529,6 +529,15 @@ def parse_scenario(text: str) -> Scenario:
         if sweep["metric"] == "coverage" and sweep["n_trials"] < COVERAGE_MIN_TRIALS:
             raise ScenarioError(f"must be at least {COVERAGE_MIN_TRIALS} "
                                 "for metric coverage", "sweep.n_trials")
+        if sweep["axis"] == "phi_t" and aue["antenna"] != "cone":
+            raise ScenarioError("a tilt sweep needs aue.antenna cone",
+                                "sweep.axis")
+        if sweep["metric"] == "capacity" and sweep["t_max_db"] is not None:
+            try:
+                _capacity_coefficients(sweep["k_nodes"],
+                                       10.0 ** (sweep["t_max_db"] / 10.0))
+            except DomainError as exc:
+                raise ScenarioError(str(exc), "sweep.t_max_db") from exc
     if aue is not None:
         density = aue["bs_density_per_km2"]
         if command == "aue-sweep" and params["sweep"]["axis"] == "density":

@@ -378,11 +378,6 @@ class TestAveragedPl:
         assert averaged_pl_db(100.0, 120.0, 0.0) == 120.0
         assert averaged_pl_db(100.0, 120.0, 0.5) == 110.0
 
-    def test_linear_domain_variant(self):
-        v = averaged_pl_db(100.0, 120.0, 0.5, linear_domain=True)
-        expected = -10 * math.log10(0.5 * 1e-10 + 0.5 * 1e-12)
-        assert v == pytest.approx(expected, rel=1e-12)
-
     def test_invalid_probability(self):
         with pytest.raises(DomainError):
             averaged_pl_db(100.0, 120.0, 1.5)

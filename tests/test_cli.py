@@ -22,7 +22,7 @@ from a2gnet.cli import (_aue_config, _environment, _fmt, _sinr_target,
 from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import MAX_SYNTHETIC_CELLS, HeightMap, save_ascii_grid
 from a2gnet.numerics import dbm_to_watt
-from a2gnet.scenario import (_TOP_LEVEL, SCHEMAS, load_scenario,
+from a2gnet.scenario import (_ENV_FIELDS, _TOP_LEVEL, SCHEMAS, load_scenario,
                              parse_scenario, serialize_scenario)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -93,20 +93,19 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-_CUSTOM_URBAN = {"preset": "custom", "kind": "urban", "varsigma": 0.3,
-                 "xi": 500, "omega": 15}
-
 # bounds whose breach used to reach the models, exiting 1 with a message
 # that did not name the key, or exit 0 and write rows
 MODEL_BOUNDS = [
     ("environment", {"varsigma": 2}, "channel.environment.varsigma"),
-    ("environment", {**_CUSTOM_URBAN, "varsigma": -0.1},
+    ("environment", {"preset": "suburban", "varsigma": -0.1},
      "channel.environment.varsigma"),
     ("environment", {"xi": 0}, "channel.environment.xi"),
-    ("environment", {**_CUSTOM_URBAN, "omega": 0}, "channel.environment.omega"),
+    ("environment", {"preset": "suburban", "omega": 0},
+     "channel.environment.omega"),
     ("environment", {"omega": -5}, "aue.environment.omega"),
-    ("environment", {"xi": -1}, "mapsim.environment.xi"),
-    ("environment", {**_CUSTOM_URBAN, "kind": "foo"},
+    ("synthetic", {"environment": {"xi": -1}},
+     "mapsim.synthetic.environment.xi"),
+    ("environment", {"preset": "suburban", "kind": "foo"},
      "channel.environment.kind"),
     ("sector_beamwidth_deg", 0, "aue.sector_beamwidth_deg"),
     ("sector_sidelobe_floor_db", 0, "aue.sector_sidelobe_floor_db"),
@@ -339,25 +338,25 @@ class TestParsing:
             parse_scenario(yaml.safe_dump(doc))
         assert "sweep.n_trials" in str(err.value)
 
-    @pytest.mark.parametrize("preset", ["urban", "custom"])
+    @pytest.mark.parametrize("preset", ["urban", "dense_urban"])
     @pytest.mark.parametrize("key", ["street_width_m", "mean_building_height_m"])
     def test_environment_lengths_positive(self, preset, key):
-        # a custom 0 was silently replaced by the default; a preset
-        # override of 0 reached math.log10
+        # a preset override of 0 reached math.log10
         env = {"preset": preset, key: 0}
-        if preset == "custom":
-            env.update(kind="urban", varsigma=0.3, xi=500, omega=15)
         doc = {"command": "channel-table", "channel": {"environment": env}}
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump(doc))
         assert f"channel.environment.{key}" in str(err.value)
 
     @pytest.mark.parametrize("env,expected", [
-        # a custom block defaults only the lengths it leaves out
-        ({"preset": "custom", "kind": "urban", "varsigma": 0.3, "xi": 500,
-          "omega": 15, "street_width_m": 12},
+        # a block that sets every key replaces the whole preset; the mean
+        # building height follows omega only where the file states it
+        ({"preset": "suburban", "kind": "urban", "varsigma": 0.3, "xi": 500,
+          "omega": 15, "mean_building_height_m": 15 * math.sqrt(math.pi / 2),
+          "street_width_m": 12},
          ch.Environment("urban", 0.3, 500.0, 15.0, 15 * math.sqrt(math.pi / 2), 12.0)),
-        # a preset override replaces only the keys it names
+        # a preset override replaces only the keys it names, and keeps the
+        # preset's mean building height under a new omega
         ({"preset": "dense_urban", "omega": 30},
          ch.Environment("dense_urban", 0.5, 300.0, 30.0,
                         ch.dense_urban().mean_building_height_m, 20.0)),
@@ -576,7 +575,11 @@ class TestLibraryDefaults:
 def _numeric_leaves(schema, path=()):
     for key, f in schema.items():
         if f.schema is not None:
-            yield from _numeric_leaves(f.schema, (*path, key))
+            # an environment block is walked over every environment key:
+            # one that the block does not take is rejected as unknown
+            sub = ({**_ENV_FIELDS, **f.schema} if key == "environment"
+                   else f.schema)
+            yield from _numeric_leaves(sub, (*path, key))
         elif f.kind in (int, float) or (f.kind is list
                                         and f.item_kind in (int, float)):
             yield (*path, key), f
@@ -895,12 +898,46 @@ class TestMainEntry:
 
     def test_t_max_below_every_node_exit_code(self, tmp_path, capsys):
         # -100 dB lies below the smallest of K = 200 nodes (about -46 dB):
-        # the sweep kept no node and wrote a capacity of 0 on every row
+        # the sweep kept no node and wrote a capacity of 0 on every row,
+        # and later exited 1 without naming the key
         scn = tmp_path / "run.yaml"
         scn.write_text("command: aue-sweep\nsweep:\n  axis: altitude\n"
                        "  grid: [60]\n  n_trials: 100\n  t_max_db: -100\n")
-        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 1
-        assert "t_max" in capsys.readouterr().err
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "sweep.t_max_db: " in err and "Traceback" not in err
+        assert not (tmp_path / "aue_sweep.csv").exists()
+
+    @pytest.mark.parametrize("k_nodes", [50, 200])
+    def test_t_max_at_first_node(self, tmp_path, capsys, k_nodes):
+        # the smallest t_max_db whose linear value reaches the first node
+        # parses; one ulp below it is named at parse time (exit 2)
+        t0 = aue_net._capacity_coefficients(k_nodes)[0][0]
+        at = 10.0 * math.log10(t0)
+        while 10.0 ** (at / 10.0) < t0:
+            at = math.nextafter(at, math.inf)
+        while 10.0 ** (math.nextafter(at, -math.inf) / 10.0) >= t0:
+            at = math.nextafter(at, -math.inf)
+        assert -47.0 < at < -34.0
+        doc = yaml.safe_load(SWEEP_ALTITUDE)
+        doc["sweep"].update(k_nodes=k_nodes, n_trials=5, t_max_db=at)
+        parse_scenario(yaml.safe_dump(doc))
+        doc["sweep"]["t_max_db"] = math.nextafter(at, -math.inf)
+        scn = tmp_path / "run.yaml"
+        scn.write_text(yaml.safe_dump(doc))
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "sweep.t_max_db: " in err and "no node is left" in err
+
+    def test_tilt_sweep_of_omni_exit_code(self, tmp_path, capsys):
+        # the default omni antenna passed parsing, then exited 1 with a
+        # model error that named no key
+        scn = tmp_path / "run.yaml"
+        scn.write_text("command: aue-sweep\nsweep:\n  axis: phi_t\n"
+                       "  grid: [10]\n  n_trials: 5\n")
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "sweep.axis: " in err and "aue.antenna cone" in err
         assert not (tmp_path / "aue_sweep.csv").exists()
 
     @pytest.mark.parametrize("block,code,named", [

@@ -168,46 +168,105 @@ class TestDuplicateKeys:
 
     def test_same_key_in_two_mappings(self):
         s = parse_scenario("command: mapsim\nmapsim:\n"
-                           "  environment: {preset: urban, omega: 20}\n"
+                           "  environment: {preset: urban}\n"
                            "  synthetic:\n"
-                           "    environment: {preset: urban, omega: 25}\n")
-        assert s.params["mapsim"]["environment"]["omega"] == 20
-        assert s.params["mapsim"]["synthetic"]["environment"]["omega"] == 25
+                           "    environment: {preset: highrise}\n")
+        assert s.params["mapsim"]["environment"]["preset"] == "urban"
+        assert s.params["mapsim"]["synthetic"]["environment"]["preset"] == \
+            "highrise"
 
     def test_merge_key_keeps_its_meaning(self):
         # a key beside << overrides the merged one; it is no duplicate
         s = parse_scenario("command: mapsim\nmapsim:\n"
                            "  synthetic:\n"
-                           "    environment: &env {preset: urban, omega: 30}\n"
-                           "  environment:\n    <<: *env\n    omega: 25\n")
+                           "    environment: &env {preset: urban}\n"
+                           "  environment:\n    <<: *env\n"
+                           "    preset: highrise\n")
         b = s.params["mapsim"]
-        assert b["synthetic"]["environment"]["omega"] == 30
-        assert b["environment"]["omega"] == 25
-        assert b["environment"]["preset"] == "urban"
+        assert b["synthetic"]["environment"]["preset"] == "urban"
+        assert b["environment"]["preset"] == "highrise"
+        # a merged key that nothing overrides is kept
+        s = parse_scenario("command: mapsim\nmapsim:\n"
+                           "  synthetic:\n"
+                           "    environment: &env {preset: urban}\n"
+                           "  environment:\n    <<: *env\n"
+                           "    street_width_m: 25\n")
+        assert s.params["mapsim"]["environment"]["preset"] == "urban"
+        assert s.params["mapsim"]["environment"]["street_width_m"] == 25
 
 
-@pytest.mark.parametrize("command,block", [
-    ("channel-table", ("channel",)), ("aue-coverage", ("aue",)),
-    ("mapsim", ("mapsim",)), ("mapsim", ("mapsim", "synthetic"))])
-@pytest.mark.parametrize("missing", ["kind", "varsigma", "xi", "omega"])
-def test_custom_environment_names_its_block(tmp_path, capsys, command, block,
-                                            missing):
-    # the run-time check named only `environment.varsigma`, and mapsim has
-    # two environment blocks
-    env = {"preset": "custom", "kind": "urban", "varsigma": 0.3, "xi": 500,
-           "omega": 15}
-    del env[missing]
-    doc = {"command": command}
+def _env_block(command, block):
+    """The environment schema at block (a key tuple) of command."""
+    schema = SCHEMAS[command]
+    for key in block:
+        schema = schema[key].schema
+    return schema["environment"].schema
+
+
+def _with_env(doc, block, env):
     node = doc
     for key in block:
         node = node.setdefault(key, {})
     node["environment"] = env
+    return doc
+
+
+# each environment block, with the command that reads it
+ENV_BLOCKS = [("channel-table", ("channel",)), ("aue-coverage", ("aue",)),
+              ("mapsim", ("mapsim",)), ("mapsim", ("mapsim", "synthetic")),
+              ("aue-sweep", ("aue",))]
+
+
+@pytest.mark.parametrize("command,block", ENV_BLOCKS)
+@pytest.mark.parametrize("missing", ["kind", "varsigma", "xi", "omega"])
+def test_custom_environment_names_its_block(tmp_path, capsys, command, block,
+                                            missing):
+    # `custom` was a preset that had to set kind, varsigma, xi and omega;
+    # it is gone, and whichever of those keys the block takes and sets, the
+    # file is rejected at the block's own preset (mapsim has two blocks)
+    env = {"preset": "custom", "kind": "urban", "varsigma": 0.3, "xi": 500,
+           "omega": 15}
+    del env[missing]
+    env = {k: v for k, v in env.items() if k in _env_block(command, block)}
+    doc = _with_env(_sweep() if command == "aue-sweep" else _doc(command),
+                    block, env)
     scn = tmp_path / "run.yaml"
     scn.write_text(yaml.safe_dump(doc))
     assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    path = f"{'.'.join(block)}.environment.{missing}"
-    assert f"{path}: custom environment" in err
+    path = f"{'.'.join(block)}.environment.preset"
+    assert f"{path}: must be one of suburban, urban, dense_urban, highrise" \
+        in err and "Traceback" not in err
+
+
+# an in-bound value of every environment key besides the preset
+_IN_BOUND_ENV = {"kind": "urban", "varsigma": 0.3, "xi": 500, "omega": 15,
+                 "mean_building_height_m": 18, "street_width_m": 12}
+# the keys each block no longer takes: its command's model never read them
+REMOVED_ENV_KEYS = [(command, block, key) for command, block in ENV_BLOCKS
+                    for key in _IN_BOUND_ENV
+                    if key not in _env_block(command, block)]
+
+
+@pytest.mark.parametrize("command,block,key", REMOVED_ENV_KEYS, ids=[
+    f"{command}:{'.'.join(block)}.{key}"
+    for command, block, key in REMOVED_ENV_KEYS])
+def test_removed_environment_key_exit_code(tmp_path, capsys, command, block,
+                                           key):
+    # a value the run used to accept and ignore
+    doc = _with_env(_sweep() if command == "aue-sweep" else _doc(command),
+                    block, {"preset": "urban", key: _IN_BOUND_ENV[key]})
+    scn = tmp_path / "run.yaml"
+    scn.write_text(yaml.safe_dump(doc))
+    assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{'.'.join(block)}.environment.{key}: unknown key {key!r}" in err
+
+
+def test_environment_key_counts():
+    # besides its preset, each of the 5 blocks took the same 6 keys: 18
+    # are kept and 12 removed
+    assert len(ENV_KEYS) == 5 + 18 and len(REMOVED_ENV_KEYS) == 12
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")),
@@ -258,20 +317,24 @@ _TINY_RUN = {"altitudes_m": [60], "thresholds_db": [0], "n_trials": 5}
 _TINY_CITY = {"synthetic": {"extent_m": 100, "cellsize_m": 10},
               "auto_sites": {"count": 1}, "heights_m": [40], "stride": 5,
               "emit_rasters": False}
-_CUSTOM_ENV = {"preset": "custom", "kind": "urban", "varsigma": 0.3,
-               "xi": 500, "omega": 15}
+# preset overrides of every key each block takes
+_BUILDING_ENV = {"preset": "highrise", "varsigma": 0.3, "xi": 500, "omega": 15}
+_FULL_ENV = {**_BUILDING_ENV, "kind": "urban", "mean_building_height_m": 12,
+             "street_width_m": 15}
+_SLICE_ENV = {"preset": "urban", "kind": "suburban",
+              "mean_building_height_m": 12, "street_width_m": 15}
 
 # one base per branch of the runners
 READ_BASES = {
     "channel-table": _doc("channel-table", channel={
         "altitudes_m": [30], "distances_m": [100]}),
-    "channel-table-custom": _doc("channel-table", channel={
+    "channel-table-override": _doc("channel-table", channel={
         "altitudes_m": [30], "distances_m": [100],
-        "environment": _CUSTOM_ENV}),
+        "environment": _FULL_ENV}),
     "aue-coverage-omni": _doc("aue-coverage", run=_TINY_RUN),
     "aue-coverage-cone-override": _doc(
         "aue-coverage", run=_TINY_RUN,
-        aue={**_CONE, **_OVERRIDE, "environment": _CUSTOM_ENV}),
+        aue={**_CONE, **_OVERRIDE, "environment": _BUILDING_ENV}),
     "capacity-altitude-t-max": _sweep(n_trials=5, t_max_db=30),
     "capacity-density": _sweep("density", grid=[5], n_trials=5),
     "capacity-phi-b-cone": _sweep("phi_b", aue=dict(_CONE), n_trials=5),
@@ -286,6 +349,10 @@ READ_BASES = {
     "localize": _doc("localize", localize={
         "m_points": [3], "n_users": 2, "state_mode": "common"}),
     "mapsim-synthetic-auto": _mapsim(**_TINY_CITY),
+    "mapsim-environment-override": _mapsim(**{
+        **_TINY_CITY, "environment": _SLICE_ENV,
+        "synthetic": {**_TINY_CITY["synthetic"],
+                      "environment": _BUILDING_ENV}}),
     "mapsim-free-space": _mapsim(**_TINY_CITY, pl_model="free_space"),
     "mapsim-files": _mapsim(heightmap="city.asc", sites_csv="sites.csv",
                             heights_m=[40], stride=5),
@@ -306,6 +373,44 @@ def test_run_reads_every_canonical_key(tmp_path, monkeypatch, name):
     run_scenario(s, tmp_path / "out")
     keys = set(_leaves({k: canon[k] for k in SCHEMAS[s.command]}))
     assert keys - seen == set()
+
+
+# ---------------------------------------------------------------------------
+# Each key an environment block takes changes its run's output
+# ---------------------------------------------------------------------------
+
+# small runs whose outputs move with the environment: a 15 m altitude lies
+# in the ground slice of an urban kind and above that of a suburban one,
+# and 1.5 m users see NLOS links through the ground slice's fit
+_ENV_RUNS = {
+    "channel-table": _doc("channel-table", channel={
+        "altitudes_m": [1.5, 15, 60], "distances_m": [50, 500]}),
+    "aue-coverage": _doc("aue-coverage", run={
+        "altitudes_m": [60], "thresholds_db": [-10, 0, 10],
+        "n_trials": 100}),
+    "aue-sweep": _sweep(n_trials=20),
+    "mapsim": _mapsim(**{**_TINY_CITY, "heights_m": [1.5, 15], "stride": 1,
+                         "emit_rasters": True}),
+}
+# two far-apart in-bound values of each key
+_FAR_APART = {"preset": ("suburban", "highrise"), "kind": ("urban", "suburban"),
+              "varsigma": (0.05, 0.8), "xi": (20, 5000), "omega": (3, 100),
+              "mean_building_height_m": (5, 40), "street_width_m": (5, 40)}
+ENV_KEYS = [(command, block, key) for command, block in ENV_BLOCKS
+            for key in _env_block(command, block)]
+
+
+@pytest.mark.parametrize("command,block,key", ENV_KEYS, ids=[
+    f"{command}:{'.'.join(block)}.{key}" for command, block, key in ENV_KEYS])
+def test_environment_key_moves_output(tmp_path, command, block, key):
+    outputs = []
+    for i, value in enumerate(_FAR_APART[key]):
+        doc = yaml.safe_load(yaml.safe_dump(_ENV_RUNS[command]))
+        _with_env(doc, block, {key: value})
+        paths = run_scenario(parse_scenario(yaml.safe_dump(doc)),
+                             tmp_path / str(i))
+        outputs.append([path.read_bytes() for path in paths])
+    assert outputs[0] != outputs[1]
 
 
 # ---------------------------------------------------------------------------
