@@ -50,18 +50,17 @@ def main():
 
     print("\nComposed link-loss sampler (PL + shadowing + fading), "
           "LOS state drawn per draw:")
-    from a2gnet.channel import Carrier, LogDistance, LosNlosAveraged, ThreeGppPlos
     from a2gnet.numerics import Nakagami, RngStream
 
     g = link_geometry(Position3D(500.0, 0.0, 60.0), BS)
-    spec = LosNlosAveraged(
-        los=LogDistance(Carrier(F_GHZ * 1e9), eta=2.0, sigma_db=4.0),
-        nlos=LogDistance(Carrier(F_GHZ * 1e9), eta=3.5, sigma_db=6.0),
-        plos=ThreeGppPlos(ENV))
-    loss, flags = ch.sample_link_loss_db(g, spec, RngStream(7),
+    carrier = ch.Carrier(F_GHZ * 1e9)
+    pl = [ch.log_distance_pl_db(g.d_3d, ch.LogDistance(carrier, eta))
+          for eta in (2.0, 3.5)]
+    p_los = ch.p_los_3gpp(g.d_h, g.h_uav, ch.slice_of(g.h_uav, ENV))
+    loss, flags = ch.sample_link_loss_db(pl, (4.0, 6.0), p_los, RngStream(7),
                                          fading=Nakagami(3), n=20000)
     print(f"  mean loss {np.mean(loss):.1f} dB, LOS fraction "
-          f"{np.mean(flags):.3f} (model {float(ch.p_los_of(g, spec.plos)):.3f})")
+          f"{np.mean(flags):.3f} (model {p_los:.3f})")
 
 
 if __name__ == "__main__":

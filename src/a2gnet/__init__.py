@@ -11,16 +11,11 @@ from .antenna_geometry import (
     uav_gain_linear,
 )
 from .channel import (
-    BuildingPlos,
     Carrier,
     Environment,
-    FixedPlos,
     FreeSpace,
     LogDistance,
-    LosNlosAveraged,
     PropagationSlice,
-    ThreeGppPlos,
-    ThreeGppRural,
     averaged_pl_db,
     dense_urban,
     free_space_pl_db,
@@ -28,7 +23,6 @@ from .channel import (
     log_distance_pl_db,
     p_los_3gpp,
     p_los_building,
-    path_loss_db,
     pl_3gpp_rural_db,
     sample_link_loss_db,
     shadowing_sigma_db,

@@ -1,9 +1,11 @@
 """Path loss, LOS probability, shadowing, and slice selection.
 
-The catalog composes into a single link-loss sampler: distance-dependent
-path loss, plus dB-normal shadowing, plus small-scale fading expressed as a
-dB penalty, with the LOS/NLOS state drawn from the configured probability
-model.
+Each model is one function of numbers (distances, heights, carrier and
+environment in; a float or an array out). The link-loss sampler composes a
+link from what the caller evaluates with them: a (LOS, NLOS) pair of path
+losses and shadowing stds give path loss, plus dB-normal shadowing, plus
+small-scale fading expressed as a dB penalty, with the LOS/NLOS state drawn
+per link from a LOS probability.
 
 Unit conventions worth calling out:
   * In the building-statistics LOS probability the horizontal distance
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -73,11 +75,14 @@ class Environment:
             raise DomainError(f"unknown environment kind {self.kind!r}")
         if not 0.0 <= self.varsigma <= 1.0:
             raise DomainError("varsigma must be in [0, 1]")
-        if self.xi <= 0 or self.omega <= 0:
-            raise DomainError("xi and omega must be positive")
         if self.mean_building_height_m is None:
             object.__setattr__(self, "mean_building_height_m",
                                self.omega * math.sqrt(math.pi / 2.0))
+        # omega is checked before the mean height it derives
+        for name in ("xi", "omega", "mean_building_height_m", "street_width_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be positive and finite")
 
 
 def preset_environment(name: str) -> Environment:
@@ -139,10 +144,6 @@ class Carrier:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.frequency_hz
 
-    @property
-    def ghz(self) -> float:
-        return self.frequency_hz / 1e9
-
 
 @dataclass(frozen=True)
 class FreeSpace:
@@ -181,57 +182,13 @@ class LogDistance:
         return free_space_reference_loss_db(self.carrier, self.d0_m)
 
 
-@dataclass(frozen=True)
-class ThreeGppRural:
-    """Slice-aware 3GPP-style rural-macro family (ground/obstructed/high)."""
-
-    carrier: Carrier
-    environment: Environment
-
-
-@dataclass(frozen=True)
-class BuildingPlos:
-    environment: Environment
-
-
-@dataclass(frozen=True)
-class ThreeGppPlos:
-    environment: Environment
-
-
-@dataclass(frozen=True)
-class FixedPlos:
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError("LOS probability must be in [0, 1]")
-
-
-PlosModel = Union[BuildingPlos, ThreeGppPlos, FixedPlos]
-
-
-@dataclass(frozen=True)
-class LosNlosAveraged:
-    los: Union[FreeSpace, LogDistance, ThreeGppRural]
-    nlos: Union[FreeSpace, LogDistance, ThreeGppRural]
-    plos: PlosModel
-
-
-PathLossSpec = Union[FreeSpace, LogDistance, ThreeGppRural, LosNlosAveraged]
-
-
-def _d3d(g):
-    return g.d_3d if isinstance(g, LinkGeometry) else g
-
-
 # ---------------------------------------------------------------------------
 # Elementary path-loss laws
 # ---------------------------------------------------------------------------
 
-def free_space_pl_db(g, spec: FreeSpace):
+def free_space_pl_db(d_3d_m, spec: FreeSpace):
     """10 eta log10(4 pi d / lambda); eta=2 reproduces Friis."""
-    d = np.asarray(_d3d(g), dtype=float)
+    d = np.asarray(d_3d_m, dtype=float)
     if np.any(d <= 0.0):
         raise DomainError("free-space loss needs d_3d > 0")
     out = 10.0 * spec.eta * np.log10(4.0 * np.pi * d / spec.carrier.wavelength_m)
@@ -243,9 +200,9 @@ def free_space_reference_loss_db(carrier: Carrier, d0_m: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * d0_m / carrier.wavelength_m)
 
 
-def log_distance_pl_db(g, spec: LogDistance):
+def log_distance_pl_db(d_3d_m, spec: LogDistance):
     """Lambda_0 + 10 eta log10(d/d0); rejects d below the reference."""
-    d = np.asarray(_d3d(g), dtype=float)
+    d = np.asarray(d_3d_m, dtype=float)
     if np.any(d < spec.d0_m):
         raise DomainError(f"log-distance model needs d >= d0 ({spec.d0_m} m)")
     out = spec.reference_loss_db + 10.0 * spec.eta * np.log10(d / spec.d0_m)
@@ -356,17 +313,6 @@ def p_los_3gpp(d_h_m, h_uav_m: float, slice_: PropagationSlice):
     else:
         raise DomainError(f"LOS probability undefined for slice {slice_}")
     return float(out) if out.ndim == 0 else out
-
-
-def p_los_of(g: LinkGeometry, model: PlosModel):
-    if isinstance(model, FixedPlos):
-        return model.p
-    if isinstance(model, BuildingPlos):
-        return p_los_building(g, model.environment)
-    if isinstance(model, ThreeGppPlos):
-        slice_ = slice_of(g.h_uav, model.environment)
-        return p_los_3gpp(g.d_h, g.h_uav, slice_)
-    raise DomainError(f"unknown LOS probability model {model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -497,32 +443,6 @@ def shadowing_sigma_db(slice_: PropagationSlice, los: bool, d_h_m,
 # Composition
 # ---------------------------------------------------------------------------
 
-def path_loss_db(g: LinkGeometry, spec: PathLossSpec, los: bool = None):
-    """Evaluate any path-loss spec for one link.
-
-    For ThreeGppRural the LOS flag is mandatory; for LosNlosAveraged a flag
-    selects the branch while None returns the probability-averaged loss.
-    """
-    if isinstance(spec, FreeSpace):
-        return free_space_pl_db(g, spec)
-    if isinstance(spec, LogDistance):
-        return log_distance_pl_db(g, spec)
-    if isinstance(spec, ThreeGppRural):
-        if los is None:
-            raise DomainError("ThreeGppRural path loss needs a LOS flag")
-        slice_ = slice_of(g.h_uav, spec.environment)
-        return pl_3gpp_rural_db(g, spec.carrier.ghz, spec.environment, los, slice_)
-    if isinstance(spec, LosNlosAveraged):
-        if los is True:
-            return path_loss_db(g, spec.los, los=True)
-        if los is False:
-            return path_loss_db(g, spec.nlos, los=False)
-        p = p_los_of(g, spec.plos)
-        return averaged_pl_db(path_loss_db(g, spec.los, los=True),
-                              path_loss_db(g, spec.nlos, los=False), p)
-    raise DomainError(f"unknown path-loss spec {spec!r}")
-
-
 def averaged_pl_db(pl_los_db, pl_nlos_db, p_los):
     """P_LOS-weighted loss, on dB values as the model is written."""
     p = np.asarray(p_los, dtype=float)
@@ -530,19 +450,6 @@ def averaged_pl_db(pl_los_db, pl_nlos_db, p_los):
         raise DomainError("LOS probability must be in [0, 1]")
     out = p * np.asarray(pl_los_db) + (1.0 - p) * np.asarray(pl_nlos_db)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def shadowing_sigma_for(g: LinkGeometry, spec, los: bool):
-    """Shadowing std attached to a spec (explicit sigma, table, or zero)."""
-    if isinstance(spec, LogDistance):
-        return spec.sigma_db
-    if isinstance(spec, FreeSpace):
-        return 0.0
-    if isinstance(spec, ThreeGppRural):
-        slice_ = slice_of(g.h_uav, spec.environment)
-        return shadowing_sigma_db(slice_, los, g.d_h, g.h_uav,
-                                  h_g_m=g.h_g, f_c_ghz=spec.carrier.ghz)
-    raise DomainError(f"no shadowing rule for spec {spec!r}")
 
 
 # Measured log-distance parameterizations, one entry per source row.
@@ -609,29 +516,31 @@ def log_distance_from_preset(name: str, frequency_hz: float = None, *,
                        sigma_db=0.0 if sigma_db is None else sigma_db)
 
 
-def sample_link_loss_db(g: LinkGeometry, spec: LosNlosAveraged, rng: RngLike,
+def sample_link_loss_db(pl_db, sigma_db, p_los: float, rng: RngLike,
                         fading: FadingModel = None, fading_nlos: FadingModel = None,
                         n: int = None):
     """Draw total link loss H = PL + X_LS - 10 log10(X_SS) and the LOS flag.
 
-    `fading` applies to LOS links (and NLOS too unless `fading_nlos` is
-    given); None drops the small-scale term. Returns (loss_db, los_flag),
-    arrays when n is given.
+    `pl_db` and `sigma_db` are (LOS, NLOS) pairs of path loss and shadowing
+    std in dB, from whichever model the caller evaluates, and `p_los` is the
+    LOS probability. The LOS uniforms are drawn first, then per state, LOS
+    first, the shadowing normals and the fading gains. `fading` applies to
+    LOS links (and NLOS too unless `fading_nlos` is given); None drops the
+    small-scale term. Returns (loss_db, los_flag), arrays when n is given.
     """
+    if not 0.0 <= p_los <= 1.0:
+        raise DomainError("LOS probability must be in [0, 1]")
     gen = as_generator(rng)
     size = n if n is not None else 1
-    p = p_los_of(g, spec.plos)
-    flags = gen.random(size) < p
+    flags = gen.random(size) < p_los
     loss = np.empty(size, dtype=float)
-    for state in (True, False):
+    for state, pl, sigma, model in ((True, pl_db[0], sigma_db[0], fading),
+                                    (False, pl_db[1], sigma_db[1],
+                                     fading_nlos or fading)):
         idx = np.nonzero(flags == state)[0]
         if idx.size == 0:
             continue
-        branch = spec.los if state else spec.nlos
-        pl = path_loss_db(g, branch, los=state)
-        sigma = shadowing_sigma_for(g, branch, state)
         shad = sample_shadowing_db(sigma, gen, idx.size)
-        model = fading if state else (fading_nlos or fading)
         if model is not None:
             gains = sample_fading(model, gen, idx.size)
             fade_db = -10.0 * np.log10(gains)

@@ -75,12 +75,12 @@ def _aue_config(block) -> aue_net.AueNetworkConfig:
             block["sector_elevation_beamwidth_deg"]))
     # the config holds what the SINR reads: the total noise power N; only a
     # coverage sweep adds a target (_sinr_target)
-    bw_hz = block["bandwidth_mhz"] * 1e6
     if block["noise_override_dbm"] is not None:
         noise_w = dbm_to_watt(block["noise_override_dbm"])
     else:
         noise_w = (dbm_to_watt(block["noise_density_dbm_hz"])
-                   * 10.0 ** (block["noise_figure_db"] / 10.0) * bw_hz)
+                   * 10.0 ** (block["noise_figure_db"] / 10.0)
+                   * (block["bandwidth_mhz"] * 1e6))
     return aue_net.AueNetworkConfig(
         frequency_hz=block["frequency_ghz"] * 1e9,
         bs_density_per_km2=block["bs_density_per_km2"],

@@ -9,11 +9,12 @@ mapping.
 
 The schema states what each run reads. A field's `read_when` conditions
 name the keys that switch it off (`aue.phi_b_deg` is read only under
-`aue.antenna: cone`), and a sweep never reads the key its axis varies. A
-file that sets a key the run would not read is rejected after the type and
-bound checks, naming both keys; null counts as unset. The canonical form
-from `serialize_scenario` leaves those keys out, so it holds exactly what
-the run reads.
+`aue.antenna: cone`), and a sweep never reads the key its axis varies.
+`aue.bandwidth_mhz` has the one "or" rule: the noise from density reads it,
+and so does a rate target. A file that sets a key the run would not read
+is rejected after the type and bound checks, naming both keys; null counts
+as unset. The canonical form from `serialize_scenario` leaves those keys
+out, so it holds exactly what the run reads.
 
 An `environment` block names a preset and overrides only the keys its
 command's model reads; an override keeps the preset's mean building
@@ -23,7 +24,7 @@ height unless the file sets it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
 import yaml
@@ -142,7 +143,8 @@ _AUE_BLOCK = {
     "bs_height_m": Field(default=30.0, minimum=0.0,
                          maximum=MAX_MODELED_ALTITUDE_M),
     "p_tx_dbm": _db(43.0),
-    "bandwidth_mhz": _BANDWIDTH_MHZ,
+    # N = N0 F B reads it, and so does a rate target (see _unread)
+    "bandwidth_mhz": replace(_BANDWIDTH_MHZ, read_when=_NOISE_FROM_DENSITY),
     # thermal noise kT is -174 dBm/Hz at 290 K; -200 is under 1 K, and -100
     # far above any receiver's (its noise figure carries the rest)
     "noise_density_dbm_hz": Field(default=-174.0, minimum=-200.0,
@@ -193,8 +195,11 @@ SCHEMAS: Dict[str, dict] = {
             # (h_b / h_g)^2 term of the NLOS fit overflows
             "h_g_m": Field(default=30.0, minimum=MIN_ANTENNA_HEIGHT_M,
                            maximum=MAX_MODELED_ALTITUDE_M),
+            # the ground fits' breakpoint and log10 of the altitude break
+            # down under the same 1 m terminal
             "altitudes_m": Field(kind=list, default=[1.5, 30.0, 150.0],
-                                 above=0.0, maximum=MAX_MODELED_ALTITUDE_M),
+                                 minimum=MIN_ANTENNA_HEIGHT_M,
+                                 maximum=MAX_MODELED_ALTITUDE_M),
             "distances_m": Field(kind=list,
                                  default=[50.0, 100.0, 200.0, 500.0, 1000.0],
                                  minimum=0.0, maximum=MAX_RANGE_M),
@@ -467,6 +472,10 @@ def _unread(doc: dict, schema: dict, swept: str, path: str = ""):
                if _lookup(doc, cond) not in allowed]
         if sub_path == swept:
             off.append("sweep.axis")
+        # T = 2^(R/B) - 1 reads the bandwidth whatever the noise model
+        if sub_path == "aue.bandwidth_mhz" and \
+                _lookup(doc, "aue.target_rate_mbps") is not None:
+            off = []
         if off:
             yield sub_path, f"not read when {off[0]} is {_lookup(doc, off[0])}"
         elif f.schema is not None:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,18 +11,14 @@ from a2gnet import channel as ch
 from a2gnet.antenna_geometry import Position3D, link_geometry
 from a2gnet.channel import (
     Carrier,
-    FixedPlos,
     FreeSpace,
     LogDistance,
-    LosNlosAveraged,
     PropagationSlice,
-    ThreeGppPlos,
     averaged_pl_db,
     free_space_pl_db,
     log_distance_pl_db,
     p_los_3gpp,
     p_los_building,
-    path_loss_db,
     pl_3gpp_rural_db,
     sample_link_loss_db,
     shadowing_sigma_db,
@@ -33,7 +30,7 @@ from a2gnet.errors import (
     ModelGapError,
     OutOfEnvelopeError,
 )
-from a2gnet.numerics import Nakagami, RngStream
+from a2gnet.numerics import Nakagami, RngStream, sample_fading
 
 C18 = Carrier(1.8e9)
 
@@ -57,6 +54,15 @@ class TestEnvironment:
             == 4.0 * math.sqrt(math.pi / 2)
         assert ch.Environment("open", 0.1, 10.0, 4.0,
                               mean_building_height_m=7.0).mean_building_height_m == 7.0
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["xi", "omega", "mean_building_height_m",
+                                       "street_width_m"])
+    def test_non_positive_or_non_finite_rejected(self, field, value):
+        # a street width of 0 reached the ground NLOS fit as a raw
+        # "math domain error"
+        with pytest.raises(DomainError, match=field):
+            replace(ch.urban(), **{field: value})
 
     def test_every_kind_has_slice_ceilings(self):
         assert set(ch.ENV_PRESETS) <= set(ch.SLICE_CEILINGS_M)
@@ -384,62 +390,55 @@ class TestAveragedPl:
 
 
 class TestSampleLinkLoss:
-    def spec(self, sigma=0.0, p=1.0):
-        return LosNlosAveraged(
-            los=LogDistance(C18, eta=2.0, sigma_db=sigma),
-            nlos=LogDistance(C18, eta=3.5, sigma_db=sigma),
-            plos=FixedPlos(p),
-        )
+    PL = (log_distance_pl_db(geom(500.0, 100.0).d_3d, LogDistance(C18, eta=2.0)),
+          log_distance_pl_db(geom(500.0, 100.0).d_3d, LogDistance(C18, eta=3.5)))
 
     def test_deterministic_when_degenerate(self):
-        g = geom(500.0, 100.0)
-        loss, flag = sample_link_loss_db(g, self.spec(), RngStream(1))
+        loss, flag = sample_link_loss_db(self.PL, (0.0, 0.0), 1.0, RngStream(1))
         assert flag is True
-        assert loss == pytest.approx(path_loss_db(g, self.spec().los), abs=1e-12)
+        assert loss == pytest.approx(self.PL[0], abs=1e-12)
 
     def test_zero_mean_shadowing(self):
-        g = geom(500.0, 100.0)
-        loss, _ = sample_link_loss_db(g, self.spec(sigma=4.0), RngStream(2), n=100_000)
-        pl = path_loss_db(g, self.spec().los)
-        assert abs(np.mean(loss - pl)) <= 0.05  # 3 sigma / sqrt(N) = 0.038
+        loss, _ = sample_link_loss_db(self.PL, (4.0, 4.0), 1.0, RngStream(2),
+                                      n=100_000)
+        assert abs(np.mean(loss - self.PL[0])) <= 0.05  # 3 sigma / sqrt(N) = 0.038
 
     def test_unit_mean_fading_in_linear_domain(self):
-        g = geom(500.0, 100.0)
-        loss, _ = sample_link_loss_db(g, self.spec(), RngStream(3),
+        loss, _ = sample_link_loss_db(self.PL, (0.0, 0.0), 1.0, RngStream(3),
                                       fading=Nakagami(2), n=200_000)
-        pl = path_loss_db(g, self.spec().los)
-        gains = 10 ** (-(loss - pl) / 10)
+        gains = 10 ** (-(loss - self.PL[0]) / 10)
         assert np.mean(gains) == pytest.approx(1.0, abs=0.01)
 
     def test_los_flag_frequency(self):
         env = ch.urban()
         g = geom(800.0, 30.0)
-        spec = LosNlosAveraged(
-            los=LogDistance(C18, eta=2.0),
-            nlos=LogDistance(C18, eta=3.5),
-            plos=ThreeGppPlos(env),
-        )
-        _, flags = sample_link_loss_db(g, spec, RngStream(4), n=100_000)
         p = p_los_3gpp(g.d_h, 30.0, slice_of(30.0, env))
+        _, flags = sample_link_loss_db(self.PL, (0.0, 0.0), p, RngStream(4),
+                                       n=100_000)
         assert np.mean(flags) == pytest.approx(p, abs=0.005)
 
+    @pytest.mark.parametrize("fading_nlos", [None, Nakagami(1)])
+    def test_replays_its_draw_order(self, fading_nlos):
+        # the LOS uniforms, then per state, LOS first, the shadowing normals
+        # and the fading gains, all on one generator
+        pl, sigma, p, n = (95.0, 120.0), (4.0, 6.0), 0.4, 1000
+        loss, flags = sample_link_loss_db(pl, sigma, p, RngStream(5),
+                                          fading=Nakagami(3),
+                                          fading_nlos=fading_nlos, n=n)
+        gen = RngStream(5).generator()
+        los = gen.random(n) < p
+        want = np.empty(n)
+        for state, model in ((True, Nakagami(3)),
+                             (False, fading_nlos or Nakagami(3))):
+            idx = np.nonzero(los == state)[0]
+            shad = gen.normal(0.0, sigma[not state], idx.size)
+            gains = sample_fading(model, gen, idx.size)
+            want[idx] = pl[not state] + shad - 10.0 * np.log10(gains)
+        assert 0 < los.sum() < n
+        assert flags.tobytes() == los.tobytes()
+        assert loss.tobytes() == want.tobytes()
 
-class TestPathLossDispatch:
-    def test_averaged_matches_components(self):
-        g = geom(700.0, 60.0)
-        spec = LosNlosAveraged(
-            los=LogDistance(C18, eta=2.0),
-            nlos=LogDistance(C18, eta=3.5),
-            plos=FixedPlos(0.3),
-        )
-        lo = path_loss_db(g, spec, los=True)
-        hi = path_loss_db(g, spec, los=False)
-        assert path_loss_db(g, spec) == pytest.approx(0.3 * lo + 0.7 * hi, rel=1e-12)
-
-    def test_threegpp_requires_flag(self):
-        g = geom(700.0, 60.0)
-        spec = ch.ThreeGppRural(Carrier(2e9), ch.urban())
+    @pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
+    def test_probability_outside_unit_interval(self, p):
         with pytest.raises(DomainError):
-            path_loss_db(g, spec)
-        assert path_loss_db(g, spec, los=True) == pytest.approx(
-            ch.aerial_los_db(g.d_3d, 60.0, 2.0))
+            sample_link_loss_db(self.PL, (0.0, 0.0), p, RngStream(6))

@@ -294,6 +294,8 @@ class TestParsing:
         ("m_points", [3, 4.0], "localize.m_points[1]"),
         *MODEL_BOUNDS,
         *OVERFLOW_BOUNDS,
+        # the ground fits wrote inf and 6047 dB losses at 5e-324 and 1e-300 m
+        ("altitudes_m", [math.nextafter(1.0, 0.0)], "channel.altitudes_m[0]"),
     ])
     def test_bound_validation(self, key, value, path):
         with pytest.raises(ScenarioError) as err:
@@ -884,6 +886,17 @@ class TestMainEntry:
         scn.write_text(yaml.safe_dump(_bounded_doc(key, value, path)))
         assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
         assert path in capsys.readouterr().err
+
+    def test_altitude_floor_writes_finite_losses(self, tmp_path):
+        # the lowest altitude the ground fits take, as h_g_m's floor
+        scn = tmp_path / "run.yaml"
+        scn.write_text("command: channel-table\nchannel:\n"
+                       "  altitudes_m: [1.0]\n")
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "channel_table.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(math.isfinite(float(v)) for row in rows for v in row[5:8])
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2

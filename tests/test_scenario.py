@@ -94,7 +94,13 @@ UNREAD = [
           ({**_OVERRIDE, "noise_density_dbm_hz": -170},
            "aue.noise_density_dbm_hz", "aue.noise_override_dbm is -90"),
           ({**_OVERRIDE, "noise_figure_db": 5}, "aue.noise_figure_db",
+           "aue.noise_override_dbm is -90"),
+          ({**_OVERRIDE, "bandwidth_mhz": 10}, "aue.bandwidth_mhz",
            "aue.noise_override_dbm is -90")]],
+    # only a rate target reads the bandwidth beside a fixed noise power
+    (_sweep(metric="coverage", n_trials=100,
+            aue={**_OVERRIDE, "bandwidth_mhz": 10, "threshold_db": 3}),
+     "aue.bandwidth_mhz", "aue.noise_override_dbm is -90"),
     # the map and the sites come from a file or are generated
     (_mapsim(heightmap="city.asc", synthetic={"extent_m": 100}),
      "mapsim.synthetic", "mapsim.heightmap is city.asc"),
@@ -146,6 +152,28 @@ class TestUnreadKeys:
         assert "t_max_db" not in canon["sweep"]
         assert canon["aue"]["target_rate_mbps"] == 10
         assert parse_scenario(serialize_scenario(s)) == s
+
+    @pytest.mark.parametrize("doc,read", [
+        (_coverage(), True),
+        (_coverage(**_OVERRIDE), False),
+        (_sweep(aue=dict(_OVERRIDE)), False),
+        (_sweep(metric="coverage", n_trials=100, aue=dict(_OVERRIDE)), False),
+        (_sweep(metric="coverage", n_trials=100,
+                aue={**_OVERRIDE, "target_rate_mbps": 10}), True),
+    ])
+    def test_bandwidth_read_by_noise_or_rate(self, doc, read):
+        # N = N0 F B and T = 2^(R/B) - 1 read the bandwidth; a fixed noise
+        # power and no rate target leave it unread
+        canon = yaml.safe_load(serialize_scenario(
+            parse_scenario(yaml.safe_dump(doc))))
+        assert ("bandwidth_mhz" in canon["aue"]) == read
+        doc["aue"]["bandwidth_mhz"] = 10
+        if read:
+            parse_scenario(yaml.safe_dump(doc))
+        else:
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario(yaml.safe_dump(doc))
+            assert exc.value.path == "aue.bandwidth_mhz"
 
 
 class TestDuplicateKeys:
