@@ -10,24 +10,23 @@ import math
 import numpy as np
 
 from a2gnet import channel as ch
-from a2gnet.antenna_geometry import Position3D, link_geometry
 
 ENV = ch.urban()
 F_GHZ = 1.8
-BS = Position3D(0.0, 0.0, 30.0)
+D_H = 500.0    # horizontal distance to the ground station, m
+H_BS = 30.0    # ground station height, m
 
 
 def describe(h_uav):
-    uav = Position3D(500.0, 0.0, h_uav)
-    g = link_geometry(uav, BS)
     slice_ = ch.slice_of(h_uav, ENV)
-    p_build = (ch.p_los_building(g, ENV) if h_uav > BS.h else float("nan"))
-    p_3gpp = ch.p_los_3gpp(g.d_h, h_uav, slice_)
-    pl_los = ch.pl_3gpp_rural_db(g, F_GHZ, ENV, los=True, slice_=slice_)
-    pl_nlos = ch.pl_3gpp_rural_db(g, F_GHZ, ENV, los=False, slice_=slice_)
+    p_build = (ch.p_los_building(D_H, h_uav, H_BS, ENV) if h_uav > H_BS
+               else float("nan"))
+    p_3gpp = ch.p_los_3gpp(D_H, h_uav, slice_)
+    pl_los, pl_nlos = (ch.pl_3gpp_rural_db(D_H, h_uav, H_BS, F_GHZ, ENV, los,
+                                           slice_) for los in (True, False))
     avg = ch.averaged_pl_db(pl_los, pl_nlos, float(p_3gpp))
-    sigma = ch.shadowing_sigma_db(slice_, True, g.d_h, h_uav,
-                                  h_g_m=BS.h, f_c_ghz=F_GHZ)
+    sigma = ch.shadowing_sigma_db(slice_, True, D_H, h_uav,
+                                  h_g_m=H_BS, f_c_ghz=F_GHZ)
     return slice_, p_build, p_3gpp, pl_los, pl_nlos, avg, sigma
 
 
@@ -46,17 +45,18 @@ def main():
           "silently:")
     spec = ch.log_distance_from_preset("l_band_968mhz")
     print(f"  l_band_968mhz: eta={spec.eta}, Lambda0={spec.lambda0_db} dB "
-          f"-> PL(1 km) = {ch.log_distance_pl_db(1000.0, spec):.1f} dB")
+          f"-> PL(1 km) = "
+          f"{ch.log_distance_pl_db(1000.0, spec.lambda0_db, spec.eta, spec.d0_m):.1f} dB")
 
     print("\nComposed link-loss sampler (PL + shadowing + fading), "
           "LOS state drawn per draw:")
     from a2gnet.numerics import Nakagami, RngStream
 
-    g = link_geometry(Position3D(500.0, 0.0, 60.0), BS)
-    carrier = ch.Carrier(F_GHZ * 1e9)
-    pl = [ch.log_distance_pl_db(g.d_3d, ch.LogDistance(carrier, eta))
+    h_uav = 60.0
+    lambda0 = ch.free_space_reference_loss_db(F_GHZ * 1e9, 1.0)
+    pl = [ch.log_distance_pl_db(math.hypot(D_H, h_uav - H_BS), lambda0, eta)
           for eta in (2.0, 3.5)]
-    p_los = ch.p_los_3gpp(g.d_h, g.h_uav, ch.slice_of(g.h_uav, ENV))
+    p_los = ch.p_los_3gpp(D_H, h_uav, ch.slice_of(h_uav, ENV))
     loss, flags = ch.sample_link_loss_db(pl, (4.0, 6.0), p_los, RngStream(7),
                                          fading=Nakagami(3), n=20000)
     print(f"  mean loss {np.mean(loss):.1f} dB, LOS fraction "

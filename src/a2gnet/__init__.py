@@ -2,18 +2,14 @@
 
 from .antenna_geometry import (
     ConeUav,
-    LinkGeometry,
     OmniUav,
     Position3D,
     SectorAntenna,
     bs_gain_db,
-    link_geometry,
     uav_gain_linear,
 )
 from .channel import (
-    Carrier,
     Environment,
-    FreeSpace,
     LogDistance,
     PropagationSlice,
     averaged_pl_db,

@@ -1,9 +1,11 @@
-"""3D placement, link geometry, and the two antenna models.
+"""3D placement and the two antenna models.
 
 Conventions: x east, y north, h up (meters). Azimuth is measured from north
 (+y), clockwise toward east, in radians. Elevation is positive above the
 horizon. The conical UAV antenna keeps its opening angle in degrees because
 the 29000/phi_B^2 gain idiom presumes degrees; every other angle is radians.
+There is no link record: callers take d_h, d_3d and the elevation of their
+links on arrays, and the channel models take those numbers.
 """
 
 from __future__ import annotations
@@ -26,34 +28,6 @@ class Position3D:
     def __post_init__(self):
         if self.h < 0:
             raise DomainError("height must be >= 0")
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Derived link geometry between an aerial/UE node and a ground node.
-
-    theta = atan((h_uav - h_g)/d_h); it is negative when the UE-side node
-    sits below the ground-side node (e.g. a street-level user under a mast).
-    """
-
-    d_h: float
-    d_3d: float
-    h_uav: float
-    h_g: float
-    theta: float
-
-
-def link_geometry(aerial: Position3D, ground: Position3D) -> LinkGeometry:
-    """Build a LinkGeometry with `aerial` on the UE/UAV side of the model."""
-    dx = aerial.x - ground.x
-    dy = aerial.y - ground.y
-    dz = aerial.h - ground.h
-    d_h = math.hypot(dx, dy)
-    d_3d = math.sqrt(d_h * d_h + dz * dz)
-    if d_3d == 0.0:
-        raise DomainError("link endpoints coincide")
-    theta = math.atan2(dz, d_h)
-    return LinkGeometry(d_h=d_h, d_3d=d_3d, h_uav=aerial.h, h_g=ground.h, theta=theta)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,7 @@ from .antenna_geometry import (
 )
 from .channel import (
     BuildingPlosTable,
-    Carrier,
     Environment,
-    LogDistance,
     free_space_reference_loss_db,
     log_distance_pl_db,
     urban,
@@ -110,7 +108,7 @@ class AueNetworkConfig:
 
     def reference_loss_db(self, los: bool) -> float:
         """Free-space loss at D0_M, plus the NLOS excess when not in LOS."""
-        ref = free_space_reference_loss_db(Carrier(self.frequency_hz), D0_M)
+        ref = free_space_reference_loss_db(self.frequency_hz, D0_M)
         return ref if los else ref + self.nlos_excess_db
 
 
@@ -183,26 +181,17 @@ def draw_links(snap: NetworkSnapshot, cfg: AueNetworkConfig,
 
 @dataclass(frozen=True)
 class _Point:
-    """One network point: a UE height and its config, with what is built
-    once for it: the building P_LOS table toward sites at `bs_h` and the
-    log-distance loss under each LOS state. Only the site stage reads it,
-    so the UE antenna of its config is never read."""
+    """One network point: a UE height and its config, with the building
+    P_LOS table toward sites at `bs_h` built once for it. Only the site
+    stage reads it, so the UE antenna of its config is never read."""
 
     h: float
     cfg: AueNetworkConfig
     p_los: BuildingPlosTable
-    loss_los: LogDistance
-    loss_nlos: LogDistance
 
 
 def _point(h: float, cfg: AueNetworkConfig, bs_h: float) -> _Point:
-    def loss(los: bool) -> LogDistance:
-        return LogDistance(Carrier(cfg.frequency_hz),
-                           cfg.eta_los if los else cfg.eta_nlos,
-                           cfg.reference_loss_db(los), D0_M)
-
-    table = BuildingPlosTable(max(h, bs_h), min(h, bs_h), cfg.env)
-    return _Point(h, cfg, table, loss(True), loss(False))
+    return _Point(h, cfg, BuildingPlosTable(max(h, bs_h), min(h, bs_h), cfg.env))
 
 
 @dataclass(frozen=True)
@@ -281,8 +270,9 @@ def _site_stage(block: _SiteBlock, point: _Point) -> _SiteStage:
 
     los = block.links.los_u < point.p_los(d_h)
     d = np.maximum(np.hypot(d_h, dz), D0_M)
-    pl_db = np.where(los, log_distance_pl_db(d, point.loss_los),
-                     log_distance_pl_db(d, point.loss_nlos))
+    pl_db = np.where(
+        los, log_distance_pl_db(d, cfg.reference_loss_db(True), cfg.eta_los, D0_M),
+        log_distance_pl_db(d, cfg.reference_loss_db(False), cfg.eta_nlos, D0_M))
     return _SiteStage(sector, cfg.p_tx_w * site_gain, los,
                       10.0 ** (-pl_db / 10.0), np.arctan2(dz, d_h),
                       np.where(los, block.links.fading_los,

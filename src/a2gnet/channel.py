@@ -1,11 +1,13 @@
 """Path loss, LOS probability, shadowing, and slice selection.
 
-Each model is one function of numbers (distances, heights, carrier and
-environment in; a float or an array out). The link-loss sampler composes a
-link from what the caller evaluates with them: a (LOS, NLOS) pair of path
-losses and shadowing stds give path loss, plus dB-normal shadowing, plus
-small-scale fading expressed as a dB penalty, with the LOS/NLOS state drawn
-per link from a LOS probability.
+Each model is one function of numbers: the horizontal or 3D distance, the
+two heights, the carrier and the environment in; a float or an array out.
+No geometry or carrier record stands between a caller and a formula, and
+the one record left, `LogDistance`, is a measured row resolved to numbers.
+The link-loss sampler composes a link from what the caller evaluates with
+them: a (LOS, NLOS) pair of path losses and shadowing stds give path loss,
+plus dB-normal shadowing, plus small-scale fading expressed as a dB
+penalty, with the LOS/NLOS state drawn per link from a LOS probability.
 
 Unit conventions worth calling out:
   * In the building-statistics LOS probability the horizontal distance
@@ -24,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from .antenna_geometry import LinkGeometry
 from .errors import ApplicabilityError, DomainError, ModelGapError, OutOfEnvelopeError
 from .numerics import (FadingModel, RngLike, as_generator, sample_fading,
                        sample_shadowing_db)
@@ -129,83 +130,41 @@ def slice_of(h_uav_m: float, env: Environment) -> PropagationSlice:
 
 
 # ---------------------------------------------------------------------------
-# Path-loss specifications
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Carrier:
-    frequency_hz: float
-
-    def __post_init__(self):
-        if self.frequency_hz <= 0:
-            raise DomainError("carrier frequency must be positive")
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.frequency_hz
-
-
-@dataclass(frozen=True)
-class FreeSpace:
-    """Generalized free-space loss (4 pi d / lambda)^eta."""
-
-    carrier: Carrier
-    eta: float = 2.0
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise DomainError("path-loss exponent must be positive")
-
-
-@dataclass(frozen=True)
-class LogDistance:
-    """Log-distance model; lambda0_db=None means free-space loss at d0."""
-
-    carrier: Carrier
-    eta: float
-    lambda0_db: Optional[float] = None
-    d0_m: float = 1.0
-    sigma_db: float = 0.0
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise DomainError("path-loss exponent must be positive")
-        if self.d0_m <= 0:
-            raise DomainError("reference distance must be positive")
-        if self.sigma_db < 0:
-            raise DomainError("shadowing sigma must be >= 0")
-
-    @property
-    def reference_loss_db(self) -> float:
-        if self.lambda0_db is not None:
-            return self.lambda0_db
-        return free_space_reference_loss_db(self.carrier, self.d0_m)
-
-
-# ---------------------------------------------------------------------------
 # Elementary path-loss laws
 # ---------------------------------------------------------------------------
 
-def free_space_pl_db(d_3d_m, spec: FreeSpace):
-    """10 eta log10(4 pi d / lambda); eta=2 reproduces Friis."""
+def _check_positive(value, what):
+    if not value > 0:
+        raise DomainError(f"{what} must be positive")
+
+
+def free_space_pl_db(d_3d_m, frequency_hz: float, eta: float = 2.0):
+    """Generalized free-space loss 10 eta log10(4 pi d / lambda); eta=2
+    reproduces Friis."""
+    _check_positive(frequency_hz, "carrier frequency")
+    _check_positive(eta, "path-loss exponent")
     d = np.asarray(d_3d_m, dtype=float)
     if np.any(d <= 0.0):
         raise DomainError("free-space loss needs d_3d > 0")
-    out = 10.0 * spec.eta * np.log10(4.0 * np.pi * d / spec.carrier.wavelength_m)
+    out = 10.0 * eta * np.log10(4.0 * np.pi * d / (SPEED_OF_LIGHT / frequency_hz))
     return float(out) if out.ndim == 0 else out
 
 
-def free_space_reference_loss_db(carrier: Carrier, d0_m: float) -> float:
+def free_space_reference_loss_db(frequency_hz: float, d0_m: float) -> float:
     """Friis loss 20 log10(4 pi d0 / lambda) at the reference distance d0."""
-    return 20.0 * math.log10(4.0 * math.pi * d0_m / carrier.wavelength_m)
+    _check_positive(frequency_hz, "carrier frequency")
+    _check_positive(d0_m, "reference distance")
+    return 20.0 * math.log10(4.0 * math.pi * d0_m / (SPEED_OF_LIGHT / frequency_hz))
 
 
-def log_distance_pl_db(d_3d_m, spec: LogDistance):
+def log_distance_pl_db(d_3d_m, lambda0_db: float, eta: float, d0_m: float = 1.0):
     """Lambda_0 + 10 eta log10(d/d0); rejects d below the reference."""
+    _check_positive(eta, "path-loss exponent")
+    _check_positive(d0_m, "reference distance")
     d = np.asarray(d_3d_m, dtype=float)
-    if np.any(d < spec.d0_m):
-        raise DomainError(f"log-distance model needs d >= d0 ({spec.d0_m} m)")
-    out = spec.reference_loss_db + 10.0 * spec.eta * np.log10(d / spec.d0_m)
+    if np.any(d < d0_m):
+        raise DomainError(f"log-distance model needs d >= d0 ({d0_m} m)")
+    out = lambda0_db + 10.0 * eta * np.log10(d / d0_m)
     return float(out) if out.ndim == 0 else out
 
 
@@ -281,11 +240,11 @@ class BuildingPlosTable:
         return self._rows[np.maximum(m, -1) + 1]
 
 
-def p_los_building(g: LinkGeometry, env: Environment):
+def p_los_building(d_h_m, h_uav_m: float, h_g_m: float, env: Environment):
     """LOS probability from building statistics for a descending ray."""
-    if g.h_uav <= g.h_g:
+    if h_uav_m <= h_g_m:
         raise DomainError("building-statistics LOS model needs h_uav > h_g")
-    return _p_los_building_heights(g.d_h, g.h_uav, g.h_g, env)
+    return _p_los_building_heights(d_h_m, h_uav_m, h_g_m, env)
 
 
 def obstructed_plos_auxiliaries(h_uav_m: float):
@@ -404,13 +363,15 @@ def slice_pl_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz, env: Environment, los: bool,
     return (aerial_los_db if los else aerial_nlos_db)(d_3d_m, h_uav_m, f_c_ghz)
 
 
-def pl_3gpp_rural_db(g: LinkGeometry, f_c_ghz: float, env: Environment,
-                     los: bool, slice_: PropagationSlice):
-    """Slice-appropriate 3GPP-style path loss for one link."""
+def pl_3gpp_rural_db(d_h_m, h_uav_m: float, h_g_m: float, f_c_ghz: float,
+                     env: Environment, los: bool, slice_: PropagationSlice):
+    """Slice-appropriate 3GPP-style path loss at horizontal distance d_h,
+    raising ApplicabilityError outside the ground-slice windows."""
     if slice_ is PropagationSlice.GROUND:
-        _check_range(g.d_h, *RMA_GROUND_RANGE_M[los],
+        _check_range(d_h_m, *RMA_GROUND_RANGE_M[los],
                      what=f"ground-slice {'LOS' if los else 'NLOS'}")
-    return slice_pl_db(g.d_3d, g.h_uav, g.h_g, f_c_ghz, env, los, slice_)
+    return slice_pl_db(np.hypot(d_h_m, h_uav_m - h_g_m), h_uav_m, h_g_m,
+                       f_c_ghz, env, los, slice_)
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +457,23 @@ def _resolve_preset_field(row, name, field, explicit):
     return spec
 
 
+@dataclass(frozen=True)
+class LogDistance:
+    """A measured log-distance row with every value resolved; evaluate it as
+    `log_distance_pl_db(d, row.lambda0_db, row.eta, row.d0_m)`."""
+
+    frequency_hz: float
+    eta: float
+    lambda0_db: float
+    d0_m: float
+    sigma_db: float
+
+
 def log_distance_from_preset(name: str, frequency_hz: float = None, *,
                              eta: float = None, lambda0_db: float = None,
                              sigma_db: float = None, d0_m: float = 1.0) -> LogDistance:
-    """Build a LogDistance from a measured row, requiring explicit picks
-    wherever the source reports a range."""
+    """Resolve a measured row, requiring explicit picks wherever the source
+    reports a range; a row without Lambda_0 takes the Friis loss at d0."""
     row = MEASURED_LOG_DISTANCE_ROWS.get(name)
     if row is None:
         raise DomainError(f"unknown measured preset {name!r}")
@@ -510,10 +483,14 @@ def log_distance_from_preset(name: str, frequency_hz: float = None, *,
         frequency_hz = row["f_ghz"] * 1e9
     eta = _resolve_preset_field(row, name, "eta", eta)
     lambda0_db = _resolve_preset_field(row, name, "lambda0_db", lambda0_db)
-    sigma_db = _resolve_preset_field(row, name, "sigma_db", sigma_db)
-    return LogDistance(carrier=Carrier(frequency_hz), eta=eta,
-                       lambda0_db=lambda0_db, d0_m=d0_m,
-                       sigma_db=0.0 if sigma_db is None else sigma_db)
+    sigma_db = _resolve_preset_field(row, name, "sigma_db", sigma_db) or 0.0
+    # checks the carrier and d0 also where the row fixes Lambda_0
+    reference_db = free_space_reference_loss_db(frequency_hz, d0_m)
+    if sigma_db < 0:
+        raise DomainError("shadowing sigma must be >= 0")
+    return LogDistance(frequency_hz, eta,
+                       reference_db if lambda0_db is None else lambda0_db,
+                       d0_m, sigma_db)
 
 
 def sample_link_loss_db(pl_db, sigma_db, p_los: float, rng: RngLike,

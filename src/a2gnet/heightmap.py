@@ -49,8 +49,10 @@ class HeightMap:
         self.heights = np.asarray(self.heights, dtype=float)
         if self.heights.ndim != 2 or self.heights.size == 0:
             raise DomainError("heightmap needs a nonempty 2-D grid")
-        if self.cellsize <= 0:
-            raise DomainError("cell size must be positive")
+        if not (math.isfinite(self.cellsize) and self.cellsize > 0):
+            raise DomainError("cell size must be positive and finite")
+        if not (math.isfinite(self.xllcorner) and math.isfinite(self.yllcorner)):
+            raise DomainError("corner coordinates must be finite")
 
     @property
     def nrows(self) -> int:
@@ -123,9 +125,17 @@ def load_ascii_grid(path) -> HeightMap:
             key = parts[0].lower()
             if key in _HEADER_KEYS and len(parts) == 2 and not rows:
                 try:
-                    header[key] = float(parts[1])
+                    value = float(parts[1])
                 except ValueError:
-                    raise GridParseError(f"bad header value for {key!r}", lineno)
+                    value = math.nan
+                count = key in ("ncols", "nrows")
+                if not (value > 0 and value.is_integer() if count
+                        else math.isfinite(value)):
+                    raise GridParseError(
+                        f"{key} must be a "
+                        f"{'positive integer' if count else 'finite number'},"
+                        f" not {parts[1]!r}", lineno)
+                header[key] = value
                 continue
             try:
                 row = [float(tok) for tok in parts]

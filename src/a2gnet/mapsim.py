@@ -56,7 +56,8 @@ SITE_CSV_COLUMNS = ["x", "y", "roof_h", "p_tx_dbm", "azimuth0_deg",
 def load_sites_csv(path) -> List[SectorSite]:
     """Site list: x,y,roof_h,p_tx_dbm,azimuth0_deg,tilt_deg,max_gain_dbi,beamwidth_deg.
 
-    Each site sits MAST_M above its roof_h, as save_sites_csv writes it."""
+    Each site sits MAST_M above its roof_h, as save_sites_csv writes it.
+    Every value must be a finite number."""
     sites = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -64,10 +65,15 @@ def load_sites_csv(path) -> List[SectorSite]:
         if missing:
             raise ScenarioError(f"site CSV missing columns {sorted(missing)}")
         for lineno, row in enumerate(reader, start=2):
-            try:
-                vals = {k: float(row[k]) for k in SITE_CSV_COLUMNS}
-            except (TypeError, ValueError):
-                raise ScenarioError(f"bad numeric value in site CSV line {lineno}")
+            vals = {}
+            for k in SITE_CSV_COLUMNS:
+                try:
+                    vals[k] = float(row[k])
+                except (TypeError, ValueError):
+                    vals[k] = math.nan
+                if not math.isfinite(vals[k]):
+                    raise ScenarioError(f"site CSV line {lineno}: {k} must be "
+                                        f"a finite number, not {row[k]!r}")
             ant = SectorAntenna(
                 electrical_tilt=math.radians(vals["tilt_deg"]),
                 max_gain_dbi=vals["max_gain_dbi"],
@@ -129,8 +135,9 @@ class MapSimConfig:
 def _path_loss_db(cfg: MapSimConfig, d_3d, ue_h, site_h, los):
     """Vectorized slice-appropriate loss for one site (scalar heights)."""
     if cfg.pl_model == "free_space":
-        spec = ch.FreeSpace(ch.Carrier(cfg.frequency_hz), FREE_SPACE_ETA[los])
-        return ch.free_space_pl_db(np.maximum(d_3d, spec.carrier.wavelength_m), spec)
+        return ch.free_space_pl_db(
+            np.maximum(d_3d, ch.SPEED_OF_LIGHT / cfg.frequency_hz),
+            cfg.frequency_hz, FREE_SPACE_ETA[los])
     slice_ = ch.slice_of(ue_h, cfg.env)
     if slice_ is ch.PropagationSlice.GROUND:
         d3 = np.clip(d_3d, *ch.RMA_GROUND_RANGE_M[los])

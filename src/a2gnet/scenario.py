@@ -319,8 +319,11 @@ SCHEMAS: Dict[str, dict] = {
                 "beamwidth_deg": Field(default=65.0, above=0.0,
                                        maximum=MAX_BEAMWIDTH_DEG),
             }),
+            # the ground fits break down under a 1 m terminal, as for
+            # channel.altitudes_m
             "heights_m": Field(kind=list, default=[1.5, 20.0, 60.0, 150.0],
-                               above=0.0, maximum=MAX_MODELED_ALTITUDE_M),
+                               minimum=MIN_ANTENNA_HEIGHT_M,
+                               maximum=MAX_MODELED_ALTITUDE_M),
             "threshold_db": _db(-6.0),
             "stride": Field(kind=int, default=4, minimum=1),
             "frequency_ghz": _FREQUENCY_GHZ,

@@ -12,45 +12,12 @@ from a2gnet.antenna_geometry import (
     SectorAntenna,
     _wrap_angle,
     bs_gain_db,
-    link_geometry,
     uav_gain_linear,
 )
 from a2gnet.errors import DomainError
 
 
-class TestLinkGeometry:
-    def test_vertical_link(self):
-        g = link_geometry(Position3D(0, 0, 100), Position3D(0, 0, 1.5))
-        assert g.d_h == 0.0
-        assert g.theta == pytest.approx(math.pi / 2)
-        assert g.d_3d == pytest.approx(98.5)
-
-    def test_three_four_five(self):
-        g = link_geometry(Position3D(30, 40, 1.5), Position3D(0, 0, 1.5))
-        assert g.d_h == pytest.approx(50.0)
-        assert g.d_3d == pytest.approx(50.0)
-        assert g.theta == 0.0
-
-    def test_pythagoras(self):
-        g = link_geometry(Position3D(300, 400, 301.5), Position3D(0, 0, 1.5))
-        assert g.d_3d == pytest.approx(math.sqrt(500**2 + 300**2), rel=1e-12)
-
-    def test_invariant_consistency(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            a = Position3D(*rng.uniform(0, 1000, 2), rng.uniform(0, 300))
-            b = Position3D(*rng.uniform(0, 1000, 2), rng.uniform(0, 300))
-            if (a.x, a.y, a.h) == (b.x, b.y, b.h):
-                continue
-            g = link_geometry(a, b)
-            assert g.d_3d**2 == pytest.approx(g.d_h**2 + (g.h_uav - g.h_g) ** 2, rel=1e-9)
-            swapped = link_geometry(b, a)
-            assert swapped.d_h == g.d_h and swapped.d_3d == g.d_3d
-
-    def test_coincident_rejected(self):
-        with pytest.raises(DomainError):
-            link_geometry(Position3D(1, 2, 3), Position3D(1, 2, 3))
-
+class TestPosition3D:
     def test_negative_height_rejected(self):
         with pytest.raises(DomainError):
             Position3D(0, 0, -1)

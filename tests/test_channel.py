@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2gnet import channel as ch
-from a2gnet.antenna_geometry import Position3D, link_geometry
 from a2gnet.channel import (
-    Carrier,
-    FreeSpace,
-    LogDistance,
     PropagationSlice,
     averaged_pl_db,
     free_space_pl_db,
@@ -32,12 +28,8 @@ from a2gnet.errors import (
 )
 from a2gnet.numerics import Nakagami, RngStream, sample_fading
 
-C18 = Carrier(1.8e9)
-
-
-def geom(d_h, h_uav, h_g=1.5):
-    dx = d_h if d_h > 0 else 0.0
-    return link_geometry(Position3D(dx, 0, h_uav), Position3D(0, 0, h_g))
+F18 = 1.8e9
+LAMBDA18 = 299792458.0 / F18
 
 
 class TestEnvironment:
@@ -92,41 +84,61 @@ class TestSlices:
 
 class TestFreeSpace:
     def test_unit_argument(self):
-        spec = FreeSpace(C18, eta=2.0)
-        d = C18.wavelength_m / (4 * math.pi)
-        assert free_space_pl_db(d, spec) == pytest.approx(0.0, abs=1e-12)
+        assert free_space_pl_db(LAMBDA18 / (4 * math.pi), F18) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_hand_value_1km(self):
         # 20 log10(4 pi 1000 / (c/1.8e9))
-        spec = FreeSpace(C18, eta=2.0)
         expected = 20 * math.log10(4 * math.pi * 1000 / (299792458.0 / 1.8e9))
-        assert free_space_pl_db(1000.0, spec) == pytest.approx(expected, abs=1e-12)
-        assert free_space_pl_db(1000.0, spec) == pytest.approx(97.55, abs=0.01)
+        assert free_space_pl_db(1000.0, F18) == pytest.approx(expected, abs=1e-12)
+        assert free_space_pl_db(1000.0, F18) == pytest.approx(97.55, abs=0.01)
 
     def test_eta4_decade(self):
-        spec = FreeSpace(C18, eta=4.0)
-        d = C18.wavelength_m / (4 * math.pi) * 10
-        assert free_space_pl_db(d, spec) == pytest.approx(40.0, abs=1e-10)
+        d = LAMBDA18 / (4 * math.pi) * 10
+        assert free_space_pl_db(d, F18, eta=4.0) == pytest.approx(40.0, abs=1e-10)
 
     def test_zero_distance_rejected(self):
         with pytest.raises(DomainError):
-            free_space_pl_db(0.0, FreeSpace(C18))
+            free_space_pl_db(0.0, F18)
+
+    @pytest.mark.parametrize("eta", [2.0, 3.5])
+    def test_literal_formula(self, eta):
+        d = np.array([0.7, 13.0, 2500.0])
+        want = 10.0 * eta * np.log10(4.0 * np.pi * d / (299792458.0 / F18))
+        assert free_space_pl_db(d, F18, eta).tobytes() == want.tobytes()
+        assert free_space_pl_db(13.0, F18, eta) == want[1]
+
+    @pytest.mark.parametrize("frequency_hz, eta, match", [
+        (0.0, 2.0, "frequency"), (-1e9, 2.0, "frequency"),
+        (math.nan, 2.0, "frequency"), (F18, 0.0, "exponent"),
+        (F18, -2.0, "exponent")])
+    def test_non_positive_parameters_rejected(self, frequency_hz, eta, match):
+        with pytest.raises(DomainError, match=match):
+            free_space_pl_db(100.0, frequency_hz, eta)
 
 
 class TestLogDistance:
     def test_reference_point(self):
-        spec = LogDistance(C18, eta=3.0, lambda0_db=87.0, d0_m=10.0)
-        assert log_distance_pl_db(10.0, spec) == 87.0
+        assert log_distance_pl_db(10.0, 87.0, 3.0, d0_m=10.0) == 87.0
 
     def test_measured_row_968mhz(self):
-        spec = ch.log_distance_from_preset("l_band_968mhz", d0_m=1.0)
-        assert log_distance_pl_db(10.0, spec) == pytest.approx(102.3 + 16.0, abs=1e-9)
+        row = ch.log_distance_from_preset("l_band_968mhz", d0_m=1.0)
+        assert (row.frequency_hz, row.eta, row.lambda0_db, row.d0_m,
+                row.sigma_db) == (0.968e9, 1.6, 102.3, 1.0, 0.0)
+        assert log_distance_pl_db(10.0, row.lambda0_db, row.eta, row.d0_m) \
+            == pytest.approx(102.3 + 16.0, abs=1e-9)
 
     def test_measured_row_wideband(self):
-        spec = ch.log_distance_from_preset(
+        row = ch.log_distance_from_preset(
             "suburban_open_wideband", frequency_hz=2e9,
             eta=2.54, lambda0_db=21.9, sigma_db=2.79)
-        assert log_distance_pl_db(100.0, spec) == pytest.approx(21.9 + 50.8, abs=1e-9)
+        assert log_distance_pl_db(100.0, row.lambda0_db, row.eta) \
+            == pytest.approx(21.9 + 50.8, abs=1e-9)
+
+    def test_row_without_lambda0_takes_friis_reference(self):
+        row = ch.log_distance_from_preset("urban_los_28ghz", d0_m=5.0)
+        assert row.lambda0_db == ch.free_space_reference_loss_db(28e9, 5.0)
+        assert row.sigma_db == 3.6
 
     def test_preset_range_requires_pick(self):
         with pytest.raises(DomainError):
@@ -136,51 +148,81 @@ class TestLogDistance:
                 "suburban_open_wideband", frequency_hz=2e9,
                 eta=5.0, lambda0_db=21.9, sigma_db=3.0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"frequency_hz": 0.0}, "frequency"), ({"d0_m": 0.0}, "reference"),
+        ({"sigma_db": -1.0}, "sigma")])
+    def test_preset_rejects_bad_values(self, kwargs, match):
+        # the checks the row's carrier and its own constructor made
+        with pytest.raises(DomainError, match=match):
+            ch.log_distance_from_preset("open_field_2ghz",
+                                        **{"frequency_hz": 2e9, **kwargs})
+
     def test_below_reference_rejected(self):
-        spec = LogDistance(C18, eta=2.0, d0_m=10.0)
         with pytest.raises(DomainError):
-            log_distance_pl_db(9.0, spec)
+            log_distance_pl_db(9.0, 80.0, 2.0, d0_m=10.0)
+
+    @pytest.mark.parametrize("eta, d0, match", [
+        (0.0, 1.0, "exponent"), (2.0, 0.0, "reference"),
+        (2.0, -1.0, "reference")])
+    def test_non_positive_parameters_rejected(self, eta, d0, match):
+        with pytest.raises(DomainError, match=match):
+            log_distance_pl_db(100.0, 80.0, eta, d0)
+
+    def test_literal_formula(self):
+        d = np.array([10.0, 37.5, 1234.0])
+        want = 81.25 + 10.0 * 2.7 * np.log10(d / 10.0)
+        assert log_distance_pl_db(d, 81.25, 2.7, 10.0).tobytes() == want.tobytes()
+
+    def test_free_space_reference_literal(self):
+        for f, d0 in ((F18, 1.0), (0.968e9, 10.0), (28e9, 0.5)):
+            want = 20.0 * math.log10(4.0 * math.pi * d0 / (299792458.0 / f))
+            assert ch.free_space_reference_loss_db(f, d0) == want
 
     def test_free_space_reference_matches_friis(self):
-        ld = LogDistance(C18, eta=2.0, d0_m=1.0)
-        fs = FreeSpace(C18, eta=2.0)
+        lambda0 = ch.free_space_reference_loss_db(F18, 1.0)
         for d in [1.0, 5.0, 70.0, 1234.0, 99999.0]:
-            assert log_distance_pl_db(d, ld) == pytest.approx(
-                free_space_pl_db(d, fs), abs=1e-9)
+            assert log_distance_pl_db(d, lambda0, 2.0) == pytest.approx(
+                free_space_pl_db(d, F18), abs=1e-9)
 
 
 class TestPlosBuilding:
     URB = ch.urban()
 
     def test_empty_product_is_one(self):
-        g = geom(5.0, 100.0)  # m = floor(0.005*12.25 - 1) < 0
-        assert p_los_building(g, self.URB) == 1.0
+        # m = floor(0.005*12.25 - 1) < 0
+        assert p_los_building(5.0, 100.0, 1.5, self.URB) == 1.0
 
     def test_high_altitude_limit(self):
-        g = geom(500.0, 10000.0)
-        # envelope-free helper check via very high aerial node
-        p = ch._p_los_building_heights(500.0, 10000.0, 1.5, self.URB)
-        assert p > 0.999
+        assert p_los_building(500.0, 10000.0, 1.5, self.URB) > 0.999
 
     def test_urban_example_interior(self):
-        g = geom(500.0, 100.0)
-        p = p_los_building(g, self.URB)
+        p = p_los_building(500.0, 100.0, 1.5, self.URB)
         assert 0.0 < p < 1.0
 
     def test_monotone_in_distance(self):
-        ps = [p_los_building(geom(d, 100.0), self.URB)
-              for d in np.linspace(20, 3000, 60)]
-        assert all(b <= a + 1e-12 for a, b in zip(ps, ps[1:]))
-        assert all(0.0 <= p <= 1.0 for p in ps)
+        ps = p_los_building(np.linspace(20, 3000, 60), 100.0, 1.5, self.URB)
+        assert np.all(np.diff(ps) <= 1e-12)
+        assert np.all((0.0 <= ps) & (ps <= 1.0))
 
     def test_monotone_in_altitude(self):
-        ps = [p_los_building(geom(500.0, h), self.URB)
+        ps = [p_los_building(500.0, h, 1.5, self.URB)
               for h in np.linspace(5, 300, 40)]
         assert all(b >= a - 1e-12 for a, b in zip(ps, ps[1:]))
 
     def test_descending_ray_required(self):
-        with pytest.raises(DomainError):
-            p_los_building(geom(100.0, 1.5, 30.0), self.URB)
+        for h_uav in (1.5, 30.0):
+            with pytest.raises(DomainError, match="h_uav > h_g"):
+                p_los_building(100.0, h_uav, 30.0, self.URB)
+
+    @pytest.mark.parametrize("env", (ch.urban(), ch.dense_urban()),
+                             ids=lambda e: e.kind)
+    def test_equals_the_heights_form(self, env):
+        gen = np.random.default_rng(25)
+        d_h = gen.uniform(0.0, 4000.0, 300)
+        for h_uav, h_g in ((100.0, 1.5), (31.0, 30.0), (300.0, 25.0)):
+            want = ch._p_los_building_heights(d_h, h_uav, h_g, env)
+            assert p_los_building(d_h, h_uav, h_g, env).tobytes() == want.tobytes()
+            assert p_los_building(d_h[7], h_uav, h_g, env) == want[7]
 
 
 TABLE_ENVS = (ch.urban(), ch.dense_urban(), ch.highrise())
@@ -286,11 +328,26 @@ class TestPl3gpp:
     URB = ch.urban()
 
     def test_aerial_los_hand_value(self):
-        g = geom(math.sqrt(1000.0**2 - 38.5**2), 40.0)
-        pl = pl_3gpp_rural_db(g, 2.0, self.URB, los=True, slice_=PropagationSlice.OBSTRUCTED)
+        d_h = math.sqrt(1000.0**2 - 38.5**2)
+        pl = pl_3gpp_rural_db(d_h, 40.0, 1.5, 2.0, self.URB, los=True,
+                              slice_=PropagationSlice.OBSTRUCTED)
         direct = ch.aerial_los_db(1000.0, 40.0, 2.0)
         assert direct == pytest.approx(101.51, abs=0.1)
-        assert pl == pytest.approx(ch.aerial_los_db(g.d_3d, 40.0, 2.0), abs=1e-12)
+        assert pl == ch.aerial_los_db(np.hypot(d_h, 38.5), 40.0, 2.0)
+        assert pl == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("h_uav", [5.0, 60.0, 200.0])
+    @pytest.mark.parametrize("los", [True, False])
+    def test_takes_d_h_and_heights(self, h_uav, los):
+        # d_3d is np.hypot(d_h, h_uav - h_g), as the channel table takes it
+        d_h = np.array([12.0, 480.0, 3300.0])
+        slice_ = slice_of(h_uav, self.URB)
+        want = ch.slice_pl_db(np.hypot(d_h, h_uav - 30.0), h_uav, 30.0, 1.8,
+                              self.URB, los, slice_)
+        got = pl_3gpp_rural_db(d_h, h_uav, 30.0, 1.8, self.URB, los, slice_)
+        assert got.tobytes() == want.tobytes()
+        assert pl_3gpp_rural_db(480.0, h_uav, 30.0, 1.8, self.URB, los,
+                                slice_) == want[1]
 
     def test_nlos_dominates_los(self):
         for d in [100.0, 500.0, 2000.0]:
@@ -337,20 +394,24 @@ class TestPl3gpp:
 
     def test_applicability_windows(self):
         with pytest.raises(ApplicabilityError):
-            pl_3gpp_rural_db(geom(5.0, 5.0, 30.0), 1.8, self.URB,
+            pl_3gpp_rural_db(5.0, 5.0, 30.0, 1.8, self.URB,
                              los=True, slice_=PropagationSlice.GROUND)
         with pytest.raises(ApplicabilityError):
-            pl_3gpp_rural_db(geom(6000.0, 5.0, 30.0), 1.8, self.URB,
+            pl_3gpp_rural_db(6000.0, 5.0, 30.0, 1.8, self.URB,
+                             los=False, slice_=PropagationSlice.GROUND)
+        with pytest.raises(ApplicabilityError):
+            pl_3gpp_rural_db([100.0, 6000.0], 5.0, 30.0, 1.8, self.URB,
                              los=False, slice_=PropagationSlice.GROUND)
         # LOS window extends to 10 km
-        pl_3gpp_rural_db(geom(6000.0, 5.0, 30.0), 1.8, self.URB,
+        pl_3gpp_rural_db(6000.0, 5.0, 30.0, 1.8, self.URB,
                          los=True, slice_=PropagationSlice.GROUND)
 
     def test_applicability_error_carries_bound(self):
         with pytest.raises(ApplicabilityError) as err:
-            pl_3gpp_rural_db(geom(5.0, 5.0, 30.0), 1.8, self.URB,
+            pl_3gpp_rural_db(5.0, 5.0, 30.0, 1.8, self.URB,
                              los=True, slice_=PropagationSlice.GROUND)
-        assert err.value.bound == 10.0
+        assert (err.value.quantity, err.value.value, err.value.bound) \
+            == ("d_h", 5.0, 10.0)
 
 
 class TestShadowingTable:
@@ -390,8 +451,9 @@ class TestAveragedPl:
 
 
 class TestSampleLinkLoss:
-    PL = (log_distance_pl_db(geom(500.0, 100.0).d_3d, LogDistance(C18, eta=2.0)),
-          log_distance_pl_db(geom(500.0, 100.0).d_3d, LogDistance(C18, eta=3.5)))
+    PL = tuple(log_distance_pl_db(math.hypot(500.0, 98.5),
+                                  ch.free_space_reference_loss_db(F18, 1.0), eta)
+               for eta in (2.0, 3.5))
 
     def test_deterministic_when_degenerate(self):
         loss, flag = sample_link_loss_db(self.PL, (0.0, 0.0), 1.0, RngStream(1))
@@ -410,9 +472,7 @@ class TestSampleLinkLoss:
         assert np.mean(gains) == pytest.approx(1.0, abs=0.01)
 
     def test_los_flag_frequency(self):
-        env = ch.urban()
-        g = geom(800.0, 30.0)
-        p = p_los_3gpp(g.d_h, 30.0, slice_of(30.0, env))
+        p = p_los_3gpp(800.0, 30.0, slice_of(30.0, ch.urban()))
         _, flags = sample_link_loss_db(self.PL, (0.0, 0.0), p, RngStream(4),
                                        n=100_000)
         assert np.mean(flags) == pytest.approx(p, abs=0.005)

@@ -16,7 +16,6 @@ from a2gnet import abs_net, aue_net
 from a2gnet import channel as ch
 from a2gnet import localization as loc
 from a2gnet import mapsim as ms
-from a2gnet.antenna_geometry import LinkGeometry
 from a2gnet.cli import (_aue_config, _environment, _fmt, _sinr_target,
                         _write_csv, main, run_scenario)
 from a2gnet.errors import DomainError, ScenarioError
@@ -296,6 +295,8 @@ class TestParsing:
         *OVERFLOW_BOUNDS,
         # the ground fits wrote inf and 6047 dB losses at 5e-324 and 1e-300 m
         ("altitudes_m", [math.nextafter(1.0, 0.0)], "channel.altitudes_m[0]"),
+        # a 1e-300 m map height read coverage 0 through an overflow
+        ("heights_m", [1.5, math.nextafter(1.0, 0.0)], "mapsim.heights_m[1]"),
     ])
     def test_bound_validation(self, key, value, path):
         with pytest.raises(ScenarioError) as err:
@@ -705,15 +706,13 @@ def _reference_channel_table(s, out_dir):
     for h in block["altitudes_m"]:
         slice_ = ch.slice_of(h, env)
         for d_h in block["distances_m"]:
-            d_3d = math.hypot(d_h, h - h_g)
             p_build = ch._p_los_building_heights(d_h, max(h, h_g), min(h, h_g), env)
             p_3gpp = ch.p_los_3gpp(d_h, h, slice_)
-            g = LinkGeometry(d_h=d_h, d_3d=d_3d, h_uav=h, h_g=h_g,
-                             theta=math.atan2(h - h_g, d_h))
             cells = []
             for los in (True, False):
                 try:
-                    cells.append(ch.pl_3gpp_rural_db(g, f_ghz, env, los, slice_))
+                    cells.append(ch.pl_3gpp_rural_db(d_h, h, h_g, f_ghz, env,
+                                                     los, slice_))
                 except DomainError:
                     cells.append(float("nan"))
             pl_l, pl_n = cells
@@ -977,6 +976,66 @@ class TestMainEntry:
         assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == code
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and named in err[0]
+
+    def _mapsim_exit(self, tmp_path, capsys, monkeypatch, block):
+        """Exit code and stderr lines of a mapsim run on `block`."""
+        scn = tmp_path / "run.yaml"
+        scn.write_text("command: mapsim\nmapsim:\n" + block
+                       + "  heights_m: [1.5]\n  emit_rasters: false\n")
+        monkeypatch.chdir(tmp_path)  # the file names are relative
+        code = main(["--scenario", str(scn), "--out", str(tmp_path)])
+        return code, capsys.readouterr().err.strip().splitlines()
+
+    @pytest.mark.parametrize("line", ["cellsize nan", "cellsize inf",
+                                      "xllcorner nan", "ncols inf",
+                                      "ncols 4.5", "nrows 0"])
+    def test_bad_heightmap_header_exit_code(self, tmp_path, capsys,
+                                            monkeypatch, line):
+        # a non-finite cell size or corner ended in a raw IndexError from
+        # surface_at, ncols inf in a raw OverflowError, and ncols 4.5 was
+        # read as 4
+        header = {"ncols": "ncols 4", "nrows": "nrows 4",
+                  "xllcorner": "xllcorner 0", "yllcorner": "yllcorner 0",
+                  "cellsize": "cellsize 10"}
+        header[line.split()[0]] = line
+        (tmp_path / "city.asc").write_text(
+            "\n".join(header.values()) + "\n" + "0 0 0 0\n" * 4)
+        code, err = self._mapsim_exit(tmp_path, capsys, monkeypatch,
+                                      "  heightmap: city.asc\n"
+                                      "  auto_sites: {count: 1}\n")
+        assert code == 2
+        assert len(err) == 1 and "mapsim.heightmap: " in err[0]
+        assert line.split()[0] in err[0] and "line " in err[0]
+
+    @pytest.mark.parametrize("column,value", [
+        ("p_tx_dbm", "inf"), ("roof_h", "nan"), ("azimuth0_deg", "nan"),
+        ("x", "nan"), ("beamwidth_deg", "-inf")])
+    def test_non_finite_site_value_exit_code(self, tmp_path, capsys,
+                                             monkeypatch, column, value):
+        # inf power or a nan roof or bearing exited 0 with coverage 0, and
+        # a nan x exited 1 about the map edge without naming the file
+        row = dict(zip(ms.SITE_CSV_COLUMNS,
+                       ["50", "50", "0", "46", "0", "8", "16", "65"]))
+        row[column] = value
+        (tmp_path / "sites.csv").write_text(
+            ",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        code, err = self._mapsim_exit(
+            tmp_path, capsys, monkeypatch,
+            "  synthetic: {extent_m: 100, cellsize_m: 10}\n"
+            "  sites_csv: sites.csv\n")
+        assert code == 2
+        assert len(err) == 1 and "mapsim.sites_csv: " in err[0]
+        assert f"line 2: {column} must be a finite number" in err[0]
+
+    def test_map_height_below_floor_exit_code(self, tmp_path, capsys):
+        # exited 0 with coverage 0 at 1e-300 m and 1 at 0.5 m
+        scn = tmp_path / "run.yaml"
+        scn.write_text("command: mapsim\nmapsim:\n"
+                       "  synthetic: {extent_m: 100, cellsize_m: 10}\n"
+                       "  heights_m: [1.0e-300, 0.5, 1.0, 1.5]\n")
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        assert "mapsim.heights_m[0]: " in capsys.readouterr().err
+        assert not (tmp_path / "mapsim_summary.csv").exists()
 
 
 # scipy is most of the package's start-up time (scipy.stats alone about half

@@ -143,6 +143,28 @@ class TestAsciiGridIO:
         with pytest.raises(GridParseError):
             load_ascii_grid(p)
 
+    @pytest.mark.parametrize("key,value", [
+        ("ncols", "inf"), ("ncols", "4.5"), ("ncols", "0"), ("nrows", "-2"),
+        ("xllcorner", "nan"), ("yllcorner", "-inf"), ("cellsize", "nan"),
+        ("cellsize", "inf"), ("nodata_value", "nan")])
+    def test_bad_header_value_names_line(self, tmp_path, key, value):
+        header = {"ncols": "2", "nrows": "2", "xllcorner": "0",
+                  "yllcorner": "0", "cellsize": "10", "nodata_value": "-9999"}
+        header[key] = value
+        p = tmp_path / "bad.asc"
+        p.write_text("".join(f"{k} {v}\n" for k, v in header.items())
+                     + "0 0\n0 0\n")
+        with pytest.raises(GridParseError, match=key) as err:
+            load_ascii_grid(p)
+        assert err.value.line == list(header).index(key) + 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("cellsize", math.nan), ("cellsize", math.inf), ("cellsize", 0.0),
+        ("xllcorner", math.nan), ("yllcorner", -math.inf)])
+    def test_non_finite_geometry_rejected(self, field, value):
+        with pytest.raises(DomainError):
+            HeightMap(np.zeros((2, 2)), **{"cellsize": 10.0, field: value})
+
     def test_synthetic_city_round_trips_bit_exact(self, tmp_path):
         city = synthetic_city(300.0, 3.0, ch.urban(), RngStream(7))
         p = tmp_path / "city.asc"

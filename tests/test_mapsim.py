@@ -5,7 +5,7 @@ import pytest
 
 from a2gnet import channel as ch
 from a2gnet import mapsim as ms
-from a2gnet.antenna_geometry import LinkGeometry, Position3D, SectorAntenna
+from a2gnet.antenna_geometry import Position3D, SectorAntenna
 from a2gnet.cli import run_scenario
 from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import HeightMap, los_check, los_mask, synthetic_city
@@ -88,10 +88,10 @@ class TestPathLossClamps:
 
     def _ref(self, d_3d, ue_h, los):
         d_h = math.sqrt(d_3d ** 2 - (ue_h - self.SITE_H) ** 2)
-        g = LinkGeometry(d_h=d_h, d_3d=d_3d, h_uav=ue_h, h_g=self.SITE_H,
-                         theta=math.atan2(ue_h - self.SITE_H, d_h))
-        return ch.pl_3gpp_rural_db(g, 1.8, self.CFG.env, los,
-                                   ch.slice_of(ue_h, self.CFG.env))
+        # the link form recovers this d_3d exactly from (d_h, heights)
+        assert np.hypot(d_h, ue_h - self.SITE_H) == d_3d
+        return ch.pl_3gpp_rural_db(d_h, ue_h, self.SITE_H, 1.8, self.CFG.env,
+                                   los, ch.slice_of(ue_h, self.CFG.env))
 
     @pytest.mark.parametrize("ue_h", [1.5, 60.0, 150.0])
     @pytest.mark.parametrize("los", [True, False])
@@ -264,6 +264,16 @@ class TestSiteCsv:
         assert back[0].position.x == 100.0
         assert back[1].azimuth0 == pytest.approx(math.radians(30))
         assert back[1].position.h == pytest.approx(25.0)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "oops", ""])
+    def test_bad_value_names_line_and_column(self, tmp_path, value):
+        p = tmp_path / "bad.csv"
+        p.write_text(",".join(ms.SITE_CSV_COLUMNS) + "\n"
+                     + "50,50,0,46,0,8,16,65\n"
+                     + f"50,50,0,46,{value},8,16,65\n")
+        with pytest.raises(ScenarioError,
+                           match="line 3: azimuth0_deg must be a finite"):
+            ms.load_sites_csv(p)
 
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -583,6 +583,8 @@ _NAMED_KEY = re.compile(r"^scenario error: [A-Za-z_][\w.\[\]]*: ", re.M)
 
 
 @pytest.mark.parametrize("command", SCHEMAS)
+# an overflow inside a model is a defect even when the run exits 0
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
