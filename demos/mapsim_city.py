@@ -32,7 +32,8 @@ def main():
           f"{cfg.bandwidth_hz / 1e6:.0f} MHz\n")
 
     heights = [1.5, 10.0, 20.0, 30.0, 60.0, 100.0, 150.0]
-    grids = {h: ms.sinr_grid(sites, city, h, cfg, stride=4) for h in heights}
+    grids = dict(zip(heights, ms.sinr_grids(sites, city, heights, cfg,
+                                            stride=4)))
     print("Coverage at the -6 dB command-and-control threshold:")
     for h, grid in grids.items():
         frac = grid.coverage_fraction(-6.0)

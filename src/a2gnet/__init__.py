@@ -74,6 +74,7 @@ from .mapsim import (
     SectorSite,
     coverage_vs_altitude,
     sinr_grid,
+    sinr_grids,
     site_on_roof,
 )
 from .numerics import (

@@ -28,7 +28,8 @@ from .antenna_geometry import ConeUav, OmniUav, SectorAntenna
 from .errors import DomainError, ModelGapError, ScenarioError
 from .heightmap import HeightMap, load_ascii_grid, save_ascii_grid, synthetic_city
 from .numerics import Nakagami, RngStream, dbm_to_watt
-from .scenario import Scenario, load_scenario, validate_seed
+from .scenario import (Scenario, load_scenario, validate_seed,
+                       validate_site_row)
 
 FMT = "%.9g"
 
@@ -241,6 +242,21 @@ def _read_input(load, path, key):
         raise ScenarioError(f"cannot read {path!r}: {exc}", key) from exc
 
 
+def _load_sites(path, hm: HeightMap):
+    """The sites of a site CSV, each row within the bounds of the automatic
+    sites and on the map."""
+    rows = ms.read_site_rows(path)
+    x0, x1, y0, y1 = hm.extent
+    for line, vals in rows:
+        validate_site_row(vals, line)
+        for column, lo, hi in (("x", x0, x1), ("y", y0, y1)):
+            if not lo <= vals[column] <= hi:
+                raise ScenarioError(f"{vals[column]:g} lies off the map, "
+                                    f"outside [{lo:g}, {hi:g}]",
+                                    f"line {line}: {column}")
+    return [ms.site_from_row(vals) for _, vals in rows]
+
+
 def _run_mapsim(s: Scenario, out_dir: Path):
     b = s.params["mapsim"]
     env = _environment(b["environment"])
@@ -253,8 +269,8 @@ def _run_mapsim(s: Scenario, out_dir: Path):
                             RngStream(s.seed, 1000),
                             min_height_m=syn["min_height_m"])
     if b["sites_csv"] is not None:
-        sites = _read_input(ms.load_sites_csv, b["sites_csv"],
-                            "mapsim.sites_csv")
+        sites = _read_input(lambda path: _load_sites(path, hm),
+                            b["sites_csv"], "mapsim.sites_csv")
     else:
         auto = b["auto_sites"]
         x0, x1, y0, y1 = hm.extent
@@ -274,8 +290,8 @@ def _run_mapsim(s: Scenario, out_dir: Path):
                           env=env, pl_model=b["pl_model"])
     written = []
     rows = []
-    for h in b["heights_m"]:
-        grid = ms.sinr_grid(sites, hm, float(h), cfg, stride=b["stride"])
+    grids = ms.sinr_grids(sites, hm, b["heights_m"], cfg, stride=b["stride"])
+    for h, grid in zip(b["heights_m"], grids):
         rows.append([h, grid.coverage_fraction(b["threshold_db"]),
                      grid.p_los_any])
         if b["emit_rasters"]:

@@ -5,12 +5,16 @@ beyond the border ring). Within one bilinear patch the surface along a 3D
 segment is quadratic in the path parameter, so the LOS test evaluates the
 exact minimum of segment-minus-surface per patch interval instead of
 sampling; no dip between sample points can be missed. `los_mask` casts
-every ray from one site at once: the integer crossings of all rays become
-one flat array of ray-patch intervals (Amanatides & Woo 1987), each
-interval's minimum is taken in closed form, and a ray is clear when none
-of its intervals is blocked. It reads a grid padded with one ring of edge
-heights, whose patches over the border ring are the clamped surface, so it
-needs no clamp branches. `los_check` is its one-ray form.
+every ray from one site at once, to endpoints that broadcast over x, y and
+h, so one call covers every height over a raster: the surface and grid
+coordinates are taken once per (x, y) cell, and each batch of rays gathers
+its endpoints from broadcast views. The integer crossings of a batch's
+rays become one flat array of ray-patch intervals (Amanatides & Woo 1987),
+each interval's minimum is taken in closed form, and a ray is clear when
+none of its intervals is blocked. It reads a grid padded with one ring of
+edge heights, whose patches over the border ring are the clamped surface,
+so it needs no clamp branches. `los_check` is its one-ray form. A loaded
+grid's heights lie within +-MAX_SURFACE_M.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ from .numerics import RngLike, as_generator
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
                 "nodata_value")
+# largest magnitude of a loaded surface height, m, past Everest and the
+# deepest trench; a 1e308 m tower overflowed the LOS clearance arithmetic
+# and stopped blocking rays. Synthetic cities stay far below it.
+MAX_SURFACE_M = 1e4
 
 
 @dataclass
@@ -110,9 +118,12 @@ class HeightMap:
 # ---------------------------------------------------------------------------
 
 def load_ascii_grid(path) -> HeightMap:
-    """Parse an ESRI ASCII grid; parse errors carry the line number."""
+    """Parse an ESRI ASCII grid; parse errors carry the line number.
+
+    Every height other than no-data lies within +-MAX_SURFACE_M."""
     header = {}
     rows = []
+    lines = []
     expected_cols = None
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 0
@@ -150,6 +161,7 @@ def load_ascii_grid(path) -> HeightMap:
                 raise GridParseError(
                     f"expected {expected_cols} columns, found {len(row)}", lineno)
             rows.append(row)
+            lines.append(lineno)
     if expected_cols is None:
         raise GridParseError("no data rows found")
     if len(rows) != int(header["nrows"]):
@@ -158,6 +170,11 @@ def load_ascii_grid(path) -> HeightMap:
     heights = np.array(rows, dtype=float)
     nodata = header.get("nodata_value", -9999.0)
     heights[heights == nodata] = np.nan
+    beyond = np.argwhere(np.abs(heights) > MAX_SURFACE_M)
+    if beyond.size:
+        r, c = beyond[0]
+        raise GridParseError(f"height {heights[r, c]:g} in column {c + 1} is "
+                             f"beyond +-{MAX_SURFACE_M:g} m", lines[r])
     return HeightMap(heights=heights, cellsize=header["cellsize"],
                      xllcorner=header.get("xllcorner", 0.0),
                      yllcorner=header.get("yllcorner", 0.0),
@@ -181,11 +198,13 @@ def save_ascii_grid(hm: HeightMap, path, fmt: str = "%.9g") -> None:
 # Exact line-of-sight over the bilinear surface
 # ---------------------------------------------------------------------------
 
-# Most ray-patch intervals one los_mask batch holds. It bounds the memory,
-# and batches this small also run faster than large ones: on a 2-core Xeon
-# the mapsim_city scenario at stride 1 took 4.6-5.5 s at 90 MB peak RSS
-# with 2**15, and 8.3-8.8 s at 201 MB with 2**20.
-_BATCH_INTERVALS = 1 << 15
+# Most ray-patch intervals one los_mask batch holds, and most rays it
+# screens at a time; it bounds the memory of a cast. On a 2-core Xeon, with
+# every height of a site in one cast, the bench mapsim study took
+# 0.049-0.056 s at 2**14 and 0.060-0.070 s at 2**15, at 1.5 MB less peak
+# RSS (5 alternating pairs). With one cast per height, the mapsim_city
+# scenario at stride 1 took 4.6-5.5 s at 2**15 and 8.3-8.8 s at 2**20.
+_BATCH_INTERVALS = 1 << 14
 
 
 def los_mask(a: Position3D, x, y, h, hm: HeightMap) -> np.ndarray:
@@ -195,35 +214,48 @@ def los_mask(a: Position3D, x, y, h, hm: HeightMap) -> np.ndarray:
     everywhere. Endpoints at or below the surface count as obstructed, and
     a ray over a no-data patch is obstructed. Exact per patch: the
     clearance is quadratic in t on each interval, so its minimum is
-    evaluated in closed form. x, y and h broadcast against each other.
+    evaluated in closed form. x, y and h broadcast against each other; the
+    surface and grid coordinates are taken once per (x, y) cell, so many
+    heights over one raster cost no more memory than booleans of the
+    result's shape.
     """
-    x, y, h = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                    for v in (x, y, h)))
-    shape = x.shape
-    x, y, h = x.ravel(), y.ravel(), h.ravel()
-    px, py = np.append(x, a.x), np.append(y, a.y)  # the site last
+    x, y, h = (np.asarray(v, dtype=float) for v in (x, y, h))
+    shape = np.broadcast_shapes(x.shape, y.shape, h.shape)
+    x, y = np.broadcast_arrays(x, y)
+    px = np.append(x.ravel(), a.x)  # the site last
+    py = np.append(y.ravel(), a.y)
     if not hm.contains(px, py):
         raise DomainError("line-of-sight endpoints must lie inside the map")
     surface = hm.surface_at(px, py)
-    # written so that a NaN surface (next to no-data) does not block
-    clear = ~((a.h <= surface[-1]) | (h <= surface[:-1]))
+    # written so that a NaN surface (next to no-data) does not block; C
+    # order, so that flat below is a view, and a scalar is cast as one ray
+    clear = np.empty(shape or (1,), dtype=bool)
+    np.logical_not((a.h <= surface[-1]) | (h <= surface[:-1].reshape(x.shape)),
+                   out=clear)
 
     inv = 1.0 / hm.cellsize
     u0 = (a.x - hm.xllcorner) * inv - 0.5
     v0 = (a.y - hm.yllcorner) * inv - 0.5
-    rays = np.flatnonzero(clear)
-    u1 = (x[rays] - hm.xllcorner) * inv - 0.5
-    v1 = (y[rays] - hm.yllcorner) * inv - 0.5
-    dz = h[rays] - a.h
+    # per (x, y) cell, read for each ray through views of the full shape
+    u1 = np.broadcast_to(
+        ((px[:-1] - hm.xllcorner) * inv - 0.5).reshape(x.shape), clear.shape)
+    v1 = np.broadcast_to(
+        ((py[:-1] - hm.yllcorner) * inv - 0.5).reshape(x.shape), clear.shape)
+    h = np.broadcast_to(h, clear.shape)
+    flat = clear.reshape(-1)
     # a ray has at most 2 + ncols + nrows parameters
     step = max(1, _BATCH_INTERVALS // (2 + hm.ncols + hm.nrows))
-    for s in range(0, rays.size, step):
-        b = slice(s, s + step)
-        ts = np.sort(np.hstack([np.tile([0.0, 1.0], (len(dz[b]), 1)),
-                                _crossings(u0, u1[b]), _crossings(v0, v1[b])]),
-                     axis=1)
-        clear[rays[b]] = ~_blocked(a, u0, v0, u1[b] - u0, v1[b] - v0, dz[b],
-                                   ts, hm._padded_grid)
+    for c in range(0, flat.size, _BATCH_INTERVALS):
+        rays = np.flatnonzero(flat[c:c + _BATCH_INTERVALS]) + c
+        for s in range(0, rays.size, step):
+            b = rays[s:s + step]
+            at = np.unravel_index(b, clear.shape)
+            ub, vb, dz = u1[at], v1[at], h[at] - a.h
+            ts = np.sort(np.hstack([np.tile([0.0, 1.0], (b.size, 1)),
+                                    _crossings(u0, ub), _crossings(v0, vb)]),
+                         axis=1)
+            flat[b] = ~_blocked(a, u0, v0, ub - u0, vb - v0, dz, ts,
+                                hm._padded_grid)
     return clear.reshape(shape)
 
 
@@ -241,6 +273,11 @@ def _crossings(p0, p1):
                      out=np.ones(ok.shape), where=ok)
 
 
+# _blocked runs in stages (_patches, _clearance) so that each stage's
+# interval arrays are freed when it returns. A batch's peak memory is what
+# the allocator hands back to the OS after the batch and faults in again
+# on the next: at stride 1 the mapsim_city scenario took 820k minor page
+# faults with one stage and 432k with three.
 def _blocked(a, u0, v0, du, dv, dz, ts, g):
     """Per ray, whether any interval between its sorted parameters ts is
     over no-data or has a clearance minimum <= 0."""
@@ -248,37 +285,8 @@ def _blocked(a, u0, v0, du, dv, dz, ts, g):
     keep = ~(t_hi - t_lo < 1e-15)
     ray = np.nonzero(keep)[0]
     t_lo, t_hi = t_lo[keep], t_hi[keep]
-    du, dv, dz = du[ray], dv[ray], dz[ray]
-
-    tm = 0.5 * (t_lo + t_hi)
-    # patch (i, j) spans padded corners [i+1, j+1] .. [i+2, j+2]; over the
-    # border ring j or i is -1 or the last index
-    j = np.floor(u0 + tm * du)
-    i = np.floor(v0 + tm * dv)
-    fu0 = u0 + t_lo * du - j
-    fv0 = v0 + t_lo * dv - i
-    ncols = g.shape[1]
-    k = (i.astype(np.intp) + 1) * ncols + j.astype(np.intp) + 1
-    flat = g.ravel()
-    h00 = flat[k]
-    h10 = flat[k + 1]
-    h01 = flat[k + ncols]
-    h11 = flat[k + ncols + 1]
-    nodata = np.isnan(h00) | np.isnan(h10) | np.isnan(h01) | np.isnan(h11)
-
-    # surface along the segment: s(tau) = c0 + c1 tau + c2 tau^2 with
-    # tau = t - t_lo, from the bilinear form
-    bx = h10 - h00
-    by = h01 - h00
-    bxy = h11 - h10 - h01 + h00
-    c0 = h00 + bx * fu0 + by * fv0 + bxy * fu0 * fv0
-    c1 = bx * du + by * dv + bxy * (fu0 * dv + fv0 * du)
-    c2 = bxy * du * dv
-    # clearance g(tau) = z(tau) - s(tau)
-    z0 = a.h + t_lo * dz
-    g0 = z0 - c0
-    g1 = dz - c1
-    g2 = -c2
+    nodata, g0, g1, g2 = _clearance(a, u0, v0, du[ray], dv[ray], dz[ray],
+                                    t_lo, t_hi, g)
     span = t_hi - t_lo
     gmin = np.minimum(g0, g0 + g1 * span + g2 * span * span)
     # convex clearance: an interior vertex can dip lower. A vertex that
@@ -294,6 +302,41 @@ def _blocked(a, u0, v0, du, dv, dz, ts, g):
     blocked = np.zeros(ts.shape[0], dtype=bool)
     blocked[ray[nodata | (gmin <= 0.0)]] = True
     return blocked
+
+
+def _clearance(a, u0, v0, du, dv, dz, t_lo, t_hi, g):
+    """Per interval, whether its patch touches no-data, and the clearance
+    g(tau) = g0 + g1 tau + g2 tau^2 of the segment over the bilinear
+    surface, tau = t - t_lo."""
+    h00, h10, h01, h11, fu0, fv0 = _patches(u0, v0, du, dv, t_lo, t_hi, g)
+    nodata = np.isnan(h00) | np.isnan(h10) | np.isnan(h01) | np.isnan(h11)
+    # surface along the segment: s(tau) = c0 + c1 tau + c2 tau^2, from the
+    # bilinear form
+    bx = h10 - h00
+    by = h01 - h00
+    bxy = h11 - h10 - h01 + h00
+    c0 = h00 + bx * fu0 + by * fv0 + bxy * fu0 * fv0
+    c1 = bx * du + by * dv + bxy * (fu0 * dv + fv0 * du)
+    c2 = bxy * du * dv
+    z0 = a.h + t_lo * dz
+    return nodata, z0 - c0, dz - c1, -c2
+
+
+def _patches(u0, v0, du, dv, t_lo, t_hi, g):
+    """Corner heights of each interval's patch and the interval's start
+    within it (fu0, fv0)."""
+    tm = 0.5 * (t_lo + t_hi)
+    # patch (i, j) spans padded corners [i+1, j+1] .. [i+2, j+2]; over the
+    # border ring j or i is -1 or the last index
+    j = np.floor(u0 + tm * du)
+    i = np.floor(v0 + tm * dv)
+    fu0 = u0 + t_lo * du - j
+    fv0 = v0 + t_lo * dv - i
+    ncols = g.shape[1]
+    k = (i.astype(np.intp) + 1) * ncols + j.astype(np.intp) + 1
+    flat = g.ravel()
+    return (flat[k], flat[k + 1], flat[k + ncols], flat[k + ncols + 1],
+            fu0, fv0)
 
 
 def los_check(a: Position3D, b: Position3D, hm: HeightMap) -> bool:

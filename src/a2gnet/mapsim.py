@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,18 +53,16 @@ SITE_CSV_COLUMNS = ["x", "y", "roof_h", "p_tx_dbm", "azimuth0_deg",
                     "tilt_deg", "max_gain_dbi", "beamwidth_deg"]
 
 
-def load_sites_csv(path) -> List[SectorSite]:
-    """Site list: x,y,roof_h,p_tx_dbm,azimuth0_deg,tilt_deg,max_gain_dbi,beamwidth_deg.
-
-    Each site sits MAST_M above its roof_h, as save_sites_csv writes it.
-    Every value must be a finite number."""
-    sites = []
+def read_site_rows(path) -> List[Tuple[int, Dict[str, float]]]:
+    """(line, {column: value}) for each row of a site CSV with the columns
+    SITE_CSV_COLUMNS. Every value must be a finite number."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(SITE_CSV_COLUMNS) - set(reader.fieldnames or [])
         if missing:
             raise ScenarioError(f"site CSV missing columns {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             vals = {}
             for k in SITE_CSV_COLUMNS:
                 try:
@@ -72,20 +70,29 @@ def load_sites_csv(path) -> List[SectorSite]:
                 except (TypeError, ValueError):
                     vals[k] = math.nan
                 if not math.isfinite(vals[k]):
-                    raise ScenarioError(f"site CSV line {lineno}: {k} must be "
-                                        f"a finite number, not {row[k]!r}")
-            ant = SectorAntenna(
-                electrical_tilt=math.radians(vals["tilt_deg"]),
-                max_gain_dbi=vals["max_gain_dbi"],
-                beamwidth_3db=math.radians(vals["beamwidth_deg"]))
-            sites.append(SectorSite(
-                position=Position3D(vals["x"], vals["y"], vals["roof_h"] + MAST_M),
-                p_tx_dbm=vals["p_tx_dbm"],
-                azimuth0=math.radians(vals["azimuth0_deg"]),
-                antenna=ant))
-    if not sites:
+                    raise ScenarioError(f"site CSV line {reader.line_num}: {k} "
+                                        f"must be a finite number, not {row[k]!r}")
+            rows.append((reader.line_num, vals))
+    if not rows:
         raise ScenarioError("site CSV holds no sites")
-    return sites
+    return rows
+
+
+def site_from_row(vals: Dict[str, float]) -> SectorSite:
+    """The site of one site-CSV row, MAST_M above its roof_h, as
+    save_sites_csv writes it."""
+    ant = SectorAntenna(electrical_tilt=math.radians(vals["tilt_deg"]),
+                        max_gain_dbi=vals["max_gain_dbi"],
+                        beamwidth_3db=math.radians(vals["beamwidth_deg"]))
+    return SectorSite(
+        position=Position3D(vals["x"], vals["y"], vals["roof_h"] + MAST_M),
+        p_tx_dbm=vals["p_tx_dbm"], azimuth0=math.radians(vals["azimuth0_deg"]),
+        antenna=ant)
+
+
+def load_sites_csv(path) -> List[SectorSite]:
+    """Site list: x,y,roof_h,p_tx_dbm,azimuth0_deg,tilt_deg,max_gain_dbi,beamwidth_deg."""
+    return [site_from_row(vals) for _, vals in read_site_rows(path)]
 
 
 def save_sites_csv(sites: Sequence[SectorSite], path):
@@ -190,20 +197,34 @@ class SinrGrid:
         return float(np.mean(self.los_any))
 
 
-def sinr_grid(sites: Sequence[SectorSite], hm: HeightMap, ue_height_m: float,
-              cfg: MapSimConfig, stride: int = 1) -> SinrGrid:
-    """SINR, serving-sector and LOS rasters at cell centers (optionally strided).
+def sinr_grids(sites: Sequence[SectorSite], hm: HeightMap,
+               heights: Sequence[float], cfg: MapSimConfig,
+               stride: int = 1) -> List[SinrGrid]:
+    """SINR, serving-sector and LOS rasters at cell centers (optionally
+    strided), one grid per UE height.
 
     All sectors of all sites transmit; the serving sector maximizes SINR
     (equivalently received power), ties to the lowest flat index. Cells
     whose evaluation point sits at or below the surface are obstructed for
-    every link, which puts them in outage rather than excluding them.
+    every link, which puts them in outage rather than excluding them. Each
+    site's rays to every cell at every height are cast in one los_mask call.
     """
     if len(sites) == 0:
         raise DomainError("need at least one site")
+    if len(heights) == 0:
+        raise DomainError("height list must be nonempty")
     xs, ys = (c[::stride] for c in hm.cell_centers())
     xx, yy = np.meshgrid(xs, ys)
-    masks = [los_mask(site.position, xx, yy, ue_height_m, hm) for site in sites]
+    hs = np.asarray(heights, dtype=float)
+    masks = [los_mask(site.position, xx, yy, hs[:, None, None], hm)
+             for site in sites]                       # each (heights, ny, nx)
+    return [_height_grid(sites, cfg, xs, ys, h, [mask[k] for mask in masks])
+            for k, h in enumerate(hs.tolist())]
+
+
+def _height_grid(sites, cfg, xs, ys, ue_height_m, masks):
+    """One height's SinrGrid from the LOS raster of each site."""
+    xx, yy = np.meshgrid(xs, ys)
     rx = np.concatenate([_rx_dbm(site, cfg, xx, yy, ue_height_m, mask)
                          for site, mask in zip(sites, masks)])  # (sectors, ny, nx)
     rx_lin = 10.0 ** (rx / 10.0)
@@ -217,13 +238,14 @@ def sinr_grid(sites: Sequence[SectorSite], hm: HeightMap, ue_height_m: float,
                     los_any=np.logical_or.reduce(masks))
 
 
+def sinr_grid(sites: Sequence[SectorSite], hm: HeightMap, ue_height_m: float,
+              cfg: MapSimConfig, stride: int = 1) -> SinrGrid:
+    """The one-height form of sinr_grids."""
+    return sinr_grids(sites, hm, [ue_height_m], cfg, stride)[0]
+
+
 def coverage_vs_altitude(sites, hm, heights: Sequence[float], cfg: MapSimConfig,
                          threshold_db: float = -6.0, stride: int = 1):
     """[(h, covered fraction at SINR >= threshold_db)] per requested height."""
-    if len(heights) == 0:
-        raise DomainError("height list must be nonempty")
-    out = []
-    for h in heights:
-        grid = sinr_grid(sites, hm, float(h), cfg, stride=stride)
-        out.append((float(h), grid.coverage_fraction(threshold_db)))
-    return out
+    grids = sinr_grids(sites, hm, heights, cfg, stride=stride)
+    return [(g.ue_height_m, g.coverage_fraction(threshold_db)) for g in grids]

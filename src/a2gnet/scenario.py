@@ -33,7 +33,7 @@ from .abs_net import MAX_RADIUS_M
 from .aue_net import COVERAGE_MIN_TRIALS, _capacity_coefficients, mean_site_count
 from .channel import ENV_PRESETS, MAX_MODELED_ALTITUDE_M, SLICE_CEILINGS_M
 from .errors import DomainError, ScenarioError
-from .heightmap import synthetic_cells
+from .heightmap import MAX_SURFACE_M, synthetic_cells
 
 COMMANDS = ("channel-table", "aue-coverage", "aue-sweep", "abs-design",
             "localize", "mapsim")
@@ -85,6 +85,9 @@ MAX_MEAN_SITES = 5e4
 MAX_SPECTRAL_EFFICIENCY = 50.0
 # no beam is wider than the full circle
 MAX_BEAMWIDTH_DEG = 360.0
+# the sector pattern's 12 (angle / beamwidth)^2 overflows under about
+# 1e-150 degrees; a thousandth of a degree is far narrower than any sector
+MIN_SECTOR_BEAMWIDTH_DEG = 1e-3
 # the cone's gain 29000 / phi_b^2 stays within DB_LIMIT; a subnormal
 # opening angle squares to 0
 MIN_CONE_BEAMWIDTH_DEG = math.sqrt(29000.0 / 10.0 ** (DB_LIMIT / 10.0))
@@ -130,6 +133,13 @@ _BANDWIDTH_MHZ = Field(default=20.0, above=0.0, maximum=MAX_BANDWIDTH_MHZ)
 _DOWNTILT_DEG = Field(default=8.0, minimum=-90.0, maximum=90.0)
 
 
+def _sector_beamwidth(default):
+    # a beamwidth is positive, and no narrower than the floor the pattern
+    # stays finite over
+    return Field(default=default, above=0.0,
+                 minimum=MIN_SECTOR_BEAMWIDTH_DEG, maximum=MAX_BEAMWIDTH_DEG)
+
+
 _NOISE_FROM_DENSITY = (("aue.noise_override_dbm", (None,)),)
 _CONE = (("aue.antenna", ("cone",)),)
 _OMNI = (("aue.antenna", ("omni",)),)
@@ -166,10 +176,8 @@ _AUE_BLOCK = {
     "omni_gain_dbi": _db(2.15, _OMNI),
     "sector_max_gain_dbi": _db(16.0),
     "sector_downtilt_deg": _DOWNTILT_DEG,
-    "sector_beamwidth_deg": Field(default=65.0, above=0.0,
-                                  maximum=MAX_BEAMWIDTH_DEG),
-    "sector_elevation_beamwidth_deg": Field(default=6.0, above=0.0,
-                                            maximum=MAX_BEAMWIDTH_DEG),
+    "sector_beamwidth_deg": _sector_beamwidth(65.0),
+    "sector_elevation_beamwidth_deg": _sector_beamwidth(6.0),
     "sector_sidelobe_floor_db": Field(default=20.0, above=0.0,
                                       maximum=DB_LIMIT),
     "environment": _env_schema(_BUILDING_KEYS),
@@ -316,8 +324,7 @@ SCHEMAS: Dict[str, dict] = {
                                 maximum=MAX_MODELED_ALTITUDE_M),
                 "downtilt_deg": _DOWNTILT_DEG,
                 "max_gain_dbi": _db(16.0),
-                "beamwidth_deg": Field(default=65.0, above=0.0,
-                                       maximum=MAX_BEAMWIDTH_DEG),
+                "beamwidth_deg": _sector_beamwidth(65.0),
             }),
             # the ground fits break down under a 1 m terminal, as for
             # channel.altitudes_m
@@ -337,6 +344,17 @@ SCHEMAS: Dict[str, dict] = {
                 ("mapsim.pl_model", ("threegpp",)),)),
         }),
     },
+}
+
+# each site-CSV column takes the bounds of its mapsim.auto_sites twin, and
+# roof_h those of the map cell an automatic site stands on
+_AUTO_SITES = SCHEMAS["mapsim"]["mapsim"].schema["auto_sites"].schema
+_SITE_CSV_FIELDS = {
+    "roof_h": Field(minimum=-MAX_SURFACE_M, maximum=MAX_SURFACE_M),
+    "p_tx_dbm": _AUTO_SITES["p_tx_dbm"],
+    "tilt_deg": _AUTO_SITES["downtilt_deg"],
+    "max_gain_dbi": _AUTO_SITES["max_gain_dbi"],
+    "beamwidth_deg": _AUTO_SITES["beamwidth_deg"],
 }
 
 # the key whose bounds each sweep axis's grid values take
@@ -432,6 +450,14 @@ def validate_seed(value) -> int:
     """Check a command-line seed override as the scenario file's seed is
     checked."""
     return _validate_value(value, _TOP_LEVEL["seed"], "seed")
+
+
+def validate_site_row(vals: dict, line: int):
+    """Check the values of one site-CSV row (column -> number) against the
+    bounds of their mapsim.auto_sites twins; a failure names the line and
+    the column."""
+    for column, f in _SITE_CSV_FIELDS.items():
+        _validate_value(vals[column], f, f"line {line}: {column}")
 
 
 def _validate_block(data, schema: dict, path: str):

@@ -568,7 +568,7 @@ class TestLibraryDefaults:
 
     def test_mapsim_auto_sites(self, monkeypatch, tmp_path):
         sites, hm, _, cfg = self._capture(monkeypatch, tmp_path, ms,
-                                          "sinr_grid", "mapsim")
+                                          "sinr_grids", "mapsim")
         # the mapsim block's environment defaults to the dense-urban preset
         assert cfg == ms.MapSimConfig(env=ch.dense_urban())
         assert sites == [ms.site_on_roof(hm, s.position.x, s.position.y)
@@ -886,6 +886,22 @@ class TestMainEntry:
         assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,path", [
+        ("sector_beamwidth_deg", 1e-320, "aue.sector_beamwidth_deg"),
+        ("sector_elevation_beamwidth_deg", 1e-320,
+         "aue.sector_elevation_beamwidth_deg"),
+        ("auto_sites", {"beamwidth_deg": 1e-320},
+         "mapsim.auto_sites.beamwidth_deg")])
+    def test_subnormal_beamwidth_exit_code(self, tmp_path, capsys, key, value,
+                                           path):
+        # the sector pattern's 12 (angle / beamwidth)^2 overflowed, with
+        # exit 0 and RuntimeWarnings
+        scn = tmp_path / "bad.yaml"
+        scn.write_text(yaml.safe_dump(_bounded_doc(key, value, path)))
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: must be at least 0.001" in err
+
     def test_altitude_floor_writes_finite_losses(self, tmp_path):
         # the lowest altitude the ground fits take, as h_g_m's floor
         scn = tmp_path / "run.yaml"
@@ -1026,6 +1042,53 @@ class TestMainEntry:
         assert code == 2
         assert len(err) == 1 and "mapsim.sites_csv: " in err[0]
         assert f"line 2: {column} must be a finite number" in err[0]
+
+    @pytest.mark.parametrize("column,value,why", [
+        ("p_tx_dbm", "1e308", "must be at most 150"),
+        ("max_gain_dbi", "-1e308", "must be at least -150"),
+        ("beamwidth_deg", "1e-320", "must be at least 0.001"),
+        ("beamwidth_deg", "361", "must be at most 360"),
+        ("tilt_deg", "-90.5", "must be at least -90"),
+        ("roof_h", "1e308", "must be at most 10000"),
+        ("x", "500", "500 lies off the map"),
+        ("y", "-1e308", "-1e+308 lies off the map")])
+    def test_site_value_out_of_bounds_exit_code(self, tmp_path, capsys,
+                                                monkeypatch, column, value,
+                                                why):
+        # power, gain or roof at 1e308 and a subnormal beamwidth exited 0
+        # with RuntimeWarnings; a site off the 100 m map exited 1 with a
+        # message that named neither the file nor the line
+        good = ["50", "50", "0", "46", "0", "8", "16", "65"]
+        row = dict(zip(ms.SITE_CSV_COLUMNS, good))
+        row[column] = value
+        (tmp_path / "sites.csv").write_text(
+            ",".join(row) + "\n" + ",".join(good) + "\n"
+            + ",".join(row.values()) + "\n")
+        code, err = self._mapsim_exit(
+            tmp_path, capsys, monkeypatch,
+            "  synthetic: {extent_m: 100, cellsize_m: 10}\n"
+            "  sites_csv: sites.csv\n")
+        assert code == 2
+        assert len(err) == 1 and "mapsim.sites_csv: " in err[0]
+        assert f"line 3: {column}: {why}" in err[0]
+        assert not (tmp_path / "mapsim_summary.csv").exists()
+
+    @pytest.mark.parametrize("value", ["1e308", "1e6"])
+    def test_heightmap_value_out_of_bounds_exit_code(self, tmp_path, capsys,
+                                                     monkeypatch, value):
+        # a 1e308 m cell exited 0 with RuntimeWarnings from _blocked and a
+        # tower that blocked nothing
+        rows = [["0"] * 20 for _ in range(20)]
+        rows[12][7] = value
+        (tmp_path / "city.asc").write_text(
+            "ncols 20\nnrows 20\ncellsize 10\n"
+            + "".join(" ".join(r) + "\n" for r in rows))
+        code, err = self._mapsim_exit(tmp_path, capsys, monkeypatch,
+                                      "  heightmap: city.asc\n"
+                                      "  auto_sites: {count: 1}\n")
+        assert code == 2
+        assert len(err) == 1 and "mapsim.heightmap: " in err[0]
+        assert "line 16: " in err[0] and "column 8" in err[0]
 
     def test_map_height_below_floor_exit_code(self, tmp_path, capsys):
         # exited 0 with coverage 0 at 1e-300 m and 1 at 0.5 m

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,25 @@ class TestAsciiGridIO:
         with pytest.raises(GridParseError, match=key) as err:
             load_ascii_grid(p)
         assert err.value.line == list(header).index(key) + 1
+
+    @pytest.mark.parametrize("value", ["1e308", "-1e6", "10000.5", "inf"])
+    def test_height_beyond_bound_names_line(self, tmp_path, value):
+        # a 1e308 m cell exited 0 with overflow warnings from _blocked
+        p = tmp_path / "tower.asc"
+        p.write_text("ncols 3\nnrows 3\ncellsize 10\nNODATA_value -9999\n"
+                     f"0 0 0\n0 {value} 0\n0 0 0\n")
+        with pytest.raises(GridParseError, match="column 2") as err:
+            load_ascii_grid(p)
+        assert err.value.line == 6
+
+    def test_heights_at_bound_and_far_nodata_load(self, tmp_path):
+        top = heightmap.MAX_SURFACE_M
+        p = tmp_path / "edge.asc"
+        p.write_text("ncols 3\nnrows 1\ncellsize 10\nNODATA_value -3.4e38\n"
+                     f"{top:.17g} {-top:.17g} -3.4e38\n")
+        hm = load_ascii_grid(p)
+        assert hm.heights[0, :2].tolist() == [top, -top]
+        assert np.isnan(hm.heights[0, 2])
 
     @pytest.mark.parametrize("field,value", [
         ("cellsize", math.nan), ("cellsize", math.inf), ("cellsize", 0.0),
@@ -500,6 +520,57 @@ class TestLosMaskDifferential:
         for a, b in zip(split, one):
             assert np.array_equal(a, b)
             assert 0 < b.sum() < b.size
+
+
+class TestCastOverHeights:
+    """One los_mask cast over (H, 1, 1) heights, as sinr_grids makes it."""
+
+    HEIGHTS = np.array([1.5, 10.0, 20.0, 30.0, 60.0, 100.0, 150.0])
+
+    def _city(self):
+        city = synthetic_city(120.0, 2.0, ch.dense_urban(), RngStream(8),
+                              min_height_m=4.0)
+        site = Position3D(61.0, 59.0, city.surface_at(61.0, 59.0) + 5.0)
+        return city, site, np.meshgrid(*city.cell_centers())
+
+    @pytest.mark.parametrize("batch", [500, 1 << 30])
+    def test_equals_one_height_casts(self, monkeypatch, batch):
+        monkeypatch.setattr(heightmap, "_BATCH_INTERVALS", batch)
+        city, site, (xx, yy) = self._city()
+        cast = los_mask(site, xx, yy, self.HEIGHTS[:, None, None], city)
+        assert cast.shape == (len(self.HEIGHTS),) + xx.shape
+        for h, mask in zip(self.HEIGHTS, cast):
+            assert np.array_equal(mask, los_mask(site, xx, yy, h, city))
+        assert 0 < cast[0].sum() < cast[-1].sum() < cast[-1].size
+
+    def test_scalar_and_list_endpoints(self):
+        city, site, _ = self._city()
+        x, y = [10.0, 100.0, 61.0], [10.0, 100.0, 80.0]
+        ends = [Position3D(a, b, h) for h in (1.5, 150.0) for a, b in zip(x, y)]
+        cast = los_mask(site, x, y, [[1.5], [150.0]], city)
+        assert cast.ravel().tolist() == [los_check(site, e, city) for e in ends]
+        assert los_mask(site, 10.0, 10.0, 150.0, city).shape == ()
+
+    def test_holds_no_float_array_per_ray(self):
+        # 120 x 120 cells at stride 1 and 7 heights: the endpoints, their
+        # surface and grid coordinates as full (heights x cells) float
+        # copies grew the peak by 8 MB over a one-height cast
+        city = synthetic_city(240.0, 2.0, ch.dense_urban(), RngStream(3),
+                              min_height_m=4.0)
+        site = Position3D(121.0, 119.0, city.surface_at(121.0, 119.0) + 5.0)
+        xx, yy = np.meshgrid(*city.cell_centers())
+
+        def peak(heights):
+            tracemalloc.start()
+            try:
+                los_mask(site, xx, yy, heights[:, None, None], city)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(self.HEIGHTS[-1:])
+        seven = peak(self.HEIGHTS)
+        assert seven - one < self.HEIGHTS.size * xx.size * 8
 
 
 class TestBuildingStats:

@@ -225,6 +225,80 @@ class TestCoverageCurves:
             assert grid.los_any.shape == grid.sinr_db.shape
 
 
+def reference_rasters(sites, hm, h, cfg, stride):
+    """(sinr_db, serving, los_any) at one height from a los_mask cast and an
+    _rx_dbm budget per site: the per-height form that sinr_grids batches."""
+    xx, yy = np.meshgrid(*(c[::stride] for c in hm.cell_centers()))
+    masks = [los_mask(site.position, xx, yy, h, hm) for site in sites]
+    rx = np.concatenate([ms._rx_dbm(site, cfg, xx, yy, h, mask)
+                         for site, mask in zip(sites, masks)])
+    rx_lin = 10.0 ** (rx / 10.0)
+    total = np.sum(rx_lin, axis=0)
+    serving = np.argmax(rx_lin, axis=0)
+    best = np.take_along_axis(rx_lin, serving[None], axis=0)[0]
+    sinr = best / (total - best + 10.0 ** (cfg.noise_dbm / 10.0))
+    return (10.0 * np.log10(np.maximum(sinr, 1e-30)), serving,
+            np.logical_or.reduce(masks))
+
+
+def holed_city(seed):
+    """A 30 x 30 dense-urban city with a few no-data blocks, and three
+    sites on roofs that have data."""
+    gen = RngStream(seed).generator()
+    city = synthetic_city(120.0, 4.0, ch.dense_urban(), RngStream(seed, 1),
+                          min_height_m=4.0)
+    for r, c in gen.integers(0, 29, size=(3, 2)):
+        city.heights[r:r + 2, c:c + 2] = np.nan
+    sites = []
+    while len(sites) < 3:
+        x, y = gen.uniform(2.0, 118.0, size=2)
+        try:
+            sites.append(ms.site_on_roof(city, float(x), float(y)))
+        except DomainError:     # a roof next to no-data
+            continue
+    return city, sites
+
+
+class TestSinrGridsDifferential:
+    """sinr_grids, one cast per site over every height, against the
+    per-height, per-site reference, bit for bit."""
+
+    # 1.5 m and 8 m are under most roofs of a dense-urban city
+    HEIGHTS = [1.5, 8.0, 25.0, 70.0, 150.0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("pl_model", ["threegpp", "free_space"])
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    def test_equals_per_height_casts(self, seed, pl_model, stride):
+        city, sites = holed_city(seed)
+        assert np.isnan(city.heights).any()
+        cfg = ms.MapSimConfig(env=ch.dense_urban(), pl_model=pl_model)
+        grids = ms.sinr_grids(sites, city, self.HEIGHTS, cfg, stride=stride)
+        assert [g.ue_height_m for g in grids] == self.HEIGHTS
+        for h, grid in zip(self.HEIGHTS, grids):
+            sinr_db, serving, los_any = reference_rasters(sites, city, h, cfg,
+                                                          stride)
+            assert np.array_equal(grid.sinr_db, sinr_db)
+            assert np.array_equal(grid.serving, serving)
+            assert np.array_equal(grid.los_any, los_any)
+        # the heights under the roofs are partly obstructed
+        assert 0 < grids[0].los_any.sum() < grids[0].los_any.size
+
+    def test_one_height_form(self):
+        city, sites = holed_city(4)
+        cfg = flat_cfg()
+        one = ms.sinr_grid(sites, city, 8.0, cfg, stride=2)
+        many = ms.sinr_grids(sites, city, [30.0, 8.0], cfg, stride=2)[1]
+        assert np.array_equal(one.sinr_db, many.sinr_db)
+        assert np.array_equal(one.serving, many.serving)
+        assert np.array_equal(one.los_any, many.los_any)
+
+    def test_needs_heights(self):
+        with pytest.raises(DomainError):
+            ms.sinr_grids([ms.site_on_roof(FLAT, 200.0, 200.0)], FLAT, [],
+                          flat_cfg())
+
+
 class TestCastOnce:
     def test_cli_casts_each_ray_once(self, tmp_path, monkeypatch):
         batches = []
@@ -242,9 +316,9 @@ class TestCastOnce:
                 "  auto_sites: {count: 2}\n"
                 "  heights_m: [1.5, 40]\n  stride: 4\n")
         run_scenario(parse_scenario(text), tmp_path)
-        # one batch per (site, height); 2 sites x (40 cells / stride 4)^2
-        # x 2 heights rays
-        assert len(batches) == 2 * 2
+        # one batch per site, over every height; 2 sites x (40 cells /
+        # stride 4)^2 x 2 heights rays
+        assert len(batches) == 2
         rays = [ray for batch in batches for ray in batch]
         assert len(rays) == 2 * 10 * 10 * 2
         assert len(set(rays)) == len(rays)
