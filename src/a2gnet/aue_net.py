@@ -9,12 +9,14 @@ deterministic evaluation then sets the LOS states, associates the UE with
 the strongest mean received power, and forms the SINR against the sum of
 all remaining sectors plus noise.
 
-Trials are drawn and evaluated in blocks of 16. Per trial only the draws
-run; the site geometry of a whole block is built once, on flat arrays, by
-the helper `deploy_hppp` uses for one snapshot. A block is evaluated in two
-stages: the site stage (chosen sector, LOS state, path gain and elevation of
-every site) depends on the UE height and the network, the UE stage (UE
-antenna gain, association and SINR) on the UE antenna as well. Sweep
+Trials are drawn and evaluated in blocks of 16. A block's generators are
+seeded in one vectorized pass (`RngStream.child_generators`), each
+bit-identical to the trial's `child_generator`; per trial only the draws
+run, and the site geometry of a whole block is built once, on flat arrays,
+by the helper `deploy_hppp` uses for one snapshot. A block is evaluated in
+two stages: the site stage (chosen sector, LOS state, path gain and
+elevation of every site) depends on the UE height and the network, the UE
+stage (UE antenna gain, association and SINR) on the UE antenna as well. Sweep
 points, and the ground and aerial users of the area spectral efficiency,
 are evaluated on each trial's one draw; points that differ only in the UE
 antenna share one site stage per block, and building P_LOS is read from a
@@ -259,14 +261,14 @@ def _site_stage(block: _SiteBlock, point: _Point) -> _SiteStage:
     dz = block.height_m - point.h
 
     # one effective transmitter per site: its strongest sector toward the UE
-    # (the theory SINR carries a single P_Tx G Lambda X term per BS); the
-    # (n, 3) gains are dropped before the per-site arrays are built
-    bs_gain = 10.0 ** (bs_gain_db(cfg.sector,
-                                  block.az_from_bs[:, None] - block.sector_azimuth,
-                                  np.arctan2(-dz, d_h)[:, None]) / 10.0)
-    sector = np.argmax(bs_gain, axis=1)
-    site_gain = bs_gain[np.arange(sector.size), sector]
-    del bs_gain
+    # (the theory SINR carries a single P_Tx G Lambda X term per BS); only
+    # the chosen sector's gain leaves dB
+    gain_db = bs_gain_db(cfg.sector,
+                         block.az_from_bs[:, None] - block.sector_azimuth,
+                         np.arctan2(-dz, d_h)[:, None])
+    sector = np.argmax(gain_db, axis=1)
+    site_gain = 10.0 ** (gain_db[np.arange(sector.size), sector] / 10.0)
+    del gain_db
 
     los = block.links.los_u < point.p_los(d_h)
     d = np.maximum(np.hypot(d_h, dz), D0_M)
@@ -335,12 +337,12 @@ def _draw_block(cfg: AueNetworkConfig, rng: RngStream, trials: range):
     Trial i draws on `rng.child_generator(i)` in the order `deploy_hppp`
     then `draw_links` would: its site count, one run of 4n uniforms (n
     radius, then n angle, n rotation and n LOS uniforms), then the LOS and
-    the NLOS fading gains.
+    the NLOS fading gains. The block's generators are seeded in one pass by
+    `rng.child_generators`, bit-identical to `child_generator`.
     """
     lam = mean_site_count(cfg.bs_density_per_km2, cfg.region_radius_m)
     counts, uniforms, fading_los, fading_nlos = [], [], [], []
-    for i in trials:
-        gen = rng.child_generator(i)
+    for gen in rng.child_generators(trials):
         n = int(gen.poisson(lam))
         counts.append(n)
         uniforms.append(gen.random(4 * n).reshape(4, n))

@@ -34,6 +34,9 @@ SPEED_OF_LIGHT = 299_792_458.0
 # the 3GPP 40*pi*f/3 idiom embeds c = 3e8; the breakpoint uses the same
 _C_3GPP = 3.0e8
 MAX_MODELED_ALTITUDE_M = 300.0
+# the lowest ground antenna of the 3GPP ground fits: the breakpoint and
+# log10 of the antenna height break down under it
+MIN_ANTENNA_HEIGHT_M = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ def site_on_roof(hm: HeightMap, x: float, y: float, mast_m: float = MAST_M,
     roof = float(hm.surface_at(x, y))
     if math.isnan(roof):
         raise DomainError(f"no roof height at ({x:g}, {y:g}): no-data cells")
+    if roof + mast_m < ch.MIN_ANTENNA_HEIGHT_M:
+        raise DomainError(f"the antenna at ({x:g}, {y:g}) stands at "
+                          f"{roof + mast_m:g} m, under the ground fits' "
+                          f"{ch.MIN_ANTENNA_HEIGHT_M:g} m floor")
     return SectorSite(position=Position3D(x, y, roof + mast_m), **site_kwargs)
 
 

@@ -31,9 +31,11 @@ import yaml
 
 from .abs_net import MAX_RADIUS_M
 from .aue_net import COVERAGE_MIN_TRIALS, _capacity_coefficients, mean_site_count
-from .channel import ENV_PRESETS, MAX_MODELED_ALTITUDE_M, SLICE_CEILINGS_M
+from .channel import (ENV_PRESETS, MAX_MODELED_ALTITUDE_M, MIN_ANTENNA_HEIGHT_M,
+                      SLICE_CEILINGS_M)
 from .errors import DomainError, ScenarioError
 from .heightmap import MAX_SURFACE_M, synthetic_cells
+from .mapsim import MAST_M
 
 COMMANDS = ("channel-table", "aue-coverage", "aue-sweep", "abs-design",
             "localize", "mapsim")
@@ -70,8 +72,6 @@ MAX_FREQUENCY_GHZ = 300.0
 # wavelength, and its free-space loss is the log of 0
 MIN_FREQUENCY_GHZ = 1e-3
 MAX_BANDWIDTH_MHZ = MAX_FREQUENCY_GHZ * 1e3
-# the lowest ground antenna of the 3GPP ground fits
-MIN_ANTENNA_HEIGHT_M = 1.0
 # an ultra-dense layout with about 10 m between base stations, and
 # between buildings
 MAX_BS_DENSITY_PER_KM2 = 1e4
@@ -97,6 +97,11 @@ MAX_PATH_LOSS_EXPONENT = 10.0
 # a capacity quadrature converges well before 10^5 nodes, and the nodes
 # stay a few MB
 MAX_CAPACITY_NODES = 10 ** 5
+# Monte Carlo trials of an aerial-UE run: far below 2**32, the trial keys
+# RngStream.child_generators takes; the SINR matrix holds 8 bytes per trial
+# and evaluated point (80 MB per point here), and 1e7 trials put a coverage
+# estimate's 95% interval within +-3.1e-4
+MAX_TRIALS = 10 ** 7
 
 
 # every environment key, bounded once: building P_LOS and the synthetic
@@ -221,7 +226,8 @@ SCHEMAS: Dict[str, dict] = {
                                  minimum=0.0, maximum=MAX_MODELED_ALTITUDE_M),
             "thresholds_db": Field(kind=list, default=[0.0],
                                    minimum=-DB_LIMIT, maximum=DB_LIMIT),
-            "n_trials": Field(kind=int, default=2000, minimum=1),
+            "n_trials": Field(kind=int, default=2000, minimum=1,
+                              maximum=MAX_TRIALS),
         }),
     },
     "aue-sweep": {
@@ -235,7 +241,8 @@ SCHEMAS: Dict[str, dict] = {
                              maximum=MAX_MODELED_ALTITUDE_M),
             "metric": Field(kind=str, default="capacity",
                             choices=("capacity", "coverage")),
-            "n_trials": Field(kind=int, default=2000, minimum=1),
+            "n_trials": Field(kind=int, default=2000, minimum=1,
+                              maximum=MAX_TRIALS),
             "k_nodes": Field(kind=int, default=200, minimum=50,
                              maximum=MAX_CAPACITY_NODES,
                              read_when=_CAPACITY_SWEEP),
@@ -347,10 +354,12 @@ SCHEMAS: Dict[str, dict] = {
 }
 
 # each site-CSV column takes the bounds of its mapsim.auto_sites twin, and
-# roof_h those of the map cell an automatic site stands on
+# roof_h those of the map cell an automatic site stands on, with the antenna
+# MAST_M above it no lower than a ground antenna
 _AUTO_SITES = SCHEMAS["mapsim"]["mapsim"].schema["auto_sites"].schema
 _SITE_CSV_FIELDS = {
-    "roof_h": Field(minimum=-MAX_SURFACE_M, maximum=MAX_SURFACE_M),
+    "roof_h": Field(minimum=MIN_ANTENNA_HEIGHT_M - MAST_M,
+                    maximum=MAX_SURFACE_M),
     "p_tx_dbm": _AUTO_SITES["p_tx_dbm"],
     "tilt_deg": _AUTO_SITES["downtilt_deg"],
     "max_gain_dbi": _AUTO_SITES["max_gain_dbi"],

@@ -1050,6 +1050,8 @@ class TestMainEntry:
         ("beamwidth_deg", "361", "must be at most 360"),
         ("tilt_deg", "-90.5", "must be at least -90"),
         ("roof_h", "1e308", "must be at most 10000"),
+        # the mast would stand under the 1 m floor of the ground fits
+        ("roof_h", "-4.5", "must be at least -4"),
         ("x", "500", "500 lies off the map"),
         ("y", "-1e308", "-1e+308 lies off the map")])
     def test_site_value_out_of_bounds_exit_code(self, tmp_path, capsys,
@@ -1090,6 +1092,20 @@ class TestMainEntry:
         assert len(err) == 1 and "mapsim.heightmap: " in err[0]
         assert "line 16: " in err[0] and "column 8" in err[0]
 
+    def test_auto_site_under_antenna_floor_exit_code(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # on ground at -5 m the 5 m mast stood at 0 m, where the ground fit
+        # took log10 of a zero breakpoint
+        (tmp_path / "city.asc").write_text(
+            "ncols 10\nnrows 10\ncellsize 10\n"
+            + "".join(" ".join(["-5"] * 10) + "\n" for _ in range(10)))
+        code, err = self._mapsim_exit(tmp_path, capsys, monkeypatch,
+                                      "  heightmap: city.asc\n"
+                                      "  auto_sites: {count: 1}\n")
+        assert code == 2
+        assert len(err) == 1 and "mapsim.auto_sites: " in err[0]
+        assert "stands at 0 m, under the ground fits' 1 m floor" in err[0]
+
     def test_map_height_below_floor_exit_code(self, tmp_path, capsys):
         # exited 0 with coverage 0 at 1e-300 m and 1 at 0.5 m
         scn = tmp_path / "run.yaml"
@@ -1115,12 +1131,8 @@ def _run_fresh(code, *args):
                    check=True)
 
 
-def test_import_does_not_load_scipy_stats():
-    _run_fresh("import sys, a2gnet, a2gnet.cli; "
-               "assert 'scipy.stats' not in sys.modules")
-
-
 def test_import_does_not_load_scipy():
+    # no scipy module at all, so not scipy.stats, the costliest one
     _run_fresh("import sys, a2gnet, a2gnet.cli; " + _NO_SCIPY)
 
 

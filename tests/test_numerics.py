@@ -236,6 +236,40 @@ class TestRngStream:
             RngStream(1, -2)
 
 
+@pytest.mark.filterwarnings("error")    # no uint64 wraparound warning
+class TestChildGenerators:
+    """The one-pass seeding against child_generator, state for state."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+    # one stream word, then two and three
+    @pytest.mark.parametrize("stream", [0, 2 ** 32, 2 ** 64 + 7])
+    def test_equals_child_generator(self, seed, stream):
+        s = RngStream(seed, stream)
+        keys = [0, 1, 2 ** 32 - 1, 77, 1]
+        gens = s.child_generators(keys)
+        assert len(gens) == len(keys)
+        for gen, key in zip(gens, keys):
+            ref = s.child_generator(key)
+            assert gen.bit_generator.state == ref.bit_generator.state
+            assert gen.random() == ref.random()
+
+    def test_block_of_trials(self):
+        # the consecutive trial range a Monte Carlo block passes
+        s = RngStream(87, 1)
+        for key, gen in zip(range(5, 42), s.child_generators(range(5, 42))):
+            ref = s.child_generator(key)
+            assert gen.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(gen.random(9), ref.random(9))
+
+    def test_no_keys(self):
+        assert RngStream(3).child_generators([]) == []
+
+    @pytest.mark.parametrize("key", [-1, 2 ** 32, 2 ** 64])
+    def test_key_outside_one_word(self, key):
+        with pytest.raises(DomainError, match="2\\*\\*32"):
+            RngStream(1).child_generators([0, key])
+
+
 class TestLazyModule:
     # bench/tracing.py swaps localization.optimize and abs_net.integrate by
     # getattr/setattr on the module, so these must stay module attributes

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from a2gnet.aue_net import mean_site_count
 from a2gnet.cli import main, run_scenario
 from a2gnet.errors import ScenarioError
-from a2gnet.heightmap import HeightMap, save_ascii_grid
-from a2gnet.mapsim import save_sites_csv, site_on_roof
-from a2gnet.scenario import (_SWEEP_AXIS_KEYS, _TOP_LEVEL, MAX_MEAN_SITES,
-                             SCHEMAS, parse_scenario, serialize_scenario)
+from a2gnet.heightmap import (MAX_SURFACE_M, HeightMap, load_ascii_grid,
+                              save_ascii_grid)
+from a2gnet.mapsim import SITE_CSV_COLUMNS, save_sites_csv, site_on_roof
+from a2gnet.scenario import (_SITE_CSV_FIELDS, _SWEEP_AXIS_KEYS, _TOP_LEVEL,
+                             MAX_MEAN_SITES, MAX_RANGE_M, SCHEMAS,
+                             parse_scenario, serialize_scenario)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -493,6 +495,30 @@ class TestSiteCeiling:
 
 
 # ---------------------------------------------------------------------------
+# The trial count of an AUE run has a ceiling
+# ---------------------------------------------------------------------------
+
+_TRIAL_KEYS = [("aue-coverage", "run", lambda n: _doc("aue-coverage",
+                                                      run={"n_trials": n})),
+               ("aue-sweep", "sweep", lambda n: _sweep(n_trials=n))]
+
+
+class TestTrialCeiling:
+    @pytest.mark.parametrize("command,block,make", _TRIAL_KEYS,
+                             ids=[c for c, _, _ in _TRIAL_KEYS])
+    def test_trial_keys_fit_child_generators(self, command, block, make):
+        # every trial index is a key of RngStream.child_generators; 10^12
+        # trials used to end in a raw numpy allocation traceback (the schema
+        # walk in test_cli checks the exit code just past the ceiling)
+        ceiling = SCHEMAS[command][block].schema["n_trials"].maximum
+        assert ceiling is not None and ceiling < 2 ** 32
+        parse_scenario(yaml.safe_dump(make(ceiling)))
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(yaml.safe_dump(make(10 ** 12)))
+        assert exc.value.path == f"{block}.n_trials"
+
+
+# ---------------------------------------------------------------------------
 # In-bound values never end in a traceback
 # ---------------------------------------------------------------------------
 
@@ -591,6 +617,69 @@ _NAMED_KEY = re.compile(r"^scenario error: [A-Za-z_][\w.\[\]]*: ", re.M)
 @given(data=st.data())
 def test_in_bound_values_never_raise(tmp_path, capsys, command, data):
     doc = data.draw(_scenario(command))
+    scn = tmp_path / "fuzz.yaml"
+    scn.write_text(yaml.safe_dump(doc))
+    code = main(["--scenario", str(scn), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code in (0, 1) or (code == 2 and _NAMED_KEY.search(err)), err
+
+
+@st.composite
+def _height_map(draw):
+    """At most 12 cells a side: each height within +-MAX_SURFACE_M, on
+    about half the maps some cells no-data, the corner within
+    +-MAX_RANGE_M."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    height = st.floats(-MAX_SURFACE_M, MAX_SURFACE_M)
+    if draw(st.booleans()):
+        height = st.one_of(height, st.just(math.nan))
+    heights = draw(st.lists(height, min_size=rows * cols,
+                            max_size=rows * cols))
+    corner = st.floats(-MAX_RANGE_M, MAX_RANGE_M)
+    return HeightMap(np.reshape(heights, (rows, cols)),
+                     cellsize=draw(st.sampled_from([1.0, 2.5, 4.0, 10.0])),
+                     xllcorner=draw(corner), yllcorner=draw(corner))
+
+
+def _site_row(extent):
+    """A site-CSV row on the map: each column within the bounds of its
+    mapsim.auto_sites twin, the azimuth any finite angle."""
+    x0, x1, y0, y1 = extent
+    columns = {"x": st.floats(x0, x1), "y": st.floats(y0, y1),
+               "azimuth0_deg": st.floats(allow_nan=False, allow_infinity=False),
+               **{column: _number(f, None)
+                  for column, f in _SITE_CSV_FIELDS.items()}}
+    return st.fixed_dictionaries(columns)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_in_bound_files_never_raise(tmp_path, capsys, data):
+    # a mapsim run on a generated heightmap, site CSV or both
+    doc = data.draw(_scenario("mapsim"))
+    block = doc["mapsim"]
+    use_map, use_sites = data.draw(st.sampled_from(
+        [(True, True), (True, False), (False, True)]))
+    if use_map:
+        save_ascii_grid(data.draw(_height_map()), tmp_path / "city.asc")
+        extent = load_ascii_grid(tmp_path / "city.asc").extent
+        block["heightmap"] = str(tmp_path / "city.asc")
+        del block["synthetic"]
+    else:
+        side = block["synthetic"]["extent_m"]
+        extent = (0.0, side, 0.0, side)
+    if use_sites:
+        rows = data.draw(st.lists(_site_row(extent), min_size=1, max_size=3))
+        (tmp_path / "sites.csv").write_text("\n".join(
+            [",".join(SITE_CSV_COLUMNS)]
+            + [",".join(repr(row[c]) for c in SITE_CSV_COLUMNS)
+               for row in rows]) + "\n")
+        block["sites_csv"] = str(tmp_path / "sites.csv")
+        del block["auto_sites"]
     scn = tmp_path / "fuzz.yaml"
     scn.write_text(yaml.safe_dump(doc))
     code = main(["--scenario", str(scn), "--out", str(tmp_path / "out")])
