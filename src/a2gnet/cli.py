@@ -222,16 +222,18 @@ def _run_localize(s: Scenario, out_dir: Path):
                        rows)]
 
 
-def _auto_site_positions(extent, count):
-    # deterministic quarter-point style layout, center last
+# the automatic sites' positions as fractions of the map's width and height:
+# quarter points first, centre fifth; a lone site takes the centre
+_AUTO_SITE_FRACTIONS = ((0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75),
+                        (0.5, 0.5), (0.5, 0.25), (0.5, 0.75), (0.25, 0.5),
+                        (0.75, 0.5))
+
+
+def _auto_site_positions(width, height, count):
     if count == 1:
-        return [(extent / 2, extent / 2)]
-    pts = [(extent * 0.25, extent * 0.25), (extent * 0.75, extent * 0.25),
-           (extent * 0.25, extent * 0.75), (extent * 0.75, extent * 0.75),
-           (extent * 0.5, extent * 0.5), (extent * 0.5, extent * 0.25),
-           (extent * 0.5, extent * 0.75), (extent * 0.25, extent * 0.5),
-           (extent * 0.75, extent * 0.5)]
-    return pts[:count]
+        return [(width / 2, height / 2)]
+    return [(width * fx, height * fy)
+            for fx, fy in _AUTO_SITE_FRACTIONS[:count]]
 
 
 def _read_input(load, path, key):
@@ -281,7 +283,8 @@ def _run_mapsim(s: Scenario, out_dir: Path):
         try:
             sites = [ms.site_on_roof(hm, x0 + px, y0 + py, mast_m=auto["mast_m"],
                                      p_tx_dbm=auto["p_tx_dbm"], antenna=ant)
-                     for px, py in _auto_site_positions(x1 - x0, auto["count"])]
+                     for px, py in _auto_site_positions(
+                         x1 - x0, y1 - y0, auto["count"])]
         except DomainError as exc:
             raise ScenarioError(str(exc), "mapsim.auto_sites") from exc
     cfg = ms.MapSimConfig(frequency_hz=b["frequency_ghz"] * 1e9,

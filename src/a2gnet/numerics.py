@@ -4,7 +4,9 @@ Everything here is deterministic given an :class:`RngStream`, so Monte Carlo
 callers can parallelize per work unit and still merge bit-exact results.
 `RngStream.child_generators` seeds a block of work units in one vectorized
 pass of numpy's SeedSequence hash; each generator is bit-identical to the
-one `child_generator` builds for its key.
+one `child_generator` builds for its key. Only the hash of each key's word is
+replayed: the pool mixed from the seed and the stream is read from numpy's
+own ``SeedSequence(master_seed, spawn_key=(stream_index,)).pool``.
 
 scipy is bound lazily: ``special``, ``integrate`` and ``optimize`` here are
 :class:`LazyModule` stand-ins that import their scipy submodule on the first
@@ -74,15 +76,10 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED    # generate_state
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _uint32_words(value: int) -> List[int]:
-    """SeedSequence's words of a non-negative int, least significant first;
-    0 is one word."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+def _n_words(value: int) -> int:
+    """How many uint32 words SeedSequence makes of a non-negative int; 0 is
+    one word."""
+    return max(1, -(-value.bit_length() // 32))
 
 
 def _hash_constants(const: int, mult: int, n: int):
@@ -95,18 +92,6 @@ def _hash_constants(const: int, mult: int, n: int):
         const = const * mult & _MASK32
         mul.append(const)
     return xor, mul
-
-
-def _hashmix(value: int, const: int):
-    """(hashed value, next constant) of one SeedSequence hashmix step."""
-    nxt = const * _MULT_A & _MASK32
-    value = (value ^ const) * nxt & _MASK32
-    return value ^ value >> 16, nxt
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
 
 
 def _frozen_words(values) -> np.ndarray:
@@ -129,27 +114,15 @@ def _key_pass(master_seed: int, stream_index: int):
     the key's one word, for each of the 8 generate_state words (pool word
     i % 4): the hashmix xor and multiplier, and MIX_MULT_L times the pool
     word mod 2**32. Everything before that pass depends only on the seed and
-    the stream, so it is mixed here once, in Python ints."""
-    run = _uint32_words(master_seed)
-    # a spawned SeedSequence pads its run entropy with zeros to the pool size
-    entropy = (run + [0] * (_POOL_SIZE - len(run))
-               + _uint32_words(stream_index))
-    const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
+    the stream: the pool is numpy's own SeedSequence(master_seed,
+    spawn_key=(stream_index,)).pool, and its mixing ran 4 hashmix steps per
+    entropy word (the seed's words padded to the pool size, then the
+    stream's), each one multiplying the hash constant by MULT_A."""
+    pool = np.random.SeedSequence(master_seed, spawn_key=(stream_index,)).pool
+    n_entropy = max(_n_words(master_seed), _POOL_SIZE) + _n_words(stream_index)
+    const = _INIT_A * pow(_MULT_A, 4 * n_entropy, _TWO32) & _MASK32
     xor, mul = _hash_constants(const, _MULT_A, _POOL_SIZE)
-    mixed = [_MIX_MULT_L * word & _MASK32 for word in pool]
+    mixed = [_MIX_MULT_L * int(word) & _MASK32 for word in pool]
     return tuple(_frozen_words(c * 2) for c in (xor, mul, mixed))
 
 

@@ -139,10 +139,9 @@ _DOWNTILT_DEG = Field(default=8.0, minimum=-90.0, maximum=90.0)
 
 
 def _sector_beamwidth(default):
-    # a beamwidth is positive, and no narrower than the floor the pattern
-    # stays finite over
-    return Field(default=default, above=0.0,
-                 minimum=MIN_SECTOR_BEAMWIDTH_DEG, maximum=MAX_BEAMWIDTH_DEG)
+    # no narrower than the floor the pattern stays finite over
+    return Field(default=default, minimum=MIN_SECTOR_BEAMWIDTH_DEG,
+                 maximum=MAX_BEAMWIDTH_DEG)
 
 
 _NOISE_FROM_DENSITY = (("aue.noise_override_dbm", (None,)),)

@@ -1106,6 +1106,32 @@ class TestMainEntry:
         assert len(err) == 1 and "mapsim.auto_sites: " in err[0]
         assert "stands at 0 m, under the ground fits' 1 m floor" in err[0]
 
+    @pytest.mark.parametrize("shape", [(2, 20), (20, 2)])
+    def test_auto_sites_on_non_square_map(self, tmp_path, capsys, monkeypatch,
+                                          shape):
+        # the map's x extent placed both coordinates: on a 20 x 2-cell map
+        # the sites fell off it, and the run exited 1 with a model error
+        save_ascii_grid(HeightMap(np.zeros(shape), cellsize=10.0,
+                                  xllcorner=100.0, yllcorner=-50.0),
+                        tmp_path / "city.asc")
+        placed = []
+        sinr_grids = ms.sinr_grids
+
+        def record(sites, *args, **kwargs):
+            placed.extend((s.position.x, s.position.y) for s in sites)
+            return sinr_grids(sites, *args, **kwargs)
+
+        monkeypatch.setattr(ms, "sinr_grids", record)
+        code, _ = self._mapsim_exit(tmp_path, capsys, monkeypatch,
+                                    "  heightmap: city.asc\n"
+                                    "  auto_sites: {count: 5}\n")
+        assert code == 0
+        width, height = 10.0 * shape[1], 10.0 * shape[0]
+        assert placed == [(100.0 + width * fx, -50.0 + height * fy)
+                          for fx, fy in ((0.25, 0.25), (0.75, 0.25),
+                                         (0.25, 0.75), (0.75, 0.75),
+                                         (0.5, 0.5))]
+
     def test_map_height_below_floor_exit_code(self, tmp_path, capsys):
         # exited 0 with coverage 0 at 1e-300 m and 1 at 0.5 m
         scn = tmp_path / "run.yaml"
@@ -1134,6 +1160,20 @@ def _run_fresh(code, *args):
 def test_import_does_not_load_scipy():
     # no scipy module at all, so not scipy.stats, the costliest one
     _run_fresh("import sys, a2gnet, a2gnet.cli; " + _NO_SCIPY)
+
+
+def test_import_loads_only_the_modules_asked_for():
+    # the package re-exported every module's names, so any import of it
+    # loaded all eleven modules and PyYAML
+    _run_fresh("import sys, a2gnet; "
+               "loaded = [m for m in sys.modules if m.startswith('a2gnet.')]; "
+               "assert not loaded, loaded")
+    _run_fresh("import sys, a2gnet.channel; "
+               "loaded = sorted(m for m in sys.modules "
+               "if m.split('.')[0] == 'a2gnet'); "
+               "assert loaded == ['a2gnet', 'a2gnet.channel', 'a2gnet.errors', "
+               "'a2gnet.numerics'], loaded; "
+               "assert 'yaml' not in sys.modules")
 
 
 def test_mapsim_and_aue_runs_do_not_load_scipy(tmp_path):
