@@ -12,14 +12,15 @@ RSS-distance curve amplifies every dB of error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .antenna_geometry import Position3D
 from .errors import DomainError
-from .numerics import (RngLike, RngStream, as_generator, optimize,
+# optimize is unused here; bench/tracing.py proxies it on traced runs
+from .numerics import (RngLike, RngStream, as_generator, minpack, optimize,
                        sample_shadowing_db)
 
 
@@ -35,8 +36,10 @@ class AnchorPlan:
     def __post_init__(self):
         if self.m_points < 3:
             raise DomainError("multilateration needs at least 3 anchor points")
-        if self.radius_m <= 0 or self.h_abs_m <= 0:
-            raise DomainError("radius and altitude must be positive")
+        for name in ("radius_m", "h_abs_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be positive and finite")
 
     @property
     def inter_anchor_distance_m(self) -> float:
@@ -74,6 +77,9 @@ class ElevationChannel:
     eta_nlos: float = 3.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite")
         if min(self.a_los, self.a_nlos) <= 0 or min(self.b_los, self.b_nlos) < 0:
             raise DomainError("shadowing constants must be positive")
         if self.eta_los <= 0 or self.eta_nlos <= 0:
@@ -98,8 +104,11 @@ class LocalizationScenario:
     user_area_radius_m: float = 200.0
 
     def __post_init__(self):
-        if self.n_users < 1 or self.user_area_radius_m <= 0:
-            raise DomainError("need at least one user in a positive-radius disc")
+        if self.n_users < 1:
+            raise DomainError("need at least one user")
+        if not (math.isfinite(self.user_area_radius_m)
+                and self.user_area_radius_m > 0):
+            raise DomainError("user_area_radius_m must be positive and finite")
 
 
 def sample_rss_distance(true_d_m: float, theta_rad: float, ch: ElevationChannel,
@@ -109,8 +118,10 @@ def sample_rss_distance(true_d_m: float, theta_rad: float, ch: ElevationChannel,
     The RSS perturbation N(0, sigma_j^2) dB inverts through the same
     log-distance law that produced it, giving d_hat = d 10^(X / (10 eta_j)).
     """
-    if true_d_m <= 0:
-        raise DomainError("true distance must be positive")
+    if not (math.isfinite(true_d_m) and true_d_m > 0):
+        raise DomainError("true_d_m must be positive and finite")
+    if not math.isfinite(theta_rad):
+        raise DomainError("theta_rad must be finite")
     gen = as_generator(rng)
     if force_state is None:
         los = bool(gen.random() < ch.p_los(theta_rad))
@@ -172,10 +183,12 @@ def _lm_descent(x0, ax, ay, r_hat):
     This is the MINPACK lmder call that least_squares(method="lm") makes,
     made directly through scipy's private binding: no Python wrapper checks
     shapes by evaluating the residuals and the Jacobian, and no covariance
-    or message is built. The Jacobian is still scipy's forward difference
-    (`_range_jacobian`). lmder iterates in place, so it gets a copy of x0.
+    or message is built. The binding is `numerics.minpack`, scipy's compiled
+    `scipy.optimize._minpack` loaded without the `scipy.optimize` package.
+    The Jacobian is still scipy's forward difference (`_range_jacobian`).
+    lmder iterates in place, so it gets a copy of x0.
     """
-    x, info, _ = optimize._minpack._lmder(
+    x, info, _ = minpack._lmder(
         _range_residuals, _range_jacobian, np.array(x0, dtype=float),
         (ax, ay, r_hat), 1, 1, _LM_FTOL, _LM_XTOL, _LM_GTOL, _LM_MAXFEV,
         _LM_FACTOR, None)
@@ -241,8 +254,12 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     descent from the best cells of a grid over the search area and always
     returns a point at least as good as every grid seed.
 
+    Every anchor coordinate, range estimate, the search center and radius
+    must be finite, the ranges non-negative and the radius positive.
+
     Local descent is MINPACK's Levenberg-Marquardt, scipy's private `lmder`
-    binding called directly, with the ftol, xtol, gtol and maxfev that
+    binding called directly (its compiled module alone, not the
+    `scipy.optimize` package), with the ftol, xtol, gtol and maxfev that
     `least_squares(method="lm", xtol=1e-10)` uses. Its Jacobian is not
     analytic: `_range_jacobian` is scipy's forward difference computed in
     one pass. So every iterate, residual and evaluation count equals a
@@ -257,15 +274,23 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
         raise DomainError("one range estimate per anchor required")
     axy = np.array([[a.x, a.y] for a in anchors])
     heights = np.array([a.h for a in anchors])
+    if not (np.all(np.isfinite(axy)) and np.all(np.isfinite(heights))):
+        raise DomainError("anchors must have finite coordinates")
     d_hat = np.asarray(d_hat, dtype=float)
+    if not np.all(np.isfinite(d_hat) & (d_hat >= 0.0)):
+        raise DomainError("d_hat must be non-negative and finite")
     r_hat = np.sqrt(np.maximum(d_hat ** 2 - heights ** 2, 0.0))
     if search_center is None:
         cx, cy = axy.mean(axis=0)
     else:
         cx, cy = search_center
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise DomainError("search_center must be finite")
     if search_radius_m is None:
         spread = float(np.max(np.hypot(*(axy - [cx, cy]).T)))
         search_radius_m = max(float(np.max(r_hat)) + spread, 1.0)
+    elif not (math.isfinite(search_radius_m) and search_radius_m > 0):
+        raise DomainError("search_radius_m must be positive and finite")
     return _solve(_search_grid(axy, cx, cy, search_radius_m), r_hat)
 
 

@@ -8,21 +8,36 @@ one `child_generator` builds for its key. Only the hash of each key's word is
 replayed: the pool mixed from the seed and the stream is read from numpy's
 own ``SeedSequence(master_seed, spawn_key=(stream_index,)).pool``.
 
-scipy is bound lazily: ``special``, ``integrate`` and ``optimize`` here are
-:class:`LazyModule` stand-ins that import their scipy submodule on the first
-attribute lookup; ``abs_net`` and ``localization`` import these bindings. So
-``import a2gnet`` loads no scipy, and runs that never call it (mapsim,
-aerial-UE Monte Carlo) never pay its import. No library code calls
-``integrate`` any more; it stays bound only because ``bench/tracing.py``
-proxies ``abs_net.integrate`` on traced runs.
+scipy is bound lazily: ``special``, ``integrate``, ``optimize`` and
+``minpack`` here are :class:`LazyModule` stand-ins that import their scipy
+module on the first attribute lookup; ``abs_net`` and ``localization`` import
+these bindings. So ``import a2gnet`` loads no scipy, and runs that never call
+it (mapsim, aerial-UE Monte Carlo) never pay its import. Each binding exists
+for one caller:
+
+- ``special``: Marcum Q and its inverse (``chndtr``, ``chndtrix``).
+- ``optimize``: ``abs_net``'s coverage-radius root (``brentq``).
+  ``localization`` keeps it bound, unused, because ``bench/tracing.py``
+  proxies ``localization.optimize`` on traced runs.
+- ``minpack``: ``localization``'s Levenberg-Marquardt solver, MINPACK's
+  ``lmder`` in scipy's compiled ``scipy.optimize._minpack``. It is loaded
+  by :func:`load_extension`, which skips the ``scipy.optimize`` package
+  init (its sparse, linalg and minimizer imports); a localization run
+  peaks at about half the memory it took with the package.
+- ``integrate``: no library code calls it any more; it stays bound only
+  because ``bench/tracing.py`` proxies ``abs_net.integrate`` on traced
+  runs.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, List, Union
 
@@ -35,22 +50,47 @@ _TWO64 = 1 << 64
 
 
 class LazyModule:
-    """Stand-in for the module `name`, imported on the first attribute lookup.
+    """Stand-in for the module `name`, loaded by `load` on the first attribute
+    lookup.
 
     Call sites keep the module spelling (``special.chndtr``), and the binding
     stays a module attribute that can be swapped with setattr.
     """
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, load=importlib.import_module):
         self._name = name
+        self._load = load
 
     def __getattr__(self, attr):
-        value = getattr(importlib.import_module(self._name), attr)
+        value = getattr(self._load(self._name), attr)
         setattr(self, attr, value)  # later lookups skip __getattr__
         return value
 
 
+def load_extension(name: str):
+    """The compiled module `name`, loaded without running its package's
+    ``__init__``: the module the package imported, if it did, else a fresh
+    load of the extension file found in the package's directory.
+
+    The extension initializes single-phase and so registers itself in
+    ``sys.modules``. That entry is dropped: left there, a later import of
+    the package would find its submodule already loaded and never bind it
+    as the package attribute. The package's own load of the extension then
+    reuses the same compiled functions.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    package = name.rpartition(".")[0]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, importlib.util.find_spec(package).submodule_search_locations)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
 integrate = LazyModule("scipy.integrate")
+minpack = LazyModule("scipy.optimize._minpack", load_extension)
 optimize = LazyModule("scipy.optimize")
 special = LazyModule("scipy.special")
 

@@ -1201,3 +1201,37 @@ def test_abs_design_and_channel_table_runs_load_only_scipy_special(tmp_path):
                shipped / "channel_table.yaml")
     assert (tmp_path / "0" / "abs_design.csv").is_file()
     assert (tmp_path / "1" / "channel_table.csv").is_file()
+
+
+# the solver's MINPACK binding, then the package it was loaded without
+_OPTIMIZE_AFTER = (
+    "import numpy as np, scipy.optimize\n"
+    "from a2gnet import numerics\n"
+    "assert scipy.optimize._minpack._lmder is numerics.minpack._lmder\n"
+    "fit = scipy.optimize.least_squares(lambda x: x - [1.0, 2.0], [0.0, 0.0],"
+    " method='lm')\n"
+    "assert np.allclose(fit.x, [1.0, 2.0]), fit.x\n"
+    "assert callable(scipy.optimize.leastsq)\n")
+
+
+def test_localize_run_loads_minpack_without_scipy_optimize(tmp_path):
+    # the solver needs one compiled function; the scipy.optimize package
+    # init loaded sparse, linalg and the minimizers for it
+    tiny = LOCALIZE_TABLE_VI.replace("n_users: 25", "n_users: 2")
+    code = ("import sys, a2gnet.cli as cli, a2gnet.scenario as sc\n"
+            "cli.run_scenario(sc.parse_scenario(sys.argv[2]), sys.argv[1])\n"
+            "bad = [m for m in sys.modules if m.startswith('scipy.optimize')]\n"
+            "assert not bad, bad\n" + _OPTIMIZE_AFTER)
+    _run_fresh(code, tmp_path, tiny)
+    assert (tmp_path / "localize.csv").is_file()
+
+
+def test_localize_run_reuses_an_imported_scipy_optimize(tmp_path):
+    tiny = LOCALIZE_TABLE_VI.replace("n_users: 25", "n_users: 2")
+    code = ("import sys, scipy.optimize, a2gnet.cli as cli, a2gnet.scenario as sc\n"
+            "cli.run_scenario(sc.parse_scenario(sys.argv[2]), sys.argv[1])\n"
+            "from a2gnet import localization\n"
+            "assert localization.minpack._lmder is "
+            "scipy.optimize._minpack._lmder\n" + _OPTIMIZE_AFTER)
+    _run_fresh(code, tmp_path, tiny)
+    assert (tmp_path / "localize.csv").is_file()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 import warnings
@@ -45,8 +46,24 @@ class TestAnchorPlan:
         with pytest.raises(DomainError):
             loc.AnchorPlan(2, 120.0, 200.0)
 
+    @pytest.mark.parametrize("radius, h, name", [
+        (math.nan, 200.0, "radius_m"), (math.inf, 200.0, "radius_m"),
+        (120.0, math.nan, "h_abs_m"), (120.0, math.inf, "h_abs_m"),
+        (0.0, 200.0, "radius_m"), (120.0, -5.0, "h_abs_m")])
+    def test_radius_and_altitude_positive_and_finite(self, radius, h, name):
+        with pytest.raises(DomainError, match=name):
+            loc.AnchorPlan(3, radius, h)
+
 
 class TestElevationChannel:
+    @pytest.mark.parametrize("name", [f.name for f in
+                                      dataclasses.fields(loc.ElevationChannel)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_constant_rejected(self, name, bad):
+        # a NaN a_o or an infinite exponent ran a campaign without a word
+        with pytest.raises(DomainError, match=name):
+            loc.ElevationChannel(**{name: bad})
+
     def test_nlos_sigma_dominates(self):
         for theta in np.linspace(0.01, math.pi / 2, 50):
             assert TABLE_CH.sigma_db(theta, False) > TABLE_CH.sigma_db(theta, True)
@@ -93,6 +110,14 @@ class TestSampleRssDistance:
     def test_positive_distance_required(self):
         with pytest.raises(DomainError):
             loc.sample_rss_distance(0.0, 0.5, TABLE_CH, RngStream(1))
+
+    @pytest.mark.parametrize("d, theta, name", [
+        (math.nan, 0.5, "true_d_m"), (math.inf, 0.5, "true_d_m"),
+        (250.0, math.nan, "theta_rad")])
+    def test_non_finite_input_rejected(self, d, theta, name):
+        # NaN compared false with `<= 0` and drew (nan, False)
+        with pytest.raises(DomainError, match=name):
+            loc.sample_rss_distance(d, theta, TABLE_CH, RngStream(1))
 
 
 def square_anchors(h=200.0, r=120.0):
@@ -161,6 +186,33 @@ class TestMultilaterate:
             loc.multilaterate(anchors[:2], [100.0, 100.0])
         with pytest.raises(DomainError):
             loc.multilaterate(anchors, [100.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -230.0])
+    def test_range_must_be_non_negative_and_finite(self, bad):
+        # a non-finite range made every grid cost NaN and the solve end in a
+        # TypeError; a negative one was squared into a positive range
+        with pytest.raises(DomainError, match="d_hat"):
+            loc.multilaterate(square_anchors(), [bad, 215.0, 250.0, 240.0])
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -10.0])
+    def test_search_radius_must_be_positive_and_finite(self, radius):
+        # 0 searched a one-point grid, a negative radius a mirrored one
+        with pytest.raises(DomainError, match="search_radius_m"):
+            loc.multilaterate(square_anchors(), [230.0, 215.0, 250.0, 240.0],
+                              search_radius_m=radius)
+
+    def test_search_center_must_be_finite(self):
+        with pytest.raises(DomainError, match="search_center"):
+            loc.multilaterate(square_anchors(), [230.0, 215.0, 250.0, 240.0],
+                              search_center=(0.0, math.nan))
+
+    @pytest.mark.parametrize("anchor", [Position3D(math.nan, 0.0, 200.0),
+                                        Position3D(0.0, math.inf, 200.0),
+                                        Position3D(0.0, -120.0, math.nan)])
+    def test_anchor_coordinates_must_be_finite(self, anchor):
+        anchors = square_anchors()[:3] + [anchor]
+        with pytest.raises(DomainError, match="anchors"):
+            loc.multilaterate(anchors, [230.0, 215.0, 250.0, 240.0])
 
 
 def _range_problem(rng):
@@ -346,7 +398,7 @@ class TestRangeJacobian:
         calls = {"f": 0, "j": 0}
         infos = []
         residuals, jacobian = loc._range_residuals, loc._range_jacobian
-        lmder = loc.optimize._minpack._lmder
+        lmder = loc.minpack._lmder
 
         def counted_residuals(*args):
             calls["f"] += 1
@@ -363,8 +415,8 @@ class TestRangeJacobian:
 
         monkeypatch.setattr(loc, "_range_residuals", counted_residuals)
         monkeypatch.setattr(loc, "_range_jacobian", counted_jacobian)
-        monkeypatch.setattr(loc, "optimize", types.SimpleNamespace(
-            _minpack=types.SimpleNamespace(_lmder=recorded_lmder)))
+        monkeypatch.setattr(loc, "minpack",
+                            types.SimpleNamespace(_lmder=recorded_lmder))
         rng = RngStream(11).generator()
         for draw in (_range_problem, _exact_range_problem, _collinear_problem):
             for _ in range(50):
@@ -476,6 +528,11 @@ class TestLocalizationError:
 
 class TestCampaign:
     SCEN = loc.LocalizationScenario(n_users=100)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+    def test_user_area_radius_positive_and_finite(self, radius):
+        with pytest.raises(DomainError, match="user_area_radius_m"):
+            loc.LocalizationScenario(5, radius)
 
     def test_noise_free_recovery(self):
         plan = loc.AnchorPlan(3, 120.0, 200.0)

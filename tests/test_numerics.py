@@ -275,14 +275,15 @@ class TestLazyModule:
     # getattr/setattr on the module, so these must stay module attributes
     def test_bindings_resolve_to_scipy(self):
         assert numerics.special.chndtr is special.chndtr
-        assert localization.optimize._minpack._lmder is optimize._minpack._lmder
+        assert localization.minpack._lmder is optimize._minpack._lmder
+        assert localization.optimize.least_squares is optimize.least_squares
         assert abs_net.integrate.quad is integrate.quad
         assert abs_net.optimize.brentq is optimize.brentq
 
     def test_lmder_takes_twelve_arguments(self):
         # localization calls scipy's private MINPACK binding positionally; a
         # scipy that moves or reorders it fails here, not inside a solve
-        doc = localization.optimize._minpack._lmder.__doc__
+        doc = localization.minpack._lmder.__doc__
         call = doc.split("=", 1)[1].strip().splitlines()[0]
         assert call == ("_lmder(fun, Dfun, x0, args, full_output, col_deriv, "
                         "ftol, xtol, gtol, maxfev, factor, diag)")
