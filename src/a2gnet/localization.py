@@ -12,6 +12,7 @@ RSS-distance curve amplifies every dB of error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
@@ -24,6 +25,12 @@ from .numerics import (RngLike, RngStream, as_generator, minpack, optimize,
                        sample_shadowing_db)
 
 
+def _check_count(value, name: str, least: int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise DomainError(f"{name} must be an integer of at least {least}")
+
+
 @dataclass(frozen=True)
 class AnchorPlan:
     """Equally spaced anchor points on a circle about the origin at fixed
@@ -34,8 +41,8 @@ class AnchorPlan:
     h_abs_m: float
 
     def __post_init__(self):
-        if self.m_points < 3:
-            raise DomainError("multilateration needs at least 3 anchor points")
+        # multilateration in the plane needs at least 3 anchors
+        _check_count(self.m_points, "m_points", 3)
         for name in ("radius_m", "h_abs_m"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -104,8 +111,7 @@ class LocalizationScenario:
     user_area_radius_m: float = 200.0
 
     def __post_init__(self):
-        if self.n_users < 1:
-            raise DomainError("need at least one user")
+        _check_count(self.n_users, "n_users", 1)
         if not (math.isfinite(self.user_area_radius_m)
                 and self.user_area_radius_m > 0):
             raise DomainError("user_area_radius_m must be positive and finite")
@@ -140,11 +146,31 @@ class MultilaterationResult:
     ill_conditioned: bool = False
 
 
+# The LM callbacks loop over the anchors on Python floats, not numpy arrays:
+# at the 3-5 anchors of every shipped scenario that halves the cost of a
+# call, the two forms cost the same near M = 8, and at M = 16 numpy is about
+# 1.75x faster. Each hypot is abs(complex(dx, dy)), which CPython takes from
+# the C library's hypot as np.hypot does, so every value is bit-equal to the
+# numpy form; math.hypot runs its own algorithm and is not.
 def _range_residuals(xy, ax, ay, r_hat):
-    return np.hypot(ax - xy[0], ay - xy[1]) - r_hat
+    """|a_i - xy| - r_i for each anchor, as a list; the anchor rows and the
+    ranges are sequences of floats."""
+    x, y = xy.tolist()
+    try:
+        return [abs(complex(a - x, b - y)) - r
+                for a, b, r in zip(ax, ay, r_hat)]
+    except OverflowError:
+        return _overflowed_residuals(x, y, ax, ay, r_hat)
 
 
-_FD_REL_STEP = np.finfo(np.float64).eps ** 0.5
+def _overflowed_residuals(x, y, ax, ay, r_hat):
+    """The residuals in numpy, for a point where a hypot of finite operands
+    overflows: a complex abs raises OverflowError there, and np.hypot gives
+    inf with a RuntimeWarning, as the callbacks always did."""
+    return np.hypot(np.subtract(ax, x), np.subtract(ay, y)) - r_hat
+
+
+_FD_REL_STEP = math.sqrt(sys.float_info.epsilon)
 # MINPACK lmder settings, each the value least_squares(method="lm",
 # xtol=1e-10) hands it for two unknowns; every shipped output was made with
 # them. lmder has no defaults, so each is passed.
@@ -159,22 +185,30 @@ _GRID_N = 21
 
 def _range_jacobian(xy, ax, ay, r_hat):
     """Forward-difference Jacobian of `_range_residuals`, as scipy builds it,
-    returned as its two columns (shape (2, m), lmder's col_deriv layout).
+    returned as its two columns (lmder's col_deriv layout: two lists of m).
 
     scipy's unbounded '2-point' scheme steps x_j by
     h_j = sqrt(eps) sign(x_j) max(1, |x_j|) with sign(0) = +1 and divides
     f(x + h_j e_j) - f(x) by (x_j + h_j) - x_j. Here each column is that
-    difference on the anchor rows, in the same float64 arithmetic, so every
-    entry equals scipy's bit for bit without its per-column overhead.
+    difference anchor by anchor, in the same float64 arithmetic and order, so
+    every entry equals scipy's bit for bit without its per-column overhead.
     """
     x, y = xy.tolist()
     xh = x + _FD_REL_STEP * (1.0 if x >= 0 else -1.0) * max(1.0, abs(x))
     yh = y + _FD_REL_STEP * (1.0 if y >= 0 else -1.0) * max(1.0, abs(y))
-    dx = ax - x
-    dy = ay - y
-    f0 = np.hypot(dx, dy) - r_hat
-    return np.array(((np.hypot(ax - xh, dy) - r_hat - f0) / (xh - x),
-                     (np.hypot(dx, ay - yh) - r_hat - f0) / (yh - y)))
+    sx, sy = xh - x, yh - y
+    jx, jy = [], []
+    try:
+        for a, b, r in zip(ax, ay, r_hat):
+            dx, dy = a - x, b - y
+            f0 = abs(complex(dx, dy)) - r
+            jx.append((abs(complex(a - xh, dy)) - r - f0) / sx)
+            jy.append((abs(complex(dx, b - yh)) - r - f0) / sy)
+    except OverflowError:
+        f0 = _overflowed_residuals(x, y, ax, ay, r_hat)
+        return [(_overflowed_residuals(xh, y, ax, ay, r_hat) - f0) / sx,
+                (_overflowed_residuals(x, yh, ax, ay, r_hat) - f0) / sy]
+    return [jx, jy]
 
 
 def _lm_descent(x0, ax, ay, r_hat):
@@ -186,7 +220,9 @@ def _lm_descent(x0, ax, ay, r_hat):
     or message is built. The binding is `numerics.minpack`, scipy's compiled
     `scipy.optimize._minpack` loaded without the `scipy.optimize` package.
     The Jacobian is still scipy's forward difference (`_range_jacobian`).
-    lmder iterates in place, so it gets a copy of x0.
+    The anchor rows and ranges go to the callbacks as lmder's extra
+    arguments; lists of floats are their fast layout. lmder iterates in
+    place, so it gets a copy of x0.
     """
     x, info, _ = minpack._lmder(
         _range_residuals, _range_jacobian, np.array(x0, dtype=float),
@@ -198,12 +234,13 @@ def _lm_descent(x0, ax, ay, r_hat):
 @dataclass(frozen=True)
 class _SearchGrid:
     """What a solve needs that does not depend on the ranges: the anchor
-    coordinates as rows, the conditioning flag of the anchor layout, the
-    seed grid over the search square (flattened) and each anchor's distance
-    to each grid point."""
+    coordinates as rows, and again as lists of floats for the LM callbacks,
+    the conditioning flag of the anchor layout, the seed grid over the search
+    square (flattened) and each anchor's distance to each grid point."""
 
     ax: np.ndarray
     ay: np.ndarray
+    float_rows: tuple
     ill_conditioned: bool
     gx: np.ndarray
     gy: np.ndarray
@@ -219,7 +256,8 @@ def _search_grid(axy, cx, cy, radius_m) -> _SearchGrid:
     gx, gy = xx.ravel(), yy.ravel()
     ax, ay = np.ascontiguousarray(axy.T)
     d_grid = np.hypot(ax[:, None] - gx, ay[:, None] - gy)
-    return _SearchGrid(ax, ay, ill, gx, gy, d_grid)
+    return _SearchGrid(ax, ay, (ax.tolist(), ay.tolist()), ill, gx, gy,
+                       d_grid)
 
 
 def _solve(grid: _SearchGrid, r_hat) -> MultilaterationResult:
@@ -227,11 +265,11 @@ def _solve(grid: _SearchGrid, r_hat) -> MultilaterationResult:
     or the best seed should every descent end above it."""
     cost_grid = np.sum((grid.d_grid - r_hat[:, None]) ** 2, axis=0)
     flat = np.argsort(cost_grid)[:3]
+    rows = (*grid.float_rows, r_hat.tolist())
     best_xy = None
     best_cost = math.inf
     for idx in flat:
-        x, fvec, _ = _lm_descent((grid.gx[idx], grid.gy[idx]), grid.ax,
-                                 grid.ay, r_hat)
+        x, fvec, _ = _lm_descent((grid.gx[idx], grid.gy[idx]), *rows)
         cost = float(np.sum(fvec ** 2))
         if cost < best_cost:
             best_cost = cost
@@ -262,9 +300,11 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     `scipy.optimize` package), with the ftol, xtol, gtol and maxfev that
     `least_squares(method="lm", xtol=1e-10)` uses. Its Jacobian is not
     analytic: `_range_jacobian` is scipy's forward difference computed in
-    one pass. So every iterate, residual and evaluation count equals a
-    plain `least_squares` solve on scipy's own finite difference, which
-    `TestRangeJacobian::test_solves_match_scipy_two_point` pins.
+    one pass. Both callbacks loop over the anchors on Python floats and take
+    each hypot from the C library, as np.hypot does (faster than numpy up
+    to about 8 anchors). So every iterate, residual and evaluation count
+    equals a plain `least_squares` solve on scipy's own finite difference,
+    which `TestRangeJacobian::test_solves_match_scipy_two_point` pins.
     `run_campaign` solves through the same path, with one search grid for
     all of its solves.
     """
@@ -339,6 +379,7 @@ def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
     """
     if state_mode not in ("independent", "common", "los", "nlos"):
         raise DomainError(f"unknown state mode {state_mode!r}")
+    _check_count(trials_per_user, "trials_per_user", 1)
     anchors = place_anchors(plan)
     axy = np.array([[a.x, a.y] for a in anchors])
     # every solve searches the user disc, so all share one grid

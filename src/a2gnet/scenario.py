@@ -102,6 +102,14 @@ MAX_CAPACITY_NODES = 10 ** 5
 # and evaluated point (80 MB per point here), and 1e7 trials put a coverage
 # estimate's 95% interval within +-3.1e-4
 MAX_TRIALS = 10 ** 7
+# anchor points on one localization circle: the search grid holds 441
+# distances per anchor and an LM Jacobian costs about 1 us per anchor, so at
+# this ceiling a grid is 3.5 MB and a Jacobian about 1 ms
+MAX_ANCHOR_POINTS = 1000
+# solves in one localize campaign, n_users times trials_per_user: each keeps
+# two errors (about 80 bytes of lists and arrays) and takes under 1 ms at 3-5
+# anchors, so a campaign at this ceiling holds 80 MB and runs for minutes
+MAX_LOCALIZE_SOLVES = 10 ** 6
 
 
 # every environment key, bounded once: building P_LOS and the synthetic
@@ -274,15 +282,18 @@ SCHEMAS: Dict[str, dict] = {
     "localize": {
         "localize": Field(kind=dict, schema={
             "m_points": Field(kind=list, item_kind=int, default=[3, 4],
-                              minimum=3),
+                              minimum=3, maximum=MAX_ANCHOR_POINTS),
             "radii_m": Field(kind=list, default=[120.0], above=0.0,
                              maximum=MAX_RANGE_M),
             "altitudes_m": Field(kind=list, default=[200.0], above=0.0,
                                  maximum=MAX_PLATFORM_ALTITUDE_M),
-            "n_users": Field(kind=int, default=100, minimum=1),
+            # at most MAX_LOCALIZE_SOLVES with trials_per_user (checked below)
+            "n_users": Field(kind=int, default=100, minimum=1,
+                             maximum=MAX_LOCALIZE_SOLVES),
             "user_area_radius_m": Field(default=200.0, above=0.0,
                                         maximum=MAX_RANGE_M),
-            "trials_per_user": Field(kind=int, default=1, minimum=1),
+            "trials_per_user": Field(kind=int, default=1, minimum=1,
+                                     maximum=MAX_LOCALIZE_SOLVES),
             "state_mode": Field(kind=str, default="independent",
                                 choices=("independent", "common", "los", "nlos")),
             # shadowing sigma a exp(-b theta) dB: a positive, b >= 0
@@ -593,6 +604,13 @@ def parse_scenario(text: str) -> Scenario:
                 f"times the area of aue.region_radius_m gives a mean of more "
                 f"than {MAX_MEAN_SITES:g} sites per snapshot",
                 "aue.bs_density_per_km2")
+    if command == "localize":
+        b = params["localize"]
+        if b["n_users"] * b["trials_per_user"] > MAX_LOCALIZE_SOLVES:
+            raise ScenarioError(
+                f"times trials_per_user gives more than "
+                f"{MAX_LOCALIZE_SOLVES:g} solves per campaign",
+                "localize.n_users")
     if command == "mapsim":
         syn = params["mapsim"]["synthetic"]
         try:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import types
 import warnings
 
@@ -45,6 +46,16 @@ class TestAnchorPlan:
     def test_too_few_anchors(self):
         with pytest.raises(DomainError):
             loc.AnchorPlan(2, 120.0, 200.0)
+
+    @pytest.mark.parametrize("m", [3.5, 3.0, True, "3"])
+    def test_anchor_count_must_be_an_integer(self, m):
+        # 3.5 used to construct, and place_anchors then raised a raw
+        # TypeError
+        with pytest.raises(DomainError, match="m_points"):
+            loc.AnchorPlan(m, 120.0, 200.0)
+
+    def test_numpy_integer_count(self):
+        assert len(loc.place_anchors(loc.AnchorPlan(np.int64(4), 1.0, 1.0))) == 4
 
     @pytest.mark.parametrize("radius, h, name", [
         (math.nan, 200.0, "radius_m"), (math.inf, 200.0, "radius_m"),
@@ -253,13 +264,34 @@ def _rows(axy):
     return ax, ay
 
 
+def _numpy_residuals(xy, ax, ay, r_hat):
+    """The residuals as numpy arrays: the reference for the float form."""
+    return np.hypot(np.subtract(ax, xy[0]), np.subtract(ay, xy[1])) \
+        - np.asarray(r_hat)
+
+
+def _numpy_jacobian(xy, ax, ay, r_hat):
+    """The forward-difference columns from three np.hypot calls over the
+    anchor rows: the reference for the float form."""
+    ax, ay, r_hat = (np.asarray(v, dtype=float) for v in (ax, ay, r_hat))
+    x, y = xy.tolist()
+    xh = x + loc._FD_REL_STEP * (1.0 if x >= 0 else -1.0) * max(1.0, abs(x))
+    yh = y + loc._FD_REL_STEP * (1.0 if y >= 0 else -1.0) * max(1.0, abs(y))
+    dx = ax - x
+    dy = ay - y
+    f0 = np.hypot(dx, dy) - r_hat
+    return np.array(((np.hypot(ax - xh, dy) - r_hat - f0) / (xh - x),
+                     (np.hypot(dx, ay - yh) - r_hat - f0) / (yh - y)))
+
+
 def _least_squares_solve(x0, ax, ay, r_hat):
-    """The reference descent: least_squares on scipy's own forward difference.
+    """The reference descent: least_squares on scipy's own forward difference
+    of the numpy residuals.
 
     x_scale="jac" is MINPACK's own scaling, least_squares' default since
     scipy 1.16; passing it keeps the reference the same on older scipy.
     """
-    return optimize.least_squares(loc._range_residuals, x0,
+    return optimize.least_squares(_numpy_residuals, x0,
                                   args=(ax, ay, r_hat), method="lm",
                                   xtol=1e-10, x_scale="jac")
 
@@ -449,10 +481,89 @@ class TestRangeJacobian:
         xy = np.array(x)
         ax, ay = _rows(np.array([a[:2] for a in anchors]))
         r_hat = np.array([a[2] for a in anchors])
-        ref = approx_derivative(loc._range_residuals, xy, method="2-point",
+        ref = approx_derivative(_numpy_residuals, xy, method="2-point",
                                 args=(ax, ay, r_hat))
         np.testing.assert_array_equal(loc._range_jacobian(xy, ax, ay, r_hat),
                                       ref.T)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# scales from 1e-300 to 1e300 in both signs, signed zeros, subnormals, the
+# smallest normal, values just below overflow, infinities and NaN
+_HYPOT_CORPUS = sorted({
+    *(s * m * 10.0 ** e for e in range(-300, 301, 20) for m in (1.0, 3.7)
+      for s in (1.0, -1.0)),
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, sys.float_info.min,
+    sys.float_info.max, -sys.float_info.max, 1.2e308, 8.98846567431158e307,
+    math.inf, -math.inf}, key=repr) + [math.nan]
+
+
+class TestFloatCallbacks:
+    def test_complex_abs_is_libm_hypot(self):
+        # the callbacks take hypot as abs(complex(dx, dy)): CPython computes
+        # it with the C library's hypot, which np.hypot calls too. Where that
+        # overflows, complex abs raises and np.hypot warns and gives inf
+        pairs = [(a, b) for a in _HYPOT_CORPUS for b in _HYPOT_CORPUS]
+        pairs += RngStream(3).generator().uniform(-1e3, 1e3, (20000, 2)).tolist()
+        overflowed = 0
+        for a, b in pairs:
+            with np.errstate(over="ignore"):
+                want = float(np.hypot(a, b))
+            try:
+                got = abs(complex(a, b))
+            except OverflowError:
+                overflowed += 1
+                assert want == math.inf and math.isfinite(a) \
+                    and math.isfinite(b)
+                continue
+            # NaN compares by kind: CPython returns its own quiet NaN
+            assert (_bits(got) == _bits(want)
+                    or (math.isnan(got) and math.isnan(want))), (a, b)
+        assert overflowed > 0
+        # math.hypot runs its own algorithm and differs in the last bit
+        assert sum(_bits(math.hypot(a, b)) != _bits(np.hypot(a, b))
+                   for a, b in pairs[-20000:]) > 0
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_callbacks_equal_numpy_forms(self, m):
+        rng = RngStream(5, m).generator()
+        for k in range(200):
+            scale = 10.0 ** rng.uniform(-1.0, 4.0)
+            ax, ay = rng.uniform(-scale, scale, (2, m))
+            r_hat = np.abs(rng.normal(scale, scale / 2, m))
+            xy = rng.uniform(-scale, scale, 2)
+            if k % 4 == 1:
+                xy[k % 2] = 0.0
+            elif k % 4 == 2:
+                xy = -np.abs(xy)
+            elif k % 4 == 3:
+                xy = np.array([0.0, -0.0]) if k % 8 == 3 else -np.abs(xy) / scale
+            rows = (ax.tolist(), ay.tolist(), r_hat.tolist())
+            assert _bits(loc._range_residuals(xy, *rows)) \
+                == _bits(_numpy_residuals(xy, ax, ay, r_hat))
+            assert _bits(loc._range_jacobian(xy, *rows)) \
+                == _bits(_numpy_jacobian(xy, ax, ay, r_hat))
+
+    def test_overflowing_hypot_returns_numpy_result(self):
+        # |(1.3e308, 1.3e308)| overflows: complex abs would raise
+        # OverflowError, and the callbacks give np.hypot's inf, and warn
+        rows = ([1.3e308, 0.0, 10.0], [1.3e308, 10.0, 0.0], [5.0, 6.0, 7.0])
+        xy = np.array([0.0, 1.0])
+        for callback, reference in ((loc._range_residuals, _numpy_residuals),
+                                    (loc._range_jacobian, _numpy_jacobian)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                got = callback(xy, *rows)
+                want = reference(xy, *rows)
+            assert _bits(got) == _bits(want)
+            assert any(issubclass(w.category, RuntimeWarning)
+                       and "overflow" in str(w.message) for w in seen)
+        assert math.isnan(got[0][0])  # inf - inf in the x column
+        with np.errstate(over="ignore"):
+            assert loc._range_residuals(xy, *rows)[0] == math.inf
 
 
 class TestSharedSearchGrid:
@@ -528,6 +639,20 @@ class TestLocalizationError:
 
 class TestCampaign:
     SCEN = loc.LocalizationScenario(n_users=100)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, 0, True])
+    def test_user_count_must_be_an_integer(self, n):
+        # 2.5 used to construct, and run_campaign then raised a raw TypeError
+        with pytest.raises(DomainError, match="n_users"):
+            loc.LocalizationScenario(n, 200.0)
+
+    @pytest.mark.parametrize("trials", [1.5, 0])
+    def test_trial_count_must_be_an_integer(self, trials):
+        # 0 used to return empty errors with a mean of NaN
+        plan = loc.AnchorPlan(3, 120.0, 200.0)
+        with pytest.raises(DomainError, match="trials_per_user"):
+            loc.run_campaign(self.SCEN, plan, TABLE_CH, RngStream(67),
+                             trials_per_user=trials)
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
     def test_user_area_radius_positive_and_finite(self, radius):

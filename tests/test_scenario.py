@@ -23,6 +23,7 @@ from a2gnet.heightmap import (MAX_SURFACE_M, HeightMap, load_ascii_grid,
                               save_ascii_grid)
 from a2gnet.mapsim import SITE_CSV_COLUMNS, save_sites_csv, site_on_roof
 from a2gnet.scenario import (_SITE_CSV_FIELDS, _SWEEP_AXIS_KEYS, _TOP_LEVEL,
+                             MAX_ANCHOR_POINTS, MAX_LOCALIZE_SOLVES,
                              MAX_MEAN_SITES, MAX_RANGE_M, SCHEMAS,
                              parse_scenario, serialize_scenario)
 
@@ -516,6 +517,54 @@ class TestTrialCeiling:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(yaml.safe_dump(make(10 ** 12)))
         assert exc.value.path == f"{block}.n_trials"
+
+
+# ---------------------------------------------------------------------------
+# The anchor and solve counts of a localize run have ceilings
+# ---------------------------------------------------------------------------
+
+def _localize(**keys):
+    return _doc("localize", localize=keys)
+
+
+class TestLocalizeCeilings:
+    # parse-only: nothing is run and no search grid is built
+
+    @pytest.mark.parametrize("keys,path", [
+        (dict(m_points=[3, MAX_ANCHOR_POINTS + 1]), "localize.m_points[1]"),
+        (dict(m_points=[10 ** 8]), "localize.m_points[0]"),
+        (dict(n_users=10 ** 12), "localize.n_users"),
+        (dict(trials_per_user=10 ** 12), "localize.trials_per_user"),
+    ])
+    def test_count_above_its_ceiling(self, keys, path):
+        with pytest.raises(ScenarioError, match="must be at most") as exc:
+            parse_scenario(yaml.safe_dump(_localize(**keys)))
+        assert exc.value.path == path
+
+    def test_counts_at_their_ceilings(self):
+        parse_scenario(yaml.safe_dump(_localize(
+            m_points=[MAX_ANCHOR_POINTS], n_users=MAX_LOCALIZE_SOLVES)))
+        parse_scenario(yaml.safe_dump(_localize(
+            trials_per_user=MAX_LOCALIZE_SOLVES, n_users=1)))
+
+    def test_solves_per_campaign(self):
+        users = 1000
+        at = MAX_LOCALIZE_SOLVES // users
+        parse_scenario(yaml.safe_dump(_localize(n_users=users,
+                                                trials_per_user=at)))
+        with pytest.raises(ScenarioError, match="solves per campaign") as exc:
+            parse_scenario(yaml.safe_dump(_localize(n_users=users,
+                                                    trials_per_user=at + 1)))
+        assert exc.value.path == "localize.n_users"
+
+    def test_exit_code(self, tmp_path, capsys):
+        scn = tmp_path / "run.yaml"
+        scn.write_text(yaml.safe_dump(_localize(n_users=10 ** 4,
+                                                trials_per_user=10 ** 4)))
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "localize.n_users: " in err and "Traceback" not in err
+        assert not (tmp_path / "localize.csv").exists()
 
 
 # ---------------------------------------------------------------------------
