@@ -28,8 +28,8 @@ from .antenna_geometry import ConeUav, OmniUav, SectorAntenna
 from .errors import DomainError, ModelGapError, ScenarioError
 from .heightmap import HeightMap, load_ascii_grid, save_ascii_grid, synthetic_city
 from .numerics import Nakagami, RngStream, dbm_to_watt
-from .scenario import (Scenario, load_scenario, validate_seed,
-                       validate_site_row)
+from .scenario import (Scenario, check_mapsim_rays, load_scenario,
+                       validate_seed, validate_site_row)
 
 FMT = "%.9g"
 
@@ -287,6 +287,8 @@ def _run_mapsim(s: Scenario, out_dir: Path):
                          x1 - x0, y1 - y0, auto["count"])]
         except DomainError as exc:
             raise ScenarioError(str(exc), "mapsim.auto_sites") from exc
+    check_mapsim_rays(len(sites), b["heights_m"], hm.nrows, hm.ncols,
+                      b["stride"])
     cfg = ms.MapSimConfig(frequency_hz=b["frequency_ghz"] * 1e9,
                           bandwidth_hz=b["bandwidth_mhz"] * 1e6,
                           noise_figure_db=b["noise_figure_db"],

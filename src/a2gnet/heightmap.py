@@ -6,15 +6,16 @@ segment is quadratic in the path parameter, so the LOS test evaluates the
 exact minimum of segment-minus-surface per patch interval instead of
 sampling; no dip between sample points can be missed. `los_mask` casts
 every ray from one site at once, to endpoints that broadcast over x, y and
-h, so one call covers every height over a raster: the surface and grid
-coordinates are taken once per (x, y) cell, and each batch of rays gathers
-its endpoints from broadcast views. The integer crossings of a batch's
-rays become one flat array of ray-patch intervals (Amanatides & Woo 1987),
-each interval's minimum is taken in closed form, and a ray is clear when
-none of its intervals is blocked. It reads a grid padded with one ring of
-edge heights, whose patches over the border ring are the clamped surface,
-so it needs no clamp branches. `los_check` is its one-ray form. A loaded
-grid's heights lie within +-MAX_SURFACE_M.
+h, so one call covers every height over a raster. A ray's patches do not
+depend on its height, so the geometry is built once per (x, y) cell and
+the clearance evaluated once per height: the integer crossings of a batch
+of cells become one flat array of ray-patch intervals (Amanatides & Woo
+1987) with each patch's surface polynomial, and then, per height, each
+interval's clearance minimum is taken in closed form and a ray is clear
+when none of its intervals is blocked. It reads a grid padded with one ring
+of edge heights, whose patches over the border ring are the clamped
+surface, so it needs no clamp branches. `los_check` is its one-ray form. A
+loaded grid's heights lie within +-MAX_SURFACE_M.
 """
 
 from __future__ import annotations
@@ -198,12 +199,12 @@ def save_ascii_grid(hm: HeightMap, path, fmt: str = "%.9g") -> None:
 # Exact line-of-sight over the bilinear surface
 # ---------------------------------------------------------------------------
 
-# Most ray-patch intervals one los_mask batch holds, and most rays it
-# screens at a time; it bounds the memory of a cast. On a 2-core Xeon, with
-# every height of a site in one cast, the bench mapsim study took
-# 0.049-0.056 s at 2**14 and 0.060-0.070 s at 2**15, at 1.5 MB less peak
-# RSS (5 alternating pairs). With one cast per height, the mapsim_city
-# scenario at stride 1 took 4.6-5.5 s at 2**15 and 8.3-8.8 s at 2**20.
+# Most ray-patch intervals one los_mask batch holds, and most cells it
+# screens at a time; it bounds the memory of a cast. On a 2-core Xeon the
+# mapsim_city scenario at stride 1 (one cast per site over 7 heights) took
+# 0.96-1.28 s at 2**14, 0.85-0.97 s at 2**15 and 1.19-1.90 s at 2**13, at
+# 47-50 MB peak RSS for each (4 runs each, in-process); a bench mapsim
+# city's 25 cells per site fit one batch at any of them.
 _BATCH_INTERVALS = 1 << 14
 
 
@@ -214,49 +215,52 @@ def los_mask(a: Position3D, x, y, h, hm: HeightMap) -> np.ndarray:
     everywhere. Endpoints at or below the surface count as obstructed, and
     a ray over a no-data patch is obstructed. Exact per patch: the
     clearance is quadratic in t on each interval, so its minimum is
-    evaluated in closed form. x, y and h broadcast against each other; the
-    surface and grid coordinates are taken once per (x, y) cell, so many
-    heights over one raster cost no more memory than booleans of the
-    result's shape.
+    evaluated in closed form. x, y and h broadcast against each other, and
+    the axes along which x and y both have size 1 are heights. The surface
+    and grid coordinates are taken once per (x, y) cell, the ray-patch
+    geometry is built once per cell that is open at any height, and each
+    height's clearance is evaluated on it; so many heights over one raster
+    cost no more memory than booleans of the result's shape.
     """
     x, y, h = (np.asarray(v, dtype=float) for v in (x, y, h))
     shape = np.broadcast_shapes(x.shape, y.shape, h.shape)
     x, y = np.broadcast_arrays(x, y)
+    cells = (1,) * (len(shape) - x.ndim) + x.shape
+    heights = [k for k in range(len(shape)) if cells[k] == 1]
+    # heights first, then the (x, y) cells in their own order
+    order = heights + [k for k in range(len(shape)) if cells[k] != 1]
     px = np.append(x.ravel(), a.x)  # the site last
     py = np.append(y.ravel(), a.y)
     if not hm.contains(px, py):
         raise DomainError("line-of-sight endpoints must lie inside the map")
     surface = hm.surface_at(px, py)
-    # written so that a NaN surface (next to no-data) does not block; C
-    # order, so that flat below is a view, and a scalar is cast as one ray
-    clear = np.empty(shape or (1,), dtype=bool)
-    np.logical_not((a.h <= surface[-1]) | (h <= surface[:-1].reshape(x.shape)),
-                   out=clear)
+    clear = np.empty([shape[k] for k in order], dtype=bool)
+    flat = clear.reshape(math.prod(shape[k] for k in heights), x.size)
+    h = np.broadcast_to(h, shape).transpose(order).reshape(flat.shape)
+    # written so that a NaN surface (next to no-data) does not block
+    np.logical_not((a.h <= surface[-1]) | (h <= surface[:-1]), out=flat)
 
     inv = 1.0 / hm.cellsize
     u0 = (a.x - hm.xllcorner) * inv - 0.5
     v0 = (a.y - hm.yllcorner) * inv - 0.5
-    # per (x, y) cell, read for each ray through views of the full shape
-    u1 = np.broadcast_to(
-        ((px[:-1] - hm.xllcorner) * inv - 0.5).reshape(x.shape), clear.shape)
-    v1 = np.broadcast_to(
-        ((py[:-1] - hm.yllcorner) * inv - 0.5).reshape(x.shape), clear.shape)
-    h = np.broadcast_to(h, clear.shape)
-    flat = clear.reshape(-1)
+    u1 = (px[:-1] - hm.xllcorner) * inv - 0.5
+    v1 = (py[:-1] - hm.yllcorner) * inv - 0.5
     # a ray has at most 2 + ncols + nrows parameters
     step = max(1, _BATCH_INTERVALS // (2 + hm.ncols + hm.nrows))
-    for c in range(0, flat.size, _BATCH_INTERVALS):
-        rays = np.flatnonzero(flat[c:c + _BATCH_INTERVALS]) + c
-        for s in range(0, rays.size, step):
-            b = rays[s:s + step]
-            at = np.unravel_index(b, clear.shape)
-            ub, vb, dz = u1[at], v1[at], h[at] - a.h
+    for c in range(0, x.size, _BATCH_INTERVALS):
+        open_cells = np.flatnonzero(
+            flat[:, c:c + _BATCH_INTERVALS].any(axis=0)) + c
+        for s in range(0, open_cells.size, step):
+            b = open_cells[s:s + step]
+            ub, vb = u1[b], v1[b]
             ts = np.sort(np.hstack([np.tile([0.0, 1.0], (b.size, 1)),
                                     _crossings(u0, ub), _crossings(v0, vb)]),
                          axis=1)
-            flat[b] = ~_blocked(a, u0, v0, ub - u0, vb - v0, dz, ts,
-                                hm._padded_grid)
-    return clear.reshape(shape)
+            geometry = _geometry(u0, v0, ub - u0, vb - v0, ts,
+                                 hm._padded_grid)
+            for k in range(flat.shape[0]):
+                flat[k, b[_blocked(a, h[k, b] - a.h, geometry)]] = False
+    return clear.transpose(np.argsort(order))
 
 
 def _crossings(p0, p1):
@@ -273,53 +277,65 @@ def _crossings(p0, p1):
                      out=np.ones(ok.shape), where=ok)
 
 
-# _blocked runs in stages (_patches, _clearance) so that each stage's
+# _geometry runs in stages (_patches, _surface) so that each stage's
 # interval arrays are freed when it returns. A batch's peak memory is what
 # the allocator hands back to the OS after the batch and faults in again
-# on the next: at stride 1 the mapsim_city scenario took 820k minor page
-# faults with one stage and 432k with three.
-def _blocked(a, u0, v0, du, dv, dz, ts, g):
-    """Per ray, whether any interval between its sorted parameters ts is
-    over no-data or has a clearance minimum <= 0."""
+# on the next: when each height built its own geometry, the mapsim_city
+# scenario at stride 1 took 820k minor page faults with one stage and 432k
+# with three.
+def _geometry(u0, v0, du, dv, ts, g):
+    """The height-independent part of a batch's rays, per interval between
+    each ray's sorted parameters ts: its ray, start t_lo and span, whether
+    its patch touches no-data, the surface s(tau) = c0 + c1 tau + c2 tau^2
+    along it (tau = t - t_lo) as c0 and c1 with the clearance's curvature
+    g2 = -c2, the term g2 span^2, and the convex intervals with their g2
+    and span."""
     t_lo, t_hi = ts[:, :-1], ts[:, 1:]
     keep = ~(t_hi - t_lo < 1e-15)
     ray = np.nonzero(keep)[0]
     t_lo, t_hi = t_lo[keep], t_hi[keep]
-    nodata, g0, g1, g2 = _clearance(a, u0, v0, du[ray], dv[ray], dz[ray],
-                                    t_lo, t_hi, g)
+    nodata, c0, c1, c2 = _surface(u0, v0, du[ray], dv[ray], t_lo, t_hi, g)
     span = t_hi - t_lo
-    gmin = np.minimum(g0, g0 + g1 * span + g2 * span * span)
+    g2 = -c2
+    conv = np.flatnonzero(g2 > 0)
+    return (ray, t_lo, span, nodata, c0, c1, g2 * span * span,
+            conv, g2[conv], span[conv])
+
+
+def _blocked(a, dz, geometry):
+    """The batch's rays, with repeats, that have an interval over no-data
+    or with a clearance minimum <= 0, when each ray climbs dz from a.h: the
+    clearance is g(tau) = g0 + g1 tau + g2 tau^2."""
+    ray, t_lo, span, nodata, c0, c1, g2_span2, conv, g2c, span_c = geometry
+    dz = dz[ray]
+    g0 = a.h + t_lo * dz - c0
+    g1 = dz - c1
+    gmin = np.minimum(g0, g0 + g1 * span + g2_span2)
     # convex clearance: an interior vertex can dip lower. A vertex that
     # overflows (g2 subnormal) lies far outside (0, span) either way.
-    conv = np.flatnonzero(g2 > 0)
     with np.errstate(over="ignore"):
-        tv = -g1[conv] / (2.0 * g2[conv])
-    inside = (0.0 < tv) & (tv < span[conv])
-    conv, tv = conv[inside], tv[inside]
-    gmin[conv] = np.minimum(gmin[conv],
-                            g0[conv] + g1[conv] * tv + g2[conv] * tv * tv)
+        tv = -g1[conv] / (2.0 * g2c)
+    inside = (0.0 < tv) & (tv < span_c)
+    sel, tv = conv[inside], tv[inside]
+    gmin[sel] = np.minimum(gmin[sel],
+                           g0[sel] + g1[sel] * tv + g2c[inside] * tv * tv)
 
-    blocked = np.zeros(ts.shape[0], dtype=bool)
-    blocked[ray[nodata | (gmin <= 0.0)]] = True
-    return blocked
+    return ray[nodata | (gmin <= 0.0)]
 
 
-def _clearance(a, u0, v0, du, dv, dz, t_lo, t_hi, g):
-    """Per interval, whether its patch touches no-data, and the clearance
-    g(tau) = g0 + g1 tau + g2 tau^2 of the segment over the bilinear
-    surface, tau = t - t_lo."""
+def _surface(u0, v0, du, dv, t_lo, t_hi, g):
+    """Per interval, whether its patch touches no-data, and the bilinear
+    surface along the segment, s(tau) = c0 + c1 tau + c2 tau^2 with
+    tau = t - t_lo, as (nodata, c0, c1, c2)."""
     h00, h10, h01, h11, fu0, fv0 = _patches(u0, v0, du, dv, t_lo, t_hi, g)
     nodata = np.isnan(h00) | np.isnan(h10) | np.isnan(h01) | np.isnan(h11)
-    # surface along the segment: s(tau) = c0 + c1 tau + c2 tau^2, from the
-    # bilinear form
     bx = h10 - h00
     by = h01 - h00
     bxy = h11 - h10 - h01 + h00
     c0 = h00 + bx * fu0 + by * fv0 + bxy * fu0 * fv0
     c1 = bx * du + by * dv + bxy * (fu0 * dv + fv0 * du)
     c2 = bxy * du * dv
-    z0 = a.h + t_lo * dz
-    return nodata, z0 - c0, dz - c1, -c2
+    return nodata, c0, c1, c2
 
 
 def _patches(u0, v0, du, dv, t_lo, t_hi, g):

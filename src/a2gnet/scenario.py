@@ -110,6 +110,16 @@ MAX_ANCHOR_POINTS = 1000
 # two errors (about 80 bytes of lists and arrays) and takes under 1 ms at 3-5
 # anchors, so a campaign at this ceiling holds 80 MB and runs for minutes
 MAX_LOCALIZE_SOLVES = 10 ** 6
+# solves in one localize run, its (altitude, radius, m_points) campaigns
+# together: a solve takes 0.3-0.6 ms (the shipped run and the bench), so a
+# run at this ceiling takes one to two hours; the shipped run makes 3000
+MAX_LOCALIZE_RUN_SOLVES = 10 ** 7
+# rays one mapsim run casts, sites x heights x strided cells: los_mask takes
+# 3 us a ray at one height and 1.0-1.6 us at 7-28 heights (2-core Xeon, the
+# shipped city at stride 1), so a run at this ceiling casts for 2-5 minutes,
+# and its LOS masks hold a byte a ray (100 MB); the shipped run casts 31500
+# rays, and 504000 at stride 1
+MAX_MAPSIM_RAYS = 10 ** 8
 
 
 # every environment key, bounded once: building P_LOS and the synthetic
@@ -611,17 +621,42 @@ def parse_scenario(text: str) -> Scenario:
                 f"times trials_per_user gives more than "
                 f"{MAX_LOCALIZE_SOLVES:g} solves per campaign",
                 "localize.n_users")
+        if (len(b["altitudes_m"]) * len(b["radii_m"]) * len(b["m_points"])
+                * b["n_users"] * b["trials_per_user"]
+                > MAX_LOCALIZE_RUN_SOLVES):
+            raise ScenarioError(
+                f"times altitudes_m, m_points, n_users and trials_per_user "
+                f"gives more than {MAX_LOCALIZE_RUN_SOLVES:g} solves per run",
+                "localize.radii_m")
     if command == "mapsim":
-        syn = params["mapsim"]["synthetic"]
+        b = params["mapsim"]
+        syn = b["synthetic"]
         try:
-            synthetic_cells(syn["extent_m"], syn["cellsize_m"])
+            n = synthetic_cells(syn["extent_m"], syn["cellsize_m"])
         except DomainError as exc:
             raise ScenarioError(str(exc), "mapsim.synthetic.cellsize_m") from exc
+        if b["heightmap"] is None:
+            # a site CSV holds at least one site
+            check_mapsim_rays(b["auto_sites"]["count"]
+                              if b["sites_csv"] is None else 1,
+                              b["heights_m"], n, n, b["stride"])
     for path, reason in _unread(doc, schema, _swept_key(doc)):
         if _lookup(raw, path) is not None:
             raise ScenarioError(reason, path)
     return Scenario(command=command, seed=doc["seed"], output=doc["output"],
                     params=params)
+
+
+def check_mapsim_rays(sites: int, heights, nrows: int, ncols: int,
+                      stride: int):
+    """Reject a mapsim run on an nrows x ncols map that casts more than
+    MAX_MAPSIM_RAYS rays, naming mapsim.heights_m."""
+    ny, nx = -(-nrows // stride), -(-ncols // stride)
+    if sites * len(heights) * ny * nx > MAX_MAPSIM_RAYS:
+        raise ScenarioError(
+            f"times {sites} site(s) and {ny} x {nx} cells at stride {stride} "
+            f"gives more than {MAX_MAPSIM_RAYS:g} rays per run",
+            "mapsim.heights_m")
 
 
 def _read_only(tree: dict, unread: set, path: str = "") -> dict:

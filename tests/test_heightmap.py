@@ -504,13 +504,13 @@ class TestLosMaskDifferential:
         site = Position3D(61.0, 59.0, city.surface_at(61.0, 59.0) + 5.0)
         xx, yy = np.meshgrid(*city.cell_centers())
         batches = []
-        real = heightmap._blocked
+        real = heightmap._geometry
 
         def counting(*args):
             batches.append(1)
             return real(*args)
 
-        monkeypatch.setattr(heightmap, "_blocked", counting)
+        monkeypatch.setattr(heightmap, "_geometry", counting)
         monkeypatch.setattr(heightmap, "_BATCH_INTERVALS", 1 << 30)
         one = [los_mask(site, xx, yy, h, city) for h in (1.5, 30.0)]
         assert len(batches) == 2
@@ -520,6 +520,78 @@ class TestLosMaskDifferential:
         for a, b in zip(split, one):
             assert np.array_equal(a, b)
             assert 0 < b.sum() < b.size
+
+
+def _assert_cast_matches(hm, site, x, y, h):
+    """One los_mask cast over heights h[k] (its leading axis, along which x
+    and y have size 1) equals reference_los per endpoint and the one-height
+    casts."""
+    cast = los_mask(site, x, y, h, hm)
+    ex, ey, eh = np.broadcast_arrays(x, y, h)
+    assert cast.shape == ex.shape
+    with np.errstate(over="ignore"):  # the reference's vertex can overflow
+        want = [reference_los(site, Position3D(*e), hm)
+                for e in zip(ex.ravel(), ey.ravel(), eh.ravel())]
+    assert cast.ravel().tolist() == want
+    for hk, mask in zip(h, cast):
+        one = los_mask(site, x, y, hk, hm)
+        assert np.array_equal(mask, one.reshape(mask.shape))
+    return cast
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMixedEarlyDecisions:
+    """A multi-height cast whose rays from one (x, y) cell take different
+    paths: closed at the endpoint at some heights and cast at others, or
+    crossing no-data that only some cells' rays reach."""
+
+    def test_endpoint_under_roof_at_low_heights_only(self):
+        heights = np.zeros((8, 8))
+        heights[2:5, 2:5] = 12.0
+        heights[6, 6] = 20.0
+        hm = HeightMap(heights, cellsize=3.0)
+        site = Position3D(19.5, 4.5, 25.0)   # on the 20 m roof
+        xx, yy = np.meshgrid(*hm.cell_centers())
+        levels = np.array([0.0, 6.0, 12.0, 12.5, 30.0])
+        cast = _assert_cast_matches(hm, site, xx, yy, levels[:, None, None])
+        under = hm.surface_at(xx, yy) >= 6.0
+        # closed at the endpoint at 6 m, cast and clear at 30 m
+        assert np.any(under & ~cast[1] & cast[-1])
+        assert not cast[0].any()
+        assert 0 < cast[1].sum() < cast[-1].sum()
+
+    def test_nodata_crossed_by_some_rays(self):
+        heights = np.full((8, 8), 2.0)
+        heights[3, 5] = np.nan
+        hm = HeightMap(heights, cellsize=2.0, xllcorner=-7.0, yllcorner=4.0)
+        site = _world(hm, 0.0, 0.0, 7.0)
+        xx, yy = np.meshgrid(*hm.cell_centers())
+        levels = np.array([1.5, 10.0, 50.0])
+        cast = _assert_cast_matches(hm, site, xx, yy, levels[:, None, None])
+        # over a 2 m plain only no-data blocks a ray from 7 m to 50 m
+        assert 0 < cast[-1].sum() < cast[-1].size
+        assert np.array_equal(cast[1], cast[-1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_heights_vary_along_cells(self, seed):
+        rng = np.random.default_rng(seed)
+        hm = _random_map(rng)
+        site = _world(hm, _random_coord(rng, hm.ncols),
+                      _random_coord(rng, hm.nrows),
+                      float(rng.uniform(10.0, 25.0)))
+        n, m = 40, 6
+        u = rng.uniform(-0.5, hm.ncols - 0.5, n)
+        v = rng.uniform(-0.5, hm.nrows - 0.5, n)
+        x = hm.xllcorner + (u + 0.5) * hm.cellsize
+        y = hm.yllcorner + (v + 0.5) * hm.cellsize
+        h = rng.uniform(0.0, 30.0, (m, n))
+        h[0] = hm.surface_at(x, y)                 # on the surface
+        cast = _assert_cast_matches(hm, site, x[None], y[None], h)
+        assert cast.shape == (m, n)
+        assert not cast[0].any()
+        # the height axis last, as x and y of shape (n, 1)
+        assert np.array_equal(los_mask(site, x[:, None], y[:, None], h.T, hm),
+                              cast.T)
 
 
 class TestCastOverHeights:

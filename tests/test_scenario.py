@@ -21,9 +21,11 @@ from a2gnet.cli import main, run_scenario
 from a2gnet.errors import ScenarioError
 from a2gnet.heightmap import (MAX_SURFACE_M, HeightMap, load_ascii_grid,
                               save_ascii_grid)
+from a2gnet import mapsim as ms
 from a2gnet.mapsim import SITE_CSV_COLUMNS, save_sites_csv, site_on_roof
 from a2gnet.scenario import (_SITE_CSV_FIELDS, _SWEEP_AXIS_KEYS, _TOP_LEVEL,
-                             MAX_ANCHOR_POINTS, MAX_LOCALIZE_SOLVES,
+                             MAX_ANCHOR_POINTS, MAX_LOCALIZE_RUN_SOLVES,
+                             MAX_LOCALIZE_SOLVES, MAX_MAPSIM_RAYS,
                              MAX_MEAN_SITES, MAX_RANGE_M, SCHEMAS,
                              parse_scenario, serialize_scenario)
 
@@ -557,6 +559,31 @@ class TestLocalizeCeilings:
                                                     trials_per_user=at + 1)))
         assert exc.value.path == "localize.n_users"
 
+    def test_solves_per_run(self):
+        # every campaign within its own ceiling: 4e13 solves in all
+        with pytest.raises(ScenarioError, match="solves per run") as exc:
+            parse_scenario(yaml.safe_dump(_localize(
+                m_points=[3, 4], radii_m=[50.0 + k for k in range(20000)],
+                altitudes_m=[100.0 + k for k in range(1000)],
+                n_users=1000, trials_per_user=1000)))
+        assert exc.value.path == "localize.radii_m"
+        radii = MAX_LOCALIZE_RUN_SOLVES // MAX_LOCALIZE_SOLVES
+        at = dict(m_points=[3], n_users=1000,
+                  trials_per_user=MAX_LOCALIZE_SOLVES // 1000)
+        parse_scenario(yaml.safe_dump(_localize(
+            radii_m=[100.0] * radii, **at)))
+        with pytest.raises(ScenarioError, match="solves per run") as exc:
+            parse_scenario(yaml.safe_dump(_localize(
+                radii_m=[100.0] * radii, altitudes_m=[100.0, 200.0], **at)))
+        assert exc.value.path == "localize.radii_m"
+
+    def test_shipped_run_far_inside(self):
+        b = parse_scenario((SCENARIOS / "localize.yaml").read_text()).params[
+            "localize"]
+        solves = (len(b["altitudes_m"]) * len(b["radii_m"])
+                  * len(b["m_points"]) * b["n_users"] * b["trials_per_user"])
+        assert solves * 1000 <= MAX_LOCALIZE_RUN_SOLVES
+
     def test_exit_code(self, tmp_path, capsys):
         scn = tmp_path / "run.yaml"
         scn.write_text(yaml.safe_dump(_localize(n_users=10 ** 4,
@@ -565,6 +592,67 @@ class TestLocalizeCeilings:
         err = capsys.readouterr().err
         assert "localize.n_users: " in err and "Traceback" not in err
         assert not (tmp_path / "localize.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# The rays of a mapsim run have a ceiling
+# ---------------------------------------------------------------------------
+
+class TestMapsimRayCeiling:
+    # nothing here casts a ray
+
+    def test_many_heights_on_a_large_city(self):
+        # 9 sites x 10^5 heights x (4096 / 4)^2 cells: about 1e12 rays
+        heights = ", ".join(str(1.5 + k * 1e-3) for k in range(10 ** 5))
+        text = ("command: mapsim\nmapsim:\n"
+                "  synthetic: {extent_m: 16384, cellsize_m: 4}\n"
+                "  auto_sites: {count: 9}\n"
+                f"  heights_m: [{heights}]\n")
+        with pytest.raises(ScenarioError, match="rays per run") as exc:
+            parse_scenario(text)
+        assert exc.value.path == "mapsim.heights_m"
+
+    @pytest.mark.parametrize("sites_csv", [False, True])
+    def test_at_and_above(self, sites_csv):
+        # 1000 cells a side at stride 4: 250^2 strided cells
+        heights = MAX_MAPSIM_RAYS // 250 ** 2
+        block = {"synthetic": {"extent_m": 4000, "cellsize_m": 4}}
+        if sites_csv:   # one site at least
+            block["sites_csv"] = "sites.csv"
+        else:
+            block["auto_sites"] = {"count": 1}
+        parse_scenario(yaml.safe_dump(_mapsim(
+            **block, heights_m=[10.0] * heights)))
+        with pytest.raises(ScenarioError, match="rays per run") as exc:
+            parse_scenario(yaml.safe_dump(_mapsim(
+                **block, heights_m=[10.0] * (heights + 1))))
+        assert exc.value.path == "mapsim.heights_m"
+
+    def test_shipped_run_far_inside(self):
+        b = parse_scenario((SCENARIOS / "mapsim_city.yaml").read_text()).params[
+            "mapsim"]
+        n = b["synthetic"]["extent_m"] / b["synthetic"]["cellsize_m"]
+        # at stride 1
+        assert b["auto_sites"]["count"] * len(b["heights_m"]) * n * n * 100 \
+            <= MAX_MAPSIM_RAYS
+
+    def test_file_heightmap_exits_before_a_cast(self, tmp_path, capsys,
+                                                monkeypatch):
+        def no_cast(*args):
+            raise AssertionError("a ray was cast")
+
+        monkeypatch.setattr(ms, "los_mask", no_cast)
+        save_ascii_grid(HeightMap(np.full((100, 100), 3.0), cellsize=2.0),
+                        tmp_path / "city.asc")
+        heights = MAX_MAPSIM_RAYS // (9 * 100 * 100) + 1
+        scn = tmp_path / "run.yaml"
+        scn.write_text(yaml.safe_dump(_mapsim(
+            heightmap=str(tmp_path / "city.asc"), stride=1,
+            auto_sites={"count": 9}, heights_m=[10.0] * heights)))
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "mapsim.heights_m: " in err and "Traceback" not in err
+        assert not (tmp_path / "mapsim_summary.csv").exists()
 
 
 # ---------------------------------------------------------------------------
