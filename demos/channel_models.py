@@ -57,7 +57,8 @@ def main():
     pl = [ch.log_distance_pl_db(math.hypot(D_H, h_uav - H_BS), lambda0, eta)
           for eta in (2.0, 3.5)]
     p_los = ch.p_los_3gpp(D_H, h_uav, ch.slice_of(h_uav, ENV))
-    loss, flags = ch.sample_link_loss_db(pl, (4.0, 6.0), p_los, RngStream(7),
+    loss, flags = ch.sample_link_loss_db(pl, (4.0, 6.0), p_los,
+                                         RngStream(7).child_generator(),
                                          fading=Nakagami(3), n=20000)
     print(f"  mean loss {np.mean(loss):.1f} dB, LOS fraction "
           f"{np.mean(flags):.3f} (model {p_los:.3f})")

@@ -14,7 +14,8 @@ ENV = ch.dense_urban()
 
 
 def main():
-    city = synthetic_city(480.0, 4.0, ENV, RngStream(12), min_height_m=4.0)
+    city = synthetic_city(480.0, 4.0, ENV, RngStream(12).child_generator(),
+                          min_height_m=4.0)
     stats = building_stats(city, 4.0)
     print(f"Synthetic city: {city.ncols}x{city.nrows} cells at "
           f"{city.cellsize:.0f} m, mean building {stats.mean_height_m:.1f} m, "

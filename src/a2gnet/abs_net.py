@@ -285,7 +285,9 @@ def coverage_radius(h_abs_m: float, p_tx_w: float, epsilon: float,
     return CoverageRadius(float(r))
 
 
-_ALTITUDE_METRICS = {"power_gain", "sum_rate_gain", "coverage_radius"}
+# each metric of optimize_altitude and the arguments it needs
+_ALTITUDE_METRICS = {"power_gain": ("design",), "sum_rate_gain": ("design",),
+                     "coverage_radius": ("p_tx_w", "epsilon")}
 
 
 def optimize_altitude(metric: str, prof: AbsProfile, grid: Sequence[float],
@@ -298,6 +300,11 @@ def optimize_altitude(metric: str, prof: AbsProfile, grid: Sequence[float],
     """
     if metric not in _ALTITUDE_METRICS:
         raise DomainError(f"unknown metric {metric!r}")
+    given = {"design": design, "p_tx_w": p_tx_w, "epsilon": epsilon}
+    missing = [name for name in _ALTITUDE_METRICS[metric]
+               if given[name] is None]
+    if missing:
+        raise DomainError(f"{metric} needs {' and '.join(missing)}")
     grid = sorted(float(h) for h in grid)
     if not grid:
         raise DomainError("altitude grid must be nonempty")

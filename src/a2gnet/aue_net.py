@@ -51,9 +51,7 @@ from .errors import DomainError
 from .numerics import (
     FadingModel,
     Nakagami,
-    RngLike,
     RngStream,
-    as_generator,
     chebyshev_capacity_nodes,
     dbm_to_watt,
     sample_fading,
@@ -147,12 +145,12 @@ def _sites_from_uniforms(cfg: AueNetworkConfig,
                            sector_azimuth=rotation[:, None] + SECTOR_OFFSETS)
 
 
-def deploy_hppp(cfg: AueNetworkConfig, rng: RngLike) -> NetworkSnapshot:
+def deploy_hppp(cfg: AueNetworkConfig,
+                rng: np.random.Generator) -> NetworkSnapshot:
     """Draw a Poisson number of sites uniformly in the simulation disc."""
-    gen = as_generator(rng)
     lam = mean_site_count(cfg.bs_density_per_km2, cfg.region_radius_m)
-    n = int(gen.poisson(lam))
-    return _sites_from_uniforms(cfg, gen.random(3 * n).reshape(3, n))
+    n = int(rng.poisson(lam))
+    return _sites_from_uniforms(cfg, rng.random(3 * n).reshape(3, n))
 
 
 @dataclass(frozen=True)
@@ -174,11 +172,10 @@ class LinkDraw:
 
 
 def draw_links(snap: NetworkSnapshot, cfg: AueNetworkConfig,
-               rng: RngLike) -> LinkDraw:
-    gen = as_generator(rng)
+               rng: np.random.Generator) -> LinkDraw:
     n = snap.n_sites
-    return LinkDraw(gen.random(n), sample_fading(cfg.fading_los, gen, n),
-                    sample_fading(cfg.fading_nlos, gen, n))
+    return LinkDraw(rng.random(n), sample_fading(cfg.fading_los, rng, n),
+                    sample_fading(cfg.fading_nlos, rng, n))
 
 
 @dataclass(frozen=True)
@@ -307,7 +304,7 @@ def _ue_stage(block: _SiteBlock, stage: _SiteStage, cfg: AueNetworkConfig):
 
 
 def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
-                  rng: RngLike) -> SnapshotSinr:
+                  rng: np.random.Generator) -> SnapshotSinr:
     """SINR of a UE at (x, y, h) against one snapshot: draws the snapshot's
     LOS uniforms and fading gains from `rng`, then evaluates them."""
     x, y, h = uav_xyh

@@ -27,8 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ApplicabilityError, DomainError, ModelGapError, OutOfEnvelopeError
-from .numerics import (FadingModel, RngLike, as_generator, sample_fading,
-                       sample_shadowing_db)
+from .numerics import FadingModel, sample_fading, sample_shadowing_db
 
 SPEED_OF_LIGHT = 299_792_458.0
 # the 3GPP 40*pi*f/3 idiom embeds c = 3e8; the breakpoint uses the same
@@ -114,7 +113,6 @@ class PropagationSlice(Enum):
     GROUND = "ground"
     OBSTRUCTED = "obstructed"
     HIGH_ALTITUDE = "high_altitude"
-    AIR_TO_AIR = "air_to_air"
 
 
 def slice_of(h_uav_m: float, env: Environment) -> PropagationSlice:
@@ -361,8 +359,6 @@ def slice_pl_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz, env: Environment, los: bool,
         if los:
             return rma_ground_los_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz)
         return rma_ground_nlos_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz, env)
-    if slice_ is PropagationSlice.AIR_TO_AIR:
-        raise DomainError("air-to-air links use the free-space model")
     return (aerial_los_db if los else aerial_nlos_db)(d_3d_m, h_uav_m, f_c_ghz)
 
 
@@ -496,7 +492,7 @@ def log_distance_from_preset(name: str, frequency_hz: float = None, *,
                        d0_m, sigma_db)
 
 
-def sample_link_loss_db(pl_db, sigma_db, p_los: float, rng: RngLike,
+def sample_link_loss_db(pl_db, sigma_db, p_los: float, rng: np.random.Generator,
                         fading: FadingModel = None, fading_nlos: FadingModel = None,
                         n: int = None):
     """Draw total link loss H = PL + X_LS - 10 log10(X_SS) and the LOS flag.
@@ -510,9 +506,8 @@ def sample_link_loss_db(pl_db, sigma_db, p_los: float, rng: RngLike,
     """
     if not 0.0 <= p_los <= 1.0:
         raise DomainError("LOS probability must be in [0, 1]")
-    gen = as_generator(rng)
     size = n if n is not None else 1
-    flags = gen.random(size) < p_los
+    flags = rng.random(size) < p_los
     loss = np.empty(size, dtype=float)
     for state, pl, sigma, model in ((True, pl_db[0], sigma_db[0], fading),
                                     (False, pl_db[1], sigma_db[1],
@@ -520,9 +515,9 @@ def sample_link_loss_db(pl_db, sigma_db, p_los: float, rng: RngLike,
         idx = np.nonzero(flags == state)[0]
         if idx.size == 0:
             continue
-        shad = sample_shadowing_db(sigma, gen, idx.size)
+        shad = sample_shadowing_db(sigma, rng, idx.size)
         if model is not None:
-            gains = sample_fading(model, gen, idx.size)
+            gains = sample_fading(model, rng, idx.size)
             fade_db = -10.0 * np.log10(gains)
         else:
             fade_db = 0.0

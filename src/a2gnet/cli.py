@@ -268,7 +268,7 @@ def _run_mapsim(s: Scenario, out_dir: Path):
         syn = b["synthetic"]
         hm = synthetic_city(syn["extent_m"], syn["cellsize_m"],
                             _environment(syn["environment"]),
-                            RngStream(s.seed, 1000),
+                            RngStream(s.seed, 1000).child_generator(),
                             min_height_m=syn["min_height_m"])
     if b["sites_csv"] is not None:
         sites = _read_input(lambda path: _load_sites(path, hm),

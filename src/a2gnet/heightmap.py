@@ -29,7 +29,6 @@ import numpy as np
 
 from .antenna_geometry import Position3D
 from .errors import DomainError, GridParseError
-from .numerics import RngLike, as_generator
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
                 "nodata_value")
@@ -416,7 +415,8 @@ def synthetic_cells(extent_m: float, cellsize_m: float) -> int:
 
 
 def synthetic_city(extent_m: float, cellsize_m: float, env_or_stats,
-                   rng: RngLike, min_height_m: float = 0.0) -> HeightMap:
+                   rng: np.random.Generator,
+                   min_height_m: float = 0.0) -> HeightMap:
     """Manhattan-grid city: square buildings on a regular lattice.
 
     Lattice pitch and footprint follow the building statistics: xi
@@ -428,7 +428,6 @@ def synthetic_city(extent_m: float, cellsize_m: float, env_or_stats,
     xi = env_or_stats.xi
     omega = env_or_stats.omega
     n = synthetic_cells(extent_m, cellsize_m)
-    gen = as_generator(rng)
     heights = np.zeros((n, n))
     pitch = 1000.0 / math.sqrt(xi)
     side = pitch * math.sqrt(varsigma)
@@ -437,7 +436,7 @@ def synthetic_city(extent_m: float, cellsize_m: float, env_or_stats,
         for bj in range(n_blocks):
             cx = (bi + 0.5) * pitch
             cy = (bj + 0.5) * pitch
-            h = max(gen.rayleigh(omega), min_height_m)
+            h = max(rng.rayleigh(omega), min_height_m)
             j0 = int((cx - side / 2) / cellsize_m)
             j1 = int(math.ceil((cx + side / 2) / cellsize_m))
             i0 = int((cy - side / 2) / cellsize_m)

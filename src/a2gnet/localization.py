@@ -21,8 +21,7 @@ import numpy as np
 from .antenna_geometry import Position3D
 from .errors import DomainError
 # optimize is unused here; bench/tracing.py proxies it on traced runs
-from .numerics import (RngLike, RngStream, as_generator, minpack, optimize,
-                       sample_shadowing_db)
+from .numerics import RngStream, minpack, optimize, sample_shadowing_db
 
 
 def _check_count(value, name: str, least: int):
@@ -118,7 +117,8 @@ class LocalizationScenario:
 
 
 def sample_rss_distance(true_d_m: float, theta_rad: float, ch: ElevationChannel,
-                        rng: RngLike, force_state: Optional[bool] = None):
+                        rng: np.random.Generator,
+                        force_state: Optional[bool] = None):
     """Draw one range estimate: (d_hat, los_flag).
 
     The RSS perturbation N(0, sigma_j^2) dB inverts through the same
@@ -128,12 +128,11 @@ def sample_rss_distance(true_d_m: float, theta_rad: float, ch: ElevationChannel,
         raise DomainError("true_d_m must be positive and finite")
     if not math.isfinite(theta_rad):
         raise DomainError("theta_rad must be finite")
-    gen = as_generator(rng)
     if force_state is None:
-        los = bool(gen.random() < ch.p_los(theta_rad))
+        los = bool(rng.random() < ch.p_los(theta_rad))
     else:
         los = bool(force_state)
-    x_db = sample_shadowing_db(float(ch.sigma_db(theta_rad, los)), gen)
+    x_db = sample_shadowing_db(float(ch.sigma_db(theta_rad, los)), rng)
     eta = ch.eta_los if los else ch.eta_nlos
     return true_d_m * 10.0 ** (x_db / (10.0 * eta)), los
 

@@ -94,11 +94,6 @@ def site_from_row(vals: Dict[str, float]) -> SectorSite:
         antenna=ant)
 
 
-def load_sites_csv(path) -> List[SectorSite]:
-    """Site list: x,y,roof_h,p_tx_dbm,azimuth0_deg,tilt_deg,max_gain_dbi,beamwidth_deg."""
-    return [site_from_row(vals) for _, vals in read_site_rows(path)]
-
-
 def save_sites_csv(sites: Sequence[SectorSite], path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

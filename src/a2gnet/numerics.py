@@ -2,6 +2,8 @@
 
 Everything here is deterministic given an :class:`RngStream`, so Monte Carlo
 callers can parallelize per work unit and still merge bit-exact results.
+The samplers take the `np.random.Generator` that
+``RngStream.child_generator(key)`` returns for one work unit and advance it.
 `RngStream.child_generators` seeds a block of work units in one vectorized
 pass of numpy's SeedSequence hash; each generator is bit-identical to the
 one `child_generator` builds for its key. Only the hash of each key's word is
@@ -202,9 +204,6 @@ class RngStream:
         if int(self.stream_index) < 0:
             raise DomainError("stream_index must be non-negative")
 
-    def generator(self) -> np.random.Generator:
-        return self.child_generator()
-
     def child_generator(self, *key: int) -> np.random.Generator:
         """Independent generator for a work unit, e.g. (trial index,)."""
         ss = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index, *key))
@@ -243,15 +242,6 @@ class RngStream:
         state |= w[:, 0::2]
         return [np.random.Generator(np.random.PCG64(_SeedState(row)))
                 for row in state]
-
-
-RngLike = Union[RngStream, np.random.Generator]
-
-
-def as_generator(rng: RngLike) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return rng.generator()
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +317,6 @@ def chebyshev_capacity_nodes(k: int):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Rayleigh:
-    """Rayleigh envelope; power gain ~ Exp(1) (unit mean)."""
-
-
-@dataclass(frozen=True)
 class Rician:
     """Rician envelope with linear K-factor, normalized to unit mean power."""
 
@@ -348,7 +333,9 @@ class Rician:
 
 @dataclass(frozen=True)
 class Nakagami:
-    """Nakagami-m envelope; power gain ~ Gamma(m, 1/m) (unit mean)."""
+    """Nakagami-m envelope; power gain ~ Gamma(m, 1/m) (unit mean). m = 1
+    is Rayleigh fading: numpy draws Gamma(1, 1) as its standard
+    exponential."""
 
     m: int
 
@@ -357,22 +344,19 @@ class Nakagami:
             raise DomainError("Nakagami m must be a positive integer")
 
 
-FadingModel = Union[Rayleigh, Rician, Nakagami]
+FadingModel = Union[Rician, Nakagami]
 
 
-def sample_fading(model: FadingModel, rng: RngLike, size=None):
+def sample_fading(model: FadingModel, rng: np.random.Generator, size=None):
     """Draw unit-mean linear power gains from the given fading law."""
-    g = as_generator(rng)
-    if isinstance(model, Rayleigh):
-        return g.exponential(1.0, size)
     if isinstance(model, Nakagami):
-        return g.gamma(model.m, 1.0 / model.m, size)
+        return rng.gamma(model.m, 1.0 / model.m, size)
     if isinstance(model, Rician):
         k = model.k_factor
         mean = math.sqrt(k / (k + 1.0))
         sigma = math.sqrt(0.5 / (k + 1.0))
-        re = g.normal(mean, sigma, size)
-        im = g.normal(0.0, sigma, size)
+        re = rng.normal(mean, sigma, size)
+        im = rng.normal(0.0, sigma, size)
         return re * re + im * im
     raise DomainError(f"unknown fading model {model!r}")
 
@@ -386,11 +370,11 @@ def nakagami_power_cdf(omega, m: int):
     return 1.0 - acc * np.exp(-m * omega)
 
 
-def sample_shadowing_db(sigma_db: float, rng: RngLike, size=None):
+def sample_shadowing_db(sigma_db: float, rng: np.random.Generator, size=None):
     """Zero-mean normal large-scale fading in dB; sigma 0 draws nothing and
     returns zeros."""
     if not (math.isfinite(sigma_db) and sigma_db >= 0.0):
         raise DomainError("shadowing sigma must be >= 0 dB")
     if sigma_db == 0.0:
         return 0.0 if size is None else np.zeros(size)
-    return as_generator(rng).normal(0.0, sigma_db, size)
+    return rng.normal(0.0, sigma_db, size)

@@ -168,7 +168,7 @@ class TestSumRate:
     def test_disc_average_matches_monte_carlo(self):
         h, p, r_c = 150.0, 3e-5, 500.0
         quad_value = ab.mean_disc_outage(h, p, r_c, URBAN)
-        rng = RngStream(77).generator()
+        rng = RngStream(77).child_generator()
         r = r_c * np.sqrt(rng.random(1_000_000))
         mc = float(np.mean(_outage_oracle(r, h, p, URBAN)))
         assert quad_value == pytest.approx(mc, rel=5e-3)
@@ -216,7 +216,7 @@ class TestSumRateGain:
         ground = ab.AbsDesign(0.0, 500.0, 0.05)
         p_abs = ab.required_power(aerial, URBAN)
         p_tbs = ab.required_power(ground, URBAN)
-        rng = RngStream(78).generator()
+        rng = RngStream(78).child_generator()
         n = 400_000
         r = 500.0 * np.sqrt(rng.random(n))
         num = 1.0 - np.mean(_outage_oracle(r, h, p_abs, URBAN))
@@ -361,6 +361,19 @@ class TestOptimizeAltitude:
     def test_unknown_metric_rejected(self):
         with pytest.raises(DomainError):
             ab.optimize_altitude("outage", URBAN, [100.0])
+
+    @pytest.mark.parametrize("metric, kwargs, missing", [
+        ("power_gain", {}, "design"),
+        ("sum_rate_gain", {"p_tx_w": 1.0, "epsilon": 0.05}, "design"),
+        ("coverage_radius", {"design": ab.AbsDesign(1.0, 500.0, 0.05)},
+         "p_tx_w and epsilon"),
+        ("coverage_radius", {"epsilon": 0.05}, "p_tx_w"),
+        ("coverage_radius", {"p_tx_w": 1.0}, "epsilon"),
+    ], ids=["power_gain", "sum_rate_gain", "coverage_radius",
+            "coverage_radius-no-p_tx_w", "coverage_radius-no-epsilon"])
+    def test_missing_argument_named(self, metric, kwargs, missing):
+        with pytest.raises(DomainError, match=f"^{metric} needs {missing}$"):
+            ab.optimize_altitude(metric, URBAN, [100.0], **kwargs)
 
 
 class TestProfileValidation:

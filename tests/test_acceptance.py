@@ -290,7 +290,7 @@ class TestCriterion6:
                f"inside [{hs[0]:.0f}, {hs[-1]:.0f}]")
 
     def test_e_solver_beats_metre_grid(self):
-        rng = RngStream(65).generator()
+        rng = RngStream(65).child_generator()
         anchors = loc.place_anchors(loc.AnchorPlan(3, 120.0, 200.0))
         axy = np.array([[a.x, a.y] for a in anchors])
         gx = np.arange(-200.0, 200.0 + 1e-9, 1.0)
@@ -344,7 +344,7 @@ class TestCriterion7:
 
     def test_b_rayleigh_fit_recovers_scale(self):
         env = ch.dense_urban()
-        city = synthetic_city(4320.0, 6.0, env, RngStream(72))
+        city = synthetic_city(4320.0, 6.0, env, RngStream(72).child_generator())
         st = building_stats(city, 0.5)
         rel = abs(st.rayleigh_scale_m - env.omega) / env.omega
         report("7b", rel <= 0.02,
@@ -353,7 +353,7 @@ class TestCriterion7:
 
     def test_c_coverage_peak_and_decay(self):
         env = ch.dense_urban()
-        city = synthetic_city(480.0, 4.0, env, RngStream(12), min_height_m=4.0)
+        city = synthetic_city(480.0, 4.0, env, RngStream(12).child_generator(), min_height_m=4.0)
         pts = [(120, 120), (360, 120), (120, 360), (360, 360), (240, 240)]
         sites = [ms.site_on_roof(city, float(x), float(y), p_tx_dbm=46.0)
                  for x, y in pts]
@@ -371,7 +371,7 @@ class TestCriterion7:
                f"drop to 150 m = {drop:.2f} >= 0.1")
 
     def test_d_default_threshold_minus_6db(self):
-        city = synthetic_city(200.0, 5.0, ch.urban(), RngStream(73))
+        city = synthetic_city(200.0, 5.0, ch.urban(), RngStream(73).child_generator())
         sites = [ms.site_on_roof(city, 100.0, 100.0)]
         cfg = ms.MapSimConfig(env=ch.urban())
         grid = ms.sinr_grid(sites, city, 20.0, cfg, stride=2)

@@ -9,7 +9,7 @@ from a2gnet import aue_net as au
 from a2gnet.antenna_geometry import ConeUav, OmniUav, bs_gain_db, uav_gain_linear
 from a2gnet.channel import BuildingPlosTable, Environment
 from a2gnet.errors import DomainError
-from a2gnet.numerics import Nakagami, Rayleigh, Rician, RngStream, nakagami_power_cdf
+from a2gnet.numerics import Nakagami, Rician, RngStream, nakagami_power_cdf
 
 CFG = au.AueNetworkConfig()
 # about 0.4 sites per trial: many trials draw no site
@@ -52,8 +52,8 @@ class TestDeploy:
         assert np.mean(counts) == pytest.approx(5 * math.pi * 9, abs=1.5)
 
     def test_determinism(self):
-        a = au.deploy_hppp(CFG, RngStream(3, 4))
-        b = au.deploy_hppp(CFG, RngStream(3, 4))
+        a = au.deploy_hppp(CFG, RngStream(3, 4).child_generator())
+        b = au.deploy_hppp(CFG, RngStream(3, 4).child_generator())
         assert np.array_equal(a.xy, b.xy)
         assert np.array_equal(a.sector_azimuth, b.sector_azimuth)
 
@@ -65,7 +65,7 @@ class TestDeploy:
         assert np.mean(counts) == 0
 
     def test_positions_inside_region(self):
-        snap = au.deploy_hppp(CFG, RngStream(8, 0))
+        snap = au.deploy_hppp(CFG, RngStream(8, 0).child_generator())
         assert np.all(np.hypot(snap.xy[:, 0], snap.xy[:, 1]) <= CFG.region_radius_m)
 
 
@@ -101,16 +101,16 @@ class TestSnapshotSinr:
     def test_empty_snapshot(self):
         snap = au.NetworkSnapshot(xy=np.empty((0, 2)), height_m=30.0,
                                   sector_azimuth=np.empty((0, 3)))
-        res = au.snapshot_sinr((0, 0, 60.0), snap, CFG, RngStream(1))
+        res = au.snapshot_sinr((0, 0, 60.0), snap, CFG, RngStream(1).child_generator())
         assert res.sinr == 0.0 and res.serving_site == -1
 
     def test_serving_invariant_under_power_scaling(self):
         for i in range(20):
             gen = RngStream(31, 0).child_generator(i)
             snap = au.deploy_hppp(CFG, gen)
-            a = au.snapshot_sinr((0, 0, 90.0), snap, CFG, RngStream(32, i))
+            a = au.snapshot_sinr((0, 0, 90.0), snap, CFG, RngStream(32, i).child_generator())
             scaled = replace(CFG, p_tx_w=CFG.p_tx_w * 10)
-            b = au.snapshot_sinr((0, 0, 90.0), snap, scaled, RngStream(32, i))
+            b = au.snapshot_sinr((0, 0, 90.0), snap, scaled, RngStream(32, i).child_generator())
             assert a.serving_site == b.serving_site
             assert a.serving_sector == b.serving_sector
 
@@ -407,8 +407,8 @@ class TestBlockDraw:
 
     @pytest.mark.parametrize("cfg", [
         CFG, SPARSE,
-        replace(CFG, fading_los=Rician(5.0), fading_nlos=Rayleigh()),
-        replace(SPARSE, fading_los=Rayleigh(), fading_nlos=Rician(0.5)),
+        replace(CFG, fading_los=Rician(5.0), fading_nlos=Nakagami(1)),
+        replace(SPARSE, fading_los=Nakagami(1), fading_nlos=Rician(0.5)),
     ], ids=["nakagami", "sparse", "rician-rayleigh", "sparse-rayleigh-rician"])
     def test_block_equals_per_trial_draws(self, cfg):
         rng = RngStream(87, 1)

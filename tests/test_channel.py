@@ -319,10 +319,6 @@ class TestPlos3gpp:
             assert np.all((0 <= ps) & (ps <= 1))
             assert np.all(np.diff(ps) <= 1e-12)
 
-    def test_air_to_air_rejected(self):
-        with pytest.raises(DomainError):
-            p_los_3gpp(100.0, 100.0, PropagationSlice.AIR_TO_AIR)
-
 
 class TestPl3gpp:
     URB = ch.urban()
@@ -456,24 +452,24 @@ class TestSampleLinkLoss:
                for eta in (2.0, 3.5))
 
     def test_deterministic_when_degenerate(self):
-        loss, flag = sample_link_loss_db(self.PL, (0.0, 0.0), 1.0, RngStream(1))
+        loss, flag = sample_link_loss_db(self.PL, (0.0, 0.0), 1.0, RngStream(1).child_generator())
         assert flag is True
         assert loss == pytest.approx(self.PL[0], abs=1e-12)
 
     def test_zero_mean_shadowing(self):
-        loss, _ = sample_link_loss_db(self.PL, (4.0, 4.0), 1.0, RngStream(2),
+        loss, _ = sample_link_loss_db(self.PL, (4.0, 4.0), 1.0, RngStream(2).child_generator(),
                                       n=100_000)
         assert abs(np.mean(loss - self.PL[0])) <= 0.05  # 3 sigma / sqrt(N) = 0.038
 
     def test_unit_mean_fading_in_linear_domain(self):
-        loss, _ = sample_link_loss_db(self.PL, (0.0, 0.0), 1.0, RngStream(3),
+        loss, _ = sample_link_loss_db(self.PL, (0.0, 0.0), 1.0, RngStream(3).child_generator(),
                                       fading=Nakagami(2), n=200_000)
         gains = 10 ** (-(loss - self.PL[0]) / 10)
         assert np.mean(gains) == pytest.approx(1.0, abs=0.01)
 
     def test_los_flag_frequency(self):
         p = p_los_3gpp(800.0, 30.0, slice_of(30.0, ch.urban()))
-        _, flags = sample_link_loss_db(self.PL, (0.0, 0.0), p, RngStream(4),
+        _, flags = sample_link_loss_db(self.PL, (0.0, 0.0), p, RngStream(4).child_generator(),
                                        n=100_000)
         assert np.mean(flags) == pytest.approx(p, abs=0.005)
 
@@ -482,10 +478,10 @@ class TestSampleLinkLoss:
         # the LOS uniforms, then per state, LOS first, the shadowing normals
         # and the fading gains, all on one generator
         pl, sigma, p, n = (95.0, 120.0), (4.0, 6.0), 0.4, 1000
-        loss, flags = sample_link_loss_db(pl, sigma, p, RngStream(5),
+        loss, flags = sample_link_loss_db(pl, sigma, p, RngStream(5).child_generator(),
                                           fading=Nakagami(3),
                                           fading_nlos=fading_nlos, n=n)
-        gen = RngStream(5).generator()
+        gen = RngStream(5).child_generator()
         los = gen.random(n) < p
         want = np.empty(n)
         for state, model in ((True, Nakagami(3)),
@@ -501,4 +497,4 @@ class TestSampleLinkLoss:
     @pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
     def test_probability_outside_unit_interval(self, p):
         with pytest.raises(DomainError):
-            sample_link_loss_db(self.PL, (0.0, 0.0), p, RngStream(6))
+            sample_link_loss_db(self.PL, (0.0, 0.0), p, RngStream(6).child_generator())

@@ -186,7 +186,7 @@ class TestAsciiGridIO:
             HeightMap(np.zeros((2, 2)), **{"cellsize": 10.0, field: value})
 
     def test_synthetic_city_round_trips_bit_exact(self, tmp_path):
-        city = synthetic_city(300.0, 3.0, ch.urban(), RngStream(7))
+        city = synthetic_city(300.0, 3.0, ch.urban(), RngStream(7).child_generator())
         p = tmp_path / "city.asc"
         save_ascii_grid(city, p, fmt="%.17g")
         back = load_ascii_grid(p)
@@ -499,7 +499,7 @@ class TestLosMaskDifferential:
                                   [Position3D(0.0, 4.0, 25.0)])
 
     def test_batches_match_single_batch(self, monkeypatch):
-        city = synthetic_city(120.0, 2.0, ch.dense_urban(), RngStream(8),
+        city = synthetic_city(120.0, 2.0, ch.dense_urban(), RngStream(8).child_generator(),
                               min_height_m=4.0)
         site = Position3D(61.0, 59.0, city.surface_at(61.0, 59.0) + 5.0)
         xx, yy = np.meshgrid(*city.cell_centers())
@@ -600,7 +600,7 @@ class TestCastOverHeights:
     HEIGHTS = np.array([1.5, 10.0, 20.0, 30.0, 60.0, 100.0, 150.0])
 
     def _city(self):
-        city = synthetic_city(120.0, 2.0, ch.dense_urban(), RngStream(8),
+        city = synthetic_city(120.0, 2.0, ch.dense_urban(), RngStream(8).child_generator(),
                               min_height_m=4.0)
         site = Position3D(61.0, 59.0, city.surface_at(61.0, 59.0) + 5.0)
         return city, site, np.meshgrid(*city.cell_centers())
@@ -627,7 +627,7 @@ class TestCastOverHeights:
         # 120 x 120 cells at stride 1 and 7 heights: the endpoints, their
         # surface and grid coordinates as full (heights x cells) float
         # copies grew the peak by 8 MB over a one-height cast
-        city = synthetic_city(240.0, 2.0, ch.dense_urban(), RngStream(3),
+        city = synthetic_city(240.0, 2.0, ch.dense_urban(), RngStream(3).child_generator(),
                               min_height_m=4.0)
         site = Position3D(121.0, 119.0, city.surface_at(121.0, 119.0) + 5.0)
         xx, yy = np.meshgrid(*city.cell_centers())
@@ -653,7 +653,7 @@ class TestBuildingStats:
         assert st.rayleigh_scale_m is None
 
     def test_rayleigh_ml_consistency(self):
-        rng = RngStream(13).generator()
+        rng = RngStream(13).child_generator()
         hm = HeightMap(rng.rayleigh(10.0, (330, 330)), cellsize=1.0)
         st = building_stats(hm, 0.0)
         assert st.n_building_cells >= 100_000
@@ -670,18 +670,18 @@ class TestBuildingStats:
 class TestSyntheticCity:
     def test_coverage_fraction_tracks_varsigma(self):
         env = ch.urban()  # varsigma 0.3
-        city = synthetic_city(1200.0, 3.0, env, RngStream(5))
+        city = synthetic_city(1200.0, 3.0, env, RngStream(5).child_generator())
         frac = float(np.mean(city.heights > 0))
         assert frac == pytest.approx(env.varsigma, abs=0.1)
 
     def test_deterministic_under_seed(self):
-        a = synthetic_city(300.0, 3.0, ch.urban(), RngStream(9))
-        b = synthetic_city(300.0, 3.0, ch.urban(), RngStream(9))
+        a = synthetic_city(300.0, 3.0, ch.urban(), RngStream(9).child_generator())
+        b = synthetic_city(300.0, 3.0, ch.urban(), RngStream(9).child_generator())
         assert np.array_equal(a.heights, b.heights)
 
     def test_heights_follow_rayleigh_scale(self):
         env = ch.dense_urban()  # omega 20
-        city = synthetic_city(4320.0, 6.0, env, RngStream(15))
+        city = synthetic_city(4320.0, 6.0, env, RngStream(15).child_generator())
         st = building_stats(city, 0.5)
         assert st.rayleigh_scale_m == pytest.approx(env.omega, rel=0.02)
 
@@ -691,11 +691,11 @@ class TestSyntheticCity:
         # round(extent / cellsize) cells silently gave a 90 m map for
         # (100, 30) and a 120 m one for (100, 60)
         with pytest.raises(DomainError):
-            synthetic_city(extent, cellsize, ch.urban(), RngStream(1))
+            synthetic_city(extent, cellsize, ch.urban(), RngStream(1).child_generator())
 
     @pytest.mark.parametrize("extent,cellsize", [(480.0, 4.0), (0.3, 0.1),
                                                  (100.0, 100.0)])
     def test_map_spans_extent(self, extent, cellsize):
-        city = synthetic_city(extent, cellsize, ch.urban(), RngStream(1))
+        city = synthetic_city(extent, cellsize, ch.urban(), RngStream(1).child_generator())
         x0, x1, y0, y1 = city.extent
         assert x1 - x0 == pytest.approx(extent) and y1 - y0 == pytest.approx(extent)

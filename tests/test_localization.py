@@ -98,11 +98,11 @@ class TestElevationChannel:
 
 class TestSampleRssDistance:
     def test_noise_free_inversion(self):
-        d, los = loc.sample_rss_distance(250.0, 0.9, QUIET_CH, RngStream(1))
+        d, los = loc.sample_rss_distance(250.0, 0.9, QUIET_CH, RngStream(1).child_generator())
         assert d == pytest.approx(250.0, abs=1e-6)
 
     def test_zero_mean_log_ratio(self):
-        gen = RngStream(2).generator()
+        gen = RngStream(2).child_generator()
         logs = []
         for _ in range(100_000):
             d, _ = loc.sample_rss_distance(250.0, 0.8, TABLE_CH, gen,
@@ -112,7 +112,7 @@ class TestSampleRssDistance:
         assert abs(np.mean(logs)) < 3 * sigma / math.sqrt(len(logs))
 
     def test_state_follows_p_los(self):
-        gen = RngStream(3).generator()
+        gen = RngStream(3).child_generator()
         theta = math.radians(47.1)
         states = [loc.sample_rss_distance(250.0, theta, TABLE_CH, gen)[1]
                   for _ in range(20_000)]
@@ -120,7 +120,7 @@ class TestSampleRssDistance:
 
     def test_positive_distance_required(self):
         with pytest.raises(DomainError):
-            loc.sample_rss_distance(0.0, 0.5, TABLE_CH, RngStream(1))
+            loc.sample_rss_distance(0.0, 0.5, TABLE_CH, RngStream(1).child_generator())
 
     @pytest.mark.parametrize("d, theta, name", [
         (math.nan, 0.5, "true_d_m"), (math.inf, 0.5, "true_d_m"),
@@ -128,7 +128,7 @@ class TestSampleRssDistance:
     def test_non_finite_input_rejected(self, d, theta, name):
         # NaN compared false with `<= 0` and drew (nan, False)
         with pytest.raises(DomainError, match=name):
-            loc.sample_rss_distance(d, theta, TABLE_CH, RngStream(1))
+            loc.sample_rss_distance(d, theta, TABLE_CH, RngStream(1).child_generator())
 
 
 def square_anchors(h=200.0, r=120.0):
@@ -160,7 +160,7 @@ class TestMultilaterate:
         assert res.ill_conditioned
 
     def test_beats_one_meter_grid_search(self):
-        rng = RngStream(10).generator()
+        rng = RngStream(10).child_generator()
         anchors = loc.place_anchors(loc.AnchorPlan(3, 120.0, 200.0))
         axy = np.array([[a.x, a.y] for a in anchors])
         gx = np.arange(-200.0, 200.0 + 1e-9, 1.0)
@@ -394,7 +394,7 @@ class TestRangeJacobian:
         corpora = [(_range_problem, 2024, 1000), (_exact_range_problem, 7, 300),
                    (_collinear_problem, 7, 300)]
         for draw, seed, count in corpora:
-            rng = RngStream(seed).generator()
+            rng = RngStream(seed).child_generator()
             for _ in range(count):
                 x0, axy, r_hat = draw(rng)
                 ax, ay = _rows(axy)
@@ -449,7 +449,7 @@ class TestRangeJacobian:
         monkeypatch.setattr(loc, "_range_jacobian", counted_jacobian)
         monkeypatch.setattr(loc, "minpack",
                             types.SimpleNamespace(_lmder=recorded_lmder))
-        rng = RngStream(11).generator()
+        rng = RngStream(11).child_generator()
         for draw in (_range_problem, _exact_range_problem, _collinear_problem):
             for _ in range(50):
                 x0, axy, r_hat = draw(rng)
@@ -507,7 +507,7 @@ class TestFloatCallbacks:
         # it with the C library's hypot, which np.hypot calls too. Where that
         # overflows, complex abs raises and np.hypot warns and gives inf
         pairs = [(a, b) for a in _HYPOT_CORPUS for b in _HYPOT_CORPUS]
-        pairs += RngStream(3).generator().uniform(-1e3, 1e3, (20000, 2)).tolist()
+        pairs += RngStream(3).child_generator().uniform(-1e3, 1e3, (20000, 2)).tolist()
         overflowed = 0
         for a, b in pairs:
             with np.errstate(over="ignore"):
@@ -529,7 +529,7 @@ class TestFloatCallbacks:
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_callbacks_equal_numpy_forms(self, m):
-        rng = RngStream(5, m).generator()
+        rng = RngStream(5, m).child_generator()
         for k in range(200):
             scale = 10.0 ** rng.uniform(-1.0, 4.0)
             ax, ay = rng.uniform(-scale, scale, (2, m))
@@ -586,7 +586,7 @@ class TestSharedSearchGrid:
 
     def test_default_search_area_matches_reference(self):
         # no search radius: each call sizes its grid from its own ranges
-        rng = RngStream(71).generator()
+        rng = RngStream(71).child_generator()
         for k in range(60):
             m = int(rng.integers(3, 7))
             h = rng.uniform(20.0, 300.0)

@@ -6,7 +6,7 @@ import pytest
 from a2gnet import channel as ch
 from a2gnet import mapsim as ms
 from a2gnet.antenna_geometry import Position3D, SectorAntenna
-from a2gnet.cli import run_scenario
+from a2gnet.cli import _load_sites, run_scenario
 from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import HeightMap, los_check, los_mask, synthetic_city
 from a2gnet.numerics import RngStream
@@ -179,7 +179,7 @@ class TestSinrGrid:
 class TestCoverageCurves:
     def setup_method(self):
         self.env = ch.dense_urban()
-        self.city = synthetic_city(480.0, 4.0, self.env, RngStream(12),
+        self.city = synthetic_city(480.0, 4.0, self.env, RngStream(12).child_generator(),
                                    min_height_m=4.0)
         pts = [(120, 120), (360, 120), (120, 360), (360, 360), (240, 240)]
         self.sites = [ms.site_on_roof(self.city, float(x), float(y),
@@ -244,8 +244,8 @@ def reference_rasters(sites, hm, h, cfg, stride):
 def holed_city(seed):
     """A 30 x 30 dense-urban city with a few no-data blocks, and three
     sites on roofs that have data."""
-    gen = RngStream(seed).generator()
-    city = synthetic_city(120.0, 4.0, ch.dense_urban(), RngStream(seed, 1),
+    gen = RngStream(seed).child_generator()
+    city = synthetic_city(120.0, 4.0, ch.dense_urban(), RngStream(seed, 1).child_generator(),
                           min_height_m=4.0)
     for r, c in gen.integers(0, 29, size=(3, 2)):
         city.heights[r:r + 2, c:c + 2] = np.nan
@@ -333,7 +333,7 @@ class TestSiteCsv:
         ms.save_sites_csv(sites, p)
         roof_h = float(p.read_text().splitlines()[2].split(",")[2])
         assert roof_h == 25.0 - ms.MAST_M
-        back = ms.load_sites_csv(p)
+        back = _load_sites(p, FLAT)
         assert len(back) == 2
         assert back[0].position.x == 100.0
         assert back[1].azimuth0 == pytest.approx(math.radians(30))
@@ -347,10 +347,10 @@ class TestSiteCsv:
                      + f"50,50,0,46,{value},8,16,65\n")
         with pytest.raises(ScenarioError,
                            match="line 3: azimuth0_deg must be a finite"):
-            ms.load_sites_csv(p)
+            _load_sites(p, FLAT)
 
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("x,y\n1,2\n")
         with pytest.raises(ScenarioError):
-            ms.load_sites_csv(p)
+            _load_sites(p, FLAT)

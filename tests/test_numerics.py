@@ -8,7 +8,6 @@ from a2gnet import abs_net, localization, numerics
 from a2gnet.errors import DomainError
 from a2gnet.numerics import (
     Nakagami,
-    Rayleigh,
     Rician,
     RngStream,
     chebyshev_capacity_nodes,
@@ -141,32 +140,41 @@ class TestChebyshevNodes:
 
 class TestFadingSamplers:
     def test_nakagami_m1_is_exponential_power(self):
-        rng = RngStream(123, 0)
+        rng = RngStream(123, 0).child_generator()
         x = sample_fading(Nakagami(1), rng, size=1_000_000)
         assert np.mean(x < 1.0) == pytest.approx(1 - math.exp(-1), abs=2e-3)
 
     def test_rician_15db_unit_mean_power(self):
-        rng = RngStream(123, 1)
+        rng = RngStream(123, 1).child_generator()
         x = sample_fading(Rician.from_db(15.0), rng, size=1_000_000)
         assert np.mean(x) == pytest.approx(1.0, abs=5e-3)
 
     def test_nakagami_m3_variance(self):
-        rng = RngStream(123, 2)
+        rng = RngStream(123, 2).child_generator()
         x = sample_fading(Nakagami(3), rng, size=1_000_000)
         assert np.var(x) == pytest.approx(1.0 / 3.0, abs=1e-2)
 
     def test_rician_k0_and_nakagami_m1_reduce_to_rayleigh(self):
         rng = RngStream(7, 0)
         n = 500_000
-        ray = sample_fading(Rayleigh(), rng.child_generator(0), size=n)
         ric = sample_fading(Rician(0.0), rng.child_generator(1), size=n)
         nak = sample_fading(Nakagami(1), rng.child_generator(2), size=n)
-        for x in (ray, ric, nak):
+        for x in (ric, nak):
             assert np.mean(x) == pytest.approx(1.0, abs=8e-3)
             assert np.mean(x < 1.0) == pytest.approx(1 - math.exp(-1), abs=4e-3)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_nakagami_m1_draws_the_exponential_bits(self, seed):
+        # gamma(1, 1.0) is numpy's standard exponential, so Nakagami(1) is
+        # Rayleigh fading draw for draw, scalar and array
+        nak, ref = (RngStream(seed).child_generator() for _ in range(2))
+        for _ in range(500):
+            assert sample_fading(Nakagami(1), nak) == ref.exponential(1.0)
+        assert np.array_equal(sample_fading(Nakagami(1), nak, size=500),
+                              ref.exponential(1.0, 500))
+
     def test_nakagami_cdf_matches_samples(self):
-        rng = RngStream(11, 0)
+        rng = RngStream(11, 0).child_generator()
         x = sample_fading(Nakagami(3), rng, size=400_000)
         for omega in [0.3, 1.0, 2.0]:
             assert np.mean(x < omega) == pytest.approx(
@@ -181,7 +189,7 @@ class TestFadingSamplers:
 
 class TestShadowing:
     def test_sigma_zero_degenerate(self):
-        x = sample_shadowing_db(0.0, RngStream(1), size=1000)
+        x = sample_shadowing_db(0.0, RngStream(1).child_generator(), size=1000)
         assert np.all(x == 0.0)
 
     def test_sigma_zero_draws_nothing(self):
@@ -191,28 +199,28 @@ class TestShadowing:
         assert gen.random() == np.random.default_rng(5).random()
 
     def test_sigma4_std(self):
-        x = sample_shadowing_db(4.0, RngStream(2), size=1_000_000)
+        x = sample_shadowing_db(4.0, RngStream(2).child_generator(), size=1_000_000)
         assert np.std(x) == pytest.approx(4.0, abs=2e-2)
 
     def test_sigma8_mean_clt_bound(self):
-        x = sample_shadowing_db(8.0, RngStream(3), size=1_000_000)
+        x = sample_shadowing_db(8.0, RngStream(3).child_generator(), size=1_000_000)
         assert abs(np.mean(x)) <= 0.03  # 3 sigma / sqrt(N) = 0.024
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
-            sample_shadowing_db(-1.0, RngStream(1))
+            sample_shadowing_db(-1.0, RngStream(1).child_generator())
 
 
 class TestRngStream:
     def test_exact_reproducibility(self):
-        a = RngStream(42, 5).generator().normal(size=100)
-        b = RngStream(42, 5).generator().normal(size=100)
+        a = RngStream(42, 5).child_generator().normal(size=100)
+        b = RngStream(42, 5).child_generator().normal(size=100)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_uncorrelated(self):
         n = 100_000
-        a = RngStream(42, 0).generator().normal(size=n)
-        b = RngStream(42, 1).generator().normal(size=n)
+        a = RngStream(42, 0).child_generator().normal(size=n)
+        b = RngStream(42, 1).child_generator().normal(size=n)
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) < 0.01
 
@@ -223,11 +231,6 @@ class TestRngStream:
         c = s.child_generator(4).normal(size=10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_generator_is_the_unkeyed_child(self):
-        s = RngStream(9, 2)
-        assert np.array_equal(s.generator().random(5),
-                              s.child_generator().random(5))
 
     def test_seed_validation(self):
         with pytest.raises(DomainError):
