@@ -26,7 +26,8 @@ def main():
         print(f"  h={h:6.0f} m: {10 * np.log10(g):6.2f} dB")
     h_pg, _ = ab.optimize_altitude("power_gain", PROF, hs, design=design)
 
-    srg = [ab.sum_rate_gain(h, PROF, design) for h in hs]
+    srg = [row[2] for row in
+           ab.design_rows(hs, design.r_c_m, design.epsilon, PROF)]
     h_sr = hs[int(np.argmax(srg))]
     print(f"\nOptimal altitudes: power gain at {h_pg:.0f} m, sum-rate gain at "
           f"{h_sr:.0f} m (capacity prefers flying lower)\n")

@@ -235,12 +235,6 @@ def sum_rate(h_abs_m: float, p_tx_w: float, n_bar: float, w_hz: float,
     return n_bar * w_hz * math.log2(1.0 + prof.threshold_t) * (1.0 - p_out)
 
 
-def sum_rate_gain(h_abs_m: float, prof: AbsProfile, design: AbsDesign) -> float:
-    """(1 - mean outage @ ABS power) / (1 - mean outage @ ground-BS power),
-    each side transmitting its own required power for the disc."""
-    return design_rows([h_abs_m], design.r_c_m, design.epsilon, prof)[0][2]
-
-
 def design_rows(altitudes: Sequence[float], r_c_m: float, epsilon: float,
                 prof: AbsProfile):
     """[(required power, power gain, sum-rate gain)], one per altitude, for

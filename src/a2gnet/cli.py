@@ -15,6 +15,7 @@ sigma, which the model leaves undefined.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from dataclasses import replace
@@ -24,12 +25,12 @@ import numpy as np
 
 from . import abs_net, aue_net, localization as loc, mapsim as ms
 from . import channel as ch
-from .antenna_geometry import ConeUav, OmniUav, SectorAntenna
+from .antenna_geometry import ConeUav, OmniUav, Position3D, SectorAntenna
 from .errors import DomainError, ModelGapError, ScenarioError
 from .heightmap import HeightMap, load_ascii_grid, save_ascii_grid, synthetic_city
 from .numerics import Nakagami, RngStream, dbm_to_watt
-from .scenario import (Scenario, check_mapsim_rays, load_scenario,
-                       validate_seed, validate_site_row)
+from .scenario import (SITE_CSV_FIELDS, Scenario, check_bounds,
+                       check_mapsim_rays, load_scenario, validate_seed)
 
 FMT = "%.9g"
 
@@ -240,23 +241,59 @@ def _read_input(load, path, key):
     """Load the file a scenario key names; a failure names the key."""
     try:
         return load(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         raise ScenarioError(f"cannot read {path!r}: {exc}", key) from exc
 
 
+# a site CSV's columns, one site per row, in the order their values are read
+SITE_CSV_COLUMNS = ("x", "y", "roof_h", "p_tx_dbm", "azimuth0_deg", "tilt_deg",
+                    "max_gain_dbi", "beamwidth_deg")
+
+
+def _sector_antenna(tilt_deg, max_gain_dbi, beamwidth_deg) -> SectorAntenna:
+    return SectorAntenna(electrical_tilt=math.radians(tilt_deg),
+                         max_gain_dbi=max_gain_dbi,
+                         beamwidth_3db=math.radians(beamwidth_deg))
+
+
 def _load_sites(path, hm: HeightMap):
-    """The sites of a site CSV, each row within the bounds of the automatic
-    sites and on the map."""
-    rows = ms.read_site_rows(path)
+    """The sites of a site CSV, each MAST_M above its row's roof_h. Every
+    value of every row must be a finite number; then each row's columns must
+    lie within SITE_CSV_FIELDS and its position on the map."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(SITE_CSV_COLUMNS) - set(reader.fieldnames or [])
+        if missing:
+            raise ScenarioError(f"site CSV missing columns {sorted(missing)}")
+        for row in reader:
+            vals = {}
+            for k in SITE_CSV_COLUMNS:
+                try:
+                    vals[k] = float(row[k])
+                except (TypeError, ValueError):
+                    vals[k] = math.nan
+                if not math.isfinite(vals[k]):
+                    raise ScenarioError(f"site CSV line {reader.line_num}: {k} "
+                                        f"must be a finite number, not {row[k]!r}")
+            rows.append((reader.line_num, vals))
+    if not rows:
+        raise ScenarioError("site CSV holds no sites")
     x0, x1, y0, y1 = hm.extent
     for line, vals in rows:
-        validate_site_row(vals, line)
+        for column, f in SITE_CSV_FIELDS.items():
+            check_bounds(vals[column], f, f"line {line}: {column}")
         for column, lo, hi in (("x", x0, x1), ("y", y0, y1)):
             if not lo <= vals[column] <= hi:
                 raise ScenarioError(f"{vals[column]:g} lies off the map, "
                                     f"outside [{lo:g}, {hi:g}]",
                                     f"line {line}: {column}")
-    return [ms.site_from_row(vals) for _, vals in rows]
+    return [ms.SectorSite(
+        position=Position3D(v["x"], v["y"], v["roof_h"] + ms.MAST_M),
+        p_tx_dbm=v["p_tx_dbm"], azimuth0=math.radians(v["azimuth0_deg"]),
+        antenna=_sector_antenna(v["tilt_deg"], v["max_gain_dbi"],
+                                v["beamwidth_deg"]))
+        for _, v in rows]
 
 
 def _run_mapsim(s: Scenario, out_dir: Path):
@@ -276,10 +313,8 @@ def _run_mapsim(s: Scenario, out_dir: Path):
     else:
         auto = b["auto_sites"]
         x0, x1, y0, y1 = hm.extent
-        ant = SectorAntenna(
-            electrical_tilt=math.radians(auto["downtilt_deg"]),
-            max_gain_dbi=auto["max_gain_dbi"],
-            beamwidth_3db=math.radians(auto["beamwidth_deg"]))
+        ant = _sector_antenna(auto["downtilt_deg"], auto["max_gain_dbi"],
+                              auto["beamwidth_deg"])
         try:
             sites = [ms.site_on_roof(hm, x0 + px, y0 + py, mast_m=auto["mast_m"],
                                      p_tx_dbm=auto["p_tx_dbm"], antenna=ant)
@@ -325,10 +360,15 @@ _RUNNERS = {
 def run_scenario(s: Scenario, out_dir, threads: int = 1):
     """Execute a validated scenario; returns the list of written paths.
 
-    `threads` has no effect: runs are serial (a pool made them slower)."""
+    A runner reads its input files through _read_input, so an OSError left
+    is the output's: a ScenarioError naming `output`. `threads` has no
+    effect: runs are serial (a pool made them slower)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[s.command](s, out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        return _RUNNERS[s.command](s, out)
+    except OSError as exc:
+        raise ScenarioError(str(exc), "output") from exc
 
 
 def main(argv=None) -> int:

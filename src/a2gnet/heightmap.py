@@ -14,8 +14,8 @@ of cells become one flat array of ray-patch intervals (Amanatides & Woo
 interval's clearance minimum is taken in closed form and a ray is clear
 when none of its intervals is blocked. It reads a grid padded with one ring
 of edge heights, whose patches over the border ring are the clamped
-surface, so it needs no clamp branches. `los_check` is its one-ray form. A
-loaded grid's heights lie within +-MAX_SURFACE_M.
+surface, so it needs no clamp branches. One ray is the case of scalar
+endpoints. A loaded grid's heights lie within +-MAX_SURFACE_M.
 """
 
 from __future__ import annotations
@@ -352,14 +352,6 @@ def _patches(u0, v0, du, dv, t_lo, t_hi, g):
     flat = g.ravel()
     return (flat[k], flat[k + 1], flat[k + ncols], flat[k + ncols + 1],
             fu0, fv0)
-
-
-def los_check(a: Position3D, b: Position3D, hm: HeightMap) -> bool:
-    """True iff the open segment a-b clears the bilinear surface everywhere.
-
-    The one-ray form of los_mask.
-    """
-    return bool(los_mask(a, b.x, b.y, b.h, hm))
 
 
 # ---------------------------------------------------------------------------

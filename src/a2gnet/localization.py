@@ -333,25 +333,12 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     return _solve(_search_grid(axy, cx, cy, search_radius_m), r_hat)
 
 
-def localization_error(estimate_xy, true_xy, r_hat, r_true):
-    """(range_err, pos_err): range-space residual norm and planar miss."""
-    r_hat = np.asarray(r_hat, dtype=float)
-    r_true = np.asarray(r_true, dtype=float)
-    if r_hat.shape != r_true.shape:
-        raise DomainError("range vectors must have matching length")
-    range_err = float(np.sqrt(np.sum((r_hat - r_true) ** 2)))
-    pos_err = float(math.hypot(estimate_xy[0] - true_xy[0],
-                               estimate_xy[1] - true_xy[1]))
-    return range_err, pos_err
-
-
 @dataclass
 class CampaignResult:
     h_abs_m: float
     radius_m: float
     m_points: int
     pos_errors: np.ndarray
-    range_errors: np.ndarray
 
     @property
     def mean_error_m(self) -> float:
@@ -384,7 +371,6 @@ def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
     # every solve searches the user disc, so all share one grid
     grid = _search_grid(axy, 0.0, 0.0, scenario.user_area_radius_m)
     pos_errors = []
-    range_errors = []
     for u in range(scenario.n_users):
         for t in range(trials_per_user):
             gen = rng.child_generator(u, t)
@@ -409,9 +395,6 @@ def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
                     force_state=forced)
             r_hat = np.sqrt(np.maximum(d_hat ** 2 - plan.h_abs_m ** 2, 0.0))
             est = _solve(grid, r_hat)
-            rng_err, pos_err = localization_error((est.x, est.y), (ux, uy),
-                                                  r_hat, r_true)
-            pos_errors.append(pos_err)
-            range_errors.append(rng_err)
+            pos_errors.append(math.hypot(est.x - ux, est.y - uy))
     return CampaignResult(plan.h_abs_m, plan.radius_m, plan.m_points,
-                          np.array(pos_errors), np.array(range_errors))
+                          np.array(pos_errors))

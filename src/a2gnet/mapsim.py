@@ -3,22 +3,23 @@
 LOS/NLOS comes from ray casting against the heightmap; path loss then
 follows the slice-appropriate statistical model (`channel.slice_pl_db`).
 Everything is deterministic: no shadowing is drawn and no Monte Carlo is
-involved, so rasters are bit-reproducible.
+involved, so rasters are bit-reproducible. `sinr_grids` is the one entry
+point, over a list of UE heights (one height is a one-entry list); the CLI
+reads site files and places the sites.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from . import channel as ch
 from .antenna_geometry import (SECTOR_OFFSETS, Position3D, SectorAntenna,
                                bs_gain_db)
-from .errors import DomainError, ScenarioError
+from .errors import DomainError
 from .heightmap import HeightMap, los_mask
 
 MAST_M = 5.0               # default mast height above the roof, m
@@ -51,61 +52,6 @@ def site_on_roof(hm: HeightMap, x: float, y: float, mast_m: float = MAST_M,
                           f"{roof + mast_m:g} m, under the ground fits' "
                           f"{ch.MIN_ANTENNA_HEIGHT_M:g} m floor")
     return SectorSite(position=Position3D(x, y, roof + mast_m), **site_kwargs)
-
-
-SITE_CSV_COLUMNS = ["x", "y", "roof_h", "p_tx_dbm", "azimuth0_deg",
-                    "tilt_deg", "max_gain_dbi", "beamwidth_deg"]
-
-
-def read_site_rows(path) -> List[Tuple[int, Dict[str, float]]]:
-    """(line, {column: value}) for each row of a site CSV with the columns
-    SITE_CSV_COLUMNS. Every value must be a finite number."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(SITE_CSV_COLUMNS) - set(reader.fieldnames or [])
-        if missing:
-            raise ScenarioError(f"site CSV missing columns {sorted(missing)}")
-        for row in reader:
-            vals = {}
-            for k in SITE_CSV_COLUMNS:
-                try:
-                    vals[k] = float(row[k])
-                except (TypeError, ValueError):
-                    vals[k] = math.nan
-                if not math.isfinite(vals[k]):
-                    raise ScenarioError(f"site CSV line {reader.line_num}: {k} "
-                                        f"must be a finite number, not {row[k]!r}")
-            rows.append((reader.line_num, vals))
-    if not rows:
-        raise ScenarioError("site CSV holds no sites")
-    return rows
-
-
-def site_from_row(vals: Dict[str, float]) -> SectorSite:
-    """The site of one site-CSV row, MAST_M above its roof_h, as
-    save_sites_csv writes it."""
-    ant = SectorAntenna(electrical_tilt=math.radians(vals["tilt_deg"]),
-                        max_gain_dbi=vals["max_gain_dbi"],
-                        beamwidth_3db=math.radians(vals["beamwidth_deg"]))
-    return SectorSite(
-        position=Position3D(vals["x"], vals["y"], vals["roof_h"] + MAST_M),
-        p_tx_dbm=vals["p_tx_dbm"], azimuth0=math.radians(vals["azimuth0_deg"]),
-        antenna=ant)
-
-
-def save_sites_csv(sites: Sequence[SectorSite], path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SITE_CSV_COLUMNS)
-        for s in sites:
-            writer.writerow([
-                "%.9g" % s.position.x, "%.9g" % s.position.y,
-                "%.9g" % (s.position.h - MAST_M), "%.9g" % s.p_tx_dbm,
-                "%.9g" % math.degrees(s.azimuth0),
-                "%.9g" % math.degrees(s.antenna.electrical_tilt),
-                "%.9g" % s.antenna.max_gain_dbi,
-                "%.9g" % math.degrees(s.antenna.beamwidth_3db)])
 
 
 @dataclass(frozen=True)
@@ -235,16 +181,3 @@ def _height_grid(sites, cfg, xs, ys, ue_height_m, masks):
     return SinrGrid(sinr_db=10.0 * np.log10(np.maximum(sinr, 1e-30)),
                     serving=serving, x=xs, y=ys, ue_height_m=ue_height_m,
                     los_any=np.logical_or.reduce(masks))
-
-
-def sinr_grid(sites: Sequence[SectorSite], hm: HeightMap, ue_height_m: float,
-              cfg: MapSimConfig, stride: int = 1) -> SinrGrid:
-    """The one-height form of sinr_grids."""
-    return sinr_grids(sites, hm, [ue_height_m], cfg, stride)[0]
-
-
-def coverage_vs_altitude(sites, hm, heights: Sequence[float], cfg: MapSimConfig,
-                         threshold_db: float = -6.0, stride: int = 1):
-    """[(h, covered fraction at SINR >= threshold_db)] per requested height."""
-    grids = sinr_grids(sites, hm, heights, cfg, stride=stride)
-    return [(g.ue_height_m, g.coverage_fraction(threshold_db)) for g in grids]

@@ -120,6 +120,25 @@ MAX_LOCALIZE_RUN_SOLVES = 10 ** 7
 # and its LOS masks hold a byte a ray (100 MB); the shipped run casts 31500
 # rays, and 504000 at stride 1
 MAX_MAPSIM_RAYS = 10 ** 8
+# altitude trials of one aue-coverage run, altitudes_m times n_trials: a
+# trial takes about 54 us at the default 5 sites per km^2 (2-core Xeon; more
+# at a higher density) and an altitude's samples go once its rows are kept,
+# so a run at this ceiling takes about 1.5 hours; the shipped run draws 20000
+MAX_COVERAGE_TRIALS = 10 ** 8
+# point trials of one aue-sweep run, grid times n_trials: the SINR matrix
+# holds 8 bytes per unit (80 MB here, one point at MAX_TRIALS) and a unit
+# takes 18-30 us at the default density, so a run at this ceiling takes 3-5
+# minutes; the shipped run evaluates 14000
+MAX_SWEEP_TRIALS = 10 ** 7
+# cells of one channel table, altitudes_m times distances_m: a cell takes
+# 24-35 us and about 650 bytes at the peak (its row and CSV text), so a table
+# at this ceiling takes a few seconds and peaks near 65 MB; the shipped one
+# has 48 cells
+MAX_CHANNEL_CELLS = 10 ** 5
+# rows of one abs-design table, one per altitude: a row takes about 0.2 ms
+# and 0.5 kB at the peak, so a table at this ceiling takes about 20 s and
+# peaks near 50 MB; the shipped one has 6 rows
+MAX_ABS_ROWS = 10 ** 5
 
 
 # every environment key, bounded once: building P_LOS and the synthetic
@@ -373,17 +392,36 @@ SCHEMAS: Dict[str, dict] = {
     },
 }
 
-# each site-CSV column takes the bounds of its mapsim.auto_sites twin, and
-# roof_h those of the map cell an automatic site stands on, with the antenna
-# MAST_M above it no lower than a ground antenna
+# the bounds of a site CSV's columns (cli._load_sites reads it; x and y lie
+# on its map, and the bearing is any finite angle): each column takes those
+# of its mapsim.auto_sites twin, and roof_h those of the map cell an automatic
+# site stands on, with the antenna MAST_M above it no lower than a ground
+# antenna
 _AUTO_SITES = SCHEMAS["mapsim"]["mapsim"].schema["auto_sites"].schema
-_SITE_CSV_FIELDS = {
+SITE_CSV_FIELDS = {
     "roof_h": Field(minimum=MIN_ANTENNA_HEIGHT_M - MAST_M,
                     maximum=MAX_SURFACE_M),
     "p_tx_dbm": _AUTO_SITES["p_tx_dbm"],
     "tilt_deg": _AUTO_SITES["downtilt_deg"],
     "max_gain_dbi": _AUTO_SITES["max_gain_dbi"],
     "beamwidth_deg": _AUTO_SITES["beamwidth_deg"],
+}
+
+# the work of a run past which it is rejected: (the list key named, its
+# ceiling, the message, the count of work units in the key's block)
+_WORK_CEILINGS = {
+    "aue-coverage": ("run.altitudes_m", MAX_COVERAGE_TRIALS,
+                     "times n_trials gives more than {:g} trials per run",
+                     lambda b: len(b["altitudes_m"]) * b["n_trials"]),
+    "aue-sweep": ("sweep.grid", MAX_SWEEP_TRIALS,
+                  "times n_trials gives more than {:g} trials per run",
+                  lambda b: len(b["grid"]) * b["n_trials"]),
+    "channel-table": ("channel.altitudes_m", MAX_CHANNEL_CELLS,
+                      "times distances_m gives more than {:g} cells per table",
+                      lambda b: len(b["altitudes_m"]) * len(b["distances_m"])),
+    "abs-design": ("abs.altitudes_m", MAX_ABS_ROWS,
+                   "gives more than {:g} rows per table",
+                   lambda b: len(b["altitudes_m"])),
 }
 
 # the key whose bounds each sweep axis's grid values take
@@ -452,10 +490,12 @@ def _coerce(value, f: Field, path: str):
     raise ScenarioError("unsupported field kind", path)  # pragma: no cover
 
 
-def _check_bounds(value, f: Field, path: str):
+def check_bounds(value, f: Field, path: str):
+    """Reject a number (or each item of a list) outside the bounds of f,
+    naming path."""
     if isinstance(value, list):
         for i, item in enumerate(value):
-            _check_bounds(item, f, f"{path}[{i}]")
+            check_bounds(item, f, f"{path}[{i}]")
         return
     if value is None:
         return
@@ -471,7 +511,7 @@ def _check_bounds(value, f: Field, path: str):
 
 def _validate_value(value, f: Field, path: str):
     value = _coerce(value, f, path)
-    _check_bounds(value, f, path)
+    check_bounds(value, f, path)
     return value
 
 
@@ -479,14 +519,6 @@ def validate_seed(value) -> int:
     """Check a command-line seed override as the scenario file's seed is
     checked."""
     return _validate_value(value, _TOP_LEVEL["seed"], "seed")
-
-
-def validate_site_row(vals: dict, line: int):
-    """Check the values of one site-CSV row (column -> number) against the
-    bounds of their mapsim.auto_sites twins; a failure names the line and
-    the column."""
-    for column, f in _SITE_CSV_FIELDS.items():
-        _validate_value(vals[column], f, f"line {line}: {column}")
 
 
 def _validate_block(data, schema: dict, path: str):
@@ -593,7 +625,7 @@ def parse_scenario(text: str) -> Scenario:
     if command == "aue-sweep":
         sweep = params["sweep"]
         block, key = _SWEEP_AXIS_KEYS[sweep["axis"]]
-        _check_bounds(sweep["grid"], schema[block].schema[key], "sweep.grid")
+        check_bounds(sweep["grid"], schema[block].schema[key], "sweep.grid")
         if sweep["metric"] == "coverage" and sweep["n_trials"] < COVERAGE_MIN_TRIALS:
             raise ScenarioError(f"must be at least {COVERAGE_MIN_TRIALS} "
                                 "for metric coverage", "sweep.n_trials")
@@ -615,6 +647,10 @@ def parse_scenario(text: str) -> Scenario:
                 f"times the area of aue.region_radius_m gives a mean of more "
                 f"than {MAX_MEAN_SITES:g} sites per snapshot",
                 "aue.bs_density_per_km2")
+    if command in _WORK_CEILINGS:
+        key, ceiling, message, count = _WORK_CEILINGS[command]
+        if count(params[key.split(".")[0]]) > ceiling:
+            raise ScenarioError(message.format(ceiling), key)
     if command == "localize":
         b = params["localize"]
         if b["n_users"] * b["trials_per_user"] > MAX_LOCALIZE_SOLVES:

@@ -18,7 +18,7 @@ from a2gnet import localization as loc
 from a2gnet import mapsim as ms
 from a2gnet.antenna_geometry import Position3D
 from a2gnet.cli import run_scenario
-from a2gnet.heightmap import HeightMap, building_stats, los_check, synthetic_city
+from a2gnet.heightmap import HeightMap, building_stats, los_mask, synthetic_city
 from a2gnet.numerics import (
     Nakagami,
     RngStream,
@@ -216,7 +216,8 @@ class TestCriterion5:
         design = ab.AbsDesign(200.0, 500.0, 0.05)
         hs = np.linspace(1.0, 2500.0, 40)
         pg = [ab.power_gain(h, 500.0, 0.05, self.PROF) for h in hs]
-        srg = [ab.sum_rate_gain(h, self.PROF, design) for h in hs]
+        srg = [row[2] for row in ab.design_rows(hs, design.r_c_m,
+                                                design.epsilon, self.PROF)]
         i_pg, i_srg = int(np.argmax(pg)), int(np.argmax(srg))
         ok = (0 < i_pg < len(hs) - 1 and 0 < i_srg < len(hs) - 1
               and hs[i_srg] < hs[i_pg] and pg[i_pg] > 1.0 and srg[i_srg] > 1.0)
@@ -339,7 +340,7 @@ class TestCriterion7:
                            rng.uniform(0, 30))
             b = Position3D(rng.uniform(0, 50), rng.uniform(0, 50),
                            rng.uniform(0, 30))
-            agree += los_check(a, b, hm) == oracle(a, b)
+            agree += los_mask(a, b.x, b.y, b.h, hm) == oracle(a, b)
         report("7a", agree == 1000, f"{agree}/1000 LOS decisions match oracle")
 
     def test_b_rayleigh_fit_recovers_scale(self):
@@ -360,8 +361,8 @@ class TestCriterion7:
         cfg = ms.MapSimConfig(env=env)
         mean_roof = building_stats(city, 4.0).mean_height_m
         heights = [1.5, 10.0, 20.0, 30.0, 60.0, 150.0]
-        curve = dict(ms.coverage_vs_altitude(sites, city, heights, cfg,
-                                             stride=6))
+        curve = {g.ue_height_m: g.coverage_fraction()
+                 for g in ms.sinr_grids(sites, city, heights, cfg, stride=6)}
         best_h = max(curve, key=curve.get)
         rooftop = curve[20.0]
         drop = rooftop - curve[150.0]
@@ -374,9 +375,9 @@ class TestCriterion7:
         city = synthetic_city(200.0, 5.0, ch.urban(), RngStream(73).child_generator())
         sites = [ms.site_on_roof(city, 100.0, 100.0)]
         cfg = ms.MapSimConfig(env=ch.urban())
-        grid = ms.sinr_grid(sites, city, 20.0, cfg, stride=2)
+        grid = ms.sinr_grids(sites, city, [20.0], cfg, stride=2)[0]
         import inspect
-        default = inspect.signature(ms.coverage_vs_altitude).parameters[
+        default = inspect.signature(ms.SinrGrid.coverage_fraction).parameters[
             "threshold_db"].default
         manual = float(np.mean(grid.sinr_db >= -6.0))
         report("7d", default == -6.0 and grid.coverage_fraction() == manual,

@@ -16,8 +16,8 @@ from a2gnet import abs_net, aue_net
 from a2gnet import channel as ch
 from a2gnet import localization as loc
 from a2gnet import mapsim as ms
-from a2gnet.cli import (_aue_config, _environment, _fmt, _sinr_target,
-                        _write_csv, main, run_scenario)
+from a2gnet.cli import (SITE_CSV_COLUMNS, _aue_config, _environment, _fmt,
+                        _sinr_target, _write_csv, main, run_scenario)
 from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import MAX_SYNTHETIC_CELLS, HeightMap, save_ascii_grid
 from a2gnet.numerics import dbm_to_watt
@@ -656,8 +656,9 @@ def test_write_csv_matches_per_value_writer(tmp_path):
 
 
 def _reference_abs_design(s, out_dir):
-    """The abs-design table one altitude at a time, each row from the
-    per-altitude library calls."""
+    """The abs-design table one altitude at a time: the power and its gain
+    from the per-altitude library calls, the sum-rate gain from a
+    one-altitude design_rows call."""
     b = s.params["abs"]
     prof = abs_net.urban_abs_profile(
         k0_db=b["k0_db"], k90_db=b["k90_db"], eta0=b["eta0"], eta90=b["eta90"],
@@ -669,7 +670,8 @@ def _reference_abs_design(s, out_dir):
         design = abs_net.AbsDesign(h, b["r_c_m"], b["epsilon"])
         p_req = abs_net.required_power(design, prof)
         gain = abs_net.power_gain(h, b["r_c_m"], b["epsilon"], prof)
-        srg = abs_net.sum_rate_gain(h, prof, design)
+        [(_, _, srg)] = abs_net.design_rows([h], b["r_c_m"], b["epsilon"],
+                                            prof)
         rows.append([h, b["r_c_m"], p_req, gain, srg])
     return _reference_write_csv(out_dir / "abs_design.csv",
                                 ["h_m", "r_c_m", "p_req_w", "power_gain",
@@ -819,6 +821,26 @@ class TestMainEntry:
         assert code == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out and out[0].endswith("localize.csv")
+
+    @pytest.mark.parametrize("out,taken,named", [
+        ("file", "file", "file"), ("file/sub", "file", "file/sub"),
+        ("out", "out/channel_table.csv/", "out/channel_table.csv")])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, out, taken,
+                                         named):
+        # a regular file on the output path raised a raw FileExistsError or
+        # NotADirectoryError from mkdir, and a directory where the table
+        # goes a raw IsADirectoryError
+        scn = tmp_path / "run.yaml"
+        scn.write_text(MINIMAL_CHANNEL)
+        if taken.endswith("/"):
+            (tmp_path / taken).mkdir(parents=True)
+        else:
+            (tmp_path / taken).write_text("")
+        assert main(["--scenario", str(scn), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("scenario error: output: [Errno ")
+        assert err[0].endswith(f": '{tmp_path / named}'")
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_seed_override_bound_exit_code(self, tmp_path, capsys, seed):
@@ -1030,7 +1052,7 @@ class TestMainEntry:
                                              monkeypatch, column, value):
         # inf power or a nan roof or bearing exited 0 with coverage 0, and
         # a nan x exited 1 about the map edge without naming the file
-        row = dict(zip(ms.SITE_CSV_COLUMNS,
+        row = dict(zip(SITE_CSV_COLUMNS,
                        ["50", "50", "0", "46", "0", "8", "16", "65"]))
         row[column] = value
         (tmp_path / "sites.csv").write_text(
@@ -1061,7 +1083,7 @@ class TestMainEntry:
         # with RuntimeWarnings; a site off the 100 m map exited 1 with a
         # message that named neither the file nor the line
         good = ["50", "50", "0", "46", "0", "8", "16", "65"]
-        row = dict(zip(ms.SITE_CSV_COLUMNS, good))
+        row = dict(zip(SITE_CSV_COLUMNS, good))
         row[column] = value
         (tmp_path / "sites.csv").write_text(
             ",".join(row) + "\n" + ",".join(good) + "\n"
@@ -1074,6 +1096,60 @@ class TestMainEntry:
         assert len(err) == 1 and "mapsim.sites_csv: " in err[0]
         assert f"line 3: {column}: {why}" in err[0]
         assert not (tmp_path / "mapsim_summary.csv").exists()
+
+    _SITE_HEADER = ("x,y,roof_h,p_tx_dbm,azimuth0_deg,tilt_deg,max_gain_dbi,"
+                    "beamwidth_deg\n")
+    _SITE_ROW = "50,50,0,46,0,8,16,65\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("x,y,roof_h,p_tx_dbm,azimuth0_deg,tilt_deg,max_gain_dbi\n"
+         "50,50,0,46,0,8,16\n",
+         "site CSV missing columns ['beamwidth_deg']"),
+        (_SITE_HEADER + _SITE_ROW + "50,50,0,46,nan,8,16,65\n",
+         "site CSV line 3: azimuth0_deg must be a finite number, not 'nan'"),
+        (_SITE_HEADER + _SITE_ROW + "50,50,0,1e308,0,8,16,65\n",
+         "line 3: p_tx_dbm: must be at most 150.0"),
+        (_SITE_HEADER + _SITE_ROW + "500,50,0,46,0,8,16,65\n",
+         "line 3: x: 500 lies off the map, outside [0, 100]"),
+        (_SITE_HEADER, "site CSV holds no sites"),
+        # every value of every row is checked finite before any bound
+        (_SITE_HEADER + "50,50,0,1e308,0,8,16,65\n50,50,0,46,0,8,inf,65\n",
+         "site CSV line 3: max_gain_dbi must be a finite number, not 'inf'"),
+    ], ids=["missing_column", "non_finite", "out_of_bound", "off_map",
+            "no_rows", "non_finite_after_out_of_bound"])
+    def test_site_csv_message(self, tmp_path, capsys, monkeypatch, text,
+                              message):
+        (tmp_path / "sites.csv").write_text(text)
+        code, err = self._mapsim_exit(
+            tmp_path, capsys, monkeypatch,
+            "  synthetic: {extent_m: 100, cellsize_m: 10}\n"
+            "  sites_csv: sites.csv\n")
+        assert code == 2
+        assert err == ["scenario error: mapsim.sites_csv: cannot read "
+                       f"'sites.csv': {message}"]
+
+    def test_site_csv_field_over_csv_limit_exit_code(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the csv module's own error ended in a raw traceback, exit 1
+        (tmp_path / "sites.csv").write_text(
+            self._SITE_HEADER + "1" * 200000 + ",50,0,46,0,8,16,65\n")
+        code, err = self._mapsim_exit(
+            tmp_path, capsys, monkeypatch,
+            "  synthetic: {extent_m: 100, cellsize_m: 10}\n"
+            "  sites_csv: sites.csv\n")
+        assert code == 2
+        assert err == ["scenario error: mapsim.sites_csv: cannot read "
+                       "'sites.csv': field larger than field limit (131072)"]
+
+    def test_missing_site_csv_message(self, tmp_path, capsys, monkeypatch):
+        code, err = self._mapsim_exit(
+            tmp_path, capsys, monkeypatch,
+            "  synthetic: {extent_m: 100, cellsize_m: 10}\n"
+            "  sites_csv: nope.csv\n")
+        assert code == 2
+        assert err == ["scenario error: mapsim.sites_csv: cannot read "
+                       "'nope.csv': [Errno 2] No such file or directory: "
+                       "'nope.csv'"]
 
     @pytest.mark.parametrize("value", ["1e308", "1e6"])
     def test_heightmap_value_out_of_bounds_exit_code(self, tmp_path, capsys,

@@ -14,7 +14,6 @@ from a2gnet.heightmap import (
     HeightMap,
     building_stats,
     load_ascii_grid,
-    los_check,
     los_mask,
     save_ascii_grid,
     synthetic_city,
@@ -278,20 +277,20 @@ class TestSurface:
 class TestLosCheck:
     def test_flat_map_clear(self):
         hm = HeightMap(np.zeros((20, 20)), cellsize=5.0)
-        assert los_check(Position3D(3, 3, 2), Position3D(90, 90, 2), hm)
+        assert los_mask(Position3D(3, 3, 2), 90, 90, 2, hm)
 
     def test_wall_blocks(self):
         grid = np.zeros((21, 21))
         grid[:, 10] = 30.0
         hm = HeightMap(grid, cellsize=5.0)
-        assert not los_check(Position3D(10, 50, 2), Position3D(95, 50, 2), hm)
-        assert los_check(Position3D(10, 50, 35), Position3D(95, 50, 35), hm)
+        assert not los_mask(Position3D(10, 50, 2), 95, 50, 2, hm)
+        assert los_mask(Position3D(10, 50, 35), 95, 50, 35, hm)
 
     def test_endpoint_below_surface_obstructed(self):
         grid = np.zeros((5, 5))
         grid[2, 2] = 10.0
         hm = HeightMap(grid, cellsize=10.0)
-        assert not los_check(Position3D(25, 25, 5), Position3D(5, 5, 20), hm)
+        assert not los_mask(Position3D(25, 25, 5), 5, 5, 20, hm)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
@@ -301,12 +300,13 @@ class TestLosCheck:
                            rng.uniform(0, 25))
             b = Position3D(rng.uniform(0, 60), rng.uniform(0, 60),
                            rng.uniform(0, 25))
-            assert los_check(a, b, hm) == los_check(b, a, hm)
+            assert los_mask(a, b.x, b.y, b.h, hm) == los_mask(b, a.x, a.y,
+                                                              a.h, hm)
 
     def test_outside_extent_rejected(self):
         hm = HeightMap(np.zeros((5, 5)), cellsize=10.0)
         with pytest.raises(DomainError):
-            los_check(Position3D(-1, 0, 5), Position3D(10, 10, 5), hm)
+            los_mask(Position3D(-1, 0, 5), 10, 10, 5, hm)
 
     def test_matches_dense_sampling_oracle(self):
         rng = np.random.default_rng(3)
@@ -317,7 +317,7 @@ class TestLosCheck:
                            rng.uniform(0, 30))
             b = Position3D(rng.uniform(0, 50), rng.uniform(0, 50),
                            rng.uniform(0, 30))
-            agree += los_check(a, b, hm) == sampled_los(a, b, hm)
+            agree += los_mask(a, b.x, b.y, b.h, hm) == sampled_los(a, b, hm)
         assert agree == 1000
 
 
@@ -332,7 +332,7 @@ def _border_ring_map(kind):
 
 
 class TestLosBorderRing:
-    """los_check against the sampling oracle where the walker reads the
+    """One-ray casts against the sampling oracle where the walker reads the
     edge ring of its padded grid: the half-cell border ring, the first and
     last cell-center lines, one-row and one-column maps, and no-data cells
     at the edge."""
@@ -374,7 +374,7 @@ class TestLosBorderRing:
         hm = _border_ring_map(kind)
         rng = np.random.default_rng(5)
         rays = list(self._rays(hm, rng))
-        got = [los_check(a, b, hm) for a, b in rays]
+        got = [bool(los_mask(a, b.x, b.y, b.h, hm)) for a, b in rays]
         want = [sampled_los(a, b, hm) for a, b in rays]
         assert got == want
         assert 0 < sum(got) < len(got)
@@ -387,12 +387,13 @@ def _world(hm, u, v, h):
 
 
 def _assert_matches_reference(hm, site, ends):
-    """los_mask over all ends, and los_check per end, equal reference_los."""
+    """los_mask over all ends, and over each end on its own, equal
+    reference_los."""
     x, y, h = (np.array(c) for c in zip(*((b.x, b.y, b.h) for b in ends)))
     with np.errstate(over="ignore"):  # the reference's vertex can overflow
         want = [reference_los(site, b, hm) for b in ends]
     assert los_mask(site, x, y, h, hm).tolist() == want
-    assert [los_check(site, b, hm) for b in ends] == want
+    assert [bool(los_mask(site, b.x, b.y, b.h, hm)) for b in ends] == want
 
 
 def _random_map(rng):
@@ -620,7 +621,8 @@ class TestCastOverHeights:
         x, y = [10.0, 100.0, 61.0], [10.0, 100.0, 80.0]
         ends = [Position3D(a, b, h) for h in (1.5, 150.0) for a, b in zip(x, y)]
         cast = los_mask(site, x, y, [[1.5], [150.0]], city)
-        assert cast.ravel().tolist() == [los_check(site, e, city) for e in ends]
+        assert cast.ravel().tolist() == [bool(los_mask(site, e.x, e.y, e.h,
+                                                       city)) for e in ends]
         assert los_mask(site, 10.0, 10.0, 150.0, city).shape == ()
 
     def test_holds_no_float_array_per_ray(self):

@@ -358,7 +358,7 @@ def reference_campaign(scenario, plan, ch, rng, trials_per_user=1,
     """run_campaign's draws, each user solved by the public multilaterate."""
     anchors = loc.place_anchors(plan)
     axy = np.array([[a.x, a.y] for a in anchors])
-    pos_errors, range_errors = [], []
+    pos_errors = []
     for u in range(scenario.n_users):
         for t in range(trials_per_user):
             gen = rng.child_generator(u, t)
@@ -377,12 +377,8 @@ def reference_campaign(scenario, plan, ch, rng, trials_per_user=1,
                 force_state=forced)[0] for i in range(plan.m_points)])
             est = loc.multilaterate(anchors, d_hat, search_center=(0.0, 0.0),
                                     search_radius_m=scenario.user_area_radius_m)
-            r_hat = np.sqrt(np.maximum(d_hat ** 2 - plan.h_abs_m ** 2, 0.0))
-            rng_err, pos_err = loc.localization_error((est.x, est.y), (ux, uy),
-                                                      r_hat, r_true)
-            pos_errors.append(pos_err)
-            range_errors.append(rng_err)
-    return np.array(pos_errors), np.array(range_errors)
+            pos_errors.append(math.hypot(est.x - ux, est.y - uy))
+    return np.array(pos_errors)
 
 
 class TestRangeJacobian:
@@ -577,12 +573,9 @@ class TestSharedSearchGrid:
         plan = loc.AnchorPlan(m_points, radius, 200.0)
         res = loc.run_campaign(scen, plan, TABLE_CH, RngStream(70, m_points),
                                trials_per_user=2, state_mode=state_mode)
-        pos, rng_err = reference_campaign(scen, plan, TABLE_CH,
-                                          RngStream(70, m_points),
-                                          trials_per_user=2,
-                                          state_mode=state_mode)
+        pos = reference_campaign(scen, plan, TABLE_CH, RngStream(70, m_points),
+                                 trials_per_user=2, state_mode=state_mode)
         np.testing.assert_array_equal(res.pos_errors, pos)
-        np.testing.assert_array_equal(res.range_errors, rng_err)
 
     def test_default_search_area_matches_reference(self):
         # no search radius: each call sizes its grid from its own ranges
@@ -603,34 +596,31 @@ class TestSharedSearchGrid:
 
 
 class TestLocalizationError:
-    def test_perfect_ranges(self):
-        rng_err, pos_err = loc.localization_error(
-            (3.0, 4.0), (0.0, 0.0), [10.0, 20.0], [10.0, 20.0])
-        assert rng_err == 0.0
-        assert pos_err == 5.0
-
-    def test_single_axis_offset(self):
-        rng_err, _ = loc.localization_error(
-            (0, 0), (0, 0), [10.0, 25.0, 30.0], [10.0, 20.0, 30.0])
-        assert rng_err == 5.0
-
     def test_mixture_decomposition(self, monkeypatch):
         # one user at the center sees every anchor at the same elevation;
         # the mixed-state mean equals the P_LOS-weighted mix of the
         # conditional means. Range errors depend neither on the solver nor
-        # on its draws, so a fixed estimate stands in for the 12,000 solves.
-        monkeypatch.setattr(loc, "_solve", lambda *args:
-                            loc.MultilaterationResult(0.0, 0.0, 0.0))
+        # on its draws, so a fixed estimate stands in for the 12,000 solves;
+        # each solve's ranges miss the circle radius (the user lies within
+        # 1e-6 m of the center) by its range error.
         h = 129.6  # elevation ~47.2 deg at R = 120 -> p_los ~ 0.5
         plan = loc.AnchorPlan(3, 120.0, h)
+        errors = []
+
+        def solve(grid, r_hat):
+            errors.append(math.sqrt(np.sum((r_hat - plan.radius_m) ** 2)))
+            return loc.MultilaterationResult(0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(loc, "_solve", solve)
         scen = loc.LocalizationScenario(n_users=1, user_area_radius_m=1e-6)
         p = float(TABLE_CH.p_los(math.atan2(h, 120.0)))
         assert 0.2 < p < 0.8
         runs = {}
         for mode in ("common", "los", "nlos"):
-            res = loc.run_campaign(scen, plan, TABLE_CH, RngStream(55),
-                                   trials_per_user=4000, state_mode=mode)
-            runs[mode] = res.range_errors
+            errors.clear()
+            loc.run_campaign(scen, plan, TABLE_CH, RngStream(55),
+                             trials_per_user=4000, state_mode=mode)
+            runs[mode] = np.array(errors)
         mixed = np.mean(runs["common"])
         expected = p * np.mean(runs["los"]) + (1 - p) * np.mean(runs["nlos"])
         se = np.std(runs["common"]) / math.sqrt(runs["common"].size)

@@ -6,9 +6,9 @@ import pytest
 from a2gnet import channel as ch
 from a2gnet import mapsim as ms
 from a2gnet.antenna_geometry import Position3D, SectorAntenna
-from a2gnet.cli import _load_sites, run_scenario
+from a2gnet.cli import SITE_CSV_COLUMNS, _load_sites, run_scenario
 from a2gnet.errors import DomainError, ScenarioError
-from a2gnet.heightmap import HeightMap, los_check, los_mask, synthetic_city
+from a2gnet.heightmap import HeightMap, los_mask, synthetic_city
 from a2gnet.numerics import RngStream
 from a2gnet.scenario import parse_scenario
 
@@ -32,8 +32,8 @@ def p_los_vs_altitude(sites, hm, heights, stride=1):
 
 def received_power_dbm(site, sector, ue, hm, cfg):
     """One sector's P_tx + G_tx + G_rx - PL toward one point, its LOS from
-    the single-ray check."""
-    los = los_check(site.position, ue, hm)
+    a one-ray cast."""
+    los = los_mask(site.position, ue.x, ue.y, ue.h, hm)
     return float(ms._rx_dbm(site, cfg, ue.x, ue.y, ue.h, los)[sector])
 
 
@@ -127,7 +127,7 @@ class TestSinrGrid:
         # sectors pointing away their leakage is bounded by the floor
         site = ms.site_on_roof(FLAT, 200.0, 200.0, p_tx_dbm=46.0)
         cfg = flat_cfg()
-        grid = ms.sinr_grid([site], FLAT, 1.5, cfg, stride=2)
+        [grid] = ms.sinr_grids([site], FLAT, [1.5], cfg, stride=2)
         assert np.all(np.isfinite(grid.sinr_db))
         assert grid.serving.shape == grid.sinr_db.shape
 
@@ -136,7 +136,7 @@ class TestSinrGrid:
         a = ms.SectorSite(position=Position3D(100, 200, 30))
         b = ms.SectorSite(position=Position3D(300, 200, 30))
         cfg = flat_cfg(noise_density_dbm_hz=-400.0)
-        grid = ms.sinr_grid([a, b], FLAT, 1.5, cfg)
+        [grid] = ms.sinr_grids([a, b], FLAT, [1.5], cfg)
         ix = int(np.argmin(np.abs(grid.x - 200.0)))
         iy = int(np.argmin(np.abs(grid.y - 200.0)))
         # the two sites' best sectors mirror each other; their powers at the
@@ -148,19 +148,19 @@ class TestSinrGrid:
         sites = [ms.site_on_roof(FLAT, 120.0, 150.0),
                  ms.site_on_roof(FLAT, 280.0, 230.0)]
         cfg = flat_cfg()
-        base = ms.sinr_grid(sites, FLAT, 1.5, cfg, stride=2)
+        [base] = ms.sinr_grids(sites, FLAT, [1.5], cfg, stride=2)
         boosted_sites = [ms.SectorSite(position=s.position,
                                        p_tx_dbm=s.p_tx_dbm + 3.0,
                                        azimuth0=s.azimuth0,
                                        antenna=s.antenna) for s in sites]
-        boosted = ms.sinr_grid(boosted_sites, FLAT, 1.5, cfg, stride=2)
+        [boosted] = ms.sinr_grids(boosted_sites, FLAT, [1.5], cfg, stride=2)
         assert np.array_equal(base.serving, boosted.serving)
 
     def test_bit_reproducible(self):
         sites = [ms.site_on_roof(FLAT, 120.0, 150.0)]
         cfg = flat_cfg()
-        a = ms.sinr_grid(sites, FLAT, 20.0, cfg, stride=2)
-        b = ms.sinr_grid(sites, FLAT, 20.0, cfg, stride=2)
+        [a] = ms.sinr_grids(sites, FLAT, [20.0], cfg, stride=2)
+        [b] = ms.sinr_grids(sites, FLAT, [20.0], cfg, stride=2)
         assert np.array_equal(a.sinr_db, b.sinr_db)
 
     def test_serving_tie_break_lowest_index(self):
@@ -168,12 +168,12 @@ class TestSinrGrid:
         # serving raster must always pick the first site's sectors
         a = ms.SectorSite(position=Position3D(200, 200, 30))
         b = ms.SectorSite(position=Position3D(200, 200, 30))
-        grid = ms.sinr_grid([a, b], FLAT, 1.5, flat_cfg(), stride=4)
+        [grid] = ms.sinr_grids([a, b], FLAT, [1.5], flat_cfg(), stride=4)
         assert np.all(grid.serving <= 2)
 
     def test_needs_sites(self):
         with pytest.raises(DomainError):
-            ms.sinr_grid([], FLAT, 1.5, flat_cfg())
+            ms.sinr_grids([], FLAT, [1.5], flat_cfg())
 
 
 class TestCoverageCurves:
@@ -187,16 +187,15 @@ class TestCoverageCurves:
         self.cfg = ms.MapSimConfig(env=self.env)
 
     def test_huge_threshold_margin_gives_full_coverage(self):
-        curve = ms.coverage_vs_altitude(self.sites, self.city, [20.0],
-                                        self.cfg, threshold_db=-300.0,
-                                        stride=6)
-        assert curve[0][1] == 1.0
+        [grid] = ms.sinr_grids(self.sites, self.city, [20.0], self.cfg,
+                               stride=6)
+        assert grid.coverage_fraction(threshold_db=-300.0) == 1.0
 
     def test_peak_near_rooftop_and_decay_aloft(self):
         heights = [1.5, 10.0, 20.0, 30.0, 60.0, 150.0]
-        curve = ms.coverage_vs_altitude(self.sites, self.city, heights,
-                                        self.cfg, stride=6)
-        cov = dict(curve)
+        cov = {g.ue_height_m: g.coverage_fraction()
+               for g in ms.sinr_grids(self.sites, self.city, heights, self.cfg,
+                                      stride=6)}
         best_h = max(cov, key=cov.get)
         mean_roof = 25.2
         assert best_h <= 1.5 * mean_roof
@@ -213,14 +212,16 @@ class TestCoverageCurves:
 
     def test_empty_heights_rejected(self):
         with pytest.raises(DomainError):
-            ms.coverage_vs_altitude(self.sites, self.city, [], self.cfg)
+            ms.sinr_grids(self.sites, self.city, [], self.cfg)
 
     def test_grid_los_fraction_matches_reference(self):
         # p_los_vs_altitude casts the rays on its own: the reference path
         heights = [1.5, 20.0, 60.0, 150.0]
         ref = p_los_vs_altitude(self.sites, self.city, heights, stride=6)
-        for h, p_ref in ref:
-            grid = ms.sinr_grid(self.sites, self.city, h, self.cfg, stride=6)
+        grids = ms.sinr_grids(self.sites, self.city, heights, self.cfg,
+                              stride=6)
+        for (h, p_ref), grid in zip(ref, grids, strict=True):
+            assert grid.ue_height_m == h
             assert grid.p_los_any == p_ref
             assert grid.los_any.shape == grid.sinr_db.shape
 
@@ -287,7 +288,7 @@ class TestSinrGridsDifferential:
     def test_one_height_form(self):
         city, sites = holed_city(4)
         cfg = flat_cfg()
-        one = ms.sinr_grid(sites, city, 8.0, cfg, stride=2)
+        [one] = ms.sinr_grids(sites, city, [8.0], cfg, stride=2)
         many = ms.sinr_grids(sites, city, [30.0, 8.0], cfg, stride=2)[1]
         assert np.array_equal(one.sinr_db, many.sinr_db)
         assert np.array_equal(one.serving, many.serving)
@@ -326,23 +327,24 @@ class TestCastOnce:
 
 class TestSiteCsv:
     def test_round_trip(self, tmp_path):
+        # each row's site stands MAST_M above its roof_h, angles in degrees
         sites = [ms.site_on_roof(FLAT, 100.0, 120.0, p_tx_dbm=43.0),
                  ms.SectorSite(position=Position3D(300, 50, 25),
-                               p_tx_dbm=46.0, azimuth0=math.radians(30))]
+                               p_tx_dbm=46.0, azimuth0=math.radians(30),
+                               antenna=SectorAntenna(
+                                   electrical_tilt=math.radians(-2.5),
+                                   max_gain_dbi=18.0,
+                                   beamwidth_3db=math.radians(90)))]
         p = tmp_path / "sites.csv"
-        ms.save_sites_csv(sites, p)
-        roof_h = float(p.read_text().splitlines()[2].split(",")[2])
-        assert roof_h == 25.0 - ms.MAST_M
-        back = _load_sites(p, FLAT)
-        assert len(back) == 2
-        assert back[0].position.x == 100.0
-        assert back[1].azimuth0 == pytest.approx(math.radians(30))
-        assert back[1].position.h == pytest.approx(25.0)
+        p.write_text(",".join(SITE_CSV_COLUMNS) + "\n"
+                     + "100,120,0,43,0,8,16,65\n"
+                     + f"300,50,{25.0 - ms.MAST_M},46,30,-2.5,18,90\n")
+        assert _load_sites(p, FLAT) == sites
 
     @pytest.mark.parametrize("value", ["nan", "-inf", "oops", ""])
     def test_bad_value_names_line_and_column(self, tmp_path, value):
         p = tmp_path / "bad.csv"
-        p.write_text(",".join(ms.SITE_CSV_COLUMNS) + "\n"
+        p.write_text(",".join(SITE_CSV_COLUMNS) + "\n"
                      + "50,50,0,46,0,8,16,65\n"
                      + f"50,50,0,46,{value},8,16,65\n")
         with pytest.raises(ScenarioError,

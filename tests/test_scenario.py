@@ -17,17 +17,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from a2gnet.aue_net import mean_site_count
-from a2gnet.cli import main, run_scenario
+from a2gnet import cli
+from a2gnet.cli import SITE_CSV_COLUMNS, main, run_scenario
 from a2gnet.errors import ScenarioError
 from a2gnet.heightmap import (MAX_SURFACE_M, HeightMap, load_ascii_grid,
                               save_ascii_grid)
 from a2gnet import mapsim as ms
-from a2gnet.mapsim import SITE_CSV_COLUMNS, save_sites_csv, site_on_roof
-from a2gnet.scenario import (_SITE_CSV_FIELDS, _SWEEP_AXIS_KEYS, _TOP_LEVEL,
-                             MAX_ANCHOR_POINTS, MAX_LOCALIZE_RUN_SOLVES,
+from a2gnet.scenario import (_SWEEP_AXIS_KEYS, _TOP_LEVEL, _WORK_CEILINGS,
+                             MAX_ABS_ROWS, MAX_ANCHOR_POINTS,
+                             MAX_CHANNEL_CELLS, MAX_COVERAGE_TRIALS,
+                             MAX_LOCALIZE_RUN_SOLVES,
                              MAX_LOCALIZE_SOLVES, MAX_MAPSIM_RAYS,
-                             MAX_MEAN_SITES, MAX_RANGE_M, SCHEMAS,
-                             parse_scenario, serialize_scenario)
+                             MAX_MEAN_SITES, MAX_RANGE_M, MAX_SWEEP_TRIALS,
+                             SCHEMAS,
+                             SITE_CSV_FIELDS, parse_scenario,
+                             serialize_scenario)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -396,7 +400,9 @@ READ_BASES = {
 def test_run_reads_every_canonical_key(tmp_path, monkeypatch, name):
     city = HeightMap(np.full((10, 10), 3.0), cellsize=10.0)
     save_ascii_grid(city, tmp_path / "city.asc")
-    save_sites_csv([site_on_roof(city, 50.0, 50.0)], tmp_path / "sites.csv")
+    # a site on the roof at (50, 50), its mast MAST_M above it
+    (tmp_path / "sites.csv").write_text(",".join(SITE_CSV_COLUMNS)
+                                        + "\n50,50,3,46,0,8,16,65\n")
     monkeypatch.chdir(tmp_path)
     s = parse_scenario(yaml.safe_dump(READ_BASES[name]))
     canon = yaml.safe_load(serialize_scenario(s))
@@ -656,6 +662,67 @@ class TestMapsimRayCeiling:
 
 
 # ---------------------------------------------------------------------------
+# The work of an aue, channel-table or abs-design run has a ceiling
+# ---------------------------------------------------------------------------
+
+# (command, its ceiling, the list key named, the work units of one entry)
+_WORK = [("aue-coverage", MAX_COVERAGE_TRIALS, "run.altitudes_m", 10 ** 7),
+         ("aue-sweep", MAX_SWEEP_TRIALS, "sweep.grid", 10 ** 6),
+         ("channel-table", MAX_CHANNEL_CELLS, "channel.altitudes_m", 100),
+         ("abs-design", MAX_ABS_ROWS, "abs.altitudes_m", 1)]
+
+
+def _work_doc(command, path, per, entries):
+    """A `command` run whose list key `path` holds `entries` entries of
+    `per` work units each, as YAML text."""
+    block, key = path.split(".")
+    doc = (_sweep(n_trials=per) if command == "aue-sweep"
+           else _doc(command, **{block: {}}))
+    doc[block][key] = [60.0] * entries
+    if command == "aue-coverage":
+        doc[block]["n_trials"] = per
+    elif command == "channel-table":
+        doc[block]["distances_m"] = [100.0] * per
+    # libyaml's emitter: the pure-Python one takes seconds on 10^5 entries
+    return yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+
+
+class TestWorkCeilings:
+    # parse-only: nothing is run
+
+    @pytest.mark.parametrize("command,ceiling,path,per", _WORK,
+                             ids=[c for c, _, _, _ in _WORK])
+    def test_at_and_above(self, command, ceiling, path, per):
+        assert ceiling % per == 0
+        parse_scenario(_work_doc(command, path, per, ceiling // per))
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"more than {ceiling:g} ")) as exc:
+            parse_scenario(_work_doc(command, path, per, ceiling // per + 1))
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("command,ceiling,path,per", _WORK,
+                             ids=[c for c, _, _, _ in _WORK])
+    def test_exit_code(self, tmp_path, capsys, monkeypatch, command, ceiling,
+                       path, per):
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        scn = tmp_path / "run.yaml"
+        scn.write_text(_work_doc(command, path, per, ceiling // per + 1))
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"scenario error: {path}: ")
+
+    @pytest.mark.parametrize("name", ["aue_coverage", "aue_beamwidth_sweep",
+                                      "channel_table", "abs_design"])
+    def test_shipped_run_far_inside(self, name):
+        s = parse_scenario((SCENARIOS / f"{name}.yaml").read_text())
+        path, ceiling, _, count = _WORK_CEILINGS[s.command]
+        assert count(s.params[path.split(".")[0]]) * 100 <= ceiling
+
+
+# ---------------------------------------------------------------------------
 # In-bound values never end in a traceback
 # ---------------------------------------------------------------------------
 
@@ -786,7 +853,7 @@ def _site_row(extent):
     columns = {"x": st.floats(x0, x1), "y": st.floats(y0, y1),
                "azimuth0_deg": st.floats(allow_nan=False, allow_infinity=False),
                **{column: _number(f, None)
-                  for column, f in _SITE_CSV_FIELDS.items()}}
+                  for column, f in SITE_CSV_FIELDS.items()}}
     return st.fixed_dictionaries(columns)
 
 
