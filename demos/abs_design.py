@@ -12,8 +12,7 @@ PROF = ab.urban_abs_profile()   # eta 3.5 -> 2, K 0 -> 15 dB over elevation
 
 
 def main():
-    design = ab.AbsDesign(h_abs_m=200.0, r_c_m=500.0, epsilon=0.05)
-    p_req = ab.required_power(design, PROF)
+    p_req = ab.required_power(200.0, 500.0, 0.05, PROF)
     print(f"Serving a 500 m disc from 200 m with 5% boundary outage needs "
           f"{1e3 * p_req:.2f} mW")
     print(f"  check: outage at the boundary = "
@@ -24,11 +23,10 @@ def main():
     gains = [ab.power_gain(h, 500.0, 0.05, PROF) for h in hs]
     for h, g in zip(hs, gains):
         print(f"  h={h:6.0f} m: {10 * np.log10(g):6.2f} dB")
-    h_pg, _ = ab.optimize_altitude("power_gain", PROF, hs, design=design)
-
-    srg = [row[2] for row in
-           ab.design_rows(hs, design.r_c_m, design.epsilon, PROF)]
-    h_sr = hs[int(np.argmax(srg))]
+    h_pg, _ = ab.optimize_altitude("power_gain", PROF, hs, r_c_m=500.0,
+                                   epsilon=0.05)
+    h_sr, _ = ab.optimize_altitude("sum_rate_gain", PROF, hs, r_c_m=500.0,
+                                   epsilon=0.05)
     print(f"\nOptimal altitudes: power gain at {h_pg:.0f} m, sum-rate gain at "
           f"{h_sr:.0f} m (capacity prefers flying lower)\n")
 

@@ -18,19 +18,20 @@ def altitude_story():
     for i, h in enumerate([5, 15, 30, 60, 120, 300]):
         est = au.capacity(float(h), CFG, TRIALS, RngStream(1, i), t_max=T_MAX)
         cov = au.coverage_probability_mc(float(h), CFG, TRIALS, RngStream(2, i))
-        bar = "#" * int(est.bps_hz * 8)
-        print(f"  h={h:4d} m: {est.bps_hz:5.2f} b/s/Hz (+/-{est.ci95:.2f})  "
-              f"P_cov(0 dB)={cov.estimate:.2f}  {bar}")
+        bar = "#" * int(est.value * 8)
+        print(f"  h={h:4d} m: {est.value:5.2f} b/s/Hz (+/-{est.ci95:.2f})  "
+              f"P_cov(0 dB)={cov.value:.2f}  {bar}")
     print("  -> street level is clutter-limited, high altitude is"
           " interference-limited; the optimum sits just above the rooftops\n")
 
 
 def density_story():
     print("Capacity vs base-station density at h = 60 m")
-    pts = au.sweep(CFG, "density", [1, 5, 20, 50, 100], uav_h=60.0,
+    grid = [1, 5, 20, 50, 100]
+    pts = au.sweep(CFG, "density", grid, uav_h=60.0,
                    n_trials=TRIALS, rng=RngStream(3), t_max=T_MAX)
-    for p in pts:
-        print(f"  lambda={p.x:5.0f}/km^2: {p.value:5.2f} b/s/Hz (+/-{p.ci95:.2f})")
+    for x, p in zip(grid, pts):
+        print(f"  lambda={x:5.0f}/km^2: {p.value:5.2f} b/s/Hz (+/-{p.ci95:.2f})")
     print("  -> densification first helps the serving link, then the"
           " interference floor wins\n")
 
@@ -38,13 +39,14 @@ def density_story():
 def beamwidth_story():
     print("Conical UE antenna at h = 150 m (aimed straight down)")
     omni = au.capacity(150.0, CFG, TRIALS, RngStream(4), t_max=T_MAX)
-    print(f"  omni 2.15 dBi     : {omni.bps_hz:5.2f} b/s/Hz")
-    pts = au.sweep(CFG, "phi_b", [40, 80, 120, 140, 160], uav_h=150.0,
+    print(f"  omni 2.15 dBi     : {omni.value:5.2f} b/s/Hz")
+    grid = [40, 80, 120, 140, 160]
+    pts = au.sweep(CFG, "phi_b", grid, uav_h=150.0,
                    n_trials=TRIALS, rng=RngStream(4), t_max=T_MAX)
-    for p in pts:
-        print(f"  cone {p.x:5.0f} deg   : {p.value:5.2f} b/s/Hz (+/-{p.ci95:.2f})")
-    best = max(pts, key=lambda p: p.value)
-    print(f"  -> opening angle ~{best.x:.0f} deg keeps the serving site inside"
+    for x, p in zip(grid, pts):
+        print(f"  cone {x:5.0f} deg   : {p.value:5.2f} b/s/Hz (+/-{p.ci95:.2f})")
+    best_x, _ = max(zip(grid, pts), key=lambda xp: xp[1].value)
+    print(f"  -> opening angle ~{best_x:.0f} deg keeps the serving site inside"
           " the lobe while blanking distant interferers\n")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,42 +30,47 @@ from .numerics import dbm_to_watt, integrate, inv_marcum_q, optimize, special
 _RAMP_THETA = (0.0, math.pi / 2)
 
 
-@dataclass(frozen=True)
-class LinearRamp:
-    """Value linear in elevation angle, v_at_0 at the horizon to v_at_90 at
-    the zenith."""
-
-    v_at_0: float
-    v_at_90: float
-
-    def __call__(self, theta):
-        out = np.interp(theta, _RAMP_THETA, (self.v_at_0, self.v_at_90))
-        return float(out) if np.ndim(theta) == 0 else out
+def _ramp(theta, v0: float, v90: float):
+    """Value linear in elevation angle, v0 at the horizon to v90 at the
+    zenith: a float for a scalar theta, an array for an array."""
+    out = np.interp(theta, _RAMP_THETA, (v0, v90))
+    return float(out) if np.ndim(theta) == 0 else out
 
 
 @dataclass(frozen=True)
 class AbsProfile:
     """Elevation-dependent channel profile plus link budget constants.
 
-    k_of_theta returns the linear Rician K (nondecreasing in theta);
-    eta_of_theta the path-loss exponent (nonincreasing, >= 2 at zenith).
-    noise_w is the total noise power over the signal bandwidth.
+    The linear Rician K runs from k0 at the horizon to k90 at the zenith
+    (nondecreasing), the path-loss exponent from eta0 to eta90
+    (nonincreasing, eta90 >= 2), each linear in elevation. noise_w is the
+    total noise power over the signal bandwidth.
     """
 
-    k_of_theta: LinearRamp
-    eta_of_theta: LinearRamp
+    k0: float
+    k90: float
+    eta0: float
+    eta90: float
     antenna_gain: float = 1.0
     noise_w: float = dbm_to_watt(-92.0)
     threshold_t: float = 1.0           # 0 dB SNR target
 
     def __post_init__(self):
-        k, eta = self.k_of_theta, self.eta_of_theta
-        if not 0.0 <= k.v_at_0 <= k.v_at_90:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite")
+        if not 0.0 <= self.k0 <= self.k90:
             raise DomainError("K(theta) must be nonnegative and nondecreasing")
-        if not eta.v_at_0 >= eta.v_at_90 >= 2.0:
+        if not self.eta0 >= self.eta90 >= 2.0:
             raise DomainError("eta(theta) must be nonincreasing with eta(pi/2) >= 2")
         if self.antenna_gain <= 0 or self.noise_w <= 0 or self.threshold_t <= 0:
             raise DomainError("gain, noise, and threshold must be positive")
+
+    def k_of_theta(self, theta):
+        return _ramp(theta, self.k0, self.k90)
+
+    def eta_of_theta(self, theta):
+        return _ramp(theta, self.eta0, self.eta90)
 
 
 def urban_abs_profile(k0_db: float = 0.0, k90_db: float = 15.0,
@@ -73,31 +78,8 @@ def urban_abs_profile(k0_db: float = 0.0, k90_db: float = 15.0,
                       **kwargs) -> AbsProfile:
     """Documented urban default: eta 3.5 -> 2 and K 0 dB -> 15 dB over
     elevation, interpolated linearly in the linear K ratio."""
-    return AbsProfile(
-        k_of_theta=LinearRamp(10.0 ** (k0_db / 10.0), 10.0 ** (k90_db / 10.0)),
-        eta_of_theta=LinearRamp(eta0, eta90),
-        **kwargs,
-    )
-
-
-@dataclass(frozen=True)
-class AbsDesign:
-    """Target coverage disc: radius r_c served from altitude h_abs with at
-    most `epsilon` outage at the boundary."""
-
-    h_abs_m: float
-    r_c_m: float
-    epsilon: float
-
-    def __post_init__(self):
-        if self.h_abs_m < 0 or self.r_c_m <= 0:
-            raise DomainError("need h_abs >= 0 and r_c > 0")
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError("epsilon must be in (0, 1)")
-
-    @property
-    def theta_c(self) -> float:
-        return math.atan2(self.h_abs_m, self.r_c_m)
+    return AbsProfile(10.0 ** (k0_db / 10.0), 10.0 ** (k90_db / 10.0),
+                      eta0, eta90, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +122,28 @@ def _link_factor(k: float, epsilon: float) -> float:
 
 
 class _Disc:
-    """One coverage disc (r_c, epsilon) under one profile.
+    """One coverage disc (r_c, epsilon) under one profile, the one place
+    the design functions check their inputs.
 
     A boundary is the disc's edge seen from one altitude: the tuple
     (theta_c, eta(theta_c), x), x the link factor at K(theta_c). The ground
-    side, the boundary at theta_c = 0 and the delivered fraction of a ground
+    side, the boundary at altitude 0 and the delivered fraction of a ground
     station at its required power, is the same at every altitude: each is
     computed on first use and then shared.
     """
 
     def __init__(self, r_c_m: float, epsilon: float, prof: AbsProfile):
+        if not 0.0 < r_c_m < math.inf:
+            raise DomainError(f"r_c_m must be finite and > 0, not {r_c_m:g}")
+        if not 0.0 < epsilon < 1.0:
+            raise DomainError(f"epsilon must be in (0, 1), not {epsilon:g}")
         self.r_c_m, self.epsilon, self.prof = r_c_m, epsilon, prof
 
-    def boundary(self, theta_c: float):
+    def boundary(self, h_abs_m: float):
+        if not 0.0 <= h_abs_m < math.inf:
+            raise DomainError(
+                f"h_abs_m must be finite and >= 0, not {h_abs_m:g}")
+        theta_c = math.atan2(h_abs_m, self.r_c_m)
         eta = self.prof.eta_of_theta(theta_c)
         return theta_c, eta, _link_factor(self.prof.k_of_theta(theta_c),
                                           self.epsilon)
@@ -184,20 +175,20 @@ class _Disc:
         return self.served(0.0, self.required_power(self.ground))
 
 
-def required_power(design: AbsDesign, prof: AbsProfile) -> float:
-    """Transmit power achieving outage epsilon at the coverage boundary."""
-    disc = _Disc(design.r_c_m, design.epsilon, prof)
-    return disc.required_power(disc.boundary(design.theta_c))
+def required_power(h_abs_m: float, r_c_m: float, epsilon: float,
+                   prof: AbsProfile) -> float:
+    """Transmit power achieving outage epsilon at the boundary of a disc of
+    radius r_c served from altitude h_abs."""
+    disc = _Disc(r_c_m, epsilon, prof)
+    return disc.required_power(disc.boundary(h_abs_m))
 
 
 def power_gain(h_abs_m: float, r_c_m: float, epsilon: float,
                prof: AbsProfile) -> float:
     """Required-power ratio ground/aerial for the same disc, closed form:
     x_0 x_theta^-1 r^(eta(0)-eta(theta_c)) cos(theta_c)^eta(theta_c)."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must be in (0, 1)")
     disc = _Disc(r_c_m, epsilon, prof)
-    return disc.power_gain(disc.boundary(math.atan2(h_abs_m, r_c_m)))
+    return disc.power_gain(disc.boundary(h_abs_m))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +234,7 @@ def design_rows(altitudes: Sequence[float], r_c_m: float, epsilon: float,
     disc = _Disc(r_c_m, epsilon, prof)
     rows = []
     for h in altitudes:
-        aerial = disc.boundary(AbsDesign(h, r_c_m, epsilon).theta_c)
+        aerial = disc.boundary(h)
         p_abs = disc.required_power(aerial)
         rows.append((p_abs, disc.power_gain(aerial),
                      disc.served(h, p_abs) / disc.ground_served))
@@ -280,21 +271,22 @@ def coverage_radius(h_abs_m: float, p_tx_w: float, epsilon: float,
 
 
 # each metric of optimize_altitude and the arguments it needs
-_ALTITUDE_METRICS = {"power_gain": ("design",), "sum_rate_gain": ("design",),
+_ALTITUDE_METRICS = {"power_gain": ("r_c_m", "epsilon"),
+                     "sum_rate_gain": ("r_c_m", "epsilon"),
                      "coverage_radius": ("p_tx_w", "epsilon")}
 
 
 def optimize_altitude(metric: str, prof: AbsProfile, grid: Sequence[float],
-                      design: AbsDesign = None, p_tx_w: float = None,
-                      epsilon: float = None):
+                      r_c_m: float = None, epsilon: float = None,
+                      p_tx_w: float = None):
     """Grid argmax of a design metric over altitude; lowest-h tie-break.
 
-    power_gain and sum_rate_gain need `design`; coverage_radius needs
-    p_tx_w and epsilon. Returns (h_best, metric_value).
+    power_gain and sum_rate_gain need r_c_m and epsilon; coverage_radius
+    needs p_tx_w and epsilon. Returns (h_best, metric_value).
     """
     if metric not in _ALTITUDE_METRICS:
         raise DomainError(f"unknown metric {metric!r}")
-    given = {"design": design, "p_tx_w": p_tx_w, "epsilon": epsilon}
+    given = {"r_c_m": r_c_m, "epsilon": epsilon, "p_tx_w": p_tx_w}
     missing = [name for name in _ALTITUDE_METRICS[metric]
                if given[name] is None]
     if missing:
@@ -307,11 +299,9 @@ def optimize_altitude(metric: str, prof: AbsProfile, grid: Sequence[float],
         values = [coverage_radius(h, p_tx_w, epsilon, prof).radius_m
                   for h in grid]
     elif metric == "sum_rate_gain":
-        values = [row[2] for row in
-                  design_rows(grid, design.r_c_m, design.epsilon, prof)]
+        values = [row[2] for row in design_rows(grid, r_c_m, epsilon, prof)]
     else:  # the power gain needs no disc outage: only the boundaries
-        disc = _Disc(design.r_c_m, design.epsilon, prof)
-        values = [disc.power_gain(disc.boundary(math.atan2(h, design.r_c_m)))
-                  for h in grid]
+        disc = _Disc(r_c_m, epsilon, prof)
+        values = [disc.power_gain(disc.boundary(h)) for h in grid]
     best = int(np.argmax(values))  # first occurrence = lowest altitude
     return grid[best], values[best]

@@ -25,6 +25,7 @@ table built once per UE height. A single snapshot is a block of one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import List, Sequence, Tuple
@@ -389,17 +390,18 @@ def sinr_samples(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
 
 
 @dataclass(frozen=True)
-class CoverageEstimate:
-    estimate: float
+class Estimate:
+    """A Monte Carlo estimate and the half-width of its normal 95% interval."""
+
+    value: float
     ci95: float
-    n_trials: int
 
 
-def coverage_from_samples(sinr: np.ndarray, threshold: float) -> CoverageEstimate:
+def coverage_from_samples(sinr: np.ndarray, threshold: float) -> Estimate:
     """Fraction of SINR samples above the threshold, with a normal CI."""
     p = float(np.mean(sinr > threshold))
     ci = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-12) / sinr.size)
-    return CoverageEstimate(p, ci, sinr.size)
+    return Estimate(p, ci)
 
 
 COVERAGE_MIN_TRIALS = 100   # fewest trials a coverage estimate accepts
@@ -412,18 +414,11 @@ def _check_coverage_trials(n_trials: int):
 
 
 def coverage_probability_mc(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
-                            rng: RngStream) -> CoverageEstimate:
+                            rng: RngStream) -> Estimate:
     """Fraction of trials with SINR above `cfg.threshold_t`, with a normal CI."""
     _check_coverage_trials(n_trials)
     return coverage_from_samples(sinr_samples(uav_h, cfg, n_trials, rng),
                                  cfg.threshold_t)
-
-
-@dataclass(frozen=True)
-class CapacityEstimate:
-    bps_hz: float
-    ci95: float
-    n_trials: int
 
 
 def _capacity_coefficients(k_nodes: int, t_max: float = None):
@@ -444,7 +439,7 @@ def _capacity_coefficients(k_nodes: int, t_max: float = None):
 
 
 def _capacity_from_samples(sinr: np.ndarray, t: np.ndarray,
-                           coeff: np.ndarray) -> CapacityEstimate:
+                           coeff: np.ndarray) -> Estimate:
     # the quadrature applied per sample; its spread gives the CI. A sample
     # scores the coefficients of the nodes strictly below its SINR, a prefix
     # of the ascending nodes, so it reads one prefix sum
@@ -452,12 +447,12 @@ def _capacity_from_samples(sinr: np.ndarray, t: np.ndarray,
         np.searchsorted(t, sinr, side="left")]
     mean = float(np.mean(per_sample))
     ci = 1.96 * float(np.std(per_sample)) / math.sqrt(sinr.size)
-    return CapacityEstimate(mean, ci, sinr.size)
+    return Estimate(mean, ci)
 
 
 def capacity(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
              rng: RngStream, k_nodes: int = 200,
-             t_max: float = None) -> CapacityEstimate:
+             t_max: float = None) -> Estimate:
     """Monte Carlo capacity via the coverage quadrature.
 
     The same SINR draws feed the empirical coverage at every node (common
@@ -478,7 +473,7 @@ def ase(cfg: AueNetworkConfig, uav_h: float, n_trials: int, rng: RngStream,
     """
     t, coeff = _capacity_coefficients(k_nodes)
     points = [(1.5, replace(cfg, uav=OmniUav())), (uav_h, cfg)]
-    r_ground, r_aerial = (_capacity_from_samples(row, t, coeff).bps_hz
+    r_ground, r_aerial = (_capacity_from_samples(row, t, coeff).value
                           for row in _sinr_matrix(cfg, points, n_trials, rng))
     rho = cfg.aue_ratio_rho
     return cfg.bs_density_per_km2 * ((1.0 - rho) * r_ground + rho * r_aerial)
@@ -487,13 +482,6 @@ def ase(cfg: AueNetworkConfig, uav_h: float, n_trials: int, rng: RngStream,
 # ---------------------------------------------------------------------------
 # Parameter sweeps
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepPoint:
-    x: float
-    value: float
-    ci95: float
-
 
 def _cfg_for(cfg: AueNetworkConfig, axis: str, x: float) -> AueNetworkConfig:
     if axis == "altitude":
@@ -512,8 +500,9 @@ def _cfg_for(cfg: AueNetworkConfig, axis: str, x: float) -> AueNetworkConfig:
 
 def sweep(cfg: AueNetworkConfig, axis: str, grid: Sequence[float], uav_h: float,
           n_trials: int, rng: RngStream, metric: str = "capacity",
-          k_nodes: int = 200, t_max: float = None) -> List[SweepPoint]:
-    """Evaluate capacity or coverage across one swept parameter.
+          k_nodes: int = 200, t_max: float = None) -> List[Estimate]:
+    """Estimate capacity or coverage at each point of one swept parameter,
+    in grid order.
 
     Every grid point reuses the same per-trial streams (common random
     numbers), so a single-point sweep equals the direct metric call and
@@ -525,9 +514,12 @@ def sweep(cfg: AueNetworkConfig, axis: str, grid: Sequence[float], uav_h: float,
         raise DomainError("sweep grid must be nonempty")
     if metric == "coverage":
         _check_coverage_trials(n_trials)
-        threshold = cfg.threshold_t    # no axis changes the target
+        # no axis changes the target
+        estimate = functools.partial(coverage_from_samples,
+                                     threshold=cfg.threshold_t)
     elif metric == "capacity":
         t, coeff = _capacity_coefficients(k_nodes, t_max)
+        estimate = functools.partial(_capacity_from_samples, t=t, coeff=coeff)
     else:
         raise DomainError(f"unknown sweep metric {metric!r}")
 
@@ -538,13 +530,4 @@ def sweep(cfg: AueNetworkConfig, axis: str, grid: Sequence[float], uav_h: float,
                           for point in points])
     else:
         sinr = _sinr_matrix(cfg, points, n_trials, rng)
-
-    out = []
-    for x, row in zip(grid, sinr):
-        if metric == "coverage":
-            est = coverage_from_samples(row, threshold)
-            out.append(SweepPoint(float(x), est.estimate, est.ci95))
-        else:
-            est = _capacity_from_samples(row, t, coeff)
-            out.append(SweepPoint(float(x), est.bps_hz, est.ci95))
-    return out
+    return [estimate(row) for row in sinr]

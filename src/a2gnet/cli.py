@@ -158,7 +158,7 @@ def _run_aue_coverage(s: Scenario, out_dir: Path):
                                     RngStream(s.seed, i))
         for t_db in run["thresholds_db"]:
             est = aue_net.coverage_from_samples(sinr, 10.0 ** (t_db / 10.0))
-            rows.append([h, t_db, est.estimate, est.ci95])
+            rows.append([h, t_db, est.value, est.ci95])
     return [_write_csv(out_dir / "aue_coverage.csv",
                        ["h_m", "threshold_db", "p_cov", "ci95"], rows)]
 

@@ -125,6 +125,17 @@ MAX_MAPSIM_RAYS = 10 ** 8
 # at a higher density) and an altitude's samples go once its rows are kept,
 # so a run at this ceiling takes about 1.5 hours; the shipped run draws 20000
 MAX_COVERAGE_TRIALS = 10 ** 8
+# (altitude, threshold) rows of one aue-coverage table, altitudes_m times
+# thresholds_db: a row takes about 12 us (half to estimate, half to write)
+# and 280 bytes at the peak whatever n_trials is, so a table at this ceiling
+# takes about a second and peaks near 30 MB; the shipped one has 30 rows
+MAX_COVERAGE_ROWS = 10 ** 5
+# SINR compares of one aue-coverage run, altitudes_m times thresholds_db
+# times n_trials: each row is one pass over its altitude's samples, about
+# 1 ns a compare at 10^5-10^7 trials (2-core Xeon), so a run at this ceiling
+# compares for about 2 minutes on top of its trials; the shipped run makes
+# 60000
+MAX_COVERAGE_COMPARES = 10 ** 11
 # point trials of one aue-sweep run, grid times n_trials: the SINR matrix
 # holds 8 bytes per unit (80 MB here, one point at MAX_TRIALS) and a unit
 # takes 18-30 us at the default density, so a run at this ceiling takes 3-5
@@ -407,21 +418,41 @@ SITE_CSV_FIELDS = {
     "beamwidth_deg": _AUTO_SITES["beamwidth_deg"],
 }
 
-# the work of a run past which it is rejected: (the list key named, its
-# ceiling, the message, the count of work units in the key's block)
+# the work of a run past which it is rejected, one row per ceiling: (the
+# key named, its ceiling, the message, the count of work units in the key's
+# block); a run breaking several is named by the first
 _WORK_CEILINGS = {
-    "aue-coverage": ("run.altitudes_m", MAX_COVERAGE_TRIALS,
-                     "times n_trials gives more than {:g} trials per run",
-                     lambda b: len(b["altitudes_m"]) * b["n_trials"]),
-    "aue-sweep": ("sweep.grid", MAX_SWEEP_TRIALS,
-                  "times n_trials gives more than {:g} trials per run",
-                  lambda b: len(b["grid"]) * b["n_trials"]),
-    "channel-table": ("channel.altitudes_m", MAX_CHANNEL_CELLS,
-                      "times distances_m gives more than {:g} cells per table",
-                      lambda b: len(b["altitudes_m"]) * len(b["distances_m"])),
-    "abs-design": ("abs.altitudes_m", MAX_ABS_ROWS,
-                   "gives more than {:g} rows per table",
-                   lambda b: len(b["altitudes_m"])),
+    "aue-coverage": (
+        ("run.altitudes_m", MAX_COVERAGE_TRIALS,
+         "times n_trials gives more than {:g} trials per run",
+         lambda b: len(b["altitudes_m"]) * b["n_trials"]),
+        ("run.thresholds_db", MAX_COVERAGE_ROWS,
+         "times altitudes_m gives more than {:g} rows per table",
+         lambda b: len(b["altitudes_m"]) * len(b["thresholds_db"])),
+        ("run.thresholds_db", MAX_COVERAGE_COMPARES,
+         "times altitudes_m and n_trials gives more than {:g} compares per run",
+         lambda b: len(b["altitudes_m"]) * len(b["thresholds_db"])
+         * b["n_trials"])),
+    "aue-sweep": (
+        ("sweep.grid", MAX_SWEEP_TRIALS,
+         "times n_trials gives more than {:g} trials per run",
+         lambda b: len(b["grid"]) * b["n_trials"]),),
+    "channel-table": (
+        ("channel.altitudes_m", MAX_CHANNEL_CELLS,
+         "times distances_m gives more than {:g} cells per table",
+         lambda b: len(b["altitudes_m"]) * len(b["distances_m"])),),
+    "abs-design": (
+        ("abs.altitudes_m", MAX_ABS_ROWS, "gives more than {:g} rows per table",
+         lambda b: len(b["altitudes_m"])),),
+    "localize": (
+        ("localize.n_users", MAX_LOCALIZE_SOLVES,
+         "times trials_per_user gives more than {:g} solves per campaign",
+         lambda b: b["n_users"] * b["trials_per_user"]),
+        ("localize.radii_m", MAX_LOCALIZE_RUN_SOLVES,
+         "times altitudes_m, m_points, n_users and trials_per_user gives "
+         "more than {:g} solves per run",
+         lambda b: len(b["altitudes_m"]) * len(b["radii_m"])
+         * len(b["m_points"]) * b["n_users"] * b["trials_per_user"])),
 }
 
 # the key whose bounds each sweep axis's grid values take
@@ -647,24 +678,9 @@ def parse_scenario(text: str) -> Scenario:
                 f"times the area of aue.region_radius_m gives a mean of more "
                 f"than {MAX_MEAN_SITES:g} sites per snapshot",
                 "aue.bs_density_per_km2")
-    if command in _WORK_CEILINGS:
-        key, ceiling, message, count = _WORK_CEILINGS[command]
+    for key, ceiling, message, count in _WORK_CEILINGS.get(command, ()):
         if count(params[key.split(".")[0]]) > ceiling:
             raise ScenarioError(message.format(ceiling), key)
-    if command == "localize":
-        b = params["localize"]
-        if b["n_users"] * b["trials_per_user"] > MAX_LOCALIZE_SOLVES:
-            raise ScenarioError(
-                f"times trials_per_user gives more than "
-                f"{MAX_LOCALIZE_SOLVES:g} solves per campaign",
-                "localize.n_users")
-        if (len(b["altitudes_m"]) * len(b["radii_m"]) * len(b["m_points"])
-                * b["n_users"] * b["trials_per_user"]
-                > MAX_LOCALIZE_RUN_SOLVES):
-            raise ScenarioError(
-                f"times altitudes_m, m_points, n_users and trials_per_user "
-                f"gives more than {MAX_LOCALIZE_RUN_SOLVES:g} solves per run",
-                "localize.radii_m")
     if command == "mapsim":
         b = params["mapsim"]
         syn = b["synthetic"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +10,8 @@ from a2gnet.errors import DomainError
 from a2gnet.numerics import RngStream
 
 URBAN = ab.urban_abs_profile()
-FLAT = ab.AbsProfile(
-    k_of_theta=ab.LinearRamp(2.0, 2.0),
-    eta_of_theta=ab.LinearRamp(3.0, 3.0),
-)
-RAYLEIGH = ab.AbsProfile(
-    k_of_theta=ab.LinearRamp(0.0, 0.0),
-    eta_of_theta=ab.LinearRamp(3.0, 3.0),
-)
+FLAT = ab.AbsProfile(k0=2.0, k90=2.0, eta0=3.0, eta90=3.0)
+RAYLEIGH = ab.AbsProfile(k0=0.0, k90=0.0, eta0=3.0, eta90=3.0)
 
 
 def _outage_oracle(r, h, p_tx, prof):
@@ -69,11 +64,11 @@ class TestOutage:
     def test_monotone_in_power_gain_threshold(self):
         base = ab.outage(400.0, 150.0, 1e-4, URBAN)
         assert ab.outage(400.0, 150.0, 2e-4, URBAN) <= base
-        more_gain = ab.AbsProfile(URBAN.k_of_theta, URBAN.eta_of_theta,
+        more_gain = ab.AbsProfile(URBAN.k0, URBAN.k90, URBAN.eta0, URBAN.eta90,
                                   antenna_gain=2.0, noise_w=URBAN.noise_w,
                                   threshold_t=URBAN.threshold_t)
         assert ab.outage(400.0, 150.0, 1e-4, more_gain) <= base
-        higher_t = ab.AbsProfile(URBAN.k_of_theta, URBAN.eta_of_theta,
+        higher_t = ab.AbsProfile(URBAN.k0, URBAN.k90, URBAN.eta0, URBAN.eta90,
                                  antenna_gain=URBAN.antenna_gain,
                                  noise_w=URBAN.noise_w, threshold_t=4.0)
         assert ab.outage(400.0, 150.0, 1e-4, higher_t) >= base
@@ -88,8 +83,7 @@ class TestOutage:
 class TestRequiredPower:
     def test_rayleigh_prefactor(self):
         # (2K+2)/b^2 at K=0, eps=0.1 is 2 / (-2 ln 0.9)
-        design = ab.AbsDesign(0.0, 500.0, 0.1)
-        p = ab.required_power(design, RAYLEIGH)
+        p = ab.required_power(0.0, 500.0, 0.1, RAYLEIGH)
         factor = 2.0 / (-2.0 * math.log(0.9))
         assert factor == pytest.approx(9.491, abs=1e-3)
         expected = (RAYLEIGH.noise_w * RAYLEIGH.threshold_t / RAYLEIGH.antenna_gain
@@ -99,22 +93,20 @@ class TestRequiredPower:
     def test_round_trip_outage(self):
         for h, r_c, eps in [(100.0, 400.0, 0.05), (500.0, 300.0, 0.2),
                             (50.0, 1500.0, 0.01)]:
-            design = ab.AbsDesign(h, r_c, eps)
-            p = ab.required_power(design, URBAN)
+            p = ab.required_power(h, r_c, eps, URBAN)
             assert ab.outage(r_c, h, p, URBAN) == pytest.approx(eps, abs=1e-6)
 
     def test_doubling_radius_at_fixed_theta(self):
-        d1 = ab.AbsDesign(100.0, 500.0, 0.05)
-        d2 = ab.AbsDesign(200.0, 1000.0, 0.05)
-        eta_c = URBAN.eta_of_theta(d1.theta_c)
-        ratio = ab.required_power(d2, URBAN) / ab.required_power(d1, URBAN)
+        eta_c = URBAN.eta_of_theta(math.atan2(100.0, 500.0))
+        ratio = (ab.required_power(200.0, 1000.0, 0.05, URBAN)
+                 / ab.required_power(100.0, 500.0, 0.05, URBAN))
         assert ratio == pytest.approx(2.0 ** eta_c, rel=1e-12)
 
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
-            ab.AbsDesign(100.0, 500.0, 0.0)
+            ab.required_power(100.0, 500.0, 0.0, URBAN)
         with pytest.raises(DomainError):
-            ab.AbsDesign(100.0, 500.0, 1.0)
+            ab.required_power(100.0, 500.0, 1.0, URBAN)
 
     @pytest.mark.parametrize("prof,eps,match", [
         # 1 - 1e-17 rounds to 1, so b = 0: a ZeroDivisionError before
@@ -124,7 +116,7 @@ class TestRequiredPower:
     ])
     def test_link_factor_errors(self, prof, eps, match):
         with pytest.raises(DomainError, match=match):
-            ab.required_power(ab.AbsDesign(100.0, 500.0, eps), prof)
+            ab.required_power(100.0, 500.0, eps, prof)
         with pytest.raises(DomainError, match=match):
             ab.power_gain(100.0, 500.0, eps, prof)
 
@@ -142,9 +134,8 @@ class TestPowerGain:
         for _ in range(10):
             h = rng.uniform(20.0, 1500.0)
             r_c = rng.uniform(100.0, 2000.0)
-            aerial = ab.AbsDesign(h, r_c, 0.05)
-            ground = ab.AbsDesign(0.0, r_c, 0.05)
-            ratio = ab.required_power(ground, URBAN) / ab.required_power(aerial, URBAN)
+            ratio = (ab.required_power(0.0, r_c, 0.05, URBAN)
+                     / ab.required_power(h, r_c, 0.05, URBAN))
             assert ab.power_gain(h, r_c, 0.05, URBAN) == pytest.approx(ratio, rel=1e-6)
 
     def test_urban_interior_maximum_above_one(self):
@@ -182,7 +173,7 @@ class TestSumRate:
                 [0.001, 0.01, 0.05, 0.2, 0.5],
                 [0.0, 1.0, 10.0, 100.0, 500.0, 1000.0, 5000.0],
                 [0.01, 1.0, 100.0]):
-            p = ab.required_power(ab.AbsDesign(h, r_c, eps), URBAN) * scale
+            p = ab.required_power(h, r_c, eps, URBAN) * scale
             worst = max(worst, abs(ab.mean_disc_outage(h, p, r_c, URBAN)
                                    - _mean_disc_outage_quad(h, p, r_c, URBAN)))
         assert worst <= 1e-10
@@ -194,19 +185,17 @@ class TestSumRate:
 
 
 class TestSumRateGain:
-    DESIGN = ab.AbsDesign(200.0, 500.0, 0.05)
+    R_C, EPSILON = 500.0, 0.05
 
     def test_ground_equals_ground(self):
-        [row] = ab.design_rows([0.0], self.DESIGN.r_c_m, self.DESIGN.epsilon,
-                               URBAN)
+        [row] = ab.design_rows([0.0], self.R_C, self.EPSILON, URBAN)
         assert row[2] == pytest.approx(1.0, rel=1e-12)
 
     def test_interior_maximum_below_power_gain_optimum(self):
         hs = np.linspace(1.0, 2500.0, 40)
-        srg = [row[2] for row in ab.design_rows(hs, self.DESIGN.r_c_m,
-                                                self.DESIGN.epsilon, URBAN)]
-        pg = [ab.power_gain(h, self.DESIGN.r_c_m, self.DESIGN.epsilon, URBAN)
-              for h in hs]
+        srg = [row[2] for row in ab.design_rows(hs, self.R_C, self.EPSILON,
+                                                URBAN)]
+        pg = [ab.power_gain(h, self.R_C, self.EPSILON, URBAN) for h in hs]
         i_srg = int(np.argmax(srg))
         i_pg = int(np.argmax(pg))
         assert 0 < i_srg < len(hs) - 1
@@ -215,10 +204,8 @@ class TestSumRateGain:
 
     def test_agreement_with_direct_monte_carlo(self):
         h = 300.0
-        aerial = ab.AbsDesign(h, 500.0, 0.05)
-        ground = ab.AbsDesign(0.0, 500.0, 0.05)
-        p_abs = ab.required_power(aerial, URBAN)
-        p_tbs = ab.required_power(ground, URBAN)
+        p_abs = ab.required_power(h, 500.0, 0.05, URBAN)
+        p_tbs = ab.required_power(0.0, 500.0, 0.05, URBAN)
         rng = RngStream(78).child_generator()
         n = 400_000
         r = 500.0 * np.sqrt(rng.random(n))
@@ -264,18 +251,18 @@ class TestDesignRows:
         rows = ab.design_rows(self.ALTITUDES, r_c, eps, prof)
         for h, row in zip(self.ALTITUDES, rows, strict=True):
             assert row == _reference_design_row(h, r_c, eps, prof)
-            assert row[:2] == (ab.required_power(ab.AbsDesign(h, r_c, eps), prof),
+            assert row[:2] == (ab.required_power(h, r_c, eps, prof),
                                ab.power_gain(h, r_c, eps, prof))
             # one altitude's row is its row among many
             assert ab.design_rows([h], r_c, eps, prof) == [row]
 
     def test_optimize_altitude_uses_the_same_values(self):
-        design = ab.AbsDesign(200.0, 500.0, 0.05)
         rows = ab.design_rows(self.ALTITUDES, 500.0, 0.05, URBAN)
         for metric, column in (("power_gain", 1), ("sum_rate_gain", 2)):
             best = max((row[column], -h) for h, row in zip(self.ALTITUDES, rows))
             assert ab.optimize_altitude(metric, URBAN, self.ALTITUDES[::-1],
-                                        design=design) == (-best[1], best[0])
+                                        r_c_m=500.0, epsilon=0.05) == (
+                -best[1], best[0])
 
     def test_ground_side_solved_once(self, monkeypatch):
         counts = {"_link_factor": 0, "mean_disc_outage": 0}
@@ -287,10 +274,10 @@ class TestDesignRows:
         ab.design_rows(self.ALTITUDES, 500.0, 0.05, URBAN)
         n = len(self.ALTITUDES)
         assert counts == {"_link_factor": n + 1, "mean_disc_outage": n + 1}
-        design = ab.AbsDesign(200.0, 500.0, 0.05)
         for metric, outages in (("power_gain", 0), ("sum_rate_gain", n + 1)):
             counts.update(_link_factor=0, mean_disc_outage=0)
-            ab.optimize_altitude(metric, URBAN, self.ALTITUDES, design=design)
+            ab.optimize_altitude(metric, URBAN, self.ALTITUDES, r_c_m=500.0,
+                                 epsilon=0.05)
             assert counts == {"_link_factor": n + 1, "mean_disc_outage": outages}
         counts.update(_link_factor=0, mean_disc_outage=0)
         assert ab.design_rows([], 500.0, 0.05, URBAN) == []
@@ -304,7 +291,7 @@ class TestDesignRows:
 class TestCoverageRadius:
     def test_round_trip_with_required_power(self):
         for h, r_c in [(100.0, 400.0), (400.0, 800.0), (800.0, 300.0)]:
-            p = ab.required_power(ab.AbsDesign(h, r_c, 0.05), URBAN)
+            p = ab.required_power(h, r_c, 0.05, URBAN)
             res = ab.coverage_radius(h, p, 0.05, URBAN)
             assert not res.no_coverage and not res.capped
             assert res.radius_m == pytest.approx(r_c, rel=5e-3)
@@ -330,7 +317,7 @@ class TestCoverageRadius:
             h = rng.uniform(20.0, 1200.0)
             r_c = rng.uniform(100.0, 1500.0)
             eps = rng.uniform(0.01, 0.3)
-            p = ab.required_power(ab.AbsDesign(h, r_c, eps), URBAN)
+            p = ab.required_power(h, r_c, eps, URBAN)
             res = ab.coverage_radius(h, p, eps, URBAN)
             assert res.radius_m == pytest.approx(r_c, rel=5e-3)
 
@@ -338,39 +325,38 @@ class TestCoverageRadius:
 class TestOptimizeAltitude:
     def test_constant_metric_lowest_tie_break(self):
         grid = [300.0, 100.0, 200.0]
-        h, val = ab.optimize_altitude("power_gain", FLAT,
-                                      grid, design=ab.AbsDesign(1.0, 1e9, 0.05))
+        h, val = ab.optimize_altitude("power_gain", FLAT, grid, r_c_m=1e9,
+                                      epsilon=0.05)
         # degenerate: cos(theta_c) ~ 1 for all grid points at huge r_c
         assert h == 100.0
 
     def test_single_point(self):
         h, val = ab.optimize_altitude("power_gain", URBAN, [250.0],
-                                      design=ab.AbsDesign(1.0, 500.0, 0.05))
+                                      r_c_m=500.0, epsilon=0.05)
         assert h == 250.0
         assert val == pytest.approx(ab.power_gain(250.0, 500.0, 0.05, URBAN))
 
     def test_matches_exhaustive_scan(self):
         grid = np.linspace(10.0, 2500.0, 200)
         h, val = ab.optimize_altitude("power_gain", URBAN, grid,
-                                      design=ab.AbsDesign(1.0, 500.0, 0.05))
+                                      r_c_m=500.0, epsilon=0.05)
         brute = [(ab.power_gain(hh, 500.0, 0.05, URBAN), hh) for hh in grid]
         best_val, best_h = max(brute)
         assert h == best_h and val == pytest.approx(best_val)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
-            ab.optimize_altitude("power_gain", URBAN, [],
-                                 design=ab.AbsDesign(1.0, 500.0, 0.05))
+            ab.optimize_altitude("power_gain", URBAN, [], r_c_m=500.0,
+                                 epsilon=0.05)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(DomainError):
             ab.optimize_altitude("outage", URBAN, [100.0])
 
     @pytest.mark.parametrize("metric, kwargs, missing", [
-        ("power_gain", {}, "design"),
-        ("sum_rate_gain", {"p_tx_w": 1.0, "epsilon": 0.05}, "design"),
-        ("coverage_radius", {"design": ab.AbsDesign(1.0, 500.0, 0.05)},
-         "p_tx_w and epsilon"),
+        ("power_gain", {}, "r_c_m and epsilon"),
+        ("sum_rate_gain", {"p_tx_w": 1.0, "epsilon": 0.05}, "r_c_m"),
+        ("coverage_radius", {"r_c_m": 500.0}, "p_tx_w and epsilon"),
         ("coverage_radius", {"epsilon": 0.05}, "p_tx_w"),
         ("coverage_radius", {"p_tx_w": 1.0}, "epsilon"),
     ], ids=["power_gain", "sum_rate_gain", "coverage_radius",
@@ -380,18 +366,63 @@ class TestOptimizeAltitude:
             ab.optimize_altitude(metric, URBAN, [100.0], **kwargs)
 
 
+# each design entry point on one (altitude, radius, epsilon)
+_DESIGN_CALLS = {
+    "required_power": lambda h, r_c, eps: ab.required_power(h, r_c, eps, URBAN),
+    "power_gain": lambda h, r_c, eps: ab.power_gain(h, r_c, eps, URBAN),
+    "design_rows": lambda h, r_c, eps: ab.design_rows([h], r_c, eps, URBAN),
+    "optimize_altitude": lambda h, r_c, eps: ab.optimize_altitude(
+        "power_gain", URBAN, [h], r_c_m=r_c, epsilon=eps),
+}
+
+
+def _bad(name, h=200.0, r_c=500.0, epsilon=0.05):
+    """A design with one bad input, named by the argument its error names."""
+    bad = {"h_abs_m": h, "r_c_m": r_c, "epsilon": epsilon}[name]
+    return pytest.param(h, r_c, epsilon, name, id=f"{name}={bad:g}")
+
+
+_BAD_DESIGNS = ([_bad("h_abs_m", h=h) for h in (-50.0, math.nan, math.inf)]
+                + [_bad("r_c_m", r_c=r_c)
+                   for r_c in (0.0, -500.0, math.inf, math.nan)]
+                + [_bad("epsilon", epsilon=eps) for eps in (0.0, 1.0, math.nan)])
+
+
+@pytest.mark.parametrize("h,r_c,eps,name", _BAD_DESIGNS)
+@pytest.mark.parametrize("call", list(_DESIGN_CALLS))
+def test_bad_design_input_named(call, h, r_c, eps, name):
+    # a negative or infinite altitude, a non-positive or infinite radius and
+    # a NaN of each used to return numbers (a complex power gain at
+    # r_c = -500, a finite power for a station at infinite height)
+    with pytest.raises(DomainError, match=rf"^{name} must be "):
+        _DESIGN_CALLS[call](h, r_c, eps)
+
+
 class TestProfileValidation:
     def test_decreasing_k_rejected(self):
         with pytest.raises(DomainError):
-            ab.AbsProfile(k_of_theta=ab.LinearRamp(5.0, 1.0),
-                          eta_of_theta=ab.LinearRamp(3.0, 2.0))
+            ab.AbsProfile(k0=5.0, k90=1.0, eta0=3.0, eta90=2.0)
 
     def test_increasing_eta_rejected(self):
         with pytest.raises(DomainError):
-            ab.AbsProfile(k_of_theta=ab.LinearRamp(1.0, 5.0),
-                          eta_of_theta=ab.LinearRamp(2.0, 3.0))
+            ab.AbsProfile(k0=1.0, k90=5.0, eta0=2.0, eta90=3.0)
 
     def test_zenith_eta_floor(self):
         with pytest.raises(DomainError):
-            ab.AbsProfile(k_of_theta=ab.LinearRamp(1.0, 5.0),
-                          eta_of_theta=ab.LinearRamp(3.0, 1.5))
+            ab.AbsProfile(k0=1.0, k90=5.0, eta0=3.0, eta90=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["k0", "k90", "eta0", "eta90",
+                                      "antenna_gain", "noise_w",
+                                      "threshold_t"])
+    def test_non_finite_field_named(self, name, value):
+        # antenna_gain = nan used to construct and give a NaN power, and
+        # eta0 = inf a NaN power gain and an infinite power
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            replace(URBAN, **{name: value})
+
+    def test_urban_profile_checks_its_fields(self):
+        with pytest.raises(DomainError, match="^antenna_gain must be finite$"):
+            ab.urban_abs_profile(antenna_gain=math.nan)
+        with pytest.raises(DomainError, match="^eta0 must be finite$"):
+            ab.urban_abs_profile(eta0=math.inf)

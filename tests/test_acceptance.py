@@ -153,7 +153,7 @@ class TestCriterion4:
         caps = [au.capacity(h, self.CFG, self.TRIALS, RngStream(41, i),
                             t_max=self.T_MAX)
                 for i, h in enumerate(hs)]
-        vals = [c.bps_hz for c in caps]
+        vals = [c.value for c in caps]
         best = int(np.argmax(vals))
         interior = 0 < best < len(hs) - 1
         lo_margin = vals[best] - vals[0] - 3 * max(caps[best].ci95, caps[0].ci95)
@@ -177,13 +177,13 @@ class TestCriterion4:
         pts = au.sweep(self.CFG, "phi_b", grid, uav_h=150.0,
                        n_trials=self.TRIALS, rng=RngStream(43, 0),
                        t_max=self.T_MAX)
-        best = max(pts, key=lambda p: p.value)
+        best_x, best = max(zip(grid, pts), key=lambda xp: xp[1].value)
         omni = au.capacity(150.0, self.CFG, self.TRIALS, RngStream(43, 0),
                            t_max=self.T_MAX)
-        margin = best.value - omni.bps_hz - 3 * max(best.ci95, omni.ci95)
+        margin = best.value - omni.value - 3 * max(best.ci95, omni.ci95)
         report("4c", margin > 0,
-               f"cone {best.x:.0f} deg: {best.value:.2f} vs omni "
-               f"{omni.bps_hz:.2f} b/s/Hz, margin beyond 3 CI {margin:.2f}")
+               f"cone {best_x:.0f} deg: {best.value:.2f} vs omni "
+               f"{omni.value:.2f} b/s/Hz, margin beyond 3 CI {margin:.2f}")
 
 
 # -------------------------------------------------------------------------
@@ -197,15 +197,15 @@ class TestCriterion5:
         worst_eps = 0.0
         for h, r_c, eps in [(100.0, 400.0, 0.05), (400.0, 800.0, 0.1),
                             (50.0, 1500.0, 0.02)]:
-            p = ab.required_power(ab.AbsDesign(h, r_c, eps), self.PROF)
+            p = ab.required_power(h, r_c, eps, self.PROF)
             worst_eps = max(worst_eps, abs(ab.outage(r_c, h, p, self.PROF) - eps))
         worst_rel = 0.0
         rng = np.random.default_rng(5)
         for _ in range(10):
             h = rng.uniform(20.0, 1500.0)
             r_c = rng.uniform(100.0, 2000.0)
-            ratio = (ab.required_power(ab.AbsDesign(0.0, r_c, 0.05), self.PROF)
-                     / ab.required_power(ab.AbsDesign(h, r_c, 0.05), self.PROF))
+            ratio = (ab.required_power(0.0, r_c, 0.05, self.PROF)
+                     / ab.required_power(h, r_c, 0.05, self.PROF))
             cf = ab.power_gain(h, r_c, 0.05, self.PROF)
             worst_rel = max(worst_rel, abs(ratio - cf) / cf)
         report("5a", worst_eps <= 1e-6 and worst_rel <= 1e-6,
@@ -213,11 +213,9 @@ class TestCriterion5:
                f"two-route power gain {worst_rel:.2e} <= 1e-6 rel")
 
     def test_interior_optima_ordering(self):
-        design = ab.AbsDesign(200.0, 500.0, 0.05)
         hs = np.linspace(1.0, 2500.0, 40)
         pg = [ab.power_gain(h, 500.0, 0.05, self.PROF) for h in hs]
-        srg = [row[2] for row in ab.design_rows(hs, design.r_c_m,
-                                                design.epsilon, self.PROF)]
+        srg = [row[2] for row in ab.design_rows(hs, 500.0, 0.05, self.PROF)]
         i_pg, i_srg = int(np.argmax(pg)), int(np.argmax(srg))
         ok = (0 < i_pg < len(hs) - 1 and 0 < i_srg < len(hs) - 1
               and hs[i_srg] < hs[i_pg] and pg[i_pg] > 1.0 and srg[i_srg] > 1.0)

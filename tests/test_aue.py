@@ -131,7 +131,7 @@ class TestCoverage:
     def test_tiny_threshold_full_coverage(self):
         est = au.coverage_probability_mc(60.0, replace(CFG, threshold_t=1e-12),
                                          300, RngStream(41, 0))
-        assert est.estimate == 1.0
+        assert est.value == 1.0
 
     def test_nonincreasing_in_threshold(self):
         sinr = au.sinr_samples(60.0, CFG, 1500, RngStream(42, 0))
@@ -219,7 +219,7 @@ class TestCapacity:
         hs = [5.0, 15.0, 30.0, 60.0, 90.0, 120.0, 150.0, 200.0, 250.0, 300.0]
         caps = [au.capacity(h, CFG, 700, RngStream(46, i), t_max=1000.0)
                 for i, h in enumerate(hs)]
-        vals = [c.bps_hz for c in caps]
+        vals = [c.value for c in caps]
         best = int(np.argmax(vals))
         assert 0 < best < len(hs) - 1
         for edge in (0, len(hs) - 1):
@@ -239,10 +239,10 @@ class TestCapacity:
             10.0 ** np.random.default_rng(k_nodes).uniform(-3, 4, 200)])
         expected = (sinr[:, None] > t[None, :]).astype(float) @ coeff
         est = au._capacity_from_samples(sinr, t, coeff)
-        assert est.bps_hz == pytest.approx(float(np.mean(expected)), rel=1e-12)
+        assert est.value == pytest.approx(float(np.mean(expected)), rel=1e-12)
         assert est.ci95 == pytest.approx(
             1.96 * float(np.std(expected)) / math.sqrt(sinr.size), rel=1e-12)
-        per_sample = [au._capacity_from_samples(np.array([x]), t, coeff).bps_hz
+        per_sample = [au._capacity_from_samples(np.array([x]), t, coeff).value
                       for x in sinr[:7]]
         assert per_sample == pytest.approx(expected[:7].tolist(), rel=1e-12,
                                            abs=0.0)
@@ -253,7 +253,7 @@ class TestCapacity:
         direct = float(np.mean(np.log2(1.0 + np.minimum(sinr, 1000.0))))
         est = au.capacity(60.0, CFG, 800, RngStream(47, 0), k_nodes=2000,
                           t_max=1000.0)
-        assert est.bps_hz == pytest.approx(direct, rel=0.02)
+        assert est.value == pytest.approx(direct, rel=0.02)
 
 
 class TestAse:
@@ -268,7 +268,7 @@ class TestAse:
         rng = RngStream(52, 0)
         ground = au.capacity(1.5, replace(CFG, uav=OmniUav()), 300, rng, k_nodes=100)
         a0 = au.ase(replace(CFG, aue_ratio_rho=0.0), 90.0, 300, rng, k_nodes=100)
-        assert a0 == pytest.approx(CFG.bs_density_per_km2 * ground.bps_hz, rel=1e-12)
+        assert a0 == pytest.approx(CFG.bs_density_per_km2 * ground.value, rel=1e-12)
 
 
 class TestSweep:
@@ -277,7 +277,7 @@ class TestSweep:
                        rng=RngStream(61, 0))
         direct = au.capacity(90.0, CFG, 200, RngStream(61, 0))
         assert len(pts) == 1
-        assert pts[0].value == direct.bps_hz
+        assert pts[0].value == direct.value
         assert pts[0].ci95 == direct.ci95
 
     def test_density_tail_decreasing(self):
@@ -291,7 +291,7 @@ class TestSweep:
                        n_trials=600, rng=RngStream(63, 0))
         best = max(pts, key=lambda p: p.value)
         omni = au.capacity(150.0, CFG, 600, RngStream(63, 0))
-        assert best.value - omni.bps_hz > 3 * max(best.ci95, omni.ci95)
+        assert best.value - omni.value > 3 * max(best.ci95, omni.ci95)
 
     def test_tilt_sweep_requires_cone(self):
         with pytest.raises(DomainError):
@@ -318,11 +318,9 @@ def reference_sweep(cfg, axis, grid, uav_h, n_trials, rng, metric):
         point_cfg = au._cfg_for(cfg, axis, x)
         h = float(x) if axis == "altitude" else uav_h
         if metric == "coverage":
-            est = au.coverage_probability_mc(h, point_cfg, n_trials, rng)
-            out.append(au.SweepPoint(float(x), est.estimate, est.ci95))
+            out.append(au.coverage_probability_mc(h, point_cfg, n_trials, rng))
         else:
-            est = au.capacity(h, point_cfg, n_trials, rng, t_max=1000.0)
-            out.append(au.SweepPoint(float(x), est.bps_hz, est.ci95))
+            out.append(au.capacity(h, point_cfg, n_trials, rng, t_max=1000.0))
     return out
 
 
@@ -381,8 +379,8 @@ class TestSharedDraws:
         rng = RngStream(83, 0)
         cfg = replace(CFG, aue_ratio_rho=0.3)
         ground = au.capacity(1.5, replace(cfg, uav=OmniUav()), 200, rng,
-                             k_nodes=100).bps_hz
-        aerial = au.capacity(90.0, cfg, 200, rng, k_nodes=100).bps_hz
+                             k_nodes=100).value
+        aerial = au.capacity(90.0, cfg, 200, rng, k_nodes=100).value
         rho = cfg.aue_ratio_rho
         expected = cfg.bs_density_per_km2 * ((1.0 - rho) * ground + rho * aerial)
         assert au.ase(cfg, 90.0, 200, rng, k_nodes=100) == expected

@@ -667,8 +667,7 @@ def _reference_abs_design(s, out_dir):
         threshold_t=10.0 ** (b["threshold_db"] / 10.0))
     rows = []
     for h in b["altitudes_m"]:
-        design = abs_net.AbsDesign(h, b["r_c_m"], b["epsilon"])
-        p_req = abs_net.required_power(design, prof)
+        p_req = abs_net.required_power(h, b["r_c_m"], b["epsilon"], prof)
         gain = abs_net.power_gain(h, b["r_c_m"], b["epsilon"], prof)
         [(_, _, srg)] = abs_net.design_rows([h], b["r_c_m"], b["epsilon"],
                                             prof)

@@ -25,7 +25,8 @@ from a2gnet.heightmap import (MAX_SURFACE_M, HeightMap, load_ascii_grid,
 from a2gnet import mapsim as ms
 from a2gnet.scenario import (_SWEEP_AXIS_KEYS, _TOP_LEVEL, _WORK_CEILINGS,
                              MAX_ABS_ROWS, MAX_ANCHOR_POINTS,
-                             MAX_CHANNEL_CELLS, MAX_COVERAGE_TRIALS,
+                             MAX_CHANNEL_CELLS, MAX_COVERAGE_COMPARES,
+                             MAX_COVERAGE_ROWS, MAX_COVERAGE_TRIALS,
                              MAX_LOCALIZE_RUN_SOLVES,
                              MAX_LOCALIZE_SOLVES, MAX_MAPSIM_RAYS,
                              MAX_MEAN_SITES, MAX_RANGE_M, MAX_SWEEP_TRIALS,
@@ -718,8 +719,59 @@ class TestWorkCeilings:
                                       "channel_table", "abs_design"])
     def test_shipped_run_far_inside(self, name):
         s = parse_scenario((SCENARIOS / f"{name}.yaml").read_text())
-        path, ceiling, _, count = _WORK_CEILINGS[s.command]
-        assert count(s.params[path.split(".")[0]]) * 100 <= ceiling
+        for path, ceiling, _, count in _WORK_CEILINGS[s.command]:
+            assert count(s.params[path.split(".")[0]]) * 100 <= ceiling
+
+
+# ---------------------------------------------------------------------------
+# The thresholds of an aue-coverage run multiply its rows and compares
+# ---------------------------------------------------------------------------
+
+def _thresholds_doc(thresholds, n_trials):
+    """A one-altitude aue-coverage run of `thresholds` thresholds, each a
+    row of n_trials compares, as YAML text."""
+    doc = _doc("aue-coverage", run={"altitudes_m": [60.0], "n_trials": n_trials,
+                                    "thresholds_db": [0.0] * thresholds})
+    return yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+
+
+# (ceiling, n_trials, the message's unit): a row per threshold, n_trials
+# compares per row
+_THRESHOLD_CEILINGS = [(MAX_COVERAGE_ROWS, 1, "rows per table"),
+                       (MAX_COVERAGE_COMPARES, 10 ** 7, "compares per run")]
+
+
+class TestThresholdCeilings:
+    # parse-only: nothing is run
+
+    @pytest.mark.parametrize("ceiling,per,unit", _THRESHOLD_CEILINGS,
+                             ids=["rows", "compares"])
+    def test_at_and_above(self, ceiling, per, unit):
+        assert ceiling % per == 0
+        parse_scenario(_thresholds_doc(ceiling // per, per))
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"more than {ceiling:g} {unit}")) as exc:
+            parse_scenario(_thresholds_doc(ceiling // per + 1, per))
+        assert exc.value.path == "run.thresholds_db"
+
+    def test_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        scn = tmp_path / "run.yaml"
+        scn.write_text(_thresholds_doc(MAX_COVERAGE_COMPARES // 10 ** 7 + 1,
+                                       10 ** 7))
+        assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert (len(err) == 1
+                and err[0].startswith("scenario error: run.thresholds_db: "))
+
+    def test_shipped_run_parses(self):
+        run = parse_scenario(
+            (SCENARIOS / "aue_coverage.yaml").read_text()).params["run"]
+        assert (len(run["altitudes_m"]), len(run["thresholds_db"]),
+                run["n_trials"]) == (10, 3, 2000)
 
 
 # ---------------------------------------------------------------------------
