@@ -88,10 +88,11 @@ def urban_abs_profile(k0_db: float = 0.0, k90_db: float = 15.0,
 
 def outage(r_m, h_abs_m: float, p_tx_w: float, prof: AbsProfile):
     """P_out(r, h, P) = 1 - Q1(sqrt(2K), sqrt(2T(1+K) d^eta N0 / (G P)))."""
-    if p_tx_w <= 0:
-        raise DomainError("transmit power must be positive")
-    if h_abs_m < 0:
-        raise DomainError("altitude must be >= 0")
+    if not 0.0 < p_tx_w < math.inf:
+        raise DomainError(f"p_tx_w must be finite and > 0, not {p_tx_w:g}")
+    if not 0.0 <= h_abs_m < math.inf:
+        raise DomainError(
+            f"h_abs_m must be finite and >= 0, not {h_abs_m:g}")
     r = np.asarray(r_m, dtype=float)
     if np.any(r < 0):
         raise DomainError("range must be >= 0")
@@ -220,8 +221,8 @@ def mean_disc_outage(h_abs_m: float, p_tx_w: float, r_c_m: float,
 def sum_rate(h_abs_m: float, p_tx_w: float, n_bar: float, w_hz: float,
              r_c_m: float, prof: AbsProfile) -> float:
     """Average sum rate N_bar W log2(1+T) (1 - mean disc outage), bit/s."""
-    if n_bar < 0:
-        raise DomainError("average user count must be >= 0")
+    if not 0.0 <= n_bar < math.inf:
+        raise DomainError(f"n_bar must be finite and >= 0, not {n_bar:g}")
     p_out = mean_disc_outage(h_abs_m, p_tx_w, r_c_m, prof)
     return n_bar * w_hz * math.log2(1.0 + prof.threshold_t) * (1.0 - p_out)
 

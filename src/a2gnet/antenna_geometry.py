@@ -80,6 +80,23 @@ def _wrap_angle(a):
     return r - np.pi
 
 
+def azimuth_attenuation_db(ant, azimuth):
+    """The azimuth-plane attenuation of the sector pattern, dB, toward an
+    azimuth measured from the sector's boresight bearing. ant is a
+    SectorAntenna, or any record of its fields as arrays that broadcast."""
+    return np.minimum(12.0 * (_wrap_angle(azimuth) / ant.beamwidth_3db) ** 2,
+                      ant.sidelobe_floor_db)
+
+
+def sector_gain_db(ant, a_az, elevation):
+    """Sector gain (dBi) from a direction's azimuth attenuation a_az (see
+    azimuth_attenuation_db) and its elevation; ant as there."""
+    dele = np.asarray(elevation, dtype=float) + ant.electrical_tilt
+    a_el = np.minimum(12.0 * (dele / ant.elevation_beamwidth) ** 2,
+                      ant.sidelobe_floor_db)
+    return ant.max_gain_dbi - np.minimum(a_az + a_el, ant.sidelobe_floor_db)
+
+
 def bs_gain_db(ant: SectorAntenna, azimuth, elevation):
     """Sector gain (dBi) toward a direction given as (azimuth, elevation),
     the azimuth measured from the sector's boresight bearing.
@@ -88,12 +105,7 @@ def bs_gain_db(ant: SectorAntenna, azimuth, elevation):
     `electrical_tilt` below the horizon, and never drops below
     max_gain_dbi - sidelobe_floor_db.
     """
-    daz = _wrap_angle(azimuth)
-    dele = np.asarray(elevation, dtype=float) + ant.electrical_tilt
-    a_az = np.minimum(12.0 * (daz / ant.beamwidth_3db) ** 2, ant.sidelobe_floor_db)
-    a_el = np.minimum(12.0 * (dele / ant.elevation_beamwidth) ** 2, ant.sidelobe_floor_db)
-    att = np.minimum(a_az + a_el, ant.sidelobe_floor_db)
-    out = ant.max_gain_dbi - att
+    out = sector_gain_db(ant, azimuth_attenuation_db(ant, azimuth), elevation)
     return float(out) if out.ndim == 0 else out
 
 

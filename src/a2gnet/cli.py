@@ -331,16 +331,20 @@ def _run_mapsim(s: Scenario, out_dir: Path):
     written = []
     rows = []
     grids = ms.sinr_grids(sites, hm, b["heights_m"], cfg, stride=b["stride"])
-    for h, grid in zip(b["heights_m"], grids):
+    for h in b["heights_m"]:
+        # next() rather than zip(), which keeps its last tuple and so would
+        # hold this grid while the next one is built
+        grid = next(grids)
         rows.append([h, grid.coverage_fraction(b["threshold_db"]),
                      grid.p_los_any])
         if b["emit_rasters"]:
-            raster = HeightMap(heights=grid.sinr_db[::-1, :],
-                               cellsize=hm.cellsize * b["stride"],
-                               xllcorner=hm.xllcorner, yllcorner=hm.yllcorner)
             path = out_dir / f"sinr_h{_fmt(h)}.asc"
-            save_ascii_grid(raster, path)
+            save_ascii_grid(HeightMap(heights=grid.sinr_db[::-1, :],
+                                      cellsize=hm.cellsize * b["stride"],
+                                      xllcorner=hm.xllcorner,
+                                      yllcorner=hm.yllcorner), path)
             written.append(path)
+        del grid  # written: the next height's grid is built without it
     written.insert(0, _write_csv(
         out_dir / "mapsim_summary.csv",
         ["h_m", "coverage_fraction", "p_los_any"], rows))

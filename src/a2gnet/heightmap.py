@@ -5,12 +5,13 @@ beyond the border ring). Within one bilinear patch the surface along a 3D
 segment is quadratic in the path parameter, so the LOS test evaluates the
 exact minimum of segment-minus-surface per patch interval instead of
 sampling; no dip between sample points can be missed. `los_mask` casts
-every ray from one site at once, to endpoints that broadcast over x, y and
-h, so one call covers every height over a raster. A ray's patches do not
-depend on its height, so the geometry is built once per (x, y) cell and
-the clearance evaluated once per height: the integer crossings of a batch
-of cells become one flat array of ray-patch intervals (Amanatides & Woo
-1987) with each patch's surface polynomial, and then, per height, each
+every ray from every site at once, to endpoints that broadcast over x, y
+and h, so one call covers every site and height over a raster. A ray's
+patches do not depend on its height, so the geometry is built once per
+(site, cell) ray and the clearance evaluated once per height: the integer
+crossings of a batch of rays, from any of the sites, become one flat array
+of ray-patch intervals (Amanatides & Woo 1987) with each patch's surface
+polynomial and its ray's site height, and then, per height, each
 interval's clearance minimum is taken in closed form and a ray is clear
 when none of its intervals is blocked. It reads a grid padded with one ring
 of edge heights, whose patches over the border ring are the clamped
@@ -198,29 +199,35 @@ def save_ascii_grid(hm: HeightMap, path, fmt: str = "%.9g") -> None:
 # Exact line-of-sight over the bilinear surface
 # ---------------------------------------------------------------------------
 
-# Most ray-patch intervals one los_mask batch holds, and most cells it
+# Most ray-patch intervals one los_mask batch holds, and most rays it
 # screens at a time; it bounds the memory of a cast. On a 2-core Xeon the
-# mapsim_city scenario at stride 1 (one cast per site over 7 heights) took
-# 0.96-1.28 s at 2**14, 0.85-0.97 s at 2**15 and 1.19-1.90 s at 2**13, at
-# 47-50 MB peak RSS for each (4 runs each, in-process); a bench mapsim
-# city's 25 cells per site fit one batch at any of them.
+# mapsim_city scenario at stride 1 (then one cast per site over 7 heights)
+# took 0.96-1.28 s at 2**14, 0.85-0.97 s at 2**15 and 1.19-1.90 s at 2**13,
+# at 47-50 MB peak RSS for each (4 runs each, in-process); a bench mapsim
+# city's 125 rays, 5 sites x 25 cells, take two batches at 2**14.
 _BATCH_INTERVALS = 1 << 14
 
 
-def los_mask(a: Position3D, x, y, h, hm: HeightMap) -> np.ndarray:
-    """LOS from a to every endpoint (x, y, h), as booleans of their shape.
+def los_mask(sites, x, y, h, hm: HeightMap) -> np.ndarray:
+    """LOS from each site to every endpoint (x, y, h).
 
-    A ray is clear iff the open segment clears the bilinear surface
-    everywhere. Endpoints at or below the surface count as obstructed, and
-    a ray over a no-data patch is obstructed. Exact per patch: the
-    clearance is quadratic in t on each interval, so its minimum is
-    evaluated in closed form. x, y and h broadcast against each other, and
-    the axes along which x and y both have size 1 are heights. The surface
-    and grid coordinates are taken once per (x, y) cell, the ray-patch
-    geometry is built once per cell that is open at any height, and each
-    height's clearance is evaluated on it; so many heights over one raster
-    cost no more memory than booleans of the result's shape.
+    sites is one Position3D, which gives booleans of the endpoints' shape,
+    or a sequence of them, which gives one such array per site along a
+    leading axis. A ray is clear iff the open segment clears the bilinear
+    surface everywhere. Endpoints at or below the surface count as
+    obstructed, and a ray over a no-data patch is obstructed. Exact per
+    patch: the clearance is quadratic in t on each interval, so its minimum
+    is evaluated in closed form. x, y and h broadcast against each other,
+    and the axes along which x and y both have size 1 are heights. The
+    surface and grid coordinates are taken once per (x, y) cell and site,
+    the ray-patch geometry is built once per (site, cell) ray that is open
+    at any height, with the rays of every site in the same batches, and
+    each height's clearance is evaluated on it; so many heights over one
+    raster cost no more memory than booleans of the result's shape.
     """
+    single = isinstance(sites, Position3D)
+    if single:
+        sites = [sites]
     x, y, h = (np.asarray(v, dtype=float) for v in (x, y, h))
     shape = np.broadcast_shapes(x.shape, y.shape, h.shape)
     x, y = np.broadcast_arrays(x, y)
@@ -228,38 +235,50 @@ def los_mask(a: Position3D, x, y, h, hm: HeightMap) -> np.ndarray:
     heights = [k for k in range(len(shape)) if cells[k] == 1]
     # heights first, then the (x, y) cells in their own order
     order = heights + [k for k in range(len(shape)) if cells[k] != 1]
-    px = np.append(x.ravel(), a.x)  # the site last
-    py = np.append(y.ravel(), a.y)
+    n_cells = x.size
+    px = np.concatenate([x.ravel(), [a.x for a in sites]])  # the sites last
+    py = np.concatenate([y.ravel(), [a.y for a in sites]])
     if not hm.contains(px, py):
         raise DomainError("line-of-sight endpoints must lie inside the map")
     surface = hm.surface_at(px, py)
-    clear = np.empty([shape[k] for k in order], dtype=bool)
-    flat = clear.reshape(math.prod(shape[k] for k in heights), x.size)
-    h = np.broadcast_to(h, shape).transpose(order).reshape(flat.shape)
+    site_h = np.array([a.h for a in sites], dtype=float)
+    # the rays, site-major, after the height axes: clear[..., site, cell]
+    clear = np.empty([shape[k] for k in heights] + [len(sites)]
+                     + [shape[k] for k in order[len(heights):]], dtype=bool)
+    n_h = math.prod(shape[k] for k in heights)
+    flat = clear.reshape(n_h, len(sites) * n_cells)
+    h = np.broadcast_to(h, shape).transpose(order).reshape(n_h, n_cells)
     # written so that a NaN surface (next to no-data) does not block
-    np.logical_not((a.h <= surface[-1]) | (h <= surface[:-1]), out=flat)
+    np.logical_not((site_h <= surface[n_cells:])[:, None]
+                   | (h[:, None] <= surface[:n_cells]),
+                   out=flat.reshape(n_h, len(sites), n_cells))
 
     inv = 1.0 / hm.cellsize
-    u0 = (a.x - hm.xllcorner) * inv - 0.5
-    v0 = (a.y - hm.yllcorner) * inv - 0.5
-    u1 = (px[:-1] - hm.xllcorner) * inv - 0.5
-    v1 = (py[:-1] - hm.yllcorner) * inv - 0.5
+    u = (px - hm.xllcorner) * inv - 0.5
+    v = (py - hm.yllcorner) * inv - 0.5
     # a ray has at most 2 + ncols + nrows parameters
     step = max(1, _BATCH_INTERVALS // (2 + hm.ncols + hm.nrows))
-    for c in range(0, x.size, _BATCH_INTERVALS):
-        open_cells = np.flatnonzero(
+    for c in range(0, flat.shape[1], _BATCH_INTERVALS):
+        open_rays = np.flatnonzero(
             flat[:, c:c + _BATCH_INTERVALS].any(axis=0)) + c
-        for s in range(0, open_cells.size, step):
-            b = open_cells[s:s + step]
-            ub, vb = u1[b], v1[b]
+        for s in range(0, open_rays.size, step):
+            b = open_rays[s:s + step]
+            site, cell = np.divmod(b, n_cells)
+            ua, va = u[n_cells + site], v[n_cells + site]
+            ub, vb = u[cell], v[cell]
             ts = np.sort(np.hstack([np.tile([0.0, 1.0], (b.size, 1)),
-                                    _crossings(u0, ub), _crossings(v0, vb)]),
+                                    _crossings(ua, ub), _crossings(va, vb)]),
                          axis=1)
-            geometry = _geometry(u0, v0, ub - u0, vb - v0, ts,
+            ha = site_h[site]
+            geometry = _geometry(ua, va, ub - ua, vb - va, ha, ts,
                                  hm._padded_grid)
-            for k in range(flat.shape[0]):
-                flat[k, b[_blocked(a, h[k, b] - a.h, geometry)]] = False
-    return clear.transpose(np.argsort(order))
+            for k in range(n_h):
+                flat[k, b[_blocked(h[k, cell] - ha, geometry)]] = False
+    # the site axis first, then the endpoints' axes in their own order
+    axes = [len(heights)] + [i + (i >= len(heights))
+                             for i in np.argsort(order).tolist()]
+    out = clear.transpose(axes)
+    return out[0] if single else out
 
 
 def _crossings(p0, p1):
@@ -272,7 +291,7 @@ def _crossings(p0, p1):
     n = np.where(dp == 0.0, 0.0, np.floor(np.maximum(p0, p1)) - k0 + 1)
     cols = np.arange(n.max(initial=0))
     ok = cols < n[:, None]
-    return np.divide(k0[:, None] + cols - p0, dp[:, None],
+    return np.divide(k0[:, None] + cols - p0[:, None], dp[:, None],
                      out=np.ones(ok.shape), where=ok)
 
 
@@ -282,32 +301,33 @@ def _crossings(p0, p1):
 # on the next: when each height built its own geometry, the mapsim_city
 # scenario at stride 1 took 820k minor page faults with one stage and 432k
 # with three.
-def _geometry(u0, v0, du, dv, ts, g):
-    """The height-independent part of a batch's rays, per interval between
-    each ray's sorted parameters ts: its ray, start t_lo and span, whether
-    its patch touches no-data, the surface s(tau) = c0 + c1 tau + c2 tau^2
-    along it (tau = t - t_lo) as c0 and c1 with the clearance's curvature
-    g2 = -c2, the term g2 span^2, and the convex intervals with their g2
-    and span."""
+def _geometry(u0, v0, du, dv, h0, ts, g):
+    """The height-independent part of a batch's rays from (u0, v0) at
+    height h0, per interval between each ray's sorted parameters ts: its
+    ray, its ray's start height, start t_lo and span, whether its patch
+    touches no-data, the surface s(tau) = c0 + c1 tau + c2 tau^2 along it
+    (tau = t - t_lo) as c0 and c1 with the clearance's curvature g2 = -c2,
+    the term g2 span^2, and the convex intervals with their g2 and span."""
     t_lo, t_hi = ts[:, :-1], ts[:, 1:]
     keep = ~(t_hi - t_lo < 1e-15)
     ray = np.nonzero(keep)[0]
     t_lo, t_hi = t_lo[keep], t_hi[keep]
-    nodata, c0, c1, c2 = _surface(u0, v0, du[ray], dv[ray], t_lo, t_hi, g)
+    nodata, c0, c1, c2 = _surface(u0[ray], v0[ray], du[ray], dv[ray], t_lo,
+                                  t_hi, g)
     span = t_hi - t_lo
     g2 = -c2
     conv = np.flatnonzero(g2 > 0)
-    return (ray, t_lo, span, nodata, c0, c1, g2 * span * span,
+    return (ray, h0[ray], t_lo, span, nodata, c0, c1, g2 * span * span,
             conv, g2[conv], span[conv])
 
 
-def _blocked(a, dz, geometry):
+def _blocked(dz, geometry):
     """The batch's rays, with repeats, that have an interval over no-data
-    or with a clearance minimum <= 0, when each ray climbs dz from a.h: the
-    clearance is g(tau) = g0 + g1 tau + g2 tau^2."""
-    ray, t_lo, span, nodata, c0, c1, g2_span2, conv, g2c, span_c = geometry
+    or with a clearance minimum <= 0, when each ray climbs dz from its
+    start: the clearance is g(tau) = g0 + g1 tau + g2 tau^2."""
+    ray, h0, t_lo, span, nodata, c0, c1, g2_span2, conv, g2c, span_c = geometry
     dz = dz[ray]
-    g0 = a.h + t_lo * dz - c0
+    g0 = h0 + t_lo * dz - c0
     g1 = dz - c1
     gmin = np.minimum(g0, g0 + g1 * span + g2_span2)
     # convex clearance: an interior vertex can dip lower. A vertex that

@@ -5,20 +5,25 @@ follows the slice-appropriate statistical model (`channel.slice_pl_db`).
 Everything is deterministic: no shadowing is drawn and no Monte Carlo is
 involved, so rasters are bit-reproducible. `sinr_grids` is the one entry
 point, over a list of UE heights (one height is a one-entry list); the CLI
-reads site files and places the sites.
+reads site files and places the sites. A run casts every site's rays in one
+`los_mask` call and builds the height-independent part of every link
+budget once; each height is then one stacked pass over all sites, with
+their powers and antenna fields as arrays, and its grid is built only when
+the caller reaches it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from types import SimpleNamespace
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import channel as ch
 from .antenna_geometry import (SECTOR_OFFSETS, Position3D, SectorAntenna,
-                               bs_gain_db)
+                               azimuth_attenuation_db, sector_gain_db)
 from .errors import DomainError
 from .heightmap import HeightMap, los_mask
 
@@ -84,39 +89,65 @@ class MapSimConfig:
                 + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db)
 
 
-def _path_loss_db(cfg: MapSimConfig, d_3d, ue_h, site_h, los):
-    """Vectorized slice-appropriate loss for one site (scalar heights)."""
+def _path_loss_db(cfg: MapSimConfig, d_3d, ue_h: float, site_h, los: bool):
+    """Vectorized slice-appropriate loss at one UE height, over d_3d with
+    one row per site (clamped into the formula's window) and site_h the
+    sites' heights. Free space and the aerial slices do not read the site
+    height: one call covers every site. The ground-slice fits do, and take
+    one call per site."""
     if cfg.pl_model == "free_space":
         return ch.free_space_pl_db(
             np.maximum(d_3d, ch.SPEED_OF_LIGHT / cfg.frequency_hz),
             cfg.frequency_hz, FREE_SPACE_ETA[los])
+    f_c_ghz = cfg.frequency_hz / 1e9
     slice_ = ch.slice_of(ue_h, cfg.env)
-    if slice_ is ch.PropagationSlice.GROUND:
-        d3 = np.clip(d_3d, *ch.RMA_GROUND_RANGE_M[los])
-    else:
-        d3 = np.maximum(d_3d, 1.0)
-    return ch.slice_pl_db(d3, ue_h, site_h, cfg.frequency_hz / 1e9, cfg.env,
-                          los, slice_)
+    if slice_ is not ch.PropagationSlice.GROUND:
+        return ch.slice_pl_db(np.maximum(d_3d, 1.0), ue_h, None, f_c_ghz,
+                              cfg.env, los, slice_)
+    d3 = np.clip(d_3d, *ch.RMA_GROUND_RANGE_M[los])
+    return np.stack([ch.slice_pl_db(row, ue_h, h_g, f_c_ghz, cfg.env, los,
+                                    slice_) for row, h_g in zip(d3, site_h)])
 
 
-def _rx_dbm(site: SectorSite, cfg: MapSimConfig, x, y, ue_h: float, los):
-    """P_rx = P_tx + G_tx + G_rx - PL from each sector of one site, one row
-    per sector, vectorized over points; the path loss and the angles are
-    computed once, and the pattern takes every sector's azimuths from its
-    bearing in one call."""
-    dx = x - site.position.x
-    dy = y - site.position.y
-    d_h = np.hypot(dx, dy)
-    d_3d = np.hypot(d_h, ue_h - site.position.h)
-    pl = np.where(
-        los,
-        _path_loss_db(cfg, d_3d, ue_h, site.position.h, True),
-        _path_loss_db(cfg, d_3d, ue_h, site.position.h, False))
-    az = np.arctan2(dx, dy)
-    el = np.arctan2(ue_h - site.position.h, d_h)
-    off_boresight = az - site.sector_azimuths.reshape((3,) + (1,) * az.ndim)
-    return (site.p_tx_dbm + bs_gain_db(site.antenna, off_boresight, el)
-            + cfg.ue_gain_dbi - pl)
+# antenna fields of SectorAntenna that the sector pattern reads
+_PATTERN_FIELDS = ("electrical_tilt", "max_gain_dbi", "beamwidth_3db",
+                   "sidelobe_floor_db", "elevation_beamwidth")
+
+
+class _Links:
+    """Links from some sites to the points (x, y), one row per site, with
+    the part of their budget that does not depend on the UE height built
+    once: the horizontal distance and each sector's azimuth attenuation.
+    The sites' positions, powers and antenna fields are column arrays."""
+
+    def __init__(self, sites: Sequence[SectorSite], x, y):
+        def column(values, ndim=3):
+            return np.array(values, dtype=float).reshape(
+                (-1,) + (1,) * (ndim - 1))
+
+        self.site_h = [s.position.h for s in sites]   # floats, for the fits
+        self.h = column(self.site_h, 2)
+        self.p_tx = column([s.p_tx_dbm for s in sites])
+        self.antenna = SimpleNamespace(**{
+            f: column([getattr(s.antenna, f) for s in sites])
+            for f in _PATTERN_FIELDS})
+        dx = x - column([s.position.x for s in sites], 2)
+        dy = y - column([s.position.y for s in sites], 2)
+        self.d_h = np.hypot(dx, dy)                   # (sites, points)
+        bearings = np.array([s.sector_azimuths for s in sites])[:, :, None]
+        self.a_az = azimuth_attenuation_db(
+            self.antenna, np.arctan2(dx, dy)[:, None] - bearings)
+
+    def rx_dbm(self, cfg: MapSimConfig, ue_h: float, los):
+        """P_rx = P_tx + G_tx + G_rx - PL from each sector at UE height
+        ue_h, shaped (sites, 3, points); los has one row per site."""
+        dz = ue_h - self.h
+        d_3d = np.hypot(self.d_h, dz)
+        pl = np.where(los, _path_loss_db(cfg, d_3d, ue_h, self.site_h, True),
+                      _path_loss_db(cfg, d_3d, ue_h, self.site_h, False))
+        el = np.arctan2(dz, self.d_h)[:, None]
+        return (self.p_tx + sector_gain_db(self.antenna, self.a_az, el)
+                + cfg.ue_gain_dbi - pl[:, None])
 
 
 @dataclass
@@ -142,17 +173,27 @@ class SinrGrid:
         return float(np.mean(self.los_any))
 
 
+# (site, cell) links one stacked budget pass evaluates: it bounds a
+# height's temporaries, as _BATCH_INTERVALS bounds a cast's. A bench mapsim
+# city's 5 sites x 25 cells and the shipped city's 5 x 900 at stride 4 take
+# one pass; at stride 1 its 14400 cells take one pass per site.
+_PASS_LINKS = 1 << 14
+
+
 def sinr_grids(sites: Sequence[SectorSite], hm: HeightMap,
                heights: Sequence[float], cfg: MapSimConfig,
-               stride: int = 1) -> List[SinrGrid]:
+               stride: int = 1) -> Iterator[SinrGrid]:
     """SINR, serving-sector and LOS rasters at cell centers (optionally
-    strided), one grid per UE height.
+    strided), one grid per UE height, in order.
 
     All sectors of all sites transmit; the serving sector maximizes SINR
     (equivalently received power), ties to the lowest flat index. Cells
     whose evaluation point sits at or below the surface are obstructed for
-    every link, which puts them in outage rather than excluding them. Each
-    site's rays to every cell at every height are cast in one los_mask call.
+    every link, which puts them in outage rather than excluding them. The
+    call casts every site's rays to every cell at every height in one
+    los_mask call and returns an iterator that builds each height's grid
+    when it is reached, from the links' height-independent part built
+    once: a consumer that drops each grid holds one at a time.
     """
     if len(sites) == 0:
         raise DomainError("need at least one site")
@@ -161,18 +202,23 @@ def sinr_grids(sites: Sequence[SectorSite], hm: HeightMap,
     xs, ys = (c[::stride] for c in hm.cell_centers())
     xx, yy = np.meshgrid(xs, ys)
     hs = np.asarray(heights, dtype=float)
-    masks = [los_mask(site.position, xx, yy, hs[:, None, None], hm)
-             for site in sites]                       # each (heights, ny, nx)
-    return [_height_grid(sites, cfg, xs, ys, h, [mask[k] for mask in masks])
-            for k, h in enumerate(hs.tolist())]
+    los = los_mask([site.position for site in sites], xx, yy,
+                   hs[:, None, None], hm)           # (sites, heights, ny, nx)
+    step = max(1, _PASS_LINKS // xx.size)
+    passes = [(slice(s, s + step), _Links(sites[s:s + step], xx.ravel(),
+                                          yy.ravel()))
+              for s in range(0, len(sites), step)]
+    return (_height_grid(passes, cfg, xs, ys, h, los[:, k])
+            for k, h in enumerate(hs.tolist()))
 
 
-def _height_grid(sites, cfg, xs, ys, ue_height_m, masks):
-    """One height's SinrGrid from the LOS raster of each site."""
-    xx, yy = np.meshgrid(xs, ys)
-    rx = np.concatenate([_rx_dbm(site, cfg, xx, yy, ue_height_m, mask)
-                         for site, mask in zip(sites, masks)])  # (sectors, ny, nx)
-    rx_lin = 10.0 ** (rx / 10.0)
+def _height_grid(passes, cfg, xs, ys, ue_height_m, los):
+    """One height's SinrGrid from each site's LOS raster."""
+    n = los[0].size
+    rx = np.concatenate([
+        links.rx_dbm(cfg, ue_height_m, los[rows].reshape(-1, n))
+        for rows, links in passes]).reshape((-1,) + los.shape[1:])
+    rx_lin = 10.0 ** (rx / 10.0)                   # (sectors, ny, nx)
     total = np.sum(rx_lin, axis=0)
     noise = 10.0 ** (cfg.noise_dbm / 10.0)
     serving = np.argmax(rx_lin, axis=0)
@@ -180,4 +226,4 @@ def _height_grid(sites, cfg, xs, ys, ue_height_m, masks):
     sinr = best / (total - best + noise)
     return SinrGrid(sinr_db=10.0 * np.log10(np.maximum(sinr, 1e-30)),
                     serving=serving, x=xs, y=ys, ue_height_m=ue_height_m,
-                    los_any=np.logical_or.reduce(masks))
+                    los_any=np.logical_or.reduce(los))

@@ -117,8 +117,9 @@ MAX_LOCALIZE_RUN_SOLVES = 10 ** 7
 # rays one mapsim run casts, sites x heights x strided cells: los_mask takes
 # 3 us a ray at one height and 1.0-1.6 us at 7-28 heights (2-core Xeon, the
 # shipped city at stride 1), so a run at this ceiling casts for 2-5 minutes,
-# and its LOS masks hold a byte a ray (100 MB); the shipped run casts 31500
-# rays, and 504000 at stride 1
+# its LOS masks hold a byte a ray (100 MB), and the height-independent part
+# of its link budgets 32 bytes a (site, cell) link (3.2 GB at one height);
+# the shipped run casts 31500 rays, and 504000 at stride 1
 MAX_MAPSIM_RAYS = 10 ** 8
 # altitude trials of one aue-coverage run, altitudes_m times n_trials: a
 # trial takes about 54 us at the default 5 sites per km^2 (2-core Xeon; more

@@ -398,6 +398,24 @@ def test_bad_design_input_named(call, h, r_c, eps, name):
         _DESIGN_CALLS[call](h, r_c, eps)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: ab.coverage_radius(math.nan, 1e-5, 0.05, URBAN), "h_abs_m"),
+    (lambda: ab.coverage_radius(100.0, math.nan, 0.05, URBAN), "p_tx_w"),
+    (lambda: ab.coverage_radius(math.inf, 1e-5, 0.05, URBAN), "h_abs_m"),
+    (lambda: ab.coverage_radius(100.0, math.inf, 0.05, URBAN), "p_tx_w"),
+    (lambda: ab.outage(500.0, math.nan, 1.0, URBAN), "h_abs_m"),
+    (lambda: ab.sum_rate(100.0, 1e-3, math.nan, 20e6, 500.0, URBAN), "n_bar"),
+    (lambda: ab.optimize_altitude("coverage_radius", URBAN, [50.0, math.inf],
+                                  p_tx_w=1e-5, epsilon=0.05), "h_abs_m"),
+], ids=["radius_nan_h", "radius_nan_p", "radius_inf_h", "radius_inf_p",
+        "outage_nan_h", "sum_rate_nan_n_bar", "optimize_inf_h"])
+def test_non_finite_link_input_named(call, name):
+    # these ended in scipy's raw ValueError (a NaN at the root bracket),
+    # returned no_coverage or the capped 1e6 m radius, or returned NaN
+    with pytest.raises(DomainError, match=rf"^{name} must be finite"):
+        call()
+
+
 class TestProfileValidation:
     def test_decreasing_k_rejected(self):
         with pytest.raises(DomainError):

@@ -373,7 +373,7 @@ class TestCriterion7:
         city = synthetic_city(200.0, 5.0, ch.urban(), RngStream(73).child_generator())
         sites = [ms.site_on_roof(city, 100.0, 100.0)]
         cfg = ms.MapSimConfig(env=ch.urban())
-        grid = ms.sinr_grids(sites, city, [20.0], cfg, stride=2)[0]
+        [grid] = ms.sinr_grids(sites, city, [20.0], cfg, stride=2)
         import inspect
         default = inspect.signature(ms.SinrGrid.coverage_fraction).parameters[
             "threshold_db"].default

@@ -647,6 +647,74 @@ class TestCastOverHeights:
         assert seven - one < self.HEIGHTS.size * xx.size * 8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMultiSiteCast:
+    """One los_mask cast from many sites, as sinr_grids makes it, against
+    one cast per site and the scalar reference walker, bit for bit."""
+
+    HEIGHTS = np.array([1.5, 10.0, 30.0, 60.0])
+
+    def _city(self):
+        city = synthetic_city(120.0, 2.0, ch.dense_urban(),
+                              RngStream(8).child_generator(), min_height_m=4.0)
+        city.heights[20:24, 30:34] = np.nan              # a no-data patch
+        sites = [Position3D(x, y, city.surface_at(x, y) + mast)
+                 for x, y, mast in ((61.0, 59.0, 5.0), (17.0, 101.0, 12.0),
+                                    (99.0, 23.0, 2.0), (40.0, 80.0, 30.0))]
+        # the last stands under the surface: every ray from it is obstructed
+        sites.append(Position3D(61.0, 59.0, city.surface_at(61.0, 59.0)))
+        return city, sites, np.meshgrid(*city.cell_centers())
+
+    @pytest.mark.parametrize("batch", [500, 1 << 30])
+    def test_equals_one_cast_per_site(self, monkeypatch, batch):
+        # at 500 the 3600 rays of a site take 8 screening blocks, and the
+        # blocks and the 4-ray batches straddle sites
+        monkeypatch.setattr(heightmap, "_BATCH_INTERVALS", batch)
+        city, sites, (xx, yy) = self._city()
+        levels = self.HEIGHTS[:, None, None]
+        cast = los_mask(sites, xx, yy, levels, city)
+        assert cast.shape == (len(sites), len(self.HEIGHTS)) + xx.shape
+        for site, mask in zip(sites, cast):
+            assert np.array_equal(mask, los_mask(site, xx, yy, levels, city))
+        # the low heights under roofs, the rays over no-data and the buried
+        # site are obstructed; others clear
+        assert 0 < cast[0, 0].sum() < cast[0, -1].sum() < xx.size
+        assert not cast[-1].any()
+        # rows flipped: the cell-centre rasters run south to north
+        nodata = np.isnan(city.heights[::-1])
+        assert nodata.sum() == 16 and not cast[:, :, nodata].any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_reference_walker(self, seed):
+        rng = np.random.default_rng(seed)
+        hm = _random_map(rng)
+        sites = [_world(hm, _random_coord(rng, hm.ncols),
+                        _random_coord(rng, hm.nrows),
+                        float(rng.uniform(0.0, 25.0))) for _ in range(3)]
+        n, m = 30, 4
+        u = rng.uniform(-0.5, hm.ncols - 0.5, n)
+        v = rng.uniform(-0.5, hm.nrows - 0.5, n)
+        x = hm.xllcorner + (u + 0.5) * hm.cellsize
+        y = hm.yllcorner + (v + 0.5) * hm.cellsize
+        h = rng.uniform(0.0, 30.0, (m, n))
+        h[0] = hm.surface_at(x, y)                 # on the surface
+        cast = los_mask(sites, x[None], y[None], h, hm)
+        assert cast.shape == (len(sites), m, n)
+        with np.errstate(over="ignore"):  # the reference's vertex can overflow
+            want = [[[reference_los(a, Position3D(x[j], y[j], h[k, j]), hm)
+                      for j in range(n)] for k in range(m)] for a in sites]
+        assert cast.tolist() == want
+        # the height axis last, as x and y of shape (n, 1)
+        assert np.array_equal(los_mask(sites, x[:, None], y[:, None], h.T, hm),
+                              cast.transpose(0, 2, 1))
+
+    def test_one_site_sequence(self):
+        city, sites, (xx, yy) = self._city()
+        assert np.array_equal(los_mask(sites[:1], xx, yy, 20.0, city)[0],
+                              los_mask(sites[0], xx, yy, 20.0, city))
+        assert los_mask(sites[:2], 10.0, 10.0, 150.0, city).shape == (2,)
+
+
 class TestBuildingStats:
     def test_empty_below_threshold(self):
         hm = HeightMap(np.full((10, 10), 2.0), cellsize=1.0)

@@ -1,11 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from a2gnet import channel as ch
 from a2gnet import mapsim as ms
-from a2gnet.antenna_geometry import Position3D, SectorAntenna
+from a2gnet.antenna_geometry import Position3D, SectorAntenna, bs_gain_db
 from a2gnet.cli import SITE_CSV_COLUMNS, _load_sites, run_scenario
 from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import HeightMap, los_mask, synthetic_city
@@ -30,11 +31,47 @@ def p_los_vs_altitude(sites, hm, heights, stride=1):
     return out
 
 
+def reference_path_loss_db(cfg, d_3d, ue_h, site_h, los):
+    """The slice loss from one site with the windows applied: the form
+    that `ms._path_loss_db` evaluates for many sites at once."""
+    if cfg.pl_model == "free_space":
+        return ch.free_space_pl_db(
+            np.maximum(d_3d, ch.SPEED_OF_LIGHT / cfg.frequency_hz),
+            cfg.frequency_hz, ms.FREE_SPACE_ETA[los])
+    slice_ = ch.slice_of(ue_h, cfg.env)
+    if slice_ is ch.PropagationSlice.GROUND:
+        d3 = np.clip(d_3d, *ch.RMA_GROUND_RANGE_M[los])
+    else:
+        d3 = np.maximum(d_3d, 1.0)
+    return ch.slice_pl_db(d3, ue_h, site_h, cfg.frequency_hz / 1e9, cfg.env,
+                          los, slice_)
+
+
+def reference_rx_dbm(site, cfg, x, y, ue_h, los):
+    """P_rx = P_tx + G_tx + G_rx - PL from each sector of one site, one row
+    per sector, at one UE height: the per-site budget that `ms._Links`
+    stacks over sites."""
+    dx = x - site.position.x
+    dy = y - site.position.y
+    d_h = np.hypot(dx, dy)
+    d_3d = np.hypot(d_h, ue_h - site.position.h)
+    site_h = site.position.h
+    pl = np.where(los, reference_path_loss_db(cfg, d_3d, ue_h, site_h, True),
+                  reference_path_loss_db(cfg, d_3d, ue_h, site_h, False))
+    az = np.arctan2(dx, dy)
+    el = np.arctan2(ue_h - site.position.h, d_h)
+    off_boresight = az - site.sector_azimuths.reshape((3,) + (1,) * az.ndim)
+    return (site.p_tx_dbm + bs_gain_db(site.antenna, off_boresight, el)
+            + cfg.ue_gain_dbi - pl)
+
+
 def received_power_dbm(site, sector, ue, hm, cfg):
     """One sector's P_tx + G_tx + G_rx - PL toward one point, its LOS from
     a one-ray cast."""
     los = los_mask(site.position, ue.x, ue.y, ue.h, hm)
-    return float(ms._rx_dbm(site, cfg, ue.x, ue.y, ue.h, los)[sector])
+    links = ms._Links([site], np.array([ue.x]), np.array([ue.y]))
+    rx = links.rx_dbm(cfg, ue.h, np.reshape(los, (1, 1)))
+    return float(rx[0, sector, 0])
 
 
 class TestReceivedPower:
@@ -83,8 +120,8 @@ class TestPathLossClamps:
     SITE_H = 30.0
 
     def _pl(self, d_3d, ue_h, los):
-        return ms._path_loss_db(self.CFG, np.asarray(d_3d, dtype=float), ue_h,
-                                self.SITE_H, los)
+        return ms._path_loss_db(self.CFG, np.asarray(d_3d, dtype=float)[None],
+                                ue_h, [self.SITE_H], los)[0]
 
     def _ref(self, d_3d, ue_h, los):
         d_h = math.sqrt(d_3d ** 2 - (ue_h - self.SITE_H) ** 2)
@@ -231,7 +268,7 @@ def reference_rasters(sites, hm, h, cfg, stride):
     _rx_dbm budget per site: the per-height form that sinr_grids batches."""
     xx, yy = np.meshgrid(*(c[::stride] for c in hm.cell_centers()))
     masks = [los_mask(site.position, xx, yy, h, hm) for site in sites]
-    rx = np.concatenate([ms._rx_dbm(site, cfg, xx, yy, h, mask)
+    rx = np.concatenate([reference_rx_dbm(site, cfg, xx, yy, h, mask)
                          for site, mask in zip(sites, masks)])
     rx_lin = 10.0 ** (rx / 10.0)
     total = np.sum(rx_lin, axis=0)
@@ -274,7 +311,8 @@ class TestSinrGridsDifferential:
         city, sites = holed_city(seed)
         assert np.isnan(city.heights).any()
         cfg = ms.MapSimConfig(env=ch.dense_urban(), pl_model=pl_model)
-        grids = ms.sinr_grids(sites, city, self.HEIGHTS, cfg, stride=stride)
+        grids = list(ms.sinr_grids(sites, city, self.HEIGHTS, cfg,
+                                   stride=stride))
         assert [g.ue_height_m for g in grids] == self.HEIGHTS
         for h, grid in zip(self.HEIGHTS, grids):
             sinr_db, serving, los_any = reference_rasters(sites, city, h, cfg,
@@ -285,11 +323,41 @@ class TestSinrGridsDifferential:
         # the heights under the roofs are partly obstructed
         assert 0 < grids[0].los_any.sum() < grids[0].los_any.size
 
+    @pytest.mark.parametrize("pl_model", ["threegpp", "free_space"])
+    @pytest.mark.parametrize("links", [1 << 14, 150])
+    def test_site_csv_rows_differ(self, tmp_path, monkeypatch, pl_model,
+                                  links):
+        # every row has its own power, bearing, tilt, gain, beamwidth and
+        # mast height; at 150 links each of the 100-cell sites takes its
+        # own pass, at 2**14 all four share one
+        monkeypatch.setattr(ms, "_PASS_LINKS", links)
+        city, _ = holed_city(7)
+        p = tmp_path / "sites.csv"
+        p.write_text(",".join(SITE_CSV_COLUMNS) + "\n"
+                     + "20,30,12,46,0,8,16,65\n"
+                     + "90,25,30,40,35,-2.5,18,90\n"
+                     + "60,95,3,43,200,14,12,40\n"
+                     + "100,100,45,49,300,0,21,120\n")
+        sites = _load_sites(p, city)
+        assert len({(s.p_tx_dbm, s.antenna, s.position.h)
+                    for s in sites}) == 4
+        cfg = ms.MapSimConfig(env=ch.dense_urban(), pl_model=pl_model)
+        grids = ms.sinr_grids(sites, city, self.HEIGHTS, cfg, stride=3)
+        serving_sites = set()
+        for h, grid in zip(self.HEIGHTS, grids, strict=True):
+            sinr_db, serving, los_any = reference_rasters(sites, city, h, cfg,
+                                                          3)
+            assert np.array_equal(grid.sinr_db, sinr_db)
+            assert np.array_equal(grid.serving, serving)
+            assert np.array_equal(grid.los_any, los_any)
+            serving_sites.update((serving // 3).ravel().tolist())
+        assert len(serving_sites) == 4
+
     def test_one_height_form(self):
         city, sites = holed_city(4)
         cfg = flat_cfg()
         [one] = ms.sinr_grids(sites, city, [8.0], cfg, stride=2)
-        many = ms.sinr_grids(sites, city, [30.0, 8.0], cfg, stride=2)[1]
+        _, many = ms.sinr_grids(sites, city, [30.0, 8.0], cfg, stride=2)
         assert np.array_equal(one.sinr_db, many.sinr_db)
         assert np.array_equal(one.serving, many.serving)
         assert np.array_equal(one.los_any, many.los_any)
@@ -305,11 +373,11 @@ class TestCastOnce:
         batches = []
         real = ms.los_mask
 
-        def counting(a, x, y, h, hm):
+        def counting(sites, x, y, h, hm):
             x, y, h = np.broadcast_arrays(x, y, h)
-            batches.append([(a.x, a.y, a.h, *b)
+            batches.append([(a.x, a.y, a.h, *b) for a in sites
                             for b in zip(x.ravel(), y.ravel(), h.ravel())])
-            return real(a, x, y, h, hm)
+            return real(sites, x, y, h, hm)
 
         monkeypatch.setattr(ms, "los_mask", counting)
         text = ("command: mapsim\nseed: 5\nmapsim:\n"
@@ -317,12 +385,95 @@ class TestCastOnce:
                 "  auto_sites: {count: 2}\n"
                 "  heights_m: [1.5, 40]\n  stride: 4\n")
         run_scenario(parse_scenario(text), tmp_path)
-        # one batch per site, over every height; 2 sites x (40 cells /
+        # one batch for every site and height; 2 sites x (40 cells /
         # stride 4)^2 x 2 heights rays
-        assert len(batches) == 2
+        assert len(batches) == 1
         rays = [ray for batch in batches for ray in batch]
         assert len(rays) == 2 * 10 * 10 * 2
         assert len(set(rays)) == len(rays)
+
+
+def count_calls(monkeypatch, *targets):
+    """Wrap each (module, name) to count its calls: {name: count}."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for module, name in targets:
+        def counting(*args, _real=getattr(module, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestWorkCounts:
+    """A sinr_grids call casts once for every site, and evaluates the path
+    loss once per (height, LOS state) where the formula does not read the
+    site height: per-site calls would fail here, not only in the bench."""
+
+    TARGETS = ((ms, "los_mask"), (ch, "slice_pl_db"), (ch, "free_space_pl_db"))
+
+    def _counts(self, monkeypatch, heights, pl_model="threegpp"):
+        city, sites = holed_city(5)
+        calls = count_calls(monkeypatch, *self.TARGETS)
+        cfg = ms.MapSimConfig(env=ch.dense_urban(), pl_model=pl_model)
+        grids = list(ms.sinr_grids(sites, city, heights, cfg, stride=3))
+        assert len(grids) == len(heights) and len(sites) == 3
+        return calls
+
+    def test_aerial_slices_one_call_per_height_and_state(self, monkeypatch):
+        # obstructed and high-altitude slices of the dense-urban preset
+        calls = self._counts(monkeypatch, [25.0, 70.0, 150.0])
+        assert calls == {"los_mask": 1, "slice_pl_db": 3 * 2,
+                         "free_space_pl_db": 0}
+
+    def test_ground_slice_one_call_per_site(self, monkeypatch):
+        # the ground fits read the site height
+        calls = self._counts(monkeypatch, [1.5, 8.0])
+        assert calls == {"los_mask": 1, "slice_pl_db": 2 * 2 * 3,
+                         "free_space_pl_db": 0}
+
+    def test_free_space_one_call_per_height_and_state(self, monkeypatch):
+        calls = self._counts(monkeypatch, [1.5, 70.0], "free_space")
+        assert calls == {"los_mask": 1, "slice_pl_db": 0,
+                         "free_space_pl_db": 2 * 2}
+
+    def test_pass_per_site_chunk(self, monkeypatch):
+        # 100 cells a site at stride 3: a 250-link budget takes 2 sites a
+        # pass, so 2 passes, each with one call per (height, LOS state)
+        monkeypatch.setattr(ms, "_PASS_LINKS", 250)
+        calls = self._counts(monkeypatch, [70.0])
+        assert calls == {"los_mask": 1, "slice_pl_db": 2 * 2,
+                         "free_space_pl_db": 0}
+
+
+class TestOneGridAtATime:
+    def test_cli_holds_one_grid(self, tmp_path, monkeypatch):
+        # each grid is written and dropped before the next is built; a list
+        # of grids held every height's (17 B a cell each)
+        made = []           # weak references: a grid lives while one resolves
+        seen = []
+
+        class Counted(ms.SinrGrid):
+            def __init__(self, *args, **kwargs):
+                seen.append(sum(ref() is not None for ref in made))
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(ms, "SinrGrid", Counted)
+        text = ("command: mapsim\nseed: 5\nmapsim:\n"
+                "  synthetic: {extent_m: 200, cellsize_m: 5}\n"
+                "  auto_sites: {count: 2}\n"
+                "  heights_m: [1.5, 20, 40, 150]\n  stride: 4\n")
+        written = run_scenario(parse_scenario(text), tmp_path)
+        assert seen == [0, 0, 0, 0]
+        assert len(written) == 1 + 4
+
+    def test_builds_each_grid_when_reached(self):
+        city, sites = holed_city(6)
+        cfg = ms.MapSimConfig(env=ch.dense_urban())
+        grids = ms.sinr_grids(sites, city, [1.5, 60.0], cfg, stride=3)
+        assert next(grids).ue_height_m == 1.5
+        assert next(grids).ue_height_m == 60.0
+        assert next(grids, None) is None
 
 
 class TestSiteCsv:
