@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_number
 # integrate is unused here; bench/tracing.py proxies it on traced runs
 from .numerics import dbm_to_watt, integrate, inv_marcum_q, optimize, special
 
@@ -56,15 +56,12 @@ class AbsProfile:
     threshold_t: float = 1.0           # 0 dB SNR target
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise DomainError(f"{f.name} must be finite")
-        if not 0.0 <= self.k0 <= self.k90:
-            raise DomainError("K(theta) must be nonnegative and nondecreasing")
-        if not self.eta0 >= self.eta90 >= 2.0:
-            raise DomainError("eta(theta) must be nonincreasing with eta(pi/2) >= 2")
-        if self.antenna_gain <= 0 or self.noise_w <= 0 or self.threshold_t <= 0:
-            raise DomainError("gain, noise, and threshold must be positive")
+        check_number(self.k0, "k0", minimum=0.0)
+        check_number(self.k90, "k90", minimum=self.k0)
+        check_number(self.eta90, "eta90", minimum=2.0)
+        check_number(self.eta0, "eta0", minimum=self.eta90)
+        for name in ("antenna_gain", "noise_w", "threshold_t"):
+            check_number(getattr(self, name), name, above=0.0)
 
     def k_of_theta(self, theta):
         return _ramp(theta, self.k0, self.k90)
@@ -78,6 +75,8 @@ def urban_abs_profile(k0_db: float = 0.0, k90_db: float = 15.0,
                       **kwargs) -> AbsProfile:
     """Documented urban default: eta 3.5 -> 2 and K 0 dB -> 15 dB over
     elevation, interpolated linearly in the linear K ratio."""
+    check_number(k0_db, "k0_db")
+    check_number(k90_db, "k90_db")
     return AbsProfile(10.0 ** (k0_db / 10.0), 10.0 ** (k90_db / 10.0),
                       eta0, eta90, **kwargs)
 
@@ -88,14 +87,11 @@ def urban_abs_profile(k0_db: float = 0.0, k90_db: float = 15.0,
 
 def outage(r_m, h_abs_m: float, p_tx_w: float, prof: AbsProfile):
     """P_out(r, h, P) = 1 - Q1(sqrt(2K), sqrt(2T(1+K) d^eta N0 / (G P)))."""
-    if not 0.0 < p_tx_w < math.inf:
-        raise DomainError(f"p_tx_w must be finite and > 0, not {p_tx_w:g}")
-    if not 0.0 <= h_abs_m < math.inf:
-        raise DomainError(
-            f"h_abs_m must be finite and >= 0, not {h_abs_m:g}")
+    check_number(p_tx_w, "p_tx_w", above=0.0)
+    check_number(h_abs_m, "h_abs_m", minimum=0.0)
     r = np.asarray(r_m, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("range must be >= 0")
+    if not np.all(r >= 0.0):
+        raise DomainError("r_m must be >= 0")
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     theta = np.arctan2(h_abs_m, r)
@@ -134,16 +130,12 @@ class _Disc:
     """
 
     def __init__(self, r_c_m: float, epsilon: float, prof: AbsProfile):
-        if not 0.0 < r_c_m < math.inf:
-            raise DomainError(f"r_c_m must be finite and > 0, not {r_c_m:g}")
-        if not 0.0 < epsilon < 1.0:
-            raise DomainError(f"epsilon must be in (0, 1), not {epsilon:g}")
+        check_number(r_c_m, "r_c_m", above=0.0)
+        check_number(epsilon, "epsilon", above=0.0, below=1.0)
         self.r_c_m, self.epsilon, self.prof = r_c_m, epsilon, prof
 
     def boundary(self, h_abs_m: float):
-        if not 0.0 <= h_abs_m < math.inf:
-            raise DomainError(
-                f"h_abs_m must be finite and >= 0, not {h_abs_m:g}")
+        check_number(h_abs_m, "h_abs_m", minimum=0.0)
         theta_c = math.atan2(h_abs_m, self.r_c_m)
         eta = self.prof.eta_of_theta(theta_c)
         return theta_c, eta, _link_factor(self.prof.k_of_theta(theta_c),
@@ -211,6 +203,7 @@ def mean_disc_outage(h_abs_m: float, p_tx_w: float, r_c_m: float,
                      prof: AbsProfile) -> float:
     """Outage averaged over the disc with area-uniform density 2r/r_c^2,
     by a fixed 64-node Gauss-Legendre rule in one vectorized outage call."""
+    check_number(r_c_m, "r_c_m", above=0.0)
     u, w = _disc_rule()
     val = float(w @ outage(r_c_m * u, h_abs_m, p_tx_w, prof))
     if not math.isfinite(val):
@@ -221,8 +214,8 @@ def mean_disc_outage(h_abs_m: float, p_tx_w: float, r_c_m: float,
 def sum_rate(h_abs_m: float, p_tx_w: float, n_bar: float, w_hz: float,
              r_c_m: float, prof: AbsProfile) -> float:
     """Average sum rate N_bar W log2(1+T) (1 - mean disc outage), bit/s."""
-    if not 0.0 <= n_bar < math.inf:
-        raise DomainError(f"n_bar must be finite and >= 0, not {n_bar:g}")
+    check_number(n_bar, "n_bar", minimum=0.0)
+    check_number(w_hz, "w_hz", minimum=0.0)
     p_out = mean_disc_outage(h_abs_m, p_tx_w, r_c_m, prof)
     return n_bar * w_hz * math.log2(1.0 + prof.threshold_t) * (1.0 - p_out)
 
@@ -260,8 +253,8 @@ def coverage_radius(h_abs_m: float, p_tx_w: float, epsilon: float,
                     prof: AbsProfile, r_max_m: float = MAX_RADIUS_M) -> CoverageRadius:
     """Largest r with outage(r) <= epsilon, found by Brent's method to
     0.01 m."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must be in (0, 1)")
+    check_number(epsilon, "epsilon", above=0.0, below=1.0)
+    check_number(r_max_m, "r_max_m", above=0.0)
     if outage(0.0, h_abs_m, p_tx_w, prof) > epsilon:
         return CoverageRadius(0.0, no_coverage=True)
     if outage(r_max_m, h_abs_m, p_tx_w, prof) <= epsilon:
@@ -293,8 +286,7 @@ def optimize_altitude(metric: str, prof: AbsProfile, grid: Sequence[float],
     if missing:
         raise DomainError(f"{metric} needs {' and '.join(missing)}")
     grid = sorted(float(h) for h in grid)
-    if not grid:
-        raise DomainError("altitude grid must be nonempty")
+    check_count(len(grid), "grid size", 1)
 
     if metric == "coverage_radius":
         values = [coverage_radius(h, p_tx_w, epsilon, prof).radius_m

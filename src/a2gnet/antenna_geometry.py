@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_number
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,9 @@ class Position3D:
     h: float  # height above ground, m
 
     def __post_init__(self):
-        if self.h < 0:
-            raise DomainError("height must be >= 0")
+        check_number(self.x, "x")
+        check_number(self.y, "y")
+        check_number(self.h, "h", minimum=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +56,12 @@ class SectorAntenna:
     elevation_beamwidth_3db: Optional[float] = None  # rad; None -> estimated
 
     def __post_init__(self):
-        if self.beamwidth_3db <= 0:
-            raise DomainError("beamwidth must be positive")
-        if self.sidelobe_floor_db <= 0:
-            raise DomainError("sidelobe floor must be positive dB")
+        check_number(self.electrical_tilt, "electrical_tilt")
+        check_number(self.max_gain_dbi, "max_gain_dbi")
+        for name in ("beamwidth_3db", "sidelobe_floor_db"):
+            check_number(getattr(self, name), name, above=0.0)
+        if self.elevation_beamwidth_3db is not None:
+            check_number(self.elevation_beamwidth_3db, "elevation_beamwidth_3db", above=0.0)
 
     @property
     def elevation_beamwidth(self) -> float:
@@ -117,6 +120,9 @@ def bs_gain_db(ant: SectorAntenna, azimuth, elevation):
 class OmniUav:
     gain_dbi: float = 2.15
 
+    def __post_init__(self):
+        check_number(self.gain_dbi, "gain_dbi")
+
     @property
     def gain_linear(self) -> float:
         return 10.0 ** (self.gain_dbi / 10.0)
@@ -136,8 +142,8 @@ class ConeUav:
     phi_t: float = 0.0         # rad from nadir
 
     def __post_init__(self):
-        if not 0.0 < self.phi_b_deg <= 180.0:
-            raise DomainError("cone opening angle must be in (0, 180] degrees")
+        check_number(self.phi_b_deg, "phi_b_deg", above=0.0, maximum=180.0)
+        check_number(self.phi_t, "phi_t")
 
     @property
     def gain_linear(self) -> float:

@@ -48,7 +48,7 @@ from .channel import (
     log_distance_pl_db,
     urban,
 )
-from .errors import DomainError
+from .errors import DomainError, check_count, check_number
 from .numerics import (
     FadingModel,
     Nakagami,
@@ -100,12 +100,14 @@ class AueNetworkConfig:
     region_radius_m: float = 3000.0
 
     def __post_init__(self):
-        if self.bs_density_per_km2 <= 0:
-            raise DomainError("BS density must be positive")
-        if not 0.0 <= self.aue_ratio_rho <= 1.0:
-            raise DomainError("aue_ratio_rho must be in [0, 1]")
-        if self.region_radius_m <= 0:
-            raise DomainError("region radius must be positive")
+        for name in ("frequency_hz", "bs_density_per_km2", "p_tx_w", "eta_los",
+                     "eta_nlos", "region_radius_m"):
+            check_number(getattr(self, name), name, above=0.0)
+        # the noise and the target can underflow to 0 from their dB keys
+        for name in ("bs_height_m", "noise_w", "threshold_t"):
+            check_number(getattr(self, name), name, minimum=0.0)
+        check_number(self.nlos_excess_db, "nlos_excess_db")
+        check_number(self.aue_ratio_rho, "aue_ratio_rho", minimum=0.0, maximum=1.0)
 
     def reference_loss_db(self, los: bool) -> float:
         """Free-space loss at D0_M, plus the NLOS excess when not in LOS."""
@@ -129,6 +131,8 @@ class NetworkSnapshot:
 def mean_site_count(bs_density_per_km2: float,
                     region_radius_m: float) -> float:
     """Mean site count of the simulation disc: the Poisson mean per snapshot."""
+    check_number(bs_density_per_km2, "bs_density_per_km2", minimum=0.0)
+    check_number(region_radius_m, "region_radius_m", minimum=0.0)
     area_km2 = math.pi * region_radius_m ** 2 / 1e6
     return bs_density_per_km2 * area_km2
 
@@ -308,7 +312,8 @@ def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
                   rng: np.random.Generator) -> SnapshotSinr:
     """SINR of a UE at (x, y, h) against one snapshot: draws the snapshot's
     LOS uniforms and fading gains from `rng`, then evaluates them."""
-    x, y, h = uav_xyh
+    x, y = (check_number(v, name) for v, name in zip(uav_xyh[:2], ("x", "y")))
+    h = check_number(uav_xyh[2], "uav_h", minimum=0.0)
     block = _site_block(np.array([snap.n_sites]), snap,
                         draw_links(snap, cfg, rng), x, y)
     stage = _site_stage(block, _point(h, cfg, snap.height_m))
@@ -365,8 +370,9 @@ def _sinr_matrix(draw_cfg: AueNetworkConfig,
     (height, config without its UE antenna), shared by the points that
     differ only in the antenna, and one UE stage per point.
     """
-    if n_trials < 1:
-        raise DomainError("need at least one trial")
+    check_count(n_trials, "n_trials", 1)
+    for h, _ in points:
+        check_number(h, "uav_h", minimum=0.0)
     # the site stage never reads the UE antenna: key it without one
     keys = [(h, replace(point_cfg, uav=None)) for h, point_cfg in points]
     prepared = {key: _point(*key, draw_cfg.bs_height_m)
@@ -399,24 +405,20 @@ class Estimate:
 
 def coverage_from_samples(sinr: np.ndarray, threshold: float) -> Estimate:
     """Fraction of SINR samples above the threshold, with a normal CI."""
+    n = check_count(sinr.size, "sinr sample count", 1)
+    check_number(threshold, "threshold", minimum=0.0)
     p = float(np.mean(sinr > threshold))
-    ci = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-12) / sinr.size)
+    ci = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-12) / n)
     return Estimate(p, ci)
 
 
 COVERAGE_MIN_TRIALS = 100   # fewest trials a coverage estimate accepts
 
 
-def _check_coverage_trials(n_trials: int):
-    if n_trials < COVERAGE_MIN_TRIALS:
-        raise DomainError(
-            f"coverage estimation needs n_trials >= {COVERAGE_MIN_TRIALS}")
-
-
 def coverage_probability_mc(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
                             rng: RngStream) -> Estimate:
     """Fraction of trials with SINR above `cfg.threshold_t`, with a normal CI."""
-    _check_coverage_trials(n_trials)
+    check_count(n_trials, "n_trials", COVERAGE_MIN_TRIALS)
     return coverage_from_samples(sinr_samples(uav_h, cfg, n_trials, rng),
                                  cfg.threshold_t)
 
@@ -425,11 +427,9 @@ def _capacity_coefficients(k_nodes: int, t_max: float = None):
     """Nodes t_n and coefficients w_n / (1 + t_n) / ln 2 of the capacity
     quadrature; with t_max set, nodes above it are dropped, and a t_max
     below every node, which would leave a capacity of 0, is an error."""
-    if k_nodes < 50:
-        raise DomainError("capacity quadrature needs K >= 50 nodes")
-    t, w = chebyshev_capacity_nodes(k_nodes)
+    t, w = chebyshev_capacity_nodes(check_count(k_nodes, "k_nodes", 50))
     if t_max is not None:
-        if not t[0] <= t_max:
+        if not t[0] <= check_number(t_max, "t_max"):
             raise DomainError(
                 f"t_max {t_max:.9g} lies below the smallest of the {k_nodes} "
                 f"quadrature nodes ({t[0]:.9g}); no node is left")
@@ -443,10 +443,11 @@ def _capacity_from_samples(sinr: np.ndarray, t: np.ndarray,
     # the quadrature applied per sample; its spread gives the CI. A sample
     # scores the coefficients of the nodes strictly below its SINR, a prefix
     # of the ascending nodes, so it reads one prefix sum
+    n = check_count(sinr.size, "sinr sample count", 1)
     per_sample = np.concatenate(([0.0], np.cumsum(coeff)))[
         np.searchsorted(t, sinr, side="left")]
     mean = float(np.mean(per_sample))
-    ci = 1.96 * float(np.std(per_sample)) / math.sqrt(sinr.size)
+    ci = 1.96 * float(np.std(per_sample)) / math.sqrt(n)
     return Estimate(mean, ci)
 
 
@@ -510,10 +511,9 @@ def sweep(cfg: AueNetworkConfig, axis: str, grid: Sequence[float], uav_h: float,
     and evaluated at every grid point, except on the density axis, where
     the Poisson mean changes and each point draws its own trials.
     """
-    if len(grid) == 0:
-        raise DomainError("sweep grid must be nonempty")
+    check_count(len(grid), "grid size", 1)
     if metric == "coverage":
-        _check_coverage_trials(n_trials)
+        check_count(n_trials, "n_trials", COVERAGE_MIN_TRIALS)
         # no axis changes the target
         estimate = functools.partial(coverage_from_samples,
                                      threshold=cfg.threshold_t)

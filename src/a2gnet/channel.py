@@ -19,6 +19,7 @@ Unit conventions worth calling out:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ApplicabilityError, DomainError, ModelGapError, OutOfEnvelopeError
+from .errors import (ApplicabilityError, DomainError, ModelGapError,
+                     OutOfEnvelopeError, check_count, check_number)
 from .numerics import FadingModel, sample_fading, sample_shadowing_db
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -76,16 +78,13 @@ class Environment:
     def __post_init__(self):
         if self.kind not in SLICE_CEILINGS_M:
             raise DomainError(f"unknown environment kind {self.kind!r}")
-        if not 0.0 <= self.varsigma <= 1.0:
-            raise DomainError("varsigma must be in [0, 1]")
+        check_number(self.varsigma, "varsigma", minimum=0.0, maximum=1.0)
         if self.mean_building_height_m is None:
             object.__setattr__(self, "mean_building_height_m",
                                self.omega * math.sqrt(math.pi / 2.0))
         # omega is checked before the mean height it derives
         for name in ("xi", "omega", "mean_building_height_m", "street_width_m"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive and finite")
+            check_number(getattr(self, name), name, above=0.0)
 
 
 def preset_environment(name: str) -> Environment:
@@ -93,20 +92,10 @@ def preset_environment(name: str) -> Environment:
     return Environment(name, *ENV_PRESETS[name])
 
 
-def suburban() -> Environment:
-    return preset_environment("suburban")
-
-
-def urban() -> Environment:
-    return preset_environment("urban")
-
-
-def dense_urban() -> Environment:
-    return preset_environment("dense_urban")
-
-
-def highrise() -> Environment:
-    return preset_environment("highrise")
+suburban = functools.partial(preset_environment, "suburban")
+urban = functools.partial(preset_environment, "urban")
+dense_urban = functools.partial(preset_environment, "dense_urban")
+highrise = functools.partial(preset_environment, "highrise")
 
 
 class PropagationSlice(Enum):
@@ -117,11 +106,11 @@ class PropagationSlice(Enum):
 
 def slice_of(h_uav_m: float, env: Environment) -> PropagationSlice:
     """Altitude band for the aerial node; boundaries go to the higher slice."""
-    if not math.isfinite(h_uav_m) or h_uav_m < 0.0:
-        raise OutOfEnvelopeError("altitude must be in [0, 300] m")
-    if h_uav_m > MAX_MODELED_ALTITUDE_M:
-        raise OutOfEnvelopeError(
-            f"altitude {h_uav_m} m above the modeled 300 m envelope")
+    try:
+        check_number(h_uav_m, "h_uav_m", minimum=0.0,
+                     maximum=MAX_MODELED_ALTITUDE_M)
+    except DomainError as exc:
+        raise OutOfEnvelopeError(str(exc)) from None
     ground, obstructed = SLICE_CEILINGS_M[env.kind]
     if h_uav_m < ground:
         return PropagationSlice.GROUND
@@ -134,18 +123,13 @@ def slice_of(h_uav_m: float, env: Environment) -> PropagationSlice:
 # Elementary path-loss laws
 # ---------------------------------------------------------------------------
 
-def _check_positive(value, what):
-    if not value > 0:
-        raise DomainError(f"{what} must be positive")
-
-
 def free_space_pl_db(d_3d_m, frequency_hz: float, eta: float = 2.0):
     """Generalized free-space loss 10 eta log10(4 pi d / lambda); eta=2
-    reproduces Friis."""
-    _check_positive(frequency_hz, "carrier frequency")
-    _check_positive(eta, "path-loss exponent")
+    reproduces Friis; d must be finite (NaN fails its guard, inf does not)."""
+    check_number(frequency_hz, "frequency_hz", above=0.0)
+    check_number(eta, "path-loss exponent eta", above=0.0)
     d = np.asarray(d_3d_m, dtype=float)
-    if np.any(d <= 0.0):
+    if not np.all(d > 0.0):
         raise DomainError("free-space loss needs d_3d > 0")
     out = 10.0 * eta * np.log10(4.0 * np.pi * d / (SPEED_OF_LIGHT / frequency_hz))
     return float(out) if out.ndim == 0 else out
@@ -153,17 +137,19 @@ def free_space_pl_db(d_3d_m, frequency_hz: float, eta: float = 2.0):
 
 def free_space_reference_loss_db(frequency_hz: float, d0_m: float) -> float:
     """Friis loss 20 log10(4 pi d0 / lambda) at the reference distance d0."""
-    _check_positive(frequency_hz, "carrier frequency")
-    _check_positive(d0_m, "reference distance")
+    check_number(frequency_hz, "frequency_hz", above=0.0)
+    check_number(d0_m, "reference distance d0_m", above=0.0)
     return 20.0 * math.log10(4.0 * math.pi * d0_m / (SPEED_OF_LIGHT / frequency_hz))
 
 
 def log_distance_pl_db(d_3d_m, lambda0_db: float, eta: float, d0_m: float = 1.0):
-    """Lambda_0 + 10 eta log10(d/d0); rejects d below the reference."""
-    _check_positive(eta, "path-loss exponent")
-    _check_positive(d0_m, "reference distance")
+    """Lambda_0 + 10 eta log10(d/d0), d at least d0; a hot kernel: d must be
+    finite (NaN fails its guard, inf does not)."""
+    check_number(lambda0_db, "lambda0_db")
+    check_number(eta, "path-loss exponent eta", above=0.0)
+    check_number(d0_m, "reference distance d0_m", above=0.0)
     d = np.asarray(d_3d_m, dtype=float)
-    if np.any(d < d0_m):
+    if not np.all(d >= d0_m):
         raise DomainError(f"log-distance model needs d >= d0 ({d0_m} m)")
     out = lambda0_db + 10.0 * eta * np.log10(d / d0_m)
     return float(out) if out.ndim == 0 else out
@@ -243,16 +229,17 @@ class BuildingPlosTable:
 
 def p_los_building(d_h_m, h_uav_m: float, h_g_m: float, env: Environment):
     """LOS probability from building statistics for a descending ray."""
-    if h_uav_m <= h_g_m:
+    check_number(h_g_m, "h_g_m", minimum=0.0)
+    if not check_number(h_uav_m, "h_uav_m") > h_g_m:
         raise DomainError("building-statistics LOS model needs h_uav > h_g")
+    if not np.all(np.asarray(d_h_m) >= 0.0):
+        raise DomainError("d_h_m must be >= 0")
     return _p_los_building_heights(d_h_m, h_uav_m, h_g_m, env)
 
 
 def obstructed_plos_auxiliaries(h_uav_m: float):
     """(d_1, p_1) auxiliaries of the obstructed-slice LOS probability."""
-    if h_uav_m <= 0:
-        raise DomainError("altitude must be positive")
-    lg = math.log10(h_uav_m)
+    lg = math.log10(check_number(h_uav_m, "h_uav_m", above=0.0))
     d1 = max(1350.8 * lg - 1602.0, 18.0)
     p1 = max(15021.0 * lg - 16053.0, 1000.0)
     return d1, p1
@@ -260,7 +247,10 @@ def obstructed_plos_auxiliaries(h_uav_m: float):
 
 def p_los_3gpp(d_h_m, h_uav_m: float, slice_: PropagationSlice):
     """Slice-specific LOS probability of the 3GPP-style model family."""
+    check_number(h_uav_m, "h_uav_m", minimum=0.0)
     d_h = np.asarray(d_h_m, dtype=float)
+    if not np.all(d_h >= 0.0):
+        raise DomainError("d_h_m must be >= 0")
     if slice_ is PropagationSlice.GROUND:
         out = np.where(d_h <= 10.0, 1.0, np.exp(-(d_h - 10.0) / 1000.0))
     elif slice_ is PropagationSlice.OBSTRUCTED:
@@ -279,12 +269,15 @@ def p_los_3gpp(d_h_m, h_uav_m: float, slice_: PropagationSlice):
 # 3GPP-style rural-macro path loss
 # ---------------------------------------------------------------------------
 
-def rma_breakpoint_m(h_uav_m, h_g_m, f_c_ghz):
-    """Breakpoint distance d2 = 2 pi h_uav h_g f_c / c."""
+def rma_breakpoint_m(h_uav_m: float, h_g_m: float, f_c_ghz: float):
+    """Breakpoint distance d2 = 2 pi h_uav h_g f_c / c; checks all three."""
+    check_number(h_uav_m, "h_uav_m", above=0.0)
+    check_number(h_g_m, "h_g_m", above=0.0)
+    check_number(f_c_ghz, "f_c_ghz", above=0.0)
     return 2.0 * math.pi * h_uav_m * h_g_m * (f_c_ghz * 1e9) / _C_3GPP
 
 
-def rma_ground_los_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz):
+def rma_ground_los_db(d_3d_m, h_uav_m: float, h_g_m: float, f_c_ghz: float):
     """Ground-slice LOS loss, continuous across the breakpoint.
 
     Below d2 this is Lambda_1; above, Lambda_2 = Lambda_1(d2) + 40 log10(d/d2).
@@ -302,9 +295,11 @@ def rma_ground_los_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz):
     return float(out) if out.ndim == 0 else out
 
 
-def rma_ground_nlos_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz, env: Environment):
+def rma_ground_nlos_db(d_3d_m, h_uav_m: float, h_g_m: float, f_c_ghz: float,
+                       env: Environment):
     """Ground-slice NLOS loss: max of the LOS loss and the NLOS fit."""
     d = np.asarray(d_3d_m, dtype=float)
+    los = rma_ground_los_db(d, h_uav_m, h_g_m, f_c_ghz)  # checks the numbers
     w = env.street_width_m
     h_b = env.mean_building_height_m
     nlos = (161.04 - 7.1 * math.log10(w) + 7.5 * math.log10(h_b)
@@ -312,23 +307,25 @@ def rma_ground_nlos_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz, env: Environment):
             + (43.42 - 3.1 * math.log10(h_g_m)) * (np.log10(d) - 3.0)
             + 20.0 * math.log10(f_c_ghz)
             - (3.2 * math.log10(11.75 * h_uav_m) ** 2 - 4.97))
-    out = np.maximum(rma_ground_los_db(d, h_uav_m, h_g_m, f_c_ghz), nlos)
+    out = np.maximum(los, nlos)
     return float(out) if out.ndim == 0 else out
 
 
-def aerial_los_db(d_3d_m, h_uav_m, f_c_ghz):
-    """Obstructed/high-altitude slice LOS loss."""
+def aerial_los_db(d_3d_m, h_uav_m: float, f_c_ghz: float):
+    """Obstructed/high-altitude slice LOS loss; a hot kernel: d must be finite."""
+    check_number(h_uav_m, "h_uav_m", above=0.0)
+    check_number(f_c_ghz, "f_c_ghz", above=0.0)
     d = np.asarray(d_3d_m, dtype=float)
-    if np.any(d <= 0.0):
+    if not np.all(d > 0.0):
         raise DomainError("aerial loss needs d_3d > 0")
     slope = max(23.9 - 1.8 * math.log10(h_uav_m), 20.0)
     out = slope * np.log10(d) + 20.0 * math.log10(40.0 * np.pi * f_c_ghz / 3.0)
     return float(out) if out.ndim == 0 else out
 
 
-def aerial_nlos_db(d_3d_m, h_uav_m, f_c_ghz):
-    """Obstructed/high-altitude slice NLOS loss (never below the LOS loss)."""
-    los = aerial_los_db(d_3d_m, h_uav_m, f_c_ghz)  # rejects d <= 0 first
+def aerial_nlos_db(d_3d_m, h_uav_m: float, f_c_ghz: float):
+    """Obstructed/high-altitude NLOS loss, never below the LOS loss; finite d."""
+    los = aerial_los_db(d_3d_m, h_uav_m, f_c_ghz)  # checks the input first
     d = np.asarray(d_3d_m, dtype=float)
     nlos = (-12.0 + (35.0 - 5.3 * math.log10(h_uav_m)) * np.log10(d)
             + 20.0 * math.log10(40.0 * np.pi * f_c_ghz / 3.0))
@@ -366,6 +363,7 @@ def pl_3gpp_rural_db(d_h_m, h_uav_m: float, h_g_m: float, f_c_ghz: float,
                      env: Environment, los: bool, slice_: PropagationSlice):
     """Slice-appropriate 3GPP-style path loss at horizontal distance d_h,
     raising ApplicabilityError outside the ground-slice windows."""
+    check_number(h_g_m, "h_g_m", above=0.0)
     if slice_ is PropagationSlice.GROUND:
         _check_range(d_h_m, *RMA_GROUND_RANGE_M[los],
                      what=f"ground-slice {'LOS' if los else 'NLOS'}")
@@ -380,6 +378,7 @@ def pl_3gpp_rural_db(d_h_m, h_uav_m: float, h_g_m: float, f_c_ghz: float,
 def shadowing_sigma_db(slice_: PropagationSlice, los: bool, d_h_m,
                        h_uav_m: float, h_g_m: float = None, f_c_ghz: float = None):
     """Large-scale fading standard deviation per the model table (array d_h ok)."""
+    check_number(h_uav_m, "h_uav_m", minimum=0.0)
     if slice_ is PropagationSlice.GROUND:
         if not los:
             return 8.0
@@ -388,15 +387,13 @@ def shadowing_sigma_db(slice_: PropagationSlice, los: bool, d_h_m,
         d2 = rma_breakpoint_m(h_uav_m, h_g_m, f_c_ghz)
         out = np.where(np.asarray(d_h_m) <= d2, 4.0, 6.0)
         return float(out) if out.ndim == 0 else out
-    if slice_ is PropagationSlice.OBSTRUCTED:
-        if los:
-            return 4.2 * math.exp(-0.00046 * h_uav_m)
-        return 6.0
+    if slice_ not in (PropagationSlice.OBSTRUCTED, PropagationSlice.HIGH_ALTITUDE):
+        raise ModelGapError(f"no shadowing table entry for slice {slice_}")
+    if los:     # one LOS law over both aerial slices
+        return 4.2 * math.exp(-0.00046 * h_uav_m)
     if slice_ is PropagationSlice.HIGH_ALTITUDE:
-        if los:
-            return 4.2 * math.exp(-0.00046 * h_uav_m)
         raise ModelGapError("no NLOS shadowing model at high altitude")
-    raise ModelGapError(f"no shadowing table entry for slice {slice_}")
+    return 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +403,7 @@ def shadowing_sigma_db(slice_: PropagationSlice, los: bool, d_h_m,
 def averaged_pl_db(pl_los_db, pl_nlos_db, p_los):
     """P_LOS-weighted loss, on dB values as the model is written."""
     p = np.asarray(p_los, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise DomainError("LOS probability must be in [0, 1]")
     out = p * np.asarray(pl_los_db) + (1.0 - p) * np.asarray(pl_nlos_db)
     return float(out) if np.ndim(out) == 0 else out
@@ -467,6 +464,12 @@ class LogDistance:
     d0_m: float
     sigma_db: float
 
+    def __post_init__(self):
+        for name in ("frequency_hz", "eta", "d0_m"):
+            check_number(getattr(self, name), name, above=0.0)
+        check_number(self.lambda0_db, "lambda0_db")
+        check_number(self.sigma_db, "sigma_db", minimum=0.0)
+
 
 def log_distance_from_preset(name: str, frequency_hz: float = None, *,
                              eta: float = None, lambda0_db: float = None,
@@ -483,13 +486,9 @@ def log_distance_from_preset(name: str, frequency_hz: float = None, *,
     eta = _resolve_preset_field(row, name, "eta", eta)
     lambda0_db = _resolve_preset_field(row, name, "lambda0_db", lambda0_db)
     sigma_db = _resolve_preset_field(row, name, "sigma_db", sigma_db) or 0.0
-    # checks the carrier and d0 also where the row fixes Lambda_0
-    reference_db = free_space_reference_loss_db(frequency_hz, d0_m)
-    if sigma_db < 0:
-        raise DomainError("shadowing sigma must be >= 0")
-    return LogDistance(frequency_hz, eta,
-                       reference_db if lambda0_db is None else lambda0_db,
-                       d0_m, sigma_db)
+    if lambda0_db is None:
+        lambda0_db = free_space_reference_loss_db(frequency_hz, d0_m)
+    return LogDistance(frequency_hz, eta, lambda0_db, d0_m, sigma_db)
 
 
 def sample_link_loss_db(pl_db, sigma_db, p_los: float, rng: np.random.Generator,
@@ -504,9 +503,8 @@ def sample_link_loss_db(pl_db, sigma_db, p_los: float, rng: np.random.Generator,
     LOS links (and NLOS too unless `fading_nlos` is given); None drops the
     small-scale term. Returns (loss_db, los_flag), arrays when n is given.
     """
-    if not 0.0 <= p_los <= 1.0:
-        raise DomainError("LOS probability must be in [0, 1]")
-    size = n if n is not None else 1
+    check_number(p_los, "p_los", minimum=0.0, maximum=1.0)
+    size = 1 if n is None else check_count(n, "n", 0)
     flags = rng.random(size) < p_los
     loss = np.empty(size, dtype=float)
     for state, pl, sigma, model in ((True, pl_db[0], sigma_db[0], fading),

@@ -26,7 +26,7 @@ import numpy as np
 from . import abs_net, aue_net, localization as loc, mapsim as ms
 from . import channel as ch
 from .antenna_geometry import ConeUav, OmniUav, Position3D, SectorAntenna
-from .errors import DomainError, ModelGapError, ScenarioError
+from .errors import DomainError, ModelGapError, ScenarioError, check_number
 from .heightmap import HeightMap, load_ascii_grid, save_ascii_grid, synthetic_city
 from .numerics import Nakagami, RngStream, dbm_to_watt
 from .scenario import (SITE_CSV_FIELDS, Scenario, check_bounds,
@@ -269,11 +269,9 @@ def _load_sites(path, hm: HeightMap):
         for row in reader:
             vals = {}
             for k in SITE_CSV_COLUMNS:
-                try:
-                    vals[k] = float(row[k])
+                try:    # a DomainError is a ValueError
+                    vals[k] = check_number(float(row[k]), k)
                 except (TypeError, ValueError):
-                    vals[k] = math.nan
-                if not math.isfinite(vals[k]):
                     raise ScenarioError(f"site CSV line {reader.line_num}: {k} "
                                         f"must be a finite number, not {row[k]!r}")
             rows.append((reader.line_num, vals))

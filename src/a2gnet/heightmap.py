@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .antenna_geometry import Position3D
-from .errors import DomainError, GridParseError
+from .errors import DomainError, GridParseError, check_number
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
                 "nodata_value")
@@ -58,10 +58,9 @@ class HeightMap:
         self.heights = np.asarray(self.heights, dtype=float)
         if self.heights.ndim != 2 or self.heights.size == 0:
             raise DomainError("heightmap needs a nonempty 2-D grid")
-        if not (math.isfinite(self.cellsize) and self.cellsize > 0):
-            raise DomainError("cell size must be positive and finite")
-        if not (math.isfinite(self.xllcorner) and math.isfinite(self.yllcorner)):
-            raise DomainError("corner coordinates must be finite")
+        check_number(self.cellsize, "cellsize", above=0.0)
+        for name in ("xllcorner", "yllcorner", "nodata_value"):
+            check_number(getattr(self, name), name)
 
     @property
     def nrows(self) -> int:
@@ -229,6 +228,9 @@ def los_mask(sites, x, y, h, hm: HeightMap) -> np.ndarray:
     if single:
         sites = [sites]
     x, y, h = (np.asarray(v, dtype=float) for v in (x, y, h))
+    # NaN and inf clear every surface test: rejected once, before any ray
+    if not np.isfinite(h).all():
+        raise DomainError("h must be finite")
     shape = np.broadcast_shapes(x.shape, y.shape, h.shape)
     x, y = np.broadcast_arrays(x, y)
     cells = (1,) * (len(shape) - x.ndim) + x.shape
@@ -323,8 +325,8 @@ def _geometry(u0, v0, du, dv, h0, ts, g):
 
 def _blocked(dz, geometry):
     """The batch's rays, with repeats, that have an interval over no-data
-    or with a clearance minimum <= 0, when each ray climbs dz from its
-    start: the clearance is g(tau) = g0 + g1 tau + g2 tau^2."""
+    or with a clearance minimum <= 0 (or NaN), when each ray climbs the
+    finite dz from its start: the clearance is g(tau) = g0 + g1 tau + g2 tau^2."""
     ray, h0, t_lo, span, nodata, c0, c1, g2_span2, conv, g2c, span_c = geometry
     dz = dz[ray]
     g0 = h0 + t_lo * dz - c0
@@ -339,7 +341,7 @@ def _blocked(dz, geometry):
     gmin[sel] = np.minimum(gmin[sel],
                            g0[sel] + g1[sel] * tv + g2c[inside] * tv * tv)
 
-    return ray[nodata | (gmin <= 0.0)]
+    return ray[nodata | ~(gmin > 0.0)]    # a NaN clearance blocks
 
 
 def _surface(u0, v0, du, dv, t_lo, t_hi, g):
@@ -389,6 +391,7 @@ class BuildingStats:
 
 def building_stats(hm: HeightMap, min_building_height_m: float = 4.0) -> BuildingStats:
     """Histogram, ML Rayleigh scale, and mean of building-cell heights."""
+    check_number(min_building_height_m, "min_building_height_m")
     vals = hm.heights[np.isfinite(hm.heights)]
     vals = vals[vals >= min_building_height_m]
     if vals.size == 0:
@@ -411,8 +414,8 @@ def synthetic_cells(extent_m: float, cellsize_m: float) -> int:
     """Cells per side of a synthetic city; the cell size must divide the
     extent, so that the map spans exactly extent_m, in at most
     MAX_SYNTHETIC_CELLS cells."""
-    if cellsize_m <= 0 or extent_m <= 0:
-        raise DomainError("synthetic city needs positive extent_m and cellsize_m")
+    check_number(extent_m, "extent_m", above=0.0)
+    check_number(cellsize_m, "cellsize_m", above=0.0)
     cells = extent_m / cellsize_m
     # checked before round(), which overflows on an infinite ratio
     if cells > MAX_SYNTHETIC_CELLS + 0.5:
@@ -436,6 +439,7 @@ def synthetic_city(extent_m: float, cellsize_m: float, env_or_stats,
     fraction, and heights draw from Rayleigh(omega) floored at
     min_height_m. Streets are at height zero.
     """
+    check_number(min_height_m, "min_height_m", minimum=0.0)
     varsigma = env_or_stats.varsigma
     xi = env_or_stats.xi
     omega = env_or_stats.omega

@@ -13,21 +13,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .antenna_geometry import Position3D
-from .errors import DomainError
+from .errors import DomainError, check_count, check_number
 # optimize is unused here; bench/tracing.py proxies it on traced runs
 from .numerics import RngStream, minpack, optimize, sample_shadowing_db
-
-
-def _check_count(value, name: str, least: int):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
-        raise DomainError(f"{name} must be an integer of at least {least}")
 
 
 @dataclass(frozen=True)
@@ -41,11 +35,9 @@ class AnchorPlan:
 
     def __post_init__(self):
         # multilateration in the plane needs at least 3 anchors
-        _check_count(self.m_points, "m_points", 3)
-        for name in ("radius_m", "h_abs_m"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be positive and finite")
+        check_count(self.m_points, "m_points", 3)
+        check_number(self.radius_m, "radius_m", above=0.0)
+        check_number(self.h_abs_m, "h_abs_m", above=0.0)
 
     @property
     def inter_anchor_distance_m(self) -> float:
@@ -83,13 +75,11 @@ class ElevationChannel:
     eta_nlos: float = 3.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise DomainError(f"{f.name} must be finite")
-        if min(self.a_los, self.a_nlos) <= 0 or min(self.b_los, self.b_nlos) < 0:
-            raise DomainError("shadowing constants must be positive")
-        if self.eta_los <= 0 or self.eta_nlos <= 0:
-            raise DomainError("path-loss exponents must be positive")
+        for name in ("a_los", "a_nlos", "eta_los", "eta_nlos"):
+            check_number(getattr(self, name), name, above=0.0)
+        # a_o >= 0 keeps P_LOS in [0, 1], b_o >= 0 keeps it rising
+        for name in ("b_los", "b_nlos", "a_o", "b_o"):
+            check_number(getattr(self, name), name, minimum=0.0)
 
     def sigma_db(self, theta_rad, los: bool):
         a = self.a_los if los else self.a_nlos
@@ -110,10 +100,8 @@ class LocalizationScenario:
     user_area_radius_m: float = 200.0
 
     def __post_init__(self):
-        _check_count(self.n_users, "n_users", 1)
-        if not (math.isfinite(self.user_area_radius_m)
-                and self.user_area_radius_m > 0):
-            raise DomainError("user_area_radius_m must be positive and finite")
+        check_count(self.n_users, "n_users", 1)
+        check_number(self.user_area_radius_m, "user_area_radius_m", above=0.0)
 
 
 def sample_rss_distance(true_d_m: float, theta_rad: float, ch: ElevationChannel,
@@ -124,10 +112,8 @@ def sample_rss_distance(true_d_m: float, theta_rad: float, ch: ElevationChannel,
     The RSS perturbation N(0, sigma_j^2) dB inverts through the same
     log-distance law that produced it, giving d_hat = d 10^(X / (10 eta_j)).
     """
-    if not (math.isfinite(true_d_m) and true_d_m > 0):
-        raise DomainError("true_d_m must be positive and finite")
-    if not math.isfinite(theta_rad):
-        raise DomainError("theta_rad must be finite")
+    check_number(true_d_m, "true_d_m", above=0.0)
+    check_number(theta_rad, "theta_rad")
     if force_state is None:
         los = bool(rng.random() < ch.p_los(theta_rad))
     else:
@@ -291,8 +277,8 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     descent from the best cells of a grid over the search area and always
     returns a point at least as good as every grid seed.
 
-    Every anchor coordinate, range estimate, the search center and radius
-    must be finite, the ranges non-negative and the radius positive.
+    Every range estimate, the search center and radius must be finite (a
+    Position3D anchor is), the ranges non-negative and the radius positive.
 
     Local descent is MINPACK's Levenberg-Marquardt, scipy's private `lmder`
     binding called directly (its compiled module alone, not the
@@ -307,14 +293,11 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     `run_campaign` solves through the same path, with one search grid for
     all of its solves.
     """
-    if len(anchors) < 3:
-        raise DomainError("multilateration needs at least 3 anchors")
+    check_count(len(anchors), "anchor count", 3)
     if len(anchors) != len(d_hat):
         raise DomainError("one range estimate per anchor required")
     axy = np.array([[a.x, a.y] for a in anchors])
     heights = np.array([a.h for a in anchors])
-    if not (np.all(np.isfinite(axy)) and np.all(np.isfinite(heights))):
-        raise DomainError("anchors must have finite coordinates")
     d_hat = np.asarray(d_hat, dtype=float)
     if not np.all(np.isfinite(d_hat) & (d_hat >= 0.0)):
         raise DomainError("d_hat must be non-negative and finite")
@@ -322,14 +305,12 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     if search_center is None:
         cx, cy = axy.mean(axis=0)
     else:
-        cx, cy = search_center
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            raise DomainError("search_center must be finite")
+        cx, cy = (check_number(c, "search_center") for c in search_center)
     if search_radius_m is None:
         spread = float(np.max(np.hypot(*(axy - [cx, cy]).T)))
         search_radius_m = max(float(np.max(r_hat)) + spread, 1.0)
-    elif not (math.isfinite(search_radius_m) and search_radius_m > 0):
-        raise DomainError("search_radius_m must be positive and finite")
+    else:
+        check_number(search_radius_m, "search_radius_m", above=0.0)
     return _solve(_search_grid(axy, cx, cy, search_radius_m), r_hat)
 
 
@@ -365,7 +346,7 @@ def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
     """
     if state_mode not in ("independent", "common", "los", "nlos"):
         raise DomainError(f"unknown state mode {state_mode!r}")
-    _check_count(trials_per_user, "trials_per_user", 1)
+    check_count(trials_per_user, "trials_per_user", 1)
     anchors = place_anchors(plan)
     axy = np.array([[a.x, a.y] for a in anchors])
     # every solve searches the user disc, so all share one grid

@@ -24,7 +24,7 @@ import numpy as np
 from . import channel as ch
 from .antenna_geometry import (SECTOR_OFFSETS, Position3D, SectorAntenna,
                                azimuth_attenuation_db, sector_gain_db)
-from .errors import DomainError
+from .errors import DomainError, check_count, check_number
 from .heightmap import HeightMap, los_mask
 
 MAST_M = 5.0               # default mast height above the roof, m
@@ -41,6 +41,10 @@ class SectorSite:
     azimuth0: float = 0.0      # first sector bearing, rad (0 = north)
     antenna: SectorAntenna = field(default_factory=SectorAntenna)
 
+    def __post_init__(self):
+        check_number(self.p_tx_dbm, "p_tx_dbm")
+        check_number(self.azimuth0, "azimuth0")
+
     @property
     def sector_azimuths(self) -> np.ndarray:
         return self.azimuth0 + SECTOR_OFFSETS
@@ -49,6 +53,8 @@ class SectorSite:
 def site_on_roof(hm: HeightMap, x: float, y: float, mast_m: float = MAST_M,
                  **site_kwargs) -> SectorSite:
     """Place a site on the surface at (x, y), mast_m above the roof."""
+    for value, name in ((x, "x"), (y, "y"), (mast_m, "mast_m")):
+        check_number(value, name)
     roof = float(hm.surface_at(x, y))
     if math.isnan(roof):
         raise DomainError(f"no roof height at ({x:g}, {y:g}): no-data cells")
@@ -82,6 +88,10 @@ class MapSimConfig:
     def __post_init__(self):
         if self.pl_model not in ("threegpp", "free_space"):
             raise DomainError(f"unknown path-loss model {self.pl_model!r}")
+        for name in ("frequency_hz", "bandwidth_hz"):
+            check_number(getattr(self, name), name, above=0.0)
+        for name in ("noise_density_dbm_hz", "noise_figure_db", "ue_gain_dbi"):
+            check_number(getattr(self, name), name)
 
     @property
     def noise_dbm(self) -> float:
@@ -195,10 +205,9 @@ def sinr_grids(sites: Sequence[SectorSite], hm: HeightMap,
     when it is reached, from the links' height-independent part built
     once: a consumer that drops each grid holds one at a time.
     """
-    if len(sites) == 0:
-        raise DomainError("need at least one site")
-    if len(heights) == 0:
-        raise DomainError("height list must be nonempty")
+    check_count(len(sites), "site count", 1)
+    check_count(len(heights), "height count", 1)
+    check_count(stride, "stride", 1)
     xs, ys = (c[::stride] for c in hm.cell_centers())
     xx, yy = np.meshgrid(xs, ys)
     hs = np.asarray(heights, dtype=float)

@@ -45,7 +45,7 @@ from typing import Iterable, List, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_number
 
 _TWO32 = 1 << 32
 _TWO64 = 1 << 64
@@ -101,8 +101,8 @@ special = LazyModule("scipy.special")
 # dB / power helper
 # ---------------------------------------------------------------------------
 
-def dbm_to_watt(p_dbm):
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+def dbm_to_watt(p_dbm: float) -> float:
+    return 10.0 ** ((check_number(p_dbm, "p_dbm") - 30.0) / 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +199,8 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.master_seed) < _TWO64):
-            raise DomainError("master_seed must fit in 64 bits")
-        if int(self.stream_index) < 0:
-            raise DomainError("stream_index must be non-negative")
+        check_count(self.master_seed, "master_seed", 0, _TWO64 - 1)
+        check_count(self.stream_index, "stream_index", 0)
 
     def child_generator(self, *key: int) -> np.random.Generator:
         """Independent generator for a work unit, e.g. (trial index,)."""
@@ -254,12 +252,8 @@ def marcum_q(a: float, b: float) -> float:
     Q1(a, b) = P[X > b^2] for X noncentral chi-square with 2 degrees of
     freedom and noncentrality a^2, evaluated as 1 - scipy.special.chndtr.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("marcum_q arguments must be finite")
-    if a < 0.0 or b < 0.0:
-        raise DomainError("marcum_q arguments must be non-negative")
+    a = float(check_number(a, "a", minimum=0.0))
+    b = float(check_number(b, "b", minimum=0.0))
     if a == 0.0:
         return math.exp(-0.5 * b * b)
     return 1.0 - float(special.chndtr(b * b, 2.0, a * a))
@@ -270,14 +264,8 @@ def inv_marcum_q(a: float, p: float) -> float:
     quantile, from scipy.special.chndtrix. Because 1 - p rounds, b loses
     precision as p falls below about 1e-10, and for a > 0 a p at or below
     2**-54 (about 5.6e-17), where 1 - p rounds to 1, is rejected."""
-    a = float(a)
-    p = float(p)
-    if not (math.isfinite(a) and math.isfinite(p)):
-        raise DomainError("inv_marcum_q arguments must be finite")
-    if a < 0.0:
-        raise DomainError("inv_marcum_q requires a >= 0")
-    if not 0.0 < p <= 1.0:
-        raise DomainError("inv_marcum_q requires 0 < p <= 1")
+    a = float(check_number(a, "a", minimum=0.0))
+    p = float(check_number(p, "p", above=0.0, maximum=1.0))
     if p == 1.0:
         return 0.0
     if a == 0.0:
@@ -300,9 +288,7 @@ def chebyshev_capacity_nodes(k: int):
 
     Returns (t, w) as float arrays of length K, in ascending node order.
     """
-    if int(k) != k or k < 1:
-        raise DomainError("node count K must be a positive integer")
-    k = int(k)
+    k = int(check_count(k, "k", 1))
     n = np.arange(1, k + 1)
     theta = (2 * n - 1) * np.pi / (2 * k)
     u = 0.25 * np.pi * np.cos(theta) + 0.25 * np.pi
@@ -323,8 +309,7 @@ class Rician:
     k_factor: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.k_factor) and self.k_factor >= 0.0):
-            raise DomainError("Rician K-factor must be >= 0")
+        check_number(self.k_factor, "k_factor", minimum=0.0)
 
     @classmethod
     def from_db(cls, k_db: float) -> "Rician":
@@ -340,8 +325,7 @@ class Nakagami:
     m: int
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise DomainError("Nakagami m must be a positive integer")
+        check_count(self.m, "m", 1)
 
 
 FadingModel = Union[Rician, Nakagami]
@@ -363,6 +347,7 @@ def sample_fading(model: FadingModel, rng: np.random.Generator, size=None):
 
 def nakagami_power_cdf(omega, m: int):
     """P[power < omega] for Nakagami-m unit-mean power (Erlang tail sum)."""
+    check_count(m, "m", 1)
     omega = np.asarray(omega, dtype=float)
     acc = np.zeros_like(omega)
     for k in range(int(m)):
@@ -373,8 +358,7 @@ def nakagami_power_cdf(omega, m: int):
 def sample_shadowing_db(sigma_db: float, rng: np.random.Generator, size=None):
     """Zero-mean normal large-scale fading in dB; sigma 0 draws nothing and
     returns zeros."""
-    if not (math.isfinite(sigma_db) and sigma_db >= 0.0):
-        raise DomainError("shadowing sigma must be >= 0 dB")
+    check_number(sigma_db, "sigma_db", minimum=0.0)
     if sigma_db == 0.0:
         return 0.0 if size is None else np.zeros(size)
     return rng.normal(0.0, sigma_db, size)

@@ -33,7 +33,7 @@ from .abs_net import MAX_RADIUS_M
 from .aue_net import COVERAGE_MIN_TRIALS, _capacity_coefficients, mean_site_count
 from .channel import (ENV_PRESETS, MAX_MODELED_ALTITUDE_M, MIN_ANTENNA_HEIGHT_M,
                       SLICE_CEILINGS_M)
-from .errors import DomainError, ScenarioError
+from .errors import BoundError, DomainError, ScenarioError, check_number
 from .heightmap import MAX_SURFACE_M, synthetic_cells
 from .mapsim import MAST_M
 
@@ -478,17 +478,6 @@ class Scenario:
     params: Dict[str, Any] = field(default_factory=dict)
 
 
-def _finite(value, path: str) -> float:
-    # NaN passes every bound check, and inf reaches the models as a number
-    try:
-        value = float(value)
-    except OverflowError:       # an integer past the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ScenarioError("must be a finite number", path)
-    return value
-
-
 def _coerce(value, f: Field, path: str):
     if value is None:
         # null stands for "unset" only where unset is the default
@@ -498,7 +487,10 @@ def _coerce(value, f: Field, path: str):
     if f.kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError("expected a number", path)
-        return _finite(value, path)
+        try:    # float() of an integer past the float range overflows
+            return check_number(float(value), path)
+        except (OverflowError, DomainError):
+            raise ScenarioError("must be a finite number", path) from None
     if f.kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError("expected an integer", path)
@@ -529,16 +521,12 @@ def check_bounds(value, f: Field, path: str):
         for i, item in enumerate(value):
             check_bounds(item, f, f"{path}[{i}]")
         return
-    if value is None:
+    if value is None or isinstance(value, str):
         return
-    if f.minimum is not None and value < f.minimum:
-        raise ScenarioError(f"must be at least {f.minimum}", path)
-    if f.above is not None and value <= f.above:
-        raise ScenarioError(f"must be greater than {f.above}", path)
-    if f.maximum is not None and value > f.maximum:
-        raise ScenarioError(f"must be at most {f.maximum}", path)
-    if f.below is not None and value >= f.below:
-        raise ScenarioError(f"must be less than {f.below}", path)
+    try:
+        check_number(value, path, f.minimum, f.above, f.maximum, f.below)
+    except BoundError as exc:
+        raise ScenarioError(exc.rule, path) from None
 
 
 def _validate_value(value, f: Field, path: str):

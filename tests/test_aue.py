@@ -567,3 +567,15 @@ class TestBatchedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestEmptySamples:
+    # each ended in a raw ZeroDivisionError
+    def test_coverage_names_sinr(self):
+        with pytest.raises(DomainError, match="^sinr sample count must be "):
+            au.coverage_from_samples(np.array([]), 1.0)
+
+    def test_capacity_names_sinr(self):
+        t, coeff = au._capacity_coefficients(50)
+        with pytest.raises(DomainError, match="^sinr sample count must be "):
+            au._capacity_from_samples(np.array([]), t, coeff)

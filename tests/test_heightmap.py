@@ -586,7 +586,8 @@ class TestMixedEarlyDecisions:
         x = hm.xllcorner + (u + 0.5) * hm.cellsize
         y = hm.yllcorner + (v + 0.5) * hm.cellsize
         h = rng.uniform(0.0, 30.0, (m, n))
-        h[0] = hm.surface_at(x, y)                 # on the surface
+        # on the surface; 0 m over no-data, where a NaN height is rejected
+        h[0] = np.nan_to_num(hm.surface_at(x, y))
         cast = _assert_cast_matches(hm, site, x[None], y[None], h)
         assert cast.shape == (m, n)
         assert not cast[0].any()
@@ -697,7 +698,8 @@ class TestMultiSiteCast:
         x = hm.xllcorner + (u + 0.5) * hm.cellsize
         y = hm.yllcorner + (v + 0.5) * hm.cellsize
         h = rng.uniform(0.0, 30.0, (m, n))
-        h[0] = hm.surface_at(x, y)                 # on the surface
+        # on the surface; 0 m over no-data, where a NaN height is rejected
+        h[0] = np.nan_to_num(hm.surface_at(x, y))
         cast = los_mask(sites, x[None], y[None], h, hm)
         assert cast.shape == (len(sites), m, n)
         with np.errstate(over="ignore"):  # the reference's vertex can overflow
@@ -769,3 +771,18 @@ class TestSyntheticCity:
         city = synthetic_city(extent, cellsize, ch.urban(), RngStream(1).child_generator())
         x0, x1, y0, y1 = city.extent
         assert x1 - x0 == pytest.approx(extent) and y1 - y0 == pytest.approx(extent)
+
+
+class TestNonFiniteHeights:
+    FLAT = HeightMap(np.full((20, 20), 5.0), cellsize=5.0)
+    SITE = Position3D(50.0, 50.0, 20.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_before_any_ray(self, monkeypatch, bad):
+        # NaN and +inf endpoints read clear, after a RuntimeWarning
+        def no_geometry(*args):
+            raise AssertionError("a ray was cast")
+        monkeypatch.setattr(heightmap, "_geometry", no_geometry)
+        for h in (bad, np.array([[10.0], [bad]])):
+            with pytest.raises(DomainError, match="^h must be finite$"):
+                los_mask(self.SITE, 20.0, 20.0, h, self.FLAT)
