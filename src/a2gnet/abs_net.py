@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DomainError, check_count, check_number
 # integrate is unused here; bench/tracing.py proxies it on traced runs
-from .numerics import dbm_to_watt, integrate, inv_marcum_q, optimize, special
+from .numerics import (db_to_linear, dbm_to_watt, integrate, inv_marcum_q,
+                       optimize, special)
 
 
 _RAMP_THETA = (0.0, math.pi / 2)
@@ -75,10 +76,8 @@ def urban_abs_profile(k0_db: float = 0.0, k90_db: float = 15.0,
                       **kwargs) -> AbsProfile:
     """Documented urban default: eta 3.5 -> 2 and K 0 dB -> 15 dB over
     elevation, interpolated linearly in the linear K ratio."""
-    check_number(k0_db, "k0_db")
-    check_number(k90_db, "k90_db")
-    return AbsProfile(10.0 ** (k0_db / 10.0), 10.0 ** (k90_db / 10.0),
-                      eta0, eta90, **kwargs)
+    return AbsProfile(db_to_linear(k0_db, "k0_db"),
+                      db_to_linear(k90_db, "k90_db"), eta0, eta90, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,7 @@ def design_rows(altitudes: Sequence[float], r_c_m: float, epsilon: float,
 # Coverage radius and altitude optimization
 # ---------------------------------------------------------------------------
 
-MAX_RADIUS_M = 1e6  # coverage_radius's default search cap
+MAX_RADIUS_M = 1e6  # coverage_radius's search cap
 
 
 @dataclass(frozen=True)
@@ -250,17 +249,16 @@ class CoverageRadius:
 
 
 def coverage_radius(h_abs_m: float, p_tx_w: float, epsilon: float,
-                    prof: AbsProfile, r_max_m: float = MAX_RADIUS_M) -> CoverageRadius:
-    """Largest r with outage(r) <= epsilon, found by Brent's method to
-    0.01 m."""
+                    prof: AbsProfile) -> CoverageRadius:
+    """Largest r up to MAX_RADIUS_M with outage(r) <= epsilon, found by
+    Brent's method to 0.01 m; a radius at the cap is flagged `capped`."""
     check_number(epsilon, "epsilon", above=0.0, below=1.0)
-    check_number(r_max_m, "r_max_m", above=0.0)
     if outage(0.0, h_abs_m, p_tx_w, prof) > epsilon:
         return CoverageRadius(0.0, no_coverage=True)
-    if outage(r_max_m, h_abs_m, p_tx_w, prof) <= epsilon:
-        return CoverageRadius(r_max_m, capped=True)
+    if outage(MAX_RADIUS_M, h_abs_m, p_tx_w, prof) <= epsilon:
+        return CoverageRadius(MAX_RADIUS_M, capped=True)
     r = optimize.brentq(lambda rr: outage(rr, h_abs_m, p_tx_w, prof) - epsilon,
-                        0.0, r_max_m, xtol=0.01)
+                        0.0, MAX_RADIUS_M, xtol=0.01)
     return CoverageRadius(float(r))
 
 

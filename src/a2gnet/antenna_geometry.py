@@ -17,6 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, check_number
+from .numerics import db_to_linear
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,8 @@ class SectorAntenna:
         if self.elevation_beamwidth_3db is not None:
             return self.elevation_beamwidth_3db
         phi3_deg = math.degrees(self.beamwidth_3db)
-        theta3_deg = 31000.0 * 10.0 ** (-self.max_gain_dbi / 10.0) / phi3_deg
+        gain = db_to_linear(-self.max_gain_dbi, "max_gain_dbi")
+        theta3_deg = 31000.0 * gain / phi3_deg
         return math.radians(min(max(theta3_deg, 2.0), phi3_deg))
 
 
@@ -125,7 +127,7 @@ class OmniUav:
 
     @property
     def gain_linear(self) -> float:
-        return 10.0 ** (self.gain_dbi / 10.0)
+        return db_to_linear(self.gain_dbi, "gain_dbi")
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,6 @@ from .channel import (
 )
 from .errors import DomainError, check_count, check_number
 from .numerics import (
-    FadingModel,
-    Nakagami,
     RngStream,
     chebyshev_capacity_nodes,
     dbm_to_watt,
@@ -94,8 +92,8 @@ class AueNetworkConfig:
     eta_los: float = 2.0
     eta_nlos: float = 3.5
     nlos_excess_db: float = 20.0              # urban extra blockage loss
-    fading_los: FadingModel = field(default_factory=lambda: Nakagami(3))
-    fading_nlos: FadingModel = field(default_factory=lambda: Nakagami(1))
+    fading_m_los: int = 3                     # Nakagami m of each LOS state
+    fading_m_nlos: int = 1
     aue_ratio_rho: float = 0.5
     region_radius_m: float = 3000.0
 
@@ -108,6 +106,8 @@ class AueNetworkConfig:
             check_number(getattr(self, name), name, minimum=0.0)
         check_number(self.nlos_excess_db, "nlos_excess_db")
         check_number(self.aue_ratio_rho, "aue_ratio_rho", minimum=0.0, maximum=1.0)
+        check_count(self.fading_m_los, "fading_m_los", 1)
+        check_count(self.fading_m_nlos, "fading_m_nlos", 1)
 
     def reference_loss_db(self, los: bool) -> float:
         """Free-space loss at D0_M, plus the NLOS excess when not in LOS."""
@@ -179,8 +179,8 @@ class LinkDraw:
 def draw_links(snap: NetworkSnapshot, cfg: AueNetworkConfig,
                rng: np.random.Generator) -> LinkDraw:
     n = snap.n_sites
-    return LinkDraw(rng.random(n), sample_fading(cfg.fading_los, rng, n),
-                    sample_fading(cfg.fading_nlos, rng, n))
+    return LinkDraw(rng.random(n), sample_fading(cfg.fading_m_los, rng, n),
+                    sample_fading(cfg.fading_m_nlos, rng, n))
 
 
 @dataclass(frozen=True)
@@ -349,8 +349,8 @@ def _draw_block(cfg: AueNetworkConfig, rng: RngStream, trials: range):
         n = int(gen.poisson(lam))
         counts.append(n)
         uniforms.append(gen.random(4 * n).reshape(4, n))
-        fading_los.append(sample_fading(cfg.fading_los, gen, n))
-        fading_nlos.append(sample_fading(cfg.fading_nlos, gen, n))
+        fading_los.append(sample_fading(cfg.fading_m_los, gen, n))
+        fading_nlos.append(sample_fading(cfg.fading_m_nlos, gen, n))
     u = np.concatenate(uniforms, axis=1)
     links = LinkDraw(u[3], np.concatenate(fading_los),
                      np.concatenate(fading_nlos))

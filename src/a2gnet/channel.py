@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (ApplicabilityError, DomainError, ModelGapError,
                      OutOfEnvelopeError, check_count, check_number)
-from .numerics import FadingModel, sample_fading, sample_shadowing_db
+from .numerics import sample_fading, sample_shadowing_db
 
 SPEED_OF_LIGHT = 299_792_458.0
 # the 3GPP 40*pi*f/3 idiom embeds c = 3e8; the breakpoint uses the same
@@ -340,13 +340,9 @@ RMA_GROUND_RANGE_M = {True: RMA_GROUND_LOS_RANGE_M, False: RMA_GROUND_NLOS_RANGE
 
 
 def _check_range(d_h, lo, hi, what):
-    bad_lo = np.any(np.asarray(d_h) < lo)
-    bad_hi = np.any(np.asarray(d_h) > hi)
-    if bad_lo or bad_hi:
-        raise ApplicabilityError(
-            f"{what} valid for {lo} m <= d_h <= {hi} m",
-            quantity="d_h", value=float(np.min(d_h) if bad_lo else np.max(d_h)),
-            bound=lo if bad_lo else hi)
+    d_h = np.asarray(d_h)
+    if np.any(d_h < lo) or np.any(d_h > hi):
+        raise ApplicabilityError(f"{what} valid for {lo} m <= d_h <= {hi} m")
 
 
 def slice_pl_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz, env: Environment, los: bool,
@@ -492,30 +488,36 @@ def log_distance_from_preset(name: str, frequency_hz: float = None, *,
 
 
 def sample_link_loss_db(pl_db, sigma_db, p_los: float, rng: np.random.Generator,
-                        fading: FadingModel = None, fading_nlos: FadingModel = None,
+                        fading_m: int = None, fading_m_nlos: int = None,
                         n: int = None):
     """Draw total link loss H = PL + X_LS - 10 log10(X_SS) and the LOS flag.
 
     `pl_db` and `sigma_db` are (LOS, NLOS) pairs of path loss and shadowing
-    std in dB, from whichever model the caller evaluates, and `p_los` is the
-    LOS probability. The LOS uniforms are drawn first, then per state, LOS
-    first, the shadowing normals and the fading gains. `fading` applies to
-    LOS links (and NLOS too unless `fading_nlos` is given); None drops the
-    small-scale term. Returns (loss_db, los_flag), arrays when n is given.
+    std in dB, from whichever model the caller evaluates; each loss must be
+    finite. `p_los` is the LOS probability. The LOS uniforms are drawn
+    first, then per state, LOS first, the shadowing normals and the fading
+    gains. `fading_m` is the Nakagami m of LOS links (and NLOS too unless
+    `fading_m_nlos` is given); None drops the small-scale term. Returns
+    (loss_db, los_flag), arrays when n is given.
     """
+    for pl in pl_db:
+        check_number(pl, "pl_db")
     check_number(p_los, "p_los", minimum=0.0, maximum=1.0)
+    fading_m_nlos = fading_m if fading_m_nlos is None else fading_m_nlos
+    for name, m in (("fading_m", fading_m), ("fading_m_nlos", fading_m_nlos)):
+        if m is not None:
+            check_count(m, name, 1)
     size = 1 if n is None else check_count(n, "n", 0)
     flags = rng.random(size) < p_los
     loss = np.empty(size, dtype=float)
-    for state, pl, sigma, model in ((True, pl_db[0], sigma_db[0], fading),
-                                    (False, pl_db[1], sigma_db[1],
-                                     fading_nlos or fading)):
+    for state, pl, sigma, m in ((True, pl_db[0], sigma_db[0], fading_m),
+                                (False, pl_db[1], sigma_db[1], fading_m_nlos)):
         idx = np.nonzero(flags == state)[0]
         if idx.size == 0:
             continue
         shad = sample_shadowing_db(sigma, rng, idx.size)
-        if model is not None:
-            gains = sample_fading(model, rng, idx.size)
+        if m is not None:
+            gains = sample_fading(m, rng, idx.size)
             fade_db = -10.0 * np.log10(gains)
         else:
             fade_db = 0.0

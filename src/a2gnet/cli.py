@@ -3,8 +3,9 @@
 Every run is reproducible: identical seeds give byte-identical outputs,
 because all Monte Carlo work is keyed per work unit. Runs are serial; the
 `--threads` flag is accepted and has no effect.
-Floats print as `%.9g` (NaN of either sign as `nan`, infinities as `inf`
-and `-inf`), None as `nan`, integers in full (booleans as 1 and 0), text as it is.
+CSV and raster floats print as `heightmap.FLOAT_FMT`, `%.9g`. In a CSV, NaN
+of either sign prints as `nan`, infinities as `inf` and `-inf`, None as
+`nan`, integers in full (booleans as 1 and 0), text as it is.
 
 The channel table evaluates each altitude in one array pass over its
 distances through `channel.slice_pl_db`. A cell outside a ground-slice fit
@@ -27,12 +28,11 @@ from . import abs_net, aue_net, localization as loc, mapsim as ms
 from . import channel as ch
 from .antenna_geometry import ConeUav, OmniUav, Position3D, SectorAntenna
 from .errors import DomainError, ModelGapError, ScenarioError, check_number
-from .heightmap import HeightMap, load_ascii_grid, save_ascii_grid, synthetic_city
-from .numerics import Nakagami, RngStream, dbm_to_watt
+from .heightmap import (FLOAT_FMT, HeightMap, load_ascii_grid, save_ascii_grid,
+                        synthetic_city)
+from .numerics import RngStream, dbm_to_watt
 from .scenario import (SITE_CSV_FIELDS, Scenario, check_bounds,
                        check_mapsim_rays, load_scenario, validate_seed)
-
-FMT = "%.9g"
 
 
 def _fmt(value) -> str:
@@ -42,14 +42,15 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return FMT % value
+    return FLOAT_FMT % value
 
 
 def _write_csv(path: Path, header, rows):
-    # a plain float is the common cell: FMT prints nan and inf as _fmt does
+    # a plain float is the common cell: FLOAT_FMT prints nan and inf as _fmt
+    # does
     lines = [",".join(header)]
-    lines += [",".join([FMT % v if type(v) is float else _fmt(v) for v in row])
-              for row in rows]
+    lines += [",".join([FLOAT_FMT % v if type(v) is float else _fmt(v)
+                        for v in row]) for row in rows]
     lines.append("")  # the file ends with a newline
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))
@@ -95,8 +96,8 @@ def _aue_config(block) -> aue_net.AueNetworkConfig:
         eta_los=block["eta_los"],
         eta_nlos=block["eta_nlos"],
         nlos_excess_db=block["nlos_excess_db"],
-        fading_los=Nakagami(block["fading_m_los"]),
-        fading_nlos=Nakagami(block["fading_m_nlos"]),
+        fading_m_los=block["fading_m_los"],
+        fading_m_nlos=block["fading_m_nlos"],
         region_radius_m=block["region_radius_m"],
     )
 

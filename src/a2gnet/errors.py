@@ -40,7 +40,9 @@ def check_number(value, name, minimum=None, above=None, maximum=None,
 
 def check_count(value, name, minimum, maximum=None):
     """check_number for a count: an integer (numpy's too), not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    # a plain int skips the Integral lookup, which costs about 0.7 us
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, Integral)):
         raise BoundError(name, "must be an integer")
     return check_number(value, name, minimum, maximum=maximum)
 
@@ -50,16 +52,8 @@ class OutOfEnvelopeError(DomainError):
 
 
 class ApplicabilityError(DomainError):
-    """Geometry outside a model's stated validity window.
-
-    Carries the violated bound so callers can report or clamp.
-    """
-
-    def __init__(self, message, *, quantity=None, value=None, bound=None):
-        super().__init__(message)
-        self.quantity = quantity
-        self.value = value
-        self.bound = bound
+    """Geometry outside a model's stated validity window; the message
+    states the window."""
 
 
 class ModelGapError(DomainError):

@@ -31,6 +31,8 @@ import numpy as np
 from .antenna_geometry import Position3D
 from .errors import DomainError, GridParseError, check_number
 
+FLOAT_FMT = "%.9g"  # every float the package writes, raster and CSV cells
+
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
                 "nodata_value")
 # largest magnitude of a loaded surface height, m, past Everest and the
@@ -181,17 +183,19 @@ def load_ascii_grid(path) -> HeightMap:
                      nodata_value=nodata)
 
 
-def save_ascii_grid(hm: HeightMap, path, fmt: str = "%.9g") -> None:
+def save_ascii_grid(hm: HeightMap, path) -> None:
+    """Write hm as an ESRI ASCII grid, each float as FLOAT_FMT and each NaN
+    height as the no-data value."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"ncols {hm.ncols}\n")
         fh.write(f"nrows {hm.nrows}\n")
-        fh.write(f"xllcorner {fmt % hm.xllcorner}\n")
-        fh.write(f"yllcorner {fmt % hm.yllcorner}\n")
-        fh.write(f"cellsize {fmt % hm.cellsize}\n")
-        fh.write(f"NODATA_value {fmt % hm.nodata_value}\n")
+        fh.write(f"xllcorner {FLOAT_FMT % hm.xllcorner}\n")
+        fh.write(f"yllcorner {FLOAT_FMT % hm.yllcorner}\n")
+        fh.write(f"cellsize {FLOAT_FMT % hm.cellsize}\n")
+        fh.write(f"NODATA_value {FLOAT_FMT % hm.nodata_value}\n")
         filled = np.where(np.isnan(hm.heights), hm.nodata_value, hm.heights)
         for row in filled:
-            fh.write(" ".join(fmt % v for v in row) + "\n")
+            fh.write(" ".join(FLOAT_FMT % v for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ reads site files and places the sites. A run casts every site's rays in one
 `los_mask` call and builds the height-independent part of every link
 budget once; each height is then one stacked pass over all sites, with
 their powers and antenna fields as arrays, and its grid is built only when
-the caller reaches it.
+the caller reaches it. Every ground UE has the gain UE_GAIN_DBI, and the
+noise is NOISE_DENSITY_DBM_HZ over the config's bandwidth plus its noise
+figure: no scenario key sets either constant.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .antenna_geometry import (SECTOR_OFFSETS, Position3D, SectorAntenna,
 from .errors import DomainError, check_count, check_number
 from .heightmap import HeightMap, los_mask
 
-MAST_M = 5.0               # default mast height above the roof, m
+MAST_M = 5.0                   # default mast height above the roof, m
+NOISE_DENSITY_DBM_HZ = -174.0  # thermal noise density at 290 K
+UE_GAIN_DBI = 2.15             # every ground UE: a half-wave dipole
 # path-loss exponents of the free-space model under LOS and NLOS
 FREE_SPACE_ETA = {True: 2.0, False: 3.5}
 
@@ -80,9 +84,7 @@ class MapSimConfig:
     env: ch.Environment
     frequency_hz: float = 1.8e9
     bandwidth_hz: float = 20e6
-    noise_density_dbm_hz: float = -174.0
     noise_figure_db: float = 9.0
-    ue_gain_dbi: float = 2.15
     pl_model: str = "threegpp"
 
     def __post_init__(self):
@@ -90,12 +92,11 @@ class MapSimConfig:
             raise DomainError(f"unknown path-loss model {self.pl_model!r}")
         for name in ("frequency_hz", "bandwidth_hz"):
             check_number(getattr(self, name), name, above=0.0)
-        for name in ("noise_density_dbm_hz", "noise_figure_db", "ue_gain_dbi"):
-            check_number(getattr(self, name), name)
+        check_number(self.noise_figure_db, "noise_figure_db")
 
     @property
     def noise_dbm(self) -> float:
-        return (self.noise_density_dbm_hz
+        return (NOISE_DENSITY_DBM_HZ
                 + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db)
 
 
@@ -157,7 +158,7 @@ class _Links:
                       _path_loss_db(cfg, d_3d, ue_h, self.site_h, False))
         el = np.arctan2(dz, self.d_h)[:, None]
         return (self.p_tx + sector_gain_db(self.antenna, self.a_az, el)
-                + cfg.ue_gain_dbi - pl[:, None])
+                + UE_GAIN_DBI - pl[:, None])
 
 
 @dataclass

@@ -4,6 +4,9 @@ Everything here is deterministic given an :class:`RngStream`, so Monte Carlo
 callers can parallelize per work unit and still merge bit-exact results.
 The samplers take the `np.random.Generator` that
 ``RngStream.child_generator(key)`` returns for one work unit and advance it.
+Fading is one law, a number: `sample_fading` draws Nakagami-m power gains
+for an integer m (the aerial-UE links); the aerial base station's Rician
+link is evaluated in closed form through Marcum Q and draws nothing.
 `RngStream.child_generators` seeds a block of work units in one vectorized
 pass of numpy's SeedSequence hash; each generator is bit-identical to the
 one `child_generator` builds for its key. Only the hash of each key's word is
@@ -41,11 +44,11 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Iterable, List
 
 import numpy as np
 
-from .errors import DomainError, check_count, check_number
+from .errors import BoundError, DomainError, check_count, check_number
 
 _TWO32 = 1 << 32
 _TWO64 = 1 << 64
@@ -98,11 +101,27 @@ special = LazyModule("scipy.special")
 
 
 # ---------------------------------------------------------------------------
-# dB / power helper
+# dB / power helpers
 # ---------------------------------------------------------------------------
 
+# largest magnitude of a dB value converted to a linear ratio: 10^(+-300)
+# stays a normal float, where 10^(1e307) overflowed
+MAX_LINEAR_DB = 3000.0
+
+
+def db_to_linear(value_db, name: str) -> float:
+    """10^(value_db / 10), value_db finite and within +-MAX_LINEAR_DB; else a
+    DomainError naming `name`, the field the value comes from (its sign or
+    offset may differ from value_db's)."""
+    if not abs(check_number(value_db, name)) <= MAX_LINEAR_DB:
+        raise BoundError(name, f"must lie within +-{MAX_LINEAR_DB:g} dB")
+    return 10.0 ** (value_db / 10.0)
+
+
 def dbm_to_watt(p_dbm: float) -> float:
-    return 10.0 ** ((check_number(p_dbm, "p_dbm") - 30.0) / 10.0)
+    # an int offset keeps an integer p_dbm past the float range an int
+    # until the range check
+    return db_to_linear(p_dbm - 30, "p_dbm")
 
 
 # ---------------------------------------------------------------------------
@@ -302,47 +321,11 @@ def chebyshev_capacity_nodes(k: int):
 # Small-scale fading and shadowing samplers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rician:
-    """Rician envelope with linear K-factor, normalized to unit mean power."""
-
-    k_factor: float
-
-    def __post_init__(self):
-        check_number(self.k_factor, "k_factor", minimum=0.0)
-
-    @classmethod
-    def from_db(cls, k_db: float) -> "Rician":
-        return cls(10.0 ** (k_db / 10.0))
-
-
-@dataclass(frozen=True)
-class Nakagami:
-    """Nakagami-m envelope; power gain ~ Gamma(m, 1/m) (unit mean). m = 1
-    is Rayleigh fading: numpy draws Gamma(1, 1) as its standard
-    exponential."""
-
-    m: int
-
-    def __post_init__(self):
-        check_count(self.m, "m", 1)
-
-
-FadingModel = Union[Rician, Nakagami]
-
-
-def sample_fading(model: FadingModel, rng: np.random.Generator, size=None):
-    """Draw unit-mean linear power gains from the given fading law."""
-    if isinstance(model, Nakagami):
-        return rng.gamma(model.m, 1.0 / model.m, size)
-    if isinstance(model, Rician):
-        k = model.k_factor
-        mean = math.sqrt(k / (k + 1.0))
-        sigma = math.sqrt(0.5 / (k + 1.0))
-        re = rng.normal(mean, sigma, size)
-        im = rng.normal(0.0, sigma, size)
-        return re * re + im * im
-    raise DomainError(f"unknown fading model {model!r}")
+def sample_fading(m: int, rng: np.random.Generator, size=None):
+    """Draw unit-mean Nakagami-m power gains, Gamma(m, 1/m). m = 1 is
+    Rayleigh fading: numpy draws Gamma(1, 1) as its standard exponential."""
+    check_count(m, "m", 1)
+    return rng.gamma(m, 1.0 / m, size)
 
 
 def nakagami_power_cdf(omega, m: int):

@@ -304,8 +304,8 @@ class TestCoverageRadius:
         assert rads[best] > rads[0] and rads[best] > rads[-1]
 
     def test_capped_flag(self):
-        res = ab.coverage_radius(100.0, 1e12, 0.05, URBAN, r_max_m=10_000.0)
-        assert res.capped and res.radius_m == 10_000.0
+        res = ab.coverage_radius(100.0, 1e12, 0.05, URBAN)
+        assert res.capped and res.radius_m == ab.MAX_RADIUS_M
 
     def test_no_coverage_flag(self):
         res = ab.coverage_radius(5000.0, 1e-12, 0.05, URBAN)

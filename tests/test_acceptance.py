@@ -20,7 +20,6 @@ from a2gnet.antenna_geometry import Position3D
 from a2gnet.cli import run_scenario
 from a2gnet.heightmap import HeightMap, building_stats, los_mask, synthetic_city
 from a2gnet.numerics import (
-    Nakagami,
     RngStream,
     inv_marcum_q,
     marcum_q,
@@ -116,7 +115,7 @@ class TestCriterion3:
                                   omega=15.0, mean_building_height_m=18.8,
                                   street_width_m=20.0)
         cfg = replace(au.AueNetworkConfig(), env=free_env,
-                      fading_los=Nakagami(m))
+                      fading_m_los=m)
         snap = au.NetworkSnapshot(
             xy=np.array([[0.0, 500.0]]), height_m=30.0,
             sector_azimuth=np.array([[0.0, 2.1, 4.2]]))

@@ -9,7 +9,7 @@ from a2gnet import aue_net as au
 from a2gnet.antenna_geometry import ConeUav, OmniUav, bs_gain_db, uav_gain_linear
 from a2gnet.channel import BuildingPlosTable, Environment
 from a2gnet.errors import DomainError
-from a2gnet.numerics import Nakagami, Rician, RngStream, nakagami_power_cdf
+from a2gnet.numerics import RngStream, nakagami_power_cdf
 
 CFG = au.AueNetworkConfig()
 # about 0.4 sites per trial: many trials draw no site
@@ -71,7 +71,7 @@ class TestDeploy:
 
 class TestSnapshotSinr:
     def test_single_bs_no_fading_is_snr(self):
-        cfg = replace(CFG, env=FREE_ENV, fading_los=Nakagami(1))
+        cfg = replace(CFG, env=FREE_ENV, fading_m_los=1)
         snap = single_bs_snapshot(500.0)
         # average over fading draws recovers the fade-free SNR (unit mean)
         rng = RngStream(21, 0)
@@ -145,7 +145,7 @@ class TestCoverage:
 
     def test_single_bs_nakagami_matches_closed_tail(self):
         m = 3
-        cfg = replace(CFG, env=FREE_ENV, fading_los=Nakagami(m))
+        cfg = replace(CFG, env=FREE_ENV, fading_m_los=m)
         snap = single_bs_snapshot(500.0)
         snr = expected_snr(cfg, 500.0, 60.0)
         rng = RngStream(43, 0)
@@ -405,9 +405,9 @@ class TestBlockDraw:
 
     @pytest.mark.parametrize("cfg", [
         CFG, SPARSE,
-        replace(CFG, fading_los=Rician(5.0), fading_nlos=Nakagami(1)),
-        replace(SPARSE, fading_los=Nakagami(1), fading_nlos=Rician(0.5)),
-    ], ids=["nakagami", "sparse", "rician-rayleigh", "sparse-rayleigh-rician"])
+        replace(CFG, fading_m_los=5, fading_m_nlos=1),
+        replace(SPARSE, fading_m_los=1, fading_m_nlos=2),
+    ], ids=["nakagami", "sparse", "m5-rayleigh", "sparse-rayleigh-m2"])
     def test_block_equals_per_trial_draws(self, cfg):
         rng = RngStream(87, 1)
         trials = range(5, 42)

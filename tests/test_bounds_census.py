@@ -3,8 +3,9 @@
 Every float field of each public record, and every float parameter of each
 public function, is fed NaN, +inf, -inf and, where the model states a
 bound, a value just past it; each must raise a DomainError whose message
-names it. Counts are fed those and a non-integer and a bool. The tables
-below are checked against what `dataclasses.fields` and
+names it. Counts are fed those and a non-integer and a bool. A dB value
+converted to a linear ratio is also fed +-1e308, whose ratio overflows. The
+tables below are checked against what `dataclasses.fields` and
 `inspect.signature` find, so a new record or parameter cannot miss the
 census.
 """
@@ -30,14 +31,13 @@ from a2gnet.errors import DomainError
 from a2gnet.heightmap import (BuildingStats, HeightMap, building_stats,
                               synthetic_cells, synthetic_city)
 from a2gnet.numerics import (
-    Nakagami,
-    Rician,
     RngStream,
     chebyshev_capacity_nodes,
     dbm_to_watt,
     inv_marcum_q,
     marcum_q,
     nakagami_power_cdf,
+    sample_fading,
     sample_shadowing_db,
 )
 
@@ -106,10 +106,16 @@ RECORDS = {
         "threshold_t": (0.0,)}),
     ms.SectorSite: ({"position": SITE}, {"p_tx_dbm": (), "azimuth0": ()}),
     ms.MapSimConfig: ({"env": URBAN}, {
-        "frequency_hz": (0.0,), "bandwidth_hz": (0.0,),
-        "noise_density_dbm_hz": (), "noise_figure_db": (), "ue_gain_dbi": ()}),
-    Rician: ({"k_factor": 1.0}, {"k_factor": (under(0.0),)}),
+        "frequency_hz": (0.0,), "bandwidth_hz": (0.0,), "noise_figure_db": ()}),
 }
+
+# dB values whose linear ratio overflows a float
+HUGE_DB = (-1e308, 1e308)
+
+# dB fields a record converts when a property is read: (record, valid
+# arguments, field, property)
+DB_PROPERTIES = [(OmniUav, {}, "gain_dbi", "gain_linear"),
+                 (SectorAntenna, {}, "max_gain_dbi", "elevation_beamwidth")]
 
 # records that a run returns, not reads
 OUTPUT_RECORDS = {au.NetworkSnapshot, au.SnapshotSinr, au.Estimate,
@@ -130,7 +136,7 @@ _TRIALS = {"cfg": CFG, "n_trials": 1, "rng": RngStream(1)}
 # bounds}): a function appears once per set of parameters a call reads
 FUNCTIONS = [
     (ab.urban_abs_profile, {},
-     {"k0_db": (), "k90_db": (), "eta0": (under(2.0),),
+     {"k0_db": HUGE_DB, "k90_db": HUGE_DB, "eta0": (under(2.0),),
       "eta90": (under(2.0),)}),
     (ab.outage, {**_OUTAGE, "r_m": 100.0}, {"h_abs_m": (under(0.0),), "p_tx_w": (0.0,)}),
     (ab.required_power, _DESIGN, _DESIGN_PAST),
@@ -143,9 +149,8 @@ FUNCTIONS = [
     (ab.sum_rate, {**_OUTAGE, "r_c_m": 500.0, "n_bar": 10.0, "w_hz": 1e6},
      {"h_abs_m": (under(0.0),), "p_tx_w": (0.0,), "r_c_m": (0.0,),
       "n_bar": (under(0.0),), "w_hz": (under(0.0),)}),
-    (ab.coverage_radius, {**_OUTAGE, "epsilon": 0.05, "r_max_m": 1e4},
-     {"h_abs_m": (under(0.0),), "p_tx_w": (0.0,), "epsilon": (0.0, 1.0),
-      "r_max_m": (0.0,)}),
+    (ab.coverage_radius, {**_OUTAGE, "epsilon": 0.05},
+     {"h_abs_m": (under(0.0),), "p_tx_w": (0.0,), "epsilon": (0.0, 1.0)}),
     (ab.optimize_altitude, {"metric": "power_gain", "prof": PROF,
                             "grid": [100.0], "r_c_m": 500.0, "epsilon": 0.05},
      {"r_c_m": (0.0,), "epsilon": (0.0, 1.0)}),
@@ -221,7 +226,7 @@ FUNCTIONS = [
      {"search_radius_m": (0.0,)}),
     (ms.site_on_roof, {"hm": HM, "x": 5.0, "y": 5.0, "mast_m": 5.0},
      {"x": (), "y": (), "mast_m": ()}),
-    (dbm_to_watt, {"p_dbm": 30.0}, {"p_dbm": ()}),
+    (dbm_to_watt, {"p_dbm": 30.0}, {"p_dbm": HUGE_DB}),
     (marcum_q, {"a": 1.0, "b": 1.0}, {"a": (under(0.0),), "b": (under(0.0),)}),
     (inv_marcum_q, {"a": 1.0, "p": 0.5},
      {"a": (under(0.0),), "p": (0.0, over(1.0))}),
@@ -231,7 +236,8 @@ FUNCTIONS = [
 
 # (record or function, valid arguments, {count: its least value})
 COUNTS = [
-    (Nakagami, {"m": 1}, {"m": 1}),
+    (sample_fading, {"m": 1, "rng": gen()}, {"m": 1}),
+    (au.AueNetworkConfig, {}, {"fading_m_los": 1, "fading_m_nlos": 1}),
     (RngStream, {"master_seed": 1, "stream_index": 0},
      {"master_seed": 0, "stream_index": 0}),
     (loc.AnchorPlan, {"m_points": 3, "radius_m": 100.0, "h_abs_m": 100.0},
@@ -249,7 +255,9 @@ COUNTS = [
     (au.sweep, {**_TRIALS, "axis": "density", "grid": [5.0], "uav_h": 30.0,
                 "k_nodes": 50}, {"n_trials": 1, "k_nodes": 50}),
     (ch.sample_link_loss_db, {"pl_db": (100.0, 120.0), "sigma_db": (4.0, 6.0),
-                              "p_los": 0.5, "rng": gen(), "n": 3}, {"n": 0}),
+                              "p_los": 0.5, "rng": gen(), "n": 3,
+                              "fading_m": 1, "fading_m_nlos": 1},
+     {"n": 0, "fading_m": 1, "fading_m_nlos": 1}),
     (loc.run_campaign, {"scenario": loc.LocalizationScenario(n_users=1),
                         "plan": loc.AnchorPlan(3, 100.0, 100.0),
                         "ch": loc.ElevationChannel(), "rng": RngStream(1)},
@@ -327,6 +335,15 @@ def test_bad_count_raises_naming_it(target, kwargs, name, value):
     _assert_named(target, kwargs, name, value)
 
 
+@pytest.mark.parametrize("record, kwargs, name, prop, value", [
+    pytest.param(record, kwargs, name, prop, value,
+                 id=f"{record.__name__}.{prop}-{name}={value!r}")
+    for record, kwargs, name, prop in DB_PROPERTIES for value in HUGE_DB])
+def test_huge_db_raises_naming_it(record, kwargs, name, prop, value):
+    _assert_named(lambda **kw: getattr(record(**kw), prop), kwargs, name,
+                  value)
+
+
 def test_every_input_record_is_in_the_census():
     found = {record for record in _public(dataclasses.is_dataclass)
              if _record_fields(record, "float")}
@@ -351,6 +368,5 @@ def test_every_count_is_in_the_census():
              for name in _params(fn, "int")}
     found |= {(record.__name__, name) for record in RECORDS
               for name in _record_fields(record, "int")}
-    found |= {(record.__name__, name) for record in (Nakagami, RngStream)
-              for name in _record_fields(record, "int")}
+    found |= {("RngStream", name) for name in _record_fields(RngStream, "int")}
     assert found - set(UNCHECKED_COUNTS) == probed

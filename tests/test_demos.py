@@ -1,14 +1,19 @@
-"""The quick demos run to completion against the current library, and
-every demo names only what the library has.
+"""The quick demos run to completion against the current library and
+print, and write, the recorded bytes; every demo names only what the
+library has.
 
 Each run is in a fresh interpreter with a temporary working directory, so
 files a demo writes (mapsim_city.py writes sinr_rooftop.asc) stay out of
-the checkout.
+the checkout. The sha256 of each quick demo's stdout and of the files it
+writes are recorded under "demos" in `data/shipped_digests.json`, beside
+the shipped scenarios' digests and their version note.
 """
 
 import ast
+import hashlib
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +22,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "tests" / "data" / "shipped_digests.json"
 
 
 @pytest.mark.parametrize("demo", ["channel_models.py", "abs_design.py",
@@ -27,8 +33,15 @@ def test_demo_runs(tmp_path, demo):
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+                          timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    digests = {"stdout": hashlib.sha256(done.stdout).hexdigest()}
+    digests.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest())
+                   for p in tmp_path.iterdir())
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert digests == recorded["demos"][demo], (
+        f"{demo} output differs from {DIGESTS.name} (made with "
+        f"{recorded['versions']}): {digests}")
 
 
 def _unknown_names(tree):

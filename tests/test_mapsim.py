@@ -62,7 +62,7 @@ def reference_rx_dbm(site, cfg, x, y, ue_h, los):
     el = np.arctan2(ue_h - site.position.h, d_h)
     off_boresight = az - site.sector_azimuths.reshape((3,) + (1,) * az.ndim)
     return (site.p_tx_dbm + bs_gain_db(site.antenna, off_boresight, el)
-            + cfg.ue_gain_dbi - pl)
+            + ms.UE_GAIN_DBI - pl)
 
 
 def received_power_dbm(site, sector, ue, hm, cfg):
@@ -76,19 +76,20 @@ def received_power_dbm(site, sector, ue, hm, cfg):
 
 class TestReceivedPower:
     def test_additive_budget(self):
-        # isotropic-equivalent check: zero out gains via antenna fields
+        # zero out the sector gain via antenna fields; the UE adds its
+        # constant UE_GAIN_DBI
         site = ms.SectorSite(position=Position3D(200, 200, 30),
                              p_tx_dbm=43.0,
                              antenna=SectorAntenna(max_gain_dbi=0.0,
                                                    electrical_tilt=0.0,
                                                    sidelobe_floor_db=1e-9))
-        cfg = flat_cfg(pl_model="free_space", ue_gain_dbi=0.0)
+        cfg = flat_cfg(pl_model="free_space")
         ue = Position3D(300.0, 200.0, 1.5)
         d3 = math.hypot(100.0, 28.5)
         lam = ch.SPEED_OF_LIGHT / cfg.frequency_hz
         pl = 20 * math.log10(4 * math.pi * d3 / lam)
         got = received_power_dbm(site, 0, ue, FLAT, cfg)
-        assert got == pytest.approx(43.0 - pl, abs=1e-9)
+        assert got == pytest.approx(43.0 + ms.UE_GAIN_DBI - pl, abs=1e-9)
 
     def test_radially_nonincreasing_on_flat_map(self):
         site = ms.site_on_roof(FLAT, 200.0, 200.0, p_tx_dbm=46.0)
@@ -172,7 +173,8 @@ class TestSinrGrid:
         # two identical sites equidistant from the midpoint, no noise
         a = ms.SectorSite(position=Position3D(100, 200, 30))
         b = ms.SectorSite(position=Position3D(300, 200, 30))
-        cfg = flat_cfg(noise_density_dbm_hz=-400.0)
+        # -174 dBm/Hz and a -226 dB noise figure: -400 dBm/Hz
+        cfg = flat_cfg(noise_figure_db=-226.0)
         [grid] = ms.sinr_grids([a, b], FLAT, [1.5], cfg)
         ix = int(np.argmin(np.abs(grid.x - 200.0)))
         iy = int(np.argmin(np.abs(grid.y - 200.0)))

@@ -53,5 +53,5 @@ def test_shipped_outputs_match_recorded_digests(tmp_path):
         f"outputs differ from {DIGESTS.name}: {', '.join(changed)}; "
         f"versions: {', '.join(drift) or 'as recorded'}. If the change is "
         f"meant, write this to {DIGESTS.name}:\n"
-        + json.dumps({"versions": now, "outputs": digests}, indent=2,
-                     sort_keys=True))
+        + json.dumps({**recorded, "versions": now, "outputs": digests},
+                     indent=2, sort_keys=True))
