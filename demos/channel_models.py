@@ -59,7 +59,7 @@ def main():
     p_los = ch.p_los_3gpp(D_H, h_uav, ch.slice_of(h_uav, ENV))
     loss, flags = ch.sample_link_loss_db(pl, (4.0, 6.0), p_los,
                                          RngStream(7).child_generator(),
-                                         fading_m=3, n=20000)
+                                         fading_m=(3, 3), n=20000)
     print(f"  mean loss {np.mean(loss):.1f} dB, LOS fraction "
           f"{np.mean(flags):.3f} (model {p_los:.3f})")
 

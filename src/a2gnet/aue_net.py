@@ -52,6 +52,7 @@ from .errors import DomainError, check_count, check_number
 from .numerics import (
     RngStream,
     chebyshev_capacity_nodes,
+    db_to_linear,
     dbm_to_watt,
     sample_fading,
 )
@@ -84,7 +85,7 @@ class AueNetworkConfig:
     bs_density_per_km2: float = 5.0
     bs_height_m: float = 30.0
     p_tx_w: float = dbm_to_watt(43.0)
-    noise_w: float = dbm_to_watt(-174.0) * 10.0 ** (9.0 / 10.0) * 20e6
+    noise_w: float = dbm_to_watt(-174.0) * db_to_linear(9.0, "noise_w") * 20e6
     threshold_t: float = 1.0
     uav: UavAntenna = field(default_factory=OmniUav)
     sector: SectorAntenna = field(default_factory=_default_sector)

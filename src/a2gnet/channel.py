@@ -4,10 +4,11 @@ Each model is one function of numbers: the horizontal or 3D distance, the
 two heights, the carrier and the environment in; a float or an array out.
 No geometry or carrier record stands between a caller and a formula, and
 the one record left, `LogDistance`, is a measured row resolved to numbers.
-The link-loss sampler composes a link from what the caller evaluates with
-them: a (LOS, NLOS) pair of path losses and shadowing stds give path loss,
-plus dB-normal shadowing, plus small-scale fading expressed as a dB
-penalty, with the LOS/NLOS state drawn per link from a LOS probability.
+The link-loss sampler composes n links from what the caller evaluates with
+them: (LOS, NLOS) pairs of path losses, shadowing stds and Nakagami m give
+path loss, plus dB-normal shadowing, plus small-scale fading expressed as
+a dB penalty, with the LOS/NLOS state drawn per link from a LOS
+probability.
 
 Unit conventions worth calling out:
   * In the building-statistics LOS probability the horizontal distance
@@ -488,40 +489,32 @@ def log_distance_from_preset(name: str, frequency_hz: float = None, *,
 
 
 def sample_link_loss_db(pl_db, sigma_db, p_los: float, rng: np.random.Generator,
-                        fading_m: int = None, fading_m_nlos: int = None,
-                        n: int = None):
-    """Draw total link loss H = PL + X_LS - 10 log10(X_SS) and the LOS flag.
+                        fading_m: tuple[int, int], n: int):
+    """Draw n links' total loss H = PL + X_LS - 10 log10(X_SS) and LOS flags.
 
-    `pl_db` and `sigma_db` are (LOS, NLOS) pairs of path loss and shadowing
-    std in dB, from whichever model the caller evaluates; each loss must be
-    finite. `p_los` is the LOS probability. The LOS uniforms are drawn
-    first, then per state, LOS first, the shadowing normals and the fading
-    gains. `fading_m` is the Nakagami m of LOS links (and NLOS too unless
-    `fading_m_nlos` is given); None drops the small-scale term. Returns
-    (loss_db, los_flag), arrays when n is given.
+    `pl_db`, `sigma_db` and `fading_m` are (LOS, NLOS) pairs of path loss
+    and shadowing std in dB, from whichever model the caller evaluates, and
+    of the integer Nakagami m; each loss must be finite. `p_los` is the
+    LOS probability. The LOS uniforms are drawn first, then per state, LOS
+    first, the shadowing normals and the fading gains. Returns
+    (loss_db, los_flag), arrays of n.
     """
     for pl in pl_db:
         check_number(pl, "pl_db")
     check_number(p_los, "p_los", minimum=0.0, maximum=1.0)
-    fading_m_nlos = fading_m if fading_m_nlos is None else fading_m_nlos
-    for name, m in (("fading_m", fading_m), ("fading_m_nlos", fading_m_nlos)):
-        if m is not None:
-            check_count(m, name, 1)
-    size = 1 if n is None else check_count(n, "n", 0)
-    flags = rng.random(size) < p_los
-    loss = np.empty(size, dtype=float)
-    for state, pl, sigma, m in ((True, pl_db[0], sigma_db[0], fading_m),
-                                (False, pl_db[1], sigma_db[1], fading_m_nlos)):
+    if not isinstance(fading_m, (tuple, list)) or len(fading_m) != 2:
+        raise DomainError("fading_m must be a (LOS, NLOS) pair")
+    for m in fading_m:
+        check_count(m, "fading_m", 1)
+    check_count(n, "n", 0)
+    flags = rng.random(n) < p_los
+    loss = np.empty(n, dtype=float)
+    for state, pl, sigma, m in ((True, pl_db[0], sigma_db[0], fading_m[0]),
+                                (False, pl_db[1], sigma_db[1], fading_m[1])):
         idx = np.nonzero(flags == state)[0]
         if idx.size == 0:
             continue
         shad = sample_shadowing_db(sigma, rng, idx.size)
-        if m is not None:
-            gains = sample_fading(m, rng, idx.size)
-            fade_db = -10.0 * np.log10(gains)
-        else:
-            fade_db = 0.0
+        fade_db = -10.0 * np.log10(sample_fading(m, rng, idx.size))
         loss[idx] = pl + shad + fade_db
-    if n is None:
-        return float(loss[0]), bool(flags[0])
     return loss, flags

@@ -30,7 +30,7 @@ from .antenna_geometry import ConeUav, OmniUav, Position3D, SectorAntenna
 from .errors import DomainError, ModelGapError, ScenarioError, check_number
 from .heightmap import (FLOAT_FMT, HeightMap, load_ascii_grid, save_ascii_grid,
                         synthetic_city)
-from .numerics import RngStream, dbm_to_watt
+from .numerics import RngStream, db_to_linear, dbm_to_watt
 from .scenario import (SITE_CSV_FIELDS, Scenario, check_bounds,
                        check_mapsim_rays, load_scenario, validate_seed)
 
@@ -82,7 +82,8 @@ def _aue_config(block) -> aue_net.AueNetworkConfig:
         noise_w = dbm_to_watt(block["noise_override_dbm"])
     else:
         noise_w = (dbm_to_watt(block["noise_density_dbm_hz"])
-                   * 10.0 ** (block["noise_figure_db"] / 10.0)
+                   * db_to_linear(block["noise_figure_db"],
+                                  "aue.noise_figure_db")
                    * (block["bandwidth_mhz"] * 1e6))
     return aue_net.AueNetworkConfig(
         frequency_hz=block["frequency_ghz"] * 1e9,
@@ -108,7 +109,7 @@ def _sinr_target(block) -> float:
     if block["target_rate_mbps"] is not None:
         return 2.0 ** (block["target_rate_mbps"] * 1e6
                        / (block["bandwidth_mhz"] * 1e6)) - 1.0
-    return 10.0 ** (block["threshold_db"] / 10.0)
+    return db_to_linear(block["threshold_db"], "aue.threshold_db")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,8 @@ def _run_aue_coverage(s: Scenario, out_dir: Path):
         sinr = aue_net.sinr_samples(h, cfg, run["n_trials"],
                                     RngStream(s.seed, i))
         for t_db in run["thresholds_db"]:
-            est = aue_net.coverage_from_samples(sinr, 10.0 ** (t_db / 10.0))
+            est = aue_net.coverage_from_samples(
+                sinr, db_to_linear(t_db, "run.thresholds_db"))
             rows.append([h, t_db, est.value, est.ci95])
     return [_write_csv(out_dir / "aue_coverage.csv",
                        ["h_m", "threshold_db", "p_cov", "ci95"], rows)]
@@ -171,7 +173,7 @@ def _run_aue_sweep(s: Scenario, out_dir: Path):
     if sw["metric"] == "coverage":
         cfg = replace(cfg, threshold_t=_sinr_target(s.params["aue"]))
     elif sw["t_max_db"] is not None:
-        t_max = 10.0 ** (sw["t_max_db"] / 10.0)
+        t_max = db_to_linear(sw["t_max_db"], "sweep.t_max_db")
     grid = sw["grid"]
     if sw["axis"] == "phi_t":    # degrees in the file, as aue.phi_t_deg
         grid = [math.radians(x) for x in grid]
@@ -187,9 +189,9 @@ def _run_abs_design(s: Scenario, out_dir: Path):
     b = s.params["abs"]
     prof = abs_net.urban_abs_profile(
         k0_db=b["k0_db"], k90_db=b["k90_db"], eta0=b["eta0"], eta90=b["eta90"],
-        antenna_gain=10.0 ** (b["antenna_gain_db"] / 10.0),
+        antenna_gain=db_to_linear(b["antenna_gain_db"], "abs.antenna_gain_db"),
         noise_w=dbm_to_watt(b["noise_dbm"]),
-        threshold_t=10.0 ** (b["threshold_db"] / 10.0))
+        threshold_t=db_to_linear(b["threshold_db"], "abs.threshold_db"))
     rows = [[h, b["r_c_m"], *row] for h, row in zip(
         b["altitudes_m"],
         abs_net.design_rows(b["altitudes_m"], b["r_c_m"], b["epsilon"], prof))]

@@ -5,18 +5,18 @@ beyond the border ring). Within one bilinear patch the surface along a 3D
 segment is quadratic in the path parameter, so the LOS test evaluates the
 exact minimum of segment-minus-surface per patch interval instead of
 sampling; no dip between sample points can be missed. `los_mask` casts
-every ray from every site at once, to endpoints that broadcast over x, y
-and h, so one call covers every site and height over a raster. A ray's
-patches do not depend on its height, so the geometry is built once per
-(site, cell) ray and the clearance evaluated once per height: the integer
-crossings of a batch of rays, from any of the sites, become one flat array
-of ray-patch intervals (Amanatides & Woo 1987) with each patch's surface
-polynomial and its ray's site height, and then, per height, each
-interval's clearance minimum is taken in closed form and a ray is clear
-when none of its intervals is blocked. It reads a grid padded with one ring
-of edge heights, whose patches over the border ring are the clamped
-surface, so it needs no clamp branches. One ray is the case of scalar
-endpoints. A loaded grid's heights lie within +-MAX_SURFACE_M.
+every ray from a list of sites to a raster of cells at a list of UE
+heights in one call, heights x sites x cells. A ray's patches do not
+depend on its height, so the geometry is built once per (site, cell) ray
+and the clearance evaluated once per height: the integer crossings of a
+batch of rays, from any of the sites, become one flat array of ray-patch
+intervals (Amanatides & Woo 1987) with each patch's surface polynomial
+and its ray's site height, and then, per height, each interval's
+clearance minimum is taken in closed form and a ray is clear when none of
+its intervals is blocked. It reads a grid padded with one ring of edge
+heights, whose patches over the border ring are the clamped surface, so
+it needs no clamp branches. A loaded grid's heights lie within
++-MAX_SURFACE_M.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .antenna_geometry import Position3D
+from .channel import Environment
 from .errors import DomainError, GridParseError, check_number
 
 FLOAT_FMT = "%.9g"  # every float the package writes, raster and CSV cells
@@ -211,36 +211,30 @@ def save_ascii_grid(hm: HeightMap, path) -> None:
 _BATCH_INTERVALS = 1 << 14
 
 
-def los_mask(sites, x, y, h, hm: HeightMap) -> np.ndarray:
-    """LOS from each site to every endpoint (x, y, h).
+def los_mask(sites, x, y, heights, hm: HeightMap) -> np.ndarray:
+    """LOS from each of the Position3D sites to every cell (x, y) at every
+    UE height, as booleans shaped (len(heights), len(sites)) + cells.
 
-    sites is one Position3D, which gives booleans of the endpoints' shape,
-    or a sequence of them, which gives one such array per site along a
-    leading axis. A ray is clear iff the open segment clears the bilinear
-    surface everywhere. Endpoints at or below the surface count as
-    obstructed, and a ray over a no-data patch is obstructed. Exact per
-    patch: the clearance is quadratic in t on each interval, so its minimum
-    is evaluated in closed form. x, y and h broadcast against each other,
-    and the axes along which x and y both have size 1 are heights. The
-    surface and grid coordinates are taken once per (x, y) cell and site,
-    the ray-patch geometry is built once per (site, cell) ray that is open
-    at any height, with the rays of every site in the same batches, and
-    each height's clearance is evaluated on it; so many heights over one
-    raster cost no more memory than booleans of the result's shape.
+    x and y broadcast together to the cells' shape; heights is a nonempty
+    1-D sequence of finite UE heights. A ray is clear iff the open segment
+    clears the bilinear surface everywhere. Endpoints at or below the
+    surface count as obstructed, and a ray over a no-data patch is
+    obstructed. Exact per patch: the clearance is quadratic in t on each
+    interval, so its minimum is evaluated in closed form. The surface and
+    grid coordinates are taken once per cell and site, the ray-patch
+    geometry is built once per (site, cell) ray that is open at any
+    height, with the rays of every site in the same batches, and each
+    height's clearance is evaluated on it; so many heights over one raster
+    cost no more memory than booleans of the result's shape.
     """
-    single = isinstance(sites, Position3D)
-    if single:
-        sites = [sites]
-    x, y, h = (np.asarray(v, dtype=float) for v in (x, y, h))
+    hs = np.asarray(heights, dtype=float)
+    if hs.ndim != 1 or hs.size == 0:
+        raise DomainError("heights must be a nonempty 1-D sequence")
     # NaN and inf clear every surface test: rejected once, before any ray
-    if not np.isfinite(h).all():
-        raise DomainError("h must be finite")
-    shape = np.broadcast_shapes(x.shape, y.shape, h.shape)
-    x, y = np.broadcast_arrays(x, y)
-    cells = (1,) * (len(shape) - x.ndim) + x.shape
-    heights = [k for k in range(len(shape)) if cells[k] == 1]
-    # heights first, then the (x, y) cells in their own order
-    order = heights + [k for k in range(len(shape)) if cells[k] != 1]
+    if not np.isfinite(hs).all():
+        raise DomainError("heights must be finite")
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
     n_cells = x.size
     px = np.concatenate([x.ravel(), [a.x for a in sites]])  # the sites last
     py = np.concatenate([y.ravel(), [a.y for a in sites]])
@@ -248,16 +242,13 @@ def los_mask(sites, x, y, h, hm: HeightMap) -> np.ndarray:
         raise DomainError("line-of-sight endpoints must lie inside the map")
     surface = hm.surface_at(px, py)
     site_h = np.array([a.h for a in sites], dtype=float)
-    # the rays, site-major, after the height axes: clear[..., site, cell]
-    clear = np.empty([shape[k] for k in heights] + [len(sites)]
-                     + [shape[k] for k in order[len(heights):]], dtype=bool)
-    n_h = math.prod(shape[k] for k in heights)
-    flat = clear.reshape(n_h, len(sites) * n_cells)
-    h = np.broadcast_to(h, shape).transpose(order).reshape(n_h, n_cells)
+    clear = np.empty((hs.size, len(sites)) + x.shape, dtype=bool)
+    # the rays, site-major: flat[k, site * n_cells + cell]
+    flat = clear.reshape(hs.size, len(sites) * n_cells)
     # written so that a NaN surface (next to no-data) does not block
     np.logical_not((site_h <= surface[n_cells:])[:, None]
-                   | (h[:, None] <= surface[:n_cells]),
-                   out=flat.reshape(n_h, len(sites), n_cells))
+                   | (hs[:, None, None] <= surface[:n_cells]),
+                   out=flat.reshape(hs.size, len(sites), n_cells))
 
     inv = 1.0 / hm.cellsize
     u = (px - hm.xllcorner) * inv - 0.5
@@ -278,13 +269,9 @@ def los_mask(sites, x, y, h, hm: HeightMap) -> np.ndarray:
             ha = site_h[site]
             geometry = _geometry(ua, va, ub - ua, vb - va, ha, ts,
                                  hm._padded_grid)
-            for k in range(n_h):
-                flat[k, b[_blocked(h[k, cell] - ha, geometry)]] = False
-    # the site axis first, then the endpoints' axes in their own order
-    axes = [len(heights)] + [i + (i >= len(heights))
-                             for i in np.argsort(order).tolist()]
-    out = clear.transpose(axes)
-    return out[0] if single else out
+            for k, h in enumerate(hs.tolist()):
+                flat[k, b[_blocked(h - ha, geometry)]] = False
+    return clear
 
 
 def _crossings(p0, p1):
@@ -433,20 +420,18 @@ def synthetic_cells(extent_m: float, cellsize_m: float) -> int:
     return n
 
 
-def synthetic_city(extent_m: float, cellsize_m: float, env_or_stats,
+def synthetic_city(extent_m: float, cellsize_m: float, env: Environment,
                    rng: np.random.Generator,
                    min_height_m: float = 0.0) -> HeightMap:
     """Manhattan-grid city: square buildings on a regular lattice.
 
-    Lattice pitch and footprint follow the building statistics: xi
+    Lattice pitch and footprint follow env's building statistics: xi
     buildings/km^2 fixes the pitch 1000/sqrt(xi), varsigma the footprint
     fraction, and heights draw from Rayleigh(omega) floored at
     min_height_m. Streets are at height zero.
     """
     check_number(min_height_m, "min_height_m", minimum=0.0)
-    varsigma = env_or_stats.varsigma
-    xi = env_or_stats.xi
-    omega = env_or_stats.omega
+    varsigma, xi, omega = env.varsigma, env.xi, env.omega
     n = synthetic_cells(extent_m, cellsize_m)
     heights = np.zeros((n, n))
     pitch = 1000.0 / math.sqrt(xi)

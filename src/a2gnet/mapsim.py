@@ -5,11 +5,12 @@ follows the slice-appropriate statistical model (`channel.slice_pl_db`).
 Everything is deterministic: no shadowing is drawn and no Monte Carlo is
 involved, so rasters are bit-reproducible. `sinr_grids` is the one entry
 point, over a list of UE heights (one height is a one-entry list); the CLI
-reads site files and places the sites. A run casts every site's rays in one
-`los_mask` call and builds the height-independent part of every link
-budget once; each height is then one stacked pass over all sites, with
-their powers and antenna fields as arrays, and its grid is built only when
-the caller reaches it. Every ground UE has the gain UE_GAIN_DBI, and the
+reads site files and places the sites. A run casts every ray in one
+`los_mask` call, heights x sites x cells, and builds the height-independent
+part of every link budget once; each height is then one stacked pass over
+all sites, on its own contiguous slice of the LOS masks, with their powers
+and antenna fields as arrays, and its grid is built only when the caller
+reaches it. Every ground UE has the gain UE_GAIN_DBI, and the
 noise is NOISE_DENSITY_DBM_HZ over the config's bandwidth plus its noise
 figure: no scenario key sets either constant.
 """
@@ -28,6 +29,7 @@ from .antenna_geometry import (SECTOR_OFFSETS, Position3D, SectorAntenna,
                                azimuth_attenuation_db, sector_gain_db)
 from .errors import DomainError, check_count, check_number
 from .heightmap import HeightMap, los_mask
+from .numerics import db_to_linear
 
 MAST_M = 5.0                   # default mast height above the roof, m
 NOISE_DENSITY_DBM_HZ = -174.0  # thermal noise density at 290 K
@@ -212,13 +214,13 @@ def sinr_grids(sites: Sequence[SectorSite], hm: HeightMap,
     xs, ys = (c[::stride] for c in hm.cell_centers())
     xx, yy = np.meshgrid(xs, ys)
     hs = np.asarray(heights, dtype=float)
-    los = los_mask([site.position for site in sites], xx, yy,
-                   hs[:, None, None], hm)           # (sites, heights, ny, nx)
+    # (heights, sites, ny, nx): los[k] is one height's contiguous masks
+    los = los_mask([site.position for site in sites], xx, yy, hs, hm)
     step = max(1, _PASS_LINKS // xx.size)
     passes = [(slice(s, s + step), _Links(sites[s:s + step], xx.ravel(),
                                           yy.ravel()))
               for s in range(0, len(sites), step)]
-    return (_height_grid(passes, cfg, xs, ys, h, los[:, k])
+    return (_height_grid(passes, cfg, xs, ys, h, los[k])
             for k, h in enumerate(hs.tolist()))
 
 
@@ -230,7 +232,7 @@ def _height_grid(passes, cfg, xs, ys, ue_height_m, los):
         for rows, links in passes]).reshape((-1,) + los.shape[1:])
     rx_lin = 10.0 ** (rx / 10.0)                   # (sectors, ny, nx)
     total = np.sum(rx_lin, axis=0)
-    noise = 10.0 ** (cfg.noise_dbm / 10.0)
+    noise = db_to_linear(cfg.noise_dbm, "noise_figure_db")
     serving = np.argmax(rx_lin, axis=0)
     best = np.take_along_axis(rx_lin, serving[None], axis=0)[0]
     sinr = best / (total - best + noise)

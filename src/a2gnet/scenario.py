@@ -36,6 +36,7 @@ from .channel import (ENV_PRESETS, MAX_MODELED_ALTITUDE_M, MIN_ANTENNA_HEIGHT_M,
 from .errors import BoundError, DomainError, ScenarioError, check_number
 from .heightmap import MAX_SURFACE_M, synthetic_cells
 from .mapsim import MAST_M
+from .numerics import db_to_linear
 
 COMMANDS = ("channel-table", "aue-coverage", "aue-sweep", "abs-design",
             "localize", "mapsim")
@@ -90,7 +91,8 @@ MAX_BEAMWIDTH_DEG = 360.0
 MIN_SECTOR_BEAMWIDTH_DEG = 1e-3
 # the cone's gain 29000 / phi_b^2 stays within DB_LIMIT; a subnormal
 # opening angle squares to 0
-MIN_CONE_BEAMWIDTH_DEG = math.sqrt(29000.0 / 10.0 ** (DB_LIMIT / 10.0))
+MIN_CONE_BEAMWIDTH_DEG = math.sqrt(29000.0
+                                   / db_to_linear(DB_LIMIT, "DB_LIMIT"))
 # path-loss exponents run from 2 in free space to about 6 in dense cover;
 # every exponent key shares this stated ceiling past both
 MAX_PATH_LOSS_EXPONENT = 10.0
@@ -655,7 +657,8 @@ def parse_scenario(text: str) -> Scenario:
         if sweep["metric"] == "capacity" and sweep["t_max_db"] is not None:
             try:
                 _capacity_coefficients(sweep["k_nodes"],
-                                       10.0 ** (sweep["t_max_db"] / 10.0))
+                                       db_to_linear(sweep["t_max_db"],
+                                                    "sweep.t_max_db"))
             except DomainError as exc:
                 raise ScenarioError(str(exc), "sweep.t_max_db") from exc
     if aue is not None:

@@ -337,7 +337,7 @@ class TestCriterion7:
                            rng.uniform(0, 30))
             b = Position3D(rng.uniform(0, 50), rng.uniform(0, 50),
                            rng.uniform(0, 30))
-            agree += los_mask(a, b.x, b.y, b.h, hm) == oracle(a, b)
+            agree += los_mask([a], b.x, b.y, [b.h], hm)[0, 0] == oracle(a, b)
         report("7a", agree == 1000, f"{agree}/1000 LOS decisions match oracle")
 
     def test_b_rayleigh_fit_recovers_scale(self):

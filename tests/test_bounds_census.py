@@ -3,7 +3,8 @@
 Every float field of each public record, and every float parameter of each
 public function, is fed NaN, +inf, -inf and, where the model states a
 bound, a value just past it; each must raise a DomainError whose message
-names it. Counts are fed those and a non-integer and a bool. A dB value
+names it. Counts are fed those and a non-integer and a bool, and a
+(LOS, NLOS) pair of counts is fed each in either place. A dB value
 converted to a linear ratio is also fed +-1e308, whose ratio overflows. The
 tables below are checked against what `dataclasses.fields` and
 `inspect.signature` find, so a new record or parameter cannot miss the
@@ -204,14 +205,15 @@ FUNCTIONS = [
      {"frequency_hz": (0.0,), "eta": (2.0,), "lambda0_db": (),
       "sigma_db": (under(0.0),), "d0_m": (0.0,)}),
     (ch.sample_link_loss_db, {"pl_db": (100.0, 120.0), "sigma_db": (4.0, 6.0),
-                              "p_los": 0.5, "rng": gen()},
+                              "p_los": 0.5, "rng": gen(), "fading_m": (1, 1),
+                              "n": 3},
      {"p_los": (under(0.0), over(1.0))}),
     (building_stats, {"hm": HM, "min_building_height_m": 4.0},
      {"min_building_height_m": ()}),
     (synthetic_cells, {"extent_m": 100.0, "cellsize_m": 10.0},
      {"extent_m": (0.0,), "cellsize_m": (0.0,)}),
     (synthetic_city, {"extent_m": 100.0, "cellsize_m": 10.0,
-                      "env_or_stats": URBAN, "rng": gen(),
+                      "env": URBAN, "rng": gen(),
                       "min_height_m": 0.0},
      {"extent_m": (0.0,), "cellsize_m": (0.0,),
       "min_height_m": (under(0.0),)}),
@@ -256,8 +258,8 @@ COUNTS = [
                 "k_nodes": 50}, {"n_trials": 1, "k_nodes": 50}),
     (ch.sample_link_loss_db, {"pl_db": (100.0, 120.0), "sigma_db": (4.0, 6.0),
                               "p_los": 0.5, "rng": gen(), "n": 3,
-                              "fading_m": 1, "fading_m_nlos": 1},
-     {"n": 0, "fading_m": 1, "fading_m_nlos": 1}),
+                              "fading_m": (1, 1)},
+     {"n": 0, "fading_m": 1}),
     (loc.run_campaign, {"scenario": loc.LocalizationScenario(n_users=1),
                         "plan": loc.AnchorPlan(3, 100.0, 100.0),
                         "ch": loc.ElevationChannel(), "rng": RngStream(1)},
@@ -266,6 +268,9 @@ COUNTS = [
                      "heights": [1.5], "cfg": ms.MapSimConfig(URBAN)},
      {"stride": 1}),
 ]
+
+# the annotation of a (LOS, NLOS) pair of counts
+PAIR = "tuple[int, int]"
 
 # counts a run reads from checked keys or ignores, with the reason
 UNCHECKED_COUNTS = {
@@ -332,7 +337,13 @@ def test_bad_float_raises_naming_it(target, kwargs, name, value):
 
 @pytest.mark.parametrize("target, kwargs, name, value", _cases(COUNTS, "int"))
 def test_bad_count_raises_naming_it(target, kwargs, name, value):
-    _assert_named(target, kwargs, name, value)
+    valid = kwargs.get(name)
+    if isinstance(valid, tuple):    # a (LOS, NLOS) pair: fed in each place
+        for i in range(len(valid)):
+            _assert_named(target, kwargs, name,
+                          valid[:i] + (value,) + valid[i + 1:])
+    else:
+        _assert_named(target, kwargs, name, value)
 
 
 @pytest.mark.parametrize("record, kwargs, name, prop, value", [
@@ -365,7 +376,7 @@ def test_every_count_is_in_the_census():
     probed = {(target.__name__, name) for target, _, least in COUNTS
               for name in least}
     found = {(fn.__name__, name) for fn in _public(inspect.isfunction)
-             for name in _params(fn, "int")}
+             for kind in ("int", PAIR) for name in _params(fn, kind)}
     found |= {(record.__name__, name) for record in RECORDS
               for name in _record_fields(record, "int")}
     found |= {("RngStream", name) for name in _record_fields(RngStream, "int")}

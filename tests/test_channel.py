@@ -451,40 +451,47 @@ class TestSampleLinkLoss:
                for eta in (2.0, 3.5))
 
     def test_deterministic_when_degenerate(self):
-        loss, flag = sample_link_loss_db(self.PL, (0.0, 0.0), 1.0, RngStream(1).child_generator())
-        assert flag is True
-        assert loss == pytest.approx(self.PL[0], abs=1e-12)
+        # a certain LOS state and no shadowing leave the fading alone
+        loss, flags = sample_link_loss_db(self.PL, (0.0, 0.0), 1.0,
+                                          RngStream(1).child_generator(),
+                                          (2, 2), 3)
+        gen = RngStream(1).child_generator()
+        gen.random(3)
+        fade_db = -10.0 * np.log10(sample_fading(2, gen, 3))
+        assert flags.all()
+        assert loss.tobytes() == (self.PL[0] + 0.0 + fade_db).tobytes()
 
     def test_zero_mean_shadowing(self):
+        # m = 10**6 fading moves each loss by about 0.004 dB
         loss, _ = sample_link_loss_db(self.PL, (4.0, 4.0), 1.0, RngStream(2).child_generator(),
-                                      n=100_000)
+                                      (10**6, 10**6), 100_000)
         assert abs(np.mean(loss - self.PL[0])) <= 0.05  # 3 sigma / sqrt(N) = 0.038
 
     def test_unit_mean_fading_in_linear_domain(self):
         loss, _ = sample_link_loss_db(self.PL, (0.0, 0.0), 1.0, RngStream(3).child_generator(),
-                                      fading_m=2, n=200_000)
+                                      (2, 2), 200_000)
         gains = 10 ** (-(loss - self.PL[0]) / 10)
         assert np.mean(gains) == pytest.approx(1.0, abs=0.01)
 
     def test_los_flag_frequency(self):
         p = p_los_3gpp(800.0, 30.0, slice_of(30.0, ch.urban()))
         _, flags = sample_link_loss_db(self.PL, (0.0, 0.0), p, RngStream(4).child_generator(),
-                                       n=100_000)
+                                       (1, 1), 100_000)
         assert np.mean(flags) == pytest.approx(p, abs=0.005)
 
     @pytest.mark.parametrize("fading_m_nlos", [None, 1],
                              ids=["None", "fading_nlos1"])
     def test_replays_its_draw_order(self, fading_m_nlos):
         # the LOS uniforms, then per state, LOS first, the shadowing normals
-        # and the fading gains, all on one generator
+        # and the fading gains, all on one generator; None takes the LOS m
         pl, sigma, p, n = (95.0, 120.0), (4.0, 6.0), 0.4, 1000
+        fading_m = (3, fading_m_nlos or 3)
         loss, flags = sample_link_loss_db(pl, sigma, p, RngStream(5).child_generator(),
-                                          fading_m=3,
-                                          fading_m_nlos=fading_m_nlos, n=n)
+                                          fading_m, n)
         gen = RngStream(5).child_generator()
         los = gen.random(n) < p
         want = np.empty(n)
-        for state, m in ((True, 3), (False, fading_m_nlos or 3)):
+        for state, m in zip((True, False), fading_m):
             idx = np.nonzero(los == state)[0]
             shad = gen.normal(0.0, sigma[not state], idx.size)
             gains = sample_fading(m, gen, idx.size)
@@ -496,7 +503,8 @@ class TestSampleLinkLoss:
     @pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
     def test_probability_outside_unit_interval(self, p):
         with pytest.raises(DomainError):
-            sample_link_loss_db(self.PL, (0.0, 0.0), p, RngStream(6).child_generator())
+            sample_link_loss_db(self.PL, (0.0, 0.0), p,
+                                RngStream(6).child_generator(), (1, 1), 1)
 
     @pytest.mark.parametrize("pl", [(math.nan, 120.0), (100.0, math.inf),
                                     (100.0, -math.inf)])
@@ -504,4 +512,13 @@ class TestSampleLinkLoss:
         # each loss of the pair is checked, drawn state or not
         with pytest.raises(DomainError, match=r"^pl_db must be finite"):
             sample_link_loss_db(pl, (4.0, 6.0), 1.0,
-                                RngStream(7).child_generator(), n=3)
+                                RngStream(7).child_generator(), (1, 1), 3)
+
+    @pytest.mark.parametrize("fading_m", [3, None, (3,), (3, 3, 3), (3, 0),
+                                          (2.5, 1), (1, True)],
+                             ids=["scalar", "None", "one", "three", "zero",
+                                  "fraction", "bool"])
+    def test_fading_m_pair_named(self, fading_m):
+        with pytest.raises(DomainError, match=r"^fading_m must be"):
+            sample_link_loss_db(self.PL, (4.0, 6.0), 0.5,
+                                RngStream(8).child_generator(), fading_m, 3)

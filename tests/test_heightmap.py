@@ -32,6 +32,11 @@ def sampled_los(a, b, hm, n=4000):
     return bool(np.all(z > hm.surface_at(x, y)))
 
 
+def one_ray(a, b, hm):
+    """los_mask's decision for the one ray from a to b."""
+    return los_mask([a], b.x, b.y, [b.h], hm)[0, 0]
+
+
 def _patch_breakpoints(p0, p1):
     """Parameters in (0,1) where p(t) = p0 + t (p1-p0) crosses integers."""
     dp = p1 - p0
@@ -280,20 +285,20 @@ class TestSurface:
 class TestLosCheck:
     def test_flat_map_clear(self):
         hm = HeightMap(np.zeros((20, 20)), cellsize=5.0)
-        assert los_mask(Position3D(3, 3, 2), 90, 90, 2, hm)
+        assert one_ray(Position3D(3, 3, 2), Position3D(90, 90, 2), hm)
 
     def test_wall_blocks(self):
         grid = np.zeros((21, 21))
         grid[:, 10] = 30.0
         hm = HeightMap(grid, cellsize=5.0)
-        assert not los_mask(Position3D(10, 50, 2), 95, 50, 2, hm)
-        assert los_mask(Position3D(10, 50, 35), 95, 50, 35, hm)
+        assert not one_ray(Position3D(10, 50, 2), Position3D(95, 50, 2), hm)
+        assert one_ray(Position3D(10, 50, 35), Position3D(95, 50, 35), hm)
 
     def test_endpoint_below_surface_obstructed(self):
         grid = np.zeros((5, 5))
         grid[2, 2] = 10.0
         hm = HeightMap(grid, cellsize=10.0)
-        assert not los_mask(Position3D(25, 25, 5), 5, 5, 20, hm)
+        assert not one_ray(Position3D(25, 25, 5), Position3D(5, 5, 20), hm)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
@@ -303,13 +308,12 @@ class TestLosCheck:
                            rng.uniform(0, 25))
             b = Position3D(rng.uniform(0, 60), rng.uniform(0, 60),
                            rng.uniform(0, 25))
-            assert los_mask(a, b.x, b.y, b.h, hm) == los_mask(b, a.x, a.y,
-                                                              a.h, hm)
+            assert one_ray(a, b, hm) == one_ray(b, a, hm)
 
     def test_outside_extent_rejected(self):
         hm = HeightMap(np.zeros((5, 5)), cellsize=10.0)
         with pytest.raises(DomainError):
-            los_mask(Position3D(-1, 0, 5), 10, 10, 5, hm)
+            one_ray(Position3D(-1, 0, 5), Position3D(10, 10, 5), hm)
 
     def test_matches_dense_sampling_oracle(self):
         rng = np.random.default_rng(3)
@@ -320,7 +324,7 @@ class TestLosCheck:
                            rng.uniform(0, 30))
             b = Position3D(rng.uniform(0, 50), rng.uniform(0, 50),
                            rng.uniform(0, 30))
-            agree += los_mask(a, b.x, b.y, b.h, hm) == sampled_los(a, b, hm)
+            agree += one_ray(a, b, hm) == sampled_los(a, b, hm)
         assert agree == 1000
 
 
@@ -377,7 +381,7 @@ class TestLosBorderRing:
         hm = _border_ring_map(kind)
         rng = np.random.default_rng(5)
         rays = list(self._rays(hm, rng))
-        got = [bool(los_mask(a, b.x, b.y, b.h, hm)) for a, b in rays]
+        got = [bool(one_ray(a, b, hm)) for a, b in rays]
         want = [sampled_los(a, b, hm) for a, b in rays]
         assert got == want
         assert 0 < sum(got) < len(got)
@@ -389,14 +393,18 @@ def _world(hm, u, v, h):
                       hm.yllcorner + (v + 0.5) * hm.cellsize, h)
 
 
-def _assert_matches_reference(hm, site, ends):
-    """los_mask over all ends, and over each end on its own, equal
-    reference_los."""
-    x, y, h = (np.array(c) for c in zip(*((b.x, b.y, b.h) for b in ends)))
+def _assert_matches_reference(hm, sites, x, y, heights):
+    """los_mask from the sites to the cells (x, y) at the shared heights,
+    over all cells and over each cell on its own, equals reference_los per
+    (height, site, cell)."""
     with np.errstate(over="ignore"):  # the reference's vertex can overflow
-        want = [reference_los(site, b, hm) for b in ends]
-    assert los_mask(site, x, y, h, hm).tolist() == want
-    assert [bool(los_mask(site, b.x, b.y, b.h, hm)) for b in ends] == want
+        want = np.array([[[reference_los(a, Position3D(xj, yj, h), hm)
+                           for xj, yj in zip(x, y)] for a in sites]
+                         for h in heights], dtype=bool)
+    assert np.array_equal(los_mask(sites, x, y, heights, hm), want)
+    for j in range(len(x)):
+        assert np.array_equal(los_mask(sites, x[j], y[j], heights, hm),
+                              want[..., j])
 
 
 def _random_map(rng):
@@ -435,20 +443,25 @@ class TestLosMaskDifferential:
         n = 0
         for _ in range(30):
             hm = _random_map(rng)
-            for _ in range(2):
-                ua = _random_coord(rng, hm.ncols)
-                va = _random_coord(rng, hm.nrows)
-                site = _world(hm, ua, va, float(rng.uniform(0.0, 25.0)))
-                ends = []
-                for _ in range(50):
-                    kind = rng.integers(5)
-                    u = ua if kind in (1, 3) else _random_coord(rng, hm.ncols)
-                    v = va if kind in (2, 3) else _random_coord(rng, hm.nrows)
-                    h = site.h if kind == 3 else float(rng.choice(
-                        [rng.uniform(0.0, 25.0), rng.integers(0, 21)]))
-                    ends.append(_world(hm, u, v, h))
-                _assert_matches_reference(hm, site, ends)
-                n += len(ends)
+            starts = [(_random_coord(rng, hm.ncols),
+                       _random_coord(rng, hm.nrows)) for _ in range(2)]
+            sites = [_world(hm, ua, va, float(rng.uniform(0.0, 25.0)))
+                     for ua, va in starts]
+            cells = []
+            for _ in range(25):
+                # anywhere, on a site's u or v line, or under the site
+                kind = rng.integers(4)
+                ua, va = starts[rng.integers(2)]
+                u = ua if kind in (1, 3) else _random_coord(rng, hm.ncols)
+                v = va if kind in (2, 3) else _random_coord(rng, hm.nrows)
+                cells.append(_world(hm, u, v, 0.0))
+            # a site's own height, whose rays to the cell under that site
+            # have zero length, and a drawn one
+            heights = [sites[rng.integers(2)].h, float(rng.choice(
+                [rng.uniform(0.0, 25.0), rng.integers(0, 21)]))]
+            _assert_matches_reference(hm, sites, [c.x for c in cells],
+                                      [c.y for c in cells], heights)
+            n += len(heights) * len(sites) * len(cells)
         assert n == 3000
 
     @staticmethod
@@ -479,15 +492,19 @@ class TestLosMaskDifferential:
 
         ua, va = draw(coord(ncols)), draw(coord(nrows))
         site = _world(hm, ua, va, draw(st.floats(0.0, 25.0)))
-        ends = []
+        x, y = [], []
         for kind in draw(st.lists(st.sampled_from(["free", "same_u", "same_v",
                                                    "same_point"]),
                                   min_size=1, max_size=20)):
             u = ua if kind in ("same_u", "same_point") else draw(coord(ncols))
             v = va if kind in ("same_v", "same_point") else draw(coord(nrows))
-            h = draw(st.one_of(st.just(site.h), height, st.floats(0.0, 25.0)))
-            ends.append(_world(hm, u, v, h))
-        return hm, site, ends
+            cell = _world(hm, u, v, 0.0)
+            x.append(cell.x)
+            y.append(cell.y)
+        heights = draw(st.lists(st.one_of(st.just(site.h), height,
+                                          st.floats(0.0, 25.0)),
+                                min_size=1, max_size=3))
+        return hm, [site], x, y, heights
 
     @settings(max_examples=200, deadline=None)
     @given(case=_case())
@@ -499,8 +516,8 @@ class TestLosMaskDifferential:
         # curvature subnormal, and its vertex overflows
         hm = HeightMap(np.array([[0.0], [20.0], [5e-320], [0.0]]),
                        cellsize=1.0)
-        _assert_matches_reference(hm, Position3D(0.5, 0.0, 25.0),
-                                  [Position3D(0.0, 4.0, 25.0)])
+        _assert_matches_reference(hm, [Position3D(0.5, 0.0, 25.0)], [0.0],
+                                  [4.0], [25.0])
 
     def test_batches_match_single_batch(self, monkeypatch):
         city = synthetic_city(120.0, 2.0, ch.dense_urban(), RngStream(8).child_generator(),
@@ -516,30 +533,29 @@ class TestLosMaskDifferential:
 
         monkeypatch.setattr(heightmap, "_geometry", counting)
         monkeypatch.setattr(heightmap, "_BATCH_INTERVALS", 1 << 30)
-        one = [los_mask(site, xx, yy, h, city) for h in (1.5, 30.0)]
+        one = [los_mask([site], xx, yy, [h], city) for h in (1.5, 30.0)]
         assert len(batches) == 2
         monkeypatch.setattr(heightmap, "_BATCH_INTERVALS", 500)
-        split = [los_mask(site, xx, yy, h, city) for h in (1.5, 30.0)]
+        split = [los_mask([site], xx, yy, [h], city) for h in (1.5, 30.0)]
         assert len(batches) > 20
         for a, b in zip(split, one):
             assert np.array_equal(a, b)
             assert 0 < b.sum() < b.size
 
 
-def _assert_cast_matches(hm, site, x, y, h):
-    """One los_mask cast over heights h[k] (its leading axis, along which x
-    and y have size 1) equals reference_los per endpoint and the one-height
-    casts."""
-    cast = los_mask(site, x, y, h, hm)
-    ex, ey, eh = np.broadcast_arrays(x, y, h)
-    assert cast.shape == ex.shape
+def _assert_cast_matches(hm, site, x, y, heights):
+    """One los_mask cast from site over the heights equals reference_los
+    per (height, cell) and the one-height casts; returns its (heights,)
+    + cells booleans."""
+    cast = los_mask([site], x, y, heights, hm)[:, 0]
+    assert cast.shape == (len(heights),) + x.shape
     with np.errstate(over="ignore"):  # the reference's vertex can overflow
         want = [reference_los(site, Position3D(*e), hm)
-                for e in zip(ex.ravel(), ey.ravel(), eh.ravel())]
+                for h in heights for e in zip(x.ravel(), y.ravel(),
+                                              np.full(x.size, h))]
     assert cast.ravel().tolist() == want
-    for hk, mask in zip(h, cast):
-        one = los_mask(site, x, y, hk, hm)
-        assert np.array_equal(mask, one.reshape(mask.shape))
+    for h, mask in zip(heights, cast):
+        assert np.array_equal(mask, los_mask([site], x, y, [h], hm)[0, 0])
     return cast
 
 
@@ -557,7 +573,7 @@ class TestMixedEarlyDecisions:
         site = Position3D(19.5, 4.5, 25.0)   # on the 20 m roof
         xx, yy = np.meshgrid(*hm.cell_centers())
         levels = np.array([0.0, 6.0, 12.0, 12.5, 30.0])
-        cast = _assert_cast_matches(hm, site, xx, yy, levels[:, None, None])
+        cast = _assert_cast_matches(hm, site, xx, yy, levels)
         under = hm.surface_at(xx, yy) >= 6.0
         # closed at the endpoint at 6 m, cast and clear at 30 m
         assert np.any(under & ~cast[1] & cast[-1])
@@ -571,36 +587,14 @@ class TestMixedEarlyDecisions:
         site = _world(hm, 0.0, 0.0, 7.0)
         xx, yy = np.meshgrid(*hm.cell_centers())
         levels = np.array([1.5, 10.0, 50.0])
-        cast = _assert_cast_matches(hm, site, xx, yy, levels[:, None, None])
+        cast = _assert_cast_matches(hm, site, xx, yy, levels)
         # over a 2 m plain only no-data blocks a ray from 7 m to 50 m
         assert 0 < cast[-1].sum() < cast[-1].size
         assert np.array_equal(cast[1], cast[-1])
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_heights_vary_along_cells(self, seed):
-        rng = np.random.default_rng(seed)
-        hm = _random_map(rng)
-        site = _world(hm, _random_coord(rng, hm.ncols),
-                      _random_coord(rng, hm.nrows),
-                      float(rng.uniform(10.0, 25.0)))
-        n, m = 40, 6
-        u = rng.uniform(-0.5, hm.ncols - 0.5, n)
-        v = rng.uniform(-0.5, hm.nrows - 0.5, n)
-        x = hm.xllcorner + (u + 0.5) * hm.cellsize
-        y = hm.yllcorner + (v + 0.5) * hm.cellsize
-        h = rng.uniform(0.0, 30.0, (m, n))
-        # on the surface; 0 m over no-data, where a NaN height is rejected
-        h[0] = np.nan_to_num(hm.surface_at(x, y))
-        cast = _assert_cast_matches(hm, site, x[None], y[None], h)
-        assert cast.shape == (m, n)
-        assert not cast[0].any()
-        # the height axis last, as x and y of shape (n, 1)
-        assert np.array_equal(los_mask(site, x[:, None], y[:, None], h.T, hm),
-                              cast.T)
-
 
 class TestCastOverHeights:
-    """One los_mask cast over (H, 1, 1) heights, as sinr_grids makes it."""
+    """One los_mask cast over a list of heights, as sinr_grids makes it."""
 
     HEIGHTS = np.array([1.5, 10.0, 20.0, 30.0, 60.0, 100.0, 150.0])
 
@@ -614,20 +608,11 @@ class TestCastOverHeights:
     def test_equals_one_height_casts(self, monkeypatch, batch):
         monkeypatch.setattr(heightmap, "_BATCH_INTERVALS", batch)
         city, site, (xx, yy) = self._city()
-        cast = los_mask(site, xx, yy, self.HEIGHTS[:, None, None], city)
-        assert cast.shape == (len(self.HEIGHTS),) + xx.shape
+        cast = los_mask([site], xx, yy, self.HEIGHTS, city)
+        assert cast.shape == (len(self.HEIGHTS), 1) + xx.shape
         for h, mask in zip(self.HEIGHTS, cast):
-            assert np.array_equal(mask, los_mask(site, xx, yy, h, city))
+            assert np.array_equal(mask, los_mask([site], xx, yy, [h], city)[0])
         assert 0 < cast[0].sum() < cast[-1].sum() < cast[-1].size
-
-    def test_scalar_and_list_endpoints(self):
-        city, site, _ = self._city()
-        x, y = [10.0, 100.0, 61.0], [10.0, 100.0, 80.0]
-        ends = [Position3D(a, b, h) for h in (1.5, 150.0) for a, b in zip(x, y)]
-        cast = los_mask(site, x, y, [[1.5], [150.0]], city)
-        assert cast.ravel().tolist() == [bool(los_mask(site, e.x, e.y, e.h,
-                                                       city)) for e in ends]
-        assert los_mask(site, 10.0, 10.0, 150.0, city).shape == ()
 
     def test_holds_no_float_array_per_ray(self):
         # 120 x 120 cells at stride 1 and 7 heights: the endpoints, their
@@ -641,7 +626,7 @@ class TestCastOverHeights:
         def peak(heights):
             tracemalloc.start()
             try:
-                los_mask(site, xx, yy, heights[:, None, None], city)
+                los_mask([site], xx, yy, heights, city)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -675,15 +660,15 @@ class TestMultiSiteCast:
         # blocks and the 4-ray batches straddle sites
         monkeypatch.setattr(heightmap, "_BATCH_INTERVALS", batch)
         city, sites, (xx, yy) = self._city()
-        levels = self.HEIGHTS[:, None, None]
-        cast = los_mask(sites, xx, yy, levels, city)
-        assert cast.shape == (len(sites), len(self.HEIGHTS)) + xx.shape
-        for site, mask in zip(sites, cast):
-            assert np.array_equal(mask, los_mask(site, xx, yy, levels, city))
+        cast = los_mask(sites, xx, yy, self.HEIGHTS, city)
+        assert cast.shape == (len(self.HEIGHTS), len(sites)) + xx.shape
+        for i, site in enumerate(sites):
+            assert np.array_equal(cast[:, i:i + 1],
+                                  los_mask([site], xx, yy, self.HEIGHTS, city))
         # the low heights under roofs, the rays over no-data and the buried
         # site are obstructed; others clear
-        assert 0 < cast[0, 0].sum() < cast[0, -1].sum() < xx.size
-        assert not cast[-1].any()
+        assert 0 < cast[0, 0].sum() < cast[-1, 0].sum() < xx.size
+        assert not cast[:, -1].any()
         # rows flipped: the cell-centre rasters run south to north
         nodata = np.isnan(city.heights[::-1])
         assert nodata.sum() == 16 and not cast[:, :, nodata].any()
@@ -700,24 +685,16 @@ class TestMultiSiteCast:
         v = rng.uniform(-0.5, hm.nrows - 0.5, n)
         x = hm.xllcorner + (u + 0.5) * hm.cellsize
         y = hm.yllcorner + (v + 0.5) * hm.cellsize
-        h = rng.uniform(0.0, 30.0, (m, n))
-        # on the surface; 0 m over no-data, where a NaN height is rejected
-        h[0] = np.nan_to_num(hm.surface_at(x, y))
-        cast = los_mask(sites, x[None], y[None], h, hm)
-        assert cast.shape == (len(sites), m, n)
+        h = rng.uniform(0.0, 30.0, m)
+        # on the surface of the first two cells; 0 m over no-data, where a
+        # NaN height is rejected
+        h[:2] = np.nan_to_num(hm.surface_at(x[:2], y[:2]))
+        cast = los_mask(sites, x, y, h, hm)
+        assert cast.shape == (m, len(sites), n)
         with np.errstate(over="ignore"):  # the reference's vertex can overflow
-            want = [[[reference_los(a, Position3D(x[j], y[j], h[k, j]), hm)
-                      for j in range(n)] for k in range(m)] for a in sites]
+            want = [[[reference_los(a, Position3D(x[j], y[j], h[k]), hm)
+                      for j in range(n)] for a in sites] for k in range(m)]
         assert cast.tolist() == want
-        # the height axis last, as x and y of shape (n, 1)
-        assert np.array_equal(los_mask(sites, x[:, None], y[:, None], h.T, hm),
-                              cast.transpose(0, 2, 1))
-
-    def test_one_site_sequence(self):
-        city, sites, (xx, yy) = self._city()
-        assert np.array_equal(los_mask(sites[:1], xx, yy, 20.0, city)[0],
-                              los_mask(sites[0], xx, yy, 20.0, city))
-        assert los_mask(sites[:2], 10.0, 10.0, 150.0, city).shape == (2,)
 
 
 class TestBuildingStats:
@@ -786,6 +763,18 @@ class TestNonFiniteHeights:
         def no_geometry(*args):
             raise AssertionError("a ray was cast")
         monkeypatch.setattr(heightmap, "_geometry", no_geometry)
-        for h in (bad, np.array([[10.0], [bad]])):
-            with pytest.raises(DomainError, match="^h must be finite$"):
-                los_mask(self.SITE, 20.0, 20.0, h, self.FLAT)
+        for h in ([bad], np.array([10.0, bad])):
+            with pytest.raises(DomainError, match="^heights must be finite$"):
+                los_mask([self.SITE], 20.0, 20.0, h, self.FLAT)
+
+
+class TestHeightsList:
+    @pytest.mark.parametrize("heights", [10.0, [[10.0]], []],
+                             ids=["scalar", "2-D", "empty"])
+    def test_nonempty_and_one_dimensional(self, monkeypatch, heights):
+        def no_geometry(*args):
+            raise AssertionError("a ray was cast")
+        monkeypatch.setattr(heightmap, "_geometry", no_geometry)
+        with pytest.raises(DomainError, match="^heights must be a nonempty"):
+            los_mask([TestNonFiniteHeights.SITE], 20.0, 20.0, heights,
+                     TestNonFiniteHeights.FLAT)

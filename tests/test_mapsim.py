@@ -26,7 +26,8 @@ def p_los_vs_altitude(sites, hm, heights, stride=1):
     xx, yy = np.meshgrid(*(c[::stride] for c in hm.cell_centers()))
     out = []
     for h in heights:
-        masks = [los_mask(site.position, xx, yy, float(h), hm) for site in sites]
+        masks = [los_mask([site.position], xx, yy, [h], hm)[0, 0]
+                 for site in sites]
         out.append((float(h), float(np.mean(np.logical_or.reduce(masks)))))
     return out
 
@@ -68,7 +69,7 @@ def reference_rx_dbm(site, cfg, x, y, ue_h, los):
 def received_power_dbm(site, sector, ue, hm, cfg):
     """One sector's P_tx + G_tx + G_rx - PL toward one point, its LOS from
     a one-ray cast."""
-    los = los_mask(site.position, ue.x, ue.y, ue.h, hm)
+    los = los_mask([site.position], ue.x, ue.y, [ue.h], hm)[0, 0]
     links = ms._Links([site], np.array([ue.x]), np.array([ue.y]))
     rx = links.rx_dbm(cfg, ue.h, np.reshape(los, (1, 1)))
     return float(rx[0, sector, 0])
@@ -269,7 +270,8 @@ def reference_rasters(sites, hm, h, cfg, stride):
     """(sinr_db, serving, los_any) at one height from a los_mask cast and an
     _rx_dbm budget per site: the per-height form that sinr_grids batches."""
     xx, yy = np.meshgrid(*(c[::stride] for c in hm.cell_centers()))
-    masks = [los_mask(site.position, xx, yy, h, hm) for site in sites]
+    masks = [los_mask([site.position], xx, yy, [h], hm)[0, 0]
+             for site in sites]
     rx = np.concatenate([reference_rx_dbm(site, cfg, xx, yy, h, mask)
                          for site, mask in zip(sites, masks)])
     rx_lin = 10.0 ** (rx / 10.0)
@@ -375,11 +377,10 @@ class TestCastOnce:
         batches = []
         real = ms.los_mask
 
-        def counting(sites, x, y, h, hm):
-            x, y, h = np.broadcast_arrays(x, y, h)
-            batches.append([(a.x, a.y, a.h, *b) for a in sites
-                            for b in zip(x.ravel(), y.ravel(), h.ravel())])
-            return real(sites, x, y, h, hm)
+        def counting(sites, x, y, heights, hm):
+            batches.append([(a.x, a.y, a.h, *b, h) for h in heights
+                            for a in sites for b in zip(x.ravel(), y.ravel())])
+            return real(sites, x, y, heights, hm)
 
         monkeypatch.setattr(ms, "los_mask", counting)
         text = ("command: mapsim\nseed: 5\nmapsim:\n"
