@@ -25,8 +25,7 @@ def describe(h_uav):
     pl_los, pl_nlos = (ch.pl_3gpp_rural_db(D_H, h_uav, H_BS, F_GHZ, ENV, los,
                                            slice_) for los in (True, False))
     avg = ch.averaged_pl_db(pl_los, pl_nlos, float(p_3gpp))
-    sigma = ch.shadowing_sigma_db(slice_, True, D_H, h_uav,
-                                  h_g_m=H_BS, f_c_ghz=F_GHZ)
+    sigma = ch.shadowing_sigma_db(slice_, True, D_H, h_uav, H_BS, F_GHZ)
     return slice_, p_build, p_3gpp, pl_los, pl_nlos, avg, sigma
 
 
@@ -46,14 +45,14 @@ def main():
     spec = ch.log_distance_from_preset("l_band_968mhz")
     print(f"  l_band_968mhz: eta={spec.eta}, Lambda0={spec.lambda0_db} dB "
           f"-> PL(1 km) = "
-          f"{ch.log_distance_pl_db(1000.0, spec.lambda0_db, spec.eta, spec.d0_m):.1f} dB")
+          f"{ch.log_distance_pl_db(1000.0, spec.lambda0_db, spec.eta):.1f} dB")
 
     print("\nComposed link-loss sampler (PL + shadowing + fading), "
           "LOS state drawn per draw:")
     from a2gnet.numerics import RngStream
 
     h_uav = 60.0
-    lambda0 = ch.free_space_reference_loss_db(F_GHZ * 1e9, 1.0)
+    lambda0 = ch.free_space_reference_loss_db(F_GHZ * 1e9)
     pl = [ch.log_distance_pl_db(math.hypot(D_H, h_uav - H_BS), lambda0, eta)
           for eta in (2.0, 3.5)]
     p_los = ch.p_los_3gpp(D_H, h_uav, ch.slice_of(h_uav, ENV))

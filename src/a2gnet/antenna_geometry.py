@@ -103,15 +103,13 @@ def sector_gain_db(ant, a_az, elevation):
 
 
 def bs_gain_db(ant: SectorAntenna, azimuth, elevation):
-    """Sector gain (dBi) toward a direction given as (azimuth, elevation),
-    the azimuth measured from the sector's boresight bearing.
+    """Sector gain (dBi) toward directions given as (azimuth, elevation)
+    arrays, the azimuth measured from the sector's boresight bearing.
 
-    Accepts scalars or arrays; the pattern peak sits at azimuth 0 and
-    `electrical_tilt` below the horizon, and never drops below
-    max_gain_dbi - sidelobe_floor_db.
+    The pattern peak sits at azimuth 0 and `electrical_tilt` below the
+    horizon, and never drops below max_gain_dbi - sidelobe_floor_db.
     """
-    out = sector_gain_db(ant, azimuth_attenuation_db(ant, azimuth), elevation)
-    return float(out) if out.ndim == 0 else out
+    return sector_gain_db(ant, azimuth_attenuation_db(ant, azimuth), elevation)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +154,11 @@ UavAntenna = Union[OmniUav, ConeUav]
 
 
 def uav_gain_linear(ant: UavAntenna, azimuth, elevation):
-    """UAV antenna gain (linear) toward (azimuth, elevation) directions."""
+    """UAV antenna gain (linear) toward (azimuth, elevation) arrays of
+    directions, an array of their broadcast shape."""
     if isinstance(ant, OmniUav):
         shape = np.broadcast(np.asarray(azimuth), np.asarray(elevation)).shape
-        g = np.full(shape, ant.gain_linear)
-        return float(g) if g.ndim == 0 else g
+        return np.full(shape, ant.gain_linear)
     if not isinstance(ant, ConeUav):
         raise DomainError(f"unknown UAV antenna {ant!r}")
     # angle between each direction and the cone axis, tilted phi_t from
@@ -172,5 +170,4 @@ def uav_gain_linear(ant: UavAntenna, azimuth, elevation):
                + np.cos(el) * math.cos(el_axis) * np.cos(az))
     sep = np.arccos(np.clip(cos_sep, -1.0, 1.0))
     inside = sep <= math.radians(ant.phi_b_deg) / 2.0
-    g = np.where(inside, ant.gain_linear, 0.0)
-    return float(g) if g.ndim == 0 else g
+    return np.where(inside, ant.gain_linear, 0.0)

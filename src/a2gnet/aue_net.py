@@ -42,6 +42,7 @@ from .antenna_geometry import (
     uav_gain_linear,
 )
 from .channel import (
+    D0_M,
     BuildingPlosTable,
     Environment,
     free_space_reference_loss_db,
@@ -56,11 +57,6 @@ from .numerics import (
     dbm_to_watt,
     sample_fading,
 )
-
-# reference distance of the log-distance loss, m; closer links read the
-# loss at D0_M
-D0_M = 1.0
-
 
 def _default_sector() -> SectorAntenna:
     # downtilted macro sector; three of these at 120 degree spacing per site.
@@ -112,7 +108,7 @@ class AueNetworkConfig:
 
     def reference_loss_db(self, los: bool) -> float:
         """Free-space loss at D0_M, plus the NLOS excess when not in LOS."""
-        ref = free_space_reference_loss_db(self.frequency_hz, D0_M)
+        ref = free_space_reference_loss_db(self.frequency_hz)
         return ref if los else ref + self.nlos_excess_db
 
 
@@ -274,10 +270,11 @@ def _site_stage(block: _SiteBlock, point: _Point) -> _SiteStage:
     del gain_db
 
     los = block.links.los_u < point.p_los(d_h)
+    # closer links read the loss at D0_M
     d = np.maximum(np.hypot(d_h, dz), D0_M)
     pl_db = np.where(
-        los, log_distance_pl_db(d, cfg.reference_loss_db(True), cfg.eta_los, D0_M),
-        log_distance_pl_db(d, cfg.reference_loss_db(False), cfg.eta_nlos, D0_M))
+        los, log_distance_pl_db(d, cfg.reference_loss_db(True), cfg.eta_los),
+        log_distance_pl_db(d, cfg.reference_loss_db(False), cfg.eta_nlos))
     return _SiteStage(sector, cfg.p_tx_w * site_gain, los,
                       10.0 ** (-pl_db / 10.0), np.arctan2(dz, d_h),
                       np.where(los, block.links.fading_los,

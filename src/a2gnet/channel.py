@@ -4,6 +4,9 @@ Each model is one function of numbers: the horizontal or 3D distance, the
 two heights, the carrier and the environment in; a float or an array out.
 No geometry or carrier record stands between a caller and a formula, and
 the one record left, `LogDistance`, is a measured row resolved to numbers.
+Every log-distance loss is referred to the one distance D0_M = 1 m: its
+Lambda_0 is the loss there, and a row that reports none takes the Friis
+loss at 1 m.
 The link-loss sampler composes n links from what the caller evaluates with
 them: (LOS, NLOS) pairs of path losses, shadowing stds and Nakagami m give
 path loss, plus dB-normal shadowing, plus small-scale fading expressed as
@@ -28,8 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ApplicabilityError, DomainError, ModelGapError,
-                     OutOfEnvelopeError, check_count, check_number)
+from .errors import DomainError, ModelGapError, check_count, check_number
 from .numerics import sample_fading, sample_shadowing_db
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -39,6 +41,8 @@ MAX_MODELED_ALTITUDE_M = 300.0
 # the lowest ground antenna of the 3GPP ground fits: the breakpoint and
 # log10 of the antenna height break down under it
 MIN_ANTENNA_HEIGHT_M = 1.0
+# reference distance of every log-distance loss, m: Lambda_0 is the loss here
+D0_M = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +111,7 @@ class PropagationSlice(Enum):
 
 def slice_of(h_uav_m: float, env: Environment) -> PropagationSlice:
     """Altitude band for the aerial node; boundaries go to the higher slice."""
-    try:
-        check_number(h_uav_m, "h_uav_m", minimum=0.0,
-                     maximum=MAX_MODELED_ALTITUDE_M)
-    except DomainError as exc:
-        raise OutOfEnvelopeError(str(exc)) from None
+    check_number(h_uav_m, "h_uav_m", minimum=0.0, maximum=MAX_MODELED_ALTITUDE_M)
     ground, obstructed = SLICE_CEILINGS_M[env.kind]
     if h_uav_m < ground:
         return PropagationSlice.GROUND
@@ -136,23 +136,21 @@ def free_space_pl_db(d_3d_m, frequency_hz: float, eta: float = 2.0):
     return float(out) if out.ndim == 0 else out
 
 
-def free_space_reference_loss_db(frequency_hz: float, d0_m: float) -> float:
-    """Friis loss 20 log10(4 pi d0 / lambda) at the reference distance d0."""
+def free_space_reference_loss_db(frequency_hz: float) -> float:
+    """Friis loss 20 log10(4 pi D0_M / lambda) at the reference distance."""
     check_number(frequency_hz, "frequency_hz", above=0.0)
-    check_number(d0_m, "reference distance d0_m", above=0.0)
-    return 20.0 * math.log10(4.0 * math.pi * d0_m / (SPEED_OF_LIGHT / frequency_hz))
+    return 20.0 * math.log10(4.0 * math.pi * D0_M / (SPEED_OF_LIGHT / frequency_hz))
 
 
-def log_distance_pl_db(d_3d_m, lambda0_db: float, eta: float, d0_m: float = 1.0):
-    """Lambda_0 + 10 eta log10(d/d0), d at least d0; a hot kernel: d must be
-    finite (NaN fails its guard, inf does not)."""
+def log_distance_pl_db(d_3d_m, lambda0_db: float, eta: float):
+    """Lambda_0 + 10 eta log10(d/D0_M), d at least D0_M; a hot kernel: d must
+    be finite (NaN fails its guard, inf does not)."""
     check_number(lambda0_db, "lambda0_db")
     check_number(eta, "path-loss exponent eta", above=0.0)
-    check_number(d0_m, "reference distance d0_m", above=0.0)
     d = np.asarray(d_3d_m, dtype=float)
-    if not np.all(d >= d0_m):
-        raise DomainError(f"log-distance model needs d >= d0 ({d0_m} m)")
-    out = lambda0_db + 10.0 * eta * np.log10(d / d0_m)
+    if not np.all(d >= D0_M):
+        raise DomainError(f"log-distance model needs d >= d0 ({D0_M} m)")
+    out = lambda0_db + 10.0 * eta * np.log10(d / D0_M)
     return float(out) if out.ndim == 0 else out
 
 
@@ -259,10 +257,8 @@ def p_los_3gpp(d_h_m, h_uav_m: float, slice_: PropagationSlice):
         with np.errstate(divide="ignore", invalid="ignore"):
             far = d1 / d_h + np.exp(-d_h / p1) * (1.0 - d1 / d_h)
         out = np.where(d_h <= d1, 1.0, far)
-    elif slice_ is PropagationSlice.HIGH_ALTITUDE:
+    else:   # HIGH_ALTITUDE
         out = np.ones_like(d_h)
-    else:
-        raise DomainError(f"LOS probability undefined for slice {slice_}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -343,7 +339,7 @@ RMA_GROUND_RANGE_M = {True: RMA_GROUND_LOS_RANGE_M, False: RMA_GROUND_NLOS_RANGE
 def _check_range(d_h, lo, hi, what):
     d_h = np.asarray(d_h)
     if np.any(d_h < lo) or np.any(d_h > hi):
-        raise ApplicabilityError(f"{what} valid for {lo} m <= d_h <= {hi} m")
+        raise DomainError(f"{what} valid for {lo} m <= d_h <= {hi} m")
 
 
 def slice_pl_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz, env: Environment, los: bool,
@@ -359,7 +355,7 @@ def slice_pl_db(d_3d_m, h_uav_m, h_g_m, f_c_ghz, env: Environment, los: bool,
 def pl_3gpp_rural_db(d_h_m, h_uav_m: float, h_g_m: float, f_c_ghz: float,
                      env: Environment, los: bool, slice_: PropagationSlice):
     """Slice-appropriate 3GPP-style path loss at horizontal distance d_h,
-    raising ApplicabilityError outside the ground-slice windows."""
+    raising DomainError outside the ground-slice windows."""
     check_number(h_g_m, "h_g_m", above=0.0)
     if slice_ is PropagationSlice.GROUND:
         _check_range(d_h_m, *RMA_GROUND_RANGE_M[los],
@@ -373,19 +369,16 @@ def pl_3gpp_rural_db(d_h_m, h_uav_m: float, h_g_m: float, f_c_ghz: float,
 # ---------------------------------------------------------------------------
 
 def shadowing_sigma_db(slice_: PropagationSlice, los: bool, d_h_m,
-                       h_uav_m: float, h_g_m: float = None, f_c_ghz: float = None):
-    """Large-scale fading standard deviation per the model table (array d_h ok)."""
+                       h_uav_m: float, h_g_m: float, f_c_ghz: float):
+    """Large-scale fading standard deviation per the model table (array d_h
+    ok); the ground LOS law steps at the breakpoint of h_uav, h_g and f_c."""
     check_number(h_uav_m, "h_uav_m", minimum=0.0)
     if slice_ is PropagationSlice.GROUND:
         if not los:
             return 8.0
-        if h_g_m is None or f_c_ghz is None:
-            raise DomainError("ground-slice LOS sigma needs h_g and f_c for the breakpoint")
         d2 = rma_breakpoint_m(h_uav_m, h_g_m, f_c_ghz)
         out = np.where(np.asarray(d_h_m) <= d2, 4.0, 6.0)
         return float(out) if out.ndim == 0 else out
-    if slice_ not in (PropagationSlice.OBSTRUCTED, PropagationSlice.HIGH_ALTITUDE):
-        raise ModelGapError(f"no shadowing table entry for slice {slice_}")
     if los:     # one LOS law over both aerial slices
         return 4.2 * math.exp(-0.00046 * h_uav_m)
     if slice_ is PropagationSlice.HIGH_ALTITUDE:
@@ -453,16 +446,15 @@ def _resolve_preset_field(row, name, field, explicit):
 @dataclass(frozen=True)
 class LogDistance:
     """A measured log-distance row with every value resolved; evaluate it as
-    `log_distance_pl_db(d, row.lambda0_db, row.eta, row.d0_m)`."""
+    `log_distance_pl_db(d, row.lambda0_db, row.eta)`."""
 
     frequency_hz: float
     eta: float
     lambda0_db: float
-    d0_m: float
     sigma_db: float
 
     def __post_init__(self):
-        for name in ("frequency_hz", "eta", "d0_m"):
+        for name in ("frequency_hz", "eta"):
             check_number(getattr(self, name), name, above=0.0)
         check_number(self.lambda0_db, "lambda0_db")
         check_number(self.sigma_db, "sigma_db", minimum=0.0)
@@ -470,9 +462,9 @@ class LogDistance:
 
 def log_distance_from_preset(name: str, frequency_hz: float = None, *,
                              eta: float = None, lambda0_db: float = None,
-                             sigma_db: float = None, d0_m: float = 1.0) -> LogDistance:
+                             sigma_db: float = None) -> LogDistance:
     """Resolve a measured row, requiring explicit picks wherever the source
-    reports a range; a row without Lambda_0 takes the Friis loss at d0."""
+    reports a range; a row without Lambda_0 takes the Friis loss at D0_M."""
     row = MEASURED_LOG_DISTANCE_ROWS.get(name)
     if row is None:
         raise DomainError(f"unknown measured preset {name!r}")
@@ -484,26 +476,28 @@ def log_distance_from_preset(name: str, frequency_hz: float = None, *,
     lambda0_db = _resolve_preset_field(row, name, "lambda0_db", lambda0_db)
     sigma_db = _resolve_preset_field(row, name, "sigma_db", sigma_db) or 0.0
     if lambda0_db is None:
-        lambda0_db = free_space_reference_loss_db(frequency_hz, d0_m)
-    return LogDistance(frequency_hz, eta, lambda0_db, d0_m, sigma_db)
+        lambda0_db = free_space_reference_loss_db(frequency_hz)
+    return LogDistance(frequency_hz, eta, lambda0_db, sigma_db)
 
 
 def sample_link_loss_db(pl_db, sigma_db, p_los: float, rng: np.random.Generator,
                         fading_m: tuple[int, int], n: int):
     """Draw n links' total loss H = PL + X_LS - 10 log10(X_SS) and LOS flags.
 
-    `pl_db`, `sigma_db` and `fading_m` are (LOS, NLOS) pairs of path loss
-    and shadowing std in dB, from whichever model the caller evaluates, and
-    of the integer Nakagami m; each loss must be finite. `p_los` is the
-    LOS probability. The LOS uniforms are drawn first, then per state, LOS
-    first, the shadowing normals and the fading gains. Returns
-    (loss_db, los_flag), arrays of n.
+    `pl_db`, `sigma_db` and `fading_m` are (LOS, NLOS) pairs, each a tuple
+    or list of two, of path loss and shadowing std in dB, from whichever
+    model the caller evaluates, and of the integer Nakagami m; each loss
+    must be finite. `p_los` is the LOS probability. The LOS uniforms are
+    drawn first, then per state, LOS first, the shadowing normals and the
+    fading gains. Returns (loss_db, los_flag), arrays of n.
     """
+    for name, pair in (("pl_db", pl_db), ("sigma_db", sigma_db),
+                       ("fading_m", fading_m)):
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise DomainError(f"{name} must be a (LOS, NLOS) pair")
     for pl in pl_db:
         check_number(pl, "pl_db")
     check_number(p_los, "p_los", minimum=0.0, maximum=1.0)
-    if not isinstance(fading_m, (tuple, list)) or len(fading_m) != 2:
-        raise DomainError("fading_m must be a (LOS, NLOS) pair")
     for m in fading_m:
         check_count(m, "fading_m", 1)
     check_count(n, "n", 0)

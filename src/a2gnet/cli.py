@@ -1,8 +1,7 @@
 """Command-line front end: run a scenario file, emit CSV tables and rasters.
 
 Every run is reproducible: identical seeds give byte-identical outputs,
-because all Monte Carlo work is keyed per work unit. Runs are serial; the
-`--threads` flag is accepted and has no effect.
+because all Monte Carlo work is keyed per work unit. Runs are serial.
 CSV and raster floats print as `heightmap.FLOAT_FMT`, `%.9g`. In a CSV, NaN
 of either sign prints as `nan`, infinities as `inf` and `-inf`, None as
 `nan`, integers in full (booleans as 1 and 0), text as it is.
@@ -136,8 +135,8 @@ def _run_channel_table(s: Scenario, out_dir: Path):
                                   env, los, slice_)
             pl.append(np.where(no_loss, np.nan, loss))
             try:
-                sigma.append(ch.shadowing_sigma_db(slice_, los, d_h, h,
-                                                   h_g_m=h_g, f_c_ghz=f_ghz))
+                sigma.append(ch.shadowing_sigma_db(slice_, los, d_h, h, h_g,
+                                                   f_ghz))
             except ModelGapError:
                 sigma.append(np.nan)
         columns = np.broadcast_arrays(
@@ -384,9 +383,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect, "
-                             "runs are serial")
     args = parser.parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)

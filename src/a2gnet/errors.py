@@ -47,15 +47,6 @@ def check_count(value, name, minimum, maximum=None):
     return check_number(value, name, minimum, maximum=maximum)
 
 
-class OutOfEnvelopeError(DomainError):
-    """Altitude outside the modeled 0-300 m air-to-ground envelope."""
-
-
-class ApplicabilityError(DomainError):
-    """Geometry outside a model's stated validity window; the message
-    states the window."""
-
-
 class ModelGapError(DomainError):
     """Parameter combination the source models leave undefined."""
 

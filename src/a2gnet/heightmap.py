@@ -99,7 +99,7 @@ class HeightMap:
         return padded
 
     def surface_at(self, x, y):
-        """Bilinear surface height at world coordinates (vectorized)."""
+        """Bilinear surface heights at world coordinate arrays x, y."""
         u = (np.asarray(x, dtype=float) - self.xllcorner) / self.cellsize - 0.5
         v = (np.asarray(y, dtype=float) - self.yllcorner) / self.cellsize - 0.5
         u = np.clip(u, 0.0, self.ncols - 1.0)
@@ -110,9 +110,8 @@ class HeightMap:
         fv = v - i
         g = self._padded_grid   # padded index k + 1 holds grid index k
         i, j = i.astype(np.intp) + 1, j.astype(np.intp) + 1
-        out = (g[i, j] * (1 - fu) * (1 - fv) + g[i, j + 1] * fu * (1 - fv)
-               + g[i + 1, j] * (1 - fu) * fv + g[i + 1, j + 1] * fu * fv)
-        return float(out) if np.ndim(out) == 0 else out
+        return (g[i, j] * (1 - fu) * (1 - fv) + g[i, j + 1] * fu * (1 - fv)
+                + g[i + 1, j] * (1 - fu) * fv + g[i + 1, j + 1] * fu * fv)
 
 
 # ---------------------------------------------------------------------------
@@ -373,23 +372,21 @@ def _patches(u0, v0, du, dv, t_lo, t_hi, g):
 
 @dataclass
 class BuildingStats:
-    histogram_counts: np.ndarray
-    histogram_edges: np.ndarray
     rayleigh_scale_m: Optional[float]
     mean_height_m: Optional[float]
     n_building_cells: int
 
 
 def building_stats(hm: HeightMap, min_building_height_m: float = 4.0) -> BuildingStats:
-    """Histogram, ML Rayleigh scale, and mean of building-cell heights."""
+    """ML Rayleigh scale, mean and count of the building cells' heights:
+    the finite heights of at least min_building_height_m."""
     check_number(min_building_height_m, "min_building_height_m")
     vals = hm.heights[np.isfinite(hm.heights)]
     vals = vals[vals >= min_building_height_m]
     if vals.size == 0:
-        return BuildingStats(np.array([]), np.array([]), None, None, 0)
-    counts, edges = np.histogram(vals, bins="auto")
+        return BuildingStats(None, None, 0)
     scale = math.sqrt(float(np.mean(vals ** 2)) / 2.0)
-    return BuildingStats(counts, edges, scale, float(np.mean(vals)), vals.size)
+    return BuildingStats(scale, float(np.mean(vals)), vals.size)
 
 
 # ---------------------------------------------------------------------------

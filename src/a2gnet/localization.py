@@ -316,9 +316,6 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
 
 @dataclass
 class CampaignResult:
-    h_abs_m: float
-    radius_m: float
-    m_points: int
     pos_errors: np.ndarray
 
     @property
@@ -377,5 +374,4 @@ def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
             r_hat = np.sqrt(np.maximum(d_hat ** 2 - plan.h_abs_m ** 2, 0.0))
             est = _solve(grid, r_hat)
             pos_errors.append(math.hypot(est.x - ux, est.y - uy))
-    return CampaignResult(plan.h_abs_m, plan.radius_m, plan.m_points,
-                          np.array(pos_errors))
+    return CampaignResult(np.array(pos_errors))

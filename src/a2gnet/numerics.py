@@ -321,11 +321,12 @@ def chebyshev_capacity_nodes(k: int):
 # Small-scale fading and shadowing samplers
 # ---------------------------------------------------------------------------
 
-def sample_fading(m: int, rng: np.random.Generator, size=None):
-    """Draw unit-mean Nakagami-m power gains, Gamma(m, 1/m). m = 1 is
-    Rayleigh fading: numpy draws Gamma(1, 1) as its standard exponential."""
+def sample_fading(m: int, rng: np.random.Generator, n: int):
+    """Draw n unit-mean Nakagami-m power gains, Gamma(m, 1/m), as an array.
+    m = 1 is Rayleigh fading: numpy draws Gamma(1, 1) as its standard
+    exponential. A hot kernel: n is its callers' checked count."""
     check_count(m, "m", 1)
-    return rng.gamma(m, 1.0 / m, size)
+    return rng.gamma(m, 1.0 / m, n)
 
 
 def nakagami_power_cdf(omega, m: int):

@@ -38,10 +38,6 @@ from .heightmap import MAX_SURFACE_M, synthetic_cells
 from .mapsim import MAST_M
 from .numerics import db_to_linear
 
-COMMANDS = ("channel-table", "aue-coverage", "aue-sweep", "abs-design",
-            "localize", "mapsim")
-
-
 @dataclass(frozen=True)
 class Field:
     kind: type = float
@@ -405,6 +401,9 @@ SCHEMAS: Dict[str, dict] = {
         }),
     },
 }
+
+# the command names, in the order of SCHEMAS
+COMMANDS = tuple(SCHEMAS)
 
 # the bounds of a site CSV's columns (cli._load_sites reads it; x and y lie
 # on its map, and the bearing is any finite angle): each column takes those

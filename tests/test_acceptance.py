@@ -88,12 +88,13 @@ class TestCriterion2:
         # shadowing table exact rows
         S = ch.PropagationSlice
         checks.append(("sigma table exact", (
-            ch.shadowing_sigma_db(S.GROUND, False, 100, 5) == 8.0
-            and ch.shadowing_sigma_db(S.OBSTRUCTED, False, 100, 30) == 6.0
-            and ch.shadowing_sigma_db(S.OBSTRUCTED, True, 100, 100)
+            ch.shadowing_sigma_db(S.GROUND, False, 100, 5, 30.0, 1.8) == 8.0
+            and ch.shadowing_sigma_db(S.OBSTRUCTED, False, 100, 30, 30.0, 1.8)
+            == 6.0
+            and ch.shadowing_sigma_db(S.OBSTRUCTED, True, 100, 100, 30.0, 1.8)
             == 4.2 * math.exp(-0.046)
-            and ch.shadowing_sigma_db(S.GROUND, True, 100, 1.5,
-                                      h_g_m=30.0, f_c_ghz=1.8) == 4.0)))
+            and ch.shadowing_sigma_db(S.GROUND, True, 100, 1.5, 30.0, 1.8)
+            == 4.0)))
         # LOS loss continuity at the breakpoint
         d2 = ch.rma_breakpoint_m(1.5, 30.0, 1.8)
         gap = abs(ch.rma_ground_los_db(d2 * (1 + 1e-12), 1.5, 30.0, 1.8)

@@ -88,9 +88,9 @@ RECORDS = {
                       "omega": (0.0,), "mean_building_height_m": (0.0,),
                       "street_width_m": (0.0,)}),
     ch.LogDistance: ({"frequency_hz": 2e9, "eta": 2.0, "lambda0_db": 40.0,
-                      "d0_m": 1.0, "sigma_db": 0.0},
+                      "sigma_db": 0.0},
                      {"frequency_hz": (0.0,), "eta": (0.0,), "lambda0_db": (),
-                      "d0_m": (0.0,), "sigma_db": (under(0.0),)}),
+                      "sigma_db": (under(0.0),)}),
     HeightMap: ({"heights": np.zeros((2, 2)), "cellsize": 1.0},
                 {"cellsize": (0.0,), "xllcorner": (), "yllcorner": (),
                  "nodata_value": ()}),
@@ -121,7 +121,7 @@ DB_PROPERTIES = [(OmniUav, {}, "gain_dbi", "gain_linear"),
 # records that a run returns, not reads
 OUTPUT_RECORDS = {au.NetworkSnapshot, au.SnapshotSinr, au.Estimate,
                   ab.CoverageRadius, loc.MultilaterationResult,
-                  loc.CampaignResult, ms.SinrGrid, BuildingStats}
+                  ms.SinrGrid, BuildingStats}
 
 _OUTAGE = {"h_abs_m": 100.0, "p_tx_w": 1.0, "prof": PROF}
 _DESIGN = {"h_abs_m": 100.0, "r_c_m": 500.0, "epsilon": 0.05, "prof": PROF}
@@ -176,11 +176,10 @@ FUNCTIONS = [
      {"h_uav_m": (under(0.0), over(ch.MAX_MODELED_ALTITUDE_M))}),
     (ch.free_space_pl_db, {"d_3d_m": 100.0, "frequency_hz": 2e9, "eta": 2.0},
      {"frequency_hz": (0.0,), "eta": (0.0,)}),
-    (ch.free_space_reference_loss_db, {"frequency_hz": 2e9, "d0_m": 1.0},
-     {"frequency_hz": (0.0,), "d0_m": (0.0,)}),
-    (ch.log_distance_pl_db, {"d_3d_m": 100.0, "lambda0_db": 40.0, "eta": 2.0,
-                             "d0_m": 1.0},
-     {"lambda0_db": (), "eta": (0.0,), "d0_m": (0.0,)}),
+    (ch.free_space_reference_loss_db, {"frequency_hz": 2e9},
+     {"frequency_hz": (0.0,)}),
+    (ch.log_distance_pl_db, {"d_3d_m": 100.0, "lambda0_db": 40.0, "eta": 2.0},
+     {"lambda0_db": (), "eta": (0.0,)}),
     # h_uav_m > h_g_m is a rule between the two, not a bound of one
     (ch.p_los_building, {"d_h_m": 100.0, "h_uav_m": 100.0, "h_g_m": 1.5,
                          "env": URBAN},
@@ -203,7 +202,7 @@ FUNCTIONS = [
                                    "frequency_hz": 2e9, "eta": 2.01,
                                    "lambda0_db": 40.0, "sigma_db": 1.0},
      {"frequency_hz": (0.0,), "eta": (2.0,), "lambda0_db": (),
-      "sigma_db": (under(0.0),), "d0_m": (0.0,)}),
+      "sigma_db": (under(0.0),)}),
     (ch.sample_link_loss_db, {"pl_db": (100.0, 120.0), "sigma_db": (4.0, 6.0),
                               "p_los": 0.5, "rng": gen(), "fading_m": (1, 1),
                               "n": 3},
@@ -238,7 +237,7 @@ FUNCTIONS = [
 
 # (record or function, valid arguments, {count: its least value})
 COUNTS = [
-    (sample_fading, {"m": 1, "rng": gen()}, {"m": 1}),
+    (sample_fading, {"m": 1, "rng": gen(), "n": 1}, {"m": 1}),
     (au.AueNetworkConfig, {}, {"fading_m_los": 1, "fading_m_nlos": 1}),
     (RngStream, {"master_seed": 1, "stream_index": 0},
      {"master_seed": 0, "stream_index": 0}),
@@ -275,6 +274,7 @@ PAIR = "tuple[int, int]"
 # counts a run reads from checked keys or ignores, with the reason
 UNCHECKED_COUNTS = {
     ("run_scenario", "threads"): "accepted and ignored: runs are serial",
+    ("sample_fading", "n"): "hot kernel: its callers pass a checked count",
     ("check_mapsim_rays", "sites"): "parse-time ceiling on checked keys",
     ("check_mapsim_rays", "nrows"): "parse-time ceiling on checked keys",
     ("check_mapsim_rays", "ncols"): "parse-time ceiling on checked keys",

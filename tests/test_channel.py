@@ -20,12 +20,7 @@ from a2gnet.channel import (
     shadowing_sigma_db,
     slice_of,
 )
-from a2gnet.errors import (
-    ApplicabilityError,
-    DomainError,
-    ModelGapError,
-    OutOfEnvelopeError,
-)
+from a2gnet.errors import DomainError, ModelGapError
 from a2gnet.numerics import RngStream, sample_fading
 
 F18 = 1.8e9
@@ -76,9 +71,9 @@ class TestSlices:
 
     def test_envelope_errors(self):
         urb = ch.urban()
-        with pytest.raises(OutOfEnvelopeError):
+        with pytest.raises(DomainError, match=r"^h_uav_m must be at least 0.0$"):
             slice_of(-1, urb)
-        with pytest.raises(OutOfEnvelopeError):
+        with pytest.raises(DomainError, match=r"^h_uav_m must be at most 300.0$"):
             slice_of(300.1, urb)
 
 
@@ -119,13 +114,14 @@ class TestFreeSpace:
 
 class TestLogDistance:
     def test_reference_point(self):
-        assert log_distance_pl_db(10.0, 87.0, 3.0, d0_m=10.0) == 87.0
+        assert ch.D0_M == 1.0
+        assert log_distance_pl_db(ch.D0_M, 87.0, 3.0) == 87.0
 
     def test_measured_row_968mhz(self):
-        row = ch.log_distance_from_preset("l_band_968mhz", d0_m=1.0)
-        assert (row.frequency_hz, row.eta, row.lambda0_db, row.d0_m,
-                row.sigma_db) == (0.968e9, 1.6, 102.3, 1.0, 0.0)
-        assert log_distance_pl_db(10.0, row.lambda0_db, row.eta, row.d0_m) \
+        row = ch.log_distance_from_preset("l_band_968mhz")
+        assert (row.frequency_hz, row.eta, row.lambda0_db,
+                row.sigma_db) == (0.968e9, 1.6, 102.3, 0.0)
+        assert log_distance_pl_db(10.0, row.lambda0_db, row.eta) \
             == pytest.approx(102.3 + 16.0, abs=1e-9)
 
     def test_measured_row_wideband(self):
@@ -136,8 +132,8 @@ class TestLogDistance:
             == pytest.approx(21.9 + 50.8, abs=1e-9)
 
     def test_row_without_lambda0_takes_friis_reference(self):
-        row = ch.log_distance_from_preset("urban_los_28ghz", d0_m=5.0)
-        assert row.lambda0_db == ch.free_space_reference_loss_db(28e9, 5.0)
+        row = ch.log_distance_from_preset("urban_los_28ghz")
+        assert row.lambda0_db == ch.free_space_reference_loss_db(28e9)
         assert row.sigma_db == 3.6
 
     def test_preset_range_requires_pick(self):
@@ -149,37 +145,36 @@ class TestLogDistance:
                 eta=5.0, lambda0_db=21.9, sigma_db=3.0)
 
     @pytest.mark.parametrize("kwargs, match", [
-        ({"frequency_hz": 0.0}, "frequency"), ({"d0_m": 0.0}, "reference"),
-        ({"sigma_db": -1.0}, "sigma")])
+        ({"frequency_hz": 0.0}, "frequency"),
+        ({"eta": 2.5}, "fixes"), ({"sigma_db": -1.0}, "sigma")])
     def test_preset_rejects_bad_values(self, kwargs, match):
-        # the checks the row's carrier and its own constructor made
+        # the checks of the row's carrier, of the values it fixes and of its
+        # own constructor
         with pytest.raises(DomainError, match=match):
             ch.log_distance_from_preset("open_field_2ghz",
                                         **{"frequency_hz": 2e9, **kwargs})
 
     def test_below_reference_rejected(self):
         with pytest.raises(DomainError):
-            log_distance_pl_db(9.0, 80.0, 2.0, d0_m=10.0)
+            log_distance_pl_db(0.9, 80.0, 2.0)
 
-    @pytest.mark.parametrize("eta, d0, match", [
-        (0.0, 1.0, "exponent"), (2.0, 0.0, "reference"),
-        (2.0, -1.0, "reference")])
-    def test_non_positive_parameters_rejected(self, eta, d0, match):
-        with pytest.raises(DomainError, match=match):
-            log_distance_pl_db(100.0, 80.0, eta, d0)
+    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    def test_non_positive_parameters_rejected(self, eta):
+        with pytest.raises(DomainError, match="exponent"):
+            log_distance_pl_db(100.0, 80.0, eta)
 
     def test_literal_formula(self):
-        d = np.array([10.0, 37.5, 1234.0])
-        want = 81.25 + 10.0 * 2.7 * np.log10(d / 10.0)
-        assert log_distance_pl_db(d, 81.25, 2.7, 10.0).tobytes() == want.tobytes()
+        d = np.array([1.0, 37.5, 1234.0])
+        want = 81.25 + 10.0 * 2.7 * np.log10(d)
+        assert log_distance_pl_db(d, 81.25, 2.7).tobytes() == want.tobytes()
 
     def test_free_space_reference_literal(self):
-        for f, d0 in ((F18, 1.0), (0.968e9, 10.0), (28e9, 0.5)):
-            want = 20.0 * math.log10(4.0 * math.pi * d0 / (299792458.0 / f))
-            assert ch.free_space_reference_loss_db(f, d0) == want
+        for f in (F18, 0.968e9, 28e9):
+            want = 20.0 * math.log10(4.0 * math.pi / (299792458.0 / f))
+            assert ch.free_space_reference_loss_db(f) == want
 
     def test_free_space_reference_matches_friis(self):
-        lambda0 = ch.free_space_reference_loss_db(F18, 1.0)
+        lambda0 = ch.free_space_reference_loss_db(F18)
         for d in [1.0, 5.0, 70.0, 1234.0, 99999.0]:
             assert log_distance_pl_db(d, lambda0, 2.0) == pytest.approx(
                 free_space_pl_db(d, F18), abs=1e-9)
@@ -389,13 +384,14 @@ class TestPl3gpp:
             assert np.all(np.diff(pl) >= -1e-12)
 
     def test_applicability_windows(self):
-        with pytest.raises(ApplicabilityError):
+        nlos = r"^ground-slice NLOS valid for 10.0 m <= d_h <= 5000.0 m$"
+        with pytest.raises(DomainError, match=r"^ground-slice LOS valid"):
             pl_3gpp_rural_db(5.0, 5.0, 30.0, 1.8, self.URB,
                              los=True, slice_=PropagationSlice.GROUND)
-        with pytest.raises(ApplicabilityError):
+        with pytest.raises(DomainError, match=nlos):
             pl_3gpp_rural_db(6000.0, 5.0, 30.0, 1.8, self.URB,
                              los=False, slice_=PropagationSlice.GROUND)
-        with pytest.raises(ApplicabilityError):
+        with pytest.raises(DomainError, match=nlos):
             pl_3gpp_rural_db([100.0, 6000.0], 5.0, 30.0, 1.8, self.URB,
                              los=False, slice_=PropagationSlice.GROUND)
         # LOS window extends to 10 km
@@ -403,7 +399,7 @@ class TestPl3gpp:
                          los=True, slice_=PropagationSlice.GROUND)
 
     def test_applicability_error_carries_bound(self):
-        with pytest.raises(ApplicabilityError) as err:
+        with pytest.raises(DomainError) as err:
             pl_3gpp_rural_db(5.0, 5.0, 30.0, 1.8, self.URB,
                              los=True, slice_=PropagationSlice.GROUND)
         assert str(err.value) == "ground-slice LOS valid for 10.0 m <= d_h <= 10000.0 m"
@@ -412,26 +408,27 @@ class TestPl3gpp:
 class TestShadowingTable:
     def test_table_rows(self):
         S = PropagationSlice
-        assert shadowing_sigma_db(S.GROUND, False, 100, 5) == 8.0
-        assert shadowing_sigma_db(S.OBSTRUCTED, False, 100, 30) == 6.0
-        assert shadowing_sigma_db(S.OBSTRUCTED, True, 100, 100) == pytest.approx(4.011, abs=1e-3)
-        assert shadowing_sigma_db(S.HIGH_ALTITUDE, True, 100, 200) == pytest.approx(
+        assert shadowing_sigma_db(S.GROUND, False, 100, 5, 30.0, 1.8) == 8.0
+        assert shadowing_sigma_db(S.OBSTRUCTED, False, 100, 30, 30.0, 1.8) == 6.0
+        assert shadowing_sigma_db(S.OBSTRUCTED, True, 100, 100, 30.0, 1.8) \
+            == pytest.approx(4.011, abs=1e-3)
+        assert shadowing_sigma_db(S.HIGH_ALTITUDE, True, 100, 200, 30.0, 1.8) == pytest.approx(
             4.2 * math.exp(-0.00046 * 200), rel=1e-12)
 
     def test_ground_los_breakpoint_split(self):
         d2 = ch.rma_breakpoint_m(1.5, 30.0, 1.8)
         S = PropagationSlice
-        assert shadowing_sigma_db(S.GROUND, True, d2 - 1, 1.5, h_g_m=30.0, f_c_ghz=1.8) == 4.0
-        assert shadowing_sigma_db(S.GROUND, True, d2 + 1, 1.5, h_g_m=30.0, f_c_ghz=1.8) == 6.0
+        assert shadowing_sigma_db(S.GROUND, True, d2 - 1, 1.5, 30.0, 1.8) == 4.0
+        assert shadowing_sigma_db(S.GROUND, True, d2 + 1, 1.5, 30.0, 1.8) == 6.0
         sigma = shadowing_sigma_db(S.GROUND, True, np.array([d2 - 1, d2, d2 + 1]), 1.5,
-                                   h_g_m=30.0, f_c_ghz=1.8)
+                                   30.0, 1.8)
         assert sigma.tolist() == [4.0, 4.0, 6.0]
-        assert type(shadowing_sigma_db(S.GROUND, True, d2, 1.5, h_g_m=30.0,
-                                       f_c_ghz=1.8)) is float
+        assert type(shadowing_sigma_db(S.GROUND, True, d2, 1.5, 30.0, 1.8)) is float
 
     def test_model_gap(self):
         with pytest.raises(ModelGapError):
-            shadowing_sigma_db(PropagationSlice.HIGH_ALTITUDE, False, 100, 200)
+            shadowing_sigma_db(PropagationSlice.HIGH_ALTITUDE, False, 100, 200,
+                               30.0, 1.8)
 
 
 class TestAveragedPl:
@@ -447,7 +444,7 @@ class TestAveragedPl:
 
 class TestSampleLinkLoss:
     PL = tuple(log_distance_pl_db(math.hypot(500.0, 98.5),
-                                  ch.free_space_reference_loss_db(F18, 1.0), eta)
+                                  ch.free_space_reference_loss_db(F18), eta)
                for eta in (2.0, 3.5))
 
     def test_deterministic_when_degenerate(self):
@@ -522,3 +519,14 @@ class TestSampleLinkLoss:
         with pytest.raises(DomainError, match=r"^fading_m must be"):
             sample_link_loss_db(self.PL, (4.0, 6.0), 0.5,
                                 RngStream(8).child_generator(), fading_m, 3)
+
+    @pytest.mark.parametrize("name", ["pl_db", "sigma_db"])
+    @pytest.mark.parametrize("pair", [(4.0,), (4.0, 6.0, 8.0), 4.0],
+                             ids=["one", "three", "scalar"])
+    def test_loss_and_sigma_pairs_named(self, name, pair):
+        # a one-element pair ended in a raw IndexError, a three-element one
+        # was cut to two
+        pairs = {"pl_db": self.PL, "sigma_db": (4.0, 6.0), name: pair}
+        with pytest.raises(DomainError, match=rf"^{name} must be a \(LOS, NLOS\) pair$"):
+            sample_link_loss_db(pairs["pl_db"], pairs["sigma_db"], 0.5,
+                                RngStream(9).child_generator(), (1, 1), 3)

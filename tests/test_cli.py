@@ -816,10 +816,21 @@ class TestMainEntry:
         scn = tmp_path / "run.yaml"
         scn.write_text(LOCALIZE_TABLE_VI)
         code = main(["--scenario", str(scn), "--out", str(tmp_path / "out"),
-                     "--seed", "17", "--threads", "2"])
+                     "--seed", "17"])
         assert code == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out and out[0].endswith("localize.csv")
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        # runs are serial; the flag that was accepted and ignored is refused
+        scn = tmp_path / "run.yaml"
+        scn.write_text(MINIMAL_CHANNEL)
+        with pytest.raises(SystemExit) as exc:
+            main(["--scenario", str(scn), "--out", str(tmp_path / "out"),
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out,taken,named", [
         ("file", "file", "file"), ("file/sub", "file", "file/sub"),

@@ -156,27 +156,27 @@ class TestDbToLinear:
 class TestFadingSamplers:
     def test_nakagami_m1_is_exponential_power(self):
         rng = RngStream(123, 0).child_generator()
-        x = sample_fading(1, rng, size=1_000_000)
+        x = sample_fading(1, rng, 1_000_000)
         assert np.mean(x < 1.0) == pytest.approx(1 - math.exp(-1), abs=2e-3)
 
     def test_nakagami_m3_variance(self):
         rng = RngStream(123, 2).child_generator()
-        x = sample_fading(3, rng, size=1_000_000)
+        x = sample_fading(3, rng, 1_000_000)
         assert np.var(x) == pytest.approx(1.0 / 3.0, abs=1e-2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_nakagami_m1_draws_the_exponential_bits(self, seed):
         # gamma(1, 1.0) is numpy's standard exponential, so m = 1 is
-        # Rayleigh fading draw for draw, scalar and array
+        # Rayleigh fading draw for draw, one at a time and in a block
         nak, ref = (RngStream(seed).child_generator() for _ in range(2))
         for _ in range(500):
-            assert sample_fading(1, nak) == ref.exponential(1.0)
-        assert np.array_equal(sample_fading(1, nak, size=500),
+            assert sample_fading(1, nak, 1)[0] == ref.exponential(1.0)
+        assert np.array_equal(sample_fading(1, nak, 500),
                               ref.exponential(1.0, 500))
 
     def test_nakagami_cdf_matches_samples(self):
         rng = RngStream(11, 0).child_generator()
-        x = sample_fading(3, rng, size=400_000)
+        x = sample_fading(3, rng, 400_000)
         for omega in [0.3, 1.0, 2.0]:
             assert np.mean(x < omega) == pytest.approx(
                 nakagami_power_cdf(omega, 3), abs=4e-3)
@@ -184,7 +184,7 @@ class TestFadingSamplers:
     def test_invalid_models(self):
         for m in (0, 2.5, True):
             with pytest.raises(DomainError, match=r"^m "):
-                sample_fading(m, RngStream(1).child_generator())
+                sample_fading(m, RngStream(1).child_generator(), 1)
 
 
 class TestShadowing:
