@@ -28,14 +28,8 @@ from .numerics import (db_to_linear, dbm_to_watt, integrate, inv_marcum_q,
                        optimize, special)
 
 
+# elevation angles of the horizon and zenith ends of every ramp, rad
 _RAMP_THETA = (0.0, math.pi / 2)
-
-
-def _ramp(theta, v0: float, v90: float):
-    """Value linear in elevation angle, v0 at the horizon to v90 at the
-    zenith: a float for a scalar theta, an array for an array."""
-    out = np.interp(theta, _RAMP_THETA, (v0, v90))
-    return float(out) if np.ndim(theta) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -65,10 +59,12 @@ class AbsProfile:
             check_number(getattr(self, name), name, above=0.0)
 
     def k_of_theta(self, theta):
-        return _ramp(theta, self.k0, self.k90)
+        """K at elevation theta, what np.interp returns; theta finite."""
+        return np.interp(theta, _RAMP_THETA, (self.k0, self.k90))
 
     def eta_of_theta(self, theta):
-        return _ramp(theta, self.eta0, self.eta90)
+        """Path-loss exponent at elevation theta, as k_of_theta."""
+        return np.interp(theta, _RAMP_THETA, (self.eta0, self.eta90))
 
 
 def urban_abs_profile(k0_db: float = 0.0, k90_db: float = 15.0,
@@ -85,24 +81,22 @@ def urban_abs_profile(k0_db: float = 0.0, k90_db: float = 15.0,
 # ---------------------------------------------------------------------------
 
 def outage(r_m, h_abs_m: float, p_tx_w: float, prof: AbsProfile):
-    """P_out(r, h, P) = 1 - Q1(sqrt(2K), sqrt(2T(1+K) d^eta N0 / (G P)))."""
+    """P_out(r, h, P) = 1 - Q1(sqrt(2K), sqrt(2T(1+K) d^eta N0 / (G P))),
+    what numpy gives: an array for an array r, a numpy float for one r."""
     check_number(p_tx_w, "p_tx_w", above=0.0)
     check_number(h_abs_m, "h_abs_m", minimum=0.0)
     r = np.asarray(r_m, dtype=float)
     if not np.all(r >= 0.0):
         raise DomainError("r_m must be >= 0")
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
     theta = np.arctan2(h_abs_m, r)
-    k = np.atleast_1d(prof.k_of_theta(theta))
-    eta = np.atleast_1d(prof.eta_of_theta(theta))
+    k = prof.k_of_theta(theta)
+    eta = prof.eta_of_theta(theta)
     d = np.hypot(h_abs_m, r)
     arg = (2.0 * prof.threshold_t * (1.0 + k) * d ** eta * prof.noise_w
            / (prof.antenna_gain * p_tx_w))
     # 1 - Q1(a, b) is the noncentral chi-square CDF at b^2 with
     # noncentrality a^2, accurate also where outage is small.
-    out = special.chndtr(arg, 2.0, 2.0 * k)
-    return float(out[0]) if scalar else out
+    return special.chndtr(arg, 2.0, 2.0 * k)
 
 
 def _link_factor(k: float, epsilon: float) -> float:

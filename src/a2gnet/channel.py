@@ -1,7 +1,9 @@
 """Path loss, LOS probability, shadowing, and slice selection.
 
 Each model is one function of numbers: the horizontal or 3D distance, the
-two heights, the carrier and the environment in; a float or an array out.
+two heights, the carrier and the environment in; what numpy gives out, an
+array for an array of distances and a 0-d array or numpy float for one
+distance (a scalar caller takes `float()` of it).
 No geometry or carrier record stands between a caller and a formula, and
 the one record left, `LogDistance`, is a measured row resolved to numbers.
 Every log-distance loss is referred to the one distance D0_M = 1 m: its
@@ -124,7 +126,7 @@ def slice_of(h_uav_m: float, env: Environment) -> PropagationSlice:
 # Elementary path-loss laws
 # ---------------------------------------------------------------------------
 
-def free_space_pl_db(d_3d_m, frequency_hz: float, eta: float = 2.0):
+def free_space_pl_db(d_3d_m, frequency_hz: float, eta: float):
     """Generalized free-space loss 10 eta log10(4 pi d / lambda); eta=2
     reproduces Friis; d must be finite (NaN fails its guard, inf does not)."""
     check_number(frequency_hz, "frequency_hz", above=0.0)
@@ -132,8 +134,7 @@ def free_space_pl_db(d_3d_m, frequency_hz: float, eta: float = 2.0):
     d = np.asarray(d_3d_m, dtype=float)
     if not np.all(d > 0.0):
         raise DomainError("free-space loss needs d_3d > 0")
-    out = 10.0 * eta * np.log10(4.0 * np.pi * d / (SPEED_OF_LIGHT / frequency_hz))
-    return float(out) if out.ndim == 0 else out
+    return 10.0 * eta * np.log10(4.0 * np.pi * d / (SPEED_OF_LIGHT / frequency_hz))
 
 
 def free_space_reference_loss_db(frequency_hz: float) -> float:
@@ -150,8 +151,7 @@ def log_distance_pl_db(d_3d_m, lambda0_db: float, eta: float):
     d = np.asarray(d_3d_m, dtype=float)
     if not np.all(d >= D0_M):
         raise DomainError(f"log-distance model needs d >= d0 ({D0_M} m)")
-    out = lambda0_db + 10.0 * eta * np.log10(d / D0_M)
-    return float(out) if out.ndim == 0 else out
+    return lambda0_db + 10.0 * eta * np.log10(d / D0_M)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +171,15 @@ _CLEARANCE_BLOCK = 128
 
 def _clearance_products(m, h_hi, h_lo, env: Environment):
     """prod_{n=0..m} P[building n is below the ray], one per entry of the
-    1-d integer array m (1 where m < 0); the ray height at building n is
-    interpolated between the endpoint heights. The ray-height fraction
-    (n + 0.5) / (m + 1) depends on m, so each entry is its own product; a
-    row is padded with 1.0 past its m, which leaves the product exact."""
-    out = np.ones(m.shape)
-    for lo in range(0, m.size, _CLEARANCE_BLOCK):
-        mb = m[lo:lo + _CLEARANCE_BLOCK, None]
+    integer array m and in its shape (1 where m < 0); the ray height at
+    building n is interpolated between the endpoint heights. The ray-height
+    fraction (n + 0.5) / (m + 1) depends on m, so each entry is its own
+    product; a row is padded with 1.0 past its m, which leaves the product
+    exact."""
+    flat = m.ravel()
+    out = np.ones(flat.shape)
+    for lo in range(0, flat.size, _CLEARANCE_BLOCK):
+        mb = flat[lo:lo + _CLEARANCE_BLOCK, None]
         mmax = int(mb.max())
         if mmax < 0:
             continue
@@ -187,7 +189,7 @@ def _clearance_products(m, h_hi, h_lo, env: Environment):
         factors = 1.0 - np.exp(-ray_h ** 2 / (2.0 * env.omega ** 2))
         factors = np.where(n <= mb, factors, 1.0)
         out[lo:lo + _CLEARANCE_BLOCK] = np.prod(factors, axis=1)
-    return out
+    return out.reshape(m.shape)
 
 
 def _p_los_building_heights(d_h_m, h_hi, h_lo, env: Environment):
@@ -196,11 +198,8 @@ def _p_los_building_heights(d_h_m, h_hi, h_lo, env: Environment):
 
     d_h enters in km so sqrt(varsigma * xi) is dimensionless per km.
     """
-    d_h = np.asarray(d_h_m, dtype=float)
-    scalar = d_h.ndim == 0
-    d_h = np.atleast_1d(d_h)
-    out = _clearance_products(_building_index(d_h, env), h_hi, h_lo, env)
-    return float(out[0]) if scalar else out
+    m = _building_index(np.asarray(d_h_m, dtype=float), env)
+    return _clearance_products(m, h_hi, h_lo, env)
 
 
 class BuildingPlosTable:
@@ -251,15 +250,13 @@ def p_los_3gpp(d_h_m, h_uav_m: float, slice_: PropagationSlice):
     if not np.all(d_h >= 0.0):
         raise DomainError("d_h_m must be >= 0")
     if slice_ is PropagationSlice.GROUND:
-        out = np.where(d_h <= 10.0, 1.0, np.exp(-(d_h - 10.0) / 1000.0))
-    elif slice_ is PropagationSlice.OBSTRUCTED:
+        return np.where(d_h <= 10.0, 1.0, np.exp(-(d_h - 10.0) / 1000.0))
+    if slice_ is PropagationSlice.OBSTRUCTED:
         d1, p1 = obstructed_plos_auxiliaries(h_uav_m)
         with np.errstate(divide="ignore", invalid="ignore"):
             far = d1 / d_h + np.exp(-d_h / p1) * (1.0 - d1 / d_h)
-        out = np.where(d_h <= d1, 1.0, far)
-    else:   # HIGH_ALTITUDE
-        out = np.ones_like(d_h)
-    return float(out) if out.ndim == 0 else out
+        return np.where(d_h <= d1, 1.0, far)
+    return np.ones_like(d_h)    # HIGH_ALTITUDE
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +285,7 @@ def rma_ground_los_db(d_3d_m, h_uav_m: float, h_g_m: float, f_c_ghz: float):
                 - min(0.044 * h_uav_m ** 1.72, 14.77)
                 + 0.002 * dd * math.log10(h_uav_m))
 
-    out = np.where(d <= d2, lam1(d), lam1(d2) + 40.0 * np.log10(d / d2))
-    return float(out) if out.ndim == 0 else out
+    return np.where(d <= d2, lam1(d), lam1(d2) + 40.0 * np.log10(d / d2))
 
 
 def rma_ground_nlos_db(d_3d_m, h_uav_m: float, h_g_m: float, f_c_ghz: float,
@@ -304,8 +300,7 @@ def rma_ground_nlos_db(d_3d_m, h_uav_m: float, h_g_m: float, f_c_ghz: float,
             + (43.42 - 3.1 * math.log10(h_g_m)) * (np.log10(d) - 3.0)
             + 20.0 * math.log10(f_c_ghz)
             - (3.2 * math.log10(11.75 * h_uav_m) ** 2 - 4.97))
-    out = np.maximum(los, nlos)
-    return float(out) if out.ndim == 0 else out
+    return np.maximum(los, nlos)
 
 
 def aerial_los_db(d_3d_m, h_uav_m: float, f_c_ghz: float):
@@ -316,8 +311,7 @@ def aerial_los_db(d_3d_m, h_uav_m: float, f_c_ghz: float):
     if not np.all(d > 0.0):
         raise DomainError("aerial loss needs d_3d > 0")
     slope = max(23.9 - 1.8 * math.log10(h_uav_m), 20.0)
-    out = slope * np.log10(d) + 20.0 * math.log10(40.0 * np.pi * f_c_ghz / 3.0)
-    return float(out) if out.ndim == 0 else out
+    return slope * np.log10(d) + 20.0 * math.log10(40.0 * np.pi * f_c_ghz / 3.0)
 
 
 def aerial_nlos_db(d_3d_m, h_uav_m: float, f_c_ghz: float):
@@ -326,8 +320,7 @@ def aerial_nlos_db(d_3d_m, h_uav_m: float, f_c_ghz: float):
     d = np.asarray(d_3d_m, dtype=float)
     nlos = (-12.0 + (35.0 - 5.3 * math.log10(h_uav_m)) * np.log10(d)
             + 20.0 * math.log10(40.0 * np.pi * f_c_ghz / 3.0))
-    out = np.maximum(los, nlos)
-    return float(out) if out.ndim == 0 else out
+    return np.maximum(los, nlos)
 
 
 # stated validity windows for the ground-slice fits
@@ -377,8 +370,7 @@ def shadowing_sigma_db(slice_: PropagationSlice, los: bool, d_h_m,
         if not los:
             return 8.0
         d2 = rma_breakpoint_m(h_uav_m, h_g_m, f_c_ghz)
-        out = np.where(np.asarray(d_h_m) <= d2, 4.0, 6.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(np.asarray(d_h_m) <= d2, 4.0, 6.0)
     if los:     # one LOS law over both aerial slices
         return 4.2 * math.exp(-0.00046 * h_uav_m)
     if slice_ is PropagationSlice.HIGH_ALTITUDE:
@@ -395,8 +387,7 @@ def averaged_pl_db(pl_los_db, pl_nlos_db, p_los):
     p = np.asarray(p_los, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise DomainError("LOS probability must be in [0, 1]")
-    out = p * np.asarray(pl_los_db) + (1.0 - p) * np.asarray(pl_nlos_db)
-    return float(out) if np.ndim(out) == 0 else out
+    return p * np.asarray(pl_los_db) + (1.0 - p) * np.asarray(pl_nlos_db)
 
 
 # Measured log-distance parameterizations, one entry per source row.

@@ -99,7 +99,9 @@ class HeightMap:
         return padded
 
     def surface_at(self, x, y):
-        """Bilinear surface heights at world coordinate arrays x, y."""
+        """Bilinear surface heights at world coordinate arrays x, y; a hot
+        kernel: x and y must be finite (NaN ends in an IndexError), so its
+        callers check them first."""
         u = (np.asarray(x, dtype=float) - self.xllcorner) / self.cellsize - 0.5
         v = (np.asarray(y, dtype=float) - self.yllcorner) / self.cellsize - 0.5
         u = np.clip(u, 0.0, self.ncols - 1.0)

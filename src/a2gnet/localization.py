@@ -82,11 +82,13 @@ class ElevationChannel:
             check_number(getattr(self, name), name, minimum=0.0)
 
     def sigma_db(self, theta_rad, los: bool):
+        """Shadowing std a exp(-b theta), dB; a hot kernel: theta finite."""
         a = self.a_los if los else self.a_nlos
         b = self.b_los if los else self.b_nlos
         return a * np.exp(-b * np.asarray(theta_rad, dtype=float))
 
     def p_los(self, theta_rad):
+        """P_LOS at elevation theta, rad; a hot kernel: theta finite."""
         theta_deg = np.degrees(np.asarray(theta_rad, dtype=float))
         expo = np.clip(-self.b_o * (theta_deg - self.a_o), -700.0, 700.0)
         return 1.0 / (1.0 + self.a_o * np.exp(expo))

@@ -61,6 +61,11 @@ def site_on_roof(hm: HeightMap, x: float, y: float, mast_m: float = MAST_M,
     """Place a site on the surface at (x, y), mast_m above the roof."""
     for value, name in ((x, "x"), (y, "y"), (mast_m, "mast_m")):
         check_number(value, name)
+    x0, x1, y0, y1 = hm.extent
+    for value, name, lo, hi in ((x, "x", x0, x1), (y, "y", y0, y1)):
+        if not lo <= value <= hi:
+            raise DomainError(f"{name} {value:g} lies off the map, "
+                              f"outside [{lo:g}, {hi:g}]")
     roof = float(hm.surface_at(x, y))
     if math.isnan(roof):
         raise DomainError(f"no roof height at ({x:g}, {y:g}): no-data cells")
@@ -175,6 +180,7 @@ class SinrGrid:
     los_any: np.ndarray          # LOS to at least one site
 
     def coverage_fraction(self, threshold_db: float = -6.0) -> float:
+        check_number(threshold_db, "threshold_db")
         vals = self.sinr_db[np.isfinite(self.sinr_db)]
         if vals.size == 0:
             return 0.0
@@ -195,9 +201,9 @@ _PASS_LINKS = 1 << 14
 
 def sinr_grids(sites: Sequence[SectorSite], hm: HeightMap,
                heights: Sequence[float], cfg: MapSimConfig,
-               stride: int = 1) -> Iterator[SinrGrid]:
-    """SINR, serving-sector and LOS rasters at cell centers (optionally
-    strided), one grid per UE height, in order.
+               stride: int) -> Iterator[SinrGrid]:
+    """SINR, serving-sector and LOS rasters at every stride-th cell center,
+    one grid per UE height, in order.
 
     All sectors of all sites transmit; the serving sector maximizes SINR
     (equivalently received power), ties to the lowest flat index. Cells

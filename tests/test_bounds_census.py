@@ -58,6 +58,9 @@ PROF = ab.urban_abs_profile()
 CFG = au.AueNetworkConfig()
 HM = HeightMap(np.zeros((4, 4)), cellsize=10.0)
 SITE = Position3D(0.0, 0.0, 10.0)
+GRID = ms.SinrGrid(sinr_db=np.zeros((1, 1)), serving=np.zeros((1, 1), int),
+                   x=np.zeros(1), y=np.zeros(1), ue_height_m=1.5,
+                   los_any=np.ones((1, 1), bool))
 GROUND, OBSTRUCTED = ch.PropagationSlice.GROUND, ch.PropagationSlice.OBSTRUCTED
 
 
@@ -226,7 +229,10 @@ FUNCTIONS = [
                          "search_radius_m": 100.0},
      {"search_radius_m": (0.0,)}),
     (ms.site_on_roof, {"hm": HM, "x": 5.0, "y": 5.0, "mast_m": 5.0},
-     {"x": (), "y": (), "mast_m": ()}),
+     {"x": (under(0.0), over(40.0)), "y": (under(0.0), over(40.0)),
+      "mast_m": ()}),
+    (ms.SinrGrid.coverage_fraction, {"self": GRID, "threshold_db": -6.0},
+     {"threshold_db": ()}),
     (dbm_to_watt, {"p_dbm": 30.0}, {"p_dbm": HUGE_DB}),
     (marcum_q, {"a": 1.0, "b": 1.0}, {"a": (under(0.0),), "b": (under(0.0),)}),
     (inv_marcum_q, {"a": 1.0, "p": 0.5},
@@ -264,7 +270,8 @@ COUNTS = [
                         "ch": loc.ElevationChannel(), "rng": RngStream(1)},
      {"trials_per_user": 1}),
     (ms.sinr_grids, {"sites": [ms.SectorSite(SITE)], "hm": HM,
-                     "heights": [1.5], "cfg": ms.MapSimConfig(URBAN)},
+                     "heights": [1.5], "cfg": ms.MapSimConfig(URBAN),
+                     "stride": 1},
      {"stride": 1}),
 ]
 
@@ -290,6 +297,18 @@ def _public(kind):
             if not name.startswith("_") and kind(obj) \
                     and getattr(obj, "__module__", None) == module.__name__:
                 yield obj
+
+
+def _public_callables():
+    """Each public function, and each public method of a public class,
+    that an a2gnet module defines."""
+    yield from _public(inspect.isfunction)
+    for cls in _public(inspect.isclass):
+        for name, member in vars(cls).items():
+            if isinstance(member, (staticmethod, classmethod)):
+                member = member.__func__
+            if not name.startswith("_") and inspect.isfunction(member):
+                yield member
 
 
 def _annotated(names_types, kind):
@@ -368,7 +387,7 @@ def test_every_float_parameter_is_in_the_census():
     probed = {}
     for fn, kwargs, past in FUNCTIONS:
         probed.setdefault(fn, set()).update(past)
-    found = {fn: _params(fn, "float") for fn in _public(inspect.isfunction)}
+    found = {fn: _params(fn, "float") for fn in _public_callables()}
     assert {fn: names for fn, names in found.items() if names} == probed
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2gnet import abs_net as ab
 from a2gnet import channel as ch
 from a2gnet.channel import (
     PropagationSlice,
@@ -79,14 +80,14 @@ class TestSlices:
 
 class TestFreeSpace:
     def test_unit_argument(self):
-        assert free_space_pl_db(LAMBDA18 / (4 * math.pi), F18) == pytest.approx(
+        assert free_space_pl_db(LAMBDA18 / (4 * math.pi), F18, 2.0) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_hand_value_1km(self):
         # 20 log10(4 pi 1000 / (c/1.8e9))
         expected = 20 * math.log10(4 * math.pi * 1000 / (299792458.0 / 1.8e9))
-        assert free_space_pl_db(1000.0, F18) == pytest.approx(expected, abs=1e-12)
-        assert free_space_pl_db(1000.0, F18) == pytest.approx(97.55, abs=0.01)
+        assert free_space_pl_db(1000.0, F18, 2.0) == pytest.approx(expected, abs=1e-12)
+        assert free_space_pl_db(1000.0, F18, 2.0) == pytest.approx(97.55, abs=0.01)
 
     def test_eta4_decade(self):
         d = LAMBDA18 / (4 * math.pi) * 10
@@ -94,7 +95,7 @@ class TestFreeSpace:
 
     def test_zero_distance_rejected(self):
         with pytest.raises(DomainError):
-            free_space_pl_db(0.0, F18)
+            free_space_pl_db(0.0, F18, 2.0)
 
     @pytest.mark.parametrize("eta", [2.0, 3.5])
     def test_literal_formula(self, eta):
@@ -177,7 +178,7 @@ class TestLogDistance:
         lambda0 = ch.free_space_reference_loss_db(F18)
         for d in [1.0, 5.0, 70.0, 1234.0, 99999.0]:
             assert log_distance_pl_db(d, lambda0, 2.0) == pytest.approx(
-                free_space_pl_db(d, F18), abs=1e-9)
+                free_space_pl_db(d, F18, 2.0), abs=1e-9)
 
 
 class TestPlosBuilding:
@@ -423,12 +424,64 @@ class TestShadowingTable:
         sigma = shadowing_sigma_db(S.GROUND, True, np.array([d2 - 1, d2, d2 + 1]), 1.5,
                                    30.0, 1.8)
         assert sigma.tolist() == [4.0, 4.0, 6.0]
-        assert type(shadowing_sigma_db(S.GROUND, True, d2, 1.5, 30.0, 1.8)) is float
 
     def test_model_gap(self):
         with pytest.raises(ModelGapError):
             shadowing_sigma_db(PropagationSlice.HIGH_ALTITUDE, False, 100, 200,
                                30.0, 1.8)
+
+
+_URB = ch.urban()
+_PROF = ab.urban_abs_profile()
+_S = PropagationSlice
+
+# (kernel of one array argument, three values of it): the channel and
+# aerial-base-station kernels, each returning what numpy gives
+SINGLE_FORM_KERNELS = {
+    "free_space_pl_db": (lambda d: free_space_pl_db(d, F18, 3.5),
+                         (0.7, 13.0, 2500.0)),
+    "log_distance_pl_db": (lambda d: log_distance_pl_db(d, 40.0, 2.7),
+                           (1.0, 37.5, 4200.0)),
+    "p_los_3gpp": (lambda d: p_los_3gpp(d, 50.0, _S.OBSTRUCTED),
+                   (5.0, 400.0, 3000.0)),
+    "rma_ground_los_db": (lambda d: ch.rma_ground_los_db(d, 5.0, 30.0, 1.8),
+                          (20.0, 900.0, 6000.0)),
+    "rma_ground_nlos_db": (
+        lambda d: ch.rma_ground_nlos_db(d, 5.0, 30.0, 1.8, _URB),
+        (20.0, 900.0, 4000.0)),
+    "aerial_los_db": (lambda d: ch.aerial_los_db(d, 60.0, 1.8),
+                      (10.0, 700.0, 9000.0)),
+    "aerial_nlos_db": (lambda d: ch.aerial_nlos_db(d, 60.0, 1.8),
+                       (10.0, 700.0, 9000.0)),
+    "averaged_pl_db": (lambda p: averaged_pl_db(98.5, 121.25, p),
+                       (0.0, 0.3, 1.0)),
+    "shadowing_sigma_db": (
+        lambda d: shadowing_sigma_db(_S.GROUND, True, d, 1.5, 30.0, 1.8),
+        (100.0, 1696.0, 1697.0)),
+    "p_los_building": (lambda d: p_los_building(d, 100.0, 1.5, _URB),
+                       (0.0, 450.0, 2500.0)),
+    "k_of_theta": (_PROF.k_of_theta, (0.0, 0.4, math.pi / 2)),
+    "eta_of_theta": (_PROF.eta_of_theta, (0.0, 0.4, math.pi / 2)),
+    "outage": (lambda r: ab.outage(r, 200.0, 1e-4, _PROF),
+               (0.0, 500.0, 3000.0)),
+}
+
+
+@pytest.mark.parametrize("name", SINGLE_FORM_KERNELS)
+def test_one_return_form(name):
+    """A scalar argument gives numpy's 0-d result, bit for bit element 0
+    of the one-element call; an array argument keeps its shape."""
+    kernel, values = SINGLE_FORM_KERNELS[name]
+    array = np.array(values)
+    whole = kernel(array)
+    assert whole.shape == array.shape
+    for i, value in enumerate(values):
+        scalar = kernel(value)
+        assert isinstance(scalar, (np.ndarray, np.generic))
+        assert np.ndim(scalar) == 0
+        assert np.asarray(scalar).tobytes() == kernel(array[i:i + 1])[0].tobytes()
+        assert np.asarray(scalar).tobytes() == whole[i].tobytes()
+    assert kernel(array.reshape(1, 3)).shape == (1, 3)
 
 
 class TestAveragedPl:

@@ -176,7 +176,7 @@ class TestSinrGrid:
         b = ms.SectorSite(position=Position3D(300, 200, 30))
         # -174 dBm/Hz and a -226 dB noise figure: -400 dBm/Hz
         cfg = flat_cfg(noise_figure_db=-226.0)
-        [grid] = ms.sinr_grids([a, b], FLAT, [1.5], cfg)
+        [grid] = ms.sinr_grids([a, b], FLAT, [1.5], cfg, stride=1)
         ix = int(np.argmin(np.abs(grid.x - 200.0)))
         iy = int(np.argmin(np.abs(grid.y - 200.0)))
         # the two sites' best sectors mirror each other; their powers at the
@@ -213,7 +213,15 @@ class TestSinrGrid:
 
     def test_needs_sites(self):
         with pytest.raises(DomainError):
-            ms.sinr_grids([], FLAT, [1.5], flat_cfg())
+            ms.sinr_grids([], FLAT, [1.5], flat_cfg(), stride=1)
+
+    @pytest.mark.parametrize("x, y, message", [
+        (1e6, 200.0, r"^x 1e\+06 lies off the map, outside \[0, 400\]$"),
+        (200.0, -0.5, r"^y -0.5 lies off the map, outside \[0, 400\]$")])
+    def test_site_off_the_map_rejected(self, x, y, message):
+        with pytest.raises(DomainError, match=message):
+            ms.site_on_roof(FLAT, x, y)
+        ms.site_on_roof(FLAT, 400.0, 0.0)   # the map's edge is on it
 
 
 class TestCoverageCurves:
@@ -252,7 +260,7 @@ class TestCoverageCurves:
 
     def test_empty_heights_rejected(self):
         with pytest.raises(DomainError):
-            ms.sinr_grids(self.sites, self.city, [], self.cfg)
+            ms.sinr_grids(self.sites, self.city, [], self.cfg, stride=1)
 
     def test_grid_los_fraction_matches_reference(self):
         # p_los_vs_altitude casts the rays on its own: the reference path
@@ -369,7 +377,7 @@ class TestSinrGridsDifferential:
     def test_needs_heights(self):
         with pytest.raises(DomainError):
             ms.sinr_grids([ms.site_on_roof(FLAT, 200.0, 200.0)], FLAT, [],
-                          flat_cfg())
+                          flat_cfg(), stride=1)
 
 
 class TestCastOnce:

@@ -17,7 +17,7 @@ import re
 import a2gnet
 
 # the count at which the library stands; lower it when knobs go
-CEILING = 157
+CEILING = 155
 
 
 def _public():
