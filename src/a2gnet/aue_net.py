@@ -5,22 +5,21 @@ so estimates are bit-exact for any evaluation order. Each trial draws on its
 own generator a Poisson site count, one run of uniforms (each site's radius,
 angle, sector rotation and LOS uniform), and one fading gain per LOS state
 for each base station (shared by its three co-sited sectors); a
-deterministic evaluation then sets the LOS states, associates the UE with
-the strongest mean received power, and forms the SINR against the sum of
-all remaining sectors plus noise.
+deterministic evaluation then sets the LOS states, associates a UE above
+the region center with the strongest mean received power, and forms the
+SINR against the sum of all remaining sectors plus noise.
 
 Trials are drawn and evaluated in blocks of 16. A block's generators are
 seeded in one vectorized pass (`RngStream.child_generators`), each
 bit-identical to the trial's `child_generator`; per trial only the draws
-run, and the site geometry of a whole block is built once, on flat arrays,
-by the helper `deploy_hppp` uses for one snapshot. A block is evaluated in
-two stages: the site stage (chosen sector, LOS state, path gain and
-elevation of every site) depends on the UE height and the network, the UE
-stage (UE antenna gain, association and SINR) on the UE antenna as well. Sweep
-points, and the ground and aerial users of the area spectral efficiency,
-are evaluated on each trial's one draw; points that differ only in the UE
-antenna share one site stage per block, and building P_LOS is read from a
-table built once per UE height. A single snapshot is a block of one.
+run, and the site geometry of a whole block is built once, on flat arrays.
+A block is evaluated in two stages: the site stage (chosen sector, LOS
+state, path gain and elevation of every site) depends on the UE height and
+the network, the UE stage (UE antenna gain, association and SINR) on the UE
+antenna as well. Sweep points, and the ground and aerial users of the area
+spectral efficiency, are evaluated on each trial's one draw; points that
+differ only in the UE antenna share one site stage per block, and building
+P_LOS is read from a table built once per UE height.
 """
 
 from __future__ import annotations
@@ -112,72 +111,13 @@ class AueNetworkConfig:
         return ref if los else ref + self.nlos_excess_db
 
 
-@dataclass
-class NetworkSnapshot:
-    """One HPPP realization: site coordinates plus per-site sector bearings."""
-
-    xy: np.ndarray               # (n, 2) site positions, m
-    height_m: float
-    sector_azimuth: np.ndarray   # (n, 3) bearings, rad
-
-    @property
-    def n_sites(self) -> int:
-        return int(self.xy.shape[0])
-
-
 def mean_site_count(bs_density_per_km2: float,
                     region_radius_m: float) -> float:
-    """Mean site count of the simulation disc: the Poisson mean per snapshot."""
+    """Mean site count of the simulation disc: the Poisson mean per trial."""
     check_number(bs_density_per_km2, "bs_density_per_km2", minimum=0.0)
     check_number(region_radius_m, "region_radius_m", minimum=0.0)
     area_km2 = math.pi * region_radius_m ** 2 / 1e6
     return bs_density_per_km2 * area_km2
-
-
-def _sites_from_uniforms(cfg: AueNetworkConfig,
-                         u: np.ndarray) -> NetworkSnapshot:
-    """Sites uniform in the simulation disc: rows 0-2 of `u` hold each
-    site's radius, angle and sector-rotation uniform. 2 pi u equals numpy's
-    uniform(0, 2 pi) on the same double bit for bit."""
-    radius = cfg.region_radius_m * np.sqrt(u[0])
-    angle = 2.0 * math.pi * u[1]
-    xy = np.column_stack([radius * np.sin(angle), radius * np.cos(angle)])
-    rotation = 2.0 * math.pi * u[2]
-    return NetworkSnapshot(xy=xy, height_m=cfg.bs_height_m,
-                           sector_azimuth=rotation[:, None] + SECTOR_OFFSETS)
-
-
-def deploy_hppp(cfg: AueNetworkConfig,
-                rng: np.random.Generator) -> NetworkSnapshot:
-    """Draw a Poisson number of sites uniformly in the simulation disc."""
-    lam = mean_site_count(cfg.bs_density_per_km2, cfg.region_radius_m)
-    n = int(rng.poisson(lam))
-    return _sites_from_uniforms(cfg, rng.random(3 * n).reshape(3, n))
-
-
-@dataclass(frozen=True)
-class SnapshotSinr:
-    sinr: float
-    serving_site: int     # -1 when nothing is received
-    serving_sector: int
-    los_serving: bool
-
-
-@dataclass(frozen=True)
-class LinkDraw:
-    """Per-site random numbers of one snapshot: a LOS uniform, then a fading
-    gain under each LOS state (one site's three sectors share them)."""
-
-    los_u: np.ndarray
-    fading_los: np.ndarray
-    fading_nlos: np.ndarray
-
-
-def draw_links(snap: NetworkSnapshot, cfg: AueNetworkConfig,
-               rng: np.random.Generator) -> LinkDraw:
-    n = snap.n_sites
-    return LinkDraw(rng.random(n), sample_fading(cfg.fading_m_los, rng, n),
-                    sample_fading(cfg.fading_m_nlos, rng, n))
 
 
 @dataclass(frozen=True)
@@ -198,8 +138,10 @@ def _point(h: float, cfg: AueNetworkConfig, bs_h: float) -> _Point:
 @dataclass(frozen=True)
 class _SiteBlock:
     """The sites of consecutive trials as flat arrays, trial j owning
-    entries starts[j]:ends[j], with the horizontal geometry toward a UE at
-    (x, y); (row, col) place each site in a (trials x max sites) matrix."""
+    entries starts[j]:ends[j]: their horizontal geometry toward a UE at the
+    region center, then each site's LOS uniform and its fading gain under
+    each LOS state (one site's three sectors share them). (row, col) place
+    each site in a (trials x max sites) matrix."""
 
     starts: np.ndarray
     ends: np.ndarray
@@ -207,25 +149,27 @@ class _SiteBlock:
     col: np.ndarray
     height_m: float
     sector_azimuth: np.ndarray   # (n, 3)
-    links: LinkDraw
+    los_u: np.ndarray
+    fading_los: np.ndarray
+    fading_nlos: np.ndarray
     d_h: np.ndarray
     az_from_bs: np.ndarray
     az_from_uav: np.ndarray
 
 
-def _site_block(counts: np.ndarray, sites: NetworkSnapshot, links: LinkDraw,
-                x: float, y: float) -> _SiteBlock:
-    """Block of the flat `sites` and `links`, trial j owning the next
-    counts[j] entries."""
+def _site_block(counts: np.ndarray, x: np.ndarray, y: np.ndarray,
+                height_m: float, sector_azimuth: np.ndarray,
+                los_u: np.ndarray, fading_los: np.ndarray,
+                fading_nlos: np.ndarray) -> _SiteBlock:
+    """Block of flat sites at offsets (x, y) from the UE, trial j owning the
+    next counts[j] entries."""
     ends = np.cumsum(counts)
     starts = ends - counts
     row = np.repeat(np.arange(counts.size), counts)
-    dx = sites.xy[:, 0] - x
-    dy = sites.xy[:, 1] - y
     return _SiteBlock(
-        starts, ends, row, np.arange(row.size) - starts[row], sites.height_m,
-        sites.sector_azimuth, links,
-        np.hypot(dx, dy), np.arctan2(-dx, -dy), np.arctan2(dx, dy))
+        starts, ends, row, np.arange(row.size) - starts[row], height_m,
+        sector_azimuth, los_u, fading_los, fading_nlos,
+        np.hypot(x, y), np.arctan2(-x, -y), np.arctan2(x, y))
 
 
 def _strongest(block: _SiteBlock, power: np.ndarray):
@@ -269,7 +213,7 @@ def _site_stage(block: _SiteBlock, point: _Point) -> _SiteStage:
     site_gain = 10.0 ** (gain_db[np.arange(sector.size), sector] / 10.0)
     del gain_db
 
-    los = block.links.los_u < point.p_los(d_h)
+    los = block.los_u < point.p_los(d_h)
     # closer links read the loss at D0_M
     d = np.maximum(np.hypot(d_h, dz), D0_M)
     pl_db = np.where(
@@ -277,8 +221,7 @@ def _site_stage(block: _SiteBlock, point: _Point) -> _SiteStage:
         log_distance_pl_db(d, cfg.reference_loss_db(False), cfg.eta_nlos))
     return _SiteStage(sector, cfg.p_tx_w * site_gain, los,
                       10.0 ** (-pl_db / 10.0), np.arctan2(dz, d_h),
-                      np.where(los, block.links.fading_los,
-                               block.links.fading_nlos))
+                      np.where(los, block.fading_los, block.fading_nlos))
 
 
 def _ue_stage(block: _SiteBlock, stage: _SiteStage, cfg: AueNetworkConfig):
@@ -306,23 +249,6 @@ def _ue_stage(block: _SiteBlock, stage: _SiteStage, cfg: AueNetworkConfig):
     return sinr, serving
 
 
-def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
-                  rng: np.random.Generator) -> SnapshotSinr:
-    """SINR of a UE at (x, y, h) against one snapshot: draws the snapshot's
-    LOS uniforms and fading gains from `rng`, then evaluates them."""
-    x, y = (check_number(v, name) for v, name in zip(uav_xyh[:2], ("x", "y")))
-    h = check_number(uav_xyh[2], "uav_h", minimum=0.0)
-    block = _site_block(np.array([snap.n_sites]), snap,
-                        draw_links(snap, cfg, rng), x, y)
-    stage = _site_stage(block, _point(h, cfg, snap.height_m))
-    sinr, serving = _ue_stage(block, stage, cfg)
-    site = int(serving[0])
-    if site < 0:
-        return SnapshotSinr(0.0, -1, -1, False)
-    return SnapshotSinr(float(sinr[0]), site, int(stage.sector[site]),
-                        bool(stage.los[site]))
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
@@ -332,13 +258,15 @@ def snapshot_sinr(uav_xyh, snap: NetworkSnapshot, cfg: AueNetworkConfig,
 _BLOCK_TRIALS = 16
 
 
-def _draw_block(cfg: AueNetworkConfig, rng: RngStream, trials: range):
-    """Site counts, flat sites and flat link draws of consecutive trials.
+def _draw_block(cfg: AueNetworkConfig, rng: RngStream,
+                trials: range) -> _SiteBlock:
+    """The sites and link draws of consecutive trials, as one block.
 
-    Trial i draws on `rng.child_generator(i)` in the order `deploy_hppp`
-    then `draw_links` would: its site count, one run of 4n uniforms (n
-    radius, then n angle, n rotation and n LOS uniforms), then the LOS and
-    the NLOS fading gains. The block's generators are seeded in one pass by
+    Trial i draws on `rng.child_generator(i)`: its site count, one run of
+    4n uniforms (n radius, then n angle, n rotation and n LOS uniforms),
+    then the LOS and the NLOS fading gains. Sites are uniform in the
+    simulation disc; 2 pi u equals numpy's uniform(0, 2 pi) on the same
+    double bit for bit. The block's generators are seeded in one pass by
     `rng.child_generators`, bit-identical to `child_generator`.
     """
     lam = mean_site_count(cfg.bs_density_per_km2, cfg.region_radius_m)
@@ -350,9 +278,13 @@ def _draw_block(cfg: AueNetworkConfig, rng: RngStream, trials: range):
         fading_los.append(sample_fading(cfg.fading_m_los, gen, n))
         fading_nlos.append(sample_fading(cfg.fading_m_nlos, gen, n))
     u = np.concatenate(uniforms, axis=1)
-    links = LinkDraw(u[3], np.concatenate(fading_los),
-                     np.concatenate(fading_nlos))
-    return np.array(counts), _sites_from_uniforms(cfg, u), links
+    radius = cfg.region_radius_m * np.sqrt(u[0])
+    angle = 2.0 * math.pi * u[1]
+    rotation = 2.0 * math.pi * u[2]
+    return _site_block(np.array(counts), radius * np.sin(angle),
+                       radius * np.cos(angle), cfg.bs_height_m,
+                       rotation[:, None] + SECTOR_OFFSETS, u[3],
+                       np.concatenate(fading_los), np.concatenate(fading_nlos))
 
 
 def _sinr_matrix(draw_cfg: AueNetworkConfig,
@@ -378,8 +310,7 @@ def _sinr_matrix(draw_cfg: AueNetworkConfig,
     out = np.empty((len(points), n_trials))
     for lo in range(0, n_trials, _BLOCK_TRIALS):
         hi = min(lo + _BLOCK_TRIALS, n_trials)
-        block = _site_block(*_draw_block(draw_cfg, rng, range(lo, hi)),
-                            0.0, 0.0)
+        block = _draw_block(draw_cfg, rng, range(lo, hi))
         stages = {key: _site_stage(block, point)
                   for key, point in prepared.items()}
         for k, (key, (_, point_cfg)) in enumerate(zip(keys, points)):

@@ -263,7 +263,8 @@ def _load_sites(path, hm: HeightMap):
     value of every row must be a finite number; then each row's columns must
     lie within SITE_CSV_FIELDS and its position on the map."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheets write first
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = set(SITE_CSV_COLUMNS) - set(reader.fieldnames or [])
         if missing:
@@ -285,7 +286,7 @@ def _load_sites(path, hm: HeightMap):
             check_bounds(vals[column], f, f"line {line}: {column}")
         for column, lo, hi in (("x", x0, x1), ("y", y0, y1)):
             if not lo <= vals[column] <= hi:
-                raise ScenarioError(f"{vals[column]:g} lies off the map, "
+                raise ScenarioError(f"{vals[column]!r} lies off the map, "
                                     f"outside [{lo:g}, {hi:g}]",
                                     f"line {line}: {column}")
     return [ms.SectorSite(

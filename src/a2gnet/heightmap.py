@@ -128,7 +128,7 @@ def load_ascii_grid(path) -> HeightMap:
     rows = []
     lines = []
     expected_cols = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:    # BOM or none
         lineno = 0
         for raw in fh:
             lineno += 1

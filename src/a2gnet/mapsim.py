@@ -64,7 +64,7 @@ def site_on_roof(hm: HeightMap, x: float, y: float, mast_m: float = MAST_M,
     x0, x1, y0, y1 = hm.extent
     for value, name, lo, hi in ((x, "x", x0, x1), (y, "y", y0, y1)):
         if not lo <= value <= hi:
-            raise DomainError(f"{name} {value:g} lies off the map, "
+            raise DomainError(f"{name} {float(value)!r} lies off the map, "
                               f"outside [{lo:g}, {hi:g}]")
     roof = float(hm.surface_at(x, y))
     if math.isnan(roof):

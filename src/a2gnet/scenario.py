@@ -34,7 +34,7 @@ from .aue_net import COVERAGE_MIN_TRIALS, _capacity_coefficients, mean_site_coun
 from .channel import (ENV_PRESETS, MAX_MODELED_ALTITUDE_M, MIN_ANTENNA_HEIGHT_M,
                       SLICE_CEILINGS_M)
 from .errors import BoundError, DomainError, ScenarioError, check_number
-from .heightmap import MAX_SURFACE_M, synthetic_cells
+from .heightmap import FLOAT_FMT, MAX_SURFACE_M, synthetic_cells
 from .mapsim import MAST_M
 from .numerics import db_to_linear
 
@@ -684,6 +684,15 @@ def parse_scenario(text: str) -> Scenario:
             check_mapsim_rays(b["auto_sites"]["count"]
                               if b["sites_csv"] is None else 1,
                               b["heights_m"], n, n, b["stride"])
+        # a height names its raster and its summary row as it prints
+        printed = set()
+        for i, h in enumerate(b["heights_m"]):
+            name = FLOAT_FMT % h
+            if name in printed:
+                raise ScenarioError(f"prints as {name}, as an earlier height "
+                                    "does: their rasters and summary rows "
+                                    "would collide", f"mapsim.heights_m[{i}]")
+            printed.add(name)
     for path, reason in _unread(doc, schema, _swept_key(doc)):
         if _lookup(raw, path) is not None:
             raise ScenarioError(reason, path)

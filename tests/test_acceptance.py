@@ -117,17 +117,22 @@ class TestCriterion3:
                                   street_width_m=20.0)
         cfg = replace(au.AueNetworkConfig(), env=free_env,
                       fading_m_los=m)
-        snap = au.NetworkSnapshot(
-            xy=np.array([[0.0, 500.0]]), height_m=30.0,
-            sector_azimuth=np.array([[0.0, 2.1, 4.2]]))
         d3 = math.hypot(500.0, 30.0 - 60.0)
         pl = cfg.reference_loss_db(True) + 10 * cfg.eta_los * math.log10(d3)
         g_db = (cfg.sector.max_gain_dbi - cfg.sector.sidelobe_floor_db) + 2.15
         snr = cfg.p_tx_w * 10 ** ((g_db - pl) / 10) / cfg.noise_w
+        # one site 500 m north of the UE, each trial drawing its LOS
+        # uniform and fading gains on its own generator
         rng = RngStream(1003, 0)
-        sinr = np.array([au.snapshot_sinr((0, 0, 60.0), snap, cfg,
-                                          rng.child_generator(i)).sinr
-                         for i in range(10_000)])
+        n = 10_000
+        draws = [(gen.random(1), gen.gamma(m, 1 / m, 1), gen.gamma(1, 1, 1))
+                 for gen in map(rng.child_generator, range(n))]
+        block = au._site_block(np.ones(n, dtype=int), np.zeros(n),
+                               np.full(n, 500.0), 30.0,
+                               np.tile([0.0, 2.1, 4.2], (n, 1)),
+                               *(np.concatenate(d) for d in zip(*draws)))
+        stage = au._site_stage(block, au._point(60.0, cfg, 30.0))
+        sinr = au._ue_stage(block, stage, cfg)[0]
         worst = 0.0
         for t_db in (-5.0, 0.0, 5.0, 10.0, 15.0):
             t = 10 ** (t_db / 10)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -19,12 +20,49 @@ FREE_ENV = Environment(kind="urban", varsigma=1e-9, xi=1e-6, omega=15.0,
                        mean_building_height_m=18.8, street_width_m=20.0)
 
 
-def single_bs_snapshot(d_h, h_g=30.0):
-    return au.NetworkSnapshot(
-        xy=np.array([[0.0, d_h]]),
-        height_m=h_g,
-        sector_azimuth=np.array([[0.0, 2 * math.pi / 3, 4 * math.pi / 3]]),
-    )
+def reference_draw(cfg, gen):
+    """Per-trial reference of one trial's draw, in the numpy calls the
+    shipped outputs were drawn with: site count, radius, angle and rotation
+    uniforms, then LOS uniforms, then LOS and NLOS fading. Returns each
+    site's offset (x, y) from the UE at the region center, its sector
+    bearings and its link draws."""
+    area_km2 = math.pi * cfg.region_radius_m ** 2 / 1e6
+    n = int(gen.poisson(cfg.bs_density_per_km2 * area_km2))
+    radius = cfg.region_radius_m * np.sqrt(gen.random(n))
+    angle = gen.uniform(0.0, 2.0 * math.pi, n)
+    rotation = gen.uniform(0.0, 2.0 * math.pi, n)
+    offsets = np.array([0.0, 2.0, 4.0]) * math.pi / 3.0
+    return (radius * np.sin(angle), radius * np.cos(angle),
+            rotation[:, None] + offsets, gen.random(n),
+            gen.gamma(cfg.fading_m_los, 1 / cfg.fading_m_los, n),
+            gen.gamma(cfg.fading_m_nlos, 1 / cfg.fading_m_nlos, n))
+
+
+def block_counts(block):
+    return block.ends - block.starts
+
+
+def fixed_sites_sinr(h, x, y, sector_azimuth, cfg, rng, n_trials):
+    """SINR and flat serving index on n_trials trials of the same sites at
+    offsets (x, y) from the UE, each trial drawing its LOS uniforms and
+    fading gains on `rng.child_generator(i)`."""
+    n = len(x)
+    draws = []
+    for i in range(n_trials):
+        gen = rng.child_generator(i)
+        draws.append((gen.random(n),
+                      gen.gamma(cfg.fading_m_los, 1 / cfg.fading_m_los, n),
+                      gen.gamma(cfg.fading_m_nlos, 1 / cfg.fading_m_nlos, n)))
+    block = au._site_block(
+        np.full(n_trials, n), np.tile(x, n_trials), np.tile(y, n_trials),
+        cfg.bs_height_m, np.tile(sector_azimuth, (n_trials, 1)),
+        *(np.concatenate(d) for d in zip(*draws)))
+    stage = au._site_stage(block, au._point(h, cfg, cfg.bs_height_m))
+    return au._ue_stage(block, stage, cfg)
+
+
+SINGLE_BS = dict(x=[0.0], y=[500.0],
+                 sector_azimuth=[[0.0, 2 * math.pi / 3, 4 * math.pi / 3]])
 
 
 def expected_snr(cfg, d_h, h_uav, los=True):
@@ -47,72 +85,66 @@ class TestConfig:
 class TestDeploy:
     def test_poisson_mean_count(self):
         rng = RngStream(11, 0)
-        counts = [au.deploy_hppp(CFG, rng.child_generator(i)).n_sites
-                  for i in range(10_000)]
+        counts = np.concatenate([
+            block_counts(au._draw_block(CFG, rng, range(lo, lo + 1000)))
+            for lo in range(0, 10_000, 1000)])
         assert np.mean(counts) == pytest.approx(5 * math.pi * 9, abs=1.5)
 
     def test_determinism(self):
-        a = au.deploy_hppp(CFG, RngStream(3, 4).child_generator())
-        b = au.deploy_hppp(CFG, RngStream(3, 4).child_generator())
-        assert np.array_equal(a.xy, b.xy)
-        assert np.array_equal(a.sector_azimuth, b.sector_azimuth)
+        a = au._draw_block(CFG, RngStream(3, 4), range(1))
+        b = au._draw_block(CFG, RngStream(3, 4), range(1))
+        for name in ("d_h", "az_from_bs", "sector_azimuth", "los_u",
+                     "fading_los", "fading_nlos"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_sparse_limit_empty(self):
         cfg = replace(CFG, bs_density_per_km2=1e-9)
-        rng = RngStream(1, 0)
-        counts = [au.deploy_hppp(cfg, rng.child_generator(i)).n_sites
-                  for i in range(200)]
+        counts = block_counts(au._draw_block(cfg, RngStream(1, 0), range(200)))
         assert np.mean(counts) == 0
 
     def test_positions_inside_region(self):
-        snap = au.deploy_hppp(CFG, RngStream(8, 0).child_generator())
-        assert np.all(np.hypot(snap.xy[:, 0], snap.xy[:, 1]) <= CFG.region_radius_m)
+        block = au._draw_block(CFG, RngStream(8, 0), range(1))
+        assert block.d_h.size > 0
+        assert np.all(block.d_h <= CFG.region_radius_m)
 
 
 class TestSnapshotSinr:
     def test_single_bs_no_fading_is_snr(self):
         cfg = replace(CFG, env=FREE_ENV, fading_m_los=1)
-        snap = single_bs_snapshot(500.0)
         # average over fading draws recovers the fade-free SNR (unit mean)
-        rng = RngStream(21, 0)
-        vals = [au.snapshot_sinr((0, 0, 60.0), snap, cfg, rng.child_generator(i)).sinr
-                for i in range(4000)]
+        vals, _ = fixed_sites_sinr(60.0, cfg=cfg, rng=RngStream(21, 0),
+                                   n_trials=4000, **SINGLE_BS)
         assert np.mean(vals) == pytest.approx(expected_snr(cfg, 500.0, 60.0),
                                               rel=0.05)
 
     def test_two_equidistant_bs_no_noise_symmetry(self):
         cfg = replace(CFG, env=FREE_ENV, noise_w=1e-30)
-        snap = au.NetworkSnapshot(
-            xy=np.array([[0.0, 500.0], [0.0, -500.0]]),
-            height_m=30.0,
-            sector_azimuth=np.zeros((2, 3)) + np.array([0.0, 2.1, 4.2]),
-        )
-        # disable fading variability via a high-m Nakagami? exact symmetry
-        # needs identical draws, so compare the fade-free mean ratio instead:
-        # both links share geometry, so mean powers are equal and mean SINR
-        # over many draws sits near 0 dB
-        rng = RngStream(22, 0)
-        vals = np.array([
-            au.snapshot_sinr((0, 0, 60.0), snap, cfg, rng.child_generator(i)).sinr
-            for i in range(4000)])
+        # exact symmetry needs identical draws, so compare the fade-free
+        # mean ratio instead: both links share geometry, so mean powers are
+        # equal and mean SINR over many draws sits near 0 dB
+        vals, _ = fixed_sites_sinr(
+            60.0, [0.0, 0.0], [500.0, -500.0],
+            np.zeros((2, 3)) + np.array([0.0, 2.1, 4.2]), cfg,
+            RngStream(22, 0), 4000)
         # X1/X2 ratio of unit-mean exponentials: median is exactly 1
         assert np.median(vals) == pytest.approx(1.0, abs=0.1)
 
     def test_empty_snapshot(self):
-        snap = au.NetworkSnapshot(xy=np.empty((0, 2)), height_m=30.0,
-                                  sector_azimuth=np.empty((0, 3)))
-        res = au.snapshot_sinr((0, 0, 60.0), snap, CFG, RngStream(1).child_generator())
-        assert res.sinr == 0.0 and res.serving_site == -1
+        sinr, serving = fixed_sites_sinr(60.0, [], [], np.empty((0, 3)), CFG,
+                                         RngStream(1), 1)
+        assert sinr.tolist() == [0.0] and serving.tolist() == [-1]
 
     def test_serving_invariant_under_power_scaling(self):
-        for i in range(20):
-            gen = RngStream(31, 0).child_generator(i)
-            snap = au.deploy_hppp(CFG, gen)
-            a = au.snapshot_sinr((0, 0, 90.0), snap, CFG, RngStream(32, i).child_generator())
-            scaled = replace(CFG, p_tx_w=CFG.p_tx_w * 10)
-            b = au.snapshot_sinr((0, 0, 90.0), snap, scaled, RngStream(32, i).child_generator())
-            assert a.serving_site == b.serving_site
-            assert a.serving_sector == b.serving_sector
+        block = au._draw_block(CFG, RngStream(31, 0), range(20))
+        served = []
+        for cfg in (CFG, replace(CFG, p_tx_w=CFG.p_tx_w * 10)):
+            stage = au._site_stage(block, au._point(90.0, cfg, cfg.bs_height_m))
+            _, serving = au._ue_stage(block, stage, cfg)
+            served.append((serving, stage.sector[serving]))
+        (site_a, sector_a), (site_b, sector_b) = served
+        assert np.all(site_a >= 0)
+        assert np.array_equal(site_a, site_b)
+        assert np.array_equal(sector_a, sector_b)
 
     def test_mean_sinr_lower_at_high_altitude(self):
         s30 = au.sinr_samples(30.0, CFG, 800, RngStream(33, 0))
@@ -121,10 +153,8 @@ class TestSnapshotSinr:
 
     def test_cone_blind_when_lobe_empty(self):
         cfg = replace(CFG, uav=ConeUav(phi_b_deg=5.0))  # ~6.5 m footprint
-        res_list = [au.snapshot_sinr(
-            (0, 0, 150.0), au.deploy_hppp(cfg, RngStream(34, 0).child_generator(i)),
-            cfg, RngStream(34, 1).child_generator(i)).sinr for i in range(50)]
-        assert np.mean(np.array(res_list) == 0.0) > 0.9
+        sinr = au.sinr_samples(150.0, cfg, 50, RngStream(34, 0))
+        assert np.mean(sinr == 0.0) > 0.9
 
 
 class TestCoverage:
@@ -146,12 +176,9 @@ class TestCoverage:
     def test_single_bs_nakagami_matches_closed_tail(self):
         m = 3
         cfg = replace(CFG, env=FREE_ENV, fading_m_los=m)
-        snap = single_bs_snapshot(500.0)
         snr = expected_snr(cfg, 500.0, 60.0)
-        rng = RngStream(43, 0)
-        sinr = np.array([
-            au.snapshot_sinr((0, 0, 60.0), snap, cfg, rng.child_generator(i)).sinr
-            for i in range(10_000)])
+        sinr, _ = fixed_sites_sinr(60.0, cfg=cfg, rng=RngStream(43, 0),
+                                   n_trials=10_000, **SINGLE_BS)
         for t_db in [-5.0, 0.0, 5.0, 10.0, 15.0]:
             t = 10 ** (t_db / 10)
             closed = 1.0 - nakagami_power_cdf(t / snr, m)
@@ -345,34 +372,31 @@ class TestSharedDraws:
     def test_draw_order(self):
         # site count, radius, angle and rotation uniforms, then LOS
         # uniforms, then LOS and NLOS fading: the order and the numpy calls
-        # the shipped outputs were drawn with (deploy_hppp now scales
+        # the shipped outputs were drawn with (the block draw scales
         # random() by 2 pi where they called uniform(0, 2 pi))
-        gen, ref = (RngStream(85, 0).child_generator(3) for _ in range(2))
-        snap = au.deploy_hppp(CFG, gen)
-        links = au.draw_links(snap, CFG, gen)
-        area_km2 = math.pi * CFG.region_radius_m ** 2 / 1e6
-        n = int(ref.poisson(CFG.bs_density_per_km2 * area_km2))
-        radius = CFG.region_radius_m * np.sqrt(ref.random(n))
-        angle = ref.uniform(0.0, 2.0 * math.pi, n)
-        rotation = ref.uniform(0.0, 2.0 * math.pi, n)
-        assert n == snap.n_sites > 0
-        assert np.array_equal(snap.xy, np.column_stack(
-            [radius * np.sin(angle), radius * np.cos(angle)]))
-        offsets = np.array([0.0, 2.0, 4.0]) * math.pi / 3.0
-        assert np.array_equal(snap.sector_azimuth, rotation[:, None] + offsets)
-        assert np.array_equal(links.los_u, ref.random(n))
-        assert np.array_equal(links.fading_los, ref.gamma(3, 1 / 3, n))
-        assert np.array_equal(links.fading_nlos, ref.gamma(1, 1.0, n))
+        block = au._draw_block(CFG, RngStream(85, 0), range(3, 4))
+        ref = RngStream(85, 0).child_generator(3)
+        x, y, sector_azimuth, los_u, fading_los, fading_nlos = \
+            reference_draw(CFG, ref)
+        assert block_counts(block).tolist() == [x.size] and x.size > 0
+        assert block.height_m == CFG.bs_height_m
+        assert np.array_equal(block.d_h, np.hypot(x, y))
+        assert np.array_equal(block.az_from_bs, np.arctan2(-x, -y))
+        assert np.array_equal(block.az_from_uav, np.arctan2(x, y))
+        assert np.array_equal(block.sector_azimuth, sector_azimuth)
+        assert np.array_equal(block.los_u, los_u)
+        assert np.array_equal(block.fading_los, fading_los)
+        assert np.array_equal(block.fading_nlos, fading_nlos)
 
     @pytest.mark.parametrize("h,cfg", [(1.5, CFG), (90.0, CFG), (200.0, CONE)])
     def test_samples_equal_per_snapshot_loop(self, h, cfg):
-        # reference: one deploy_hppp and snapshot_sinr call per trial
+        # reference: one raw-numpy draw and one site-by-site evaluation per
+        # trial
         rng = RngStream(82, 0)
-        direct = []
-        for i in range(60):
-            gen = rng.child_generator(i)
-            snap = au.deploy_hppp(cfg, gen)
-            direct.append(au.snapshot_sinr((0.0, 0.0, h), snap, cfg, gen).sinr)
+        table = BuildingPlosTable(max(h, cfg.bs_height_m),
+                                  min(h, cfg.bs_height_m), cfg.env)
+        direct = [evaluate_sinr(h, reference_draw(cfg, rng.child_generator(i)),
+                                cfg, table).sinr for i in range(60)]
         assert np.array_equal(au.sinr_samples(h, cfg, 60, rng), direct)
 
     def test_ase_equals_two_capacity_runs(self):
@@ -401,7 +425,7 @@ class TestSharedDraws:
 
 
 class TestBlockDraw:
-    """The one-pass block draw against per-trial deploy_hppp + draw_links."""
+    """The one-pass block draw against the per-trial raw-numpy reference."""
 
     @pytest.mark.parametrize("cfg", [
         CFG, SPARSE,
@@ -411,47 +435,51 @@ class TestBlockDraw:
     def test_block_equals_per_trial_draws(self, cfg):
         rng = RngStream(87, 1)
         trials = range(5, 42)
-        counts, sites, links = au._draw_block(cfg, rng, trials)
-        snaps, draws = [], []
-        for i in trials:
-            gen = rng.child_generator(i)
-            snaps.append(au.deploy_hppp(cfg, gen))
-            draws.append(au.draw_links(snaps[-1], cfg, gen))
-        assert counts.tolist() == [snap.n_sites for snap in snaps]
-        assert sites.height_m == cfg.bs_height_m
+        block = au._draw_block(cfg, rng, trials)
+        draws = [reference_draw(cfg, rng.child_generator(i)) for i in trials]
+        x, y, sector_azimuth, los_u, fading_los, fading_nlos = (
+            np.concatenate(d) for d in zip(*draws))
+        assert block_counts(block).tolist() == [d[0].size for d in draws]
+        assert block.height_m == cfg.bs_height_m
         for got, ref in [
-                (sites.xy, [snap.xy for snap in snaps]),
-                (sites.sector_azimuth, [snap.sector_azimuth for snap in snaps]),
-                (links.los_u, [d.los_u for d in draws]),
-                (links.fading_los, [d.fading_los for d in draws]),
-                (links.fading_nlos, [d.fading_nlos for d in draws])]:
-            ref = np.concatenate(ref)
+                (block.d_h, np.hypot(x, y)),
+                (block.az_from_bs, np.arctan2(-x, -y)),
+                (block.az_from_uav, np.arctan2(x, y)),
+                (block.sector_azimuth, sector_azimuth),
+                (block.los_u, los_u),
+                (block.fading_los, fading_los),
+                (block.fading_nlos, fading_nlos)]:
             assert got.shape == ref.shape
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_sparse_block_holds_empty_trials(self):
-        counts, sites, _ = au._draw_block(SPARSE, RngStream(87, 1), range(5, 42))
+        block = au._draw_block(SPARSE, RngStream(87, 1), range(5, 42))
+        counts = block_counts(block)
         assert 0 < np.count_nonzero(counts == 0) < counts.size
-        assert sites.n_sites == counts.sum()
+        assert block.d_h.size == block.row.size == counts.sum()
 
 
-def evaluate_sinr(uav_xyh, snap, links, cfg, p_los):
-    """Per-trial reference: the SINR of one drawn snapshot, site by site."""
-    x, y, h = uav_xyh
-    if snap.n_sites == 0:
-        return au.SnapshotSinr(0.0, -1, -1, False)
+Served = namedtuple("Served", "sinr serving_site serving_sector los_serving")
+NOT_SERVED = Served(0.0, -1, -1, False)
 
-    dx = snap.xy[:, 0] - x
-    dy = snap.xy[:, 1] - y
-    d_h = np.hypot(dx, dy)
-    dz = snap.height_m - h
+
+def evaluate_sinr(h, draw, cfg, p_los):
+    """Per-trial reference: the SINR of one drawn trial for a UE at height h
+    above the region center, site by site."""
+    x, y, sector_azimuth, los_u, fading_los, fading_nlos = draw
+    n_sites = x.size
+    if n_sites == 0:
+        return NOT_SERVED
+
+    d_h = np.hypot(x, y)
+    dz = cfg.bs_height_m - h
     d_3d = np.hypot(d_h, dz)
     elevation_from_bs = np.arctan2(-dz, d_h)          # toward the UE
-    az_from_bs = np.arctan2(-dx, -dy)
-    az_from_uav = np.arctan2(dx, dy)
+    az_from_bs = np.arctan2(-x, -y)
+    az_from_uav = np.arctan2(x, y)
     el_from_uav = np.arctan2(dz, d_h)
 
-    los = links.los_u < p_los(d_h)
+    los = los_u < p_los(d_h)
 
     eta = np.where(los, cfg.eta_los, cfg.eta_nlos)
     lam0 = np.where(los, cfg.reference_loss_db(True), cfg.reference_loss_db(False))
@@ -459,25 +487,25 @@ def evaluate_sinr(uav_xyh, snap, links, cfg, p_los):
     pl_db = lam0 + 10.0 * eta * np.log10(d / au.D0_M)
 
     bs_gain = 10.0 ** (bs_gain_db(cfg.sector,
-                                  az_from_bs[:, None] - snap.sector_azimuth,
+                                  az_from_bs[:, None] - sector_azimuth,
                                   elevation_from_bs[:, None]) / 10.0)  # (n, 3)
-    fading = np.where(los, links.fading_los, links.fading_nlos)
+    fading = np.where(los, fading_los, fading_nlos)
 
     path_gain = 10.0 ** (-pl_db / 10.0)
 
     g_uav = uav_gain_linear(cfg.uav, az_from_uav, el_from_uav)
 
     sector = np.argmax(bs_gain, axis=1)
-    site_gain = bs_gain[np.arange(snap.n_sites), sector]
+    site_gain = bs_gain[np.arange(n_sites), sector]
     mean_rx = cfg.p_tx_w * site_gain * g_uav * path_gain   # (n,)
     if not np.any(mean_rx > 0.0):
-        return au.SnapshotSinr(0.0, -1, -1, False)
+        return NOT_SERVED
     site = int(np.argmax(mean_rx))
     rx = mean_rx * fading
     signal = rx[site]
     interference = float(np.sum(rx)) - signal
     sinr = signal / (interference + cfg.noise_w)
-    return au.SnapshotSinr(float(sinr), site, int(sector[site]), bool(los[site]))
+    return Served(float(sinr), site, int(sector[site]), bool(los[site]))
 
 
 def reference_matrix(draw_cfg, points, n_trials, rng):
@@ -488,11 +516,9 @@ def reference_matrix(draw_cfg, points, n_trials, rng):
               for h, cfg in points]
     results = [[] for _ in points]
     for i in range(n_trials):
-        gen = rng.child_generator(i)
-        snap = au.deploy_hppp(draw_cfg, gen)
-        links = au.draw_links(snap, draw_cfg, gen)
+        draw = reference_draw(draw_cfg, rng.child_generator(i))
         for out, (h, cfg), table in zip(results, points, tables):
-            out.append(evaluate_sinr((0.0, 0.0, h), snap, links, cfg, table))
+            out.append(evaluate_sinr(h, draw, cfg, table))
     return results
 
 
@@ -541,19 +567,23 @@ class TestBatchedKernel:
         (CFG, False), (replace(CFG, uav=ConeUav(phi_b_deg=60.0)), True),
         (SPARSE, False), (replace(CFG, uav=ConeUav(phi_b_deg=5.0)), False)])
     def test_snapshot_equals_per_trial_reference(self, cfg, tilted):
-        # serving site, sector and LOS state too, off the region center
+        # serving site, sector and LOS state too
         if tilted:    # pointing down from 75 m, the 60 degree cone sees no site
             cfg = replace(cfg, uav=replace(cfg.uav, phi_t=math.radians(70.0)))
+        rng = RngStream(92, 0)
+        block = au._draw_block(cfg, rng, range(30))
+        stage = au._site_stage(block, au._point(75.0, cfg, cfg.bs_height_m))
+        sinr, serving = au._ue_stage(block, stage, cfg)
+        table = BuildingPlosTable(75.0, cfg.bs_height_m, cfg.env)
         served = 0
         for i in range(30):
-            gen, ref = (RngStream(92, 0).child_generator(i) for _ in range(2))
-            snap = au.deploy_hppp(cfg, gen)
-            au.deploy_hppp(cfg, ref)
-            xyh = (120.0, -40.0, 75.0)
-            table = BuildingPlosTable(75.0, cfg.bs_height_m, cfg.env)
-            expected = evaluate_sinr(xyh, snap, au.draw_links(snap, cfg, ref),
-                                     cfg, table)
-            assert au.snapshot_sinr(xyh, snap, cfg, gen) == expected
+            expected = evaluate_sinr(
+                75.0, reference_draw(cfg, rng.child_generator(i)), cfg, table)
+            site = int(serving[i])
+            got = NOT_SERVED if site < 0 else Served(
+                float(sinr[i]), site - int(block.starts[i]),
+                int(stage.sector[site]), bool(stage.los[site]))
+            assert got == expected
             served += expected.serving_site >= 0
         assert served > 0 or not tilted
 

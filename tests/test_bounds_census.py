@@ -122,7 +122,7 @@ DB_PROPERTIES = [(OmniUav, {}, "gain_dbi", "gain_linear"),
                  (SectorAntenna, {}, "max_gain_dbi", "elevation_beamwidth")]
 
 # records that a run returns, not reads
-OUTPUT_RECORDS = {au.NetworkSnapshot, au.SnapshotSinr, au.Estimate,
+OUTPUT_RECORDS = {au.Estimate,
                   ab.CoverageRadius, loc.MultilaterationResult,
                   ms.SinrGrid, BuildingStats}
 

@@ -1084,7 +1084,7 @@ class TestMainEntry:
         ("roof_h", "1e308", "must be at most 10000"),
         # the mast would stand under the 1 m floor of the ground fits
         ("roof_h", "-4.5", "must be at least -4"),
-        ("x", "500", "500 lies off the map"),
+        ("x", "500", "500.0 lies off the map"),
         ("y", "-1e308", "-1e+308 lies off the map")])
     def test_site_value_out_of_bounds_exit_code(self, tmp_path, capsys,
                                                 monkeypatch, column, value,
@@ -1120,7 +1120,7 @@ class TestMainEntry:
         (_SITE_HEADER + _SITE_ROW + "50,50,0,1e308,0,8,16,65\n",
          "line 3: p_tx_dbm: must be at most 150.0"),
         (_SITE_HEADER + _SITE_ROW + "500,50,0,46,0,8,16,65\n",
-         "line 3: x: 500 lies off the map, outside [0, 100]"),
+         "line 3: x: 500.0 lies off the map, outside [0, 100]"),
         (_SITE_HEADER, "site CSV holds no sites"),
         # every value of every row is checked finite before any bound
         (_SITE_HEADER + "50,50,0,1e308,0,8,16,65\n50,50,0,46,0,8,inf,65\n",

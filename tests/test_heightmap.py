@@ -127,6 +127,19 @@ class TestAsciiGridIO:
         assert hm.ncols == hm.nrows == 2
         assert np.all(hm.heights == 0.0)
 
+    def test_byte_order_mark_loads(self, tmp_path):
+        # a BOM before "ncols" failed as "line 1: non-numeric height value"
+        text = ("ncols 3\nnrows 2\nxllcorner 5\nyllcorner -5\n"
+                "cellsize 10\nNODATA_value -9999\n1 2 3\n4 -9999 6.5\n")
+        plain, marked = tmp_path / "plain.asc", tmp_path / "marked.asc"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        a, b = load_ascii_grid(plain), load_ascii_grid(marked)
+        assert np.array_equal(a.heights, b.heights, equal_nan=True)
+        assert (a.xllcorner, a.yllcorner, a.cellsize, a.nodata_value) \
+            == (b.xllcorner, b.yllcorner, b.cellsize, b.nodata_value)
+
     def test_column_mismatch_names_line(self, tmp_path):
         p = tmp_path / "bad.asc"
         p.write_text("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\n"

@@ -216,12 +216,18 @@ class TestSinrGrid:
             ms.sinr_grids([], FLAT, [1.5], flat_cfg(), stride=1)
 
     @pytest.mark.parametrize("x, y, message", [
-        (1e6, 200.0, r"^x 1e\+06 lies off the map, outside \[0, 400\]$"),
+        (1e6, 200.0, r"^x 1000000\.0 lies off the map, outside \[0, 400\]$"),
         (200.0, -0.5, r"^y -0.5 lies off the map, outside \[0, 400\]$")])
     def test_site_off_the_map_rejected(self, x, y, message):
         with pytest.raises(DomainError, match=message):
             ms.site_on_roof(FLAT, x, y)
         ms.site_on_roof(FLAT, 400.0, 0.0)   # the map's edge is on it
+
+    def test_just_off_the_map_shows_the_value(self):
+        # %g printed 400, which reads as on the map's edge
+        x = math.nextafter(400.0, math.inf)
+        with pytest.raises(DomainError, match=r"^x 400\.00000000000006 lies "):
+            ms.site_on_roof(FLAT, x, 200.0)
 
 
 class TestCoverageCurves:
@@ -517,4 +523,25 @@ class TestSiteCsv:
         p = tmp_path / "bad.csv"
         p.write_text("x,y\n1,2\n")
         with pytest.raises(ScenarioError):
+            _load_sites(p, FLAT)
+
+    def test_byte_order_mark_loads(self, tmp_path):
+        # spreadsheets export UTF-8 CSV with a BOM, which read as part of
+        # the first column's name: "missing columns ['x']"
+        text = (",".join(SITE_CSV_COLUMNS) + "\n" + "100,120,0,43,0,8,16,65\n"
+                + "300,50,20,46,30,-2.5,18,90\n")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert _load_sites(marked, FLAT) == _load_sites(plain, FLAT)
+
+    def test_just_off_the_map_shows_the_value(self, tmp_path):
+        p = tmp_path / "sites.csv"
+        x = math.nextafter(400.0, math.inf)
+        p.write_text(",".join(SITE_CSV_COLUMNS) + "\n"
+                     + f"{x!r},50,0,46,0,8,16,65\n")
+        with pytest.raises(ScenarioError, match=r"line 2: x: 400\.00000000000006 "
+                                                r"lies off the map, outside "
+                                                r"\[0, 400\]$"):
             _load_sites(p, FLAT)

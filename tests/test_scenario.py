@@ -628,11 +628,13 @@ class TestMapsimRayCeiling:
             block["sites_csv"] = "sites.csv"
         else:
             block["auto_sites"] = {"count": 1}
+        # distinct heights: a repeated one is rejected on its own
         parse_scenario(yaml.safe_dump(_mapsim(
-            **block, heights_m=[10.0] * heights)))
+            **block, heights_m=[1.5 + k * 1e-3 for k in range(heights)])))
         with pytest.raises(ScenarioError, match="rays per run") as exc:
             parse_scenario(yaml.safe_dump(_mapsim(
-                **block, heights_m=[10.0] * (heights + 1))))
+                **block,
+                heights_m=[1.5 + k * 1e-3 for k in range(heights + 1)])))
         assert exc.value.path == "mapsim.heights_m"
 
     def test_shipped_run_far_inside(self):
@@ -655,11 +657,37 @@ class TestMapsimRayCeiling:
         scn = tmp_path / "run.yaml"
         scn.write_text(yaml.safe_dump(_mapsim(
             heightmap=str(tmp_path / "city.asc"), stride=1,
-            auto_sites={"count": 9}, heights_m=[10.0] * heights)))
+            auto_sites={"count": 9},
+            heights_m=[1.5 + k * 1e-3 for k in range(heights)])))
         assert main(["--scenario", str(scn), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "mapsim.heights_m: " in err and "Traceback" not in err
         assert not (tmp_path / "mapsim_summary.csv").exists()
+
+
+class TestMapsimHeightsPrintApart:
+    # a height names its raster and its summary row as FLOAT_FMT prints it
+
+    @pytest.mark.parametrize("heights,index", [
+        ([20.0, 20.0000000001, 60.0], 1), ([60, 1.5, 60.0], 2),
+        ([1.5, 20.0, 60.0, 1.5], 3)])
+    def test_repeat_names_the_item(self, heights, index):
+        with pytest.raises(ScenarioError, match="prints as ") as exc:
+            parse_scenario(yaml.safe_dump(_mapsim(**{**_TINY_CITY,
+                                                     "heights_m": heights})))
+        assert exc.value.path == f"mapsim.heights_m[{index}]"
+
+    def test_repeat_exits_before_a_file(self, tmp_path, capsys):
+        # the run wrote sinr_h20.asc twice and two summary rows of 20
+        scn = tmp_path / "run.yaml"
+        scn.write_text(yaml.safe_dump(_mapsim(**{
+            **_TINY_CITY, "emit_rasters": True,
+            "heights_m": [20.0, 20.0000000001, 60.0]})))
+        out = tmp_path / "out"
+        assert main(["--scenario", str(scn), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "mapsim.heights_m[1]: prints as 20" in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------
