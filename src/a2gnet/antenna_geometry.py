@@ -95,21 +95,15 @@ def azimuth_attenuation_db(ant, azimuth):
 
 def sector_gain_db(ant, a_az, elevation):
     """Sector gain (dBi) from a direction's azimuth attenuation a_az (see
-    azimuth_attenuation_db) and its elevation; ant as there."""
-    dele = np.asarray(elevation, dtype=float) + ant.electrical_tilt
-    a_el = np.minimum(12.0 * (dele / ant.elevation_beamwidth) ** 2,
-                      ant.sidelobe_floor_db)
-    return ant.max_gain_dbi - np.minimum(a_az + a_el, ant.sidelobe_floor_db)
-
-
-def bs_gain_db(ant: SectorAntenna, azimuth, elevation):
-    """Sector gain (dBi) toward directions given as (azimuth, elevation)
-    arrays, the azimuth measured from the sector's boresight bearing.
+    azimuth_attenuation_db) and its elevation; ant as there.
 
     The pattern peak sits at azimuth 0 and `electrical_tilt` below the
     horizon, and never drops below max_gain_dbi - sidelobe_floor_db.
     """
-    return sector_gain_db(ant, azimuth_attenuation_db(ant, azimuth), elevation)
+    dele = np.asarray(elevation, dtype=float) + ant.electrical_tilt
+    a_el = np.minimum(12.0 * (dele / ant.elevation_beamwidth) ** 2,
+                      ant.sidelobe_floor_db)
+    return ant.max_gain_dbi - np.minimum(a_az + a_el, ant.sidelobe_floor_db)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ from .antenna_geometry import (
     OmniUav,
     SectorAntenna,
     UavAntenna,
-    bs_gain_db,
+    azimuth_attenuation_db,
+    sector_gain_db,
     uav_gain_linear,
 )
 from .channel import (
@@ -97,6 +98,7 @@ class AueNetworkConfig:
         for name in ("frequency_hz", "bs_density_per_km2", "p_tx_w", "eta_los",
                      "eta_nlos", "region_radius_m"):
             check_number(getattr(self, name), name, above=0.0)
+        mean_site_count(self.bs_density_per_km2, self.region_radius_m)
         # the noise and the target can underflow to 0 from their dB keys
         for name in ("bs_height_m", "noise_w", "threshold_t"):
             check_number(getattr(self, name), name, minimum=0.0)
@@ -111,28 +113,23 @@ class AueNetworkConfig:
         return ref if los else ref + self.nlos_excess_db
 
 
+# the largest mean numpy's Poisson sampler takes, int64 max - 10 sqrt(that)
+_POISSON_LAM_MAX = 2.0 ** 63 - math.sqrt(2.0 ** 63) * 10
+
+
 def mean_site_count(bs_density_per_km2: float,
                     region_radius_m: float) -> float:
     """Mean site count of the simulation disc: the Poisson mean per trial."""
     check_number(bs_density_per_km2, "bs_density_per_km2", minimum=0.0)
     check_number(region_radius_m, "region_radius_m", minimum=0.0)
-    area_km2 = math.pi * region_radius_m ** 2 / 1e6
-    return bs_density_per_km2 * area_km2
-
-
-@dataclass(frozen=True)
-class _Point:
-    """One network point: a UE height and its config, with the building
-    P_LOS table toward sites at `bs_h` built once for it. Only the site
-    stage reads it, so the UE antenna of its config is never read."""
-
-    h: float
-    cfg: AueNetworkConfig
-    p_los: BuildingPlosTable
-
-
-def _point(h: float, cfg: AueNetworkConfig, bs_h: float) -> _Point:
-    return _Point(h, cfg, BuildingPlosTable(max(h, bs_h), min(h, bs_h), cfg.env))
+    try:
+        mean = bs_density_per_km2 * (math.pi * region_radius_m ** 2 / 1e6)
+    except OverflowError:       # the squared radius passes the float range
+        mean = math.inf
+    if not mean <= _POISSON_LAM_MAX:
+        raise DomainError("bs_density_per_km2 times the area of region_radius_m "
+                          f"gives a mean site count past {_POISSON_LAM_MAX:.3g}")
+    return mean
 
 
 @dataclass(frozen=True)
@@ -148,28 +145,28 @@ class _SiteBlock:
     row: np.ndarray
     col: np.ndarray
     height_m: float
-    sector_azimuth: np.ndarray   # (n, 3)
+    a_az: np.ndarray   # (n, 3) sector azimuth attenuation toward the UE
     los_u: np.ndarray
     fading_los: np.ndarray
     fading_nlos: np.ndarray
     d_h: np.ndarray
-    az_from_bs: np.ndarray
     az_from_uav: np.ndarray
 
 
 def _site_block(counts: np.ndarray, x: np.ndarray, y: np.ndarray,
-                height_m: float, sector_azimuth: np.ndarray,
-                los_u: np.ndarray, fading_los: np.ndarray,
-                fading_nlos: np.ndarray) -> _SiteBlock:
+                height_m: float, sector: SectorAntenna,
+                sector_azimuth: np.ndarray, los_u: np.ndarray,
+                fading_los: np.ndarray, fading_nlos: np.ndarray) -> _SiteBlock:
     """Block of flat sites at offsets (x, y) from the UE, trial j owning the
-    next counts[j] entries."""
+    next counts[j] entries, with `sector` at each site's (n, 3) bearings."""
     ends = np.cumsum(counts)
     starts = ends - counts
     row = np.repeat(np.arange(counts.size), counts)
-    return _SiteBlock(
-        starts, ends, row, np.arange(row.size) - starts[row], height_m,
-        sector_azimuth, los_u, fading_los, fading_nlos,
-        np.hypot(x, y), np.arctan2(-x, -y), np.arctan2(x, y))
+    a_az = azimuth_attenuation_db(sector, np.arctan2(-x, -y)[:, None]
+                                  - sector_azimuth)
+    return _SiteBlock(starts, ends, row, np.arange(row.size) - starts[row],
+                      height_m, a_az, los_u, fading_los, fading_nlos,
+                      np.hypot(x, y), np.arctan2(x, y))
 
 
 def _strongest(block: _SiteBlock, power: np.ndarray):
@@ -196,24 +193,23 @@ class _SiteStage:
     fading: np.ndarray
 
 
-def _site_stage(block: _SiteBlock, point: _Point) -> _SiteStage:
-    """Site stage of `block` for a UE at the point's height. A site is in
-    LOS when its uniform falls below its building P_LOS."""
-    cfg = point.cfg
+def _site_stage(block: _SiteBlock, h: float, cfg: AueNetworkConfig,
+                p_los: BuildingPlosTable) -> _SiteStage:
+    """Site stage of `block` for a UE at height h; cfg's UE antenna is never
+    read. A site is in LOS when its uniform falls below its `p_los`."""
     d_h = block.d_h
-    dz = block.height_m - point.h
+    dz = block.height_m - h
 
     # one effective transmitter per site: its strongest sector toward the UE
     # (the theory SINR carries a single P_Tx G Lambda X term per BS); only
     # the chosen sector's gain leaves dB
-    gain_db = bs_gain_db(cfg.sector,
-                         block.az_from_bs[:, None] - block.sector_azimuth,
-                         np.arctan2(-dz, d_h)[:, None])
+    gain_db = sector_gain_db(cfg.sector, block.a_az,
+                             np.arctan2(-dz, d_h)[:, None])
     sector = np.argmax(gain_db, axis=1)
     site_gain = 10.0 ** (gain_db[np.arange(sector.size), sector] / 10.0)
     del gain_db
 
-    los = block.los_u < point.p_los(d_h)
+    los = block.los_u < p_los(d_h)
     # closer links read the loss at D0_M
     d = np.maximum(np.hypot(d_h, dz), D0_M)
     pl_db = np.where(
@@ -282,7 +278,7 @@ def _draw_block(cfg: AueNetworkConfig, rng: RngStream,
     angle = 2.0 * math.pi * u[1]
     rotation = 2.0 * math.pi * u[2]
     return _site_block(np.array(counts), radius * np.sin(angle),
-                       radius * np.cos(angle), cfg.bs_height_m,
+                       radius * np.cos(angle), cfg.bs_height_m, cfg.sector,
                        rotation[:, None] + SECTOR_OFFSETS, u[3],
                        np.concatenate(fading_los), np.concatenate(fading_nlos))
 
@@ -295,24 +291,25 @@ def _sinr_matrix(draw_cfg: AueNetworkConfig,
     Trial i deploys and draws once, on `rng.child_generator(i)` under
     `draw_cfg`, and every (UE height, config) point is evaluated on that
     draw; the point configs must draw as `draw_cfg` does (same density,
-    region, site height and fading laws). Trials are drawn and evaluated in
-    blocks of `_BLOCK_TRIALS`. Each block runs one site stage per distinct
-    (height, config without its UE antenna), shared by the points that
-    differ only in the antenna, and one UE stage per point.
+    region, site height and fading laws; and the sector antenna, which no
+    caller varies). Trials are drawn and evaluated in blocks of
+    `_BLOCK_TRIALS`. Each block runs one site stage per distinct (height,
+    config without its UE antenna), shared by the points that differ only
+    in the antenna, and one UE stage per point.
     """
     check_count(n_trials, "n_trials", 1)
     for h, _ in points:
         check_number(h, "uav_h", minimum=0.0)
     # the site stage never reads the UE antenna: key it without one
     keys = [(h, replace(point_cfg, uav=None)) for h, point_cfg in points]
-    prepared = {key: _point(*key, draw_cfg.bs_height_m)
-                for key in dict.fromkeys(keys)}
+    tables = {key: BuildingPlosTable(key[0], draw_cfg.bs_height_m, key[1].env)
+              for key in dict.fromkeys(keys)}
     out = np.empty((len(points), n_trials))
     for lo in range(0, n_trials, _BLOCK_TRIALS):
         hi = min(lo + _BLOCK_TRIALS, n_trials)
         block = _draw_block(draw_cfg, rng, range(lo, hi))
-        stages = {key: _site_stage(block, point)
-                  for key, point in prepared.items()}
+        stages = {key: _site_stage(block, *key, table)
+                  for key, table in tables.items()}
         for k, (key, (_, point_cfg)) in enumerate(zip(keys, points)):
             out[k, lo:hi] = _ue_stage(block, stages[key], point_cfg)[0]
     return out
@@ -352,9 +349,9 @@ def coverage_probability_mc(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
                                  cfg.threshold_t)
 
 
-def _capacity_coefficients(k_nodes: int, t_max: float = None):
+def capacity_coefficients(k_nodes: int, t_max: float):
     """Nodes t_n and coefficients w_n / (1 + t_n) / ln 2 of the capacity
-    quadrature; with t_max set, nodes above it are dropped, and a t_max
+    quadrature; a t_max (None: no cap) drops the nodes above it, and one
     below every node, which would leave a capacity of 0, is an error."""
     t, w = chebyshev_capacity_nodes(check_count(k_nodes, "k_nodes", 50))
     if t_max is not None:
@@ -389,7 +386,7 @@ def capacity(uav_h: float, cfg: AueNetworkConfig, n_trials: int,
     random numbers), which is exactly the quadrature applied per sample, so
     a per-sample spread gives the confidence interval.
     """
-    t, coeff = _capacity_coefficients(k_nodes, t_max)
+    t, coeff = capacity_coefficients(k_nodes, t_max)
     return _capacity_from_samples(sinr_samples(uav_h, cfg, n_trials, rng),
                                   t, coeff)
 
@@ -401,7 +398,7 @@ def ase(cfg: AueNetworkConfig, uav_h: float, n_trials: int, rng: RngStream,
     Ground users always carry the 2.15 dBi omni antenna; both rates come
     from the same trial draws.
     """
-    t, coeff = _capacity_coefficients(k_nodes)
+    t, coeff = capacity_coefficients(k_nodes, None)
     points = [(1.5, replace(cfg, uav=OmniUav())), (uav_h, cfg)]
     r_ground, r_aerial = (_capacity_from_samples(row, t, coeff).value
                           for row in _sinr_matrix(cfg, points, n_trials, rng))
@@ -447,7 +444,7 @@ def sweep(cfg: AueNetworkConfig, axis: str, grid: Sequence[float], uav_h: float,
         estimate = functools.partial(coverage_from_samples,
                                      threshold=cfg.threshold_t)
     elif metric == "capacity":
-        t, coeff = _capacity_coefficients(k_nodes, t_max)
+        t, coeff = capacity_coefficients(k_nodes, t_max)
         estimate = functools.partial(_capacity_from_samples, t=t, coeff=coeff)
     else:
         raise DomainError(f"unknown sweep metric {metric!r}")

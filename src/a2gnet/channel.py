@@ -158,24 +158,34 @@ def log_distance_pl_db(d_3d_m, lambda0_db: float, eta: float):
 # LOS probability models
 # ---------------------------------------------------------------------------
 
-def _building_index(d_h_m, env: Environment):
-    """Index m = floor(d_h sqrt(varsigma xi) - 1) of the last building a ray
-    of ground length d_h crosses; m < 0 means it crosses none."""
-    return np.floor(d_h_m / 1000.0 * math.sqrt(env.varsigma * env.xi) - 1.0).astype(int)
-
-
 # entries of m whose factors are built at once, so the scratch is at most
 # _CLEARANCE_BLOCK x (max m + 1): a table of m = 0..M takes memory linear in M
 _CLEARANCE_BLOCK = 128
+# the largest building index m: it bounds the products' scratch to arrays of
+# 128 x 16385 floats (17 MB); the schema's worst case, 100 km at varsigma 1
+# and xi 1e4, is m = 9999
+MAX_BUILDING_INDEX = 1 << 14
 
 
-def _clearance_products(m, h_hi, h_lo, env: Environment):
+def _building_index(d_h_m, env: Environment):
+    """Index m = floor(d_h sqrt(varsigma xi) - 1) of the last building a ray
+    of ground length d_h crosses; m < 0 means it crosses none, and m past
+    MAX_BUILDING_INDEX (or NaN) is an error, not a wrapped integer."""
+    m = np.floor(d_h_m / 1000.0 * math.sqrt(env.varsigma * env.xi) - 1.0)
+    if not np.all(m <= MAX_BUILDING_INDEX):
+        raise DomainError(f"d_h_m must be finite and cross at most "
+                          f"{MAX_BUILDING_INDEX} buildings")
+    return m.astype(int)
+
+
+def _clearance_products(m, h_a, h_b, env: Environment):
     """prod_{n=0..m} P[building n is below the ray], one per entry of the
     integer array m and in its shape (1 where m < 0); the ray height at
-    building n is interpolated between the endpoint heights. The ray-height
-    fraction (n + 0.5) / (m + 1) depends on m, so each entry is its own
-    product; a row is padded with 1.0 past its m, which leaves the product
-    exact."""
+    building n is interpolated from the higher of h_a and h_b to the lower.
+    The ray-height fraction (n + 0.5) / (m + 1) depends on m, so each entry
+    is its own product; a row is padded with 1.0 past its m, which leaves
+    the product exact."""
+    h_hi, h_lo = max(h_a, h_b), min(h_a, h_b)
     flat = m.ravel()
     out = np.ones(flat.shape)
     for lo in range(0, flat.size, _CLEARANCE_BLOCK):
@@ -192,47 +202,41 @@ def _clearance_products(m, h_hi, h_lo, env: Environment):
     return out.reshape(m.shape)
 
 
-def _p_los_building_heights(d_h_m, h_hi, h_lo, env: Environment):
-    """Building-statistics LOS probability with ray heights interpolated
-    between the two endpoint heights; symmetric in the endpoints.
-
-    d_h enters in km so sqrt(varsigma * xi) is dimensionless per km.
-    """
-    m = _building_index(np.asarray(d_h_m, dtype=float), env)
-    return _clearance_products(m, h_hi, h_lo, env)
-
-
 class BuildingPlosTable:
-    """Building P_LOS between two fixed endpoint heights, as a lookup.
+    """Building P_LOS between two fixed heights, in either order, as a lookup.
 
     The probability depends on distance only through the building index m,
     so the products for m = 0..M are computed once, M growing to the
     largest m looked up, and each link is a table read; every read equals
-    `_p_los_building_heights` exactly.
+    `p_los_building` exactly.
     """
 
-    def __init__(self, h_hi: float, h_lo: float, env: Environment):
-        self.h_hi, self.h_lo, self.env = h_hi, h_lo, env
+    def __init__(self, h_uav_m: float, h_g_m: float, env: Environment):
+        self.heights, self.env = (h_uav_m, h_g_m), env
         self._rows = np.ones(1)   # row m + 1 holds m; row 0 is m = -1
 
     def __call__(self, d_h_m: np.ndarray) -> np.ndarray:
         m = _building_index(d_h_m, self.env)
         top = int(m.max(initial=-1))
         if top >= self._rows.size - 1:
-            products = _clearance_products(np.arange(top + 1), self.h_hi,
-                                           self.h_lo, self.env)
+            products = _clearance_products(np.arange(top + 1), *self.heights,
+                                           self.env)
             self._rows = np.concatenate(([1.0], products))
         return self._rows[np.maximum(m, -1) + 1]
 
 
 def p_los_building(d_h_m, h_uav_m: float, h_g_m: float, env: Environment):
-    """LOS probability from building statistics for a descending ray."""
+    """LOS probability from building statistics for a ray between the two
+    heights, in either order: the clearance product is symmetric in them.
+
+    d_h enters in km so sqrt(varsigma * xi) is dimensionless per km.
+    """
+    check_number(h_uav_m, "h_uav_m", minimum=0.0)
     check_number(h_g_m, "h_g_m", minimum=0.0)
-    if not check_number(h_uav_m, "h_uav_m") > h_g_m:
-        raise DomainError("building-statistics LOS model needs h_uav > h_g")
-    if not np.all(np.asarray(d_h_m) >= 0.0):
+    d_h = np.asarray(d_h_m, dtype=float)
+    if not np.all(d_h >= 0.0):
         raise DomainError("d_h_m must be >= 0")
-    return _p_los_building_heights(d_h_m, h_uav_m, h_g_m, env)
+    return _clearance_products(_building_index(d_h, env), h_uav_m, h_g_m, env)
 
 
 def obstructed_plos_auxiliaries(h_uav_m: float):

@@ -140,7 +140,7 @@ def _run_channel_table(s: Scenario, out_dir: Path):
             except ModelGapError:
                 sigma.append(np.nan)
         columns = np.broadcast_arrays(
-            d_h, ch._p_los_building_heights(d_h, max(h, h_g), min(h, h_g), env),
+            d_h, ch.p_los_building(d_h, h, h_g, env),
             p_3gpp, *pl, ch.averaged_pl_db(*pl, p_3gpp), *sigma)
         rows += [[h, d, name, *rest]
                  for d, *rest in zip(*(c.tolist() for c in columns))]

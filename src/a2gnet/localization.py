@@ -249,7 +249,7 @@ def _search_grid(axy, cx, cy, radius_m) -> _SearchGrid:
 
 def _solve(grid: _SearchGrid, r_hat) -> MultilaterationResult:
     """Descend from the three best grid seeds and keep the best end point,
-    or the best seed should every descent end above it."""
+    or the best seed should no descent end finite and below it."""
     cost_grid = np.sum((grid.d_grid - r_hat[:, None]) ** 2, axis=0)
     flat = np.argsort(cost_grid)[:3]
     rows = (*grid.float_rows, r_hat.tolist())
@@ -262,7 +262,7 @@ def _solve(grid: _SearchGrid, r_hat) -> MultilaterationResult:
             best_cost = cost
             best_xy = x
     grid_best = float(cost_grid[flat[0]])
-    if grid_best < best_cost:  # pragma: no cover - descent rarely loses
+    if best_xy is None or grid_best < best_cost:
         best_xy = (grid.gx[flat[0]], grid.gy[flat[0]])
         best_cost = grid_best
     return MultilaterationResult(float(best_xy[0]), float(best_xy[1]),
@@ -303,7 +303,10 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     d_hat = np.asarray(d_hat, dtype=float)
     if not np.all(np.isfinite(d_hat) & (d_hat >= 0.0)):
         raise DomainError("d_hat must be non-negative and finite")
-    r_hat = np.sqrt(np.maximum(d_hat ** 2 - heights ** 2, 0.0))
+    with np.errstate(over="ignore"):
+        r_hat = np.sqrt(np.maximum(d_hat ** 2 - heights ** 2, 0.0))
+    if not np.all(np.isfinite(r_hat)):
+        raise DomainError("d_hat gives a horizontal range past the float range")
     if search_center is None:
         cx, cy = axy.mean(axis=0)
     else:

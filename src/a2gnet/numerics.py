@@ -1,7 +1,7 @@
 """Special functions, quadrature nodes, and reproducible random sampling.
 
-Everything here is deterministic given an :class:`RngStream`, so Monte Carlo
-callers can parallelize per work unit and still merge bit-exact results.
+Everything here is deterministic given an :class:`RngStream`; Monte Carlo
+runs are serial, each work unit drawing on its own key.
 The samplers take the `np.random.Generator` that
 ``RngStream.child_generator(key)`` returns for one work unit and advance it.
 Fading is one law, a number: `sample_fading` draws Nakagami-m power gains

@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional
 import yaml
 
 from .abs_net import MAX_RADIUS_M
-from .aue_net import COVERAGE_MIN_TRIALS, _capacity_coefficients, mean_site_count
+from .aue_net import COVERAGE_MIN_TRIALS, capacity_coefficients, mean_site_count
 from .channel import (ENV_PRESETS, MAX_MODELED_ALTITUDE_M, MIN_ANTENNA_HEIGHT_M,
                       SLICE_CEILINGS_M)
 from .errors import BoundError, DomainError, ScenarioError, check_number
@@ -655,9 +655,9 @@ def parse_scenario(text: str) -> Scenario:
                                 "sweep.axis")
         if sweep["metric"] == "capacity" and sweep["t_max_db"] is not None:
             try:
-                _capacity_coefficients(sweep["k_nodes"],
-                                       db_to_linear(sweep["t_max_db"],
-                                                    "sweep.t_max_db"))
+                capacity_coefficients(sweep["k_nodes"],
+                                      db_to_linear(sweep["t_max_db"],
+                                                   "sweep.t_max_db"))
             except DomainError as exc:
                 raise ScenarioError(str(exc), "sweep.t_max_db") from exc
     if aue is not None:

@@ -128,10 +128,11 @@ class TestCriterion3:
         draws = [(gen.random(1), gen.gamma(m, 1 / m, 1), gen.gamma(1, 1, 1))
                  for gen in map(rng.child_generator, range(n))]
         block = au._site_block(np.ones(n, dtype=int), np.zeros(n),
-                               np.full(n, 500.0), 30.0,
+                               np.full(n, 500.0), 30.0, cfg.sector,
                                np.tile([0.0, 2.1, 4.2], (n, 1)),
                                *(np.concatenate(d) for d in zip(*draws)))
-        stage = au._site_stage(block, au._point(60.0, cfg, 30.0))
+        stage = au._site_stage(block, 60.0, cfg,
+                               ch.BuildingPlosTable(60.0, 30.0, cfg.env))
         sinr = au._ue_stage(block, stage, cfg)[0]
         worst = 0.0
         for t_db in (-5.0, 0.0, 5.0, 10.0, 15.0):

@@ -11,10 +11,16 @@ from a2gnet.antenna_geometry import (
     Position3D,
     SectorAntenna,
     _wrap_angle,
-    bs_gain_db,
+    azimuth_attenuation_db,
+    sector_gain_db,
     uav_gain_linear,
 )
 from a2gnet.errors import DomainError
+
+
+def pattern_db(ant, azimuth, elevation):
+    """Sector gain toward (azimuth, elevation), azimuth from boresight."""
+    return sector_gain_db(ant, azimuth_attenuation_db(ant, azimuth), elevation)
 
 
 class TestPosition3D:
@@ -26,22 +32,22 @@ class TestPosition3D:
 class TestSectorAntenna:
     def test_boresight_peak(self):
         ant = SectorAntenna(max_gain_dbi=16.0)
-        assert bs_gain_db(ant, 0.0, -ant.electrical_tilt) == pytest.approx(16.0)
+        assert pattern_db(ant, 0.0, -ant.electrical_tilt) == pytest.approx(16.0)
 
     def test_half_beamwidth_is_3db(self):
         ant = SectorAntenna(max_gain_dbi=16.0)
-        g = bs_gain_db(ant, ant.beamwidth_3db / 2, -ant.electrical_tilt)
+        g = pattern_db(ant, ant.beamwidth_3db / 2, -ant.electrical_tilt)
         assert g == pytest.approx(16.0 - 3.0, abs=0.1)
 
     def test_far_offset_hits_floor(self):
         ant = SectorAntenna(max_gain_dbi=16.0, sidelobe_floor_db=20.0)
-        assert bs_gain_db(ant, math.pi / 2, -ant.electrical_tilt) == pytest.approx(-4.0)
+        assert pattern_db(ant, math.pi / 2, -ant.electrical_tilt) == pytest.approx(-4.0)
 
     def test_bounded_everywhere(self):
         ant = SectorAntenna(max_gain_dbi=18.0, sidelobe_floor_db=25.0)
         az = np.linspace(-math.pi, math.pi, 73)
         el = np.linspace(-math.pi / 2, math.pi / 2, 37)
-        g = bs_gain_db(ant, az[:, None], el[None, :])
+        g = pattern_db(ant, az[:, None], el[None, :])
         assert np.all(g <= 18.0 + 1e-12)
         assert np.all(g >= 18.0 - 25.0 - 1e-12)
 
@@ -62,7 +68,7 @@ class TestSectorAntenna:
                             electrical_tilt=math.radians(tilt_deg))
         edge = ant.elevation_beamwidth * math.sqrt(floor / 12.0)
         el = (1.0 if above else -1.0) * beyond * edge - ant.electrical_tilt
-        assert bs_gain_db(ant, az, el) == pytest.approx(gain - floor, abs=1e-9)
+        assert pattern_db(ant, az, el) == pytest.approx(gain - floor, abs=1e-9)
 
 
 def same_bits(a, b):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from a2gnet import aue_net as au
-from a2gnet.antenna_geometry import ConeUav, OmniUav, bs_gain_db, uav_gain_linear
-from a2gnet.channel import BuildingPlosTable, Environment
+from a2gnet.antenna_geometry import (ConeUav, OmniUav, azimuth_attenuation_db,
+                                     sector_gain_db, uav_gain_linear)
+from a2gnet.channel import BuildingPlosTable, Environment, p_los_building
 from a2gnet.errors import DomainError
 from a2gnet.numerics import RngStream, nakagami_power_cdf
 
@@ -55,10 +56,20 @@ def fixed_sites_sinr(h, x, y, sector_azimuth, cfg, rng, n_trials):
                       gen.gamma(cfg.fading_m_nlos, 1 / cfg.fading_m_nlos, n)))
     block = au._site_block(
         np.full(n_trials, n), np.tile(x, n_trials), np.tile(y, n_trials),
-        cfg.bs_height_m, np.tile(sector_azimuth, (n_trials, 1)),
+        cfg.bs_height_m, cfg.sector, np.tile(sector_azimuth, (n_trials, 1)),
         *(np.concatenate(d) for d in zip(*draws)))
-    stage = au._site_stage(block, au._point(h, cfg, cfg.bs_height_m))
-    return au._ue_stage(block, stage, cfg)
+    return au._ue_stage(block, site_stage(block, h, cfg), cfg)
+
+
+def site_stage(block, h, cfg):
+    """The site stage of `block` for a UE at height h under cfg."""
+    table = BuildingPlosTable(h, cfg.bs_height_m, cfg.env)
+    return au._site_stage(block, h, cfg, table)
+
+
+def building_plos(h, cfg):
+    """The direct building P_LOS between a UE at h and cfg's sites."""
+    return lambda d_h: p_los_building(d_h, h, cfg.bs_height_m, cfg.env)
 
 
 SINGLE_BS = dict(x=[0.0], y=[500.0],
@@ -81,6 +92,35 @@ class TestConfig:
         # -174 dBm/Hz + 10 log10(20 MHz) + 9 dB = -92 dBm (= -122 dBW)
         assert 10 * math.log10(CFG.noise_w) + 30 == pytest.approx(-92.0, abs=0.02)
 
+    @pytest.mark.parametrize("key, value", [
+        ("region_radius_m", 1e300),       # a raw OverflowError squaring it
+        ("bs_density_per_km2", 1e300),    # numpy's "lam value too large"
+        ("bs_density_per_km2", 3.3e17),   # mean about 9.3e18
+    ])
+    def test_mean_site_count_past_numpy_named(self, key, value):
+        match = "^bs_density_per_km2 times the area of region_radius_m"
+        with pytest.raises(DomainError, match=match):
+            au.AueNetworkConfig(**{key: value})
+        cfg = {"bs_density_per_km2": 5.0, "region_radius_m": 3000.0, key: value}
+        with pytest.raises(DomainError, match=match):
+            au.mean_site_count(**cfg)
+
+    def test_mean_site_count_up_to_numpy_limit(self):
+        # the largest mean numpy's Poisson sampler takes passes
+        radius = 1e6 / math.sqrt(math.pi)        # a disc of about 1e6 km^2
+        area = math.pi * radius ** 2 / 1e6
+        density = au._POISSON_LAM_MAX / area
+        while density * area > au._POISSON_LAM_MAX:
+            density = math.nextafter(density, 0.0)
+        mean = au.mean_site_count(density, radius)
+        assert mean == density * area
+        np.random.default_rng(1).poisson(mean)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(1).poisson(math.nextafter(
+                au._POISSON_LAM_MAX, math.inf))
+        with pytest.raises(DomainError):
+            au.mean_site_count(density * 1.001, radius)
+
 
 class TestDeploy:
     def test_poisson_mean_count(self):
@@ -93,7 +133,7 @@ class TestDeploy:
     def test_determinism(self):
         a = au._draw_block(CFG, RngStream(3, 4), range(1))
         b = au._draw_block(CFG, RngStream(3, 4), range(1))
-        for name in ("d_h", "az_from_bs", "sector_azimuth", "los_u",
+        for name in ("d_h", "a_az", "az_from_uav", "los_u",
                      "fading_los", "fading_nlos"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -138,7 +178,7 @@ class TestSnapshotSinr:
         block = au._draw_block(CFG, RngStream(31, 0), range(20))
         served = []
         for cfg in (CFG, replace(CFG, p_tx_w=CFG.p_tx_w * 10)):
-            stage = au._site_stage(block, au._point(90.0, cfg, cfg.bs_height_m))
+            stage = site_stage(block, 90.0, cfg)
             _, serving = au._ue_stage(block, stage, cfg)
             served.append((serving, stage.sector[serving]))
         (site_a, sector_a), (site_b, sector_b) = served
@@ -194,7 +234,7 @@ class TestCoverage:
 
 def quadrature(pcov, k_nodes, t_max=None):
     """(1/ln 2) sum w_n P_cov(t_n) / (1 + t_n) for a P_cov given in closed form."""
-    t, coeff = au._capacity_coefficients(k_nodes, t_max)
+    t, coeff = au.capacity_coefficients(k_nodes, t_max)
     return float(np.sum(coeff * pcov(t)))
 
 
@@ -223,12 +263,12 @@ class TestCapacity:
     @pytest.mark.parametrize("k_nodes", [50, 200, 4000])
     def test_t_max_below_every_node_rejected(self, k_nodes):
         # a bound below the smallest node would keep no node: capacity 0
-        t, _ = au._capacity_coefficients(k_nodes)
+        t, _ = au.capacity_coefficients(k_nodes, None)
         with pytest.raises(DomainError, match="t_max"):
-            au._capacity_coefficients(k_nodes, float(np.nextafter(t[0], 0.0)))
+            au.capacity_coefficients(k_nodes, float(np.nextafter(t[0], 0.0)))
         with pytest.raises(DomainError, match="t_max"):
-            au._capacity_coefficients(k_nodes, 1e-10)
-        kept, _ = au._capacity_coefficients(k_nodes, float(t[0]))
+            au.capacity_coefficients(k_nodes, 1e-10)
+        kept, _ = au.capacity_coefficients(k_nodes, float(t[0]))
         assert kept.tolist() == [t[0]]
 
     def test_t_max_below_every_node_fails_before_any_trial(self, monkeypatch):
@@ -259,7 +299,7 @@ class TestCapacity:
         # the (n x K) indicator matrix the lookup replaced; a sample scores
         # the nodes strictly below its SINR, so one exactly on a node does
         # not score that node
-        t, coeff = au._capacity_coefficients(k_nodes, t_max)
+        t, coeff = au.capacity_coefficients(k_nodes, t_max)
         sinr = np.concatenate([
             [0.0, math.inf, t[0], t[-1], t[len(t) // 2]],
             np.nextafter(t[[0, -1]], math.inf),
@@ -381,9 +421,9 @@ class TestSharedDraws:
         assert block_counts(block).tolist() == [x.size] and x.size > 0
         assert block.height_m == CFG.bs_height_m
         assert np.array_equal(block.d_h, np.hypot(x, y))
-        assert np.array_equal(block.az_from_bs, np.arctan2(-x, -y))
+        assert np.array_equal(block.a_az, azimuth_attenuation(CFG, x, y,
+                                                              sector_azimuth))
         assert np.array_equal(block.az_from_uav, np.arctan2(x, y))
-        assert np.array_equal(block.sector_azimuth, sector_azimuth)
         assert np.array_equal(block.los_u, los_u)
         assert np.array_equal(block.fading_los, fading_los)
         assert np.array_equal(block.fading_nlos, fading_nlos)
@@ -393,10 +433,9 @@ class TestSharedDraws:
         # reference: one raw-numpy draw and one site-by-site evaluation per
         # trial
         rng = RngStream(82, 0)
-        table = BuildingPlosTable(max(h, cfg.bs_height_m),
-                                  min(h, cfg.bs_height_m), cfg.env)
         direct = [evaluate_sinr(h, reference_draw(cfg, rng.child_generator(i)),
-                                cfg, table).sinr for i in range(60)]
+                                cfg, building_plos(h, cfg)).sinr
+                  for i in range(60)]
         assert np.array_equal(au.sinr_samples(h, cfg, 60, rng), direct)
 
     def test_ase_equals_two_capacity_runs(self):
@@ -443,9 +482,8 @@ class TestBlockDraw:
         assert block.height_m == cfg.bs_height_m
         for got, ref in [
                 (block.d_h, np.hypot(x, y)),
-                (block.az_from_bs, np.arctan2(-x, -y)),
+                (block.a_az, azimuth_attenuation(cfg, x, y, sector_azimuth)),
                 (block.az_from_uav, np.arctan2(x, y)),
-                (block.sector_azimuth, sector_azimuth),
                 (block.los_u, los_u),
                 (block.fading_los, fading_los),
                 (block.fading_nlos, fading_nlos)]:
@@ -457,6 +495,12 @@ class TestBlockDraw:
         counts = block_counts(block)
         assert 0 < np.count_nonzero(counts == 0) < counts.size
         assert block.d_h.size == block.row.size == counts.sum()
+
+
+def azimuth_attenuation(cfg, x, y, sector_azimuth):
+    """Each sector's azimuth attenuation toward a UE at offset (-x, -y)."""
+    return azimuth_attenuation_db(cfg.sector,
+                                  np.arctan2(-x, -y)[:, None] - sector_azimuth)
 
 
 Served = namedtuple("Served", "sinr serving_site serving_sector los_serving")
@@ -475,7 +519,6 @@ def evaluate_sinr(h, draw, cfg, p_los):
     dz = cfg.bs_height_m - h
     d_3d = np.hypot(d_h, dz)
     elevation_from_bs = np.arctan2(-dz, d_h)          # toward the UE
-    az_from_bs = np.arctan2(-x, -y)
     az_from_uav = np.arctan2(x, y)
     el_from_uav = np.arctan2(dz, d_h)
 
@@ -486,9 +529,9 @@ def evaluate_sinr(h, draw, cfg, p_los):
     d = np.maximum(d_3d, au.D0_M)
     pl_db = lam0 + 10.0 * eta * np.log10(d / au.D0_M)
 
-    bs_gain = 10.0 ** (bs_gain_db(cfg.sector,
-                                  az_from_bs[:, None] - sector_azimuth,
-                                  elevation_from_bs[:, None]) / 10.0)  # (n, 3)
+    bs_gain = 10.0 ** (sector_gain_db(
+        cfg.sector, azimuth_attenuation(cfg, x, y, sector_azimuth),
+        elevation_from_bs[:, None]) / 10.0)  # (n, 3)
     fading = np.where(los, fading_los, fading_nlos)
 
     path_gain = 10.0 ** (-pl_db / 10.0)
@@ -511,14 +554,11 @@ def evaluate_sinr(h, draw, cfg, p_los):
 def reference_matrix(draw_cfg, points, n_trials, rng):
     """Per-trial reference for `_sinr_matrix`, also returning every
     (point, trial) result in full."""
-    h_g = draw_cfg.bs_height_m
-    tables = [BuildingPlosTable(max(h, h_g), min(h, h_g), cfg.env)
-              for h, cfg in points]
     results = [[] for _ in points]
     for i in range(n_trials):
         draw = reference_draw(draw_cfg, rng.child_generator(i))
-        for out, (h, cfg), table in zip(results, points, tables):
-            out.append(evaluate_sinr(h, draw, cfg, table))
+        for out, (h, cfg) in zip(results, points):
+            out.append(evaluate_sinr(h, draw, cfg, building_plos(h, cfg)))
     return results
 
 
@@ -572,13 +612,13 @@ class TestBatchedKernel:
             cfg = replace(cfg, uav=replace(cfg.uav, phi_t=math.radians(70.0)))
         rng = RngStream(92, 0)
         block = au._draw_block(cfg, rng, range(30))
-        stage = au._site_stage(block, au._point(75.0, cfg, cfg.bs_height_m))
+        stage = site_stage(block, 75.0, cfg)
         sinr, serving = au._ue_stage(block, stage, cfg)
-        table = BuildingPlosTable(75.0, cfg.bs_height_m, cfg.env)
         served = 0
         for i in range(30):
             expected = evaluate_sinr(
-                75.0, reference_draw(cfg, rng.child_generator(i)), cfg, table)
+                75.0, reference_draw(cfg, rng.child_generator(i)), cfg,
+                building_plos(75.0, cfg))
             site = int(serving[i])
             got = NOT_SERVED if site < 0 else Served(
                 float(sinr[i]), site - int(block.starts[i]),
@@ -606,6 +646,6 @@ class TestEmptySamples:
             au.coverage_from_samples(np.array([]), 1.0)
 
     def test_capacity_names_sinr(self):
-        t, coeff = au._capacity_coefficients(50)
+        t, coeff = au.capacity_coefficients(50, None)
         with pytest.raises(DomainError, match="^sinr sample count must be "):
             au._capacity_from_samples(np.array([]), t, coeff)

@@ -170,6 +170,8 @@ FUNCTIONS = [
      {"threshold": (under(0.0),)}),
     (au.capacity, {**_TRIALS, "uav_h": 30.0, "k_nodes": 50, "t_max": 10.0},
      {"uav_h": (under(0.0),), "t_max": (1e-10,)}),
+    (au.capacity_coefficients, {"k_nodes": 50, "t_max": 10.0},
+     {"t_max": (1e-10,)}),
     (au.ase, {**_TRIALS, "uav_h": 30.0, "k_nodes": 50},
      {"uav_h": (under(0.0),)}),
     (au.sweep, {**_TRIALS, "axis": "density", "grid": [5.0], "uav_h": 30.0,
@@ -183,10 +185,9 @@ FUNCTIONS = [
      {"frequency_hz": (0.0,)}),
     (ch.log_distance_pl_db, {"d_3d_m": 100.0, "lambda0_db": 40.0, "eta": 2.0},
      {"lambda0_db": (), "eta": (0.0,)}),
-    # h_uav_m > h_g_m is a rule between the two, not a bound of one
     (ch.p_los_building, {"d_h_m": 100.0, "h_uav_m": 100.0, "h_g_m": 1.5,
                          "env": URBAN},
-     {"h_uav_m": (), "h_g_m": (under(0.0),)}),
+     {"h_uav_m": (under(0.0),), "h_g_m": (under(0.0),)}),
     (ch.obstructed_plos_auxiliaries, {"h_uav_m": 50.0}, {"h_uav_m": (0.0,)}),
     (ch.p_los_3gpp, {"d_h_m": 100.0, "h_uav_m": 50.0, "slice_": OBSTRUCTED},
      {"h_uav_m": (under(0.0),)}),
@@ -259,6 +260,8 @@ COUNTS = [
      {"n_trials": 1, "k_nodes": 50}),
     (au.ase, {**_TRIALS, "uav_h": 30.0, "k_nodes": 50},
      {"n_trials": 1, "k_nodes": 50}),
+    (au.capacity_coefficients, {"k_nodes": 50, "t_max": None},
+     {"k_nodes": 50}),
     (au.sweep, {**_TRIALS, "axis": "density", "grid": [5.0], "uav_h": 30.0,
                 "k_nodes": 50}, {"n_trials": 1, "k_nodes": 50}),
     (ch.sample_link_loss_db, {"pl_db": (100.0, 120.0), "sigma_db": (4.0, 6.0),

@@ -205,20 +205,56 @@ class TestPlosBuilding:
               for h in np.linspace(5, 300, 40)]
         assert all(b >= a - 1e-12 for a, b in zip(ps, ps[1:]))
 
-    def test_descending_ray_required(self):
-        for h_uav in (1.5, 30.0):
-            with pytest.raises(DomainError, match="h_uav > h_g"):
-                p_los_building(100.0, h_uav, 30.0, self.URB)
-
     @pytest.mark.parametrize("env", (ch.urban(), ch.dense_urban()),
                              ids=lambda e: e.kind)
     def test_equals_the_heights_form(self, env):
+        # the clearance product with the ray interpolated from the higher
+        # end, whichever height comes first; a scalar reads its array entry
         gen = np.random.default_rng(25)
         d_h = gen.uniform(0.0, 4000.0, 300)
-        for h_uav, h_g in ((100.0, 1.5), (31.0, 30.0), (300.0, 25.0)):
-            want = ch._p_los_building_heights(d_h, h_uav, h_g, env)
-            assert p_los_building(d_h, h_uav, h_g, env).tobytes() == want.tobytes()
-            assert p_los_building(d_h[7], h_uav, h_g, env) == want[7]
+        m = ch._building_index(d_h, env)
+        for h_uav, h_g in ((100.0, 1.5), (31.0, 30.0), (300.0, 25.0),
+                           (30.0, 30.0)):
+            want = ch._clearance_products(m, h_uav, h_g, env)
+            for pair in ((h_uav, h_g), (h_g, h_uav)):
+                got = p_los_building(d_h, *pair, env)
+                assert got.tobytes() == want.tobytes()
+                assert p_los_building(d_h[7], *pair, env) == want[7]
+
+    def test_ascending_ray(self):
+        # a UE below the ground antenna: the shipped channel table's 1.5,
+        # 10 and 22.5 m rows under its h_g = 30 m
+        ps = p_los_building(np.array([5.0, 500.0, 3000.0]), 1.5, 30.0, self.URB)
+        assert ps[0] == 1.0 and 0.0 < ps[2] < ps[1] < 1.0
+
+    @pytest.mark.parametrize("d_h", [math.inf, 1e300])
+    def test_distance_past_the_building_ceiling_named(self, d_h):
+        # inf and 1e300 read 1.0 (certain LOS): the index cast wrapped to a
+        # negative m
+        with pytest.raises(DomainError, match="^d_h_m must be finite"):
+            p_los_building(d_h, 100.0, 1.5, self.URB)
+        with pytest.raises(DomainError, match="^d_h_m must be finite"):
+            p_los_building(np.array([100.0, d_h]), 1.5, 100.0, self.URB)
+        with pytest.raises(DomainError, match="^d_h_m must be finite"):
+            ch.BuildingPlosTable(100.0, 1.5, self.URB)(np.array([d_h]))
+
+    def test_largest_accepted_distance(self):
+        # sqrt(varsigma xi) = 100 buildings per km; step down from the
+        # distance of m = MAX_BUILDING_INDEX + 1 to the last one accepted
+        env = ch.Environment("urban", 1.0, 1e4, 20.0)
+        top = ch.MAX_BUILDING_INDEX
+        d_h = (top + 2) * 10.0
+        for _ in range(64):
+            try:
+                p = p_los_building(d_h, 100.0, 1.5, env)
+                break
+            except DomainError:
+                d_h = math.nextafter(d_h, 0.0)
+        assert ch._building_index(np.array(d_h), env) == top
+        assert 0.0 <= p <= 1.0
+        assert top >= 9999   # 100 km at varsigma 1 and xi 1e4, the schema's worst
+        with pytest.raises(DomainError, match="^d_h_m must be finite"):
+            p_los_building(math.nextafter(d_h, math.inf), 100.0, 1.5, env)
 
 
 TABLE_ENVS = (ch.urban(), ch.dense_urban(), ch.highrise())
@@ -231,11 +267,11 @@ class TestBuildingPlosTable:
     def test_seeded_random_links(self, env):
         gen = np.random.default_rng(20)
         for _ in range(40):
-            h_hi, h_lo = sorted(gen.uniform(0.0, 300.0, 2), reverse=True)
-            table = ch.BuildingPlosTable(h_hi, h_lo, env)
+            h_a, h_b = gen.uniform(0.0, 300.0, 2)   # in either order
+            table = ch.BuildingPlosTable(h_a, h_b, env)
             for d_max in (3000.0, 500.0, 6000.0):   # grows, then reads back
                 d_h = gen.uniform(0.0, d_max, 200)
-                direct = ch._p_los_building_heights(d_h, h_hi, h_lo, env)
+                direct = p_los_building(d_h, h_a, h_b, env)
                 assert np.array_equal(table(d_h), direct)
 
     @settings(max_examples=200, deadline=None)
@@ -245,10 +281,10 @@ class TestBuildingPlosTable:
     def test_matches_direct_formula(self, h_a, h_b, env, d_h):
         # d_h = 0 and short links (m < 0) read 1 from both
         d_h = np.array([0.0, 1.0] + d_h)
-        h_hi, h_lo = max(h_a, h_b), min(h_a, h_b)
-        table = ch.BuildingPlosTable(h_hi, h_lo, env)
-        direct = ch._p_los_building_heights(d_h, h_hi, h_lo, env)
+        table = ch.BuildingPlosTable(h_a, h_b, env)
+        direct = p_los_building(d_h, h_a, h_b, env)
         assert np.array_equal(table(d_h), direct)
+        assert np.array_equal(ch.BuildingPlosTable(h_b, h_a, env)(d_h), direct)
         assert table(np.array([0.0]))[0] == 1.0
 
 
@@ -274,9 +310,8 @@ class TestClearanceBlocks:
         m = np.arange(2 * block + 3) - 1
         d_h = (m + 1.5) / 100.0 * 1000.0
         np.testing.assert_array_equal(ch._building_index(d_h, self.DENSE), m)
-        batch = ch._p_los_building_heights(d_h, 120.0, 1.5, self.DENSE)
-        alone = [ch._p_los_building_heights(d, 120.0, 1.5, self.DENSE)
-                 for d in d_h]
+        batch = p_los_building(d_h, 120.0, 1.5, self.DENSE)
+        alone = [p_los_building(d, 120.0, 1.5, self.DENSE) for d in d_h]
         table = ch.BuildingPlosTable(120.0, 1.5, self.DENSE)
         assert np.array_equal(batch, alone)
         assert np.array_equal(table(d_h[::-1]), batch[::-1])

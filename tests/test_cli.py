@@ -707,7 +707,8 @@ def _reference_channel_table(s, out_dir):
     for h in block["altitudes_m"]:
         slice_ = ch.slice_of(h, env)
         for d_h in block["distances_m"]:
-            p_build = ch._p_los_building_heights(d_h, max(h, h_g), min(h, h_g), env)
+            # the descending-ray form: the table takes the heights as they come
+            p_build = ch.p_los_building(d_h, max(h, h_g), min(h, h_g), env)
             p_3gpp = ch.p_los_3gpp(d_h, h, slice_)
             cells = []
             for los in (True, False):
@@ -780,6 +781,21 @@ class TestChannelTableArray:
             assert rows[1.5, d_h][:3] == ["nan", "nan", "nan"]
         assert rows[1.5, 6000.0][0] != "nan" and rows[1.5, 6000.0][1] == "nan"
         assert all(rows[300.0, d][4] == "nan" for d in EDGE_CHANNEL["distances_m"])
+
+    def test_building_column_is_p_los_building(self, tmp_path):
+        # UE heights below, at and above h_g = 30 m
+        channel = {"h_g_m": 30.0, "altitudes_m": [1.5, 10.0, 30.0, 150.0],
+                   "distances_m": [0.0, 120.0, 500.0, 2500.0]}
+        s = parse_scenario(yaml.safe_dump({"command": "channel-table",
+                                           "channel": channel}))
+        env = _environment(s.params["channel"]["environment"])
+        rows = [line.split(",") for line in run_scenario(s, tmp_path)[0]
+                .read_text().splitlines()[1:]]
+        assert len(rows) == 16
+        for row in rows:
+            h, d_h = float(row[0]), float(row[1])
+            assert row[3] == _fmt(float(ch.p_los_building(d_h, h, 30.0, env)))
+        assert len({row[3] for row in rows}) > 4
 
 
 class TestDeterminism:
@@ -972,7 +988,7 @@ class TestMainEntry:
     def test_t_max_at_first_node(self, tmp_path, capsys, k_nodes):
         # the smallest t_max_db whose linear value reaches the first node
         # parses; one ulp below it is named at parse time (exit 2)
-        t0 = aue_net._capacity_coefficients(k_nodes)[0][0]
+        t0 = aue_net.capacity_coefficients(k_nodes, None)[0][0]
         at = 10.0 * math.log10(t0)
         while 10.0 ** (at / 10.0) < t0:
             at = math.nextafter(at, math.inf)

@@ -205,6 +205,24 @@ class TestMultilaterate:
         with pytest.raises(DomainError, match="d_hat"):
             loc.multilaterate(square_anchors(), [bad, 215.0, 250.0, 240.0])
 
+    def test_overflowing_horizontal_range_named(self):
+        # d_hat ** 2 overflowed, every grid cost was NaN and the solve ended
+        # in a TypeError
+        anchors = loc.place_anchors(loc.AnchorPlan(3, 100.0, 100.0))
+        with pytest.raises(DomainError, match="^d_hat gives a horizontal"):
+            loc.multilaterate(anchors, [1e300] * 3)
+        assert math.isfinite(loc.multilaterate(anchors, [1e150] * 3).y)
+
+    def test_campaign_without_a_finite_descent_keeps_the_grid_seed(self):
+        # a 1e300 m user disc overflows every range: no descent ends at a
+        # finite cost, and the solve falls back to its best grid seed
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = loc.run_campaign(loc.LocalizationScenario(2, 1e300),
+                                   loc.AnchorPlan(3, 100.0, 100.0),
+                                   loc.ElevationChannel(), RngStream(1))
+        assert res.pos_errors.shape == (2,)
+        assert np.all(np.isfinite(res.pos_errors))
+
     @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -10.0])
     def test_search_radius_must_be_positive_and_finite(self, radius):
         # 0 searched a one-point grid, a negative radius a mirrored one

@@ -6,7 +6,8 @@ import pytest
 
 from a2gnet import channel as ch
 from a2gnet import mapsim as ms
-from a2gnet.antenna_geometry import Position3D, SectorAntenna, bs_gain_db
+from a2gnet.antenna_geometry import (Position3D, SectorAntenna,
+                                     azimuth_attenuation_db, sector_gain_db)
 from a2gnet.cli import SITE_CSV_COLUMNS, _load_sites, run_scenario
 from a2gnet.errors import DomainError, ScenarioError
 from a2gnet.heightmap import HeightMap, los_mask, synthetic_city
@@ -62,8 +63,9 @@ def reference_rx_dbm(site, cfg, x, y, ue_h, los):
     az = np.arctan2(dx, dy)
     el = np.arctan2(ue_h - site.position.h, d_h)
     off_boresight = az - site.sector_azimuths.reshape((3,) + (1,) * az.ndim)
-    return (site.p_tx_dbm + bs_gain_db(site.antenna, off_boresight, el)
-            + ms.UE_GAIN_DBI - pl)
+    gain = sector_gain_db(site.antenna,
+                          azimuth_attenuation_db(site.antenna, off_boresight), el)
+    return site.p_tx_dbm + gain + ms.UE_GAIN_DBI - pl
 
 
 def received_power_dbm(site, sector, ue, hm, cfg):
