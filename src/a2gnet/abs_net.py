@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, check_count, check_number
+from .limits import MAX_RADIUS_M
 # integrate is unused here; bench/tracing.py proxies it on traced runs
 from .numerics import (db_to_linear, dbm_to_watt, integrate, inv_marcum_q,
                        optimize, special)
@@ -231,9 +232,6 @@ def design_rows(altitudes: Sequence[float], r_c_m: float, epsilon: float,
 # ---------------------------------------------------------------------------
 # Coverage radius and altitude optimization
 # ---------------------------------------------------------------------------
-
-MAX_RADIUS_M = 1e6  # coverage_radius's search cap
-
 
 @dataclass(frozen=True)
 class CoverageRadius:

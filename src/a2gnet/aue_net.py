@@ -50,6 +50,7 @@ from .channel import (
     urban,
 )
 from .errors import DomainError, check_count, check_number
+from .limits import COVERAGE_MIN_TRIALS
 from .numerics import (
     RngStream,
     chebyshev_capacity_nodes,
@@ -336,9 +337,6 @@ def coverage_from_samples(sinr: np.ndarray, threshold: float) -> Estimate:
     p = float(np.mean(sinr > threshold))
     ci = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-12) / n)
     return Estimate(p, ci)
-
-
-COVERAGE_MIN_TRIALS = 100   # fewest trials a coverage estimate accepts
 
 
 def coverage_probability_mc(uav_h: float, cfg: AueNetworkConfig, n_trials: int,

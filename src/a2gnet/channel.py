@@ -34,15 +34,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ModelGapError, check_count, check_number
+from .limits import (ENV_PRESETS, MAX_MODELED_ALTITUDE_M, MIN_ANTENNA_HEIGHT_M,
+                     SLICE_CEILINGS_M)
 from .numerics import sample_fading, sample_shadowing_db
 
 SPEED_OF_LIGHT = 299_792_458.0
 # the 3GPP 40*pi*f/3 idiom embeds c = 3e8; the breakpoint uses the same
 _C_3GPP = 3.0e8
-MAX_MODELED_ALTITUDE_M = 300.0
-# the lowest ground antenna of the 3GPP ground fits: the breakpoint and
-# log10 of the antenna height break down under it
-MIN_ANTENNA_HEIGHT_M = 1.0
 # reference distance of every log-distance loss, m: Lambda_0 is the loss here
 D0_M = 1.0
 
@@ -50,21 +48,6 @@ D0_M = 1.0
 # ---------------------------------------------------------------------------
 # Environment and propagation slices
 # ---------------------------------------------------------------------------
-
-# (varsigma, xi, omega) of the four building-statistics environments
-ENV_PRESETS = {
-    "suburban": (0.1, 750.0, 8.0),
-    "urban": (0.3, 500.0, 15.0),
-    "dense_urban": (0.5, 300.0, 20.0),
-    "highrise": (0.5, 300.0, 50.0),
-}
-
-# environment kind -> (ground ceiling, obstructed ceiling) of the slices, m
-SLICE_CEILINGS_M = {
-    **dict.fromkeys(("suburban", "rural", "open"), (10.0, 40.0)),
-    **dict.fromkeys(("urban", "dense_urban", "highrise"), (22.5, 100.0)),
-}
-
 
 @dataclass(frozen=True)
 class Environment:

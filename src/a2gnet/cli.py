@@ -2,7 +2,7 @@
 
 Every run is reproducible: identical seeds give byte-identical outputs,
 because all Monte Carlo work is keyed per work unit. Runs are serial.
-CSV and raster floats print as `heightmap.FLOAT_FMT`, `%.9g`. In a CSV, NaN
+CSV and raster floats print as `limits.FLOAT_FMT`, `%.9g`. In a CSV, NaN
 of either sign prints as `nan`, infinities as `inf` and `-inf`, None as
 `nan`, integers in full (booleans as 1 and 0), text as it is.
 
@@ -10,12 +10,19 @@ The channel table evaluates each altitude in one array pass over its
 distances through `channel.slice_pl_db`. A cell outside a ground-slice fit
 window, or at d_3d = 0, prints nan, and so does the high-altitude NLOS
 sigma, which the model leaves undefined.
+
+Importing this module runs only `errors`, `limits`, `numerics` and
+`scenario`: each model module is bound to a stand-in
+(`importlib.util.LazyLoader`) that runs it on its first attribute lookup,
+so a run loads only its command's modules and what they import. The
+stand-ins sit in `sys.modules` from the start, where `bench/tracing.py`
+looks every traced module up. `argparse` loads in `main`, and `csv` when a
+site CSV is read.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
+import importlib.util
 import math
 import sys
 from dataclasses import replace
@@ -23,15 +30,35 @@ from pathlib import Path
 
 import numpy as np
 
-from . import abs_net, aue_net, localization as loc, mapsim as ms
-from . import channel as ch
-from .antenna_geometry import ConeUav, OmniUav, Position3D, SectorAntenna
 from .errors import DomainError, ModelGapError, ScenarioError, check_number
-from .heightmap import (FLOAT_FMT, HeightMap, load_ascii_grid, save_ascii_grid,
-                        synthetic_city)
+from .limits import FLOAT_FMT
 from .numerics import RngStream, db_to_linear, dbm_to_watt
 from .scenario import (SITE_CSV_FIELDS, Scenario, check_bounds,
                        check_mapsim_rays, load_scenario, validate_seed)
+
+
+def _bind_lazily(*names):
+    """Register a stand-in for each a2gnet module of `names` not loaded yet,
+    in sys.modules and as a package attribute. The module runs on the first
+    attribute lookup, so a run loads only the modules its command uses."""
+    package = sys.modules[__package__]
+    for name in names:
+        full_name = f"{__package__}.{name}"
+        if full_name in sys.modules:
+            continue
+        spec = importlib.util.find_spec(full_name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full_name] = module
+        setattr(package, name, module)
+        spec.loader.exec_module(module)
+
+
+# ahead of the imports below, which then bind the stand-ins
+_bind_lazily("abs_net", "antenna_geometry", "aue_net", "channel", "heightmap",
+             "localization", "mapsim")
+from . import abs_net, aue_net, heightmap, localization as loc  # noqa: E402
+from . import antenna_geometry as ag, channel as ch, mapsim as ms  # noqa: E402
 
 
 def _fmt(value) -> str:
@@ -64,11 +91,11 @@ def _environment(block) -> ch.Environment:
 
 def _aue_config(block) -> aue_net.AueNetworkConfig:
     if block["antenna"] == "omni":
-        uav = OmniUav(block["omni_gain_dbi"])
+        uav = ag.OmniUav(block["omni_gain_dbi"])
     else:
-        uav = ConeUav(phi_b_deg=block["phi_b_deg"],
-                      phi_t=math.radians(block["phi_t_deg"]))
-    sector = SectorAntenna(
+        uav = ag.ConeUav(phi_b_deg=block["phi_b_deg"],
+                         phi_t=math.radians(block["phi_t_deg"]))
+    sector = ag.SectorAntenna(
         electrical_tilt=math.radians(block["sector_downtilt_deg"]),
         max_gain_dbi=block["sector_max_gain_dbi"],
         beamwidth_3db=math.radians(block["sector_beamwidth_deg"]),
@@ -243,7 +270,7 @@ def _read_input(load, path, key):
     """Load the file a scenario key names; a failure names the key."""
     try:
         return load(path)
-    except (OSError, ValueError, csv.Error) as exc:
+    except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot read {path!r}: {exc}", key) from exc
 
 
@@ -252,32 +279,38 @@ SITE_CSV_COLUMNS = ("x", "y", "roof_h", "p_tx_dbm", "azimuth0_deg", "tilt_deg",
                     "max_gain_dbi", "beamwidth_deg")
 
 
-def _sector_antenna(tilt_deg, max_gain_dbi, beamwidth_deg) -> SectorAntenna:
-    return SectorAntenna(electrical_tilt=math.radians(tilt_deg),
-                         max_gain_dbi=max_gain_dbi,
-                         beamwidth_3db=math.radians(beamwidth_deg))
+def _sector_antenna(tilt_deg, max_gain_dbi, beamwidth_deg) -> ag.SectorAntenna:
+    return ag.SectorAntenna(electrical_tilt=math.radians(tilt_deg),
+                            max_gain_dbi=max_gain_dbi,
+                            beamwidth_3db=math.radians(beamwidth_deg))
 
 
-def _load_sites(path, hm: HeightMap):
+def _load_sites(path, hm: heightmap.HeightMap):
     """The sites of a site CSV, each MAST_M above its row's roof_h. Every
     value of every row must be a finite number; then each row's columns must
     lie within SITE_CSV_FIELDS and its position on the map."""
+    import csv  # only a site CSV is read with it
     rows = []
     # utf-8-sig drops the byte-order mark spreadsheets write first
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        missing = set(SITE_CSV_COLUMNS) - set(reader.fieldnames or [])
-        if missing:
-            raise ScenarioError(f"site CSV missing columns {sorted(missing)}")
-        for row in reader:
-            vals = {}
-            for k in SITE_CSV_COLUMNS:
-                try:    # a DomainError is a ValueError
-                    vals[k] = check_number(float(row[k]), k)
-                except (TypeError, ValueError):
-                    raise ScenarioError(f"site CSV line {reader.line_num}: {k} "
-                                        f"must be a finite number, not {row[k]!r}")
-            rows.append((reader.line_num, vals))
+        try:
+            missing = set(SITE_CSV_COLUMNS) - set(reader.fieldnames or [])
+            if missing:
+                raise ScenarioError(
+                    f"site CSV missing columns {sorted(missing)}")
+            for row in reader:
+                vals = {}
+                for k in SITE_CSV_COLUMNS:
+                    try:    # a DomainError is a ValueError
+                        vals[k] = check_number(float(row[k]), k)
+                    except (TypeError, ValueError):
+                        raise ScenarioError(
+                            f"site CSV line {reader.line_num}: {k} must be a "
+                            f"finite number, not {row[k]!r}")
+                rows.append((reader.line_num, vals))
+        except csv.Error as exc:  # _read_input names a ValueError
+            raise ScenarioError(str(exc)) from exc
     if not rows:
         raise ScenarioError("site CSV holds no sites")
     x0, x1, y0, y1 = hm.extent
@@ -290,7 +323,7 @@ def _load_sites(path, hm: HeightMap):
                                     f"outside [{lo:g}, {hi:g}]",
                                     f"line {line}: {column}")
     return [ms.SectorSite(
-        position=Position3D(v["x"], v["y"], v["roof_h"] + ms.MAST_M),
+        position=ag.Position3D(v["x"], v["y"], v["roof_h"] + ms.MAST_M),
         p_tx_dbm=v["p_tx_dbm"], azimuth0=math.radians(v["azimuth0_deg"]),
         antenna=_sector_antenna(v["tilt_deg"], v["max_gain_dbi"],
                                 v["beamwidth_deg"]))
@@ -301,13 +334,14 @@ def _run_mapsim(s: Scenario, out_dir: Path):
     b = s.params["mapsim"]
     env = _environment(b["environment"])
     if b["heightmap"] is not None:
-        hm = _read_input(load_ascii_grid, b["heightmap"], "mapsim.heightmap")
+        hm = _read_input(heightmap.load_ascii_grid, b["heightmap"],
+                         "mapsim.heightmap")
     else:
         syn = b["synthetic"]
-        hm = synthetic_city(syn["extent_m"], syn["cellsize_m"],
-                            _environment(syn["environment"]),
-                            RngStream(s.seed, 1000).child_generator(),
-                            min_height_m=syn["min_height_m"])
+        hm = heightmap.synthetic_city(syn["extent_m"], syn["cellsize_m"],
+                                      _environment(syn["environment"]),
+                                      RngStream(s.seed, 1000).child_generator(),
+                                      min_height_m=syn["min_height_m"])
     if b["sites_csv"] is not None:
         sites = _read_input(lambda path: _load_sites(path, hm),
                             b["sites_csv"], "mapsim.sites_csv")
@@ -340,10 +374,10 @@ def _run_mapsim(s: Scenario, out_dir: Path):
                      grid.p_los_any])
         if b["emit_rasters"]:
             path = out_dir / f"sinr_h{_fmt(h)}.asc"
-            save_ascii_grid(HeightMap(heights=grid.sinr_db[::-1, :],
-                                      cellsize=hm.cellsize * b["stride"],
-                                      xllcorner=hm.xllcorner,
-                                      yllcorner=hm.yllcorner), path)
+            heightmap.save_ascii_grid(heightmap.HeightMap(
+                heights=grid.sinr_db[::-1, :],
+                cellsize=hm.cellsize * b["stride"], xllcorner=hm.xllcorner,
+                yllcorner=hm.yllcorner), path)
             written.append(path)
         del grid  # written: the next height's grid is built without it
     written.insert(0, _write_csv(
@@ -377,6 +411,7 @@ def run_scenario(s: Scenario, out_dir, threads: int = 1):
 
 
 def main(argv=None) -> int:
+    import argparse  # the library path never parses a command line
     parser = argparse.ArgumentParser(
         prog="a2gnet",
         description="Air-to-ground channel and UAV network performance runs")

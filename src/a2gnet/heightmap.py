@@ -30,15 +30,10 @@ import numpy as np
 
 from .channel import Environment
 from .errors import DomainError, GridParseError, check_number
-
-FLOAT_FMT = "%.9g"  # every float the package writes, raster and CSV cells
+from .limits import FLOAT_FMT, MAX_SURFACE_M
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize",
                 "nodata_value")
-# largest magnitude of a loaded surface height, m, past Everest and the
-# deepest trench; a 1e308 m tower overflowed the LOS clearance arithmetic
-# and stopped blocking rays. Synthetic cities stay far below it.
-MAX_SURFACE_M = 1e4
 
 
 @dataclass

@@ -247,6 +247,20 @@ def _search_grid(axy, cx, cy, radius_m) -> _SearchGrid:
                        d_grid)
 
 
+# the largest range whose square is finite
+_MAX_SQUARABLE_M = math.sqrt(sys.float_info.max)
+
+
+def _horizontal_ranges(d_hat, h, name):
+    """sqrt(d_hat^2 - h^2), clamped to zero where noise drives a range below
+    the anchor altitude h; a range past _MAX_SQUARABLE_M raises a DomainError
+    naming `name`."""
+    if not d_hat.max() <= _MAX_SQUARABLE_M:
+        raise DomainError(f"{name} gives a horizontal range past the float "
+                          "range")
+    return np.sqrt(np.maximum(d_hat ** 2 - h ** 2, 0.0))
+
+
 def _solve(grid: _SearchGrid, r_hat) -> MultilaterationResult:
     """Descend from the three best grid seeds and keep the best end point,
     or the best seed should no descent end finite and below it."""
@@ -303,10 +317,8 @@ def multilaterate(anchors: Sequence[Position3D], d_hat: Sequence[float],
     d_hat = np.asarray(d_hat, dtype=float)
     if not np.all(np.isfinite(d_hat) & (d_hat >= 0.0)):
         raise DomainError("d_hat must be non-negative and finite")
-    with np.errstate(over="ignore"):
-        r_hat = np.sqrt(np.maximum(d_hat ** 2 - heights ** 2, 0.0))
-    if not np.all(np.isfinite(r_hat)):
-        raise DomainError("d_hat gives a horizontal range past the float range")
+    with np.errstate(over="ignore"):  # an anchor past 1e154 m squares to inf
+        r_hat = _horizontal_ranges(d_hat, heights, "d_hat")
     if search_center is None:
         cx, cy = axy.mean(axis=0)
     else:
@@ -376,7 +388,7 @@ def run_campaign(scenario: LocalizationScenario, plan: AnchorPlan,
                 d_hat[i], _ = sample_rss_distance(
                     float(d_true[i]), float(theta[i]), ch, gen,
                     force_state=forced)
-            r_hat = np.sqrt(np.maximum(d_hat ** 2 - plan.h_abs_m ** 2, 0.0))
-            est = _solve(grid, r_hat)
+            est = _solve(grid, _horizontal_ranges(d_hat, plan.h_abs_m,
+                                                  "user_area_radius_m"))
             pos_errors.append(math.hypot(est.x - ux, est.y - uy))
     return CampaignResult(np.array(pos_errors))

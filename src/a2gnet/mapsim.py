@@ -29,9 +29,9 @@ from .antenna_geometry import (SECTOR_OFFSETS, Position3D, SectorAntenna,
                                azimuth_attenuation_db, sector_gain_db)
 from .errors import DomainError, check_count, check_number
 from .heightmap import HeightMap, los_mask
+from .limits import MAST_M
 from .numerics import db_to_linear
 
-MAST_M = 5.0                   # default mast height above the roof, m
 NOISE_DENSITY_DBM_HZ = -174.0  # thermal noise density at 290 K
 UE_GAIN_DBI = 2.15             # every ground UE: a half-wave dipole
 # path-loss exponents of the free-space model under LOS and NLOS

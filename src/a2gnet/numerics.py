@@ -12,13 +12,20 @@ pass of numpy's SeedSequence hash; each generator is bit-identical to the
 one `child_generator` builds for its key. Only the hash of each key's word is
 replayed: the pool mixed from the seed and the stream is read from numpy's
 own ``SeedSequence(master_seed, spawn_key=(stream_index,)).pool``.
+numpy.random loads on the first draw, not with this module:
+`child_generators` registers its seed-word holder as an ``ISeedSequence``
+(again on each call, which is a no-op), so a run that draws nothing, such as
+a channel table, never imports it.
 
 scipy is bound lazily: ``special``, ``integrate``, ``optimize`` and
 ``minpack`` here are :class:`LazyModule` stand-ins that import their scipy
 module on the first attribute lookup; ``abs_net`` and ``localization`` import
 these bindings. So ``import a2gnet`` loads no scipy, and runs that never call
-it (mapsim, aerial-UE Monte Carlo) never pay its import. Each binding exists
-for one caller:
+it (mapsim, aerial-UE Monte Carlo) never pay its import. A LazyModule
+enters no ``sys.modules`` entry before its first lookup, so scipy stays out
+of it; ``cli`` binds the package's own model modules through
+``importlib.util.LazyLoader`` instead, whose stand-ins are in ``sys.modules``
+from the start. Each binding exists for one caller:
 
 - ``special``: Marcum Q and its inverse (``chndtr``, ``chndtrix``).
 - ``optimize``: ``abs_net``'s coverage-radius root (``brentq``).
@@ -203,9 +210,6 @@ class _SeedState:
         return self.words
 
 
-np.random.bit_generator.ISeedSequence.register(_SeedState)
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Named random stream: (master_seed, stream_index) fully determines draws.
@@ -237,6 +241,9 @@ class RngStream:
         keys = [operator.index(k) for k in keys]
         if not all(0 <= k < _TWO32 for k in keys):
             raise DomainError("child_generators keys must lie in [0, 2**32)")
+        # registered here, not at import, so numpy.random loads on the first
+        # draw; registering again is a no-op
+        np.random.bit_generator.ISeedSequence.register(_SeedState)
         key_xor, key_mul, pool_mixed = _key_pass(int(self.master_seed),
                                                  int(self.stream_index))
         # (keys x 8) uint32 values in uint64: no product reaches 2**64, and

@@ -29,13 +29,10 @@ from typing import Any, Dict, Optional
 
 import yaml
 
-from .abs_net import MAX_RADIUS_M
-from .aue_net import COVERAGE_MIN_TRIALS, capacity_coefficients, mean_site_count
-from .channel import (ENV_PRESETS, MAX_MODELED_ALTITUDE_M, MIN_ANTENNA_HEIGHT_M,
-                      SLICE_CEILINGS_M)
 from .errors import BoundError, DomainError, ScenarioError, check_number
-from .heightmap import FLOAT_FMT, MAX_SURFACE_M, synthetic_cells
-from .mapsim import MAST_M
+from .limits import (COVERAGE_MIN_TRIALS, ENV_PRESETS, FLOAT_FMT, MAST_M,
+                     MAX_MODELED_ALTITUDE_M, MAX_RADIUS_M, MAX_SURFACE_M,
+                     MIN_ANTENNA_HEIGHT_M, SLICE_CEILINGS_M)
 from .numerics import db_to_linear
 
 @dataclass(frozen=True)
@@ -654,6 +651,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError("a tilt sweep needs aue.antenna cone",
                                 "sweep.axis")
         if sweep["metric"] == "capacity" and sweep["t_max_db"] is not None:
+            from .aue_net import capacity_coefficients
             try:
                 capacity_coefficients(sweep["k_nodes"],
                                       db_to_linear(sweep["t_max_db"],
@@ -661,6 +659,7 @@ def parse_scenario(text: str) -> Scenario:
             except DomainError as exc:
                 raise ScenarioError(str(exc), "sweep.t_max_db") from exc
     if aue is not None:
+        from .aue_net import mean_site_count
         density = aue["bs_density_per_km2"]
         if command == "aue-sweep" and params["sweep"]["axis"] == "density":
             density = max(params["sweep"]["grid"])
@@ -673,6 +672,7 @@ def parse_scenario(text: str) -> Scenario:
         if count(params[key.split(".")[0]]) > ceiling:
             raise ScenarioError(message.format(ceiling), key)
     if command == "mapsim":
+        from .heightmap import synthetic_cells
         b = params["mapsim"]
         syn = b["synthetic"]
         try:

@@ -10,8 +10,12 @@ read-only, from its file, and never installed.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import a2gnet
 from a2gnet import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -42,3 +46,19 @@ def test_class_method_spans_resolve():
 
 def test_run_scenario_takes_threads():
     assert "threads" in inspect.signature(cli.run_scenario).parameters
+
+
+def test_span_homes_are_modules_after_importing_cli():
+    # install() reads sys.modules["a2gnet.<home>"] for every span and scipy
+    # counter home; cli binds the model modules lazily, and a module left to
+    # a runner's own import would end every traced run in a KeyError
+    tracing = _tracing()
+    homes = sorted({home for _, home, _ in tracing.SPANS}
+                   | {home for home, _, _, _ in tracing.SCIPY_COUNTERS})
+    code = ("import sys, a2gnet.cli\n"
+            "missing = [h for h in sys.argv[1:] "
+            "if f'a2gnet.{h}' not in sys.modules]\n"
+            "assert not missing, missing\n")
+    src = str(Path(a2gnet.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code, *homes],
+                   env=dict(os.environ, PYTHONPATH=src), check=True)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -1253,10 +1254,13 @@ _NO_SCIPY = ("bad = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
 
 
 def _run_fresh(code, *args):
+    """Run `code` in a fresh interpreter on this package; returns its
+    stdout."""
     src = str(Path(a2gnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                   check=True)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, check=True, stdout=subprocess.PIPE,
+                          text=True).stdout
 
 
 def test_import_does_not_load_scipy():
@@ -1274,8 +1278,70 @@ def test_import_loads_only_the_modules_asked_for():
                "loaded = sorted(m for m in sys.modules "
                "if m.split('.')[0] == 'a2gnet'); "
                "assert loaded == ['a2gnet', 'a2gnet.channel', 'a2gnet.errors', "
-               "'a2gnet.numerics'], loaded; "
+               "'a2gnet.limits', 'a2gnet.numerics'], loaded; "
                "assert 'yaml' not in sys.modules")
+
+
+def test_leaf_module_loads_nothing_else():
+    # the schema reads the models' limits from it without loading a model
+    _run_fresh("import sys, a2gnet.limits; "
+               "loaded = sorted(m for m in sys.modules "
+               "if m.split('.')[0] in ('a2gnet', 'numpy', 'yaml')); "
+               "assert loaded == ['a2gnet', 'a2gnet.limits'], loaded")
+
+
+# What a fresh interpreter has run of the package, printed as JSON after
+# `code`: a model module that cli binds lazily stays a stand-in, a subclass
+# of the module type, until its first attribute lookup runs it.
+_FOOTPRINT = (
+    "import json, types\n"
+    "ran = {m: type(v) is types.ModuleType for m, v in sys.modules.items()\n"
+    "       if m.split('.')[0] == 'a2gnet'}\n"
+    "print(json.dumps({'ran': sorted(m for m in ran if ran[m]),\n"
+    "                  'stand_ins': sorted(m for m in ran if not ran[m]),\n"
+    "                  'numpy.random': 'numpy.random' in sys.modules}))\n")
+
+_PARSER_MODULES = ["a2gnet", "a2gnet.cli", "a2gnet.errors", "a2gnet.limits",
+                   "a2gnet.numerics", "a2gnet.scenario"]
+_MODEL_MODULES = ["a2gnet.abs_net", "a2gnet.antenna_geometry",
+                  "a2gnet.aue_net", "a2gnet.channel", "a2gnet.heightmap",
+                  "a2gnet.localization", "a2gnet.mapsim"]
+# the model modules a command's run executes: its own and what they import
+_COMMAND_MODULES = {
+    "abs-design": ["abs_net"],
+    "aue-coverage": ["antenna_geometry", "aue_net", "channel"],
+    "aue-sweep": ["antenna_geometry", "aue_net", "channel"],
+    "channel-table": ["channel"],
+    "localize": ["antenna_geometry", "localization"],
+    "mapsim": ["antenna_geometry", "channel", "heightmap", "mapsim"],
+}
+
+
+def _footprint(code, *args):
+    return json.loads(_run_fresh("import sys\n" + code + _FOOTPRINT,
+                                 *args).splitlines()[-1])
+
+
+def test_cli_import_runs_only_the_parser():
+    # cli imported every model module, and numerics numpy.random
+    assert _footprint("import a2gnet.cli\n") == {
+        "ran": _PARSER_MODULES, "stand_ins": _MODEL_MODULES,
+        "numpy.random": False}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem
+                                        for p in SCENARIOS.glob("*.yaml")))
+def test_shipped_run_loads_only_its_command_modules(tmp_path, name):
+    path = SCENARIOS / f"{name}.yaml"
+    command = load_scenario(path).command
+    got = _footprint("import a2gnet.cli as cli, a2gnet.scenario as sc\n"
+                     "cli.run_scenario(sc.load_scenario(sys.argv[2]), "
+                     "sys.argv[1])\n", tmp_path, path)
+    ran = _PARSER_MODULES + [f"a2gnet.{m}" for m in _COMMAND_MODULES[command]]
+    assert got["ran"] == sorted(ran)
+    assert got["stand_ins"] == sorted(set(_MODEL_MODULES) - set(ran))
+    if command == "channel-table":  # it draws nothing and loads no scipy
+        assert not got["numpy.random"]
 
 
 def test_mapsim_and_aue_runs_do_not_load_scipy(tmp_path):

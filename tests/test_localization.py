@@ -213,15 +213,31 @@ class TestMultilaterate:
             loc.multilaterate(anchors, [1e300] * 3)
         assert math.isfinite(loc.multilaterate(anchors, [1e150] * 3).y)
 
-    def test_campaign_without_a_finite_descent_keeps_the_grid_seed(self):
-        # a 1e300 m user disc overflows every range: no descent ends at a
-        # finite cost, and the solve falls back to its best grid seed
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = loc.run_campaign(loc.LocalizationScenario(2, 1e300),
+    def test_campaign_overflowing_ranges_named(self):
+        # a 1e300 m user disc overflowed d_hat ** 2 with a RuntimeWarning,
+        # and the campaign returned errors near 1e300 from its grid seeds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match="^user_area_radius_m gives a horizontal"):
+                loc.run_campaign(loc.LocalizationScenario(2, 1e300),
+                                 loc.AnchorPlan(3, 100.0, 100.0),
+                                 loc.ElevationChannel(), RngStream(1))
+            res = loc.run_campaign(loc.LocalizationScenario(2, 1e150),
                                    loc.AnchorPlan(3, 100.0, 100.0),
                                    loc.ElevationChannel(), RngStream(1))
-        assert res.pos_errors.shape == (2,)
         assert np.all(np.isfinite(res.pos_errors))
+
+    def test_solve_without_a_finite_descent_keeps_the_grid_seed(self):
+        # infinite ranges (overflowed ones reached here before the check
+        # above) leave no descent at a finite cost, and the solve falls back
+        # to its best grid seed
+        axy = np.array([[100.0, 0.0], [-50.0, 86.6], [-50.0, -86.6]])
+        grid = loc._search_grid(axy, 0.0, 0.0, 200.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = loc._solve(grid, np.full(3, math.inf))
+        assert (res.x, res.y) in set(zip(grid.gx, grid.gy))
+        assert res.residual == math.inf
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -10.0])
     def test_search_radius_must_be_positive_and_finite(self, radius):
